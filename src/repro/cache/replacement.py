@@ -27,6 +27,7 @@ result-cache key.
 from __future__ import annotations
 
 import abc
+import functools
 import inspect
 from typing import Callable, Dict, List, Optional
 
@@ -234,6 +235,17 @@ class LRUKPolicy(CachePolicy):
         return min(copies.values(), key=backward_k).item_id
 
 
+@functools.cache
+def _accepted_parameters(factory: Callable[..., CachePolicy]) -> frozenset:
+    """Constructor parameter names of ``factory``, resolved once each.
+
+    ``inspect.signature`` of a class without its own ``__init__`` parses
+    ``object.__init__``'s text signature — compiling source per call —
+    and :func:`make_policy` runs once per host.
+    """
+    return frozenset(inspect.signature(factory).parameters)
+
+
 def make_policy(name: str, **context) -> CachePolicy:
     """Instantiate a registered replacement policy by name.
 
@@ -251,6 +263,6 @@ def make_policy(name: str, **context) -> CachePolicy:
         raise CacheError(
             f"unknown replacement policy {name!r}; choose from {POLICIES.names()}"
         ) from None
-    accepted = inspect.signature(factory).parameters
+    accepted = _accepted_parameters(factory)
     kwargs = {key: value for key, value in context.items() if key in accepted}
     return factory(**kwargs)

@@ -60,6 +60,7 @@ from repro.experiments.figures import (
 from repro.experiments.figures.base import run_axis_sweep
 from repro.experiments.runner import PLACEMENT_SCENARIOS, STRATEGY_SPECS
 from repro.metrics.report import format_summary, format_table
+from repro.net import soa
 
 __all__ = ["main", "build_parser"]
 
@@ -312,15 +313,38 @@ def _command_run(args: argparse.Namespace, executor: CampaignExecutor) -> None:
     print(f"events processed: {result.events_processed:,} "
           f"in {result.wall_clock_seconds:.1f}s wall clock "
           f"({core} core)")
-    stats = getattr(result, "topology_stats", None)
-    if stats:
-        print("topology: "
-              f"{stats.get('snapshots_built', 0)} built, "
-              f"{stats.get('snapshots_reused', 0)} reused, "
-              f"{stats.get('incremental_updates', 0)} incremental "
-              f"({stats.get('bfs_trees_retained', 0)} BFS trees retained)")
+    _print_topology_stats(result, core)
     _print_fault_stats(result)
     _print_control_decisions(result)
+
+
+def _print_topology_stats(result, core: str) -> None:
+    """Topology footer: refresh counters plus the path that served them.
+
+    On the vectorized core a population too large for
+    :func:`soa.refresh_patches` to patch even a one-node delta rebuilds
+    the CSR from the position ledger's arrays on every changed refresh.
+    Such a run is reported as that, not as "0 incremental (0 BFS trees
+    retained)".
+    """
+    stats = getattr(result, "topology_stats", None)
+    if not stats:
+        return
+    patched = stats.get("incremental_updates", 0)
+    array_refresh = core == "vectorized" and not soa.refresh_patches(
+        result.config.n_peers, 1
+    )
+    line = (f"topology: {stats.get('snapshots_built', 0)} built, "
+            f"{stats.get('snapshots_reused', 0)} reused")
+    paths = []
+    if patched or not array_refresh:
+        line += (f", {patched} incremental "
+                 f"({stats.get('bfs_trees_retained', 0)} BFS trees retained)")
+    if patched:
+        paths.append("delta patch")
+    if array_refresh:
+        paths.append("array rebuild")
+    print(f"{line}; refresh path: {' + '.join(paths) or 'rebuild'}")
 
 
 def _print_fault_stats(result) -> None:

@@ -113,8 +113,9 @@ class Network:
         flips mark the cached topology snapshot stale immediately —
         otherwise unicasts for the rest of the quantum could route through
         a node that just went offline.  The churn notice feeds the
-        incremental delta path: the next refresh patches the previous
-        snapshot rather than rebuilding it from scratch.
+        refresh diff: the next refresh patches the previous snapshot (or,
+        for a large population on the vectorized core, rebuilds from the
+        ledger's arrays) rather than discarding it unconditionally.
         """
         if node.node_id in self._nodes:
             raise TopologyError(f"node id {node.node_id!r} already registered")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from collections.abc import Mapping
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -37,6 +38,7 @@ from repro.mobility.terrain import Point
 __all__ = [
     "HAVE_NUMPY",
     "soa_enabled",
+    "refresh_patches",
     "ArrayPositions",
     "CsrAdjacency",
     "build_csr",
@@ -56,6 +58,36 @@ except ImportError:  # pragma: no cover - depends on the install
 #: Below this population the scalar build wins (numpy call overhead
 #: dominates); the property tests drop it to 0 to cover tiny graphs.
 BUILD_MIN_NODES = 64
+
+#: Online population from which a ledger-driven refresh stays in arrays:
+#: every changed refresh rebuilds the CSR from the ledger's arrays rather
+#: than patching the previous snapshot's dicts, however few nodes moved.
+#: The measured crossover sits between 200 and 600 peers, later the more
+#: routes a snapshot serves (patch-vs-rebuild table in DESIGN.md,
+#: "Data-oriented core"); the property tests drop it to cover the array
+#: path on small graphs.
+ARRAY_REFRESH_MIN_NODES = 512
+
+#: Below the crossover, the largest delta still patched: this share of
+#: the online population, with an absolute floor.  ``TopologyService``
+#: reads the same two numbers for its scalar (``node_states``) tree.
+PATCH_FRACTION = 0.25
+PATCH_FLOOR = 4
+
+
+def refresh_patches(n_online: int, n_changed: int) -> bool:
+    """Whether a ledger-driven refresh patches the previous snapshot.
+
+    The one patch-or-rebuild rule of the vectorized core, asked by the
+    position ledger (maintain the ``Point`` dict, or hand out
+    :class:`ArrayPositions`?) and by the topology service
+    (``from_delta``, or a from-arrays build?) with the same two counts,
+    so the two can never disagree.  Empty deltas never get here — they
+    reuse the cached snapshot at every size.
+    """
+    if n_online >= ARRAY_REFRESH_MIN_NODES:
+        return False
+    return n_changed <= max(PATCH_FLOOR, int(n_online * PATCH_FRACTION))
 
 
 def soa_enabled() -> bool:
@@ -118,7 +150,10 @@ class CsrAdjacency:
             )
         if ids_sorted:
             ids = self.ids
-            index = int(np.searchsorted(ids, node))
+            try:
+                index = int(np.searchsorted(ids, node))
+            except (TypeError, ValueError):  # not comparable with an id
+                raise KeyError(node) from None
             if index < ids.shape[0] and int(ids[index]) == node:
                 return index
             raise KeyError(node)
@@ -128,6 +163,25 @@ class CsrAdjacency:
                 node_id: rank for rank, node_id in enumerate(self.ids.tolist())
             }
         return table[node]
+
+    def degree(self, node: int) -> int:
+        """Neighbour count of ``node``; ``KeyError`` when it is not a row."""
+        rank = self.rank_of(node)
+        return int(self.indptr[rank + 1] - self.indptr[rank])
+
+    def has_edge(self, node_a: int, node_b: int) -> bool:
+        """Whether ``node_b`` is in ``node_a``'s row (``False`` for non-rows)."""
+        try:
+            rank_a = self.rank_of(node_a)
+            rank_b = self.rank_of(node_b)
+        except KeyError:
+            return False
+        # Rows are rank-ascending, so membership is one binary search.
+        lo = int(self.indptr[rank_a])
+        hi = int(self.indptr[rank_a + 1])
+        neighbors = self.neighbors
+        index = bisect_left(neighbors, rank_b, lo, hi)
+        return index < hi and int(neighbors[index]) == rank_b
 
 
 def build_csr(
@@ -365,12 +419,14 @@ def bfs_from_csr(
 class ArrayPositions(Mapping):
     """Immutable, registration-ordered node-to-position mapping over arrays.
 
-    The ledger hands one out whenever a refresh changes more nodes than
-    the incremental-patch threshold allows: the snapshot rebuild that
-    follows consumes the arrays directly, so the per-node ``Point`` dict
-    — the dominant cost of a refresh where everybody moves — only
-    materialises if something actually reads positions (tests, scalar
-    fallbacks, delta patches).  Iteration order is the slot (registration)
+    The ledger hands one out for every changed refresh that
+    :func:`refresh_patches` sends to a rebuild — any delta at or above
+    :data:`ARRAY_REFRESH_MIN_NODES` online nodes, an over-threshold one
+    below: the snapshot rebuild that follows consumes the arrays
+    directly, so the per-node ``Point`` dict — the dominant cost of a
+    refresh at scale — only materialises if something actually reads
+    positions (tests, scalar fallbacks, delta patches, partition
+    filters).  Iteration order is the slot (registration)
     order of the backing arrays, matching the dict the scalar path builds;
     values are Python floats, so a materialised entry is bit-identical to
     its scalar counterpart.
@@ -455,22 +511,18 @@ class SoAPositionLedger:
        same order the scalar diff produces (registration order for
        moved/appeared, then departed).
 
-    The returned positions dict is never mutated after it is handed out:
-    refreshes that change anything build a fresh dict (copy-on-change),
-    so snapshots may keep references without aliasing hazards.
+    The returned positions mapping is never mutated after it is handed
+    out.  A changed refresh the topology service will patch
+    (:func:`refresh_patches`) builds a fresh ``Point`` dict
+    (copy-on-change); every other changed refresh hands out
+    :class:`ArrayPositions` over freshly gathered arrays and builds no
+    ``Point`` at all.  Either way snapshots may keep references without
+    aliasing hazards.
 
     Online state is maintained from the network's churn notifications
     (:meth:`note_state`) — the :class:`~repro.net.node.NetworkNode`
     contract requires every flip to call ``notify_state_change``.
     """
-
-    #: Mirror of ``TopologyService.delta_fraction`` / ``delta_floor``:
-    #: deltas past this threshold end in a from-scratch array build, so
-    #: the ledger skips Point-dict maintenance and returns
-    #: :class:`ArrayPositions` instead.  Correctness never depends on the
-    #: values matching the service's — only which fast path is taken.
-    PATCH_FRACTION = 0.25
-    PATCH_FLOOR = 4
 
     def __init__(self) -> None:
         self._nodes: List = []
@@ -590,15 +642,12 @@ class SoAPositionLedger:
         self._reported_y[refreshed] = self._y[refreshed]
         self._reported_online = online.copy()
 
-        n_online = int(online.sum())
-        if len(changed) > max(
-            self.PATCH_FLOOR, int(n_online * self.PATCH_FRACTION)
-        ):
-            # The delta exceeds the topology service's incremental-patch
-            # threshold, so the refresh ends in a from-scratch array
-            # build: hand out the arrays and skip the Point dict — it
-            # materialises lazily if anything actually reads positions.
-            slots = np.nonzero(online)[0]
+        slots = np.nonzero(online)[0]
+        if not refresh_patches(int(slots.shape[0]), len(changed)):
+            # The topology service asks the same predicate and ends this
+            # refresh in a from-arrays build: hand out the arrays and
+            # skip the Point dict — it materialises lazily if anything
+            # actually reads positions.
             self._positions = ArrayPositions(
                 self._ids_arr[slots], self._x[slots], self._y[slots]
             )
@@ -624,7 +673,7 @@ class SoAPositionLedger:
                 for index, slot in enumerate(first)
             }
             positions = {}
-            for slot in np.nonzero(online)[0].tolist():
+            for slot in slots.tolist():
                 node = ids[slot]
                 point = fresh.get(slot)
                 positions[node] = point if point is not None else base[node]

@@ -36,7 +36,12 @@ keep them cheap without changing any observable result:
   retains every memoised BFS tree whose connected component no edge change
   touched — each retention guarded by a per-component edge fingerprint.
   Large deltas fall back to the from-scratch build, which stays the
-  worst-case cost.
+  worst-case cost.  The patch is a small-population path: a
+  ledger-driven service (the vectorized core) with
+  ``soa.ARRAY_REFRESH_MIN_NODES`` or more nodes online rebuilds the CSR
+  from the ledger's arrays on every changed refresh instead, which is
+  measurably cheaper there however few nodes moved
+  (:func:`repro.net.soa.refresh_patches`).
 """
 
 from __future__ import annotations
@@ -57,6 +62,14 @@ __all__ = ["TopologySnapshot", "TopologyService"]
 # materialising the adjacency from the CSR on a large snapshot that will
 # likely see a single routing query before the next rebuild.
 _FULL_BFS_CSR_MIN = 4096
+
+# ``has_edge`` on a vectorized snapshot answers from the CSR for one
+# query per this many nodes before it builds the frozen neighbour sets.
+# A CSR query (~5 us) costs what materialising 4-6 nodes' lists and sets
+# does (measured at 1k and 10k nodes), so when the allowance runs out the
+# searches have cost about one materialisation — never more than twice
+# the better choice, whichever the snapshot's traffic turns out to be.
+_CSR_EDGE_QUERY_SHARE = 4
 
 
 class TopologySnapshot:
@@ -85,7 +98,7 @@ class TopologySnapshot:
         ] = None,
         position_arrays=None,
     ) -> None:
-        # ArrayPositions (the ledger's big-delta output) is already an
+        # ArrayPositions (the ledger's rebuild-bound output) is already an
         # immutable snapshot-safe mapping: copying it into a dict would
         # materialise one Point per node, the very cost it exists to skip.
         if isinstance(positions, soa.ArrayPositions):
@@ -122,11 +135,15 @@ class TopologySnapshot:
             self._csr = soa.build_csr(
                 self.positions, self.radio_range, position_arrays
             )
+        # has_edge calls a CSR may still answer before the frozen
+        # neighbour sets are worth building (see has_edge).
+        self._csr_edge_queries = len(self.positions) // _CSR_EDGE_QUERY_SHARE
         if self._csr is not None:
             # The dict-of-lists adjacency, the grid and the frozen
             # neighbour sets all materialise lazily: a regime that
-            # rebuilds every quantum (everybody moving) never needs any
-            # of them, and from_delta/has_edge build them on first touch.
+            # rebuilds every refresh (everybody moving, or any large
+            # population) never needs any of them; from_delta, neighbour
+            # lists and sustained has_edge traffic build them on demand.
             self._adjacency = None
             self._grid = None
             self._neighbor_sets = None
@@ -293,6 +310,7 @@ class TopologySnapshot:
         snap._bfs_cache = {}
         snap._bfs_partial = {}
         snap._csr = None  # patched lists live in the dicts, not the arrays
+        snap._csr_edge_queries = 0
 
         grid = dict(prev._grid)
         adjacency = dict(prev._adjacency)
@@ -484,20 +502,37 @@ class TopologySnapshot:
             raise TopologyError(f"node {node!r} is not online in this snapshot") from None
 
     def has_edge(self, node_a: int, node_b: int) -> bool:
-        """O(1) check whether a radio link ``node_a -- node_b`` exists.
+        """Check whether a radio link ``node_a -- node_b`` exists.
 
         Returns ``False`` (rather than raising) when either endpoint is
         not online in this snapshot, so route-liveness scans need no
-        separate membership pass.
+        separate membership pass.  O(1) on the frozen neighbour sets; a
+        vectorized snapshot that has not built them answers its first
+        queries by binary search in the CSR row instead.
         """
         sets = self._sets_store
         if sets is None:
+            if self._csr is not None and self._csr_edge_queries > 0:
+                # Rent before buying: a snapshot that lives one quantum
+                # sees a handful of route-liveness checks, far cheaper
+                # than one frozenset per node; one that keeps being
+                # asked has paid about a materialisation in searches by
+                # the time the allowance runs out, so it builds the sets.
+                self._csr_edge_queries -= 1
+                return self._csr.has_edge(node_a, node_b)
             sets = self._neighbor_sets  # materialise once, then hit the store
         members = sets.get(node_a)
         return members is not None and node_b in members
 
     def degree(self, node: int) -> int:
         """Number of one-hop neighbours of ``node``."""
+        if self._adjacency_store is None and self._csr is not None:
+            try:
+                return self._csr.degree(node)
+            except KeyError:
+                raise TopologyError(
+                    f"node {node!r} is not online in this snapshot"
+                ) from None
         return len(self.neighbors(node))
 
     def _bfs_from(
@@ -674,12 +709,24 @@ class TopologyService:
 
     Refreshes (new bucket, or churn inside the current one) diff the fresh
     node state against the previous snapshot.  No change reuses the
-    previous snapshot object outright; a delta no larger than
-    ``delta_fraction`` of the population (with an absolute floor of
-    ``delta_floor`` nodes) patches it via
-    :meth:`TopologySnapshot.from_delta`; anything larger rebuilds from
-    scratch.  ``incremental = False`` disables both fast paths (every
-    refresh rebuilds), which the benchmarks use as the baseline.
+    previous snapshot object outright, at every population size.  What a
+    *changed* refresh does depends on who supplies the diff:
+
+    * without a ``delta_source`` (the scalar core, and any service built
+      directly over ``node_states``) a delta no larger than
+      ``delta_fraction`` of the population (with an absolute floor of
+      ``delta_floor`` nodes) patches the previous snapshot via
+      :meth:`TopologySnapshot.from_delta`; anything larger rebuilds from
+      scratch;
+    * with one (the vectorized core's position ledger) the service and
+      the ledger both ask :func:`repro.net.soa.refresh_patches`: the
+      same patch rule below ``soa.ARRAY_REFRESH_MIN_NODES`` online
+      nodes, and from there on a CSR rebuild from the ledger's arrays
+      for every delta — at that size the rebuild is cheaper than the
+      patch plus the dict traversals the patched snapshot then serves.
+
+    ``incremental = False`` disables both fast paths (every refresh
+    rebuilds), which the benchmarks use as the baseline.
 
     Counters: ``snapshots_built`` counts from-scratch builds,
     ``incremental_updates`` delta patches, ``snapshots_reused`` unchanged
@@ -687,8 +734,8 @@ class TopologyService:
     patches, and ``invalidations`` explicit churn/invalidate notices.
     """
 
-    delta_fraction = 0.25
-    delta_floor = 4
+    delta_fraction = soa.PATCH_FRACTION
+    delta_floor = soa.PATCH_FLOOR
 
     def __init__(
         self,
@@ -798,8 +845,10 @@ class TopologyService:
     ) -> TopologySnapshot:
         """Refresh via the SoA position ledger.
 
-        Mirrors the scalar decision tree of :meth:`current` exactly —
-        reuse on an empty delta, patch on a small one, rebuild otherwise
+        Reuse on an empty delta, as in :meth:`current`; a changed
+        refresh patches or rebuilds as :func:`soa.refresh_patches` says
+        — the predicate the ledger just applied to the same counts when
+        it chose between a ``Point`` dict and :class:`soa.ArrayPositions`
         — with the change detection done once in the ledger's arrays
         instead of per node here.
         """
@@ -814,8 +863,10 @@ class TopologyService:
             if not changed:
                 self.snapshots_reused += 1
                 return cached
-            limit = max(self.delta_floor, int(len(positions) * self.delta_fraction))
-            if len(changed) <= limit and self.edge_filter is None:
+            # Delta patching is unfiltered-only, as in current().
+            if self.edge_filter is None and soa.refresh_patches(
+                len(positions), len(changed)
+            ):
                 order = self._order
                 if order is None or cached.positions.keys() != positions.keys():
                     order = self._order = {

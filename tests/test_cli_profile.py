@@ -58,6 +58,46 @@ def test_run_footer_reports_topology_counters(capsys):
     assert "BFS trees retained" in captured
 
 
+def _topology_footer(output: str) -> str:
+    (line,) = [ln for ln in output.splitlines() if ln.startswith("topology:")]
+    return line
+
+
+def test_run_footer_names_the_array_rebuild_path(capsys, monkeypatch):
+    """A population at or above the array-refresh crossover never
+    patches; its footer says so instead of "0 incremental"."""
+    from repro.net import soa
+
+    if not soa.soa_enabled():
+        pytest.skip("vectorized core not active")
+    monkeypatch.setattr(soa, "ARRAY_REFRESH_MIN_NODES", 50)  # the CLI's 50 peers
+    assert main(BASE + ["--no-cache", "run", "rpcc-sc"]) == 0
+    footer = _topology_footer(capsys.readouterr().out)
+    assert footer.endswith("refresh path: array rebuild")
+    assert "incremental" not in footer and "BFS trees" not in footer
+    assert " built, " in footer and " reused" in footer
+
+
+def test_run_footer_names_the_delta_patch_path(capsys):
+    """Below the crossover small deltas patch, on either core, and are
+    reported with their counters as before.  (The CLI's Table-1 world
+    moves 60 % of its peers per quantum and never patches, so the
+    pause-heavy result is built here and handed to the footer.)"""
+    from repro import cli
+    from repro.experiments.config import SimulationConfig
+    from repro.experiments.runner import build_simulation
+
+    config = SimulationConfig(
+        stable_fraction=0.95, sim_time=90.0, warmup=0.0, seed=3
+    )
+    result = build_simulation(config, "push", "standard").run()
+    assert result.topology_stats["incremental_updates"] > 0
+    cli._print_topology_stats(result, result.core)
+    footer = _topology_footer(capsys.readouterr().out)
+    assert "incremental" in footer and "BFS trees retained" in footer
+    assert footer.endswith("refresh path: delta patch")
+
+
 def test_run_footer_reports_which_core_ran(capsys):
     from repro.net import soa
 

@@ -159,6 +159,56 @@ def test_golden_digest_identical_on_both_cores(monkeypatch):
         assert vectorized == golden["rpcc-sc-seed7"]
 
 
+def test_large_sparse_world_identical_on_both_cores(monkeypatch):
+    """Above the array-refresh crossover with few movers — the regime
+    where the vectorized core rebuilds the CSR instead of patching — a
+    run must still equal the scalar core's, and report no patches."""
+    from repro.net import soa
+
+    if not soa.HAVE_NUMPY:
+        pytest.skip("numpy (the perf extra) is not installed")
+    n_peers = 2000
+    assert n_peers >= soa.ARRAY_REFRESH_MIN_NODES
+    side = 1500.0 * (n_peers / 50.0) ** 0.5
+    config = SimulationConfig(
+        n_peers=n_peers,
+        terrain_width=side,
+        terrain_height=side,
+        mobility="walk",
+        stable_fraction=0.9,
+        sim_time=3.0,
+        warmup=0.0,
+        query_interval=100.0,
+        update_interval=2.0,
+        seed=7,
+    )
+
+    def run():
+        bus = TraceBus()
+        sink = bus.add_sink(ListSink())
+        result = build_simulation(config, "rpcc-hy", "single_source", trace=bus).run()
+        bus.close()
+        return result, _digest(result, sink.events)
+
+    monkeypatch.setenv("REPRO_SOA", "1")
+    vectorized, vectorized_digest = run()
+    monkeypatch.setenv("REPRO_SOA", "0")
+    scalar, scalar_digest = run()
+    assert (vectorized.core, scalar.core) == ("vectorized", "scalar")
+    assert vectorized_digest == scalar_digest
+    assert vectorized_digest["transmissions"] > 0
+
+    # Same world, same refreshes; only the path that served them differs.
+    stats = vectorized.topology_stats
+    assert stats["incremental_updates"] == 0 and stats["bfs_trees_retained"] == 0
+    assert stats["snapshots_built"] > 1
+    assert scalar.topology_stats["incremental_updates"] > 0
+    refreshes = lambda s: (
+        s["snapshots_built"] + s["incremental_updates"] + s["snapshots_reused"]
+    )
+    assert refreshes(stats) == refreshes(scalar.topology_stats)
+
+
 def test_golden_file_covers_the_whole_matrix():
     if UPDATE:
         pytest.skip("regenerating")

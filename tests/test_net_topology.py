@@ -268,6 +268,85 @@ class TestHasEdge:
                 assert snap.has_edge(a, b) == (b in neighbors)
 
 
+class TestCsrPointQueries:
+    """``has_edge``/``degree``/``edge_count`` straight off the CSR arrays
+    agree with the dict-backed answers and materialise nothing."""
+
+    @staticmethod
+    def pair(seed, count, ids=None):
+        """The same random graph as an unmaterialised CSR snapshot and as
+        a scalar dict snapshot (offline nodes simply absent)."""
+        rng = random.Random(seed)
+        side = 1500.0 * (count / 50.0) ** 0.5
+        ids = list(ids) if ids is not None else list(range(count))
+        positions = {
+            node: Point(rng.uniform(0, side), rng.uniform(0, side)) for node in ids
+        }
+        vec = TopologySnapshot(positions, 250.0)
+        assert vec._csr is not None and vec._adjacency_store is None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_SOA", "0")  # force the scalar build
+            ref = TopologySnapshot(positions, 250.0)
+        assert ref._csr is None
+        return vec, ref
+
+    @pytest.fixture(autouse=True)
+    def _needs_vectorized_core(self):
+        from repro.net import soa
+
+        if not soa.soa_enabled():
+            pytest.skip("vectorized core not active")
+
+    @pytest.mark.parametrize("seed,count", [(1, 64), (2, 200), (3, 700)])
+    def test_agree_with_dict_answers(self, seed, count):
+        # Even ids only: odd ones stand for offline nodes, 10**6 and a
+        # string for identifiers the network never registered.
+        vec, ref = self.pair(seed, count, ids=range(0, 2 * count, 2))
+        assert vec.edge_count() == ref.edge_count() > 0
+        rng = random.Random(seed)
+        probes = [1, 2 * count + 1, 10**6, -4, "ghost", None]
+        for node in ref.positions:
+            assert vec.degree(node) == ref.degree(node)
+        vec._csr_edge_queries = 10**9  # keep every answer on the CSR
+        for node in rng.sample(list(ref.positions), 40):
+            for other in ref.neighbors(node):
+                assert vec.has_edge(node, other) and vec.has_edge(other, node)
+            for other in rng.sample(list(ref.positions), 40) + probes:
+                assert vec.has_edge(node, other) == ref.has_edge(node, other)
+                assert vec.has_edge(other, node) == ref.has_edge(other, node)
+        for probe in probes:
+            assert not vec.has_edge(probe, probe)
+            with pytest.raises(TopologyError):
+                vec.degree(probe)
+        assert vec._adjacency_store is None and vec._sets_store is None
+
+    def test_unsorted_ids_use_the_rank_table(self):
+        ids = list(range(100))
+        random.Random(9).shuffle(ids)
+        vec, ref = self.pair(4, 100, ids=ids)
+        vec._csr_edge_queries = 10**9
+        for node in ids:
+            assert vec.degree(node) == ref.degree(node)
+            for other in ids[:25]:
+                assert vec.has_edge(node, other) == ref.has_edge(node, other)
+        assert not vec.has_edge(0, 1000) and not vec.has_edge(1000, 0)
+
+    def test_sustained_has_edge_traffic_builds_the_sets(self):
+        """The CSR serves a bounded number of queries per snapshot; a
+        snapshot that keeps being asked switches to the O(1) sets."""
+        vec, ref = self.pair(5, 400)
+        allowance = vec._csr_edge_queries
+        assert 0 < allowance < 400
+        for query in range(allowance):
+            vec.has_edge(query % 400, (query * 13 + 7) % 400)
+        assert vec._sets_store is None
+        for query in range(allowance, 4 * allowance):
+            a, b = query % 400, (query * 13 + 7) % 400
+            assert vec.has_edge(a, b) == ref.has_edge(a, b)
+        assert vec._sets_store is not None
+        assert vec._neighbor_sets == ref._neighbor_sets
+
+
 class TestTopologyService:
     def make_service(self, states, quantum=1.0):
         clock = {"t": 0.0}

@@ -154,6 +154,38 @@ class TestMakePolicy:
         # Stateless policies ignore the whole context.
         assert isinstance(make_policy("lru", ttl=60.0, clock=clock), LRUPolicy)
 
+    def test_signature_is_resolved_once_per_factory(self, monkeypatch):
+        """World set-up builds one policy per host: 10 000 hosts must not
+        mean 10 000 ``inspect.signature`` calls (each one compiles
+        ``object.__init__``'s text signature for ``__init__``-less
+        policies)."""
+        from repro.cache import replacement
+
+        resolved = []
+        real_signature = replacement.inspect.signature
+
+        def counting_signature(factory):
+            resolved.append(factory)
+            return real_signature(factory)
+
+        monkeypatch.setattr(replacement.inspect, "signature", counting_signature)
+        replacement._accepted_parameters.cache_clear()
+        clock = lambda: 7.0
+        for _ in range(10_000):
+            policy = make_policy("lru", ttl=60.0, clock=clock)
+        assert isinstance(policy, LRUPolicy)
+        assert resolved == [LRUPolicy]
+
+        # The memo keeps the per-constructor filtering of all six policies.
+        ttl = make_policy("ttl-value", ttl=60.0, clock=clock, k=5)
+        assert ttl.ttl == 60.0 and ttl.clock is clock
+        assert make_policy("lru-k", ttl=60.0, clock=clock, k=4).k == 4
+        for name in ("lfu", "fifo", "size-utility"):
+            assert make_policy(name, ttl=60.0, clock=clock, k=4).name == name
+        assert len(resolved) == 6
+        make_policy("ttl-value", ttl=30.0, clock=clock)
+        assert len(resolved) == 6
+
     def test_unknown_policy_is_cache_error(self):
         with pytest.raises(CacheError, match="ttl-value"):
             make_policy("arc")

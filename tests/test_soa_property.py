@@ -212,8 +212,12 @@ def _build_world(vectorized: bool, seed: int, count: int, families):
     return sim, net, nodes
 
 
-def _run_both(seed: int, count: int, families, toggles):
-    """Walk two identically seeded worlds and compare every snapshot."""
+def _lockstep(seed: int, count: int, families, toggles):
+    """Walk two identically seeded worlds, one per core, a quantum at a time.
+
+    Yields ``(vec_net, ref_net)`` after each tick's movement and churn,
+    before either network has refreshed its snapshot.
+    """
     vec_sim, vec_net, vec_nodes = _build_world(True, seed, count, families)
     ref_sim, ref_net, ref_nodes = _build_world(False, seed, count, families)
     for tick, toggle in enumerate(toggles, start=1):
@@ -224,6 +228,12 @@ def _run_both(seed: int, count: int, families, toggles):
             flag = not vec_nodes[index].online
             vec_nodes[index].set_online(flag)
             ref_nodes[index].set_online(flag)
+        yield vec_net, ref_net
+
+
+def _run_both(seed: int, count: int, families, toggles):
+    """Walk two identically seeded worlds and compare every snapshot."""
+    for vec_net, ref_net in _lockstep(seed, count, families, toggles):
         with _core(True):
             vec_snap = vec_net.snapshot()
         with _core(False):
@@ -250,3 +260,128 @@ def test_bulk_mobility_kernels_match_scalar_models(family):
     """Each kernel family alone: bulk sampling equals per-node sampling."""
     _run_both(seed=7, count=16, families=(family,), toggles=[None] * 20)
     _run_both(seed=23, count=16, families=(family,), toggles=[3, None, 9] * 5)
+
+
+# ----------------------------------------------------------------------
+# Array refresh above the size crossover
+# ----------------------------------------------------------------------
+#: One walker per ten nodes: deltas far under the patch threshold, the
+#: regime where the size crossover alone decides patch versus rebuild.
+SPARSE = ("stationary",) * 9 + ("walk",)
+
+
+@contextlib.contextmanager
+def _array_refresh_from(min_nodes: int):
+    """Pin :data:`soa.ARRAY_REFRESH_MIN_NODES` for the duration of the block."""
+    saved = soa.ARRAY_REFRESH_MIN_NODES
+    soa.ARRAY_REFRESH_MIN_NODES = min_nodes
+    try:
+        yield
+    finally:
+        soa.ARRAY_REFRESH_MIN_NODES = saved
+
+
+def _drive_sparse(seed: int, toggles, count: int = 30):
+    """Refresh a vectorized and a scalar sparse world in lockstep.
+
+    Yields ``(vec_net, vec_snap, scratch, changed)`` per quantum:
+    ``scratch`` is a from-scratch *scalar* snapshot over the scalar
+    world's positions, ``changed`` whether the vectorized refresh saw a
+    non-empty delta.
+    """
+    for vec_net, ref_net in _lockstep(seed, count, SPARSE, toggles):
+        reused = vec_net.topology.snapshots_reused
+        with _core(True):
+            vec_snap = vec_net.snapshot()
+        with _core(False):
+            scratch = TopologySnapshot(dict(ref_net.snapshot().positions), RANGE)
+            assert scratch._csr is None
+        yield vec_net, vec_snap, scratch, vec_net.topology.snapshots_reused == reused
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**20),
+    st.lists(
+        st.one_of(st.none(), st.integers(min_value=0, max_value=63)),
+        min_size=4,
+        max_size=24,
+    ),
+)
+def test_array_refresh_matches_scratch_scalar_build(seed, toggles):
+    """Above the crossover every changed refresh is a CSR rebuild that
+    answers floods, routes and point queries like a scalar build."""
+    with _array_refresh_from(0):
+        for vec_net, vec_snap, scratch, changed in _drive_sparse(seed, toggles):
+            if changed:
+                assert vec_snap._csr is not None
+                assert isinstance(vec_snap.positions, soa.ArrayPositions)
+            if vec_snap._csr is not None and vec_snap._adjacency_store is None:
+                # Straight off the arrays, before anything materialises.
+                for source in scratch.positions:
+                    levels, parents, items, _ = soa.bfs_from_csr(vec_snap._csr, source)
+                    ref_levels, ref_parents, ref_items, _ = scratch._bfs_from(source)
+                    assert (levels, parents, items) == (ref_levels, ref_parents, ref_items)
+                    assert list(parents) == list(ref_parents)
+                    assert vec_snap.degree(source) == scratch.degree(source)
+                assert vec_snap.edge_count() == scratch.edge_count()
+                assert vec_snap._adjacency_store is None
+            _assert_snapshots_identical(vec_snap, scratch)
+        stats = vec_net.topology.stats()
+        assert stats["incremental_updates"] == 0
+        assert stats["bfs_trees_retained"] == 0
+
+
+@pytest.mark.parametrize("seed", (7, 23))
+def test_delta_patch_still_serves_small_populations(seed):
+    """The mirror case: the same sparse world under the crossover keeps
+    the ``from_delta`` path, with identical snapshots."""
+    toggles = [None, 3, None, None, 9, None] * 4
+    assert soa.ARRAY_REFRESH_MIN_NODES > 30
+    for vec_net, vec_snap, scratch, _ in _drive_sparse(seed, toggles):
+        _assert_snapshots_identical(vec_snap, scratch)
+    stats = vec_net.topology.stats()
+    assert stats["incremental_updates"] > 0
+    assert stats["snapshots_built"] < len(toggles)
+
+
+def test_flood_only_run_above_crossover_stays_in_arrays(monkeypatch):
+    """Floods over a large-population refresh never build the ``Point``
+    dict, the dict adjacency or a patch: arrays in, arrays out."""
+    from repro.net.message import Message
+
+    materialised = []
+    real_adjacency = soa.adjacency_from_csr
+    real_points = soa.ArrayPositions.materialized
+    monkeypatch.setattr(
+        soa, "adjacency_from_csr",
+        lambda csr: materialised.append("adjacency") or real_adjacency(csr),
+    )
+    monkeypatch.setattr(
+        soa.ArrayPositions, "materialized",
+        lambda self: materialised.append("points") or real_points(self),
+    )
+    monkeypatch.setattr(soa, "ARRAY_REFRESH_MIN_NODES", 0)
+    count = 40
+    sim, net, nodes = _build_world(True, 11, count, SPARSE)
+    rng = random.Random(11)
+    changed_refreshes = 0
+    with _core(True):
+        for tick in range(1, 31):
+            sim.run_until(float(tick))
+            if tick % 3 == 0:
+                node = nodes[rng.randrange(count)]
+                node.set_online(not node.online)
+            reused = net.topology.snapshots_reused
+            snapshot = net.snapshot()
+            if net.topology.snapshots_reused == reused:
+                changed_refreshes += 1
+                assert snapshot._csr is not None
+            for source in rng.sample(range(count), 4):
+                reached = net.flood(source, Message(sender=source), ttl=3)
+                assert reached == len(net.flood_reach(source, 3)) or not nodes[source].online
+    assert materialised == []
+    stats = net.topology.stats()
+    assert stats["incremental_updates"] == 0
+    assert stats["snapshots_built"] == changed_refreshes > 20
+    assert net.messages_sent == 30 * 4
