@@ -11,7 +11,10 @@ the committed golden at ``tests/golden/scale_100k.json``:
 * any behavioural drift (engine fire order, topology, protocol) shows
   up as a digest mismatch, exactly like the 20-node golden matrix but
   at the scale where the timer wheel and the zero-allocation paths
-  actually carry the load.
+  actually carry the load;
+* a run whose topology refreshes never reused their candidate pairs
+  (``pair_list_reuses == 0``) fails too: the reuse path must not die
+  silently at the size it matters most.
 
 Regenerate after an intentional behaviour change with::
 
@@ -27,7 +30,7 @@ import json
 import pathlib
 import sys
 import time
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(BENCH_DIR.parent / "src"))
@@ -49,8 +52,8 @@ _FLOAT_METRICS = (
 )
 
 
-def run_smoke() -> Dict[str, object]:
-    """One 100k-node vectorized run reduced to its digest."""
+def run_smoke() -> Tuple[Dict[str, object], Dict[str, int]]:
+    """One 100k-node vectorized run: its digest and its topology counters."""
     import os
 
     os.environ["REPRO_SOA"] = "1"
@@ -71,6 +74,12 @@ def run_smoke() -> Dict[str, object]:
         f"ran {SIM_TIME:.0f} simulated seconds in {done_at - run_at:.1f}s, "
         f"{result.events_processed} events ({result.core} core)"
     )
+    stats = result.topology_stats
+    print(
+        f"100k smoke: {stats['snapshots_built']} topology rebuilds; pair list "
+        f"{stats['pair_list_builds']} built, {stats['pair_list_reuses']} reused, "
+        f"{stats['pair_list_reanchored']} re-anchored"
+    )
     summary = result.summary
     digest: Dict[str, object] = {
         "n_peers": N_PEERS,
@@ -85,7 +94,7 @@ def run_smoke() -> Dict[str, object]:
         sorted(summary.transmissions_by_type.items())
     )
     digest["counters"] = dict(sorted(summary.counters.items()))
-    return digest
+    return digest, stats
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -95,7 +104,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="rewrite the committed golden from this run instead of checking",
     )
     args = parser.parse_args(argv)
-    digest = run_smoke()
+    digest, stats = run_smoke()
+    if stats["pair_list_reuses"] == 0:
+        print("FAIL: no topology refresh reused its candidate pairs",
+              file=sys.stderr)
+        return 1
     if args.update:
         GOLDEN_PATH.write_text(json.dumps(digest, indent=2, sort_keys=True) + "\n")
         print(f"golden written to {GOLDEN_PATH}")

@@ -325,7 +325,8 @@ def _print_topology_stats(result, core: str) -> None:
     :func:`soa.refresh_patches` to patch even a one-node delta rebuilds
     the CSR from the position ledger's arrays on every changed refresh.
     Such a run is reported as that, not as "0 incremental (0 BFS trees
-    retained)".
+    retained)", along with how those rebuilds came by their candidate
+    pairs (:class:`soa.PairList`).
     """
     stats = getattr(result, "topology_stats", None)
     if not stats:
@@ -344,7 +345,12 @@ def _print_topology_stats(result, core: str) -> None:
         paths.append("delta patch")
     if array_refresh:
         paths.append("array rebuild")
-    print(f"{line}; refresh path: {' + '.join(paths) or 'rebuild'}")
+    line += f"; refresh path: {' + '.join(paths) or 'rebuild'}"
+    if array_refresh:
+        line += (f" (pair list: {stats.get('pair_list_builds', 0)} built, "
+                 f"{stats.get('pair_list_reuses', 0)} reused, "
+                 f"{stats.get('pair_list_reanchored', 0)} re-anchored)")
+    print(line)
 
 
 def _print_fault_stats(result) -> None:

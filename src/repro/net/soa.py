@@ -3,9 +3,14 @@
 This module holds every numpy-accelerated kernel the network layer can
 substitute for its pure-Python inner loops:
 
-* :func:`build_adjacency` — the spatial-hash adjacency build of
-  :class:`~repro.net.topology.TopologySnapshot`, with cell keys computed by
-  integer floor-divide and candidate-pair distance checks as array ops.
+* :func:`build_csr` — the spatial-hash adjacency build of
+  :class:`~repro.net.topology.TopologySnapshot` in three array stages:
+  candidate pairs from a uniform grid, one distance pass over them, CSR
+  assembly by sorting fused keys.
+* :class:`PairList` — a cache in front of the first of those stages: the
+  candidate pairs of one refresh, kept with a skin around the radio
+  range, serve the following refreshes until nodes have drifted half the
+  skin, through churn (a Verlet neighbour list in ledger-slot space).
 * :func:`bfs_from_csr` — the level-synchronous BFS over a compressed
   sparse-row view of the snapshot, reproducing the scalar traversal's
   discovery order (and therefore parents, items and depth prefix) exactly.
@@ -41,6 +46,7 @@ __all__ = [
     "refresh_patches",
     "ArrayPositions",
     "CsrAdjacency",
+    "PairList",
     "build_csr",
     "adjacency_from_csr",
     "bfs_from_csr",
@@ -67,6 +73,21 @@ BUILD_MIN_NODES = 64
 #: "Data-oriented core"); the property tests drop it to cover the array
 #: path on small graphs.
 ARRAY_REFRESH_MIN_NODES = 512
+
+#: Reuse margin of :class:`PairList` as a share of the radio range: the
+#: list holds pairs out to ``(1 + PAIR_SKIN) * radio_range`` and serves
+#: until a node has drifted about half the margin.  Wider lives longer
+#: but lists more pairs for every distance pass (skin table in
+#: DESIGN.md, "Data-oriented core").
+PAIR_SKIN = 0.1
+
+#: Drift from its anchor, as a share of the skin, at which a node counts
+#: as a stray.  The superset argument needs <= 1/2; the rest is margin
+#: for float rounding, orders of magnitude wider than any it could meet.
+_PAIR_DRIFT_SHARE = 0.49
+
+#: Refreshes a :class:`PairList` sits out after a list died unused.
+PAIR_LIST_NAP = 16
 
 #: Below the crossover, the largest delta still patched: this share of
 #: the online population, with an absolute floor.  ``TopologyService``
@@ -184,45 +205,17 @@ class CsrAdjacency:
         return index < hi and int(neighbors[index]) == rank_b
 
 
-def build_csr(
-    positions: Dict[int, Point],
-    radio_range: float,
-    position_arrays: Optional[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = None,
-) -> Optional[CsrAdjacency]:
-    """Vectorized unit-disc adjacency over ``positions``.
+def _candidate_pairs(
+    xs: "np.ndarray", ys: "np.ndarray", cell: float
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Stage 1 of :func:`build_csr`: spatial-hash candidate pairs.
 
-    Returns the :class:`CsrAdjacency` whose per-node neighbour segments
-    are element-for-element equal to the scalar spatial-hash build
-    (:func:`adjacency_from_csr` materialises the identical dict-of-lists
-    on demand).  Returns ``None`` when the input cannot be vectorized
-    (ids outside int64), letting the caller fall back to the scalar
-    build.
-
-    ``position_arrays`` may supply precomputed ``(ids, xs, ys)`` arrays
-    (the position ledger keeps them hot); they must match ``positions``
-    in order and value.
+    Buckets the points into a uniform grid of ``cell``-sized squares and
+    returns ``(cand_a, cand_b)`` rank arrays holding every unordered pair
+    from the same or from adjacent cells exactly once — a superset of
+    the pairs within ``cell`` of each other.
     """
-    n = len(positions)
-    if position_arrays is None and isinstance(positions, ArrayPositions):
-        position_arrays = positions.arrays()
-    if position_arrays is not None:
-        ids, xs, ys = position_arrays
-    else:
-        try:
-            ids = np.fromiter(positions.keys(), dtype=np.int64, count=n)
-        except (OverflowError, TypeError, ValueError):
-            return None
-        xs = np.fromiter((p.x for p in positions.values()), dtype=np.float64, count=n)
-        ys = np.fromiter((p.y for p in positions.values()), dtype=np.float64, count=n)
-
-    if n == 0:
-        return CsrAdjacency(
-            np.zeros(1, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-    cell = radio_range if radio_range > 0 else 1.0
-    limit_sq = radio_range * radio_range
+    n = xs.shape[0]
     # Cell coordinates match the scalar math.floor(x / cell) exactly.
     cx = np.floor(xs / cell).astype(np.int64)
     cy = np.floor(ys / cell).astype(np.int64)
@@ -271,65 +264,139 @@ def build_csr(
         slot = np.searchsorted(uniq, targets)
         slot[slot >= len(uniq)] = 0
         valid = uniq[slot] == targets
-    cand_a = cand_b = None
+    # Offset 0 always finds a node's own cell, so nz is never empty.
     nz = np.nonzero(valid)[0]
-    if nz.size:
-        slot_sel = slot.take(nz)
-        # Row index within the flattened (5, n) matrix mod n is the rank.
-        a_sel = nz % n
-        g_count = counts[slot_sel]
-        take = _ragged_take(starts[slot_sel], g_count)
-        b_rank = order[take]
-        a_rank = np.repeat(a_sel, g_count)
-        # Same-cell block: offset 0 is the first n rows of the flattened
-        # matrix, so its expanded candidates form a prefix; a < b keeps
-        # each unordered same-cell pair once.
-        n0 = int(np.searchsorted(nz, n))
-        head = int(g_count[:n0].sum()) if n0 else 0
-        if head:
-            keep = np.ones(a_rank.shape[0], dtype=bool)
-            np.less(a_rank[:head], b_rank[:head], out=keep[:head])
-            a_rank = a_rank[keep]
-            b_rank = b_rank[keep]
-        if a_rank.size:
-            cand_a = a_rank
-            cand_b = b_rank
+    slot_sel = slot.take(nz)
+    # Row index within the flattened (5, n) matrix mod n is the rank.
+    a_sel = nz % n
+    g_count = counts[slot_sel]
+    take = _ragged_take(starts[slot_sel], g_count)
+    b_rank = order[take]
+    a_rank = np.repeat(a_sel, g_count)
+    # Same-cell block: offset 0 is the first n rows of the flattened
+    # matrix, so its expanded candidates form a prefix; a < b keeps
+    # each unordered same-cell pair once.
+    head = int(g_count[: int(np.searchsorted(nz, n))].sum())
+    keep = np.ones(a_rank.shape[0], dtype=bool)
+    np.less(a_rank[:head], b_rank[:head], out=keep[:head])
+    return a_rank[keep], b_rank[keep]
 
-    if cand_a is not None:
-        # One fused distance pass over every candidate pair; squares and
-        # the sum run in place to avoid intermediate allocations.
-        dx = xs.take(cand_a)
-        dx -= xs.take(cand_b)
-        dy = ys.take(cand_a)
-        dy -= ys.take(cand_b)
-        dx *= dx
-        dy *= dy
-        dx += dy
-        near = dx <= limit_sq
-        half_src = cand_a[near]
-        half_dst = cand_b[near]
-        # Per-node lists ascending by rank == the scalar post-build sort.
-        # (src, dst) pairs are unique, so sorting the fused key src*n+dst
-        # in place gives exactly the lexsort((dst, src)) order without the
-        # argsort-and-gather round trip.
-        fused = np.concatenate((half_src, half_dst))
-        fused *= n
-        fused[: half_src.shape[0]] += half_dst
-        fused[half_src.shape[0]:] += half_src
-        fused.sort()
-        # Segment boundaries fall out of the sorted fused keys directly:
-        # indptr[r] = first edge with src >= r, found by binary search.
-        indptr = np.empty(n + 1, dtype=np.int64)
-        indptr[0] = 0
-        indptr[1:] = np.searchsorted(fused, np.arange(1, n + 1, dtype=np.int64) * n)
-        src = fused // n
-        dst = fused  # reuse the sorted buffer: dst = fused mod n in place
-        dst -= src * n
+
+def _norm_sq(dx: "np.ndarray", dy: "np.ndarray") -> "np.ndarray":
+    """``dx*dx + dy*dy`` in the scalar build's operation order.
+
+    Runs in place — the result is ``dx`` — to avoid intermediate arrays.
+    """
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
+def _pairs_within(
+    xs: "np.ndarray",
+    ys: "np.ndarray",
+    cand_a: "np.ndarray",
+    cand_b: "np.ndarray",
+    limit_sq: float,
+) -> "np.ndarray":
+    """Stage 2 of :func:`build_csr`: which candidate pairs are in range.
+
+    One fused pass over every candidate, ``dx*dx + dy*dy <= limit_sq``.
+    """
+    dx = xs.take(cand_a)
+    dx -= xs.take(cand_b)
+    dy = ys.take(cand_a)
+    dy -= ys.take(cand_b)
+    return _norm_sq(dx, dy) <= limit_sq
+
+
+def _assemble_csr(
+    half_src: "np.ndarray", half_dst: "np.ndarray", n: int
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Stage 3 of :func:`build_csr`: ``(indptr, neighbors)`` over ``n`` ranks.
+
+    ``(half_src, half_dst)`` lists each undirected edge once, in any
+    order and either direction: the sort below fixes the result.
+    """
+    # Per-node lists ascending by rank == the scalar post-build sort.
+    # (src, dst) pairs are unique, so sorting the fused key src*n+dst
+    # in place gives exactly the lexsort((dst, src)) order without the
+    # argsort-and-gather round trip.
+    fused = np.concatenate((half_src, half_dst))
+    fused *= n
+    fused[: half_src.shape[0]] += half_dst
+    fused[half_src.shape[0]:] += half_src
+    fused.sort()
+    src = fused // n
+    # Row r ends where the sources <= r end: a count per source and one
+    # running sum (isolated ranks count zero and repeat the boundary).
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    dst = fused  # reuse the sorted buffer: dst = fused mod n in place
+    dst -= src * n
+    return indptr, dst
+
+
+def build_csr(
+    positions: Dict[int, Point],
+    radio_range: float,
+    position_arrays: Optional[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = None,
+    pair_list: Optional["PairList"] = None,
+) -> Optional[CsrAdjacency]:
+    """Vectorized unit-disc adjacency over ``positions``.
+
+    Returns the :class:`CsrAdjacency` whose per-node neighbour segments
+    are element-for-element equal to the scalar spatial-hash build
+    (:func:`adjacency_from_csr` materialises the identical dict-of-lists
+    on demand).  Returns ``None`` when the input cannot be vectorized
+    (ids outside int64), letting the caller fall back to the scalar
+    build.
+
+    Three stages: candidate pairs (:func:`_candidate_pairs`), the
+    distance pass over them (:func:`_pairs_within`), CSR assembly
+    (:func:`_assemble_csr`).  ``pair_list`` — honoured when ``positions``
+    is an :class:`ArrayPositions` that carries ledger slots — may stand
+    in for the first stage with a superset of the in-range pairs kept
+    from earlier refreshes (:class:`PairList`); the other two stages run
+    unchanged and the assembly sorts, so the result is bit-identical to
+    the list-less call.
+
+    ``position_arrays`` may supply precomputed ``(ids, xs, ys)`` arrays
+    (the position ledger keeps them hot); they must match ``positions``
+    in order and value.
+    """
+    n = len(positions)
+    slots = None
+    if isinstance(positions, ArrayPositions):
+        slots = positions.slots
+        if position_arrays is None:
+            position_arrays = positions.arrays()
+    if position_arrays is not None:
+        ids, xs, ys = position_arrays
     else:
-        dst = np.empty(0, dtype=np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
+        try:
+            ids = np.fromiter(positions.keys(), dtype=np.int64, count=n)
+        except (OverflowError, TypeError, ValueError):
+            return None
+        xs = np.fromiter((p.x for p in positions.values()), dtype=np.float64, count=n)
+        ys = np.fromiter((p.y for p in positions.values()), dtype=np.float64, count=n)
 
-    return CsrAdjacency(indptr, dst, ids)
+    if n == 0:
+        return CsrAdjacency(
+            np.zeros(1, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+        )
+    candidates = None
+    if pair_list is not None and slots is not None:
+        candidates = pair_list.candidates(slots, xs, ys, radio_range)
+    if candidates is None:
+        candidates = _candidate_pairs(xs, ys, radio_range if radio_range > 0 else 1.0)
+    cand_a, cand_b = candidates
+    near = _pairs_within(xs, ys, cand_a, cand_b, radio_range * radio_range)
+    indptr, neighbors = _assemble_csr(cand_a[near], cand_b[near], n)
+    return CsrAdjacency(indptr, neighbors, ids)
 
 
 def adjacency_from_csr(csr: CsrAdjacency) -> Dict[int, List[int]]:
@@ -432,12 +499,21 @@ class ArrayPositions(Mapping):
     its scalar counterpart.
     """
 
-    __slots__ = ("ids", "xs", "ys", "_dict", "_key_set", "_ids_sorted")
+    __slots__ = ("ids", "xs", "ys", "slots", "_dict", "_key_set", "_ids_sorted")
 
-    def __init__(self, ids: "np.ndarray", xs: "np.ndarray", ys: "np.ndarray") -> None:
+    def __init__(
+        self,
+        ids: "np.ndarray",
+        xs: "np.ndarray",
+        ys: "np.ndarray",
+        slots: Optional["np.ndarray"] = None,
+    ) -> None:
         self.ids = ids
         self.xs = xs
         self.ys = ys
+        #: Ledger slot of each entry, ascending — fixed for the run, so a
+        #: :class:`PairList` can follow nodes through churn.
+        self.slots = slots
         self._dict: Optional[Dict[int, Point]] = None
         self._key_set = None
         self._ids_sorted: Optional[bool] = None
@@ -488,6 +564,144 @@ class ArrayPositions(Mapping):
         if keys is None:
             keys = self._key_set = set(self.ids.tolist())
         return node in keys
+
+
+# ----------------------------------------------------------------------
+# Candidate-pair reuse across refreshes
+# ----------------------------------------------------------------------
+class PairList:
+    """Candidate pairs kept across refreshes (a skin / Verlet neighbour list).
+
+    A cache in front of the candidate stage of :func:`build_csr`.  The
+    list lives in the ledger's *slot* space, which churn never renumbers.
+    Every slot it knows has an **anchor** — the position it was last
+    paired at — and the list holds exactly the pairs of anchored slots
+    whose anchors lie within ``radio_range + skin`` of each other.  While
+    every online node is within ``skin / 2`` of its anchor, two nodes in
+    range of each other have anchors at most ``range + skin`` apart, so
+    the listed pairs with both ends online are a superset of the in-range
+    pairs; the distance pass and the sorting assembly that follow make
+    the CSR bit-identical to a from-scratch build.
+
+    Per refresh, :meth:`candidates` checks the online nodes' drift in one
+    vector pass and then either reuses the list, re-anchors the few
+    strays (nodes back from offline somewhere else, or never anchored),
+    or rebuilds it through :func:`_candidate_pairs` when re-pairing the
+    strays against every anchor would cost more than that.  A list that
+    has to be rebuilt before a single reuse means nodes move too far per
+    refresh for any of this to pay; the list then sits out the next
+    :data:`PAIR_LIST_NAP` refreshes (the caller runs the plain candidate
+    stage) and tries again, so the worst case stays the list-less cost.
+    """
+
+    __slots__ = (
+        "builds", "reuses", "reanchored",
+        "_range", "_anchor_x", "_anchor_y", "_pair_a", "_pair_b",
+        "_build_work", "_unused", "_nap",
+    )
+
+    def __init__(self) -> None:
+        #: Lists built through the candidate stage.
+        self.builds = 0
+        #: Refreshes served from a kept list (re-anchored strays included).
+        self.reuses = 0
+        #: Stray nodes re-paired against the anchors, over all reuses.
+        self.reanchored = 0
+        self._range: Optional[float] = None
+        self._anchor_x = self._anchor_y = None
+        self._pair_a = self._pair_b = None
+        # Candidates the last build expanded plus points it bucketed:
+        # what re-pairing k strays against every anchor is weighed against.
+        self._build_work = 0
+        self._unused = False  # built and not reused since
+        self._nap = 0  # refreshes left to sit out
+
+    def candidates(
+        self,
+        slots: "np.ndarray",
+        xs: "np.ndarray",
+        ys: "np.ndarray",
+        radio_range: float,
+    ) -> Optional[Tuple["np.ndarray", "np.ndarray"]]:
+        """Rank pairs covering every in-range pair, or ``None`` (sit out).
+
+        ``slots`` are the ledger slots of the online nodes, ascending,
+        with ``xs``/``ys`` their positions; the returned arrays index
+        into those.
+        """
+        if self._nap:
+            self._nap -= 1
+            return None
+        skin = PAIR_SKIN * radio_range
+        if self._range == radio_range and int(slots[-1]) < self._anchor_x.shape[0]:
+            drift = _PAIR_DRIFT_SHARE * skin
+            moved_sq = _norm_sq(xs - self._anchor_x[slots], ys - self._anchor_y[slots])
+            # Not ``>``: a never-anchored slot's NaN must read as a stray.
+            strays = np.nonzero(~(moved_sq <= drift * drift))[0]
+            if strays.shape[0] * self._anchor_x.shape[0] <= self._build_work:
+                if strays.shape[0]:
+                    self._reanchor(
+                        slots[strays], xs[strays], ys[strays], radio_range + skin
+                    )
+                self.reuses += 1
+                self._unused = False
+                return self._ranked(slots)
+            if self._unused:
+                # Outrun before its first reuse: forget the list, sit out.
+                self._range = None
+                self._nap = PAIR_LIST_NAP
+                return None
+        self._build(slots, xs, ys, radio_range, skin)
+        return self._ranked(slots)
+
+    def _ranked(self, slots) -> Tuple["np.ndarray", "np.ndarray"]:
+        """The listed pairs with both ends online, as ranks into ``slots``."""
+        rank_of = np.full(self._anchor_x.shape[0], -1, dtype=np.int64)
+        rank_of[slots] = np.arange(slots.shape[0], dtype=np.int64)
+        cand_a = rank_of[self._pair_a]
+        cand_b = rank_of[self._pair_b]
+        # An offline end maps to -1, whose sign bit survives the OR.
+        online = (cand_a | cand_b) >= 0
+        return cand_a[online], cand_b[online]
+
+    def _build(self, slots, xs, ys, radio_range: float, skin: float) -> None:
+        """Anchor the online nodes where they are and pair them from scratch."""
+        cutoff = radio_range + skin
+        cand_a, cand_b = _candidate_pairs(xs, ys, cutoff)
+        near = _pairs_within(xs, ys, cand_a, cand_b, cutoff * cutoff)
+        self._pair_a = slots[cand_a[near]]
+        self._pair_b = slots[cand_b[near]]
+        capacity = int(slots[-1]) + 1
+        self._anchor_x = np.full(capacity, math.nan)
+        self._anchor_y = np.full(capacity, math.nan)
+        self._anchor_x[slots] = xs
+        self._anchor_y[slots] = ys
+        self._range = radio_range
+        self._build_work = int(cand_a.shape[0]) + int(slots.shape[0])
+        self._unused = True
+        self.builds += 1
+
+    def _reanchor(self, stray_slots, sx, sy, cutoff: float) -> None:
+        """Move the strays' anchors to where they are now and re-pair them."""
+        anchor_x, anchor_y = self._anchor_x, self._anchor_y
+        is_stray = np.zeros(anchor_x.shape[0], dtype=bool)
+        is_stray[stray_slots] = True
+        kept = ~(is_stray[self._pair_a] | is_stray[self._pair_b])
+        pair_a = [self._pair_a[kept]]
+        pair_b = [self._pair_b[kept]]
+        anchor_x[stray_slots] = sx
+        anchor_y[stray_slots] = sy
+        cutoff_sq = cutoff * cutoff
+        for slot, x, y in zip(stray_slots.tolist(), sx.tolist(), sy.tolist()):
+            apart_sq = _norm_sq(anchor_x - x, anchor_y - y)
+            partners = np.nonzero(apart_sq <= cutoff_sq)[0]  # NaN anchors drop out
+            # Two strays pair once, from the lower slot; never with itself.
+            partners = partners[~is_stray[partners] | (partners > slot)]
+            pair_a.append(np.full(partners.shape[0], slot, dtype=np.int64))
+            pair_b.append(partners)
+        self._pair_a = np.concatenate(pair_a)
+        self._pair_b = np.concatenate(pair_b)
+        self.reanchored += int(stray_slots.shape[0])
 
 
 # ----------------------------------------------------------------------
@@ -649,7 +863,7 @@ class SoAPositionLedger:
             # skip the Point dict — it materialises lazily if anything
             # actually reads positions.
             self._positions = ArrayPositions(
-                self._ids_arr[slots], self._x[slots], self._y[slots]
+                self._ids_arr[slots], self._x[slots], self._y[slots], slots
             )
             return self._positions, changed
 

@@ -41,7 +41,9 @@ keep them cheap without changing any observable result:
   ``soa.ARRAY_REFRESH_MIN_NODES`` or more nodes online rebuilds the CSR
   from the ledger's arrays on every changed refresh instead, which is
   measurably cheaper there however few nodes moved
-  (:func:`repro.net.soa.refresh_patches`).
+  (:func:`repro.net.soa.refresh_patches`) — and cheaper still because
+  those rebuilds share their candidate pairs from one refresh to the
+  next (:class:`repro.net.soa.PairList`).
 """
 
 from __future__ import annotations
@@ -97,6 +99,7 @@ class TopologySnapshot:
             Callable[[int, int, Point, Point], bool]
         ] = None,
         position_arrays=None,
+        pair_list: Optional["soa.PairList"] = None,
     ) -> None:
         # ArrayPositions (the ledger's rebuild-bound output) is already an
         # immutable snapshot-safe mapping: copying it into a dict would
@@ -133,7 +136,7 @@ class TopologySnapshot:
             and soa.soa_enabled()
         ):
             self._csr = soa.build_csr(
-                self.positions, self.radio_range, position_arrays
+                self.positions, self.radio_range, position_arrays, pair_list
             )
         # has_edge calls a CSR may still answer before the frozen
         # neighbour sets are worth building (see has_edge).
@@ -724,6 +727,10 @@ class TopologyService:
       nodes, and from there on a CSR rebuild from the ledger's arrays
       for every delta — at that size the rebuild is cheaper than the
       patch plus the dict traversals the patched snapshot then serves.
+      Those rebuilds take their candidate pairs from the service's
+      :class:`repro.net.soa.PairList`, which survives churn,
+      :meth:`invalidate` and partitions and rebuilds itself for a new
+      ``radio_range`` or a grown registry.
 
     ``incremental = False`` disables both fast paths (every refresh
     rebuilds), which the benchmarks use as the baseline.
@@ -731,7 +738,10 @@ class TopologyService:
     Counters: ``snapshots_built`` counts from-scratch builds,
     ``incremental_updates`` delta patches, ``snapshots_reused`` unchanged
     reuses, ``bfs_trees_retained`` memoised BFS trees carried across
-    patches, and ``invalidations`` explicit churn/invalidate notices.
+    patches, and ``invalidations`` explicit churn/invalidate notices;
+    ``pair_list_builds`` / ``pair_list_reuses`` / ``pair_list_reanchored``
+    (in :meth:`stats`) say how the array rebuilds came by their
+    candidate pairs.
     """
 
     delta_fraction = soa.PATCH_FRACTION
@@ -766,6 +776,10 @@ class TopologyService:
         # registry order, so consecutive pause-heavy refreshes skip the
         # O(N) rebuild.
         self._order: Optional[Dict[int, int]] = None
+        # Candidate pairs carried from one array refresh to the next.
+        # Outlives the cached snapshot: invalidate() and partitions change
+        # which edges a snapshot keeps, never which nodes are near.
+        self._pair_list = soa.PairList()
         self.incremental = True
         self.verify_retention = False
         # Fault-injected edge suppression (network partitions).  Callers
@@ -881,8 +895,11 @@ class TopologyService:
                 self.bfs_trees_retained += len(snap._bfs_cache)
                 self._cached = snap
                 return snap
+        pair_list = None
         if isinstance(positions, soa.ArrayPositions):
             position_arrays = positions.arrays()
+            if len(positions) >= soa.ARRAY_REFRESH_MIN_NODES:
+                pair_list = self._pair_list
         else:
             position_arrays = self._delta_source.online_arrays()
         self._cached = TopologySnapshot(
@@ -890,6 +907,7 @@ class TopologyService:
             self.radio_range,
             edge_filter=self.edge_filter,
             position_arrays=position_arrays,
+            pair_list=pair_list,
         )
         self.snapshots_built += 1
         self._order = None
@@ -916,10 +934,14 @@ class TopologyService:
 
     def stats(self) -> Dict[str, int]:
         """Counter snapshot for result reporting (CLI footer, benchmarks)."""
+        pairs = self._pair_list
         return {
             "snapshots_built": self.snapshots_built,
             "snapshots_reused": self.snapshots_reused,
             "incremental_updates": self.incremental_updates,
             "bfs_trees_retained": self.bfs_trees_retained,
             "invalidations": self.invalidations,
+            "pair_list_builds": pairs.builds,
+            "pair_list_reuses": pairs.reuses,
+            "pair_list_reanchored": pairs.reanchored,
         }

@@ -801,6 +801,12 @@ class StartupBatch:
     per-call filing overhead; collecting the ``(delay, callback, args)``
     triples here and flushing them through
     :meth:`Simulator.schedule_batch` files them in one vectorized pass.
+    Filing is not the whole cost of arming, though: every handle, timer
+    and entry made here stays alive, and at 10 000 hosts that many new
+    containers push the cyclic collector through full passes over a heap
+    with nothing to free — more time than the filing itself.  The caller
+    (:meth:`repro.experiments.runner.Simulation.run`) therefore pauses
+    the collector from the first ``add`` to the end of :meth:`flush`.
 
     Determinism contract: entries are filed in :meth:`add` order and
     :meth:`Simulator.schedule_batch` assigns sequence numbers in

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pstats
+import re
 
 import pytest
 
@@ -70,12 +71,22 @@ def test_run_footer_names_the_array_rebuild_path(capsys, monkeypatch):
 
     if not soa.soa_enabled():
         pytest.skip("vectorized core not active")
-    monkeypatch.setattr(soa, "ARRAY_REFRESH_MIN_NODES", 50)  # the CLI's 50 peers
+    # Under the CLI's 50 peers by more than are ever offline at once.
+    monkeypatch.setattr(soa, "ARRAY_REFRESH_MIN_NODES", 25)
+    monkeypatch.setattr(soa, "BUILD_MIN_NODES", 0)  # array builds at this size
     assert main(BASE + ["--no-cache", "run", "rpcc-sc"]) == 0
     footer = _topology_footer(capsys.readouterr().out)
-    assert footer.endswith("refresh path: array rebuild")
     assert "incremental" not in footer and "BFS trees" not in footer
     assert " built, " in footer and " reused" in footer
+    # ... and how its rebuilds came by their candidate pairs.
+    match = re.search(
+        r"(\d+) built, \d+ reused; refresh path: array rebuild "
+        r"\(pair list: (\d+) built, (\d+) reused, (\d+) re-anchored\)$",
+        footer,
+    )
+    assert match, footer
+    rebuilds, builds, reuses, _ = map(int, match.groups())
+    assert builds >= 1 and 0 < builds + reuses <= rebuilds
 
 
 def test_run_footer_names_the_delta_patch_path(capsys):
@@ -95,7 +106,7 @@ def test_run_footer_names_the_delta_patch_path(capsys):
     cli._print_topology_stats(result, result.core)
     footer = _topology_footer(capsys.readouterr().out)
     assert "incremental" in footer and "BFS trees retained" in footer
-    assert footer.endswith("refresh path: delta patch")
+    assert footer.endswith("refresh path: delta patch")  # no pair list here
 
 
 def test_run_footer_reports_which_core_ran(capsys):

@@ -4,6 +4,8 @@ Simulation-driving tests use small worlds (12 peers, a few minutes) so
 the suite stays fast while still exercising every strategy end to end.
 """
 
+import gc
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -11,6 +13,7 @@ from repro.experiments.config import TABLE1_ROWS, SimulationConfig
 from repro.experiments.figures.base import FigureData, extract_series, run_axis_sweep
 from repro.experiments.runner import (
     STRATEGY_SPECS,
+    _gc_quiet,
     build_simulation,
     run_simulation,
 )
@@ -109,6 +112,62 @@ class TestBuildSimulation:
             1 for host in simulation.hosts.values() if host.switching is not None
         )
         assert switchers == 6
+
+
+class TestGcQuiet:
+    """The collector pause around world construction and start-up arming."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_previous_state_restored(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        with _gc_quiet():
+            assert not gc.isenabled()
+            with _gc_quiet():  # nests: the inner block leaves it off
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_previous_state_restored_on_exception(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(ConfigurationError):
+            build_simulation(tiny_config(), "gossip")
+        assert gc.isenabled() is enabled
+        with pytest.raises(RuntimeError):
+            with _gc_quiet():
+                raise RuntimeError("boom")
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_build_and_arming_run_paused_and_nothing_else(self, enabled, monkeypatch):
+        from repro.consistency.push import PushStrategy
+        from repro.sim.engine import Simulator
+
+        seen = {}
+        real_agent, real_start = PushStrategy.make_agent, PushStrategy.start
+        real_run_until = Simulator.run_until
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                seen.setdefault(name, gc.isenabled())
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(PushStrategy, "make_agent", spy("build", real_agent))
+        monkeypatch.setattr(PushStrategy, "start", spy("arming", real_start))
+        monkeypatch.setattr(Simulator, "run_until", spy("run", real_run_until))
+        (gc.enable if enabled else gc.disable)()
+        simulation = build_simulation(tiny_config(sim_time=30.0), "push")
+        assert gc.isenabled() is enabled
+        simulation.run()
+        assert gc.isenabled() is enabled
+        assert seen == {"build": False, "arming": False, "run": enabled}
 
 
 class TestRunSimulation:

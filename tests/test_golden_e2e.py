@@ -159,10 +159,9 @@ def test_golden_digest_identical_on_both_cores(monkeypatch):
         assert vectorized == golden["rpcc-sc-seed7"]
 
 
-def test_large_sparse_world_identical_on_both_cores(monkeypatch):
-    """Above the array-refresh crossover with few movers — the regime
-    where the vectorized core rebuilds the CSR instead of patching — a
-    run must still equal the scalar core's, and report no patches."""
+def _run_large_world_on_both_cores(monkeypatch, stable_fraction: float):
+    """A 2 000-peer walk world, above the array-refresh crossover, run on
+    each core: ``(vectorized, scalar)`` results, digests asserted equal."""
     from repro.net import soa
 
     if not soa.HAVE_NUMPY:
@@ -175,7 +174,7 @@ def test_large_sparse_world_identical_on_both_cores(monkeypatch):
         terrain_width=side,
         terrain_height=side,
         mobility="walk",
-        stable_fraction=0.9,
+        stable_fraction=stable_fraction,
         sim_time=3.0,
         warmup=0.0,
         query_interval=100.0,
@@ -197,6 +196,14 @@ def test_large_sparse_world_identical_on_both_cores(monkeypatch):
     assert (vectorized.core, scalar.core) == ("vectorized", "scalar")
     assert vectorized_digest == scalar_digest
     assert vectorized_digest["transmissions"] > 0
+    return vectorized, scalar
+
+
+def test_large_sparse_world_identical_on_both_cores(monkeypatch):
+    """Above the array-refresh crossover with few movers — the regime
+    where the vectorized core rebuilds the CSR instead of patching — a
+    run must still equal the scalar core's, and report no patches."""
+    vectorized, scalar = _run_large_world_on_both_cores(monkeypatch, 0.9)
 
     # Same world, same refreshes; only the path that served them differs.
     stats = vectorized.topology_stats
@@ -207,6 +214,20 @@ def test_large_sparse_world_identical_on_both_cores(monkeypatch):
         s["snapshots_built"] + s["incremental_updates"] + s["snapshots_reused"]
     )
     assert refreshes(stats) == refreshes(scalar.topology_stats)
+
+
+def test_large_walker_world_identical_on_both_cores(monkeypatch):
+    """Nine walkers in ten, switching on and off as they go: the array
+    refreshes reuse their candidate pairs through the churn, and the run
+    still equals the scalar core's."""
+    vectorized, scalar = _run_large_world_on_both_cores(monkeypatch, 0.1)
+    stats = vectorized.topology_stats
+    assert stats["invalidations"] > 0
+    assert stats["pair_list_reuses"] > stats["pair_list_builds"] >= 1
+    assert stats["snapshots_built"] == (
+        stats["pair_list_builds"] + stats["pair_list_reuses"]
+    )
+    assert scalar.topology_stats["pair_list_builds"] == 0
 
 
 def test_golden_file_covers_the_whole_matrix():

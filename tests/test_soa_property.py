@@ -15,6 +15,7 @@ is nothing to compare.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import random
 
@@ -385,3 +386,275 @@ def test_flood_only_run_above_crossover_stays_in_arrays(monkeypatch):
     assert stats["incremental_updates"] == 0
     assert stats["snapshots_built"] == changed_refreshes > 20
     assert net.messages_sent == 30 * 4
+
+
+# ----------------------------------------------------------------------
+# Candidate-pair reuse across refreshes (soa.PairList)
+# ----------------------------------------------------------------------
+SIDE = 900.0
+
+
+class _ScriptedModel(MobilityModel):
+    """Wherever the test last put it.
+
+    Not a model the bulk-kernel registry knows, so the ledger samples it
+    through the fallback kernel; the inherited validity window closes at
+    once, so every refresh does.
+    """
+
+    def __init__(self, point: Point):
+        self.point = point
+
+    def position(self, time: float) -> Point:
+        return self.point
+
+
+def _split_filter(node_a, node_b, pos_a, pos_b) -> bool:
+    """A partition down the middle of the terrain."""
+    return (pos_a.x < SIDE / 2) == (pos_b.x < SIDE / 2)
+
+
+class _ScriptedWorld:
+    """A ledger-backed network of scripted nodes, checked refresh by refresh."""
+
+    def __init__(self, seed: int, count: int, offline=()):
+        self.rng = random.Random(seed)
+        self.sim = Simulator()
+        self.net = Network(self.sim, radio_range=RANGE)
+        assert self.net.core == "vectorized"
+        self.nodes = []
+        for index in range(count):
+            self.register(online=index not in offline)
+
+    @property
+    def pairs(self) -> soa.PairList:
+        return self.net.topology._pair_list
+
+    def register(self, online: bool) -> None:
+        node = _Node(len(self.nodes), self.sim, _ScriptedModel(self._anywhere()))
+        node._online = online
+        self.nodes.append(node)
+        self.net.register(node)
+
+    def _anywhere(self) -> Point:
+        return Point(self.rng.uniform(0.0, SIDE), self.rng.uniform(0.0, SIDE))
+
+    def place(self, index: int, point: Point) -> None:
+        self.nodes[index % len(self.nodes)].mobility.point = point
+
+    def where(self, index: int) -> Point:
+        return self.nodes[index % len(self.nodes)].mobility.point
+
+    def drift(self, index: int, dx: float, dy: float) -> None:
+        here = self.where(index)
+        self.place(index, Point(here.x + dx, here.y + dy))
+
+    def approach(self, index: int, other: int, metres: float) -> None:
+        """Head-on motion: what a list built on stale positions misses."""
+        here, goal = self.where(index), self.where(other)
+        gap = math.hypot(goal.x - here.x, goal.y - here.y)
+        if gap > 0.0:
+            share = min(metres, gap) / gap
+            self.drift(index, (goal.x - here.x) * share, (goal.y - here.y) * share)
+
+    def teleport(self, index: int) -> None:
+        self.place(index, self._anywhere())
+
+    def toggle(self, index: int) -> None:
+        node = self.nodes[index % len(self.nodes)]
+        node.set_online(not node.online)
+
+    def set_range(self, radio_range: float) -> None:
+        self.net.topology.radio_range = radio_range
+        self.net.topology.invalidate()
+
+    def set_filter(self, edge_filter) -> None:
+        self.net.topology.edge_filter = edge_filter
+        self.net.topology.invalidate()
+
+    def refresh_and_check(self) -> TopologySnapshot:
+        """Advance a tick, refresh, and compare with list-less builds."""
+        self.sim.run_until(self.sim.now + 1.0)
+        service = self.net.topology
+        snap = self.net.snapshot()
+        positions = dict(snap.positions)
+        assert list(positions) == [n.node_id for n in self.nodes if n.online]
+        if snap._csr is not None:
+            scratch = soa.build_csr(positions, service.radio_range)
+            assert snap._csr.indptr.tolist() == scratch.indptr.tolist()
+            assert snap._csr.neighbors.tolist() == scratch.neighbors.tolist()
+            assert snap._csr.ids.tolist() == scratch.ids.tolist()
+        with _core(False):
+            ref = TopologySnapshot(
+                positions, service.radio_range, edge_filter=service.edge_filter
+            )
+            assert ref._csr is None
+        for source in positions:
+            assert snap._bfs_from(source)[:3] == ref._bfs_from(source)[:3]
+            assert list(snap._bfs_from(source)[1]) == list(ref._bfs_from(source)[1])
+        _assert_snapshots_identical(snap, ref)
+        return snap
+
+
+@contextlib.contextmanager
+def _pair_list_world(*args, **kwargs):
+    """A scripted world whose every refresh takes the array path."""
+    with _core(True), _array_refresh_from(0):
+        yield _ScriptedWorld(*args, **kwargs)
+
+
+_NODE = st.integers(min_value=0, max_value=63)
+#: One move, per axis: from well inside the drift limit (12 m at this
+#: range) to well past the whole skin (25 m).
+_STEP = st.floats(min_value=-40.0, max_value=40.0)
+_OPERATIONS = st.one_of(
+    st.tuples(st.just("drift"), _NODE, _STEP, _STEP),
+    st.tuples(st.just("approach"), _NODE, _NODE, st.floats(min_value=0.0, max_value=40.0)),
+    st.tuples(st.just("teleport"), _NODE),
+    st.tuples(st.just("toggle"), _NODE),
+    st.tuples(st.just("register"), st.booleans()),
+    st.tuples(st.just("invalidate")),
+    st.tuples(st.just("range"), st.sampled_from((180.0, RANGE, 320.0))),
+    st.tuples(st.just("filter"), st.booleans()),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**20),
+    st.lists(st.lists(_OPERATIONS, max_size=4), min_size=4, max_size=20),
+)
+def test_pair_list_refresh_matches_listless_build(seed, steps):
+    """Whatever happens between refreshes — drift, jumps, churn, late
+    registrations, invalidation, a new radio range, partitions — a
+    refresh served through the pair list equals a build without it."""
+    with _pair_list_world(seed, count=24, offline=(3, 11, 17)) as world:
+        world.refresh_and_check()
+        for operations in steps:
+            for name, *args in operations:
+                if name == "drift":
+                    world.drift(*args)
+                elif name == "approach":
+                    world.approach(*args)
+                elif name == "teleport":
+                    world.teleport(*args)
+                elif name == "toggle":
+                    world.toggle(*args)
+                elif name == "register":
+                    world.register(*args)
+                elif name == "invalidate":
+                    world.net.topology.invalidate()
+                elif name == "range":
+                    world.set_range(*args)
+                else:
+                    world.set_filter(_split_filter if args[0] else None)
+            # Everyone creeps a little, as walkers do between refreshes.
+            for index in range(len(world.nodes)):
+                world.drift(index, world.rng.uniform(-1, 1), world.rng.uniform(-1, 1))
+            world.refresh_and_check()
+        assert world.pairs.builds >= 1
+
+
+def test_pair_list_reuses_reanchors_and_rebuilds_when_it_should():
+    """One scripted walk through every branch, counters checked each step."""
+    with _pair_list_world(5, count=40, offline=(7,)) as world:
+        pairs = world.pairs
+
+        def counters():
+            return pairs.builds, pairs.reuses, pairs.reanchored
+
+        world.refresh_and_check()
+        assert counters() == (1, 0, 0)
+        limit = soa._PAIR_DRIFT_SHARE * soa.PAIR_SKIN * RANGE
+        for index in range(40):  # just inside the drift limit
+            world.drift(index, limit * 0.7, limit * 0.7)
+        world.refresh_and_check()
+        assert counters() == (1, 1, 0)
+        world.drift(0, limit * 0.1, limit * 0.1)  # now just outside it
+        world.refresh_and_check()
+        assert counters() == (1, 2, 1)
+        world.teleport(4)
+        world.refresh_and_check()
+        assert counters() == (1, 3, 2)
+        # Two strays that end up in range of each other pair exactly once.
+        world.place(20, Point(400.0, 400.0))
+        world.place(21, Point(410.0, 390.0))
+        world.refresh_and_check()
+        assert counters() == (1, 4, 4)
+        world.toggle(9)  # offline ...
+        world.refresh_and_check()
+        world.teleport(9)  # ... moves while away ...
+        world.toggle(9)  # ... and returns somewhere else
+        world.refresh_and_check()
+        assert counters() == (1, 6, 5)
+        world.toggle(12)  # away and back without moving: still anchored
+        world.refresh_and_check()
+        world.toggle(12)
+        world.refresh_and_check()
+        assert counters() == (1, 8, 5)
+        world.toggle(7)  # never online before: no anchor yet
+        world.refresh_and_check()
+        assert counters() == (1, 9, 6)
+        world.net.topology.invalidate()  # drops the snapshot, not the list
+        world.refresh_and_check()
+        assert counters() == (1, 10, 6)
+        world.set_filter(_split_filter)  # nor does a partition, either way
+        assert world.refresh_and_check()._csr is None
+        world.set_filter(None)
+        world.refresh_and_check()
+        assert counters() == (1, 12, 6)
+        world.register(online=True)  # a grown registry rebuilds
+        world.refresh_and_check()
+        assert counters() == (2, 12, 6)
+        world.set_range(300.0)  # and so does a new radio range
+        world.refresh_and_check()
+        assert counters() == (3, 12, 6)
+        world.refresh_and_check()  # nothing changed: snapshot reused
+        assert counters() == (3, 12, 6)
+        world.drift(1, 0.5, 0.5)
+        world.refresh_and_check()
+        assert counters() == (3, 13, 6)
+        for index in range(30):  # too many strays to re-pair one by one
+            world.teleport(index)
+        world.refresh_and_check()
+        assert counters() == (4, 13, 6)
+
+
+def test_pair_list_catches_a_pair_closing_from_outside_the_skin():
+    """Two nodes anchored just too far apart to be listed close in from
+    both sides, each by a little over half the skin: both must count as
+    strays, or the edge that now exists is missed."""
+    skin = soa.PAIR_SKIN * RANGE
+    with _pair_list_world(3, count=12) as world:
+        world.place(0, Point(100.0, 450.0))
+        world.place(1, Point(100.0 + RANGE + skin + 1.0, 450.0))
+        snap = world.refresh_and_check()
+        assert not snap.has_edge(0, 1)
+        world.drift(0, 0.55 * skin, 0.0)
+        world.drift(1, -0.55 * skin, 0.0)
+        snap = world.refresh_and_check()
+        assert snap.has_edge(0, 1)
+        assert (world.pairs.builds, world.pairs.reuses) == (1, 1)
+        assert world.pairs.reanchored == 2
+
+
+def test_pair_list_sits_out_when_everyone_outruns_the_skin():
+    """Fast movers: a list that dies before its first reuse turns the
+    reuse off for a while instead of being rebuilt every refresh."""
+    refreshes = 3 * soa.PAIR_LIST_NAP
+    with _pair_list_world(9, count=40) as world:
+        for _ in range(refreshes):
+            for index in range(40):
+                world.teleport(index)
+            world.refresh_and_check()
+        stats = world.net.topology.stats()
+        assert stats["snapshots_built"] == refreshes
+        assert stats["pair_list_reuses"] == 0
+        assert stats["pair_list_reanchored"] == 0
+        # One build per nap, not one per refresh.
+        assert 2 <= stats["pair_list_builds"] <= 4
+        # Slower movers bring it back.
+        for _ in range(soa.PAIR_LIST_NAP + 2):
+            world.drift(0, 0.5, 0.5)
+            world.refresh_and_check()
+        assert world.pairs.reuses > 0
