@@ -53,17 +53,24 @@ Usage::
     PYTHONPATH=src python benchmarks/run_bench.py --suite sweep   # one suite
     PYTHONPATH=src python benchmarks/run_bench.py --update        # new baselines
     PYTHONPATH=src python benchmarks/run_bench.py --check         # CI gate only
+    PYTHONPATH=src python benchmarks/run_bench.py --suite kernel --update \
+        --only snapshot_build_50 --only snapshot_build_200        # ratchet two rows
 
 Exits nonzero when any benchmark is more than ``--threshold`` slower
 than its committed baseline (default 30%; the kernel suite — whose hot
 paths host the trace emit sites — is tightened to 5%), so CI catches
 hot-path and campaign-layer regressions before they show up as
 hour-long figure runs.  ``--check`` gates without writing any files.
+``--only ROW`` (repeatable) measures just the named rows: with
+``--update`` the other rows of the baseline — and its metadata — stay as
+committed, so one row can be ratcheted without re-measuring, and thereby
+loosening, the rest.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import pathlib
 import random
@@ -101,6 +108,9 @@ SUITE_REPEATS = {
     "kernel": 5, "engine": 5, "sweep": 2, "trace": 3, "topology": 3,
     "faults": 3, "scale": 1, "campaign": 3, "control": 3,
 }
+
+#: Shortest warm-up of a timed row (longer rows warm up with one call).
+WARMUP_SECONDS = 0.02
 
 #: Suites whose benchmark callables time themselves and return seconds
 #: (measured via :func:`measure_returned` instead of :func:`measure`).
@@ -233,8 +243,17 @@ def suite_benchmarks(
 
 
 def measure(fn: Callable[[], None], repeats: int) -> float:
-    """Best-of-``repeats`` wall-clock seconds for one call of ``fn``."""
-    fn()  # warm up (and populate any per-process caches)
+    """Best-of-``repeats`` wall-clock seconds for one call of ``fn``.
+
+    Warms up for at least one call and :data:`WARMUP_SECONDS`: a
+    sub-millisecond row timed after a single call still reads the cold
+    allocator and caches of whatever ran before it, so it would measure
+    differently alone (``--only``) than in its place in the suite.
+    """
+    warm_until = time.perf_counter() + WARMUP_SECONDS
+    fn()  # also populates any per-process caches
+    while time.perf_counter() < warm_until:
+        fn()
     best = math.inf
     for _ in range(repeats):
         start = time.perf_counter()
@@ -284,6 +303,40 @@ def sweep_speedups(results: Dict[str, float]) -> Dict[str, float]:
     return speedups
 
 
+def _selected(baseline: Dict[str, float], only: set) -> Dict[str, float]:
+    """The baseline rows ``--only`` named (all of them without ``--only``)."""
+    if not only:
+        return baseline
+    return {name: value for name, value in baseline.items() if name in only}
+
+
+def derived_ratios(suite: str, results: Dict[str, float]) -> Dict[str, float]:
+    """The speedups / overheads a suite records in its baseline metadata."""
+    if suite == "sweep":
+        return sweep_speedups(results)
+    if suite == "engine":
+        from benchmarks.bench_engine import engine_speedups
+
+        return engine_speedups(results)
+    if suite == "topology":
+        from benchmarks.bench_topology import topology_speedups
+
+        return topology_speedups(results)
+    if suite == "scale":
+        from benchmarks.bench_scale import scale_speedups
+
+        return scale_speedups(results)
+    if suite == "campaign":
+        from benchmarks.bench_campaign import campaign_speedups
+
+        return campaign_speedups(results)
+    if suite == "control":
+        from benchmarks.bench_control import control_overheads
+
+        return control_overheads(results)
+    return {}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -317,10 +370,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--update", action="store_true",
         help="rewrite the baselines from this run instead of gating against them",
     )
+    parser.add_argument(
+        "--only", action="append", metavar="ROW", default=[],
+        help="measure only this benchmark row (repeatable); with --update "
+        "the baseline's other rows and metadata are kept as committed",
+    )
     args = parser.parse_args(argv)
     if args.check and args.update:
         parser.error("--check and --update are mutually exclusive")
     suites = SUITES if args.suite == "all" else (args.suite,)
+    only = set(args.only)
+    unmatched = set(only)
 
     failed = False
     for suite in suites:
@@ -333,9 +393,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"running {suite} benchmarks:")
         baseline_path = pathlib.Path(args.baseline_dir) / f"BENCH_{suite}.json"
         output_path = pathlib.Path(args.output_dir) / f"BENCH_{suite}.json"
+        partial_update = bool(only) and args.update and baseline_path.exists()
         timer = measure_returned if suite in SELF_TIMED_SUITES else measure
         with tempfile.TemporaryDirectory(prefix="repro-bench-") as workdir:
             benchmarks = suite_benchmarks(suite, workdir)
+            if only:
+                benchmarks = [row for row in benchmarks if row[0] in only]
+                unmatched.difference_update(name for name, _ in benchmarks)
+                if not benchmarks:
+                    print("  no selected row in this suite\n")
+                    continue
             results = run_all(benchmarks, repeats=repeats, timer=timer)
 
             if baseline_path.exists() and not args.update:
@@ -344,7 +411,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 # benchmarks that breached and keep the best observation.
                 # Transient noise clears on retry; real slowdowns persist.
                 by_name = dict(benchmarks)
-                baseline = load_baseline(baseline_path)
+                baseline = _selected(load_baseline(baseline_path), only)
                 rows = compare(results, baseline, threshold)
                 for _ in range(2):
                     if not has_regressions(rows):
@@ -370,40 +437,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         )
                     rows = compare(results, baseline, threshold)
         meta: Dict[str, object] = {"repeats": repeats}
-        if suite == "sweep":
-            for name, value in sweep_speedups(results).items():
-                meta[name] = round(value, 3)
-                print(f"  {name:<24} {value:10.2f}x")
-        elif suite == "engine":
-            from benchmarks.bench_engine import engine_speedups
-
-            for name, value in engine_speedups(results).items():
-                meta[name] = round(value, 3)
-                print(f"  {name:<24} {value:10.2f}x")
-        elif suite == "topology":
-            from benchmarks.bench_topology import topology_speedups
-
-            for name, value in topology_speedups(results).items():
-                meta[name] = round(value, 3)
-                print(f"  {name:<24} {value:10.2f}x")
-        elif suite == "scale":
-            from benchmarks.bench_scale import scale_speedups
-
-            for name, value in scale_speedups(results).items():
-                meta[name] = round(value, 3)
-                print(f"  {name:<24} {value:10.2f}x")
-        elif suite == "campaign":
-            from benchmarks.bench_campaign import campaign_speedups
-
-            for name, value in campaign_speedups(results).items():
-                meta[name] = round(value, 3)
-                print(f"  {name:<24} {value:10.2f}x")
-        elif suite == "control":
-            from benchmarks.bench_control import control_overheads
-
-            for name, value in control_overheads(results).items():
-                meta[name] = round(value, 3)
-                print(f"  {name:<24} {value:10.2f}x")
+        if partial_update:
+            # The rows not measured and the metadata stay as committed;
+            # ratios are re-derived over the merged rows.
+            results = {**load_baseline(baseline_path), **results}
+            meta = json.loads(baseline_path.read_text(encoding="utf-8"))["meta"]
+        for name, value in derived_ratios(suite, results).items():
+            meta[name] = round(value, 3)
+            print(f"  {name:<24} {value:10.2f}x")
 
         if not args.check and (args.update or not baseline_path.exists()):
             save_baseline(baseline_path, results, meta=meta)
@@ -415,7 +456,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             failed = True
             continue
 
-        rows = compare(results, load_baseline(baseline_path), threshold)
+        rows = compare(
+            results, _selected(load_baseline(baseline_path), only), threshold
+        )
         if not args.check:
             save_baseline(output_path, results, meta=meta)
         print()
@@ -427,6 +470,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             print(f"\nOK: {suite} within threshold of committed baseline")
         print()
+    if unmatched:
+        print(f"FAIL: no such benchmark row: {', '.join(sorted(unmatched))}",
+              file=sys.stderr)
+        return 2
     return 1 if failed else 0
 
 

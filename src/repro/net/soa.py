@@ -3,10 +3,12 @@
 This module holds every numpy-accelerated kernel the network layer can
 substitute for its pure-Python inner loops:
 
-* :func:`build_csr` — the spatial-hash adjacency build of
-  :class:`~repro.net.topology.TopologySnapshot` in three array stages:
-  candidate pairs from a uniform grid, one distance pass over them, CSR
-  assembly by sorting fused keys.
+* :func:`build_csr` — the adjacency build of every
+  :class:`~repro.net.topology.TopologySnapshot`, the paper's 50 peers
+  included, in three array stages: candidate pairs (every pair under
+  :data:`GRID_MIN_NODES` points, a uniform grid's adjacent cells from
+  there on), one distance pass over them, CSR assembly by sorting fused
+  keys.
 * :class:`PairList` — a cache in front of the first of those stages: the
   candidate pairs of one refresh, kept with a skin around the radio
   range, serve the following refreshes until nodes have drifted half the
@@ -22,7 +24,12 @@ substitute for its pure-Python inner loops:
 
 Everything here is *optional*: numpy ships as the ``perf`` extra.  With
 numpy absent — or ``REPRO_SOA=0`` in the environment — :func:`soa_enabled`
-is false and the existing scalar code paths run unchanged.  With the fast
+is false and the existing scalar code paths run unchanged; with it, no
+population is too small for the arrays.  What does depend on size is
+what a snapshot serves *from*: under :data:`ARRAY_REFRESH_MIN_NODES`
+peers it is arrays in, dicts out (traversals on the dict adjacency
+materialised once from the CSR, membership a hash lookup); from there on
+it stays in arrays (CSR traversals, binary-search membership).  With the fast
 path active every observable result (neighbour lists, snapshots, golden
 e2e digests) is bit-identical to the scalar path: all float arithmetic is
 IEEE-754 double precision applied in the same operation order, and every
@@ -61,9 +68,12 @@ except ImportError:  # pragma: no cover - depends on the install
     np = None  # type: ignore[assignment]
     HAVE_NUMPY = False
 
-#: Below this population the scalar build wins (numpy call overhead
-#: dominates); the property tests drop it to 0 to cover tiny graphs.
-BUILD_MIN_NODES = 64
+#: Population from which the candidate stage of :func:`build_csr`
+#: buckets points into a grid; below it the stage lists every pair
+#: (one cached triangle of ranks): n(n-1)/2 distance tests cost less
+#: than the grid's fixed bookkeeping (all-pairs-vs-grid table in
+#: DESIGN.md, "Data-oriented core").
+GRID_MIN_NODES = 128
 
 #: Online population from which a ledger-driven refresh stays in arrays:
 #: every changed refresh rebuilds the CSR from the ledger's arrays rather
@@ -172,7 +182,7 @@ class CsrAdjacency:
         if ids_sorted:
             ids = self.ids
             try:
-                index = int(np.searchsorted(ids, node))
+                index = int(ids.searchsorted(node))
             except (TypeError, ValueError):  # not comparable with an id
                 raise KeyError(node) from None
             if index < ids.shape[0] and int(ids[index]) == node:
@@ -205,17 +215,41 @@ class CsrAdjacency:
         return index < hi and int(neighbors[index]) == rank_b
 
 
+_all_pairs: Optional[Tuple["np.ndarray", "np.ndarray"]] = None
+
+
+def _all_pairs_below(n: int) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Every rank pair ``a < b < n``, as read-only views of one cached triangle.
+
+    The triangle is ordered by ``b`` then ``a``, so the pairs below any
+    ``n`` are its first ``n(n-1)/2`` entries: one array pair, regrown
+    only for a larger ``n`` than any before, serves every population
+    under :data:`GRID_MIN_NODES` without allocating.
+    """
+    global _all_pairs
+    count = n * (n - 1) // 2
+    if _all_pairs is None or _all_pairs[0].shape[0] < count:
+        cand_b, cand_a = np.tril_indices(n, -1)
+        cand_a.setflags(write=False)
+        cand_b.setflags(write=False)
+        _all_pairs = (cand_a, cand_b)
+    return _all_pairs[0][:count], _all_pairs[1][:count]
+
+
 def _candidate_pairs(
     xs: "np.ndarray", ys: "np.ndarray", cell: float
 ) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Stage 1 of :func:`build_csr`: spatial-hash candidate pairs.
+    """Stage 1 of :func:`build_csr`: candidate pairs.
 
-    Buckets the points into a uniform grid of ``cell``-sized squares and
-    returns ``(cand_a, cand_b)`` rank arrays holding every unordered pair
-    from the same or from adjacent cells exactly once — a superset of
-    the pairs within ``cell`` of each other.
+    Returns ``(cand_a, cand_b)`` rank arrays holding a superset of the
+    pairs within ``cell`` of each other, each unordered pair once.
+    Under :data:`GRID_MIN_NODES` points that is every pair; from there
+    on the points are bucketed into a uniform grid of ``cell``-sized
+    squares and the pairs come from the same or from adjacent cells.
     """
     n = xs.shape[0]
+    if n < GRID_MIN_NODES:
+        return _all_pairs_below(n)
     # Cell coordinates match the scalar math.floor(x / cell) exactly.
     cx = np.floor(xs / cell).astype(np.int64)
     cy = np.floor(ys / cell).astype(np.int64)
@@ -499,7 +533,7 @@ class ArrayPositions(Mapping):
     its scalar counterpart.
     """
 
-    __slots__ = ("ids", "xs", "ys", "slots", "_dict", "_key_set", "_ids_sorted")
+    __slots__ = ("ids", "xs", "ys", "slots", "_dict", "_key_set")
 
     def __init__(
         self,
@@ -515,8 +549,8 @@ class ArrayPositions(Mapping):
         #: :class:`PairList` can follow nodes through churn.
         self.slots = slots
         self._dict: Optional[Dict[int, Point]] = None
+        #: ``frozenset`` of the ids, or ``False`` for "binary-search ``ids``".
         self._key_set = None
-        self._ids_sorted: Optional[bool] = None
 
     def arrays(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
         """The backing ``(ids, xs, ys)`` arrays (never mutated)."""
@@ -543,27 +577,42 @@ class ArrayPositions(Mapping):
     def __len__(self) -> int:
         return int(self.ids.shape[0])
 
-    def __contains__(self, node: object) -> bool:
-        ids_sorted = self._ids_sorted
-        if ids_sorted is None:
-            # Registration order normally assigns ascending ids; a binary
-            # search then answers membership without materialising a
-            # Python set of every node per snapshot.
-            ids = self.ids
-            ids_sorted = self._ids_sorted = bool(
-                ids.shape[0] == 0 or bool((ids[1:] > ids[:-1]).all())
-            )
-        if ids_sorted:
-            ids = self.ids
-            try:
-                index = int(np.searchsorted(ids, node))
-            except (TypeError, ValueError):
-                return False
-            return index < ids.shape[0] and ids[index] == node
+    def members(self):
+        """The container to ask ``node in ...`` of, decided once.
+
+        From :data:`ARRAY_REFRESH_MIN_NODES` ids a binary search (this
+        mapping itself) saves a Python set of every node per snapshot —
+        registration order normally assigns ascending ids.  Below, the
+        set costs less to build than one search: membership is a hash
+        lookup, never a numpy call.
+        """
         keys = self._key_set
         if keys is None:
-            keys = self._key_set = set(self.ids.tolist())
-        return node in keys
+            ids = self.ids
+            if ids.shape[0] >= ARRAY_REFRESH_MIN_NODES and bool(
+                (ids[1:] > ids[:-1]).all()
+            ):
+                # Not ``self``: a self-reference would leave the arrays
+                # to the cyclic collector (+8 % peak RSS at 10k peers).
+                keys = False
+            else:
+                keys = frozenset(ids.tolist())
+            self._key_set = keys
+        return self if keys is False else keys
+
+    def __contains__(self, node: object) -> bool:
+        keys = self._key_set
+        if keys is None:
+            self.members()
+            keys = self._key_set
+        if keys is not False:
+            return node in keys
+        ids = self.ids
+        try:
+            index = int(ids.searchsorted(node))
+        except (TypeError, ValueError):
+            return False
+        return index < ids.shape[0] and bool(ids[index] == node)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,11 @@ keep them cheap without changing any observable result:
   O(N*k) for k nodes per neighbourhood instead of the naive O(N^2)
   all-pairs scan.  Adjacency is stored both as ordered lists (BFS and
   flood iteration order must stay deterministic) and as frozen sets for
-  an O(1) :meth:`TopologySnapshot.has_edge`.
+  an O(1) :meth:`TopologySnapshot.has_edge`.  This pure-Python build
+  (``_build_adjacency``) is the scalar core's: with numpy present and
+  ``REPRO_SOA`` unset every snapshot of every size is built by
+  :func:`repro.net.soa.build_csr` instead, and lists, grid and sets
+  materialise from its arrays only when something reads them.
 * **Per-source BFS memoisation.**  A snapshot is immutable, so one full
   O(V+E) traversal per source serves every subsequent ``shortest_path``,
   ``hop_distance``, ``bfs_levels``, flood and reachability query against
@@ -106,8 +110,11 @@ class TopologySnapshot:
         # materialise one Point per node, the very cost it exists to skip.
         if isinstance(positions, soa.ArrayPositions):
             self.positions = positions
+            # What ``in`` is asked of: a hash set of the ids on a small
+            # population, the binary-searching mapping itself on a big one.
+            self._members = positions.members()
         else:
-            self.positions = dict(positions)
+            self.positions = self._members = dict(positions)
         self.radio_range = float(radio_range)
         self._edge_filter = edge_filter
         self._cell = self.radio_range if self.radio_range > 0 else 1.0
@@ -130,11 +137,7 @@ class TopologySnapshot:
         # Compressed sparse-row view of the adjacency (vectorized builds
         # only); BFS traverses it in array ops instead of the dict lists.
         self._csr = None
-        if (
-            soa.HAVE_NUMPY
-            and len(self.positions) >= soa.BUILD_MIN_NODES
-            and soa.soa_enabled()
-        ):
+        if soa.soa_enabled():
             self._csr = soa.build_csr(
                 self.positions, self.radio_range, position_arrays, pair_list
             )
@@ -305,7 +308,7 @@ class TopologySnapshot:
         a stable population pass a cached one to skip the O(N) rebuild.
         """
         snap = cls.__new__(cls)
-        snap.positions = positions
+        snap.positions = snap._members = positions
         snap.radio_range = prev.radio_range
         cell = snap._cell = prev._cell
         snap._edge_filter = None  # delta path is only taken unfiltered
@@ -495,7 +498,7 @@ class TopologySnapshot:
         return self._key_set()
 
     def __contains__(self, node: int) -> bool:
-        return node in self.positions
+        return node in self._members
 
     def neighbors(self, node: int) -> List[int]:
         """Online one-hop neighbours of ``node``."""
@@ -598,9 +601,9 @@ class TopologySnapshot:
         Returns ``None`` when the nodes are partitioned, ``[source]`` when
         ``source == target``.
         """
-        if source not in self.positions:
+        if source not in self._members:
             raise TopologyError(f"source node {source!r} is not online")
-        if target not in self.positions:
+        if target not in self._members:
             return None
         if source == target:
             return [source]
@@ -621,9 +624,9 @@ class TopologySnapshot:
 
     def hop_distance(self, source: int, target: int) -> Optional[int]:
         """Number of hops on a shortest path, or ``None`` if unreachable."""
-        if source not in self.positions:
+        if source not in self._members:
             raise TopologyError(f"source node {source!r} is not online")
-        if target not in self.positions:
+        if target not in self._members:
             return None
         levels, _, _, _ = self._bfs_from(source)
         return levels.get(target)
@@ -636,16 +639,20 @@ class TopologySnapshot:
         dict preserves BFS discovery order and is a fresh copy the caller
         may mutate.
         """
-        if source not in self.positions:
+        if source not in self._members:
             raise TopologyError(f"source node {source!r} is not online")
         if (
             self._csr is not None
             and max_depth is not None
             and max_depth >= 0
+            and len(self.positions) >= soa.ARRAY_REFRESH_MIN_NODES
             and source not in self._bfs_cache
         ):
             # Depth-bounded vectorized BFS: a TTL flood only needs the
-            # first few levels, so skip the far side of the graph.  The
+            # first few levels, so skip the far side of the graph — on a
+            # population that stays in arrays; under that crossover a
+            # full traversal of the dict adjacency is the cheaper one
+            # (BFS table in DESIGN.md, "Data-oriented core").  The
             # bounded run is reused while it covers the requested depth;
             # ``complete`` marks traversals that exhausted the component
             # before the bound and therefore cover any depth.

@@ -104,6 +104,35 @@ class TestRunBench:
         for name, fn in kernel_benchmarks():
             fn()  # one iteration each: smoke, not timing
 
+    def test_only_updates_and_gates_the_named_rows_alone(self, tmp_path, capsys):
+        """``--only ROW`` ratchets one row: the others and the metadata
+        stay as committed, and ``--check`` judges nothing else."""
+        from benchmarks.run_bench import main as run_bench_main
+
+        path = tmp_path / "BENCH_kernel.json"
+        save_baseline(
+            path,
+            {"snapshot_build_50": 9.0, "snapshot_build_200": 1e-9},
+            meta={"repeats": 5, "note": "kept"},
+        )
+        common = ["--suite", "kernel", "--baseline-dir", str(tmp_path),
+                  "--repeats", "1", "--only", "snapshot_build_50"]
+        assert run_bench_main(common + ["--update"]) == 0
+        data = json.loads(path.read_text())
+        assert 0.0 < data["results"]["snapshot_build_50"] < 1.0  # re-measured
+        assert data["results"]["snapshot_build_200"] == 1e-9  # untouched
+        assert data["meta"]["note"] == "kept" and data["meta"]["repeats"] == 5
+        before = path.read_text()
+        # The impossible 1 ns row would fail a whole-suite gate; it is not asked.
+        data["results"]["snapshot_build_50"] = 9.0
+        path.write_text(json.dumps(data))
+        assert run_bench_main(common + ["--check"]) == 0
+        out = capsys.readouterr().out
+        assert "snapshot_build_50" in out and "snapshot_build_200" not in out
+        assert before != path.read_text() == json.dumps(data)  # --check wrote nothing
+        assert run_bench_main(common + ["--only", "no_such_row", "--check"]) == 2
+        assert "no_such_row" in capsys.readouterr().err
+
     def test_sweep_benchmark_names_match_committed_baseline(self, tmp_path):
         import pathlib
 

@@ -73,7 +73,6 @@ def test_run_footer_names_the_array_rebuild_path(capsys, monkeypatch):
         pytest.skip("vectorized core not active")
     # Under the CLI's 50 peers by more than are ever offline at once.
     monkeypatch.setattr(soa, "ARRAY_REFRESH_MIN_NODES", 25)
-    monkeypatch.setattr(soa, "BUILD_MIN_NODES", 0)  # array builds at this size
     assert main(BASE + ["--no-cache", "run", "rpcc-sc"]) == 0
     footer = _topology_footer(capsys.readouterr().out)
     assert "incremental" not in footer and "BFS trees" not in footer

@@ -63,10 +63,12 @@ def _config(seed: int) -> SimulationConfig:
     )
 
 
-def _run_cell(spec: str, seed: int):
+def _run_cell(spec: str, seed: int, config: SimulationConfig = None):
     bus = TraceBus()
     sink = bus.add_sink(ListSink())
-    result = build_simulation(_config(seed), spec, "standard", trace=bus).run()
+    result = build_simulation(
+        config or _config(seed), spec, "standard", trace=bus
+    ).run()
     bus.close()
     return result, sink.events
 
@@ -137,19 +139,22 @@ def test_replay_is_bit_identical():
     assert strip(first_events) == strip(second_events)
 
 
-def test_golden_digest_identical_on_both_cores(monkeypatch):
-    """One golden cell rerun on each core must yield the committed digest.
-
-    ``BUILD_MIN_NODES`` drops to 0 on the vectorized arm so the 20-peer
-    golden population takes the array build path instead of the scalar
-    small-graph fallback.
-    """
+def _skip_without_numpy():
     from repro.net import soa
 
     if not soa.HAVE_NUMPY:
         pytest.skip("numpy (the perf extra) is not installed")
+    return soa
+
+
+def test_golden_digest_identical_on_both_cores(monkeypatch):
+    """One golden cell rerun on each core must yield the committed digest.
+
+    The 20-peer golden population takes the array build (all-pairs
+    candidate stage) on the vectorized arm, like every other size.
+    """
+    _skip_without_numpy()
     monkeypatch.setenv("REPRO_SOA", "1")
-    monkeypatch.setattr(soa, "BUILD_MIN_NODES", 0)
     vectorized = _digest(*_run_cell("rpcc-sc", 7))
     monkeypatch.setenv("REPRO_SOA", "0")
     scalar = _digest(*_run_cell("rpcc-sc", 7))
@@ -159,13 +164,110 @@ def test_golden_digest_identical_on_both_cores(monkeypatch):
         assert vectorized == golden["rpcc-sc-seed7"]
 
 
+# ----------------------------------------------------------------------
+# The paper's regime (Table 1: 50 peers, waypoint, churn) on the array build
+# ----------------------------------------------------------------------
+FAULTS_DIR = Path(__file__).parent.parent / "examples" / "faults"
+
+
+def _run_table1(spec: str, **overrides):
+    """Table-1 defaults, shortened; ``(result, digest)`` of one traced run."""
+    config = SimulationConfig(sim_time=150.0, warmup=50.0, seed=7, **overrides)
+    result, events = _run_cell(spec, 7, config)
+    return result, _digest(result, events)
+
+
+def _spy(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.mark.parametrize("spec", ("rpcc-hy", "pull", "push"))
+def test_table1_world_identical_on_both_cores(monkeypatch, spec):
+    """50 peers is under every size crossover there ever was: the array
+    build serves it by default and must reproduce the scalar core."""
+    _skip_without_numpy()
+    monkeypatch.setenv("REPRO_SOA", "1")
+    vectorized, vectorized_digest = _run_table1(spec)
+    monkeypatch.setenv("REPRO_SOA", "0")
+    scalar, scalar_digest = _run_table1(spec)
+    assert (vectorized.core, scalar.core) == ("vectorized", "scalar")
+    assert vectorized_digest == scalar_digest
+    assert vectorized_digest["transmissions"] > 0
+    assert vectorized.topology_stats == scalar.topology_stats
+
+
+@pytest.mark.parametrize("spec,sent", [
+    ("pull", {"PullPoll", "PullReply"}),  # floods, unicast replies
+    ("rpcc-hy", {"Invalidation", "Poll", "PollAckA"}),
+])
+def test_table1_run_stays_off_the_scalar_build(monkeypatch, spec, sent):
+    """Floods and unicasts over 50 waypoint peers: arrays in, dicts out.
+    No refresh runs the scalar grid build or makes a ``Point``, and no
+    membership test is a numpy call."""
+    soa = _skip_without_numpy()
+    from repro.net.topology import TopologySnapshot
+
+    calls = []
+    _spy(monkeypatch, TopologySnapshot, "_build_adjacency", calls)
+    _spy(monkeypatch, soa.ArrayPositions, "materialized", calls)
+    _spy(monkeypatch, soa.ArrayPositions, "__contains__", calls)
+    _spy(monkeypatch, soa.np, "searchsorted", calls)
+    _spy(monkeypatch, soa, "build_csr", calls)
+    monkeypatch.setenv("REPRO_SOA", "1")
+    result, digest = _run_table1(spec)
+    stats = result.topology_stats
+    # Waypoint moves more than a quarter of the peers every quantum.
+    assert stats["incremental_updates"] == 0 and stats["snapshots_built"] > 100
+    assert digest["transmissions_by_type"].keys() >= sent
+    assert calls == ["build_csr"] * stats["snapshots_built"]
+
+
+def test_partition_plan_filters_the_lazily_materialised_snapshot(monkeypatch):
+    """A partition reads positions and neighbour lists the array build
+    left unmaterialised; the cut graph must equal the scalar core's."""
+    soa = _skip_without_numpy()
+    from repro.faults import FaultPlan
+    from repro.net.topology import TopologySnapshot
+
+    plan = FaultPlan.load(FAULTS_DIR / "partition.json")
+    calls = []
+    filtered = []
+    real_filter = TopologySnapshot._apply_edge_filter
+
+    def apply_edge_filter(self):
+        filtered.append(
+            (type(self.positions), self._adjacency_store is None, self._csr is None)
+        )
+        real_filter(self)
+
+    monkeypatch.setattr(TopologySnapshot, "_apply_edge_filter", apply_edge_filter)
+    _spy(monkeypatch, TopologySnapshot, "_build_adjacency", calls)
+    monkeypatch.setenv("REPRO_SOA", "1")
+    vectorized, vectorized_digest = _run_table1("rpcc-sc", faults=plan)
+    assert calls == []
+    # Every filtered build started from arrays with nothing materialised.
+    assert len(filtered) > 10
+    assert set(filtered) <= {
+        (soa.ArrayPositions, True, False), (dict, True, False)
+    }
+    assert (soa.ArrayPositions, True, False) in filtered
+    monkeypatch.setenv("REPRO_SOA", "0")
+    scalar, scalar_digest = _run_table1("rpcc-sc", faults=plan)
+    assert vectorized_digest == scalar_digest
+    assert vectorized.fault_stats == scalar.fault_stats
+    assert vectorized.fault_stats["partition_seconds"] == 60.0
+
+
 def _run_large_world_on_both_cores(monkeypatch, stable_fraction: float):
     """A 2 000-peer walk world, above the array-refresh crossover, run on
     each core: ``(vectorized, scalar)`` results, digests asserted equal."""
-    from repro.net import soa
-
-    if not soa.HAVE_NUMPY:
-        pytest.skip("numpy (the perf extra) is not installed")
+    soa = _skip_without_numpy()
     n_peers = 2000
     assert n_peers >= soa.ARRAY_REFRESH_MIN_NODES
     side = 1500.0 * (n_peers / 50.0) ** 0.5

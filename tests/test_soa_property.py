@@ -1,8 +1,8 @@
 """Property tests: the vectorized core is bit-identical to the scalar core.
 
 Every test here constructs the same world twice — once with the
-struct-of-arrays fast path (``REPRO_SOA=1``, :data:`soa.BUILD_MIN_NODES`
-dropped to 0 so tiny graphs vectorize too) and once with it forced off —
+struct-of-arrays fast path (``REPRO_SOA=1``; tiny graphs take the array
+build like every other size) and once with it forced off —
 and asserts that everything the network layer can observe is equal *and
 in the same order*: positions, neighbour lists, BFS levels and discovery
 order, depth-bounded floods, edge counts and connected components.
@@ -18,6 +18,7 @@ import contextlib
 import math
 import os
 import random
+import sys
 
 import pytest
 
@@ -46,19 +47,15 @@ RANGE = 250.0
 def _core(vectorized: bool):
     """Force one core for the duration of the block.
 
-    The vectorized arm also drops :data:`soa.BUILD_MIN_NODES` to zero so
-    the small populations hypothesis generates take the array path
-    instead of silently falling back to the scalar build.
+    The vectorized arm builds every population from arrays, however
+    small: the tiny graphs hypothesis generates take the all-pairs
+    candidate stage of :func:`soa.build_csr`.
     """
     saved_env = os.environ.get("REPRO_SOA")
-    saved_floor = soa.BUILD_MIN_NODES
     os.environ["REPRO_SOA"] = "1" if vectorized else "0"
-    if vectorized:
-        soa.BUILD_MIN_NODES = 0
     try:
         yield
     finally:
-        soa.BUILD_MIN_NODES = saved_floor
         if saved_env is None:
             os.environ.pop("REPRO_SOA", None)
         else:
@@ -120,6 +117,121 @@ def test_vectorized_build_matches_scalar_at_paper_density(seed):
         vec = TopologySnapshot(dict(positions), 350.0)
         assert vec._csr is not None
         _assert_snapshots_identical(vec, ref)
+
+
+@contextlib.contextmanager
+def _pinned(constant: str, value: int):
+    """Pin one of :mod:`soa`'s size crossovers for the duration of the block."""
+    saved = getattr(soa, constant)
+    setattr(soa, constant, value)
+    try:
+        yield
+    finally:
+        setattr(soa, constant, saved)
+
+
+def _grid_from(min_nodes: int):
+    return _pinned("GRID_MIN_NODES", min_nodes)
+
+
+#: The degenerate populations, and the ones around the stage crossover.
+_STAGE_SIZES = (
+    0, 1, 2, 3, 17,
+    soa.GRID_MIN_NODES - 1, soa.GRID_MIN_NODES, soa.GRID_MIN_NODES + 1,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_STAGE_SIZES), st.integers(min_value=0, max_value=2**20))
+def test_all_pairs_and_grid_stages_match_scalar(count, seed):
+    """Every pair, or the pairs of adjacent grid cells: both candidate
+    stages are supersets of the in-range pairs, so either one ends in the
+    scalar build's neighbour lists, key order and BFS trees — including
+    coincident points and pairs at exactly the radio range."""
+    np = soa.np
+    rng = random.Random(seed)
+    side = max(1500.0 * (count / 50.0) ** 0.5, RANGE)
+    points = [Point(rng.uniform(0.0, side), rng.uniform(0.0, side)) for _ in range(count)]
+    if count >= 2:
+        # Whole-number coordinates keep the distances below exact.
+        points[0] = Point(float(rng.randrange(int(side))), float(rng.randrange(int(side))))
+        points[1] = points[0]  # coincident
+    if count >= 17:
+        points[5] = Point(points[0].x + RANGE, points[0].y)  # exactly in range
+        points[16] = Point(points[0].x + 0.6 * RANGE, points[0].y + 0.8 * RANGE)  # too
+        points[9] = Point(points[0].x, points[0].y + RANGE + 2.0 ** -20)  # just outside
+    positions = dict(enumerate(points))
+    xs = np.array([p.x for p in points], dtype=np.float64)
+    ys = np.array([p.y for p in points], dtype=np.float64)
+
+    with _core(vectorized=False):
+        ref = TopologySnapshot(dict(positions), RANGE)
+        assert ref._csr is None
+    if count >= 17:
+        assert ref.has_edge(0, 5) and ref.has_edge(1, 16) and not ref.has_edge(0, 9)
+    every_pair = count * (count - 1) // 2
+    for grid_from in (0, count + 1):  # the grid stage, then the all-pairs stage
+        with _core(vectorized=True), _grid_from(grid_from):
+            vec = TopologySnapshot(dict(positions), RANGE)
+            assert vec._csr is not None
+            if count:  # the stage under test is the one that ran
+                listed = soa._candidate_pairs(xs, ys, RANGE)[0].shape[0]
+                if grid_from:
+                    assert listed == every_pair
+                else:  # ~90 cells at the larger sizes: most pairs are far apart
+                    assert listed < every_pair or count <= 17
+            assert vec._adjacency == ref._adjacency
+            assert list(vec._adjacency) == list(ref._adjacency)
+            for source in positions:
+                tree = soa.bfs_from_csr(vec._csr, source)
+                ref_tree = ref._bfs_from(source)
+                assert tree == ref_tree
+                assert list(tree[1]) == list(ref_tree[1])  # parents, in order
+                assert vec._bfs_from(source) == ref_tree
+            _assert_snapshots_identical(vec, ref)
+
+
+def test_all_pairs_stage_serves_every_size_from_one_triangle():
+    """Smaller populations read a prefix of the cached triangle: views,
+    not copies, ordered so that the prefix is exactly the pairs below n."""
+    big_a, big_b = soa._all_pairs_below(40)
+    for count in (0, 1, 2, 7, 39):
+        cand_a, cand_b = soa._all_pairs_below(count)
+        assert cand_a.base is big_a.base and cand_b.base is big_b.base
+        assert not cand_a.flags.writeable and not cand_b.flags.writeable
+        listed = set(zip(cand_a.tolist(), cand_b.tolist()))
+        assert listed == {(a, b) for b in range(count) for a in range(b)}
+        assert len(listed) == cand_a.shape[0]
+
+
+def test_membership_is_a_python_bool_on_either_side_of_the_crossover():
+    """Hash lookup under the array-refresh crossover, binary search from
+    it on — same answers, and never a ``numpy.bool_``."""
+    np = soa.np
+    ids = np.array([2, 3, 5, 8, 13], dtype=np.int64)
+    coords = np.zeros(5)
+    small = soa.ArrayPositions(ids, coords, coords)
+    assert isinstance(small.members(), frozenset)
+    with _array_refresh_from(0):
+        large = soa.ArrayPositions(ids, coords, coords)
+        held = sys.getrefcount(large)
+        assert large.members() is large
+        # ... without holding itself: a cycle would keep every refresh's
+        # arrays alive until the cyclic collector happens by.
+        assert sys.getrefcount(large) == held
+        unsorted = soa.ArrayPositions(ids[::-1].copy(), coords, coords)
+        assert isinstance(unsorted.members(), frozenset)
+        empty = soa.ArrayPositions(ids[:0], coords[:0], coords[:0])
+        for probe in (-1, 2, 4, 13, 14, 5.0, 5.5, "5", None):
+            expected = probe in {2, 3, 5, 8, 13}
+            for mapping in (small, large, unsorted):
+                assert (probe in mapping) is expected, (probe, mapping.members())
+            assert (probe in empty) is False
+    csr = soa.CsrAdjacency(np.zeros(6, dtype=np.int64), ids[:0], ids)
+    assert [csr.rank_of(node) for node in (2, 8, 13)] == [0, 3, 4]
+    for missing in (4, 14, "5"):
+        with pytest.raises(KeyError):
+            csr.rank_of(missing)
 
 
 # ----------------------------------------------------------------------
@@ -271,15 +383,8 @@ def test_bulk_mobility_kernels_match_scalar_models(family):
 SPARSE = ("stationary",) * 9 + ("walk",)
 
 
-@contextlib.contextmanager
 def _array_refresh_from(min_nodes: int):
-    """Pin :data:`soa.ARRAY_REFRESH_MIN_NODES` for the duration of the block."""
-    saved = soa.ARRAY_REFRESH_MIN_NODES
-    soa.ARRAY_REFRESH_MIN_NODES = min_nodes
-    try:
-        yield
-    finally:
-        soa.ARRAY_REFRESH_MIN_NODES = saved
+    return _pinned("ARRAY_REFRESH_MIN_NODES", min_nodes)
 
 
 def _drive_sparse(seed: int, toggles, count: int = 30):
