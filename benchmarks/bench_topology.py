@@ -1,21 +1,26 @@
 """Topology-pipeline benchmarks: incremental refresh vs from-scratch.
 
-Each benchmark walks a :class:`~repro.net.topology.TopologyService`
-through a precomputed per-quantum position schedule (mobility sampling is
-hoisted out of the timed region, so the numbers isolate topology work):
+Each benchmark walks a :class:`~repro.net.topology.TopologyService` and
+its position ledger through a precomputed per-quantum position schedule
+(mobility sampling is hoisted out of the timed region — the ledger reads
+the schedule back through replay nodes — so the numbers isolate
+refresh work):
 
-* **pause-heavy** (200 and 1000 nodes) — random-waypoint motion with
-  long (30-minute) pauses sampled past its initial all-moving transient:
+* **pause-heavy** (200 nodes) — random-waypoint motion with long
+  (30-minute) pauses sampled past its initial all-moving transient:
   most quanta move only a handful of nodes, which is exactly the regime
   the incremental delta path (snapshot reuse, copy-on-write patching,
-  BFS tree retention) is built for.  Paused nodes yield the *same* ``Point``
-  object each quantum, as the network position ledger does in real runs.
+  BFS tree retention) is built for.  A parked node reports a validity
+  window to the end of its pause, as waypoint models do in real runs,
+  so the ledger does not re-sample it.  (From
+  ``soa.ARRAY_REFRESH_MIN_NODES`` peers on no refresh patches, so there
+  is no larger pause-heavy pair.)
 * **churn-heavy** (200 nodes) — every node teleports every quantum, so
   each refresh exceeds the delta threshold and falls back to the
   from-scratch build.  The incremental arm must stay within ~10% of the
   plain rebuild: the diff is the only extra cost.
 
-``run_bench.py --suite topology`` gates all six timings against
+``run_bench.py --suite topology`` gates all four timings against
 ``BENCH_topology.json`` and derives the speedup/overhead ratios into the
 baseline metadata via :func:`topology_speedups`.
 """
@@ -28,14 +33,15 @@ from typing import Callable, Dict, List, Tuple
 
 from repro.mobility.terrain import Point, Terrain
 from repro.mobility.waypoint import RandomWaypoint
+from repro.net import soa
 from repro.net.topology import TopologyService
 
 RADIO_RANGE = 350.0
 TICKS = 60
 PAUSE = 1800.0
 
-#: Schedules are expensive to sample (60k positions at the 1000-node
-#: scale), so they are built once per process and shared by both arms.
+#: Schedules are expensive to sample (12k waypoint positions), so they
+#: are built once per process and shared by both arms.
 _SCHEDULES: Dict[str, List[Dict[int, Point]]] = {}
 
 
@@ -54,9 +60,9 @@ def pause_heavy_schedule(count: int, seed: int = 7) -> List[Dict[int, Point]]:
     in synchronized waves; a random per-node phase offset staggers the
     cycles so each quantum sees the steady-state mover fraction instead
     (the fraction is asserted by the benchmark tests: it must stay under
-    the service's delta threshold).  During a pause the model returns the
-    same ``Point`` object every sample, which is what the network
-    position ledger feeds the topology service in real runs.
+    the patch threshold).  During a pause the model returns the same
+    ``Point`` object every sample, which is how the replay nodes tell a
+    parked node from a moving one.
     """
     key = f"pause_{count}"
     if key not in _SCHEDULES:
@@ -99,31 +105,58 @@ def churn_heavy_schedule(count: int, seed: int = 11) -> List[Dict[int, Point]]:
     return _SCHEDULES[key]
 
 
+class _ReplayNode:
+    """One node's column of a schedule, behind the ledger's node contract.
+
+    ``position_valid_until`` reports the last tick the current ``Point``
+    object is still the scheduled one: the window a mobility model
+    would report for a pause.
+    """
+
+    online = True
+
+    def __init__(self, node_id: int, column: List[Point], clock: Dict[str, float]):
+        self.node_id = node_id
+        self._column = column
+        self._clock = clock
+        self._valid = [float(len(column) - 1)] * len(column)
+        for tick in range(len(column) - 2, -1, -1):
+            if column[tick + 1] is not column[tick]:
+                self._valid[tick] = float(tick)
+            else:
+                self._valid[tick] = self._valid[tick + 1]
+
+    def current_position(self) -> Point:
+        return self._column[int(self._clock["t"])]
+
+    def position_valid_until(self) -> float:
+        return self._valid[int(self._clock["t"])]
+
+
 def _make_refresh_bench(
     schedule: List[Dict[int, Point]], incremental: bool
 ) -> Callable[[], None]:
-    """One iteration = a fresh service walking every quantum of ``schedule``.
+    """One iteration = a fresh ledger and service walking every quantum.
 
     Pure refresh cost: the per-quantum query mix is covered by the kernel
     suite (route/flood bursts); here the two arms isolate what building
     each quantum's snapshot costs with and without the delta pipeline.
     """
+    clock = {"t": 0.0}
+    nodes = [
+        _ReplayNode(node, [row[node] for row in schedule], clock)
+        for node in schedule[0]
+    ]
 
     def run() -> None:
-        clock = {"t": 0.0}
-        row = {"states": schedule[0]}
-        service = TopologyService(
-            clock=lambda: clock["t"],
-            node_states=lambda: [
-                (node, pos, True) for node, pos in row["states"].items()
-            ],
-            radio_range=RADIO_RANGE,
-            quantum=1.0,
-        )
+        clock["t"] = 0.0
+        ledger = soa.SoAPositionLedger()
+        for node in nodes:
+            ledger.add(node)
+        service = TopologyService(lambda: clock["t"], ledger, RADIO_RANGE)
         service.incremental = incremental
-        for tick, states in enumerate(schedule):
+        for tick in range(len(schedule)):
             clock["t"] = float(tick)
-            row["states"] = states
             service.current()
 
     return run
@@ -132,13 +165,10 @@ def _make_refresh_bench(
 def topology_benchmarks(workdir: str) -> List[Tuple[str, Callable[[], None]]]:
     """Name -> one-iteration callable for every gated topology benchmark."""
     pause_200 = pause_heavy_schedule(200)
-    pause_1000 = pause_heavy_schedule(1000)
     churn_200 = churn_heavy_schedule(200)
     return [
         ("pause_fresh_200", _make_refresh_bench(pause_200, incremental=False)),
         ("pause_incremental_200", _make_refresh_bench(pause_200, incremental=True)),
-        ("pause_fresh_1000", _make_refresh_bench(pause_1000, incremental=False)),
-        ("pause_incremental_1000", _make_refresh_bench(pause_1000, incremental=True)),
         ("churn_fresh_200", _make_refresh_bench(churn_200, incremental=False)),
         ("churn_incremental_200", _make_refresh_bench(churn_200, incremental=True)),
     ]
@@ -147,11 +177,10 @@ def topology_benchmarks(workdir: str) -> List[Tuple[str, Callable[[], None]]]:
 def topology_speedups(results: Dict[str, float]) -> Dict[str, float]:
     """Derive incremental speedups (and churn overhead) from the timings."""
     ratios: Dict[str, float] = {}
-    for scale in (200, 1000):
-        fresh = results.get(f"pause_fresh_{scale}")
-        patched = results.get(f"pause_incremental_{scale}")
-        if fresh and patched:
-            ratios[f"pause_speedup_{scale}"] = fresh / patched
+    fresh = results.get("pause_fresh_200")
+    patched = results.get("pause_incremental_200")
+    if fresh and patched:
+        ratios["pause_speedup_200"] = fresh / patched
     fresh = results.get("churn_fresh_200")
     patched = results.get("churn_incremental_200")
     if fresh and patched:

@@ -29,11 +29,10 @@ file:
   bursty-loss, and crash-reboot plans), gated against
   ``BENCH_faults.json``;
 * ``scale`` — the struct-of-arrays core of ``bench_scale.py`` (1k/5k/10k
-  RPCC runs on the scalar and vectorized cores), gated against
-  ``BENCH_scale.json``; the per-scale vectorized speedups land in the
-  baseline metadata.  These benchmarks are self-timing (they report the
-  run phase only, excluding world construction), so they are measured
-  via :func:`measure_returned`;
+  RPCC runs), gated against ``BENCH_scale.json``; the 10k run's speedup
+  over its PR-6 measurement lands in the baseline metadata.  These
+  benchmarks are self-timing (they report the run phase only, excluding
+  world construction), so they are measured via :func:`measure_returned`;
 * ``campaign`` — the persistence layers of ``bench_campaign.py`` (a
   synthetic 1000-point campaign written and read back through the
   per-pickle cache and through the columnar result store), gated against
@@ -101,7 +100,7 @@ SUITES = ("kernel", "engine", "sweep", "trace", "topology", "faults",
 
 #: Timing repetitions per suite (the best is kept).  The sweep campaign
 #: is seconds-per-iteration, so it repeats less than the ms-scale kernels;
-#: the scale suite's 10k-node scalar arm runs tens of seconds, so it
+#: the scale suite's rows are whole simulations of up to 10k nodes, so it
 #: repeats least of all (the noise-retry pass still resamples any
 #: benchmark that appears to regress).
 SUITE_REPEATS = {
@@ -422,9 +421,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     # Best-of-N converges to the true floor with enough
                     # samples even inside a contention window, so the
                     # retry samples much harder than the first pass.
-                    # The scale suite's scalar 10k arm is tens of seconds
-                    # per sample: cap its retry sampling where the
-                    # ms-scale suites sample much harder.
+                    # The scale suite's rows are whole simulations: cap
+                    # their retry sampling where the ms-scale suites
+                    # sample much harder.
                     retry_repeats = (
                         max(2 * repeats, 3)
                         if suite in SELF_TIMED_SUITES

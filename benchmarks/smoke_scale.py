@@ -1,9 +1,9 @@
-"""100k-node vectorized smoke: a short run, digest-checked in CI.
+"""100k-node smoke: a short run, digest-checked in CI.
 
 Builds the same topology-dominated RPCC configuration as the scale
-benchmarks at **100 000 peers**, runs five simulated seconds on the
-vectorized core, and reduces the result to a digest (event count plus
-the integer and rounded-float metrics).  The digest is compared against
+benchmarks at **100 000 peers**, runs five simulated seconds, and
+reduces the result to a digest (event count plus the integer and
+rounded-float metrics).  The digest is compared against
 the committed golden at ``tests/golden/scale_100k.json``:
 
 * a crash, hang or memory blow-up at 100k nodes fails the job outright
@@ -53,10 +53,7 @@ _FLOAT_METRICS = (
 
 
 def run_smoke() -> Tuple[Dict[str, object], Dict[str, int]]:
-    """One 100k-node vectorized run: its digest and its topology counters."""
-    import os
-
-    os.environ["REPRO_SOA"] = "1"
+    """One 100k-node run: its digest and its topology counters."""
     from benchmarks.bench_scale import SPEC, scale_config
     from repro.experiments.runner import build_simulation
 
@@ -64,15 +61,13 @@ def run_smoke() -> Tuple[Dict[str, object], Dict[str, int]]:
     simulation = build_simulation(
         scale_config(N_PEERS, sim_time=SIM_TIME), SPEC, scenario="single_source"
     )
-    if simulation.network.core != "vectorized":
-        raise RuntimeError("the 100k smoke needs numpy (the perf extra)")
     run_at = time.perf_counter()
     result = simulation.run()
     done_at = time.perf_counter()
     print(
         f"100k smoke: built in {run_at - built_at:.1f}s, "
         f"ran {SIM_TIME:.0f} simulated seconds in {done_at - run_at:.1f}s, "
-        f"{result.events_processed} events ({result.core} core)"
+        f"{result.events_processed} events"
     )
     stats = result.topology_stats
     print(

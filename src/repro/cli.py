@@ -309,21 +309,19 @@ def _command_run(args: argparse.Namespace, executor: CampaignExecutor) -> None:
     print(format_summary(result.summary, title=f"{args.spec} ({args.scenario})"))
     if result.relay_samples:
         print(f"\nmean relay population: {result.mean_relay_count:.1f}")
-    core = getattr(result, "core", "scalar")
     print(f"events processed: {result.events_processed:,} "
-          f"in {result.wall_clock_seconds:.1f}s wall clock "
-          f"({core} core)")
-    _print_topology_stats(result, core)
+          f"in {result.wall_clock_seconds:.1f}s wall clock")
+    _print_topology_stats(result)
     _print_fault_stats(result)
     _print_control_decisions(result)
 
 
-def _print_topology_stats(result, core: str) -> None:
+def _print_topology_stats(result) -> None:
     """Topology footer: refresh counters plus the path that served them.
 
-    On the vectorized core a population too large for
-    :func:`soa.refresh_patches` to patch even a one-node delta rebuilds
-    the CSR from the position ledger's arrays on every changed refresh.
+    A population too large for :func:`soa.refresh_patches` to patch even
+    a one-node delta rebuilds the CSR from the position ledger's arrays
+    on every changed refresh.
     Such a run is reported as that, not as "0 incremental (0 BFS trees
     retained)", along with how those rebuilds came by their candidate
     pairs (:class:`soa.PairList`).
@@ -332,9 +330,7 @@ def _print_topology_stats(result, core: str) -> None:
     if not stats:
         return
     patched = stats.get("incremental_updates", 0)
-    array_refresh = core == "vectorized" and not soa.refresh_patches(
-        result.config.n_peers, 1
-    )
+    array_refresh = not soa.refresh_patches(result.config.n_peers, 1)
     line = (f"topology: {stats.get('snapshots_built', 0)} built, "
             f"{stats.get('snapshots_reused', 0)} reused")
     paths = []

@@ -154,9 +154,8 @@ class SimulationResult:
     #: Degradation metrics (availability, stale-serve rate in partition,
     #: time-to-reconverge); empty for fault-free runs without a meter.
     fault_stats: Dict[str, float] = field(default_factory=dict)
-    #: Which per-quantum core executed this run: ``"vectorized"`` (numpy
-    #: struct-of-arrays fast path) or ``"scalar"``.  Both produce
-    #: bit-identical results; the field only records which one ran.
+    #: Persisted-format field (the store's ``core`` column), kept until the
+    #: store's format version next changes: every run records ``"vectorized"``.
     core: str = "scalar"
     #: Applied online-control decisions in order (empty without a
     #: controller): ``{"time", "policy", "reason", "applied", "modes"}``.
@@ -271,7 +270,7 @@ class Simulation:
             events_processed=self.sim.events_processed,
             topology_stats=self.network.topology.stats(),
             fault_stats=dict(summary.fault_stats),
-            core=self.network.core,
+            core="vectorized",
             control_decisions=(
                 list(self.controller.decisions)
                 if self.controller is not None

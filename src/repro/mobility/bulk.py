@@ -1,4 +1,4 @@
-"""Bulk (struct-of-arrays) mobility kernels for the vectorized core.
+"""Bulk (struct-of-arrays) mobility kernels for the position ledger.
 
 Each kernel evaluates one mobility model *family* for a whole population
 in a few array operations per topology refresh, instead of a Python call
@@ -7,20 +7,17 @@ same order as the scalar model methods, so the produced positions and
 validity deadlines are bit-identical to ``model.position(t)`` /
 ``model.position_valid_until(t)``.
 
-Trajectory state that the scalar models generate lazily (waypoint legs,
-walk epochs) is still generated through the models themselves
-(``_extend_to``), so the per-node RNG streams advance exactly as in a
-scalar run and the two cores can be flipped mid-project without any drift.
-Per-node segment pointers only move forward — refresh times are the
-simulation clock, which is monotonic.
+Trajectory state that the models generate lazily (waypoint legs, walk
+epochs) is still generated through the models themselves
+(``_extend_to``), so the per-node RNG streams advance exactly as under
+per-node ``position(t)`` calls and sampling a model next to its kernel
+never drifts from it.  Per-node segment pointers only move forward —
+refresh times are the simulation clock, which is monotonic.
 
 Models outside the four shipped families (e.g. RPGM group members, test
 stand-ins) fall back to scalar sampling through the owning node, keeping
 the ledger correct for arbitrary :class:`~repro.net.node.NetworkNode`
 implementations.
-
-This module requires numpy and is only imported by :mod:`repro.net.soa`
-when the ``perf`` extra is installed.
 """
 
 from __future__ import annotations
@@ -363,9 +360,9 @@ class PiecewiseKernel(_Kernel):
 class FallbackKernel(_Kernel):
     """Scalar sampling through the node, for unrecognised models.
 
-    Costs exactly what the scalar ledger costs for these nodes — one
-    ``current_position`` / ``position_valid_until`` call per lapsed window
-    — so mixing one exotic model into a population never slows the rest.
+    One ``current_position`` / ``position_valid_until`` call per lapsed
+    window, so mixing one exotic model into a population never slows the
+    rest.
     """
 
     def __init__(self) -> None:

@@ -15,10 +15,9 @@ That is the quantity the paper's "network traffic" figures integrate.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol
 
 from repro.errors import RoutingError, TopologyError
-from repro.mobility.terrain import Point
 from repro.net.link import LinkModel
 from repro.net.message import Message
 from repro.net.node import NetworkNode
@@ -76,24 +75,12 @@ class Network:
         self.router: Router = router if router is not None else ShortestPathRouter()
         self.traffic: TrafficObserver = traffic if traffic is not None else _NullTraffic()
         self._nodes: Dict[int, NetworkNode] = {}
-        # node id -> (position, valid_until): positions are re-sampled from
-        # the mobility model only once their validity window expires, and
-        # the *same* Point object is served until then so the topology
-        # service can detect unmoved nodes by identity.
-        self._position_ledger: Dict[int, Tuple[Point, float]] = {}
-        # Struct-of-arrays core: with numpy installed (the ``perf`` extra)
-        # and REPRO_SOA != 0, positions/online flags/validity windows live
-        # in contiguous arrays and refreshes run vectorized.  Both cores
-        # produce bit-identical snapshots, routes and digests.
-        self._soa_ledger = soa.SoAPositionLedger() if soa.soa_enabled() else None
-        #: Which per-quantum core this network runs: "vectorized"/"scalar".
-        self.core = "vectorized" if self._soa_ledger is not None else "scalar"
+        # Positions, online flags and validity windows in contiguous
+        # arrays: a node is re-sampled only once its window expires, and
+        # the topology service reads each refresh's diff from here.
+        self._soa_ledger = soa.SoAPositionLedger()
         self.topology = TopologyService(
-            clock=lambda: sim.now,
-            node_states=self._node_states,
-            radio_range=radio_range,
-            quantum=topology_quantum,
-            delta_source=self._soa_ledger,
+            lambda: sim.now, self._soa_ledger, radio_range, topology_quantum
         )
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -114,19 +101,17 @@ class Network:
         otherwise unicasts for the rest of the quantum could route through
         a node that just went offline.  The churn notice feeds the
         refresh diff: the next refresh patches the previous snapshot (or,
-        for a large population on the vectorized core, rebuilds from the
-        ledger's arrays) rather than discarding it unconditionally.
+        for a large population, rebuilds from the ledger's arrays) rather
+        than discarding it unconditionally.
         """
         if node.node_id in self._nodes:
             raise TopologyError(f"node id {node.node_id!r} already registered")
         self._nodes[node.node_id] = node
-        if self._soa_ledger is not None:
-            self._soa_ledger.add(node)
+        self._soa_ledger.add(node)
         node.bind_state_listener(self._on_node_state_change)
 
     def _on_node_state_change(self, node: NetworkNode) -> None:
-        if self._soa_ledger is not None:
-            self._soa_ledger.note_state(node)
+        self._soa_ledger.note_state(node)
         self.topology.note_churn(node.node_id)
         trace = self.sim.trace
         if trace.enabled:
@@ -146,27 +131,6 @@ class Network:
     def node_ids(self) -> List[int]:
         """All registered node ids, in registration order."""
         return list(self._nodes)
-
-    def _node_states(self) -> Iterable[Tuple[int, Optional[Point], bool]]:
-        now = self.sim.now
-        ledger = self._position_ledger
-        for node_id, node in self._nodes.items():
-            if not node.online:
-                # Offline nodes are filtered out by the topology service,
-                # so the position is never read: skip the mobility model.
-                yield node_id, None, False
-                continue
-            entry = ledger.get(node_id)
-            if entry is not None and now <= entry[1]:
-                yield node_id, entry[0], True
-                continue
-            position = node.current_position()
-            valid_until = node.position_valid_until()
-            if valid_until > now:
-                ledger[node_id] = (position, valid_until)
-            else:
-                ledger.pop(node_id, None)
-            yield node_id, position, True
 
     def snapshot(self) -> TopologySnapshot:
         """Connectivity graph at the current instant."""

@@ -1,55 +1,43 @@
-"""Struct-of-arrays fast path for the per-quantum hot loop.
+"""Struct-of-arrays kernels of the per-quantum hot loop.
 
-This module holds every numpy-accelerated kernel the network layer can
-substitute for its pure-Python inner loops:
+The numpy kernels the network layer runs every topology quantum:
 
 * :func:`build_csr` — the adjacency build of every
   :class:`~repro.net.topology.TopologySnapshot`, the paper's 50 peers
-  included, in three array stages: candidate pairs (every pair under
-  :data:`GRID_MIN_NODES` points, a uniform grid's adjacent cells from
-  there on), one distance pass over them, CSR assembly by sorting fused
-  keys.
-* :class:`PairList` — a cache in front of the first of those stages: the
-  candidate pairs of one refresh, kept with a skin around the radio
-  range, serve the following refreshes until nodes have drifted half the
-  skin, through churn (a Verlet neighbour list in ledger-slot space).
-* :func:`bfs_from_csr` — the level-synchronous BFS over a compressed
-  sparse-row view of the snapshot, reproducing the scalar traversal's
-  discovery order (and therefore parents, items and depth prefix) exactly.
-* :class:`SoAPositionLedger` — node positions, online flags and
-  position-validity deadlines in contiguous arrays, with bulk mobility
-  kernels (:mod:`repro.mobility.bulk`) evaluating whole populations per
-  refresh and batched validity-window expiry waking only the nodes whose
-  windows actually lapsed.
+  included: candidate pairs, one distance pass, CSR assembly.
+* :class:`PairList` — candidate pairs kept across refreshes (a Verlet
+  neighbour list in ledger-slot space).
+* :func:`bfs_from_csr` — level-synchronous BFS over the CSR, in the dict
+  traversal's discovery order.
+* :class:`SoAPositionLedger` — positions, online flags and validity
+  deadlines in contiguous arrays, sampled by the bulk mobility kernels
+  (:mod:`repro.mobility.bulk`) and diffed per refresh.
 
-Everything here is *optional*: numpy ships as the ``perf`` extra.  With
-numpy absent — or ``REPRO_SOA=0`` in the environment — :func:`soa_enabled`
-is false and the existing scalar code paths run unchanged; with it, no
-population is too small for the arrays.  What does depend on size is
+No population is too small for the arrays.  What does depend on size is
 what a snapshot serves *from*: under :data:`ARRAY_REFRESH_MIN_NODES`
 peers it is arrays in, dicts out (traversals on the dict adjacency
 materialised once from the CSR, membership a hash lookup); from there on
-it stays in arrays (CSR traversals, binary-search membership).  With the fast
-path active every observable result (neighbour lists, snapshots, golden
-e2e digests) is bit-identical to the scalar path: all float arithmetic is
-IEEE-754 double precision applied in the same operation order, and every
-ordering the scalar code derives from dict insertion is reproduced from
-the registration-rank arrays.
+it stays in arrays (CSR traversals, binary-search membership).  Results
+depend on neither: float arithmetic is IEEE-754 double precision in one
+fixed operation order (``dx*dx + dy*dy <= r*r``) and every observable
+ordering is registration rank — the contract ``tests/oracle.py`` states
+by brute force and the property tests hold every path here to.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left
 from collections.abc import Mapping
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.errors import TopologyError
+from repro.mobility import bulk
 from repro.mobility.terrain import Point
 
 __all__ = [
-    "HAVE_NUMPY",
-    "soa_enabled",
     "refresh_patches",
     "ArrayPositions",
     "CsrAdjacency",
@@ -59,14 +47,6 @@ __all__ = [
     "bfs_from_csr",
     "SoAPositionLedger",
 ]
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - depends on the install
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
 
 #: Population from which the candidate stage of :func:`build_csr`
 #: buckets points into a grid; below it the stage lists every pair
@@ -100,16 +80,15 @@ _PAIR_DRIFT_SHARE = 0.49
 PAIR_LIST_NAP = 16
 
 #: Below the crossover, the largest delta still patched: this share of
-#: the online population, with an absolute floor.  ``TopologyService``
-#: reads the same two numbers for its scalar (``node_states``) tree.
+#: the online population, with an absolute floor.
 PATCH_FRACTION = 0.25
 PATCH_FLOOR = 4
 
 
 def refresh_patches(n_online: int, n_changed: int) -> bool:
-    """Whether a ledger-driven refresh patches the previous snapshot.
+    """Whether a changed refresh patches the previous snapshot.
 
-    The one patch-or-rebuild rule of the vectorized core, asked by the
+    The one patch-or-rebuild rule, asked by the
     position ledger (maintain the ``Point`` dict, or hand out
     :class:`ArrayPositions`?) and by the topology service
     (``from_delta``, or a from-arrays build?) with the same two counts,
@@ -121,20 +100,8 @@ def refresh_patches(n_online: int, n_changed: int) -> bool:
     return n_changed <= max(PATCH_FLOOR, int(n_online * PATCH_FRACTION))
 
 
-def soa_enabled() -> bool:
-    """Whether the vectorized core should run.
-
-    ``REPRO_SOA=0`` forces the scalar path even with numpy installed;
-    ``REPRO_SOA=1`` (or unset) selects the vectorized path whenever numpy
-    is importable.  Read dynamically so tests can flip the override.
-    """
-    if not HAVE_NUMPY:
-        return False
-    return os.environ.get("REPRO_SOA", "1") != "0"
-
-
 # ----------------------------------------------------------------------
-# Vectorized adjacency build
+# Adjacency build
 # ----------------------------------------------------------------------
 def _ragged_take(starts: "np.ndarray", counts: "np.ndarray") -> "np.ndarray":
     """Indices of the concatenation of ``arange(s, s+c)`` per (s, c) pair."""
@@ -250,7 +217,7 @@ def _candidate_pairs(
     n = xs.shape[0]
     if n < GRID_MIN_NODES:
         return _all_pairs_below(n)
-    # Cell coordinates match the scalar math.floor(x / cell) exactly.
+    # Cell coordinates match the lazy grid's math.floor(x / cell) exactly.
     cx = np.floor(xs / cell).astype(np.int64)
     cy = np.floor(ys / cell).astype(np.int64)
     # Linearise with a +1 margin so the ±1 offsets below stay in range.
@@ -283,8 +250,8 @@ def _candidate_pairs(
 
     # Offset (0, 0) yields every ordered same-cell pair (the a < b filter
     # below keeps each unordered pair once); the four half-neighbourhood
-    # offsets each yield every cross-cell pair exactly once — the same
-    # coverage argument as the scalar build.  All five offsets run as one
+    # offsets each yield every cross-cell pair exactly once.  All five
+    # offsets run as one
     # batched (5, n) lookup; row-major flattening keeps the exact
     # offset-then-rank candidate order of the per-offset loop.
     offsets = np.array(
@@ -317,7 +284,7 @@ def _candidate_pairs(
 
 
 def _norm_sq(dx: "np.ndarray", dy: "np.ndarray") -> "np.ndarray":
-    """``dx*dx + dy*dy`` in the scalar build's operation order.
+    """``dx*dx + dy*dy``, in that operation order (from_delta's, too).
 
     Runs in place — the result is ``dx`` — to avoid intermediate arrays.
     """
@@ -353,7 +320,7 @@ def _assemble_csr(
     ``(half_src, half_dst)`` lists each undirected edge once, in any
     order and either direction: the sort below fixes the result.
     """
-    # Per-node lists ascending by rank == the scalar post-build sort.
+    # Per-node lists ascending by rank: registration order.
     # (src, dst) pairs are unique, so sorting the fused key src*n+dst
     # in place gives exactly the lexsort((dst, src)) order without the
     # argsort-and-gather round trip.
@@ -377,15 +344,14 @@ def build_csr(
     radio_range: float,
     position_arrays: Optional[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = None,
     pair_list: Optional["PairList"] = None,
-) -> Optional[CsrAdjacency]:
-    """Vectorized unit-disc adjacency over ``positions``.
+) -> CsrAdjacency:
+    """Unit-disc adjacency over ``positions``.
 
     Returns the :class:`CsrAdjacency` whose per-node neighbour segments
-    are element-for-element equal to the scalar spatial-hash build
-    (:func:`adjacency_from_csr` materialises the identical dict-of-lists
-    on demand).  Returns ``None`` when the input cannot be vectorized
-    (ids outside int64), letting the caller fall back to the scalar
-    build.
+    list, in registration order, every other node within
+    ``radio_range`` (:func:`adjacency_from_csr` materialises the
+    dict-of-lists view on demand).  Node ids must fit int64: anything
+    else raises :class:`~repro.errors.TopologyError`.
 
     Three stages: candidate pairs (:func:`_candidate_pairs`), the
     distance pass over them (:func:`_pairs_within`), CSR assembly
@@ -405,14 +371,20 @@ def build_csr(
     if isinstance(positions, ArrayPositions):
         slots = positions.slots
         if position_arrays is None:
-            position_arrays = positions.arrays()
+            position_arrays = positions.ids, positions.xs, positions.ys
     if position_arrays is not None:
         ids, xs, ys = position_arrays
     else:
         try:
             ids = np.fromiter(positions.keys(), dtype=np.int64, count=n)
         except (OverflowError, TypeError, ValueError):
-            return None
+            for bad in positions:  # the first id an int64 cannot hold
+                if not isinstance(bad, (int, np.integer)) or not -(2**63) <= bad < 2**63:
+                    break
+            raise TopologyError(
+                "node ids must be integers that fit int64, got "
+                f"{bad!r} ({type(bad).__name__})"
+            ) from None
         xs = np.fromiter((p.x for p in positions.values()), dtype=np.float64, count=n)
         ys = np.fromiter((p.y for p in positions.values()), dtype=np.float64, count=n)
 
@@ -434,7 +406,7 @@ def build_csr(
 
 
 def adjacency_from_csr(csr: CsrAdjacency) -> Dict[int, List[int]]:
-    """Materialise the scalar-identical dict-of-lists view of ``csr``.
+    """Materialise the dict-of-lists view of ``csr``.
 
     Deferred out of :func:`build_csr` because the per-quantum hot path
     (BFS, floods, membership tests) runs entirely on the arrays; only
@@ -453,7 +425,7 @@ def adjacency_from_csr(csr: CsrAdjacency) -> Dict[int, List[int]]:
 
 
 # ----------------------------------------------------------------------
-# Vectorized BFS
+# BFS over the CSR
 # ----------------------------------------------------------------------
 def bfs_from_csr(
     csr: CsrAdjacency, source: int, max_depth: Optional[int] = None
@@ -461,8 +433,8 @@ def bfs_from_csr(
     """BFS tree from ``source`` over a CSR adjacency.
 
     Returns the same ``(levels, parents, items, prefix)`` quadruple as the
-    scalar ``TopologySnapshot._bfs_from`` — including discovery order and
-    parent choice: within each depth the scalar loop scans the frontier in
+    dict traversal in ``TopologySnapshot._bfs_from`` — including discovery
+    order and parent choice: within each depth that loop scans the frontier in
     order and each frontier node's neighbours in rank order, keeping the
     first discovery; taking the first occurrence over the concatenated
     candidate stream reproduces that exactly.
@@ -526,11 +498,10 @@ class ArrayPositions(Mapping):
     below: the snapshot rebuild that follows consumes the arrays
     directly, so the per-node ``Point`` dict — the dominant cost of a
     refresh at scale — only materialises if something actually reads
-    positions (tests, scalar fallbacks, delta patches, partition
-    filters).  Iteration order is the slot (registration)
-    order of the backing arrays, matching the dict the scalar path builds;
-    values are Python floats, so a materialised entry is bit-identical to
-    its scalar counterpart.
+    positions (tests, delta patches, partition filters).  Iteration
+    order is the slot (registration) order of the backing arrays, the
+    order the ledger's ``Point`` dicts have; values are Python floats, so
+    a materialised entry equals what ``node.current_position()`` returned.
     """
 
     __slots__ = ("ids", "xs", "ys", "slots", "_dict", "_key_set")
@@ -551,10 +522,6 @@ class ArrayPositions(Mapping):
         self._dict: Optional[Dict[int, Point]] = None
         #: ``frozenset`` of the ids, or ``False`` for "binary-search ``ids``".
         self._key_set = None
-
-    def arrays(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-        """The backing ``(ids, xs, ys)`` arrays (never mutated)."""
-        return self.ids, self.xs, self.ys
 
     def materialized(self) -> Dict[int, Point]:
         """The equivalent plain dict, built once on first demand."""
@@ -759,20 +726,18 @@ class PairList:
 class SoAPositionLedger:
     """Positions, online flags and validity deadlines as contiguous arrays.
 
-    The array-backed replacement for the network's per-node position
-    ledger *and* the topology service's change diff.  Each
-    :meth:`refresh` performs the whole per-quantum position pass in a few
-    vector operations:
+    The network's position cache *and* the topology service's change
+    diff.  Each :meth:`refresh` performs the whole per-quantum position
+    pass in a few vector operations:
 
     1. Batched validity expiry — ``online & (valid_until < now)`` wakes
        only the nodes whose windows actually lapsed.
     2. Bulk mobility — each :mod:`repro.mobility.bulk` kernel evaluates
-       its lapsed members in one shot (scalar fallback per node only for
-       unrecognised models).
-    3. Vectorized delta detection — moved/appeared/departed nodes fall
-       out of array comparisons against the last *reported* state, in the
-       same order the scalar diff produces (registration order for
-       moved/appeared, then departed).
+       its lapsed members in one shot (a ``current_position()`` call
+       per node only for unrecognised models).
+    3. Delta detection — moved/appeared/departed nodes fall out of array
+       comparisons against the last *reported* state: registration order
+       for moved/appeared, then departed.
 
     The returned positions mapping is never mutated after it is handed
     out.  A changed refresh the topology service will patch
@@ -817,8 +782,6 @@ class SoAPositionLedger:
         # Pending nodes are absorbed with their live online flag.
 
     def _absorb_pending(self) -> None:
-        from repro.mobility import bulk
-
         start = len(self._nodes)
         fresh = self._pending
         self._pending = []
@@ -869,8 +832,8 @@ class SoAPositionLedger:
 
         Returns ``(positions, changed)``: the registration-ordered mapping
         of online node to position, and the node ids whose state differs
-        from the previous report (moved, appeared or departed) in the
-        order the scalar service diff would list them.
+        from the previous report: moved or appeared in registration
+        order, then departed.
         """
         if self._pending:
             self._absorb_pending()
@@ -929,8 +892,7 @@ class SoAPositionLedger:
         y_list = self._y[first_arr].tolist() if first else ()
         if churned:
             # Membership changed: rebuild in registration (slot) order so
-            # appeared nodes land at their registry position, exactly as
-            # the scalar per-registry scan emits them.
+            # appeared nodes land at their registry position.
             fresh = {
                 slot: Point(x_list[index], y_list[index])
                 for index, slot in enumerate(first)

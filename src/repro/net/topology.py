@@ -9,20 +9,16 @@ one graph.
 
 Fast paths
 ----------
-Snapshots sit in the inner loop of every experiment, so two optimisations
+Snapshots sit in the inner loop of every experiment, so three optimisations
 keep them cheap without changing any observable result:
 
-* **Spatial-hash adjacency build.**  Nodes are bucketed into a uniform
-  grid with cell size equal to the radio range; only the 3x3 cell
-  neighbourhood can contain nodes within range, so the build is
-  O(N*k) for k nodes per neighbourhood instead of the naive O(N^2)
-  all-pairs scan.  Adjacency is stored both as ordered lists (BFS and
-  flood iteration order must stay deterministic) and as frozen sets for
-  an O(1) :meth:`TopologySnapshot.has_edge`.  This pure-Python build
-  (``_build_adjacency``) is the scalar core's: with numpy present and
-  ``REPRO_SOA`` unset every snapshot of every size is built by
-  :func:`repro.net.soa.build_csr` instead, and lists, grid and sets
-  materialise from its arrays only when something reads them.
+* **Array adjacency build.**  Every snapshot of every size is built by
+  :func:`repro.net.soa.build_csr` into a compressed sparse-row view.
+  The ordered neighbour lists (BFS and flood iteration order must stay
+  deterministic), the frozen sets behind an O(1)
+  :meth:`TopologySnapshot.has_edge` and the spatial grid the patch path
+  re-buckets materialise from those arrays only when something reads
+  them.
 * **Per-source BFS memoisation.**  A snapshot is immutable, so one full
   O(V+E) traversal per source serves every subsequent ``shortest_path``,
   ``hop_distance``, ``bfs_levels``, flood and reachability query against
@@ -30,24 +26,15 @@ keep them cheap without changing any observable result:
   for BFS once and do dict lookups afterwards.
 * **Incremental snapshot pipeline.**  Long runs alternate movement with
   pauses (random waypoint, Table 1), so most quanta change nothing.
-  :class:`TopologyService` diffs node state against the previous snapshot
-  each refresh: an *empty* delta returns the previous snapshot object
-  unchanged — warm BFS cache and all; a *small* delta (at most
-  ``delta_fraction`` of the nodes) applies :meth:`TopologySnapshot.from_delta`,
-  a copy-on-write update that re-buckets only the moved/churned nodes in
-  the spatial grid, recomputes only their candidate edges (insertion-order
-  rank kept, so traversal stays bit-identical to a from-scratch build) and
-  retains every memoised BFS tree whose connected component no edge change
-  touched — each retention guarded by a per-component edge fingerprint.
-  Large deltas fall back to the from-scratch build, which stays the
-  worst-case cost.  The patch is a small-population path: a
-  ledger-driven service (the vectorized core) with
-  ``soa.ARRAY_REFRESH_MIN_NODES`` or more nodes online rebuilds the CSR
-  from the ledger's arrays on every changed refresh instead, which is
-  measurably cheaper there however few nodes moved
-  (:func:`repro.net.soa.refresh_patches`) — and cheaper still because
-  those rebuilds share their candidate pairs from one refresh to the
-  next (:class:`repro.net.soa.PairList`).
+  Each refresh :class:`TopologyService` takes the position ledger's diff
+  against the previous snapshot: an *empty* delta returns the previous
+  snapshot object — warm BFS cache and all; a *small* delta on a small
+  population applies :meth:`TopologySnapshot.from_delta`, a copy-on-write
+  patch that keeps every memoised BFS tree no edge change touched;
+  anything else rebuilds from the ledger's arrays, sharing candidate
+  pairs from one refresh to the next
+  (:func:`repro.net.soa.refresh_patches` has the rule,
+  :class:`repro.net.soa.PairList` the reuse).
 """
 
 from __future__ import annotations
@@ -69,7 +56,7 @@ __all__ = ["TopologySnapshot", "TopologyService"]
 # likely see a single routing query before the next rebuild.
 _FULL_BFS_CSR_MIN = 4096
 
-# ``has_edge`` on a vectorized snapshot answers from the CSR for one
+# ``has_edge`` on a snapshot that still has its CSR answers from it for one
 # query per this many nodes before it builds the frozen neighbour sets.
 # A CSR query (~5 us) costs what materialising 4-6 nodes' lists and sets
 # does (measured at 1k and 10k nodes), so when the allowance runs out the
@@ -134,38 +121,25 @@ class TopologySnapshot:
         # to the full traversal's, so TTL floods reuse them without ever
         # walking the whole graph.
         self._bfs_partial: Dict[int, Tuple[tuple, bool]] = {}
-        # Compressed sparse-row view of the adjacency (vectorized builds
-        # only); BFS traverses it in array ops instead of the dict lists.
-        self._csr = None
-        if soa.soa_enabled():
-            self._csr = soa.build_csr(
-                self.positions, self.radio_range, position_arrays, pair_list
-            )
-        # has_edge calls a CSR may still answer before the frozen
+        # Compressed sparse-row view of the adjacency; BFS traverses it in
+        # array ops instead of the dict lists.
+        self._csr = soa.build_csr(
+            self.positions, self.radio_range, position_arrays, pair_list
+        )
+        # has_edge calls the CSR may still answer before the frozen
         # neighbour sets are worth building (see has_edge).
         self._csr_edge_queries = len(self.positions) // _CSR_EDGE_QUERY_SHARE
-        if self._csr is not None:
-            # The dict-of-lists adjacency, the grid and the frozen
-            # neighbour sets all materialise lazily: a regime that
-            # rebuilds every refresh (everybody moving, or any large
-            # population) never needs any of them; from_delta, neighbour
-            # lists and sustained has_edge traffic build them on demand.
-            self._adjacency = None
-            self._grid = None
-            self._neighbor_sets = None
-        else:
-            self._adjacency = {node: [] for node in self.positions}
-            self._neighbor_sets = {}
-            # The spatial-hash grid is kept after the build so from_delta
-            # can re-bucket moved nodes without rescanning the population.
-            self._grid = {}
-            self._build_adjacency()
+        # Dict-of-lists adjacency, grid and frozen neighbour sets
+        # materialise lazily: a regime that rebuilds every refresh never
+        # needs them; from_delta, neighbour lists and sustained has_edge
+        # traffic build them on demand.
+        self._adjacency_store = self._grid_store = self._sets_store = None
         if edge_filter is not None:
             self._apply_edge_filter()
             self._csr = None  # filtered lists no longer match the CSR view
 
     # ------------------------------------------------------------------
-    # Lazy companions of the adjacency (vectorized builds defer them)
+    # Lazy companions of the adjacency
     # ------------------------------------------------------------------
     @property
     def _adjacency(self) -> Dict[int, List[int]]:
@@ -173,10 +147,6 @@ class TopologySnapshot:
         if adjacency is None:
             adjacency = self._adjacency_store = soa.adjacency_from_csr(self._csr)
         return adjacency
-
-    @_adjacency.setter
-    def _adjacency(self, value) -> None:
-        self._adjacency_store = value
 
     @property
     def _grid(self) -> Dict[Tuple[int, int], List[Tuple[int, Point]]]:
@@ -189,10 +159,6 @@ class TopologySnapshot:
                 grid.setdefault(key, []).append((node, pos))
         return grid
 
-    @_grid.setter
-    def _grid(self, value) -> None:
-        self._grid_store = value
-
     @property
     def _neighbor_sets(self) -> Dict[int, frozenset]:
         sets = self._sets_store
@@ -202,10 +168,6 @@ class TopologySnapshot:
                 for node, neighbors in self._adjacency.items()
             }
         return sets
-
-    @_neighbor_sets.setter
-    def _neighbor_sets(self, value) -> None:
-        self._sets_store = value
 
     def _apply_edge_filter(self) -> None:
         """Drop edges the filter rejects (fault-injected partitions).
@@ -231,48 +193,6 @@ class TopologySnapshot:
             if len(kept) != len(neighbors):
                 adjacency[node] = kept
                 neighbor_sets[node] = frozenset(kept)
-
-    def _build_adjacency(self) -> None:
-        # Uniform spatial hash: with cell size == radio range, any node
-        # within range of a cell lies in that cell's 3x3 neighbourhood.
-        cell = self._cell
-        grid = self._grid
-        for node, pos in self.positions.items():
-            key = (math.floor(pos.x / cell), math.floor(pos.y / cell))
-            grid.setdefault(key, []).append((node, pos))
-        adjacency = self._adjacency
-        limit_sq = self.radio_range * self.radio_range
-        # Half-neighbourhood offsets: each unordered cell pair is visited
-        # exactly once; same-cell pairs are handled by the i<j inner loop.
-        half = ((1, 0), (0, 1), (1, 1), (-1, 1))
-        for (cx, cy), members in grid.items():
-            for index, (node_a, pos_a) in enumerate(members):
-                for node_b, pos_b in members[index + 1:]:
-                    dx = pos_a.x - pos_b.x
-                    dy = pos_a.y - pos_b.y
-                    if dx * dx + dy * dy <= limit_sq:
-                        adjacency[node_a].append(node_b)
-                        adjacency[node_b].append(node_a)
-            for ox, oy in half:
-                other = grid.get((cx + ox, cy + oy))
-                if other is None:
-                    continue
-                for node_a, pos_a in members:
-                    for node_b, pos_b in other:
-                        dx = pos_a.x - pos_b.x
-                        dy = pos_a.y - pos_b.y
-                        if dx * dx + dy * dy <= limit_sq:
-                            adjacency[node_a].append(node_b)
-                            adjacency[node_b].append(node_a)
-        # The naive all-pairs build emitted each neighbour list sorted by
-        # node insertion order; restore that order so BFS traversal (and
-        # therefore every routing/flood decision) is bit-identical.
-        order = {node: rank for rank, node in enumerate(self.positions)}
-        for neighbors in adjacency.values():
-            neighbors.sort(key=order.__getitem__)
-        self._neighbor_sets = {
-            node: frozenset(neighbors) for node, neighbors in adjacency.items()
-        }
 
     # ------------------------------------------------------------------
     # Incremental construction
@@ -408,7 +328,7 @@ class TopologySnapshot:
             if node in adjacency:
                 neighbor_sets[node] = frozenset(adjacency[node])
 
-        snap._grid = grid
+        snap._grid_store = grid
         if rekey:
             # A from-scratch build inserts keys in ``positions`` order, and
             # downstream set/dict iteration (seed picking in
@@ -417,13 +337,13 @@ class TopologySnapshot:
             # key order in place, but an appeared node lands at the end of
             # both dicts, so rebuild them in registration order.  O(N)
             # dict rebuilds; the values (lists/frozensets) stay shared.
-            snap._adjacency = {node: adjacency[node] for node in positions}
-            snap._neighbor_sets = {
+            snap._adjacency_store = {node: adjacency[node] for node in positions}
+            snap._sets_store = {
                 node: neighbor_sets[node] for node in positions
             }
         else:
-            snap._adjacency = adjacency
-            snap._neighbor_sets = neighbor_sets
+            snap._adjacency_store = adjacency
+            snap._sets_store = neighbor_sets
 
         # Phase 3: carry over BFS trees from components no edge change
         # touched.  ``touched`` is exactly the set of nodes whose neighbour
@@ -513,7 +433,7 @@ class TopologySnapshot:
         Returns ``False`` (rather than raising) when either endpoint is
         not online in this snapshot, so route-liveness scans need no
         separate membership pass.  O(1) on the frozen neighbour sets; a
-        vectorized snapshot that has not built them answers its first
+        from-scratch snapshot that has not built them answers its first
         queries by binary search in the CSR row instead.
         """
         sets = self._sets_store
@@ -551,7 +471,7 @@ class TopologySnapshot:
         # Both traversals produce the same quadruple bit-for-bit (the CSR
         # preserves registration-rank neighbour order), so the choice is
         # purely a speed call: the dict BFS is faster per source, but on a
-        # big vectorized snapshot whose adjacency was never materialised
+        # big from-scratch snapshot whose adjacency was never materialised
         # the array traversal avoids paying adjacency_from_csr for what is
         # typically a single routing query.
         if (
@@ -705,11 +625,9 @@ class TopologyService:
     ----------
     clock:
         Zero-argument callable returning the current simulation time.
-    node_states:
-        Callable returning the *current* iterable of ``(node_id, position,
-        online)`` triples.  The network layer supplies this from its node
-        registry; the position of an offline node is never read (and may be
-        ``None``).
+    delta_source:
+        The position ledger (:class:`repro.net.soa.SoAPositionLedger`) the
+        network layer registers its nodes with.
     radio_range:
         Disc-model communication range in metres.
     quantum:
@@ -717,27 +635,13 @@ class TopologyService:
         speed, a 1 s quantum bounds position error by 20 m — well under the
         250 m radio range.
 
-    Refreshes (new bucket, or churn inside the current one) diff the fresh
-    node state against the previous snapshot.  No change reuses the
-    previous snapshot object outright, at every population size.  What a
-    *changed* refresh does depends on who supplies the diff:
-
-    * without a ``delta_source`` (the scalar core, and any service built
-      directly over ``node_states``) a delta no larger than
-      ``delta_fraction`` of the population (with an absolute floor of
-      ``delta_floor`` nodes) patches the previous snapshot via
-      :meth:`TopologySnapshot.from_delta`; anything larger rebuilds from
-      scratch;
-    * with one (the vectorized core's position ledger) the service and
-      the ledger both ask :func:`repro.net.soa.refresh_patches`: the
-      same patch rule below ``soa.ARRAY_REFRESH_MIN_NODES`` online
-      nodes, and from there on a CSR rebuild from the ledger's arrays
-      for every delta — at that size the rebuild is cheaper than the
-      patch plus the dict traversals the patched snapshot then serves.
-      Those rebuilds take their candidate pairs from the service's
-      :class:`repro.net.soa.PairList`, which survives churn,
-      :meth:`invalidate` and partitions and rebuilds itself for a new
-      ``radio_range`` or a grown registry.
+    Refreshes (new bucket, or churn inside the current one) take the
+    ledger's diff against the previous snapshot: reuse, patch or rebuild
+    as the module docstring lays out, the service and the ledger both
+    asking :func:`repro.net.soa.refresh_patches`.  Array rebuilds take
+    their candidate pairs from the service's :class:`soa.PairList`, which
+    survives churn, :meth:`invalidate` and partitions and rebuilds itself
+    for a new ``radio_range`` or a grown registry.
 
     ``incremental = False`` disables both fast paths (every refresh
     rebuilds), which the benchmarks use as the baseline.
@@ -751,26 +655,18 @@ class TopologyService:
     candidate pairs.
     """
 
-    delta_fraction = soa.PATCH_FRACTION
-    delta_floor = soa.PATCH_FLOOR
-
     def __init__(
         self,
         clock: Callable[[], float],
-        node_states: Callable[[], Iterable[Tuple[int, Optional[Point], bool]]],
+        delta_source: "soa.SoAPositionLedger",
         radio_range: float,
         quantum: float = 1.0,
-        delta_source=None,
     ) -> None:
         if radio_range <= 0:
             raise TopologyError(f"radio_range must be positive, got {radio_range!r}")
         if quantum <= 0:
             raise TopologyError(f"quantum must be positive, got {quantum!r}")
         self._clock = clock
-        self._node_states = node_states
-        # Optional SoA position ledger (repro.net.soa.SoAPositionLedger):
-        # when set, refreshes pull (positions, changed) straight from its
-        # arrays instead of iterating node_states and diffing per node.
         self._delta_source = delta_source
         self.radio_range = float(radio_range)
         self.quantum = float(quantum)
@@ -809,70 +705,6 @@ class TopologyService:
         cached = self._cached
         if cached is not None and bucket == self._cached_bucket and not self._dirty:
             return cached
-        if self._delta_source is not None:
-            return self._refresh_from_ledger(now, bucket, cached)
-        positions = {
-            node_id: position
-            for node_id, position, online in self._node_states()
-            if online
-        }
-        self._cached_bucket = bucket
-        self._dirty = False
-        if (
-            cached is not None
-            and self.incremental
-            and cached._edge_filter is self.edge_filter
-        ):
-            old = cached.positions
-            # The network's position ledger hands back the same Point
-            # object while a node's validity window covers the refresh, so
-            # the common unmoved case short-circuits on identity.
-            changed = [
-                node
-                for node, pos in positions.items()
-                if (prev_pos := old.get(node)) is None
-                or (pos is not prev_pos and pos != prev_pos)
-            ]
-            if len(old) != len(positions) or changed:
-                changed.extend(node for node in old if node not in positions)
-            if not changed:
-                self.snapshots_reused += 1
-                return cached
-            limit = max(self.delta_floor, int(len(positions) * self.delta_fraction))
-            # Delta patching is unfiltered-only: a filtered base snapshot
-            # has edges physically missing that the patch math would need.
-            if len(changed) <= limit and self.edge_filter is None:
-                order = self._order
-                if order is None or old.keys() != positions.keys():
-                    order = self._order = {
-                        node: rank for rank, node in enumerate(positions)
-                    }
-                snap = TopologySnapshot.from_delta(
-                    cached, positions, changed, self.verify_retention, order
-                )
-                self.incremental_updates += 1
-                self.bfs_trees_retained += len(snap._bfs_cache)
-                self._cached = snap
-                return snap
-        self._cached = TopologySnapshot(
-            positions, self.radio_range, edge_filter=self.edge_filter
-        )
-        self.snapshots_built += 1
-        self._order = None
-        return self._cached
-
-    def _refresh_from_ledger(
-        self, now: float, bucket: int, cached: Optional[TopologySnapshot]
-    ) -> TopologySnapshot:
-        """Refresh via the SoA position ledger.
-
-        Reuse on an empty delta, as in :meth:`current`; a changed
-        refresh patches or rebuilds as :func:`soa.refresh_patches` says
-        — the predicate the ledger just applied to the same counts when
-        it chose between a ``Point`` dict and :class:`soa.ArrayPositions`
-        — with the change detection done once in the ledger's arrays
-        instead of per node here.
-        """
         positions, changed = self._delta_source.refresh(now)
         self._cached_bucket = bucket
         self._dirty = False
@@ -884,7 +716,8 @@ class TopologyService:
             if not changed:
                 self.snapshots_reused += 1
                 return cached
-            # Delta patching is unfiltered-only, as in current().
+            # Delta patching is unfiltered-only: a filtered base snapshot
+            # has edges physically missing that the patch math would need.
             if self.edge_filter is None and soa.refresh_patches(
                 len(positions), len(changed)
             ):
@@ -902,13 +735,11 @@ class TopologyService:
                 self.bfs_trees_retained += len(snap._bfs_cache)
                 self._cached = snap
                 return snap
-        pair_list = None
-        if isinstance(positions, soa.ArrayPositions):
-            position_arrays = positions.arrays()
-            if len(positions) >= soa.ARRAY_REFRESH_MIN_NODES:
-                pair_list = self._pair_list
-        else:
+        position_arrays = pair_list = None
+        if not isinstance(positions, soa.ArrayPositions):
             position_arrays = self._delta_source.online_arrays()
+        elif len(positions) >= soa.ARRAY_REFRESH_MIN_NODES:
+            pair_list = self._pair_list
         self._cached = TopologySnapshot(
             positions,
             self.radio_range,

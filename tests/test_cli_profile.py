@@ -57,6 +57,9 @@ def test_run_footer_reports_topology_counters(capsys):
     assert "reused" in captured
     assert "incremental" in captured
     assert "BFS trees retained" in captured
+    # The events line ends at the wall clock: there is one core to run on.
+    (events,) = [ln for ln in captured.splitlines() if ln.startswith("events processed:")]
+    assert events.endswith("s wall clock")
 
 
 def _topology_footer(output: str) -> str:
@@ -69,8 +72,6 @@ def test_run_footer_names_the_array_rebuild_path(capsys, monkeypatch):
     patches; its footer says so instead of "0 incremental"."""
     from repro.net import soa
 
-    if not soa.soa_enabled():
-        pytest.skip("vectorized core not active")
     # Under the CLI's 50 peers by more than are ever offline at once.
     monkeypatch.setattr(soa, "ARRAY_REFRESH_MIN_NODES", 25)
     assert main(BASE + ["--no-cache", "run", "rpcc-sc"]) == 0
@@ -89,7 +90,7 @@ def test_run_footer_names_the_array_rebuild_path(capsys, monkeypatch):
 
 
 def test_run_footer_names_the_delta_patch_path(capsys):
-    """Below the crossover small deltas patch, on either core, and are
+    """Below the crossover small deltas patch and are
     reported with their counters as before.  (The CLI's Table-1 world
     moves 60 % of its peers per quantum and never patches, so the
     pause-heavy result is built here and handed to the footer.)"""
@@ -102,27 +103,10 @@ def test_run_footer_names_the_delta_patch_path(capsys):
     )
     result = build_simulation(config, "push", "standard").run()
     assert result.topology_stats["incremental_updates"] > 0
-    cli._print_topology_stats(result, result.core)
+    cli._print_topology_stats(result)
     footer = _topology_footer(capsys.readouterr().out)
     assert "incremental" in footer and "BFS trees retained" in footer
     assert footer.endswith("refresh path: delta patch")  # no pair list here
-
-
-def test_run_footer_reports_which_core_ran(capsys):
-    from repro.net import soa
-
-    code = main(BASE + ["--no-cache", "run", "push"])
-    assert code == 0
-    captured = capsys.readouterr().out
-    expected = "vectorized" if soa.soa_enabled() else "scalar"
-    assert f"({expected} core)" in captured
-
-
-def test_run_footer_reports_scalar_core_when_forced(capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_SOA", "0")
-    code = main(BASE + ["--no-cache", "run", "push"])
-    assert code == 0
-    assert "(scalar core)" in capsys.readouterr().out
 
 
 def test_parser_accepts_profile_flag():

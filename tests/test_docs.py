@@ -234,3 +234,34 @@ class TestScenariosDoc:
         text = read("docs/SCENARIOS.md")
         for scenario in PLACEMENT_SCENARIOS:
             assert scenario in text, f"SCENARIOS.md misses placement {scenario}"
+
+
+class TestOneCore:
+    """The scalar per-quantum core and the option that selected it are
+    gone from the tree, not just from ``src/``."""
+
+    #: Spelled in pieces so this file passes its own check.
+    RETIRED = ("REPRO_" + "SOA", "soa_" + "enabled", "[" + "perf]")
+    #: History, the issue that retired them, and the read-only benchmark.
+    EXEMPT = ("CHANGES.md", "ROADMAP.md", "ISSUE.md", "benchmarks/e2e/")
+
+    def test_retired_names_appear_in_no_tracked_file(self):
+        checked = 0
+        for path in ROOT.rglob("*"):
+            name = path.relative_to(ROOT).as_posix()
+            if (
+                not path.is_file()
+                or name.startswith(self.EXEMPT)
+                # Not tracked: VCS and tool state, bytecode, install metadata.
+                or any(
+                    part.startswith(".") or part == "__pycache__"
+                    or part.endswith(".egg-info")
+                    for part in path.relative_to(ROOT).parts
+                )
+            ):
+                continue
+            text = path.read_text(encoding="utf-8", errors="ignore")
+            checked += 1
+            for retired in self.RETIRED:
+                assert retired not in text, f"{name} still mentions {retired}"
+        assert checked > 100

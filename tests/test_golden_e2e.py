@@ -14,7 +14,8 @@ change with::
 
     REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_e2e.py
 
-and commit the refreshed ``digests.json`` alongside the change.
+and commit the refreshed ``digests.json`` (and ``worlds.json``, the
+larger worlds pinned further down) alongside the change.
 
 Every run is also replayed through the invariant checker: the golden
 matrix doubles as the "checker passes seeded e2e runs of all strategies
@@ -32,9 +33,14 @@ import pytest
 
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import build_simulation
+from repro.net import soa
+from repro.net.topology import TopologySnapshot
 from repro.obs import InvariantChecker, ListSink, TraceBus
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "digests.json"
+#: Table-1 and 2 000-peer worlds, recorded while a scalar per-quantum core
+#: still ran next to the array core and both produced these digests.
+WORLDS_PATH = Path(__file__).parent / "golden" / "worlds.json"
 UPDATE = bool(os.environ.get("REPRO_UPDATE_GOLDEN"))
 
 SPECS = ("push", "pull", "rpcc-sc", "rpcc-dc", "rpcc-wc")
@@ -89,17 +95,17 @@ def _digest(result, events) -> dict:
     return digest
 
 
-def _load_golden() -> dict:
-    if not GOLDEN_PATH.exists():
+def _load_golden(path: Path = GOLDEN_PATH) -> dict:
+    if not path.exists():
         return {}
-    return json.loads(GOLDEN_PATH.read_text())
+    return json.loads(path.read_text())
 
 
-def _store_golden(key: str, digest: dict) -> None:
-    golden = _load_golden()
+def _store_golden(key: str, digest: dict, path: Path = GOLDEN_PATH) -> None:
+    golden = _load_golden(path)
     golden[key] = digest
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.mark.parametrize("spec,seed", MATRIX, ids=[f"{s}-s{d}" for s, d in MATRIX])
@@ -139,29 +145,17 @@ def test_replay_is_bit_identical():
     assert strip(first_events) == strip(second_events)
 
 
-def _skip_without_numpy():
-    from repro.net import soa
+def test_golden_digest_identical_on_both_cores():
+    """One golden cell rerun outside the matrix yields the committed digest.
 
-    if not soa.HAVE_NUMPY:
-        pytest.skip("numpy (the perf extra) is not installed")
-    return soa
-
-
-def test_golden_digest_identical_on_both_cores(monkeypatch):
-    """One golden cell rerun on each core must yield the committed digest.
-
-    The 20-peer golden population takes the array build (all-pairs
-    candidate stage) on the vectorized arm, like every other size.
+    (The name dates from a second, scalar per-quantum core; the committed
+    digest is the one both produced.)  The 20-peer golden population
+    takes the array build (all-pairs candidate stage), like every size.
     """
-    _skip_without_numpy()
-    monkeypatch.setenv("REPRO_SOA", "1")
-    vectorized = _digest(*_run_cell("rpcc-sc", 7))
-    monkeypatch.setenv("REPRO_SOA", "0")
-    scalar = _digest(*_run_cell("rpcc-sc", 7))
-    assert vectorized == scalar
+    digest = _digest(*_run_cell("rpcc-sc", 7))
     golden = _load_golden()
     if not UPDATE and "rpcc-sc-seed7" in golden:
-        assert vectorized == golden["rpcc-sc-seed7"]
+        assert digest == golden["rpcc-sc-seed7"]
 
 
 # ----------------------------------------------------------------------
@@ -177,6 +171,23 @@ def _run_table1(spec: str, **overrides):
     return result, _digest(result, events)
 
 
+def _check_world(key: str, result, digest: dict, *pinned: str) -> None:
+    """Compare one world with ``worlds.json`` (or record it, under UPDATE).
+
+    ``pinned`` names result attributes (``topology_stats``,
+    ``fault_stats``) committed next to the digest.
+    """
+    record = {"digest": digest, **{name: getattr(result, name) for name in pinned}}
+    if UPDATE:
+        _store_golden(key, record, WORLDS_PATH)
+        return
+    worlds = _load_golden(WORLDS_PATH)
+    assert key in worlds, (
+        f"no committed world {key}; regenerate with REPRO_UPDATE_GOLDEN=1"
+    )
+    assert record == worlds[key], f"behaviour drift in {key} (tests/golden/worlds.json)"
+
+
 def _spy(monkeypatch, owner, name, calls):
     real = getattr(owner, name)
 
@@ -188,18 +199,13 @@ def _spy(monkeypatch, owner, name, calls):
 
 
 @pytest.mark.parametrize("spec", ("rpcc-hy", "pull", "push"))
-def test_table1_world_identical_on_both_cores(monkeypatch, spec):
+def test_table1_world_identical_on_both_cores(spec):
     """50 peers is under every size crossover there ever was: the array
-    build serves it by default and must reproduce the scalar core."""
-    _skip_without_numpy()
-    monkeypatch.setenv("REPRO_SOA", "1")
-    vectorized, vectorized_digest = _run_table1(spec)
-    monkeypatch.setenv("REPRO_SOA", "0")
-    scalar, scalar_digest = _run_table1(spec)
-    assert (vectorized.core, scalar.core) == ("vectorized", "scalar")
-    assert vectorized_digest == scalar_digest
-    assert vectorized_digest["transmissions"] > 0
-    assert vectorized.topology_stats == scalar.topology_stats
+    build serves it and must reproduce the digest and refresh counters
+    committed when a scalar core produced them too."""
+    result, digest = _run_table1(spec)
+    assert digest["transmissions"] > 0
+    _check_world(f"table1-{spec}", result, digest, "topology_stats")
 
 
 @pytest.mark.parametrize("spec,sent", [
@@ -208,18 +214,13 @@ def test_table1_world_identical_on_both_cores(monkeypatch, spec):
 ])
 def test_table1_run_stays_off_the_scalar_build(monkeypatch, spec, sent):
     """Floods and unicasts over 50 waypoint peers: arrays in, dicts out.
-    No refresh runs the scalar grid build or makes a ``Point``, and no
-    membership test is a numpy call."""
-    soa = _skip_without_numpy()
-    from repro.net.topology import TopologySnapshot
-
+    One ``build_csr`` per built snapshot; no refresh makes a ``Point``,
+    and no membership test is a numpy call."""
     calls = []
-    _spy(monkeypatch, TopologySnapshot, "_build_adjacency", calls)
     _spy(monkeypatch, soa.ArrayPositions, "materialized", calls)
     _spy(monkeypatch, soa.ArrayPositions, "__contains__", calls)
     _spy(monkeypatch, soa.np, "searchsorted", calls)
     _spy(monkeypatch, soa, "build_csr", calls)
-    monkeypatch.setenv("REPRO_SOA", "1")
     result, digest = _run_table1(spec)
     stats = result.topology_stats
     # Waypoint moves more than a quarter of the peers every quantum.
@@ -230,13 +231,10 @@ def test_table1_run_stays_off_the_scalar_build(monkeypatch, spec, sent):
 
 def test_partition_plan_filters_the_lazily_materialised_snapshot(monkeypatch):
     """A partition reads positions and neighbour lists the array build
-    left unmaterialised; the cut graph must equal the scalar core's."""
-    soa = _skip_without_numpy()
+    left unmaterialised; the cut graph must yield the committed run."""
     from repro.faults import FaultPlan
-    from repro.net.topology import TopologySnapshot
 
     plan = FaultPlan.load(FAULTS_DIR / "partition.json")
-    calls = []
     filtered = []
     real_filter = TopologySnapshot._apply_edge_filter
 
@@ -247,27 +245,20 @@ def test_partition_plan_filters_the_lazily_materialised_snapshot(monkeypatch):
         real_filter(self)
 
     monkeypatch.setattr(TopologySnapshot, "_apply_edge_filter", apply_edge_filter)
-    _spy(monkeypatch, TopologySnapshot, "_build_adjacency", calls)
-    monkeypatch.setenv("REPRO_SOA", "1")
-    vectorized, vectorized_digest = _run_table1("rpcc-sc", faults=plan)
-    assert calls == []
+    result, digest = _run_table1("rpcc-sc", faults=plan)
     # Every filtered build started from arrays with nothing materialised.
     assert len(filtered) > 10
     assert set(filtered) <= {
         (soa.ArrayPositions, True, False), (dict, True, False)
     }
     assert (soa.ArrayPositions, True, False) in filtered
-    monkeypatch.setenv("REPRO_SOA", "0")
-    scalar, scalar_digest = _run_table1("rpcc-sc", faults=plan)
-    assert vectorized_digest == scalar_digest
-    assert vectorized.fault_stats == scalar.fault_stats
-    assert vectorized.fault_stats["partition_seconds"] == 60.0
+    assert result.fault_stats["partition_seconds"] == 60.0
+    _check_world("table1-partition-rpcc-sc", result, digest, "fault_stats")
 
 
-def _run_large_world_on_both_cores(monkeypatch, stable_fraction: float):
-    """A 2 000-peer walk world, above the array-refresh crossover, run on
-    each core: ``(vectorized, scalar)`` results, digests asserted equal."""
-    soa = _skip_without_numpy()
+def _run_large_world(key: str, stable_fraction: float):
+    """A 2 000-peer walk world, above the array-refresh crossover: the
+    result of one traced run, its digest checked against the committed one."""
     n_peers = 2000
     assert n_peers >= soa.ARRAY_REFRESH_MIN_NODES
     side = 1500.0 * (n_peers / 50.0) ** 0.5
@@ -283,53 +274,35 @@ def _run_large_world_on_both_cores(monkeypatch, stable_fraction: float):
         update_interval=2.0,
         seed=7,
     )
-
-    def run():
-        bus = TraceBus()
-        sink = bus.add_sink(ListSink())
-        result = build_simulation(config, "rpcc-hy", "single_source", trace=bus).run()
-        bus.close()
-        return result, _digest(result, sink.events)
-
-    monkeypatch.setenv("REPRO_SOA", "1")
-    vectorized, vectorized_digest = run()
-    monkeypatch.setenv("REPRO_SOA", "0")
-    scalar, scalar_digest = run()
-    assert (vectorized.core, scalar.core) == ("vectorized", "scalar")
-    assert vectorized_digest == scalar_digest
-    assert vectorized_digest["transmissions"] > 0
-    return vectorized, scalar
+    bus = TraceBus()
+    sink = bus.add_sink(ListSink())
+    result = build_simulation(config, "rpcc-hy", "single_source", trace=bus).run()
+    bus.close()
+    digest = _digest(result, sink.events)
+    assert digest["transmissions"] > 0
+    _check_world(key, result, digest)
+    return result
 
 
-def test_large_sparse_world_identical_on_both_cores(monkeypatch):
+def test_large_sparse_world_identical_on_both_cores():
     """Above the array-refresh crossover with few movers — the regime
-    where the vectorized core rebuilds the CSR instead of patching — a
-    run must still equal the scalar core's, and report no patches."""
-    vectorized, scalar = _run_large_world_on_both_cores(monkeypatch, 0.9)
-
-    # Same world, same refreshes; only the path that served them differs.
-    stats = vectorized.topology_stats
+    where a changed refresh rebuilds the CSR instead of patching — a run
+    must still equal the committed one, and report no patches."""
+    stats = _run_large_world("large-sparse", 0.9).topology_stats
     assert stats["incremental_updates"] == 0 and stats["bfs_trees_retained"] == 0
     assert stats["snapshots_built"] > 1
-    assert scalar.topology_stats["incremental_updates"] > 0
-    refreshes = lambda s: (
-        s["snapshots_built"] + s["incremental_updates"] + s["snapshots_reused"]
-    )
-    assert refreshes(stats) == refreshes(scalar.topology_stats)
 
 
-def test_large_walker_world_identical_on_both_cores(monkeypatch):
+def test_large_walker_world_identical_on_both_cores():
     """Nine walkers in ten, switching on and off as they go: the array
     refreshes reuse their candidate pairs through the churn, and the run
-    still equals the scalar core's."""
-    vectorized, scalar = _run_large_world_on_both_cores(monkeypatch, 0.1)
-    stats = vectorized.topology_stats
+    still equals the committed one."""
+    stats = _run_large_world("large-walkers", 0.1).topology_stats
     assert stats["invalidations"] > 0
     assert stats["pair_list_reuses"] > stats["pair_list_builds"] >= 1
     assert stats["snapshots_built"] == (
         stats["pair_list_builds"] + stats["pair_list_reuses"]
     )
-    assert scalar.topology_stats["pair_list_builds"] == 0
 
 
 def test_golden_file_covers_the_whole_matrix():

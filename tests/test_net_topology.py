@@ -1,49 +1,20 @@
 """Unit tests for the disc-model connectivity graph."""
 
 import random
-from collections import deque
 
 import pytest
 
 from repro.errors import TopologyError
 from repro.mobility.terrain import Point
+from repro.net import soa
 from repro.net.topology import TopologySnapshot, TopologyService
+
+from tests.oracle import BruteForceSnapshot, StubWorld, assert_matches_oracle
 
 
 def snapshot_of(coords, radio_range=150.0):
     positions = {i: Point(x, y) for i, (x, y) in enumerate(coords)}
     return TopologySnapshot(positions, radio_range)
-
-
-def brute_force_adjacency(positions, radio_range):
-    """The seed O(N^2) all-pairs build the spatial grid must reproduce."""
-    adjacency = {node: [] for node in positions}
-    nodes = list(positions.items())
-    limit_sq = radio_range * radio_range
-    for index, (node_a, pos_a) in enumerate(nodes):
-        for node_b, pos_b in nodes[index + 1:]:
-            dx = pos_a.x - pos_b.x
-            dy = pos_a.y - pos_b.y
-            if dx * dx + dy * dy <= limit_sq:
-                adjacency[node_a].append(node_b)
-                adjacency[node_b].append(node_a)
-    return adjacency
-
-
-def fresh_bfs_levels(snapshot, source, max_depth=None):
-    """The seed per-call depth-limited BFS memoisation must reproduce."""
-    levels = {source: 0}
-    queue = deque([source])
-    while queue:
-        current = queue.popleft()
-        depth = levels[current]
-        if max_depth is not None and depth >= max_depth:
-            continue
-        for neighbor in snapshot.neighbors(current):
-            if neighbor not in levels:
-                levels[neighbor] = depth + 1
-                queue.append(neighbor)
-    return levels
 
 
 class TestTopologySnapshot:
@@ -119,7 +90,7 @@ class TestTopologySnapshot:
 
 
 class TestGridEquivalence:
-    """The spatial-hash build must be indistinguishable from brute force."""
+    """The array build must be indistinguishable from brute force."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("count,side,radio_range", [
@@ -135,7 +106,7 @@ class TestGridEquivalence:
             for i in range(count)
         }
         snap = TopologySnapshot(positions, radio_range)
-        expected = brute_force_adjacency(positions, radio_range)
+        expected = BruteForceSnapshot(positions, radio_range).adjacency
         for node in positions:
             assert snap.neighbors(node) == expected[node]
 
@@ -146,9 +117,7 @@ class TestGridEquivalence:
             for i in range(50)
         }
         snap = TopologySnapshot(positions, 200.0)
-        expected = brute_force_adjacency(positions, 200.0)
-        for node in positions:
-            assert snap.neighbors(node) == expected[node]
+        assert_matches_oracle(snap, BruteForceSnapshot(positions, 200.0))
 
     def test_boundary_distance_pairs(self):
         # Exact-range pairs straddling grid cells in every direction.
@@ -182,9 +151,19 @@ class TestGridEquivalence:
         assert snap.neighbors(0) == [1]
         assert snap.neighbors(2) == []
 
+    def test_ids_outside_int64_are_refused_by_name(self):
+        """No build handles them, so the one build says so — with the id."""
+        for ids, bad in ((("a", 7), "a"), ((1, 2**63), 2**63)):
+            positions = {node: Point(0, 0) for node in ids}
+            with pytest.raises(TopologyError) as raised:
+                TopologySnapshot(positions, 150.0)
+            assert f"{bad!r} ({type(bad).__name__})" in str(raised.value)
+            with pytest.raises(TopologyError):
+                soa.build_csr(positions, 150.0)
+
 
 class TestBFSMemoization:
-    """Memoised BFS answers must equal fresh per-call traversals."""
+    """Memoised BFS answers must equal the oracle's per-call traversals."""
 
     def random_snapshot(self, seed, count=60, side=1500.0, radio_range=250.0):
         rng = random.Random(seed)
@@ -197,10 +176,11 @@ class TestBFSMemoization:
     @pytest.mark.parametrize("seed", range(5))
     def test_bfs_levels_match_fresh_bfs(self, seed):
         snap = self.random_snapshot(seed)
+        oracle = BruteForceSnapshot(snap.positions, snap.radio_range)
         for source in (0, 17, 42):
             for max_depth in (None, 0, 1, 3, 8):
                 memoized = snap.bfs_levels(source, max_depth=max_depth)
-                fresh = fresh_bfs_levels(snap, source, max_depth=max_depth)
+                fresh = oracle.bfs_levels(source, max_depth)
                 assert memoized == fresh
                 # Flood scheduling iterates this dict: order matters too.
                 assert list(memoized) == list(fresh)
@@ -208,7 +188,7 @@ class TestBFSMemoization:
     @pytest.mark.parametrize("seed", range(5))
     def test_shortest_path_consistent_with_levels(self, seed):
         snap = self.random_snapshot(seed)
-        levels = fresh_bfs_levels(snap, 0)
+        levels = BruteForceSnapshot(snap.positions, snap.radio_range).bfs_levels(0)
         for target in snap.nodes:
             path = snap.shortest_path(0, target)
             if target in levels:
@@ -275,7 +255,7 @@ class TestCsrPointQueries:
     @staticmethod
     def pair(seed, count, ids=None):
         """The same random graph as an unmaterialised CSR snapshot and as
-        a scalar dict snapshot (offline nodes simply absent)."""
+        one serving from its dicts and sets (offline nodes simply absent)."""
         rng = random.Random(seed)
         side = 1500.0 * (count / 50.0) ** 0.5
         ids = list(ids) if ids is not None else list(range(count))
@@ -284,18 +264,11 @@ class TestCsrPointQueries:
         }
         vec = TopologySnapshot(positions, 250.0)
         assert vec._csr is not None and vec._adjacency_store is None
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("REPRO_SOA", "0")  # force the scalar build
-            ref = TopologySnapshot(positions, 250.0)
-        assert ref._csr is None
+        ref = TopologySnapshot(positions, 250.0)
+        expected = BruteForceSnapshot(positions, 250.0).adjacency
+        assert ref._adjacency == expected  # materialises the lists ...
+        assert ref._neighbor_sets.keys() == expected.keys()  # ... and the sets
         return vec, ref
-
-    @pytest.fixture(autouse=True)
-    def _needs_vectorized_core(self):
-        from repro.net import soa
-
-        if not soa.soa_enabled():
-            pytest.skip("vectorized core not active")
 
     @pytest.mark.parametrize("seed,count", [(1, 64), (2, 200), (3, 700)])
     def test_agree_with_dict_answers(self, seed, count):
@@ -348,71 +321,62 @@ class TestCsrPointQueries:
 
 
 class TestTopologyService:
-    def make_service(self, states, quantum=1.0):
-        clock = {"t": 0.0}
-        service = TopologyService(
-            clock=lambda: clock["t"],
-            node_states=lambda: list(states),
-            radio_range=150.0,
-            quantum=quantum,
-        )
-        return service, clock
+    def make_world(self, states, quantum=1.0):
+        """``states``: ``(node_id, position, online)`` rows of the table."""
+        table = {node: [position, online] for node, position, online in states}
+        return StubWorld(table, 150.0, quantum)
 
     def test_offline_nodes_excluded(self):
-        states = [(0, Point(0, 0), True), (1, Point(100, 0), False)]
-        service, _ = self.make_service(states)
-        assert service.current().nodes == {0}
+        world = self.make_world([(0, Point(0, 0), True), (1, Point(100, 0), False)])
+        assert world.service.current().nodes == {0}
 
     def test_snapshot_cached_within_quantum(self):
-        states = [(0, Point(0, 0), True)]
-        service, clock = self.make_service(states)
-        first = service.current()
-        clock["t"] = 0.5
-        assert service.current() is first
-        assert service.snapshots_built == 1
+        world = self.make_world([(0, Point(0, 0), True)])
+        first = world.service.current()
+        world.now = 0.5
+        assert world.service.current() is first
+        assert world.service.snapshots_built == 1
 
     def test_unmoved_snapshot_reused_after_quantum(self):
-        # The same Point objects are served each refresh, so the new bucket
-        # diffs to an empty delta and hands back the previous snapshot.
-        states = [(0, Point(0, 0), True)]
-        service, clock = self.make_service(states)
-        first = service.current()
-        clock["t"] = 1.5
-        assert service.current() is first
-        assert service.snapshots_built == 1
-        assert service.snapshots_reused == 1
+        # The node is re-sampled where it was, so the new bucket diffs to
+        # an empty delta and hands back the previous snapshot.
+        world = self.make_world([(0, Point(0, 0), True)])
+        first = world.service.current()
+        world.now = 1.5
+        assert world.service.current() is first
+        assert world.service.snapshots_built == 1
+        assert world.service.snapshots_reused == 1
 
     def test_moved_node_rebuilds_after_quantum(self):
-        states = [(0, Point(0, 0), True), (1, Point(100, 0), True)]
-        service, clock = self.make_service(states)
+        world = self.make_world([(0, Point(0, 0), True), (1, Point(100, 0), True)])
+        service = world.service
         first = service.current()
-        clock["t"] = 1.5
-        states[0] = (0, Point(10, 0), True)
+        world.now = 1.5
+        world.table[0][0] = Point(10, 0)
         second = service.current()
         assert second is not first
         assert second.neighbors(0) == [1]
-        # Two movers out of two nodes exceed the delta threshold only when
-        # the fraction does; with one mover the patch path is taken.
-        assert service.snapshots_built + service.incremental_updates == 2
+        assert second.positions[0] == Point(10, 0)
+        # One mover out of two nodes is under the patch floor.
+        assert (service.snapshots_built, service.incremental_updates) == (1, 1)
 
     def test_incremental_disabled_always_rebuilds(self):
-        states = [(0, Point(0, 0), True)]
-        service, clock = self.make_service(states)
+        world = self.make_world([(0, Point(0, 0), True)])
+        service = world.service
         service.incremental = False
         first = service.current()
-        clock["t"] = 1.5
+        world.now = 1.5
         second = service.current()
         assert second is not first
         assert service.snapshots_built == 2
         assert service.snapshots_reused == 0
 
     def test_note_churn_rediffs_within_quantum(self):
-        states = [(0, Point(0, 0), True), (1, Point(100, 0), True)]
-        service, _ = self.make_service(states)
+        world = self.make_world([(0, Point(0, 0), True), (1, Point(100, 0), True)])
+        service = world.service
         first = service.current()
         assert first.nodes == {0, 1}
-        states[1] = (1, Point(100, 0), False)
-        service.note_churn(1)
+        world.set_online(1, False)
         second = service.current()
         assert second.nodes == {0}
         assert service.invalidations == 1
@@ -420,15 +384,15 @@ class TestTopologyService:
         assert service.current() is second
 
     def test_invalidate_forces_rebuild(self):
-        states = [(0, Point(0, 0), True)]
-        service, _ = self.make_service(states)
-        service.current()
-        service.invalidate()
-        service.current()
-        assert service.snapshots_built == 2
+        world = self.make_world([(0, Point(0, 0), True)])
+        world.service.current()
+        world.service.invalidate()
+        world.service.current()
+        assert world.service.snapshots_built == 2
 
     def test_invalid_parameters(self):
+        ledger = soa.SoAPositionLedger()
         with pytest.raises(TopologyError):
-            TopologyService(lambda: 0.0, lambda: [], radio_range=0.0)
+            TopologyService(lambda: 0.0, ledger, radio_range=0.0)
         with pytest.raises(TopologyError):
-            TopologyService(lambda: 0.0, lambda: [], radio_range=100.0, quantum=0.0)
+            TopologyService(lambda: 0.0, ledger, radio_range=100.0, quantum=0.0)

@@ -1,22 +1,20 @@
-"""Property tests: the vectorized core is bit-identical to the scalar core.
+"""Property tests: every path of the per-quantum core against the oracle.
 
-Every test here constructs the same world twice — once with the
-struct-of-arrays fast path (``REPRO_SOA=1``; tiny graphs take the array
-build like every other size) and once with it forced off —
-and asserts that everything the network layer can observe is equal *and
-in the same order*: positions, neighbour lists, BFS levels and discovery
-order, depth-bounded floods, edge counts and connected components.
-
-The whole module skips cleanly when numpy (the ``perf`` extra) is not
-installed: in that configuration only the scalar core exists and there
-is nothing to compare.
+Each test builds a world and asserts that everything the network layer
+can observe of it — positions, neighbour lists, BFS levels and discovery
+order, depth-bounded floods, edge counts and connected components — is
+equal *and in the same order* as the brute-force oracle's
+(``tests/oracle.py``: all-pairs distance test, FIFO BFS, per-node
+``current_position()`` sampling).  Where two shipped paths compute the
+same thing (grid and all-pairs candidate stages, CSR and dict BFS, pair
+list and list-less build, array rebuild and delta patch) both are held
+to the oracle on the same world.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import os
 import random
 import sys
 
@@ -36,46 +34,9 @@ from repro.net.node import NetworkNode
 from repro.net.topology import TopologySnapshot
 from repro.sim.engine import Simulator
 
-pytestmark = pytest.mark.skipif(
-    not soa.HAVE_NUMPY, reason="numpy (the perf extra) is not installed"
-)
+from tests.oracle import BruteForceSnapshot, assert_matches_oracle, sample_positions
 
 RANGE = 250.0
-
-
-@contextlib.contextmanager
-def _core(vectorized: bool):
-    """Force one core for the duration of the block.
-
-    The vectorized arm builds every population from arrays, however
-    small: the tiny graphs hypothesis generates take the all-pairs
-    candidate stage of :func:`soa.build_csr`.
-    """
-    saved_env = os.environ.get("REPRO_SOA")
-    os.environ["REPRO_SOA"] = "1" if vectorized else "0"
-    try:
-        yield
-    finally:
-        if saved_env is None:
-            os.environ.pop("REPRO_SOA", None)
-        else:
-            os.environ["REPRO_SOA"] = saved_env
-
-
-def _assert_snapshots_identical(vec: TopologySnapshot, ref: TopologySnapshot):
-    """Bit-level equality of everything routing and flooding observe."""
-    assert list(vec.positions) == list(ref.positions)
-    assert dict(vec.positions) == dict(ref.positions)
-    for node in ref.positions:
-        assert vec.neighbors(node) == ref.neighbors(node), node
-    assert vec.edge_count() == ref.edge_count()
-    for source in ref.positions:
-        for depth in (0, 1, 3, None):
-            vec_levels = vec.bfs_levels(source, max_depth=depth)
-            ref_levels = ref.bfs_levels(source, max_depth=depth)
-            assert vec_levels == ref_levels, (source, depth)
-            assert list(vec_levels) == list(ref_levels), (source, depth)
-    assert vec.connected_components() == ref.connected_components()
 
 
 # ----------------------------------------------------------------------
@@ -94,13 +55,9 @@ def _assert_snapshots_identical(vec: TopologySnapshot, ref: TopologySnapshot):
 )
 def test_vectorized_build_matches_scalar(points, radio_range):
     positions = {i: Point(x, y) for i, (x, y) in enumerate(points)}
-    with _core(vectorized=False):
-        ref = TopologySnapshot(dict(positions), radio_range)
-        assert ref._csr is None
-    with _core(vectorized=True):
-        vec = TopologySnapshot(dict(positions), radio_range)
-        assert vec._csr is not None
-        _assert_snapshots_identical(vec, ref)
+    snap = TopologySnapshot(positions, radio_range)
+    assert snap._csr is not None
+    assert_matches_oracle(snap, BruteForceSnapshot(positions, radio_range))
 
 
 @settings(max_examples=20, deadline=None)
@@ -111,12 +68,9 @@ def test_vectorized_build_matches_scalar_at_paper_density(seed):
     side = 1500.0 * (count / 50.0) ** 0.5
     terrain = Terrain(side, side)
     positions = {i: terrain.random_point(rng) for i in range(count)}
-    with _core(vectorized=False):
-        ref = TopologySnapshot(dict(positions), 350.0)
-    with _core(vectorized=True):
-        vec = TopologySnapshot(dict(positions), 350.0)
-        assert vec._csr is not None
-        _assert_snapshots_identical(vec, ref)
+    snap = TopologySnapshot(positions, 350.0)
+    assert snap._csr is not None
+    assert_matches_oracle(snap, BruteForceSnapshot(positions, 350.0))
 
 
 @contextlib.contextmanager
@@ -146,7 +100,7 @@ _STAGE_SIZES = (
 def test_all_pairs_and_grid_stages_match_scalar(count, seed):
     """Every pair, or the pairs of adjacent grid cells: both candidate
     stages are supersets of the in-range pairs, so either one ends in the
-    scalar build's neighbour lists, key order and BFS trees — including
+    oracle's neighbour lists, key order and BFS trees — including
     coincident points and pairs at exactly the radio range."""
     np = soa.np
     rng = random.Random(seed)
@@ -164,14 +118,13 @@ def test_all_pairs_and_grid_stages_match_scalar(count, seed):
     xs = np.array([p.x for p in points], dtype=np.float64)
     ys = np.array([p.y for p in points], dtype=np.float64)
 
-    with _core(vectorized=False):
-        ref = TopologySnapshot(dict(positions), RANGE)
-        assert ref._csr is None
+    oracle = BruteForceSnapshot(positions, RANGE)
     if count >= 17:
-        assert ref.has_edge(0, 5) and ref.has_edge(1, 16) and not ref.has_edge(0, 9)
+        assert 5 in oracle.adjacency[0] and 16 in oracle.adjacency[1]
+        assert 9 not in oracle.adjacency[0]
     every_pair = count * (count - 1) // 2
     for grid_from in (0, count + 1):  # the grid stage, then the all-pairs stage
-        with _core(vectorized=True), _grid_from(grid_from):
+        with _grid_from(grid_from):
             vec = TopologySnapshot(dict(positions), RANGE)
             assert vec._csr is not None
             if count:  # the stage under test is the one that ran
@@ -180,15 +133,14 @@ def test_all_pairs_and_grid_stages_match_scalar(count, seed):
                     assert listed == every_pair
                 else:  # ~90 cells at the larger sizes: most pairs are far apart
                     assert listed < every_pair or count <= 17
-            assert vec._adjacency == ref._adjacency
-            assert list(vec._adjacency) == list(ref._adjacency)
+            assert vec._adjacency == oracle.adjacency
+            assert list(vec._adjacency) == list(oracle.adjacency)
             for source in positions:
                 tree = soa.bfs_from_csr(vec._csr, source)
-                ref_tree = ref._bfs_from(source)
-                assert tree == ref_tree
-                assert list(tree[1]) == list(ref_tree[1])  # parents, in order
-                assert vec._bfs_from(source) == ref_tree
-            _assert_snapshots_identical(vec, ref)
+                dict_tree = vec._bfs_from(source)  # under 4 096 nodes: the dict BFS
+                assert tree == dict_tree
+                assert list(tree[1]) == list(dict_tree[1])  # parents, in order
+            assert_matches_oracle(vec, oracle)
 
 
 def test_all_pairs_stage_serves_every_size_from_one_triangle():
@@ -307,51 +259,54 @@ def _make_model(family: str, terrain: Terrain, seed: int) -> MobilityModel:
 FAMILIES = ("stationary", "waypoint", "walk", "piecewise", "fallback")
 
 
-def _build_world(vectorized: bool, seed: int, count: int, families):
+def _make_nodes(sim: Simulator, seed: int, count: int, families):
     terrain = Terrain(900.0, 900.0)
-    with _core(vectorized):
-        sim = Simulator()
-        net = Network(sim, radio_range=RANGE)
-        assert net.core == ("vectorized" if vectorized else "scalar")
-        nodes = [
-            _Node(
-                i, sim,
-                _make_model(families[i % len(families)], terrain, seed * 1000 + i),
-            )
-            for i in range(count)
-        ]
-        for node in nodes:
-            net.register(node)
+    return [
+        _Node(
+            i, sim,
+            _make_model(families[i % len(families)], terrain, seed * 1000 + i),
+        )
+        for i in range(count)
+    ]
+
+
+def _build_world(seed: int, count: int, families):
+    sim = Simulator()
+    net = Network(sim, radio_range=RANGE)
+    nodes = _make_nodes(sim, seed, count, families)
+    for node in nodes:
+        net.register(node)
     return sim, net, nodes
 
 
 def _lockstep(seed: int, count: int, families, toggles):
-    """Walk two identically seeded worlds, one per core, a quantum at a time.
+    """Walk a network a quantum at a time, next to its oracle's nodes.
 
-    Yields ``(vec_net, ref_net)`` after each tick's movement and churn,
-    before either network has refreshed its snapshot.
+    The shadow nodes are never registered anywhere: identically seeded
+    models of their own, on the same clock, sampled one
+    ``current_position()`` at a time.  The ledger samples the network's
+    nodes through the bulk kernels; nothing is shared between the two.
+
+    Yields ``(net, shadow)`` after each tick's movement and churn,
+    before the network has refreshed its snapshot.
     """
-    vec_sim, vec_net, vec_nodes = _build_world(True, seed, count, families)
-    ref_sim, ref_net, ref_nodes = _build_world(False, seed, count, families)
+    sim, net, nodes = _build_world(seed, count, families)
+    shadow = _make_nodes(sim, seed, count, families)
     for tick, toggle in enumerate(toggles, start=1):
-        vec_sim.run_until(float(tick))
-        ref_sim.run_until(float(tick))
+        sim.run_until(float(tick))
         if toggle is not None:
             index = toggle % count
-            flag = not vec_nodes[index].online
-            vec_nodes[index].set_online(flag)
-            ref_nodes[index].set_online(flag)
-        yield vec_net, ref_net
+            nodes[index].set_online(not nodes[index].online)
+            shadow[index].set_online(nodes[index].online)
+        yield net, shadow
 
 
-def _run_both(seed: int, count: int, families, toggles):
-    """Walk two identically seeded worlds and compare every snapshot."""
-    for vec_net, ref_net in _lockstep(seed, count, families, toggles):
-        with _core(True):
-            vec_snap = vec_net.snapshot()
-        with _core(False):
-            ref_snap = ref_net.snapshot()
-        _assert_snapshots_identical(vec_snap, ref_snap)
+def _run_against_oracle(seed: int, count: int, families, toggles):
+    """Walk a world and compare every snapshot with the oracle's."""
+    for net, shadow in _lockstep(seed, count, families, toggles):
+        assert_matches_oracle(
+            net.snapshot(), BruteForceSnapshot(sample_positions(shadow), RANGE)
+        )
 
 
 @settings(max_examples=10, deadline=None)
@@ -365,14 +320,14 @@ def _run_both(seed: int, count: int, families, toggles):
 )
 def test_pipeline_identical_under_movement_and_churn(seed, toggles):
     """All mobility families at once, random churn, every quantum compared."""
-    _run_both(seed, count=20, families=FAMILIES, toggles=toggles)
+    _run_against_oracle(seed, count=20, families=FAMILIES, toggles=toggles)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_bulk_mobility_kernels_match_scalar_models(family):
     """Each kernel family alone: bulk sampling equals per-node sampling."""
-    _run_both(seed=7, count=16, families=(family,), toggles=[None] * 20)
-    _run_both(seed=23, count=16, families=(family,), toggles=[3, None, 9] * 5)
+    _run_against_oracle(seed=7, count=16, families=(family,), toggles=[None] * 20)
+    _run_against_oracle(seed=23, count=16, families=(family,), toggles=[3, None, 9] * 5)
 
 
 # ----------------------------------------------------------------------
@@ -388,21 +343,17 @@ def _array_refresh_from(min_nodes: int):
 
 
 def _drive_sparse(seed: int, toggles, count: int = 30):
-    """Refresh a vectorized and a scalar sparse world in lockstep.
+    """Refresh a sparse world quantum by quantum.
 
-    Yields ``(vec_net, vec_snap, scratch, changed)`` per quantum:
-    ``scratch`` is a from-scratch *scalar* snapshot over the scalar
-    world's positions, ``changed`` whether the vectorized refresh saw a
-    non-empty delta.
+    Yields ``(net, snap, oracle, changed)``: the refreshed snapshot, the
+    oracle over the shadow nodes' positions, and whether the refresh saw
+    a non-empty delta.
     """
-    for vec_net, ref_net in _lockstep(seed, count, SPARSE, toggles):
-        reused = vec_net.topology.snapshots_reused
-        with _core(True):
-            vec_snap = vec_net.snapshot()
-        with _core(False):
-            scratch = TopologySnapshot(dict(ref_net.snapshot().positions), RANGE)
-            assert scratch._csr is None
-        yield vec_net, vec_snap, scratch, vec_net.topology.snapshots_reused == reused
+    for net, shadow in _lockstep(seed, count, SPARSE, toggles):
+        reused = net.topology.snapshots_reused
+        snap = net.snapshot()
+        oracle = BruteForceSnapshot(sample_positions(shadow), RANGE)
+        yield net, snap, oracle, net.topology.snapshots_reused == reused
 
 
 @settings(max_examples=10, deadline=None)
@@ -416,24 +367,25 @@ def _drive_sparse(seed: int, toggles, count: int = 30):
 )
 def test_array_refresh_matches_scratch_scalar_build(seed, toggles):
     """Above the crossover every changed refresh is a CSR rebuild that
-    answers floods, routes and point queries like a scalar build."""
+    answers floods, routes and point queries like the oracle."""
     with _array_refresh_from(0):
-        for vec_net, vec_snap, scratch, changed in _drive_sparse(seed, toggles):
+        for net, snap, oracle, changed in _drive_sparse(seed, toggles):
             if changed:
-                assert vec_snap._csr is not None
-                assert isinstance(vec_snap.positions, soa.ArrayPositions)
-            if vec_snap._csr is not None and vec_snap._adjacency_store is None:
+                assert snap._csr is not None
+                assert isinstance(snap.positions, soa.ArrayPositions)
+            if snap._csr is not None and snap._adjacency_store is None:
                 # Straight off the arrays, before anything materialises.
-                for source in scratch.positions:
-                    levels, parents, items, _ = soa.bfs_from_csr(vec_snap._csr, source)
-                    ref_levels, ref_parents, ref_items, _ = scratch._bfs_from(source)
-                    assert (levels, parents, items) == (ref_levels, ref_parents, ref_items)
+                for source in oracle.positions:
+                    levels, parents, items, _ = soa.bfs_from_csr(snap._csr, source)
+                    ref_levels, ref_parents = oracle.bfs(source)
+                    assert (levels, parents) == (ref_levels, ref_parents)
+                    assert items == list(ref_levels.items())
                     assert list(parents) == list(ref_parents)
-                    assert vec_snap.degree(source) == scratch.degree(source)
-                assert vec_snap.edge_count() == scratch.edge_count()
-                assert vec_snap._adjacency_store is None
-            _assert_snapshots_identical(vec_snap, scratch)
-        stats = vec_net.topology.stats()
+                    assert snap.degree(source) == len(oracle.adjacency[source])
+                assert snap.edge_count() == oracle.edge_count()
+                assert snap._adjacency_store is None
+            assert_matches_oracle(snap, oracle)
+        stats = net.topology.stats()
         assert stats["incremental_updates"] == 0
         assert stats["bfs_trees_retained"] == 0
 
@@ -444,9 +396,9 @@ def test_delta_patch_still_serves_small_populations(seed):
     the ``from_delta`` path, with identical snapshots."""
     toggles = [None, 3, None, None, 9, None] * 4
     assert soa.ARRAY_REFRESH_MIN_NODES > 30
-    for vec_net, vec_snap, scratch, _ in _drive_sparse(seed, toggles):
-        _assert_snapshots_identical(vec_snap, scratch)
-    stats = vec_net.topology.stats()
+    for net, snap, oracle, _ in _drive_sparse(seed, toggles):
+        assert_matches_oracle(snap, oracle)
+    stats = net.topology.stats()
     assert stats["incremental_updates"] > 0
     assert stats["snapshots_built"] < len(toggles)
 
@@ -469,23 +421,22 @@ def test_flood_only_run_above_crossover_stays_in_arrays(monkeypatch):
     )
     monkeypatch.setattr(soa, "ARRAY_REFRESH_MIN_NODES", 0)
     count = 40
-    sim, net, nodes = _build_world(True, 11, count, SPARSE)
+    sim, net, nodes = _build_world(11, count, SPARSE)
     rng = random.Random(11)
     changed_refreshes = 0
-    with _core(True):
-        for tick in range(1, 31):
-            sim.run_until(float(tick))
-            if tick % 3 == 0:
-                node = nodes[rng.randrange(count)]
-                node.set_online(not node.online)
-            reused = net.topology.snapshots_reused
-            snapshot = net.snapshot()
-            if net.topology.snapshots_reused == reused:
-                changed_refreshes += 1
-                assert snapshot._csr is not None
-            for source in rng.sample(range(count), 4):
-                reached = net.flood(source, Message(sender=source), ttl=3)
-                assert reached == len(net.flood_reach(source, 3)) or not nodes[source].online
+    for tick in range(1, 31):
+        sim.run_until(float(tick))
+        if tick % 3 == 0:
+            node = nodes[rng.randrange(count)]
+            node.set_online(not node.online)
+        reused = net.topology.snapshots_reused
+        snapshot = net.snapshot()
+        if net.topology.snapshots_reused == reused:
+            changed_refreshes += 1
+            assert snapshot._csr is not None
+        for source in rng.sample(range(count), 4):
+            reached = net.flood(source, Message(sender=source), ttl=3)
+            assert reached == len(net.flood_reach(source, 3)) or not nodes[source].online
     assert materialised == []
     stats = net.topology.stats()
     assert stats["incremental_updates"] == 0
@@ -526,7 +477,6 @@ class _ScriptedWorld:
         self.rng = random.Random(seed)
         self.sim = Simulator()
         self.net = Network(self.sim, radio_range=RANGE)
-        assert self.net.core == "vectorized"
         self.nodes = []
         for index in range(count):
             self.register(online=index not in offline)
@@ -589,22 +539,18 @@ class _ScriptedWorld:
             assert snap._csr.indptr.tolist() == scratch.indptr.tolist()
             assert snap._csr.neighbors.tolist() == scratch.neighbors.tolist()
             assert snap._csr.ids.tolist() == scratch.ids.tolist()
-        with _core(False):
-            ref = TopologySnapshot(
-                positions, service.radio_range, edge_filter=service.edge_filter
-            )
-            assert ref._csr is None
-        for source in positions:
-            assert snap._bfs_from(source)[:3] == ref._bfs_from(source)[:3]
-            assert list(snap._bfs_from(source)[1]) == list(ref._bfs_from(source)[1])
-        _assert_snapshots_identical(snap, ref)
+        assert positions == sample_positions(self.nodes)
+        assert_matches_oracle(
+            snap,
+            BruteForceSnapshot(positions, service.radio_range, service.edge_filter),
+        )
         return snap
 
 
 @contextlib.contextmanager
 def _pair_list_world(*args, **kwargs):
     """A scripted world whose every refresh takes the array path."""
-    with _core(True), _array_refresh_from(0):
+    with _array_refresh_from(0):
         yield _ScriptedWorld(*args, **kwargs)
 
 

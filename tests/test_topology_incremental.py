@@ -2,9 +2,10 @@
 
 Every test drives a :class:`TopologyService` through randomized sequences
 of movement, churn and quiet quanta, and asserts that each snapshot it
-hands out is *indistinguishable* from a from-scratch build: same node set
-in the same registration order, same adjacency lists in the same neighbour
-order, same BFS levels and discovery order, same components.  Retention of
+hands out is *indistinguishable* from the brute-force oracle's graph
+(``tests/oracle.py``): same node set in the same registration order, same
+adjacency lists in the same neighbour order, same BFS levels and discovery
+order, same components.  Retention of
 memoised BFS trees is verified against per-component edge fingerprints
 (``service.verify_retention``), so copy-on-write aliasing bugs fail loudly
 instead of producing subtly stale routes.
@@ -20,26 +21,25 @@ from repro.mobility.terrain import Point, Terrain
 from repro.mobility.waypoint import RandomWaypoint
 from repro.net.network import Network
 from repro.net.node import NetworkNode
-from repro.net.topology import TopologySnapshot, TopologyService
+from repro.net.topology import TopologySnapshot
 from repro.sim.engine import Simulator
+
+from tests.oracle import (
+    BruteForceSnapshot,
+    StubWorld,
+    assert_matches_oracle,
+    sample_positions,
+)
 
 RANGE = 150.0
 
 
-def assert_snapshots_equivalent(candidate, reference):
-    """Bit-level equivalence of everything routing and flooding observe."""
-    assert list(candidate.positions) == list(reference.positions)
-    assert candidate.positions == reference.positions
-    for node in reference.positions:
-        assert candidate.neighbors(node) == reference.neighbors(node), node
-    assert candidate._neighbor_sets == reference._neighbor_sets
-    assert candidate.edge_count() == reference.edge_count()
-    for source in reference.positions:
-        candidate_levels = candidate.bfs_levels(source)
-        reference_levels = reference.bfs_levels(source)
-        assert candidate_levels == reference_levels
-        assert list(candidate_levels) == list(reference_levels)
-    assert candidate.connected_components() == reference.connected_components()
+def assert_both_builds_match(snapshot, oracle, depths=(None,)):
+    """``snapshot`` (patched, reused or rebuilt — whatever the service
+    chose) and a from-scratch build of the same positions, each held to
+    the oracle: equal to it, hence to each other."""
+    assert_matches_oracle(snapshot, oracle, depths)
+    assert_matches_oracle(TopologySnapshot(oracle.positions, RANGE), oracle, depths)
 
 
 class TestRandomizedEquivalence:
@@ -50,21 +50,13 @@ class TestRandomizedEquivalence:
 
     def drive(self, seed, steps=45):
         rng = random.Random(seed)
-        clock = {"t": 0.0}
-        # node id -> [position, online]; same Point object is yielded until
-        # the node moves, matching the network position ledger's behaviour.
+        # node id -> [position, online], read by the ledger each refresh.
         states = {
             i: [Point(rng.uniform(0, self.SIZE), rng.uniform(0, self.SIZE)), True]
             for i in range(self.N)
         }
-        service = TopologyService(
-            clock=lambda: clock["t"],
-            node_states=lambda: [
-                (i, pos, online) for i, (pos, online) in states.items()
-            ],
-            radio_range=RANGE,
-            quantum=1.0,
-        )
+        world = StubWorld(states, RANGE)
+        service = world.service
         service.verify_retention = True
         service.current()
         for _ in range(steps):
@@ -73,7 +65,7 @@ class TestRandomizedEquivalence:
                 movers = []
             else:
                 advanced = True
-                clock["t"] += rng.choice([1.0, 1.0, 2.5, 7.0])
+                world.now += rng.choice([1.0, 1.0, 2.5, 7.0])
                 count = rng.choice([0, 0, 1, 2, 4, self.N // 3, self.N])
                 movers = rng.sample(range(self.N), count)
             for i in movers:
@@ -83,16 +75,12 @@ class TestRandomizedEquivalence:
             churned = False
             if rng.random() < 0.4:
                 i = rng.randrange(self.N)
-                states[i][1] = not states[i][1]
-                service.note_churn(i)
+                world.set_online(i, not states[i][1])
                 churned = True
             if not churned and not advanced:
                 continue  # nothing would trigger a refresh this step
             snapshot = service.current()
-            reference = TopologySnapshot(
-                {i: pos for i, (pos, online) in states.items() if online}, RANGE
-            )
-            assert_snapshots_equivalent(snapshot, reference)
+            assert_both_builds_match(snapshot, world.oracle())
             # Warm the BFS cache so later deltas exercise tree retention.
             online_ids = [i for i, (_, online) in states.items() if online]
             for source in rng.sample(online_ids, min(6, len(online_ids))):
@@ -160,8 +148,7 @@ class TestDeltaEdgeCases:
         # Node 2 appears next to 1; node 0 departs.
         positions = {1: prev.positions[1], 2: Point(150, 0)}
         snap = TopologySnapshot.from_delta(prev, positions, [0, 2])
-        reference = TopologySnapshot(positions, RANGE)
-        assert_snapshots_equivalent(snap, reference)
+        assert_both_builds_match(snap, BruteForceSnapshot(positions, RANGE))
 
     def test_simultaneous_movers_share_an_edge(self):
         # Both endpoints of a fresh edge are in the delta: the edge must be
@@ -173,8 +160,7 @@ class TestDeltaEdgeCases:
         positions[1] = Point(60, 0)
         positions[2] = Point(120, 0)
         snap = TopologySnapshot.from_delta(prev, positions, [1, 2])
-        reference = TopologySnapshot(positions, RANGE)
-        assert_snapshots_equivalent(snap, reference)
+        assert_both_builds_match(snap, BruteForceSnapshot(positions, RANGE))
 
 
 class _RoamingNode(NetworkNode):
@@ -247,15 +233,9 @@ class TestThroughNetwork:
             snapshot = net.snapshot()
             if snapshot.positions:  # warm one tree to exercise retention
                 snapshot.bfs_levels(next(iter(snapshot.positions)))
-            reference = TopologySnapshot(
-                {
-                    node.node_id: node.current_position()
-                    for node in nodes
-                    if node.online
-                },
-                RANGE,
+            assert_both_builds_match(
+                snapshot, BruteForceSnapshot(sample_positions(nodes), RANGE)
             )
-            assert_snapshots_equivalent(snapshot, reference)
         stats = net.topology.stats()
         assert stats["incremental_updates"] > 0
         assert stats["snapshots_reused"] > 0
