@@ -94,7 +94,8 @@ def test_snapshot_build_scaled(benchmark, count):
 
 @pytest.mark.parametrize("count", [50, 200, 1000])
 def test_unicast_route_burst_scaled(benchmark, count):
-    """200 shortest-path queries against one snapshot (memoised BFS)."""
+    """200 shortest-path queries over 16 sources against one snapshot: each
+    source's memoised traversal grows only to the farthest target asked of it."""
     snapshot = TopologySnapshot(_scaled_positions(count), 350.0)
 
     def run():

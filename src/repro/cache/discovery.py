@@ -45,27 +45,8 @@ class Discovery:
         """
         if requester not in snapshot:
             return None
-        excluded = set(exclude)
-        holders = {
-            holder
-            for holder in self.candidate_holders(item_id)
-            if holder in snapshot and holder not in excluded
-        }
-        if not holders:
-            return None
-        if requester in holders:
-            return requester
-        levels = snapshot.bfs_levels(requester)
-        reachable = [
-            (depth, holder)
-            for holder, depth in (
-                (holder, levels.get(holder)) for holder in holders
-            )
-            if depth is not None
-        ]
-        if not reachable:
-            return None
-        return min(reachable)[1]
+        holders = self.candidate_holders(item_id).difference(exclude)
+        return snapshot.nearest(requester, holders)
 
     def nearest_among(
         self,
@@ -77,17 +58,4 @@ class Discovery:
         """Nearest reachable node among ``nodes`` (used for relay lookup)."""
         if requester not in snapshot:
             return None
-        candidates = {node for node in nodes if node in snapshot}
-        if not candidates:
-            return None
-        if requester in candidates:
-            return requester
-        levels = snapshot.bfs_levels(requester, max_depth=max_hops)
-        reachable = [
-            (depth, node)
-            for node, depth in ((node, levels.get(node)) for node in candidates)
-            if depth is not None
-        ]
-        if not reachable:
-            return None
-        return min(reachable)[1]
+        return snapshot.nearest(requester, nodes, max_hops)

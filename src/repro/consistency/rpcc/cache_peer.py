@@ -161,10 +161,10 @@ class CachePeerSide:
         """``True`` when ``relay_id`` is within the poll TTL right now."""
         snapshot = self.agent.context.network.snapshot()
         me = self.agent.node_id
-        if me not in snapshot or relay_id not in snapshot:
+        if me not in snapshot:
             return False
-        hops = snapshot.hop_distance(me, relay_id)
-        return hops is not None and hops <= (self.config.poll_ttl or 1)
+        reach = self.config.poll_ttl or 1
+        return snapshot.nearest(me, (relay_id,), reach) is not None
 
     def _advance(self, state: _PollState) -> None:
         if state.done:

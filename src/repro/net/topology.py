@@ -19,18 +19,22 @@ keep them cheap without changing any observable result:
   :meth:`TopologySnapshot.has_edge` and the spatial grid the patch path
   re-buckets materialise from those arrays only when something reads
   them.
-* **Per-source BFS memoisation.**  A snapshot is immutable, so one full
-  O(V+E) traversal per source serves every subsequent ``shortest_path``,
-  ``hop_distance``, ``bfs_levels``, flood and reachability query against
-  that snapshot.  Traffic bursts within a topology quantum therefore pay
-  for BFS once and do dict lookups afterwards.
+* **Per-source BFS memoisation.**  A snapshot is immutable, so each
+  source keeps one resumable, level-synchronous traversal record that
+  grows whole levels only as far as the query at hand needs — to the
+  target's level for ``shortest_path`` / ``hop_distance``, to the TTL for
+  ``bfs_levels``, to the first level holding a candidate for
+  ``nearest`` — and picks up where it stopped for the next one.  Levels
+  up to ``d`` of a level-synchronous BFS do not depend on where it later
+  stops, so every answer equals the full traversal's whatever order the
+  queries arrive in; a unicast two hops long never walks its component.
 * **Incremental snapshot pipeline.**  Long runs alternate movement with
   pauses (random waypoint, Table 1), so most quanta change nothing.
   Each refresh :class:`TopologyService` takes the position ledger's diff
   against the previous snapshot: an *empty* delta returns the previous
   snapshot object — warm BFS cache and all; a *small* delta on a small
   population applies :meth:`TopologySnapshot.from_delta`, a copy-on-write
-  patch that keeps every memoised BFS tree no edge change touched;
+  patch that keeps every traversal record no edge change touched;
   anything else rebuilds from the ledger's arrays, sharing candidate
   pairs from one refresh to the next
   (:func:`repro.net.soa.refresh_patches` has the rule,
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import TopologyError
@@ -109,13 +114,12 @@ class TopologySnapshot:
         # component_fingerprint / from_delta verification.  Never inherited
         # across snapshots: each snapshot fingerprints its own actual lists.
         self._edge_fp: Dict[int, int] = {}
-        # source -> (levels, parents, items, prefix) of one full BFS, filled
-        # lazily: items is levels as a list and prefix[d] counts nodes at
-        # depth <= d, so depth-limited queries are a single list slice.
-        self._bfs_cache: Dict[
-            int,
-            Tuple[Dict[int, int], Dict[int, int], List[Tuple[int, int]], List[int]],
-        ] = {}
+        # source -> [levels, parents, prefix, frontier] of one resumable
+        # level-synchronous BFS: prefix[d] counts nodes at depth <= d, so a
+        # depth-limited query reads a prefix of levels; frontier holds the
+        # deepest level while it is unexpanded and is empty once the
+        # component is exhausted (see _bfs_from).
+        self._bfs_cache: Dict[int, list] = {}
         # source -> ((levels, parents, items, prefix), complete) of a
         # depth-bounded vectorized BFS; levels <= the bound are identical
         # to the full traversal's, so TTL floods reuse them without ever
@@ -216,12 +220,14 @@ class TopologySnapshot:
 
         The update is copy-on-write: ``prev`` is never mutated, and every
         grid cell, adjacency list and frozen neighbour set the delta does
-        not touch is shared between the two snapshots.  BFS trees of
-        ``prev`` whose connected component no edge change touched are
-        carried over; with ``verify_retention`` each carried tree is
-        re-checked against a per-component edge fingerprint computed from
-        the actual neighbour lists of both snapshots (used by the property
-        tests; a mismatch raises :class:`TopologyError`).
+        not touch is shared between the two snapshots.  Traversal records
+        of ``prev`` that discovered no node an edge change touched are
+        carried over (an incomplete one as a copy, so resuming it here
+        leaves ``prev`` as it was); with ``verify_retention`` each carried
+        record is re-checked against an edge fingerprint computed from the
+        actual neighbour lists of its discovered nodes in both snapshots
+        (used by the property tests; a mismatch raises
+        :class:`TopologyError`).
 
         ``order`` may supply the registration-rank map (``{node: rank}``
         for ``enumerate(positions)``); callers that refresh repeatedly over
@@ -345,27 +351,32 @@ class TopologySnapshot:
             snap._adjacency_store = adjacency
             snap._sets_store = neighbor_sets
 
-        # Phase 3: carry over BFS trees from components no edge change
-        # touched.  ``touched`` is exactly the set of nodes whose neighbour
-        # list changed, so a tree is still valid iff it is disjoint from it
-        # (new nodes attach only to touched neighbours, hence stay
-        # unreachable from retained sources).
-        for source, tree in prev._bfs_cache.items():
-            levels = tree[0]
+        # Phase 3: carry over traversal records no edge change touched.
+        # ``touched`` is exactly the set of nodes whose neighbour list
+        # changed, so what a record has discovered is still a prefix of
+        # the traversal iff it is disjoint from it (every expanded node
+        # keeps its list; new nodes attach only to touched neighbours).
+        for source, record in prev._bfs_cache.items():
+            levels, parents, prefix, frontier = record
             if len(touched) <= len(levels):
                 dirty = any(node in levels for node in touched)
             else:
                 dirty = any(node in touched for node in levels)
             if dirty:
                 continue
-            if verify_retention and prev.component_fingerprint(
-                source
+            if verify_retention and prev._fingerprint_over(
+                levels
             ) != snap._fingerprint_over(levels):
                 raise TopologyError(
                     f"retained BFS tree from {source} fails the component "
                     "edge-fingerprint check (copy-on-write aliasing bug?)"
                 )
-            snap._bfs_cache[source] = tree
+            if frontier:
+                # Resuming against the new adjacency must never extend
+                # what ``prev`` answers: an incomplete record is copied,
+                # a complete one never grows again and stays shared.
+                record = [dict(levels), dict(parents), list(prefix), list(frontier)]
+            snap._bfs_cache[source] = record
         return snap
 
     def _fingerprint_over(self, nodes: Iterable[int]) -> int:
@@ -394,8 +405,7 @@ class TopologySnapshot:
         collisions), which is the retention condition for carrying a
         memoised BFS tree across an incremental update.
         """
-        levels, _, _, _ = self._bfs_from(node)
-        return self._fingerprint_over(levels)
+        return self._fingerprint_over(self._bfs_from(node)[0])
 
     # ------------------------------------------------------------------
     # Queries
@@ -462,34 +472,52 @@ class TopologySnapshot:
         return len(self.neighbors(node))
 
     def _bfs_from(
-        self, source: int
-    ) -> Tuple[Dict[int, int], Dict[int, int], List[Tuple[int, int]], List[int]]:
-        """Full BFS tree from ``source``, computed once per snapshot."""
-        cached = self._bfs_cache.get(source)
-        if cached is not None:
-            return cached
-        # Both traversals produce the same quadruple bit-for-bit (the CSR
-        # preserves registration-rank neighbour order), so the choice is
-        # purely a speed call: the dict BFS is faster per source, but on a
-        # big from-scratch snapshot whose adjacency was never materialised
-        # the array traversal avoids paying adjacency_from_csr for what is
-        # typically a single routing query.
-        if (
-            self._csr is not None
-            and self._adjacency_store is None
-            and len(self.positions) >= _FULL_BFS_CSR_MIN
-        ):
-            cached = soa.bfs_from_csr(self._csr, source)
-            self._bfs_cache[source] = cached
-            return cached
+        self,
+        source: int,
+        targets: Sequence[int] = (),
+        max_depth: Optional[int] = None,
+    ) -> list:
+        """Traversal record ``[levels, parents, prefix, frontier]`` of ``source``.
+
+        One record per source per snapshot, grown by whole levels until it
+        holds one of ``targets``, depth ``max_depth`` is complete or the
+        component is exhausted (the default: a full BFS), and resumed from
+        its unexpanded ``frontier`` by the next query that needs more.
+        Whole levels are the unit because levels ``<= d`` of a
+        level-synchronous BFS — discovery order and first-discoverer
+        parents included — do not depend on where it later stops.
+        """
+        record = self._bfs_cache.get(source)
+        if record is None:
+            # Both traversals produce the same tree bit-for-bit (the CSR
+            # preserves registration-rank neighbour order), so the choice is
+            # purely a speed call: the dict BFS is faster per source, but on a
+            # big from-scratch snapshot whose adjacency was never materialised
+            # the array traversal avoids paying adjacency_from_csr for what is
+            # typically a single routing query.
+            if (
+                self._csr is not None
+                and self._adjacency_store is None
+                and len(self.positions) >= _FULL_BFS_CSR_MIN
+            ):
+                levels, parents, _, prefix = soa.bfs_from_csr(self._csr, source)
+                record = [levels, parents, prefix, []]
+            else:
+                record = [{source: 0}, {source: source}, [1], [source]]
+            self._bfs_cache[source] = record
+        levels, parents, prefix, frontier = record
+        if not frontier:
+            return record  # complete: no adjacency to materialise for it
+        adjacency = self._adjacency
+        discovered = levels.keys()
+        depth = len(prefix) - 1
         # Level-synchronous BFS: same discovery order as a FIFO queue, but
         # without per-node deque and depth-lookup overhead.
-        levels: Dict[int, int] = {source: 0}
-        parents: Dict[int, int] = {source: source}
-        adjacency = self._adjacency
-        frontier = [source]
-        depth = 0
-        while frontier:
+        while (
+            frontier
+            and (max_depth is None or depth < max_depth)
+            and discovered.isdisjoint(targets)
+        ):
             depth += 1
             next_frontier: List[int] = []
             for current in frontier:
@@ -499,20 +527,14 @@ class TopologySnapshot:
                         parents[neighbor] = current
                         next_frontier.append(neighbor)
             frontier = next_frontier
-        items = list(levels.items())
-        # items is in nondecreasing-depth order; prefix[d] = |{depth <= d}|.
-        prefix: List[int] = []
-        for index, (_, depth) in enumerate(items):
-            while len(prefix) <= depth:
-                prefix.append(index)
-            prefix[depth] = index + 1
-        cached = (levels, parents, items, prefix)
-        self._bfs_cache[source] = cached
-        return cached
+            if frontier:
+                prefix.append(len(levels))
+        record[3] = frontier
+        return record
 
     @property
     def bfs_cache_size(self) -> int:
-        """Number of sources whose BFS tree is currently memoised."""
+        """Number of sources with a (possibly incomplete) traversal record."""
         return len(self._bfs_cache)
 
     def shortest_path(self, source: int, target: int) -> Optional[List[int]]:
@@ -527,7 +549,7 @@ class TopologySnapshot:
             return None
         if source == target:
             return [source]
-        levels, parents, _, _ = self._bfs_from(source)
+        levels, parents, _, _ = self._bfs_from(source, (target,))
         if target not in levels:
             return None
         return self._walk_back(parents, source, target)
@@ -548,8 +570,7 @@ class TopologySnapshot:
             raise TopologyError(f"source node {source!r} is not online")
         if target not in self._members:
             return None
-        levels, _, _, _ = self._bfs_from(source)
-        return levels.get(target)
+        return self._bfs_from(source, (target,))[0].get(target)
 
     def bfs_levels(self, source: int, max_depth: Optional[int] = None) -> Dict[int, int]:
         """Hop distance from ``source`` for every node within ``max_depth``.
@@ -561,17 +582,18 @@ class TopologySnapshot:
         """
         if source not in self._members:
             raise TopologyError(f"source node {source!r} is not online")
+        if max_depth is not None and max_depth < 0:
+            max_depth = 0  # the source alone, whichever traversal serves it
         if (
             self._csr is not None
             and max_depth is not None
-            and max_depth >= 0
             and len(self.positions) >= soa.ARRAY_REFRESH_MIN_NODES
             and source not in self._bfs_cache
         ):
             # Depth-bounded vectorized BFS: a TTL flood only needs the
             # first few levels, so skip the far side of the graph — on a
-            # population that stays in arrays; under that crossover a
-            # full traversal of the dict adjacency is the cheaper one
+            # population that stays in arrays; under that crossover the
+            # dict adjacency is the cheaper one to traverse
             # (BFS table in DESIGN.md, "Data-oriented core").  The
             # bounded run is reused while it covers the requested depth;
             # ``complete`` marks traversals that exhausted the component
@@ -585,14 +607,41 @@ class TopologySnapshot:
             if max_depth >= len(prefix) - 1:
                 return dict(levels)
             return dict(items[: prefix[max_depth]])
-        levels, _, items, prefix = self._bfs_from(source)
-        # items is in BFS discovery order, i.e. nondecreasing depth, so the
-        # depth limit selects a precomputed prefix of the traversal.
+        levels, _, prefix, _ = self._bfs_from(source, max_depth=max_depth)
+        # levels is in BFS discovery order, i.e. nondecreasing depth, so the
+        # depth limit selects a counted prefix of the traversal.
         if max_depth is None or max_depth >= len(prefix) - 1:
             return dict(levels)
-        if max_depth < 0:
+        return dict(islice(levels.items(), prefix[max_depth]))
+
+    def nearest(
+        self,
+        source: int,
+        candidates: Iterable[int],
+        max_depth: Optional[int] = None,
+    ) -> Optional[int]:
+        """The online candidate fewest hops from ``source``, ties to the smallest id.
+
+        ``None`` when no candidate is reachable (within ``max_depth`` hops,
+        when given); ``source`` itself when it is a candidate.  The
+        traversal stops at the first level that holds a candidate.
+        """
+        members = self._members
+        if source not in members:
+            raise TopologyError(f"source node {source!r} is not online")
+        candidates = [node for node in candidates if node in members]
+        if not candidates:
+            return None  # nothing to stop at: no traversal either
+        if max_depth is not None and max_depth < 0:
             max_depth = 0
-        return dict(items[: prefix[max_depth]])
+        levels = self._bfs_from(source, candidates, max_depth)[0]
+        best = min(
+            ((levels[node], node) for node in candidates if node in levels),
+            default=None,
+        )
+        if best is None or (max_depth is not None and best[0] > max_depth):
+            return None
+        return best[1]
 
     def connected_components(self) -> List[Set[int]]:
         """Partition of the online nodes into connected components."""
@@ -648,8 +697,9 @@ class TopologyService:
 
     Counters: ``snapshots_built`` counts from-scratch builds,
     ``incremental_updates`` delta patches, ``snapshots_reused`` unchanged
-    reuses, ``bfs_trees_retained`` memoised BFS trees carried across
-    patches, and ``invalidations`` explicit churn/invalidate notices;
+    reuses, ``bfs_trees_retained`` traversal records (complete or not)
+    carried across patches, and ``invalidations`` explicit
+    churn/invalidate notices;
     ``pair_list_builds`` / ``pair_list_reuses`` / ``pair_list_reanchored``
     (in :meth:`stats`) say how the array rebuilds came by their
     candidate pairs.

@@ -12,7 +12,8 @@ iteration order.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from itertools import accumulate
 
 from repro.net import soa
 from repro.net.topology import TopologyService
@@ -65,7 +66,27 @@ class BruteForceSnapshot:
         levels, _ = self.bfs(source)
         if max_depth is None:
             return levels
-        return {node: depth for node, depth in levels.items() if depth <= max_depth}
+        bound = max(max_depth, 0)  # a negative bound means the source alone
+        return {node: depth for node, depth in levels.items() if depth <= bound}
+
+    def hop_distance(self, source, target):
+        return self.bfs(source)[0].get(target)
+
+    def shortest_path(self, source, target):
+        """First-discoverer parents walked back; ``None`` when unreachable."""
+        levels, parents = self.bfs(source)
+        if target not in levels:
+            return None
+        path = [target]
+        while path[-1] != source:
+            path.append(parents[path[-1]])
+        return path[::-1]
+
+    def nearest(self, source, candidates, max_depth=None):
+        """``min((depth, node))`` over the candidates within the bound."""
+        levels = self.bfs_levels(source, max_depth)
+        found = [(levels[node], node) for node in candidates if node in levels]
+        return min(found)[1] if found else None
 
     def connected_components(self) -> list:
         """Components in the order seeding from ``set(positions)`` finds them."""
@@ -76,6 +97,37 @@ class BruteForceSnapshot:
             components.append(component)
             remaining -= component
         return components
+
+
+def assert_full_tree(snapshot, oracle, source) -> None:
+    """``_bfs_from(source)`` with no bound is the oracle's whole tree:
+    same levels and parents in the same order, counted per depth, and
+    nothing left to expand."""
+    levels, parents = oracle.bfs(source)
+    tree = snapshot._bfs_from(source)
+    per_depth = Counter(levels.values())  # depths are 0..max, no gaps
+    prefix = list(accumulate(per_depth[d] for d in range(len(per_depth))))
+    assert tree == [levels, parents, prefix, []]
+    assert list(tree[0]) == list(levels) and list(tree[1]) == list(parents)
+
+
+class CountingRows(dict):
+    """An adjacency that lists, in order, the rows a traversal reads."""
+
+    def __init__(self, rows) -> None:
+        super().__init__(rows)
+        self.read = []
+
+    def __getitem__(self, node):
+        self.read.append(node)
+        return super().__getitem__(node)
+
+
+def count_row_reads(snapshot) -> list:
+    """Swap ``snapshot``'s adjacency for a counting one; the list of rows
+    read from now on (one entry per read, so re-reads show)."""
+    rows = snapshot._adjacency_store = CountingRows(snapshot._adjacency)
+    return rows.read
 
 
 def assert_matches_oracle(snapshot, oracle, depths=(0, 1, 3, None)) -> None:
@@ -90,10 +142,7 @@ def assert_matches_oracle(snapshot, oracle, depths=(0, 1, 3, None)) -> None:
     }
     assert snapshot.edge_count() == oracle.edge_count()
     for source in oracle.positions:
-        levels, parents = oracle.bfs(source)
-        tree = snapshot._bfs_from(source)
-        assert (tree[0], tree[1], tree[2]) == (levels, parents, list(levels.items()))
-        assert list(tree[0]) == list(levels) and list(tree[1]) == list(parents)
+        assert_full_tree(snapshot, oracle, source)
         for depth in depths:
             found = snapshot.bfs_levels(source, max_depth=depth)
             expected = oracle.bfs_levels(source, depth)

@@ -265,3 +265,18 @@ class TestOneCore:
             for retired in self.RETIRED:
                 assert retired not in text, f"{name} still mentions {retired}"
         assert checked > 100
+
+
+class TestPythonFloor:
+    def test_requires_python_is_what_every_ci_job_installs(self):
+        """``dataclass(slots=True)``, ``insort(key=)`` and ``tomllib`` set
+        the floor; CI must test the version the package promises."""
+        floor = re.search(
+            r'^requires-python = ">=([\d.]+)"$', read("pyproject.toml"), re.M
+        ).group(1)
+        workflow = read(".github/workflows/ci.yml")
+        installed = re.findall(r'python-version: "([\d.]+)"', workflow)
+        # One interpreter per job, and every one of them is the floor.
+        assert len(installed) == workflow.count("runs-on:") > 0
+        assert set(installed) == {floor}
+        assert sys.version_info >= tuple(int(part) for part in floor.split("."))

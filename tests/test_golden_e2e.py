@@ -221,12 +221,32 @@ def test_table1_run_stays_off_the_scalar_build(monkeypatch, spec, sent):
     _spy(monkeypatch, soa.ArrayPositions, "__contains__", calls)
     _spy(monkeypatch, soa.np, "searchsorted", calls)
     _spy(monkeypatch, soa, "build_csr", calls)
+    built = []
+    real_init = TopologySnapshot.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(TopologySnapshot, "__init__", init)
     result, digest = _run_table1(spec)
     stats = result.topology_stats
     # Waypoint moves more than a quarter of the peers every quantum.
     assert stats["incremental_updates"] == 0 and stats["snapshots_built"] > 100
     assert digest["transmissions_by_type"].keys() >= sent
     assert calls == ["build_csr"] * stats["snapshots_built"]
+    assert len(built) == stats["snapshots_built"]
+    # Traversals stop where the answer is: what every per-source record
+    # discovered over the run, against walking each one's whole component
+    # (what a full BFS per source per snapshot costs: 100 %).
+    discovered = whole = 0
+    for snapshot in built:
+        for source, record in list(snapshot._bfs_cache.items()):
+            discovered += len(record[0])
+            whole += len(snapshot.bfs_levels(source))
+    assert 0 < discovered <= whole
+    if spec == "rpcc-hy":  # unicasts and holder lookups; pull's TTL-8 floods
+        assert discovered <= 0.6 * whole  # walk nearly everything (64 %)
 
 
 def test_partition_plan_filters_the_lazily_materialised_snapshot(monkeypatch):

@@ -9,7 +9,12 @@ from repro.mobility.terrain import Point
 from repro.net import soa
 from repro.net.topology import TopologySnapshot, TopologyService
 
-from tests.oracle import BruteForceSnapshot, StubWorld, assert_matches_oracle
+from tests.oracle import (
+    BruteForceSnapshot,
+    StubWorld,
+    assert_matches_oracle,
+    count_row_reads,
+)
 
 
 def snapshot_of(coords, radio_range=150.0):
@@ -209,6 +214,30 @@ class TestBFSMemoization:
         snap.hop_distance(0, 17)
         assert snap.bfs_cache_size == 1
 
+    @pytest.mark.parametrize("count", (50, 600))
+    def test_negative_max_depth_is_the_source_alone_at_every_size(
+        self, monkeypatch, count
+    ):
+        """Clamped before the branch is chosen: neither the dict nor the
+        array traversal walks a component to answer ``{source: 0}``."""
+        snap = self.random_snapshot(count, count, 1500.0 * (count / 50.0) ** 0.5)
+        bounds = []
+        real_bfs = soa.bfs_from_csr
+
+        def bounded_bfs(csr, source, max_depth=None):
+            bounds.append(max_depth)
+            return real_bfs(csr, source, max_depth)
+
+        monkeypatch.setattr(soa, "bfs_from_csr", bounded_bfs)
+        assert snap.bfs_levels(0, max_depth=-1) == {0: 0}
+        # At 600 the array branch serves it, bounded at depth 0.
+        assert bounds == [0] * (count >= soa.ARRAY_REFRESH_MIN_NODES)
+        read = count_row_reads(snap)
+        assert snap.nearest(0, (0, 1), max_depth=-1) == 0
+        assert snap.nearest(0, (1,), max_depth=-7) is None
+        assert snap.bfs_levels(0, max_depth=-3) == {0: 0}  # the dict record now
+        assert read == [] and len(bounds) <= 1
+
     def test_returned_levels_are_copies(self):
         snap = snapshot_of([(0, 0), (100, 0), (200, 0)])
         levels = snap.bfs_levels(0)
@@ -219,6 +248,48 @@ class TestBFSMemoization:
         snap = snapshot_of([(0, 0)])
         with pytest.raises(TopologyError):
             snap.hop_distance(42, 0)
+
+
+class TestResumableTraversal:
+    """One record per source, grown only as far as each query needs."""
+
+    def test_search_stops_at_the_answer_and_resumes(self):
+        """The gate that fails if the traversal stops stopping: which
+        adjacency rows a query reads is its work, and it is counted."""
+        snap = snapshot_of([(100 * i, 0) for i in range(50)])  # a line, 0..49
+        read = count_row_reads(snap)
+        assert snap.shortest_path(0, 2) == [0, 1, 2]
+        assert read == [0, 1] and snap.bfs_cache_size == 1
+        assert snap.nearest(0, {3, 40}) == 3
+        assert read == [0, 1, 2] and snap.bfs_cache_size == 1
+        assert snap.nearest(0, {3, 40}) == 3  # already there: nothing read
+        assert snap.shortest_path(0, 1) == [0, 1]
+        assert snap.bfs_levels(0, max_depth=2) == {0: 0, 1: 1, 2: 2}
+        assert read == [0, 1, 2]
+        assert snap.hop_distance(0, 49) == 49
+        assert read == list(range(49))  # resumed: rows 0-2 not read again
+        assert snap.bfs_levels(0) == {node: node for node in range(50)}
+        assert read == list(range(50)) and snap.bfs_cache_size == 1
+        snap.bfs_levels(0)
+        assert read == list(range(50))  # complete: nothing left to read
+
+    def test_nearest_takes_the_first_level_with_a_candidate(self):
+        # 1 and 2 both one hop from 0, 3 two hops, 4 out of reach, 9 offline.
+        snap = snapshot_of([(0, 0), (100, 0), (0, 100), (200, 0), (900, 900)])
+        assert snap.nearest(0, [3, 2, 1]) == 1  # ties go to the smallest id
+        assert snap.nearest(0, {3}) == 3
+        assert snap.nearest(0, {3}, max_depth=1) is None
+        assert snap.nearest(0, {3}, max_depth=2) == 3
+        assert snap.nearest(0, {0, 1}) == 0  # the source is a candidate too
+        assert snap.nearest(0, {4, 9}) is None
+        with pytest.raises(TopologyError):
+            snap.nearest(9, {0})
+
+    def test_nearest_of_nothing_online_walks_nothing(self):
+        snap = snapshot_of([(0, 0), (100, 0), (200, 0)])
+        assert snap.nearest(0, ()) is None
+        assert snap.nearest(0, {7, 8}) is None
+        assert snap.bfs_cache_size == 0
 
 
 class TestHasEdge:

@@ -34,7 +34,12 @@ from repro.net.node import NetworkNode
 from repro.net.topology import TopologySnapshot
 from repro.sim.engine import Simulator
 
-from tests.oracle import BruteForceSnapshot, assert_matches_oracle, sample_positions
+from tests.oracle import (
+    BruteForceSnapshot,
+    assert_full_tree,
+    assert_matches_oracle,
+    sample_positions,
+)
 
 RANGE = 250.0
 
@@ -136,10 +141,11 @@ def test_all_pairs_and_grid_stages_match_scalar(count, seed):
             assert vec._adjacency == oracle.adjacency
             assert list(vec._adjacency) == list(oracle.adjacency)
             for source in positions:
-                tree = soa.bfs_from_csr(vec._csr, source)
+                levels, parents, items, prefix = soa.bfs_from_csr(vec._csr, source)
                 dict_tree = vec._bfs_from(source)  # under 4 096 nodes: the dict BFS
-                assert tree == dict_tree
-                assert list(tree[1]) == list(dict_tree[1])  # parents, in order
+                assert dict_tree == [levels, parents, prefix, []]
+                assert items == list(dict_tree[0].items())  # levels, in order
+                assert list(parents) == list(dict_tree[1])  # parents, in order
             assert_matches_oracle(vec, oracle)
 
 
@@ -154,6 +160,71 @@ def test_all_pairs_stage_serves_every_size_from_one_triangle():
         listed = set(zip(cand_a.tolist(), cand_b.tolist()))
         assert listed == {(a, b) for b in range(count) for a in range(b)}
         assert len(listed) == cand_a.shape[0]
+
+
+# ----------------------------------------------------------------------
+# One resumable traversal per source: any interleaving, one answer
+# ----------------------------------------------------------------------
+_QUERY_SIZES = (1, 2, 3, 17, 50, 129)
+
+#: ``(query, source pick, target picks, depth)``; picks index the id list,
+#: which ends in two ids that are not online.
+_queries = st.tuples(
+    st.sampled_from(("shortest_path", "hop_distance", "bfs_levels", "nearest")),
+    st.integers(min_value=0, max_value=2**16),
+    st.lists(st.integers(min_value=0, max_value=2**16), max_size=4),
+    st.one_of(st.none(), st.integers(min_value=-1, max_value=9)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_QUERY_SIZES),
+    st.integers(min_value=0, max_value=2**20),
+    st.sampled_from((0.5, 1.0, 2.5)),  # crowded, the paper's density, sparse
+    st.booleans(),
+    st.lists(_queries, min_size=1, max_size=30),
+)
+def test_interleaved_queries_answer_like_fresh_full_traversals(
+    count, seed, spread, filtered, queries
+):
+    """Whatever a source's record was grown for before, every query on
+    it answers — values and iteration order — what the oracle's full
+    FIFO traversal does and what a fresh snapshot does, and growing the
+    record to the end afterwards still yields the oracle's whole tree."""
+    rng = random.Random(seed)
+    side = max(1500.0 * spread * (count / 50.0) ** 0.5, RANGE)
+    points = [Point(rng.uniform(0.0, side), rng.uniform(0.0, side)) for _ in range(count)]
+    for index in range(1, count, 7):
+        points[index] = points[index - 1]  # coincident
+    positions = dict(enumerate(points))
+    cut = (lambda a, b, pos_a, pos_b: (pos_a.x < side / 2) == (pos_b.x < side / 2))
+    edge_filter = cut if filtered else None
+    oracle = BruteForceSnapshot(positions, RANGE, edge_filter)
+    snap = TopologySnapshot(positions, RANGE, edge_filter)
+    ids = list(positions) + [count + 5, -3]  # the last two are offline
+    # Few sources, so that most queries land on a record an earlier one grew.
+    pool = rng.sample(range(count), min(count, 3))
+    sources = set()
+    for query, source_pick, target_picks, depth in queries:
+        source = pool[source_pick % len(pool)]
+        sources.add(source)
+        targets = [ids[pick % len(ids)] for pick in target_picks]
+        if query == "bfs_levels":
+            args = (source, depth)
+        elif query == "nearest":
+            args = (source, targets, depth)  # may be empty, may hold the source
+        else:
+            args = (source, targets[0] if targets else source)
+        expected = getattr(oracle, query)(*args)
+        fresh = getattr(TopologySnapshot(positions, RANGE, edge_filter), query)(*args)
+        found = getattr(snap, query)(*args)
+        assert found == expected == fresh, (query, args)
+        if query == "bfs_levels":  # floods iterate it: order is an answer too
+            assert list(found) == list(expected) == list(fresh), args
+    assert snap.bfs_cache_size <= len(sources)
+    for source in sources:
+        assert_full_tree(snap, oracle, source)
 
 
 def test_membership_is_a_python_bool_on_either_side_of_the_crossover():

@@ -17,6 +17,9 @@ import random
 
 import pytest
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from repro.mobility.terrain import Point, Terrain
 from repro.mobility.waypoint import RandomWaypoint
 from repro.net.network import Network
@@ -161,6 +164,111 @@ class TestDeltaEdgeCases:
         positions[2] = Point(120, 0)
         snap = TopologySnapshot.from_delta(prev, positions, [1, 2])
         assert_both_builds_match(snap, BruteForceSnapshot(positions, RANGE))
+
+
+class TestPartialRecordsAcrossPatches:
+    """A traversal record grown part-way on ``prev`` crosses a patch as a
+    copy: resumed on the new snapshot it walks the new graph, and ``prev``
+    goes on answering for the old one."""
+
+    def test_resuming_a_carried_record_never_extends_prev(self):
+        # A line 0..5 and a far pair 6-7; node 5 leaves the end of the line.
+        coords = [(100 * i, 0) for i in range(6)] + [(0, 900), (100, 900)]
+        prev = TopologySnapshot(dict(enumerate(Point(x, y) for x, y in coords)), RANGE)
+        old = BruteForceSnapshot(prev.positions, RANGE)
+        assert prev.bfs_levels(0, max_depth=1) == {0: 0, 1: 1}  # incomplete
+        assert prev.hop_distance(3, 4) == 1  # incomplete, and 4 is touched
+        assert prev.bfs_levels(6) == {6: 0, 7: 1}  # complete
+        positions = dict(prev.positions)
+        positions[5] = Point(2000, 0)
+        snap = TopologySnapshot.from_delta(prev, positions, [5], verify_retention=True)
+        assert set(snap._bfs_cache) == {0, 6}
+        assert snap._bfs_cache[6] is prev._bfs_cache[6]  # complete: shared
+        assert snap._bfs_cache[0] is not prev._bfs_cache[0]  # incomplete: a copy
+        assert snap._bfs_cache[0] == prev._bfs_cache[0]
+        assert snap.bfs_levels(0) == {node: node for node in range(5)}
+        assert prev.bfs_levels(0) == {node: node for node in range(6)}
+        assert_both_builds_match(snap, BruteForceSnapshot(positions, RANGE))
+        assert_matches_oracle(prev, old)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(min_value=40, max_value=200),
+        st.integers(min_value=0, max_value=2**20),
+        st.sampled_from((0.7, 1.0, 1.4)),  # one big component ... many small
+        st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=2**16)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**16),
+                st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_patched_records_resume_like_fresh_ones(
+        self, count, seed, spread, changes, warm
+    ):
+        rng = random.Random(seed)
+        side = spread * RANGE * count ** 0.5
+
+        def somewhere():
+            return Point(rng.uniform(0, side), rng.uniform(0, side))
+
+        states = {i: [somewhere(), rng.random() < 0.85] for i in range(count)}
+        world = StubWorld(states, RANGE)
+        service = world.service
+        service.verify_retention = True
+        prev, old = service.current(), world.oracle()
+        online = list(prev.positions)
+        for pick, depth in warm:  # grow a few records, most of them part-way
+            source = online[pick % len(online)]
+            assert prev.bfs_levels(source, depth) == old.bfs_levels(source, depth)
+        discovered = {s: set(record[0]) for s, record in prev._bfs_cache.items()}
+        incomplete = {s for s, record in prev._bfs_cache.items() if record[3]}
+
+        for moves, pick in changes:  # move one, or switch it (on: appears)
+            node = pick % count
+            if moves:
+                states[node][0] = somewhere()
+            else:
+                world.set_online(node, not states[node][1])
+        world.now += 1.0
+        snap, new = service.current(), world.oracle()
+        changed = {
+            node
+            for node in old.positions.keys() | new.positions.keys()
+            if old.positions.get(node) != new.positions.get(node)
+        }
+        assume(changed)  # else the service hands prev out again
+        assert service.incremental_updates == 1 and snap is not prev
+
+        # (c) A record goes iff it discovered a node whose row the patch
+        # rewrote: a changed node, or a neighbour of one before or after.
+        touched = set(changed)
+        for node in changed:
+            touched.update(old.adjacency.get(node, ()), new.adjacency.get(node, ()))
+        carried = {s for s, nodes in discovered.items() if nodes.isdisjoint(touched)}
+        assert set(snap._bfs_cache) == carried
+        # (d) ... and the service counted exactly those, of either kind.
+        assert service.bfs_trees_retained == len(carried)
+        for source in carried:
+            shared = snap._bfs_cache[source] is prev._bfs_cache[source]
+            assert shared == (source not in incomplete)
+        # (a) Resumed on the new snapshot — one level on, then to the end —
+        # a carried record walks the new graph.
+        for source in carried:
+            depth = len(snap._bfs_cache[source][2])
+            found = snap.bfs_levels(source, depth)
+            assert found == new.bfs_levels(source, depth)
+            assert list(found) == list(new.bfs_levels(source, depth))
+        assert_both_builds_match(snap, new, (None, 2))
+        # (b) ... and prev, its records resumed only now, the old one.
+        assert_matches_oracle(prev, old, (None, 2))
 
 
 class _RoamingNode(NetworkNode):
