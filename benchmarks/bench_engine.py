@@ -1,21 +1,18 @@
-"""Event-engine microbenchmarks: the timer wheel against the pure heap.
+"""Event-engine microbenchmarks.
 
 These benchmarks time the discrete-event kernel in isolation — no
-network, no protocol — in the regimes the hybrid engine was built for:
+network, no protocol — in the shapes a simulation gives it:
 
 * ``engine_schedule_run_100k`` — bulk schedule + run of 100k one-shot
-  events with delays straddling both wheel levels and the far heap;
+  events with delays from zero to hours, so the heap is deep and mixed;
 * ``engine_post_run_100k`` — the pooled fire-and-forget fast path
   (``Simulator.post``), the shape every network delivery takes;
-* ``engine_timer_churn_wheel_50k`` / ``engine_timer_churn_heap_50k`` —
-  the paper's TTR/TTP renewal workload: 1 000 long-lived timers each
-  rescheduled 50 times, interleaved with clock advances.  On the wheel
-  a renewal is an in-place re-slot; on the heap it is a cancel +
-  push + eventual tombstone compaction.  The wheel-over-heap ratio
-  lands in the baseline metadata as ``churn_speedup_wheel`` and the
-  committed-target test holds it to a floor;
-* ``engine_cancel_sweep_100k`` — cancel-heavy churn that forces the
-  wheel's periodic bucket sweep, so sweep cost is gated too.
+* ``engine_timer_churn_50k`` — the paper's TTR/TTP renewal workload:
+  1 000 long-lived timers each rescheduled 50 times, interleaved with
+  clock advances.  Every renewal of a pending timer is a cancel + push,
+  so this row also pays for the tombstones it strands;
+* ``engine_cancel_sweep_100k`` — cancel-heavy churn that keeps
+  tombstone compaction busy, so its cost is gated too.
 
 All benchmarks are harness-timed (``measure``), ms-scale, and
 deterministic: fixed iteration counts, no RNG, no wall-clock reads
@@ -24,7 +21,7 @@ inside the workload.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
 from repro.sim.engine import Simulator
 
@@ -39,9 +36,9 @@ def _noop() -> None:
 
 
 def _bench_schedule_run_100k() -> None:
-    sim = Simulator(wheel=True)
-    # Delays cycle through the near slot, both wheel levels and the far
-    # heap; the modulus keeps the mix fixed across runs.
+    sim = Simulator()
+    # Delays cycle through zero, sub-minute, minute-scale and hours-ahead
+    # bands; the modulus keeps the mix fixed across runs.
     for index in range(100_000):
         band = index % 5
         if band == 0:
@@ -59,7 +56,7 @@ def _bench_schedule_run_100k() -> None:
 
 
 def _bench_post_run_100k() -> None:
-    sim = Simulator(wheel=True)
+    sim = Simulator()
     post = sim.post
     # Waves of short-delay posts with runs in between keep the freelist
     # hot: every wave after the first reuses pooled handles.
@@ -69,26 +66,23 @@ def _bench_post_run_100k() -> None:
         sim.run()
 
 
-def _make_timer_churn(wheel: bool) -> Callable[[], None]:
-    def run() -> None:
-        sim = Simulator(wheel=wheel)
-        handles = [
-            sim.schedule(10.0 + (i % 40) * 0.25, _noop) for i in range(CHURN_TIMERS)
-        ]
-        reschedule = sim.reschedule
-        for _ in range(CHURN_ROUNDS):
-            for index in range(CHURN_TIMERS):
-                handles[index] = reschedule(handles[index], 10.0)
-            sim.run_until(sim.now + 1.0)
-        for handle in handles:
-            handle.cancel()
-        sim.run()
-
-    return run
+def _bench_timer_churn() -> None:
+    sim = Simulator()
+    handles = [
+        sim.schedule(10.0 + (i % 40) * 0.25, _noop) for i in range(CHURN_TIMERS)
+    ]
+    reschedule = sim.reschedule
+    for _ in range(CHURN_ROUNDS):
+        for index in range(CHURN_TIMERS):
+            handles[index] = reschedule(handles[index], 10.0)
+        sim.run_until(sim.now + 1.0)
+    for handle in handles:
+        handle.cancel()
+    sim.run()
 
 
 def _bench_cancel_sweep_100k() -> None:
-    sim = Simulator(wheel=True)
+    sim = Simulator()
     pending = None
     for index in range(100_000):
         fresh = sim.schedule(100.0 + float(index % 1_000) * 0.25, _noop)
@@ -103,19 +97,7 @@ def engine_benchmarks(workdir: str) -> List[Tuple[str, Callable[[], None]]]:
     return [
         ("engine_schedule_run_100k", _bench_schedule_run_100k),
         ("engine_post_run_100k", _bench_post_run_100k),
-        (f"engine_timer_churn_wheel_{CHURN_TIMERS * CHURN_ROUNDS // 1000}k",
-         _make_timer_churn(wheel=True)),
-        (f"engine_timer_churn_heap_{CHURN_TIMERS * CHURN_ROUNDS // 1000}k",
-         _make_timer_churn(wheel=False)),
+        (f"engine_timer_churn_{CHURN_TIMERS * CHURN_ROUNDS // 1000}k",
+         _bench_timer_churn),
         ("engine_cancel_sweep_100k", _bench_cancel_sweep_100k),
     ]
-
-
-def engine_speedups(results: Dict[str, float]) -> Dict[str, float]:
-    """Derive the wheel-over-heap churn speedup from the timings."""
-    kilo = CHURN_TIMERS * CHURN_ROUNDS // 1000
-    wheel = results.get(f"engine_timer_churn_wheel_{kilo}k")
-    heap = results.get(f"engine_timer_churn_heap_{kilo}k")
-    if not wheel or not heap:
-        return {}
-    return {"churn_speedup_wheel": heap / wheel}

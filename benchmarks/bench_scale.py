@@ -96,9 +96,10 @@ def scale_benchmarks(workdir: str) -> List[Tuple[str, Callable[[], float]]]:
 
 
 #: The committed 10k-node vectorized run-phase seconds *before* the
-#: timer-wheel engine and message fast path landed (the PR-6 baseline,
-#: measured on the same reference machine).  The engine PR's acceptance
-#: bar — held by the committed-target test — is >= 2x over this number.
+#: message fast path (pooled ``post``, coalesced flood delivery, slotted
+#: messages) landed (the PR-6 baseline, measured on the same reference
+#: machine).  That PR's acceptance bar — held by the committed-target
+#: test — is >= 2x over this number.
 PR6_VECTORIZED_10000 = 2.4789593999994395
 
 

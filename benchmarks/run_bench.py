@@ -6,12 +6,10 @@ file:
 * ``kernel`` — the fast-path workloads of ``bench_kernel.py`` (event
   kernel, spatial-grid snapshot build, memoised BFS bursts, ``has_edge``),
   gated against ``BENCH_kernel.json``;
-* ``engine`` — the timer-wheel event engine of ``bench_engine.py``
-  (bulk schedule/run, the pooled ``post`` fast path, timer-renewal
-  churn on both the wheel and the pure heap, cancel-sweep pressure),
-  gated against ``BENCH_engine.json``; the wheel-over-heap churn
-  speedup lands in the baseline metadata, where the committed-target
-  test holds it to a floor;
+* ``engine`` — the event engine of ``bench_engine.py`` (bulk
+  schedule/run, the pooled ``post`` fast path, timer-renewal churn,
+  cancel-heavy compaction pressure), gated against
+  ``BENCH_engine.json``;
 * ``sweep`` — the campaign executor of ``bench_sweep.py`` (serial vs
   two-worker vs cache-warm runs of a scaled Fig-7-style sweep), gated
   against ``BENCH_sweep.json``; the parallel and cache-hit speedups are
@@ -313,10 +311,6 @@ def derived_ratios(suite: str, results: Dict[str, float]) -> Dict[str, float]:
     """The speedups / overheads a suite records in its baseline metadata."""
     if suite == "sweep":
         return sweep_speedups(results)
-    if suite == "engine":
-        from benchmarks.bench_engine import engine_speedups
-
-        return engine_speedups(results)
     if suite == "topology":
         from benchmarks.bench_topology import topology_speedups
 

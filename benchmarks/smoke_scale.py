@@ -10,8 +10,8 @@ the committed golden at ``tests/golden/scale_100k.json``:
   — "completes at 100k" is the first claim being smoked;
 * any behavioural drift (engine fire order, topology, protocol) shows
   up as a digest mismatch, exactly like the 20-node golden matrix but
-  at the scale where the timer wheel and the zero-allocation paths
-  actually carry the load;
+  at the scale where the event heap is deepest and the zero-allocation
+  paths actually carry the load;
 * a run whose topology refreshes never reused their candidate pairs
   (``pair_list_reuses == 0``) fails too: the reuse path must not die
   silently at the size it matters most.

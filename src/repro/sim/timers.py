@@ -88,9 +88,9 @@ class PeriodicTimer:
 
     def _fire(self) -> None:
         self._ticks += 1
-        # Re-arm the just-fired handle in place: one wheel re-slot per
-        # tick, no new EventHandle.  Safe because the timer exclusively
-        # owns the handle (we are running inside its own callback).
+        # Re-arm the just-fired handle in place: one heap push per tick,
+        # no new EventHandle.  Safe because the timer exclusively owns
+        # the handle (we are running inside its own callback).
         self._handle = self._sim.reschedule(self._handle, self.interval)
         self._callback()
 
@@ -141,9 +141,8 @@ class CountdownTimer:
         if self._on_expire is not None and window > 0:
             handle = self._handle
             if handle is not None:
-                # In-place wheel re-slot: no cancel tombstone, no new
-                # handle.  Consumes one sequence number, exactly like the
-                # cancel-and-reschedule idiom it replaces.
+                # Cancel + push of a fresh handle; the old entry stays
+                # behind as a tombstone until it surfaces or compacts.
                 self._handle = self._sim.reschedule(handle, window)
             else:
                 self._handle = self._sim.schedule(window, self._expire)

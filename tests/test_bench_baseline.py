@@ -245,31 +245,6 @@ class TestRunBench:
         defined = {name for name, _ in engine_benchmarks(str(tmp_path))}
         assert defined == committed
 
-    def test_engine_speedups_derived_from_timings(self):
-        from benchmarks.bench_engine import engine_speedups
-
-        ratios = engine_speedups({
-            "engine_timer_churn_wheel_50k": 0.04,
-            "engine_timer_churn_heap_50k": 0.10,
-        })
-        assert ratios["churn_speedup_wheel"] == pytest.approx(2.5)
-        assert engine_speedups({}) == {}
-
-    def test_committed_engine_baseline_records_the_churn_floor(self):
-        """The timer-churn microbench floor: renewing timers through the
-        wheel must stay well ahead of the cancel-plus-push heap idiom."""
-        import pathlib
-
-        baseline_path = (
-            pathlib.Path(__file__).resolve().parent.parent
-            / "benchmarks"
-            / "BENCH_engine.json"
-        )
-        data = json.loads(baseline_path.read_text())
-        assert data["meta"]["churn_speedup_wheel"] >= 1.5
-        for name, seconds in data["results"].items():
-            assert seconds > 0, name
-
     def test_campaign_benchmark_names_match_committed_baseline(self, tmp_path):
         import pathlib
 

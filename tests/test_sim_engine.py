@@ -93,6 +93,32 @@ class TestExecution:
         with pytest.raises(SimulationError):
             sim.run_until(5.0)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), float("-inf")])
+    def test_run_until_non_finite_horizon_rejected(self, sim, horizon):
+        # nan used to fire every pending event (no comparison with nan is
+        # true) and inf left the clock at inf, poisoning every later schedule.
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        with pytest.raises(SimulationError):
+            sim.run_until(horizon)
+        assert fired == []
+        assert sim.now == 0.0
+        assert sim.pending_events == 1
+
+    def test_clock_never_runs_backwards_across_run_and_run_until(self, sim):
+        # run_until used to take max_events and still jump the clock to
+        # the horizon, so the events it left behind fired in the past.
+        seen = []
+        for when in (1.0, 2.0, 3.0):
+            sim.schedule(when, lambda: seen.append(sim.now))
+        assert sim.run(max_events=1) == 1
+        assert sim.run_until(10.0) == 2
+        assert seen == [1.0, 2.0, 3.0]
+        assert sim.now == 10.0
+        assert sim.pending_events == 0
+        with pytest.raises(TypeError):
+            sim.run_until(20.0, max_events=1)
+
     def test_run_until_inclusive_of_boundary(self, sim):
         fired = []
         sim.schedule(5.0, fired.append, 1)
@@ -231,28 +257,11 @@ class TestPendingCounter:
 class TestHeapCompaction:
     """Cancelled entries are swept once they outnumber live events."""
 
-    def test_wheel_stays_bounded_under_cancel_churn(self):
-        # A rearmed-timer workload: every iteration schedules a far-future
-        # event and immediately cancels the previous one.  Without the
-        # periodic bucket sweep the wheel would hold ~10_000 dead entries.
-        sim = Simulator(wheel=True)
-        pending = None
-        for i in range(10_000):
-            fresh = sim.schedule(1_000.0 + i, lambda: None)
-            if pending is not None:
-                pending.cancel()
-            pending = fresh
-        assert sim.pending_events == 1
-        assert sim.heap_size <= 2 * Simulator._SWEEP_FLOOR
-        assert sim.wheel_sweeps > 0
-        # Wheel-managed cancels never touch the far-heap machinery.
-        assert sim.tombstones == 0
-        assert sim.heap_compactions == 0
-
     def test_heap_stays_bounded_under_cancel_churn(self):
-        # The same workload on the pure-heap engine exercises the
-        # tombstone compaction path instead.
-        sim = Simulator(wheel=False)
+        # A rearmed-timer workload: every iteration schedules a far-future
+        # event and immediately cancels the previous one.  Without
+        # compaction the heap would hold ~10_000 tombstones.
+        sim = Simulator()
         pending = None
         for i in range(10_000):
             fresh = sim.schedule(1_000.0 + i, lambda: None)
@@ -264,10 +273,9 @@ class TestHeapCompaction:
         assert sim.heap_compactions > 0
 
     def test_compaction_preserves_fire_order(self):
-        # Same live schedule on both engines; the heap one also schedules
-        # and cancels enough extras to trigger compaction mid-build.  The
-        # identical fire order doubles as a wheel-vs-heap equivalence check.
-        plain, compacted = Simulator(wheel=True), Simulator(wheel=False)
+        # Same live schedule twice; one store also schedules and cancels
+        # enough extras to trigger compaction mid-build.
+        plain, compacted = Simulator(), Simulator()
         order_plain, order_compacted = [], []
         for i in range(200):
             when = float((i * 37) % 100) + 1.0  # interleaved, with time ties
@@ -275,24 +283,42 @@ class TestHeapCompaction:
             compacted.schedule(when, order_compacted.append, i)
             compacted.schedule(500.0 + i, order_compacted.append, -i).cancel()
             compacted.schedule(700.0 + i, order_compacted.append, -i).cancel()
+        assert plain.heap_compactions == 0
         assert compacted.heap_compactions > 0
         assert plain.run() == compacted.run() == 200
         assert order_compacted == order_plain
+
+    def test_compaction_from_inside_a_callback(self, sim):
+        # A callback cancels most of the store, so the heap is rebuilt
+        # while the run loop is in the middle of draining it.
+        fired = []
+        doomed = [sim.schedule(5.0 + i, fired.append, -i) for i in range(150)]
+        survivors = [sim.schedule(2.0 + i * 0.001, fired.append, i) for i in range(50)]
+
+        def purge():
+            for handle in doomed:
+                handle.cancel()
+
+        sim.schedule(1.0, purge)
+        assert sim.run() == 1 + len(survivors)
+        assert sim.heap_compactions > 0
+        assert fired == list(range(50))
+        assert sim.pending_events == sim.heap_size == sim.tombstones == 0
 
     def test_small_stores_never_compact(self, sim):
         for i in range(10):
             sim.schedule(float(i + 1), lambda: None).cancel()
         assert sim.heap_compactions == 0
-        assert sim.wheel_sweeps == 0
         assert sim.heap_size == 10
 
 
 class TestWheelEngine:
-    """Wheel-specific behavior: far fallback, in-place renew, pooling."""
+    """Far-future times, renewal and pooling (the class and one test id
+    keep the name of the timer wheel that used to sit under them)."""
 
     def test_far_future_events_cross_the_wheel_horizon(self, sim):
-        # 20_000 s and 40_000 s are beyond the 16384 s wheel horizon, so
-        # they file into the far heap and must still fire in order.
+        # Hours-ahead events share the store with sub-second ones and
+        # must still fire in time order, whatever order they arrived in.
         order = []
         sim.schedule(40_000.0, order.append, "far2")
         sim.schedule(20_000.0, order.append, "far1")
@@ -314,19 +340,42 @@ class TestWheelEngine:
         assert fired == ["x"]  # fires exactly once
 
     def test_reschedule_consumes_one_seq_like_cancel_plus_schedule(self):
-        # Interleave a renewal with ordinary schedules at a tied time on
-        # both engines: the relative order must match exactly.
+        # Interleave a renewal with ordinary schedules at a tied time,
+        # once through reschedule and once through the idiom it stands
+        # for: the relative order must match exactly.
+        def renew(sim, handle):
+            return sim.reschedule(handle, 3.0)
+
+        def cancel_and_schedule(sim, handle):
+            handle.cancel()
+            return sim.schedule(3.0, handle.callback, *handle.args)
+
         logs = []
-        for wheel in (True, False):
-            sim = Simulator(wheel=wheel)
+        for move in (renew, cancel_and_schedule):
+            sim = Simulator()
             order = []
             handle = sim.schedule(1.0, order.append, "renewed")
             sim.schedule(3.0, order.append, "a")
-            sim.reschedule(handle, 3.0)  # tied with "a", later seq
+            move(sim, handle)  # tied with "a", later seq
             sim.schedule(3.0, order.append, "b")
             sim.run()
             logs.append(order)
         assert logs[0] == logs[1] == ["a", "renewed", "b"]
+
+    def test_reschedule_rearms_a_fired_handle_in_place(self, sim):
+        # The timers re-arm from inside their own callback and keep the
+        # handle; a pending or cancelled one comes back as a new handle.
+        fired = []
+        handle = sim.schedule(1.0, fired.append, "x")
+        sim.run()
+        assert sim.reschedule(handle, 2.0) is handle
+        assert handle.pending and handle.time == 3.0
+        moved = sim.reschedule(handle, 5.0)
+        assert moved is not handle and handle.cancelled and moved.pending
+        assert sim.pending_events == 1 and sim.tombstones == 1
+        sim.run()
+        assert fired == ["x", "x"]
+        assert sim.now == 6.0
 
     def test_post_fires_and_recycles_handles(self, sim):
         fired = []
@@ -341,14 +390,3 @@ class TestWheelEngine:
         assert len(sim._pool) == 1
         sim.run()
         assert fired == ["a", "b", "c"]
-
-    def test_wheel_timers_leave_no_tombstones(self):
-        # Renew-heavy countdown usage keeps the far-heap counters at zero:
-        # the wheel absorbs every cancel/renew without tombstoning.
-        sim = Simulator(wheel=True)
-        handle = sim.schedule(10.0, lambda: None)
-        for _ in range(100):
-            handle = sim.reschedule(handle, 10.0)
-        assert sim.tombstones == 0
-        assert sim.heap_compactions == 0
-        assert sim.pending_events == 1

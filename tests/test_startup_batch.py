@@ -5,9 +5,11 @@ streams, coefficient-period timers, switching processes, samplers, the
 controller tick) into a :class:`~repro.sim.engine.StartupBatch` and files
 them in a single :meth:`~repro.sim.engine.Simulator.schedule_batch`
 call.  The contract under test: the batched pass is *bit-identical* to
-the historical per-call ``schedule`` loop — same sequence numbers, same
-fire order — on **both** engines (timer wheel and pure heap), including
-the heap path's bulk ``heapify`` branch.
+the per-call ``schedule`` loop — same sequence numbers, same fire order —
+through both filing branches of ``schedule_batch``: bulk ``extend`` +
+``heapify`` for a batch that rivals the store, per-event ``heappush`` for
+a small batch into a large store.  (Several test ids still say ``wheel``
+and ``heap``: they paired two engines until the wheel was removed.)
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from repro.sim.timers import PeriodicTimer
 from repro.workload.arrivals import ExponentialProcess
 
 
-# A delay mix that exercises every filing structure: sub-slot ties,
-# wheel0, wheel1, and beyond the 16384 s wheel horizon (far heap).
+# Sub-second ties, minute- and hour-scale delays and a zero delay.
 DELAYS = (
     [0.1, 0.1, 0.1, 5.0, 5.0, 63.9, 64.0, 1000.0, 16383.0, 20000.0, 0.0]
     + [float(i) % 97.0 + 0.25 for i in range(200)]
@@ -52,45 +53,69 @@ def _batched(sim: Simulator, log: list) -> None:
     assert len(handles) == len(DELAYS)
 
 
+def _seeded(schedule, events: int):
+    """``schedule`` into a store that already holds ``events`` entries."""
+    def seeded(sim: Simulator, log: list) -> None:
+        for tag in range(events):
+            sim.schedule(50.0 + tag, lambda t=tag: log.append(("pre", t)))
+        schedule(sim, log)
+
+    return seeded
+
+
 class TestFireOrderEquivalence:
     def test_batch_matches_per_call_on_wheel(self):
-        unbatched = _fire_log(Simulator(wheel=True), _per_call)
-        batched = _fire_log(Simulator(wheel=True), _batched)
+        """Into an empty store: the batch takes the extend+heapify branch."""
+        unbatched = _fire_log(Simulator(), _per_call)
+        batched = _fire_log(Simulator(), _batched)
         assert batched == unbatched
 
     def test_batch_matches_per_call_on_heap(self):
-        unbatched = _fire_log(Simulator(wheel=False), _per_call)
-        batched = _fire_log(Simulator(wheel=False), _batched)
+        """Into a store 8x its size: the batch takes the heappush branch."""
+        events = len(DELAYS) * 8 + 1
+        unbatched = _fire_log(Simulator(), _seeded(_per_call, events))
+        batched = _fire_log(Simulator(), _seeded(_batched, events))
         assert batched == unbatched
 
     def test_wheel_vs_heap_batched(self):
-        """The batched filing pass fires identically on both engines."""
-        wheel = _fire_log(Simulator(wheel=True), _batched)
-        heap = _fire_log(Simulator(wheel=False), _batched)
-        assert wheel == heap
+        """The two filing branches put the same batch in the same order."""
+        events = len(DELAYS) * 8 + 1
+        pushed = _fire_log(Simulator(), _seeded(_batched, events))
+        heapified = _fire_log(Simulator(), _batched)
+        assert [entry for entry in pushed if entry[0] != "pre"] == heapified
+        assert len(pushed) == events + len(heapified)
 
     def test_heap_heapify_branch_matches_push_branch(self):
-        """Bulk extend+heapify (big batch) == per-event heappush (small)."""
-        def seed_heap(sim: Simulator, log: list) -> None:
-            # Pre-populate a heap large enough that a 3-event batch takes
-            # the per-event push branch (batch * 8 < len(heap)).
-            for tag in range(40):
-                sim.schedule(500.0 + tag, lambda t=tag: log.append(("pre", t)))
+        """A small batch (pushed) then a big one (heapified) into one
+        store fire like the same events scheduled one call at a time."""
+        def per_call(sim: Simulator, events: list) -> None:
+            for delay, callback in events:
+                sim.schedule(delay, callback)
 
-        def small_then_large(sim: Simulator, log: list) -> None:
-            seed_heap(sim, log)
-            small = StartupBatch()
-            for tag, delay in enumerate([1.0, 2.0, 3.0]):
-                small.add(delay, lambda t=tag: log.append(("small", t)))
-            small.flush(sim)
-            large = StartupBatch()
-            for tag, delay in enumerate(DELAYS):
-                large.add(delay, lambda t=tag: log.append(("large", t)))
-            large.flush(sim)
+        def batched(sim: Simulator, events: list) -> None:
+            batch = StartupBatch()
+            for delay, callback in events:
+                batch.add(delay, callback)
+            batch.flush(sim)
 
-        heap_log = _fire_log(Simulator(wheel=False), small_then_large)
-        wheel_log = _fire_log(Simulator(wheel=True), small_then_large)
-        assert heap_log == wheel_log
+        def small_then_large(file):
+            def schedule(sim: Simulator, log: list) -> None:
+                # 40 entries: a 3-event batch takes the per-event push
+                # branch (batch * 8 < len(heap)), the DELAYS batch the
+                # extend+heapify one.
+                for tag in range(40):
+                    sim.schedule(500.0 + tag, lambda t=tag: log.append(("pre", t)))
+                for name, delays in (("small", [1.0, 2.0, 3.0]), ("large", DELAYS)):
+                    file(sim, [
+                        (delay, lambda n=name, t=tag: log.append((sim.now, n, t)))
+                        for tag, delay in enumerate(delays)
+                    ])
+
+            return schedule
+
+        batched_log = _fire_log(Simulator(), small_then_large(batched))
+        per_call_log = _fire_log(Simulator(), small_then_large(per_call))
+        assert batched_log == per_call_log
 
     def test_seq_numbers_assigned_in_add_order(self):
         sim = Simulator()
@@ -174,8 +199,7 @@ class TestSimulationStartupBatched:
         seed=13,
     )
 
-    def _digest(self, monkeypatch, wheel: str):
-        monkeypatch.setenv("REPRO_WHEEL", wheel)
+    def _digest(self):
         result = build_simulation(
             SimulationConfig(**self.CONFIG), "rpcc-sc", "standard"
         ).run()
@@ -190,5 +214,6 @@ class TestSimulationStartupBatched:
             result.events_processed,
         )
 
-    def test_wheel_and_heap_runs_identical(self, monkeypatch):
-        assert self._digest(monkeypatch, "1") == self._digest(monkeypatch, "0")
+    def test_wheel_and_heap_runs_identical(self):
+        # The tuple both engines produced before the wheel was removed.
+        assert self._digest() == (1043, 168, 71, 71, 0.019606986, 0.0, 532)
