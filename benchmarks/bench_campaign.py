@@ -1,31 +1,23 @@
-"""Campaign persistence benchmarks: per-pickle cache vs the columnar store.
+"""Campaign persistence benchmark: the columnar result store.
 
-The historical campaign persistence layer wrote one pickle per completed
-point (two filesystem writes each: a temp file plus an atomic rename).
-A thousand-point campaign therefore costs two thousand writes before a
-single byte of science is read back.  The append-only columnar store
-batches completed points into record batches (256 rows by default) and
-commits each with a single segment append plus an atomic index-sidecar
-rewrite, so the same campaign takes a dozen writes and reads back as a
-handful of sequential scans.
+The append-only columnar store batches completed points into record
+batches (256 rows by default) and commits each with a single segment
+append plus an atomic index-sidecar rewrite, so a thousand-point campaign
+takes a dozen filesystem writes and reads back as a handful of
+sequential scans.
 
-These benchmarks time a synthetic 1000-point campaign end to end —
-persist every point, reopen cold, read every point back as a usable
-``SimulationResult`` — through both layers:
+``campaign_store_write_read_1000`` times a synthetic 1000-point campaign
+end to end — persist every point through one ``SegmentWriter`` pass,
+reopen cold, read every point back (``get_many`` +
+``RunRecord.to_result``) as a usable ``SimulationResult``.  The synthetic
+records are generated once outside the timed region, so the timing
+isolates the persistence layer itself.  The measured ``store_fs_writes``
+lands in ``BENCH_campaign.json``'s metadata, where
+``tests/test_bench_baseline.py`` holds the committed number to what
+:func:`campaign_write_counts` measures.
 
-* ``campaign_pickle_write_read_1000`` — one ``ResultCache.put`` per
-  point, then a cold ``get`` per point;
-* ``campaign_store_write_read_1000`` — one ``SegmentWriter`` pass, then
-  a cold ``get_many`` + ``RunRecord.to_result`` per point.
-
-The synthetic results are generated once outside the timed region, so
-the timings isolate the persistence layers themselves.  The derived
-``store_speedup`` and the deterministic ``fs_write_reduction`` land in
-``BENCH_campaign.json``'s metadata, where the committed-target test in
-``tests/test_bench_baseline.py`` holds them to the >=5x / >=100x floors.
-
-The pytest entry point below asserts the correctness side: both layers
-hand back bit-identical campaign data.
+The pytest entry point below asserts the correctness side: the store
+hands back the campaign it was given, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,15 +27,11 @@ import os
 from typing import Callable, Dict, List, Tuple
 
 from repro.experiments.config import SimulationConfig
-from repro.experiments.executor import ResultCache
 from repro.experiments.store import ResultStore, RunRecord
 
 #: Campaign size and batching for every benchmark in this module.
 CAMPAIGN_POINTS = 1000
 STORE_BATCH = 256
-
-#: Filesystem writes per pickled point: the temp file plus the rename.
-PICKLE_WRITES_PER_PUT = 2
 
 
 def _campaign_config() -> SimulationConfig:
@@ -80,7 +68,6 @@ def synthetic_record(index: int) -> RunRecord:
         mean_battery_fraction=0.87,
         wall_clock_seconds=0.25,
         events_processed=4321 + index,
-        core="scalar",
         transmissions_by_type={"QueryRequest": 30 + index % 7, "POLL": 12},
         counters={"relay_promotions": index % 5},
         fault_stats={"availability": 0.991234567890123},
@@ -89,19 +76,12 @@ def synthetic_record(index: int) -> RunRecord:
         traffic_series={"name": "transmissions",
                         "times": [60.0, 120.0],
                         "values": [10.0, 12.5 + index]},
+        control_decisions=[],
     )
 
 
 def synthetic_campaign() -> List[RunRecord]:
     return [synthetic_record(i) for i in range(CAMPAIGN_POINTS)]
-
-
-def _pickle_write_read(root: str, results) -> Dict:
-    cache = ResultCache(root)
-    for record, result in results:
-        cache.put(record.key, result)
-    cold = ResultCache(root)
-    return {record.key: cold.get(record.key) for record, _ in results}
 
 
 def _store_write_read(root: str, records, config) -> Dict:
@@ -117,37 +97,27 @@ def _store_write_read(root: str, records, config) -> Dict:
 def campaign_benchmarks(workdir: str) -> List[Tuple[str, Callable[[], None]]]:
     """Name -> one-iteration callable for every gated campaign benchmark.
 
-    Both layers are append/overwrite-safe, but each timed iteration still
-    gets a pristine directory under ``workdir`` so the pickle path pays
-    its real per-point create cost instead of rewriting existing inodes.
+    Each timed iteration gets a pristine directory under ``workdir``, so
+    it pays the real segment-claim cost instead of appending a new
+    generation next to the last iteration's.
     """
     config = _campaign_config()
     records = synthetic_campaign()
-    results = [(record, record.to_result(config)) for record in records]
     fresh = itertools.count()
-
-    def pickle_campaign() -> None:
-        _pickle_write_read(
-            os.path.join(workdir, f"pickle-{next(fresh)}"), results
-        )
 
     def store_campaign() -> None:
         _store_write_read(
             os.path.join(workdir, f"store-{next(fresh)}"), records, config
         )
 
-    return [
-        ("campaign_pickle_write_read_1000", pickle_campaign),
-        ("campaign_store_write_read_1000", store_campaign),
-    ]
+    return [("campaign_store_write_read_1000", store_campaign)]
 
 
 def campaign_write_counts() -> Dict[str, int]:
-    """Deterministic filesystem-write counts for the 1000-point campaign.
+    """Filesystem writes the 1000-point campaign costs the store.
 
-    The pickle side is arithmetic (two writes per put).  The store side
-    is *measured* from the writer's own accounting, so the number tracks
-    the implementation instead of a hand-maintained constant.
+    *Measured* from the writer's own accounting, so the number tracks the
+    implementation instead of a hand-maintained constant.
     """
     import tempfile
 
@@ -156,32 +126,12 @@ def campaign_write_counts() -> Dict[str, int]:
         with store.writer(batch_size=STORE_BATCH) as writer:
             for record in synthetic_campaign():
                 writer.add(record)
-        store_writes = store.stats["fs_writes"]
-    return {
-        "pickle_fs_writes": CAMPAIGN_POINTS * PICKLE_WRITES_PER_PUT,
-        "store_fs_writes": store_writes,
-    }
-
-
-def campaign_speedups(results: Dict[str, float]) -> Dict[str, float]:
-    """Derive the metadata recorded next to the raw campaign timings."""
-    meta: Dict[str, float] = {}
-    pickle_seconds = results.get("campaign_pickle_write_read_1000")
-    store_seconds = results.get("campaign_store_write_read_1000")
-    if pickle_seconds and store_seconds:
-        meta["store_speedup"] = pickle_seconds / store_seconds
-    counts = campaign_write_counts()
-    meta["pickle_fs_writes"] = counts["pickle_fs_writes"]
-    meta["store_fs_writes"] = counts["store_fs_writes"]
-    meta["fs_write_reduction"] = (
-        counts["pickle_fs_writes"] / counts["store_fs_writes"]
-    )
-    return meta
+        return {"store_fs_writes": store.stats["fs_writes"]}
 
 
 # ----------------------------------------------------------------------
-# pytest entry point: both persistence layers must hand back the same
-# campaign, bit for bit.
+# pytest entry point: the store must hand back the campaign it was
+# given, bit for bit.
 
 
 def _fingerprint(result) -> tuple:
@@ -190,19 +140,18 @@ def _fingerprint(result) -> tuple:
         result.total_queries, result.total_updates, result.relay_samples,
         result.traffic_series.times, result.traffic_series.values,
         result.energy_consumed, result.mean_battery_fraction,
-        result.topology_stats, result.fault_stats, result.core,
+        result.topology_stats, result.fault_stats, result.control_decisions,
     )
 
 
-def test_store_and_pickle_round_trips_agree(tmp_path):
+def test_store_round_trip_matches_the_reference(tmp_path):
     config = _campaign_config()
     records = synthetic_campaign()[:50]
-    results = [(record, record.to_result(config)) for record in records]
 
-    from_pickles = _pickle_write_read(str(tmp_path / "cache"), results)
     from_store = _store_write_read(str(tmp_path / "store"), records, config)
 
-    assert set(from_pickles) == set(from_store)
-    for (record, reference) in results:
-        assert _fingerprint(from_pickles[record.key]) == _fingerprint(reference)
-        assert _fingerprint(from_store[record.key]) == _fingerprint(reference)
+    assert set(from_store) == {record.key for record in records}
+    for record in records:
+        assert _fingerprint(from_store[record.key]) == _fingerprint(
+            record.to_result(config)
+        )

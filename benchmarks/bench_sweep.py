@@ -1,4 +1,4 @@
-"""Campaign benchmarks: the sweep executor, parallel fan-out, warm cache.
+"""Campaign benchmarks: the sweep executor, parallel fan-out, warm store.
 
 The campaign layer is what turns one fast run into a fast *figure*: six
 strategy curves x several axis points x (optionally) several seeds.
@@ -7,8 +7,8 @@ These benchmarks time one scaled-down Fig-7-style campaign three ways —
 * **serial** — the historical loop (``CampaignExecutor(jobs=1)``);
 * **jobs=2** — fanned out over a two-worker process pool (the speedup is
   hardware-bound: on a single-CPU box it can only break even);
-* **cache-warm** — rerun against a populated content-addressed cache,
-  which must do *zero* simulation work.
+* **cache-warm** — rerun against a populated content-addressed result
+  store, which must do *zero* simulation work.
 
 ``run_bench.py --suite sweep`` measures the same three shapes without
 pytest, records them in ``BENCH_sweep.json`` and applies the standard
@@ -23,8 +23,9 @@ import time
 from typing import Callable, Dict, List, Tuple
 
 from repro.experiments.config import SimulationConfig
-from repro.experiments.executor import CampaignExecutor, ResultCache
+from repro.experiments.executor import CampaignExecutor
 from repro.experiments.figures.base import run_axis_sweep
+from repro.experiments.store import ResultStore
 
 from benchmarks.conftest import bench_config
 
@@ -57,15 +58,15 @@ def sweep_benchmarks(cache_root: str) -> List[Tuple[str, Callable[[], None]]]:
 
     ``cache_root`` hosts the cache-warm benchmark's store; the measuring
     harness's warm-up call populates it, so the timed iterations are pure
-    cache reads.
+    store reads.
     """
-    warm_cache = ResultCache(os.path.join(cache_root, "sweep-cache"))
+    warm_store = ResultStore(os.path.join(cache_root, "sweep-store"))
     return [
         ("sweep_serial_6runs", lambda: run_campaign(CampaignExecutor())),
         ("sweep_jobs2_6runs", lambda: run_campaign(CampaignExecutor(jobs=2))),
         (
             "sweep_cache_warm_6runs",
-            lambda: run_campaign(CampaignExecutor(cache=warm_cache)),
+            lambda: run_campaign(CampaignExecutor(store=warm_store)),
         ),
     ]
 
@@ -90,15 +91,15 @@ def test_parallel_campaign_bit_identical(benchmark):
 
 
 def test_cache_warm_campaign_does_no_work(benchmark, tmp_path):
-    """A warm cache rerun simulates nothing and is far faster than serial."""
-    cache = ResultCache(tmp_path / "cache")
-    cold_executor = CampaignExecutor(cache=cache)
+    """A warm store rerun simulates nothing and is far faster than serial."""
+    store = ResultStore(tmp_path / "store")
+    cold_executor = CampaignExecutor(store=store)
     started = time.perf_counter()
     cold = run_campaign(cold_executor)
     cold_seconds = time.perf_counter() - started
     assert cold_executor.runs_executed == len(SWEEP_VALUES) * len(SWEEP_SPECS)
 
-    warm_executor = CampaignExecutor(cache=cache)
+    warm_executor = CampaignExecutor(store=store)
     started = time.perf_counter()
     warm = benchmark.pedantic(
         lambda: run_campaign(warm_executor), rounds=1, iterations=1

@@ -4,25 +4,24 @@ Runs go through the campaign executor: ``REPRO_JOBS=N`` fans them out
 over N worker processes (bit-identical results), and the append-only
 columnar store under ``results/.store`` makes an interrupted collection
 resumable — already-finished points are read back instead of re-run.
-The old pickle cache under ``results/.cache`` is kept attached as a
-read-only compatibility path, so pre-store collections retain value.
 """
 import json, time
+from pathlib import Path
 from repro.experiments import (
-    CampaignExecutor, ResultCache, ResultStore, SimulationConfig, env_jobs,
+    CampaignExecutor, ResultStore, SimulationConfig, env_jobs,
 )
 from repro.experiments.figures.base import run_axis_sweep
 from repro.experiments.figures.fig7 import UPDATE_INTERVALS, QUERY_INTERVALS, CACHE_NUMBERS
 from repro.experiments.figures.fig9 import run_fig9
 from repro.experiments.runner import STRATEGY_SPECS
 
+RESULTS = Path(__file__).resolve().parent
+
 t0 = time.time()
 config = SimulationConfig(sim_time=1800.0, warmup=600.0, seed=1)
 out = {"config": {"sim_time": 1800.0, "warmup": 600.0}}
 executor = CampaignExecutor(
-    jobs=env_jobs("REPRO_JOBS"),
-    cache=ResultCache("/root/repo/results/.cache"),
-    store=ResultStore("/root/repo/results/.store"),
+    jobs=env_jobs("REPRO_JOBS"), store=ResultStore(RESULTS / ".store")
 )
 
 def pack(result):
@@ -56,6 +55,6 @@ for seed in (1, 2, 3):
     print(f"fig9 seed {seed} done at {time.time()-t0:.0f}s", flush=True)
 out["fig9"] = fig9_runs
 
-with open("/root/repo/results/experiments.json", "w") as fh:
+with open(RESULTS / "experiments.json", "w") as fh:
     json.dump(out, fh, indent=1)
 print(f"ALL DONE in {time.time()-t0:.0f}s", flush=True)

@@ -6,25 +6,21 @@ Usage::
     python -m repro table1
     python -m repro --sim-time 600 --jobs 4 fig7a --plot --csv fig7a.csv
     python -m repro --sim-time 600 fig9 --ttls 1 3 7
-    python -m repro --sim-time 600 --no-cache compare
-    python -m repro matrix examples/matrix/smoke.toml --workers 2 --store
+    python -m repro --sim-time 600 --no-store compare
+    python -m repro matrix examples/matrix/smoke.toml --jobs 2 --store runs
     python -m repro list
 
 Every command accepts ``--sim-time``/``--warmup``/``--seed`` so the
 paper-scale five-hour runs and quick smoke runs use the same entry point.
 ``--jobs N`` fans independent runs out over N worker processes with
-bit-identical results; finished runs land in a content-addressed cache
-(``results/.cache/`` unless ``--cache-dir`` moves it), so ``fig8a`` after
-``fig7a`` re-reads the shared sweep instead of re-simulating it.  Disable
-with ``--no-cache``; purge by deleting the cache directory.
-
-``--store [DIR]`` switches campaign persistence to the append-only
-columnar result store (one batch commit per ~256 runs instead of one
-pickle per run); add ``--resume`` to serve already-completed points from
-the store, and ``--workers N`` to shard the remaining points across N
-worker processes by stable content-address hash.  A killed campaign
-rerun with the same ``--store --resume`` flags picks up where it
-stopped.  See EXPERIMENTS.md ("Campaign execution") for the full model.
+bit-identical results; finished runs land in a content-addressed,
+append-only result store (``results/.store/`` unless ``--store DIR``
+moves it), so ``fig8a`` after ``fig7a`` re-reads the shared sweep instead
+of re-simulating it.  The store is committed about once a second while a
+campaign runs: kill it (``kill -9`` included), rerun the same command,
+and only the points that had not been committed simulate again.  Disable
+with ``--no-store``; purge by deleting the store directory.  See
+EXPERIMENTS.md ("Campaign execution") for the full model.
 """
 
 from __future__ import annotations
@@ -33,15 +29,9 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.errors import ConfigurationError
 from repro.experiments.config import SimulationConfig
-from repro.experiments.executor import (
-    DEFAULT_CACHE_DIR,
-    CampaignExecutor,
-    ResultCache,
-)
+from repro.experiments.executor import CampaignExecutor
 from repro.experiments.store import DEFAULT_STORE_DIR, ResultStore
-from repro.experiments.transport import ShardedTransport
 from repro.experiments.figures import (
     CACHE_NUMBERS,
     QUERY_INTERVALS,
@@ -89,27 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for independent runs "
                         "(1 = serial; results are bit-identical either way)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the on-disk result cache")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="where cached results live "
-                        f"(default {DEFAULT_CACHE_DIR}; delete to purge)")
-    parser.add_argument("--store", nargs="?", const=DEFAULT_STORE_DIR,
-                        metavar="DIR", default=None,
-                        help="persist campaign results in an append-only "
-                        "columnar store at DIR instead of per-run pickles "
-                        f"(default DIR {DEFAULT_STORE_DIR}; see "
-                        "EXPERIMENTS.md); the pickle cache stays a "
-                        "read-only compatibility path")
-    parser.add_argument("--resume", action="store_true",
-                        help="with --store: serve already-completed points "
-                        "from the store and simulate only the remainder")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="shard campaign points across N worker "
-                        "processes by stable content-address hash "
-                        "(static sharding; combine with --store --resume "
-                        "for resumable campaigns — mutually exclusive "
-                        "with --jobs)")
+    parser.add_argument("--store", metavar="DIR", default=DEFAULT_STORE_DIR,
+                        help="where finished runs are stored and served "
+                        f"from (default {DEFAULT_STORE_DIR}; delete to "
+                        "purge; see EXPERIMENTS.md)")
+    parser.add_argument("--no-store", action="store_true",
+                        help="run without the on-disk result store")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="run one simulation")
@@ -118,10 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=PLACEMENT_SCENARIOS)
     run_parser.add_argument("--trace", metavar="PATH",
                             help="also record a JSONL event trace to PATH "
-                            "(bypasses the result cache)")
+                            "(bypasses the result store)")
     run_parser.add_argument("--profile", metavar="OUT.pstats",
                             help="run under cProfile and write pstats data "
-                            "to this path (bypasses the result cache)")
+                            "to this path (bypasses the result store)")
     run_parser.add_argument("--profile-sort", default="cumulative",
                             choices=("cumulative", "tottime"),
                             help="ordering of the stderr hot-spot listing "
@@ -154,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         faulty.add_argument("--faults", metavar="PLAN.json",
                             help="deterministic fault plan to inject "
                             "(see docs/ROBUSTNESS.md; bypasses nothing — "
-                            "the plan is part of the result-cache key)")
+                            "the plan is part of the run key)")
         faulty.add_argument("--controller", metavar="NAME", default=None,
                             help="online control policy adapting protocol "
                             "parameters at run time (see 'repro list'; "
@@ -196,25 +171,19 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_parser.add_argument("--csv", metavar="PATH",
                                help="also write the aggregate table to a CSV "
                                "file (repr floats; byte-stable across "
-                               "serial/sharded/resumed runs)")
+                               "serial/parallel/resumed runs)")
     # Campaign-execution flags are global options, but a matrix run is
     # where they matter most — accept them after the subcommand too.
     # SUPPRESS keeps a subparser default from clobbering a value the
     # global parser already set.
     matrix_parser.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                               help=argparse.SUPPRESS)
-    matrix_parser.add_argument("--workers", type=int,
+                               help="as the global --jobs")
+    matrix_parser.add_argument("--store", metavar="DIR",
                                default=argparse.SUPPRESS,
-                               help=argparse.SUPPRESS)
-    matrix_parser.add_argument("--store", nargs="?", const=DEFAULT_STORE_DIR,
-                               metavar="DIR", default=argparse.SUPPRESS,
-                               help=argparse.SUPPRESS)
-    matrix_parser.add_argument("--resume", action="store_true",
+                               help="as the global --store")
+    matrix_parser.add_argument("--no-store", action="store_true",
                                default=argparse.SUPPRESS,
-                               help=argparse.SUPPRESS)
-    matrix_parser.add_argument("--no-cache", action="store_true",
-                               default=argparse.SUPPRESS,
-                               help=argparse.SUPPRESS)
+                               help="as the global --no-store")
     matrix_parser.add_argument("--controller", metavar="NAME", default=None,
                                help="online control policy applied to every "
                                "matrix point (base-config override; see "
@@ -225,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="run every point traced and serial, "
                                "replay the consistency invariant checker "
                                "over each event stream, and exit nonzero "
-                               "on any violation (bypasses the cache)")
+                               "on any violation (bypasses the store)")
 
     sub.add_parser(
         "list",
@@ -252,37 +221,14 @@ def _config(args: argparse.Namespace) -> SimulationConfig:
 
 
 def _executor(args: argparse.Namespace) -> CampaignExecutor:
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    store = ResultStore(args.store) if args.store else None
-    if args.resume and store is None:
-        raise ConfigurationError("--resume needs --store")
-    transport = None
-    if args.workers > 1:
-        if args.jobs > 1:
-            raise ConfigurationError(
-                "--workers (static sharding) and --jobs (dynamic pool) "
-                "are mutually exclusive; pick one"
-            )
-        transport = ShardedTransport(args.workers)
-    return CampaignExecutor(
-        jobs=args.jobs,
-        cache=cache,
-        store=store,
-        resume=args.resume,
-        transport=transport,
-    )
+    store = None if args.no_store else ResultStore(args.store)
+    return CampaignExecutor(jobs=args.jobs, store=store)
 
 
-def _report_cache(executor: CampaignExecutor) -> None:
-    cache = executor.cache
+def _report_store(executor: CampaignExecutor) -> None:
     store = executor.store
-    if cache is not None and (cache.hits or cache.misses):
-        footer = (f"cache: {cache.hits} hits, {cache.misses} misses "
-                  f"({cache.root}); {executor.runs_executed} runs simulated")
-        if cache.corrupt:
-            footer += f"; {cache.corrupt} corrupt entries quarantined"
-        print(footer)
-    if store is not None:
+    # Silent when the executor was bypassed (--trace, --profile, ...).
+    if store is not None and (executor.store_hits or executor.runs_executed):
         stats = store.stats
         print(f"store: {executor.store_hits} served, "
               f"{stats['records_appended']} appended in "
@@ -298,7 +244,7 @@ def _command_run(args: argparse.Namespace, executor: CampaignExecutor) -> None:
         )
         print(f"profile: pstats data -> {args.profile}")
     elif getattr(args, "trace", None):
-        # A traced run is never cache-served: the cache stores metrics,
+        # A traced run is never store-served: the store holds metrics,
         # not event streams, and a hit would leave the trace file empty.
         result, events_written = _run_traced(
             _config(args), args.spec, args.scenario, args.trace
@@ -394,7 +340,7 @@ def _run_profiled(
     """Run one simulation under cProfile; dump pstats data to ``out_path``.
 
     Only the simulation loop is profiled (not argument parsing or module
-    import), and the run always executes — serving a cached result would
+    import), and the run always executes — serving a stored result would
     profile nothing.  The 15 largest functions by ``sort`` order go to
     stderr so the hot spots are visible without opening the pstats file
     (and without polluting the stdout summary).
@@ -557,8 +503,8 @@ def _command_matrix(args: argparse.Namespace, executor: CampaignExecutor) -> int
           f"{len(points)} unique points")
     violations = 0
     if getattr(args, "check_invariants", False):
-        # Checker gating needs the event stream, which the cache does not
-        # store: every point runs traced, serial and uncached.
+        # Checker gating needs the event stream, which the store does not
+        # hold: every point runs traced, serial and unstored.
         from repro.obs import InvariantChecker, ListSink, TraceBus
 
         from repro.experiments.runner import build_simulation
@@ -645,7 +591,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         _command_all(args, executor)
     else:
         _command_figure(args, executor)
-    _report_cache(executor)
+    _report_store(executor)
     return code
 
 

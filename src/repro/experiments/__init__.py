@@ -5,16 +5,10 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.executor import (
     CampaignExecutor,
     CampaignRunError,
-    ResultCache,
     env_jobs,
     run_key,
 )
-from repro.experiments.store import ResultStore, RunRecord, shard_of
-from repro.experiments.transport import (
-    PoolTransport,
-    SerialTransport,
-    ShardedTransport,
-)
+from repro.experiments.store import ResultStore, RunRecord
 from repro.experiments.runner import (
     STRATEGY_SPECS,
     Simulation,
@@ -44,13 +38,8 @@ __all__ = [
     "rpcc_traffic_split",
     "CampaignExecutor",
     "CampaignRunError",
-    "ResultCache",
     "ResultStore",
     "RunRecord",
-    "PoolTransport",
-    "SerialTransport",
-    "ShardedTransport",
     "env_jobs",
     "run_key",
-    "shard_of",
 ]

@@ -1,33 +1,21 @@
-"""Campaign execution: work-queue fan-out over a durable result store.
+"""Campaign execution: one path from a task list to its results.
 
 A figure-scale campaign (six strategy curves x several axis points x
 multi-seed replication) is embarrassingly parallel: every run is
 independently seeded via ``RandomStreams(config.seed)``, so runs share no
 state and can execute in any order — or concurrently — with bit-identical
-results.  The campaign layer splits into three interfaces:
+results.  :class:`CampaignExecutor` takes every campaign down the same
+path: content-address each task (:func:`run_key`), serve what the
+:class:`~repro.experiments.store.ResultStore` already holds, run the
+rest — inline, or on one streaming process pool — and commit the
+completions to the store as they arrive.
 
-* **executor** (this module) — :class:`CampaignExecutor` owns the
-  bookkeeping: content-address every task (:func:`run_key`), skip points
-  the store or cache already holds, hand the remainder to a transport,
-  and commit finished points as they stream back.
-
-* **transport** (`repro.experiments.transport`) — how pending points
-  reach workers: inline, dynamic process pool, or static stable-hash
-  shards (``--workers``).
-
-* **store** (`repro.experiments.store`) — the durable layer: an
-  append-only columnar :class:`~repro.experiments.store.ResultStore`
-  whose record batches replace per-run pickles.  Campaigns against a
-  store are *resumable and idempotent*: a restarted campaign scans the
-  store index, serves completed points from it, and re-runs only the
-  remainder.
-
-:class:`ResultCache` — one pickle per run under ``results/.cache/`` —
-remains as the compatibility read path (and the default write path when
-no store is configured), so existing cache directories keep their value.
-Purge with :meth:`ResultCache.purge` (or ``rm -r results/.cache``)
-whenever a code change alters simulation semantics without bumping
-:data:`CACHE_FORMAT_VERSION`.
+Campaigns against a store are therefore *resumable and idempotent*: the
+executor commits about every :data:`COMMIT_INTERVAL_S` while points
+complete, so a campaign killed at any moment (``kill -9`` included) has
+lost only the completions since its last commit, and the rerun serves
+the rest from the store.  To force a re-run, run without a store or
+delete its directory.
 """
 
 from __future__ import annotations
@@ -35,41 +23,39 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
+import time
+import traceback
 from dataclasses import asdict
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.config import SimulationConfig
-from repro.experiments.runner import SimulationResult
-from repro.experiments.store import ResultStore
-from repro.experiments.transport import (
-    PoolTransport,
-    SerialTransport,
-    Transport,
-)
+from repro.experiments.runner import SimulationResult, run_simulation
+from repro.experiments.store import STORE_FORMAT_VERSION, ResultStore
 
 __all__ = [
-    "CACHE_FORMAT_VERSION",
-    "DEFAULT_CACHE_DIR",
     "CampaignExecutor",
     "CampaignRunError",
-    "ResultCache",
     "env_jobs",
     "run_key",
 ]
 
-#: Bump whenever a change alters what a cached result means (new metrics,
-#: changed simulation semantics, different pickle layout): old entries
-#: then miss instead of resurfacing stale numbers.
-CACHE_FORMAT_VERSION = 6  # v6: controller/controller_interval config fields join the key
-
-#: Where the CLI keeps its cache unless told otherwise.
-DEFAULT_CACHE_DIR = os.path.join("results", ".cache")
+#: Seconds between store commits: the store is committed when a
+#: completion arrives this long after the last commit, and when the
+#: campaign ends.  A run slower than this is on disk the moment it
+#: reaches the parent; a burst of fast ones costs one commit per interval.
+COMMIT_INTERVAL_S = 1.0
 
 #: One unit of campaign work.
 RunTask = Tuple[SimulationConfig, str, str]
+
+#: One pending unit: ``(key, task)``.
+PendingTask = Tuple[str, RunTask]
+
+#: One finished unit: ``(key, task, status, payload)`` — ``status`` is
+#: ``"ok"`` (payload = the result) or ``"error"`` (payload = the worker's
+#: formatted traceback).
+Completion = Tuple[str, RunTask, str, object]
 
 
 def env_jobs(name: str, default: int = 1) -> int:
@@ -101,7 +87,7 @@ def run_key(config: SimulationConfig, spec: str, scenario: str = "standard") -> 
     key, while re-constructing an equal config hits the same entry.
     """
     payload = {
-        "version": CACHE_FORMAT_VERSION,
+        "version": STORE_FORMAT_VERSION,
         "config": asdict(config),
         "spec": spec.strip().lower(),
         "scenario": scenario,
@@ -110,85 +96,51 @@ def run_key(config: SimulationConfig, spec: str, scenario: str = "standard") -> 
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-class ResultCache:
-    """Content-addressed on-disk store of pickled :class:`SimulationResult`s.
+def execute_one(task: RunTask) -> Tuple[str, object]:
+    """Run one simulation; never let a worker exception escape raw.
 
-    One file per run under ``root`` (``<key>.pkl``); writes are atomic
-    (temp file + rename) so a crashed run never leaves a half-written
-    entry.  Unreadable entries are treated as misses and *quarantined* —
-    renamed to ``<key>.pkl.corrupt`` instead of silently deleted — and
-    counted in :attr:`cache_stats`, so cache rot is visible (the CLI
-    footer reports it) and the evidence survives for inspection.
+    Returns ``("ok", result)`` or ``("error", formatted_traceback)``:
+    re-raising the original exception across a process boundary would
+    require it to pickle, which arbitrary exceptions need not.
     """
+    config, spec, scenario = task
+    try:
+        return "ok", run_simulation(config, spec, scenario)
+    except Exception:
+        return "error", traceback.format_exc()
 
-    def __init__(self, root: os.PathLike = DEFAULT_CACHE_DIR) -> None:
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
 
-    @property
-    def cache_stats(self) -> Dict[str, int]:
-        """Hit/miss/quarantine counters of this cache handle."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "corrupt_quarantined": self.corrupt,
+def _run_serial(pending: Sequence[PendingTask]) -> Iterator[Completion]:
+    """Inline execution, in task order."""
+    for key, task in pending:
+        status, payload = execute_one(task)
+        yield key, task, status, payload
+
+
+def _run_pool(pending: Sequence[PendingTask], jobs: int) -> Iterator[Completion]:
+    """Process-pool fan-out with streaming (``as_completed``) results."""
+    # Imported where the pool is created: a serial run never needs them.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
+        futures = {
+            pool.submit(execute_one, task): (key, task)
+            for key, task in pending
         }
-
-    def path_for(self, key: str) -> Path:
-        """Where the entry for ``key`` lives (whether or not it exists)."""
-        return self.root / f"{key}.pkl"
-
-    def quarantine_path_for(self, key: str) -> Path:
-        """Where a corrupt entry for ``key`` is moved on detection."""
-        path = self.path_for(key)
-        return path.with_name(path.name + ".corrupt")
-
-    def get(self, key: str) -> Optional[SimulationResult]:
-        """Return the cached result for ``key``, or ``None`` on a miss."""
-        path = self.path_for(key)
         try:
-            blob = path.read_bytes()
-            result = pickle.loads(blob)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except Exception:
-            # Truncated or stale-format entry: quarantine it (keep the
-            # evidence), count it, and recompute.
-            try:
-                os.replace(path, self.quarantine_path_for(key))
-            except OSError:
-                path.unlink(missing_ok=True)
-            self.corrupt += 1
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
-
-    def put(self, key: str, result: SimulationResult) -> None:
-        """Store ``result`` under ``key`` (atomic, last writer wins)."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key)
-        tmp = path.with_suffix(f".tmp{os.getpid()}")
-        tmp.write_bytes(pickle.dumps(result))
-        os.replace(tmp, path)
-
-    def purge(self) -> int:
-        """Delete every cache entry (quarantined ones included)."""
-        removed = 0
-        if self.root.is_dir():
-            for pattern in ("*.pkl", "*.pkl.corrupt"):
-                for entry in self.root.glob(pattern):
-                    entry.unlink(missing_ok=True)
-                    removed += 1
-        return removed
-
-    def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*.pkl"))
+            for future in as_completed(futures):
+                key, task = futures[future]
+                status, payload = future.result()
+                yield key, task, status, payload
+        except BrokenProcessPool as exc:
+            # A worker died without reporting (OOM kill, segfault):
+            # surface it against one of the in-flight tasks.
+            key, task = next(iter(futures.values()))
+            yield key, task, "error", f"worker process died abruptly: {exc}"
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 class CampaignRunError(SimulationError):
@@ -220,51 +172,26 @@ class CampaignRunError(SimulationError):
 
 
 class CampaignExecutor:
-    """Run batches of independent simulation tasks, cached and in parallel.
+    """Run batches of independent simulation tasks, stored and in parallel.
 
     Parameters
     ----------
     jobs:
-        Worker processes for the default dynamic-pool transport; ``1``
-        (default) runs inline, preserving the historical serial loop.
-    cache:
-        Optional :class:`ResultCache`.  Without a ``store`` it is the
-        read *and* write path (historical behaviour); with one it stays
-        read-only — a compatibility path for existing pickle caches.
+        Worker processes; ``1`` (default) runs inline, more fan the
+        pending points out over one process pool.
     store:
-        Optional :class:`~repro.experiments.store.ResultStore`.  When
-        given, finished runs are committed to the store in columnar
-        batches (the pickle-per-run write path is off) and — with
-        ``resume=True`` — already-stored points are served from it.
-    resume:
-        Whether the store's existing contents satisfy tasks (default
-        ``True``).  ``False`` re-runs and re-appends every point (the
-        merged view then serves the new rows, last writer wins).
-    transport:
-        Optional explicit :class:`~repro.experiments.transport.Transport`
-        (e.g. a stable-hash ``ShardedTransport``); overrides ``jobs``.
-    store_batch:
-        Records buffered per columnar batch commit.
+        Optional :class:`~repro.experiments.store.ResultStore`.  Points
+        it already holds are served from it without simulating; finished
+        runs are committed to it as they arrive.  Without one, nothing
+        persists and every point runs.
     """
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        cache: Optional[ResultCache] = None,
-        store: Optional[ResultStore] = None,
-        resume: bool = True,
-        transport: Optional[Transport] = None,
-        store_batch: int = 256,
-    ) -> None:
+    def __init__(self, jobs: int = 1, store: Optional[ResultStore] = None) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs!r}")
         self.jobs = jobs
-        self.cache = cache
         self.store = store
-        self.resume = resume
-        self.transport = transport
-        self.store_batch = store_batch
-        #: Simulations actually executed (store/cache hits excluded).
+        #: Simulations actually executed (store hits excluded).
         self.runs_executed = 0
         #: Tasks served from the store without simulating.
         self.store_hits = 0
@@ -283,10 +210,10 @@ class CampaignExecutor:
         """Run every task, returning results in task order.
 
         Identical tasks (same content address) are executed once and
-        share their result; store- and cache-resident tasks are served
-        without simulating.  Parallel and sharded execution are
-        bit-identical to serial because every run is a pure function of
-        its ``(config, spec, scenario)`` triple.
+        share their result; store-resident tasks are served without
+        simulating.  Parallel execution is bit-identical to serial
+        because every run is a pure function of its ``(config, spec,
+        scenario)`` triple.
         """
         keys = [run_key(config, spec, scenario) for config, spec, scenario in tasks]
         unique: Dict[str, RunTask] = {}
@@ -294,53 +221,40 @@ class CampaignExecutor:
             unique.setdefault(key, task)
 
         resolved: Dict[str, SimulationResult] = {}
-        if self.store is not None and self.resume:
+        if self.store is not None:
             found = self.store.get_many(list(unique))
             for key, record in found.items():
                 resolved[key] = record.to_result(unique[key][0])
             self.store_hits += len(found)
-        if self.cache is not None:
-            for key in unique:
-                if key in resolved:
-                    continue
-                hit = self.cache.get(key)
-                if hit is not None:
-                    resolved[key] = hit
         pending = [(key, task) for key, task in unique.items() if key not in resolved]
 
         resolved.update(self._execute(pending))
         return [resolved[key] for key in keys]
 
     # ------------------------------------------------------------------
-    def _pick_transport(self, pending_count: int) -> Transport:
-        if self.transport is not None:
-            return self.transport
-        if self.jobs == 1 or pending_count <= 1:
-            return SerialTransport()
-        return PoolTransport(self.jobs)
-
     def _execute(
-        self, pending: Sequence[Tuple[str, RunTask]]
+        self, pending: Sequence[PendingTask]
     ) -> Dict[str, SimulationResult]:
-        """Stream pending tasks through the transport, committing as we go.
+        """Stream pending tasks through the workers, committing as we go.
 
-        Completed points are committed (columnar batch append or pickle
-        put) *before* a later failure can raise, so an interrupted
-        campaign keeps everything that finished.
+        Completed points are committed *before* a later failure can
+        raise, so an interrupted campaign keeps everything that finished.
         """
         fresh: Dict[str, SimulationResult] = {}
         if not pending:
             return fresh
-        transport = self._pick_transport(len(pending))
+        if self.jobs == 1 or len(pending) == 1:
+            completions = _run_serial(pending)
+        else:
+            completions = _run_pool(pending, self.jobs)
         writer = (
-            self.store.writer(
-                writer_id=f"w{os.getpid()}", batch_size=self.store_batch
-            )
+            self.store.writer(writer_id=f"w{os.getpid()}")
             if self.store is not None
             else None
         )
+        committed_at = time.monotonic()
         try:
-            for key, task, status, payload in transport.execute(pending):
+            for key, task, status, payload in completions:
                 if status == "error":
                     config, spec, scenario = task
                     raise CampaignRunError(spec, scenario, config, str(payload))
@@ -349,8 +263,10 @@ class CampaignExecutor:
                 self.runs_executed += 1
                 if writer is not None:
                     writer.add_result(key, result)
-                elif self.cache is not None:
-                    self.cache.put(key, result)
+                    now = time.monotonic()
+                    if now - committed_at >= COMMIT_INTERVAL_S:
+                        writer.flush()
+                        committed_at = now
         finally:
             if writer is not None:
                 writer.close()

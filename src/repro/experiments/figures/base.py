@@ -111,8 +111,8 @@ def run_axis_sweep(
 ) -> Dict[Tuple[str, float], SimulationResult]:
     """Run every (strategy, axis value) combination.
 
-    Runs go through ``executor`` (default: a fresh serial, uncached
-    :class:`CampaignExecutor`), so a parallel or cache-backed executor
+    Runs go through ``executor`` (default: a fresh serial, store-less
+    :class:`CampaignExecutor`), so a parallel or store-backed executor
     accelerates every figure without the figures knowing.  Duplicate axis
     values are collapsed — the same ``(spec, value)`` point is simulated
     once no matter how often the caller repeats it.

@@ -34,7 +34,7 @@ def run_fig9(
     Returns a dict with ``"rpcc"`` (ttl -> result), and optionally
     ``"push"``/``"pull"`` reference results.  The whole campaign (TTL
     sweep plus references) goes through ``executor`` in one batch, so a
-    parallel or cached executor covers every point.
+    parallel or store-backed executor covers every point.
     """
     base = config if config is not None else SimulationConfig()
     if executor is None:

@@ -154,9 +154,6 @@ class SimulationResult:
     #: Degradation metrics (availability, stale-serve rate in partition,
     #: time-to-reconverge); empty for fault-free runs without a meter.
     fault_stats: Dict[str, float] = field(default_factory=dict)
-    #: Persisted-format field (the store's ``core`` column), kept until the
-    #: store's format version next changes: every run records ``"vectorized"``.
-    core: str = "scalar"
     #: Applied online-control decisions in order (empty without a
     #: controller): ``{"time", "policy", "reason", "applied", "modes"}``.
     control_decisions: List[Dict[str, object]] = field(default_factory=list)
@@ -270,7 +267,6 @@ class Simulation:
             events_processed=self.sim.events_processed,
             topology_stats=self.network.topology.stats(),
             fault_stats=dict(summary.fault_stats),
-            core="vectorized",
             control_decisions=(
                 list(self.controller.decisions)
                 if self.controller is not None

@@ -86,7 +86,7 @@ def run_replicated(
 
     Seed replicas are independent runs, so a parallel ``executor``
     (``CampaignExecutor(jobs=N)``) fans them out across workers with
-    bit-identical results; the default stays serial and uncached.
+    bit-identical results; the default stays serial and store-less.
     """
     if not seeds:
         raise ConfigurationError("run_replicated needs at least one seed")

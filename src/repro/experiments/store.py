@@ -1,18 +1,15 @@
-"""Append-only sharded columnar result store for campaign persistence.
+"""Append-only columnar result store: the campaign persistence layer.
 
-The per-run pickle cache (:class:`repro.experiments.executor.ResultCache`)
-costs one ``pickle.dumps`` plus one file creation *per point*, which makes
-large campaigns I/O-bound and ties a campaign to the machine that wrote
-it.  This module replaces that persistence layer with a columnar store
-built from three stdlib-only pieces:
+Everything a campaign keeps between invocations lives here, in a
+columnar store built from three stdlib-only pieces:
 
 * **Record batches** — finished runs are reduced to a fixed-schema
   :class:`RunRecord` (every scalar of the metrics summary plus the
   topology/fault stat dictionaries and the relay/traffic series) and
   encoded column-major: all int64s of a batch packed together with
   :mod:`struct`, all float64s together, all strings/JSON values together
-  with length prefixes.  One batch of 256 records costs two filesystem
-  writes instead of 256.
+  with length prefixes.  One batch of 256 records costs three
+  filesystem writes, however many records it holds.
 
 * **Append-only segment files** — each writer appends batches to its own
   exclusive segment (``seg-<generation>-<writer>.seg``), so concurrent
@@ -21,16 +18,19 @@ built from three stdlib-only pieces:
 * **Index sidecars with atomic commits** — a batch becomes visible only
   when the segment's sidecar (``.idx``) is atomically replaced to
   reference it.  A crash mid-append leaves unreferenced bytes at the end
-  of a segment; readers never see them.  Readers merge every sidecar on
+  of a segment; readers never see them.  Each sidecar entry carries the
+  batch's CRC-32 and its keys, and a read verifies both, so a damaged
+  file raises :class:`StoreFormatError` instead of serving different
+  numbers; a sidecar that does not parse (a torn write) is skipped, its
+  batches invisible.  Readers merge every sidecar on
   read and dedup by content-address key, last writer wins (ordered by
   segment generation, then batch, then row).  Since keys are content
   addresses — equal key implies equal ``(config, spec, scenario)`` and
   therefore, runs being pure functions of that triple, an equal result —
   last-writer-wins only ever picks between identical payloads.
 
-A restarted campaign scans :meth:`ResultStore.keys`, skips completed
-points and re-runs only the remainder; `repro.experiments.transport`
-shards the remainder across workers by :func:`shard_of`.
+A restarted campaign is served what the store holds and re-runs only
+the remainder (`repro.experiments.executor`).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import zlib
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -55,17 +56,20 @@ __all__ = [
     "ResultStore",
     "SegmentWriter",
     "StoreFormatError",
-    "shard_of",
 ]
 
-#: Bump on any incompatible change to the batch encoding or the schema.
-STORE_FORMAT_VERSION = 1
+#: Bump whenever a change alters what a stored result means or how it is
+#: encoded (new metrics, changed simulation semantics, a schema or batch
+#: layout change).  It stamps segments, batches and sidecars, and salts
+#: :func:`repro.experiments.executor.run_key`, so an old directory is
+#: refused loudly instead of resurfacing stale numbers.
+STORE_FORMAT_VERSION = 2  # v2: batch CRCs; control_decisions column, no core
 
-#: Where the CLI keeps its store when ``--store`` is given without a path.
+#: Where the CLI keeps its store unless ``--store`` moves it.
 DEFAULT_STORE_DIR = os.path.join("results", ".store")
 
 #: First bytes of every segment file.
-_MAGIC = b"RPCCSTORE1\n"
+_MAGIC = b"RPCCSTORE%d\n" % STORE_FORMAT_VERSION
 
 #: Column kinds: fixed-width scalars are struct-packed, ``str``/``json``
 #: values are UTF-8 with little-endian uint32 length prefixes.
@@ -75,7 +79,8 @@ _KINDS = ("i8", "f8", "str", "json")
 #: (:func:`repro.experiments.executor.run_key`); the scalar block mirrors
 #: :class:`repro.metrics.collector.MetricsSummary` plus the run-level
 #: scalars of :class:`repro.experiments.runner.SimulationResult`; the JSON
-#: block carries the open-keyed stat dictionaries and the two series.
+#: block carries the open-keyed stat dictionaries, the two series and the
+#: controller's decision list.
 RECORD_SCHEMA: Tuple[Tuple[str, str], ...] = (
     ("key", "str"),
     ("spec", "str"),
@@ -101,13 +106,13 @@ RECORD_SCHEMA: Tuple[Tuple[str, str], ...] = (
     ("mean_battery_fraction", "f8"),
     ("wall_clock_seconds", "f8"),
     ("events_processed", "i8"),
-    ("core", "str"),
     ("transmissions_by_type", "json"),
     ("counters", "json"),
     ("fault_stats", "json"),
     ("topology_stats", "json"),
     ("relay_samples", "json"),
     ("traffic_series", "json"),
+    ("control_decisions", "json"),
 )
 
 _STRUCT_CODE = {"i8": "q", "f8": "d"}
@@ -116,19 +121,6 @@ _U32 = struct.Struct("<I")
 
 class StoreFormatError(SimulationError):
     """A segment or sidecar could not be decoded as this store format."""
-
-
-def shard_of(key: str, shards: int) -> int:
-    """Stable shard assignment of a content-address key.
-
-    Uses the leading 64 bits of the (hex) key, so the same point always
-    lands on the same shard regardless of process, host or Python hash
-    randomisation — the property that makes restarted sharded campaigns
-    re-partition identically.
-    """
-    if shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards!r}")
-    return int(key[:16], 16) % shards
 
 
 @dataclass(frozen=True)
@@ -159,13 +151,13 @@ class RunRecord:
     mean_battery_fraction: float
     wall_clock_seconds: float
     events_processed: int
-    core: str
     transmissions_by_type: Dict[str, int]
     counters: Dict[str, int]
     fault_stats: Dict[str, float]
     topology_stats: Dict[str, int]
     relay_samples: List[List[float]]
     traffic_series: Optional[Dict[str, object]]
+    control_decisions: List[Dict[str, object]]
 
     @classmethod
     def from_result(cls, key: str, result) -> "RunRecord":
@@ -204,13 +196,13 @@ class RunRecord:
             mean_battery_fraction=result.mean_battery_fraction,
             wall_clock_seconds=result.wall_clock_seconds,
             events_processed=result.events_processed,
-            core=result.core,
             transmissions_by_type=dict(summary.transmissions_by_type),
             counters=dict(summary.counters),
             fault_stats=dict(summary.fault_stats),
             topology_stats=dict(result.topology_stats),
             relay_samples=[[t, c] for t, c in result.relay_samples],
             traffic_series=series_payload,
+            control_decisions=list(result.control_decisions),
         )
 
     def to_result(self, config):
@@ -276,9 +268,7 @@ class RunRecord:
             self.events_processed,
             dict(self.topology_stats),
             dict(self.fault_stats),
-            self.core,
-            # control_decisions is not persisted (trace-level detail, like
-            # the config): a store round trip rebuilds it empty.
+            list(self.control_decisions),
         )
 
 
@@ -306,7 +296,7 @@ _RESULT_FIELD_ORDER = (
     "spec", "scenario", "config", "summary", "total_queries",
     "total_updates", "relay_samples", "traffic_series",
     "energy_consumed", "mean_battery_fraction", "wall_clock_seconds",
-    "events_processed", "topology_stats", "fault_stats", "core",
+    "events_processed", "topology_stats", "fault_stats",
     "control_decisions",
 )
 _RESULT_ORDER_CHECKED = False
@@ -412,6 +402,7 @@ class _BatchRef:
     index: int
     offset: int
     length: int
+    crc32: int
     keys: Tuple[str, ...]
 
 
@@ -476,6 +467,7 @@ class SegmentWriter:
         self._batches.append({
             "offset": offset,
             "length": len(blob),
+            "crc32": zlib.crc32(blob),
             "n": len(self._buffer),
             "keys": [record.key for record in self._buffer],
         })
@@ -531,6 +523,38 @@ class SegmentWriter:
         os.replace(tmp, path)
 
 
+def _sidecar_refs(sidecar: Path) -> List[_BatchRef]:
+    """The batches one sidecar commits; none when it is torn.
+
+    A sidecar that cannot be read as this format's shape — cut short by
+    a crash, or damaged — commits nothing: its batches stay invisible and
+    their points re-run.  One that states another format version is a
+    different store, and refused.
+    """
+    try:
+        data = json.loads(sidecar.read_bytes())
+        version = data["format"]
+        if version == STORE_FORMAT_VERSION:
+            return [
+                _BatchRef(
+                    segment=str(data["segment"]),
+                    generation=int(data["generation"]),
+                    index=position,
+                    offset=int(batch["offset"]),
+                    length=int(batch["length"]),
+                    crc32=int(batch["crc32"]),
+                    keys=tuple(map(str, batch["keys"])),
+                )
+                for position, batch in enumerate(data["batches"])
+            ]
+    except (OSError, ValueError, LookupError, TypeError):
+        return []
+    raise StoreFormatError(
+        f"{sidecar} is store format v{version!r}, "
+        f"reader speaks v{STORE_FORMAT_VERSION}"
+    )
+
+
 class ResultStore:
     """The merged view over every segment in one directory.
 
@@ -538,7 +562,7 @@ class ResultStore:
     (a crash between the segment append and the sidecar rename) are
     invisible.  ``stats`` counts writes (``fs_writes`` is the number of
     file creations/renames/appends — the number the campaign benchmark
-    compares against the per-pickle path) and merged reads.
+    records) and merged reads.
     """
 
     def __init__(self, root: os.PathLike = DEFAULT_STORE_DIR) -> None:
@@ -582,25 +606,7 @@ class ResultStore:
         refs: List[_BatchRef] = []
         if self.root.is_dir():
             for sidecar in sorted(self.root.glob("seg-*.idx")):
-                try:
-                    data = json.loads(sidecar.read_text(encoding="utf-8"))
-                except (OSError, json.JSONDecodeError):
-                    continue  # torn sidecar: its batches stay invisible
-                if data.get("format") != STORE_FORMAT_VERSION:
-                    raise StoreFormatError(
-                        f"{sidecar} is store format "
-                        f"v{data.get('format')!r}, reader speaks "
-                        f"v{STORE_FORMAT_VERSION}"
-                    )
-                for position, batch in enumerate(data.get("batches", ())):
-                    refs.append(_BatchRef(
-                        segment=data["segment"],
-                        generation=int(data["generation"]),
-                        index=position,
-                        offset=int(batch["offset"]),
-                        length=int(batch["length"]),
-                        keys=tuple(batch["keys"]),
-                    ))
+                refs.extend(_sidecar_refs(sidecar))
         refs.sort(key=lambda ref: (ref.generation, ref.segment, ref.index))
         index: Dict[str, Tuple[_BatchRef, int]] = {}
         for ref in refs:
@@ -622,15 +628,34 @@ class ResultStore:
 
     def _read_batch(self, ref: _BatchRef) -> List[RunRecord]:
         path = self.root / ref.segment
-        with open(path, "rb") as handle:
-            if handle.read(len(_MAGIC)) != _MAGIC:
-                raise StoreFormatError(f"{path} is not a result-store segment")
-            handle.seek(ref.offset)
-            blob = handle.read(ref.length)
-        if len(blob) != ref.length:
-            raise StoreFormatError(f"{path} truncated under batch {ref.index}")
+        try:
+            with open(path, "rb") as handle:
+                size = os.fstat(handle.fileno()).st_size
+                # Checked before reading: a damaged length must not size a buffer.
+                if not len(_MAGIC) <= ref.offset <= size - ref.length <= size:
+                    raise StoreFormatError(
+                        f"{path} truncated under batch {ref.index}"
+                    )
+                magic = handle.read(len(_MAGIC))
+                handle.seek(ref.offset)
+                blob = handle.read(ref.length)
+        except OSError as exc:
+            raise StoreFormatError(
+                f"{path}: cannot read batch {ref.index}: {exc}"
+            ) from exc
+        if magic != _MAGIC:
+            raise StoreFormatError(f"{path} is not a result-store segment")
+        if zlib.crc32(blob) != ref.crc32:
+            raise StoreFormatError(f"{path} batch {ref.index} fails its CRC")
+        records = decode_batch(blob)
+        # The sidecar's key list is what lookups trust: it must name
+        # exactly the rows the batch holds.
+        if tuple(record.key for record in records) != ref.keys:
+            raise StoreFormatError(
+                f"{path} batch {ref.index} does not hold its sidecar's keys"
+            )
         self.stats["batches_read"] += 1
-        return decode_batch(blob)
+        return records
 
     def get(self, key: str) -> Optional[RunRecord]:
         """The winning record for ``key``, or ``None``."""

@@ -15,11 +15,11 @@ four orthogonal axes plus optional base-config overrides::
 
 ``repro matrix FILE`` expands the cross product into campaign tasks,
 hands them to :class:`~repro.experiments.executor.CampaignExecutor`
-(so ``--jobs``/``--workers``/``--store``/``--resume`` all apply), and
+(so ``--jobs``/``--store``/``--no-store`` all apply), and
 aggregates the per-seed results into one row per
 ``(scenario, strategy, policy)`` cell.  Expansion is deterministic and
 deduplicates repeated points by content address, which is what makes
-sharded and resumed matrix runs byte-identical to serial ones.
+parallel and resumed matrix runs byte-identical to serial ones.
 
 Precedence, innermost last: built-in config defaults < ``[base]`` table
 < scenario preset overrides < the cell's policy and seed.

@@ -5,7 +5,7 @@ world: a *base* placement scenario (``standard``/``single_source``/
 ``hot_set``), a set of :class:`~repro.experiments.config.SimulationConfig`
 field overrides, and an optional deterministic
 :class:`~repro.faults.plan.FaultPlan`.  Specs are data, not code: they
-round-trip through JSON bit-identically, hash into the result-cache key
+round-trip through JSON bit-identically, hash into the run key
 via the config they expand to, and compose with any strategy spec and
 replacement policy in an experiment matrix (see
 :mod:`repro.scenarios.matrix` and docs/SCENARIOS.md).

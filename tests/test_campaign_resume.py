@@ -3,9 +3,16 @@
 The contract: kill a campaign mid-flight and restart it against the same
 store, and (1) only the incomplete points re-run, (2) the merged results
 — and any aggregate/figure data built from them — are bit-identical to a
-single-shot campaign that never failed.  Sharded execution must likewise
+single-shot campaign that never failed.  Parallel execution must likewise
 be invisible to the science.
 """
+
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -13,13 +20,13 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.executor import (
     CampaignExecutor,
     CampaignRunError,
-    ResultCache,
     run_key,
 )
 from repro.experiments.figures.base import run_axis_sweep
 from repro.experiments.stats import aggregate
 from repro.experiments.store import ResultStore
-from repro.experiments.transport import ShardedTransport
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def tiny_config(**kwargs):
@@ -41,6 +48,12 @@ GOOD_TASKS = [
     for spec in ("push", "rpcc-sc")
 ]
 
+POISON = (tiny_config(), "gossip", "standard")
+
+
+def keys_of(tasks):
+    return {run_key(config, spec, scenario) for config, spec, scenario in tasks}
+
 
 def result_fingerprint(result):
     return (
@@ -57,7 +70,7 @@ def result_fingerprint(result):
         result.mean_battery_fraction,
         result.topology_stats,
         result.fault_stats,
-        result.core,
+        result.control_decisions,
     )
 
 
@@ -66,21 +79,15 @@ class TestResume:
         single_shot = CampaignExecutor().run_many(GOOD_TASKS)
 
         # Mid-flight failure: the third point is unrunnable, so the serial
-        # transport completes exactly two points before the campaign dies.
+        # loop completes exactly two points before the campaign dies.
         store = ResultStore(tmp_path / "store")
-        broken = GOOD_TASKS[:2] + [
-            (tiny_config(), "gossip", "standard")
-        ] + GOOD_TASKS[2:]
+        broken = GOOD_TASKS[:2] + [POISON] + GOOD_TASKS[2:]
         crashed = CampaignExecutor(store=store)
         with pytest.raises(CampaignRunError) as excinfo:
             crashed.run_many(broken)
         assert excinfo.value.spec == "gossip"
         assert crashed.runs_executed == 2
-        completed = {
-            run_key(config, spec, scenario)
-            for config, spec, scenario in GOOD_TASKS[:2]
-        }
-        assert ResultStore(tmp_path / "store").keys() == completed
+        assert ResultStore(tmp_path / "store").keys() == keys_of(GOOD_TASKS[:2])
 
         # Restart against the same store with the corrected point list:
         # only the two incomplete points simulate.
@@ -104,46 +111,35 @@ class TestResume:
         assert again.runs_executed == 0
         assert again.store_hits == len(GOOD_TASKS)
 
-    def test_resume_false_reruns_and_appends(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        CampaignExecutor(store=store).run_many(GOOD_TASKS[:2])
-        rerun = CampaignExecutor(
-            store=ResultStore(tmp_path / "store"), resume=False
-        )
-        rerun.run_many(GOOD_TASKS[:2])
-        assert rerun.runs_executed == 2
-        merged = ResultStore(tmp_path / "store")
-        # Append-only: both campaigns' rows exist, merge-on-read dedups.
-        assert merged.stats["records_appended"] == 0  # fresh handle
-        assert len(list(merged.records())) == 2
-        assert len(merged) == 2
+    def test_controller_decisions_survive_the_store(self, tmp_path):
+        """A re-served controller run carries the decisions it printed fresh."""
+        from repro.faults import FaultPlan
 
-    def test_store_replaces_pickle_writes_but_reads_legacy_cache(self, tmp_path):
-        """With a store attached the pickle cache becomes read-only compat."""
-        cache = ResultCache(tmp_path / "cache")
-        CampaignExecutor(cache=cache).run_many(GOOD_TASKS[:2])
-        assert len(cache) == 2
-
-        store = ResultStore(tmp_path / "store")
-        migrating = CampaignExecutor(
-            cache=ResultCache(tmp_path / "cache"), store=store
+        config = SimulationConfig(
+            sim_time=180.0, warmup=60.0, seed=7, controller="hysteresis",
+            faults=FaultPlan.load(REPO / "examples" / "faults" / "partition.json"),
         )
-        migrating.run_many(GOOD_TASKS)
-        # Two points served from the legacy cache, two simulated; no new
-        # pickles were written — the store is the only write path now.
-        assert migrating.runs_executed == 2
-        assert migrating.cache.hits == 2
-        assert len(migrating.cache) == 2
-        assert len(ResultStore(tmp_path / "store")) == 2
+        fresh = CampaignExecutor(store=ResultStore(tmp_path / "store")).run_one(
+            config, "rpcc-sc"
+        )
+        assert fresh.control_decisions, "the example must make the controller act"
+        served_by = CampaignExecutor(store=ResultStore(tmp_path / "store"))
+        served = served_by.run_one(config, "rpcc-sc")
+        assert served_by.runs_executed == 0
+        assert served.control_decisions == fresh.control_decisions
+        assert result_fingerprint(served) == result_fingerprint(fresh)
 
 
 class TestShardedCampaign:
+    """Fan-out over worker processes, into a store, changes no number
+    (the ids predate the process pool being the only fan-out)."""
+
     def test_sharded_matches_serial_bit_for_bit(self, tmp_path):
         serial = CampaignExecutor().run_many(GOOD_TASKS)
-        sharded = CampaignExecutor(
-            transport=ShardedTransport(2), store=ResultStore(tmp_path / "st")
+        pooled = CampaignExecutor(
+            jobs=2, store=ResultStore(tmp_path / "st")
         ).run_many(GOOD_TASKS)
-        for left, right in zip(serial, sharded):
+        for left, right in zip(serial, pooled):
             assert result_fingerprint(left) == result_fingerprint(right)
 
     def test_sharded_sweep_figure_data_identical(self, tmp_path):
@@ -152,16 +148,16 @@ class TestShardedCampaign:
             config, "cache_num", (2, 4), ("push", "rpcc-sc"),
             executor=CampaignExecutor(),
         )
-        sharded_executor = CampaignExecutor(
-            transport=ShardedTransport(3), store=ResultStore(tmp_path / "st")
+        pooled_executor = CampaignExecutor(
+            jobs=2, store=ResultStore(tmp_path / "st")
         )
-        sharded = run_axis_sweep(
+        pooled = run_axis_sweep(
             config, "cache_num", (2, 4), ("push", "rpcc-sc"),
-            executor=sharded_executor,
+            executor=pooled_executor,
         )
-        assert set(serial) == set(sharded)
+        assert set(serial) == set(pooled)
         for point in serial:
-            assert serial[point].summary == sharded[point].summary
+            assert serial[point].summary == pooled[point].summary
 
         # And a resumed rerun of the same sweep re-reads, not re-runs.
         resumed_executor = CampaignExecutor(store=ResultStore(tmp_path / "st"))
@@ -174,25 +170,104 @@ class TestShardedCampaign:
             assert serial[point].summary == resumed[point].summary
 
     def test_sharded_failure_commits_completed_shard_work(self, tmp_path):
-        """A failing point inside one shard still leaves that shard's
-        earlier completions (and the other shards') in the store."""
-        store = ResultStore(tmp_path / "store")
-        broken = GOOD_TASKS + [(tiny_config(), "gossip", "standard")]
-        executor = CampaignExecutor(
-            transport=ShardedTransport(2), store=store
-        )
-        with pytest.raises(CampaignRunError):
-            executor.run_many(broken)
-        survivors = ResultStore(tmp_path / "store").keys()
-        good_keys = {
-            run_key(config, spec, scenario)
-            for config, spec, scenario in GOOD_TASKS
-        }
-        assert survivors <= good_keys
-        # Resume finishes whatever was lost, bit-identically.
-        resumed = CampaignExecutor(store=ResultStore(tmp_path / "store"))
-        results = resumed.run_many(GOOD_TASKS)
-        assert resumed.runs_executed == len(GOOD_TASKS) - len(survivors)
+        """Whatever a failing campaign finished is in the store, and the
+        rerun simulates exactly the rest."""
         reference = CampaignExecutor().run_many(GOOD_TASKS)
-        for left, right in zip(reference, results):
-            assert result_fingerprint(left) == result_fingerprint(right)
+        for jobs in (1, 2):
+            root = tmp_path / f"store-{jobs}"
+            executor = CampaignExecutor(jobs=jobs, store=ResultStore(root))
+            with pytest.raises(CampaignRunError):
+                executor.run_many(GOOD_TASKS + [POISON])
+            survivors = ResultStore(root).keys()
+            assert survivors <= keys_of(GOOD_TASKS)
+            # Every completion that reached the parent was committed; the
+            # serial loop reaches the poisoned point after all the others.
+            assert len(survivors) == executor.runs_executed
+            if jobs == 1:
+                assert survivors == keys_of(GOOD_TASKS)
+            # Resume finishes whatever was lost, bit-identically.
+            resumed = CampaignExecutor(store=ResultStore(root))
+            results = resumed.run_many(GOOD_TASKS)
+            assert resumed.runs_executed == len(GOOD_TASKS) - len(survivors)
+            assert resumed.store_hits == len(survivors)
+            for left, right in zip(reference, results):
+                assert result_fingerprint(left) == result_fingerprint(right)
+
+
+# ----------------------------------------------------------------------
+# A real kill: SIGKILL reaches no ``finally``, so only what the executor
+# had already committed survives.
+
+
+def kill_config(**kwargs):
+    return SimulationConfig(
+        n_peers=30, warmup=0.0, terrain_width=1000.0, terrain_height=1000.0,
+        **kwargs,
+    )
+
+
+#: Forty points, a few seconds of work: several commit intervals.
+KILL_TASKS = [
+    (kill_config(sim_time=300.0, seed=seed), spec, "standard")
+    for seed in range(1, 21)
+    for spec in ("rpcc-sc", "pull")
+]
+
+#: A point that outlasts the test, so the campaign never reaches the
+#: commit every campaign makes as it closes.
+ENDLESS = (kill_config(sim_time=3.0e6, seed=1), "push", "standard")
+
+#: The endless point goes where it leaves the others one worker: last
+#: when serial, first (occupying a worker of its own) on a pool.
+KILL_CHILD = """
+import sys
+from repro.experiments.executor import CampaignExecutor
+from repro.experiments.store import ResultStore
+from tests.test_campaign_resume import ENDLESS, KILL_TASKS
+
+jobs = int(sys.argv[2])
+tasks = KILL_TASKS + [ENDLESS] if jobs == 1 else [ENDLESS] + KILL_TASKS
+CampaignExecutor(jobs=jobs, store=ResultStore(sys.argv[1])).run_many(tasks)
+"""
+
+
+@pytest.fixture(scope="module")
+def kill_reference():
+    return CampaignExecutor(jobs=2).run_many(KILL_TASKS)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sigkilled_campaign_keeps_what_it_committed(tmp_path, kill_reference, jobs):
+    root = tmp_path / "store"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src"), str(REPO), env.get("PYTHONPATH", "")]
+    )
+    # Its own session, so the kill takes the pool's workers with it.
+    child = subprocess.Popen(
+        [sys.executable, "-c", KILL_CHILD, str(root), str(jobs)],
+        cwd=REPO, env=env, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(ResultStore(root)) < 1:
+            assert child.poll() is None, "child exited before it was killed"
+            assert time.monotonic() < deadline, "child never committed a point"
+            time.sleep(0.02)
+    finally:
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # it exited by itself; the loop's assert says so
+        child.wait(timeout=30)
+
+    survivors = ResultStore(root).keys()
+    assert 1 <= len(survivors)
+    assert survivors <= keys_of(KILL_TASKS)
+
+    resumed_executor = CampaignExecutor(jobs=2, store=ResultStore(root))
+    resumed = resumed_executor.run_many(KILL_TASKS)
+    assert resumed_executor.store_hits == len(survivors)
+    assert resumed_executor.runs_executed == len(KILL_TASKS) - len(survivors)
+    for reference, result in zip(kill_reference, resumed):
+        assert result_fingerprint(result) == result_fingerprint(reference)

@@ -14,13 +14,13 @@ BASE = ["--sim-time", "120", "--warmup", "30", "--seed", "3"]
 
 @pytest.fixture(autouse=True)
 def _isolate_cache(tmp_path, monkeypatch):
-    """Keep CLI result caches out of the repo during tests."""
+    """Keep CLI result stores out of the repo during tests."""
     monkeypatch.chdir(tmp_path)
 
 
 def test_run_profile_writes_loadable_pstats(tmp_path, capsys):
     out = tmp_path / "run.pstats"
-    code = main(BASE + ["--no-cache", "run", "push", "--profile", str(out)])
+    code = main(BASE + ["--no-store", "run", "push", "--profile", str(out)])
     assert code == 0
     captured = capsys.readouterr()
     assert f"-> {out}" in captured.out
@@ -39,8 +39,8 @@ def test_run_profile_writes_loadable_pstats(tmp_path, capsys):
 
 
 def test_run_profile_bypasses_result_cache(tmp_path, capsys):
-    # Prime the cache, then profile the same configuration: the profiled
-    # run must execute the simulation (a cache hit would profile nothing).
+    # Prime the store, then profile the same configuration: the profiled
+    # run must execute the simulation (a served result would profile nothing).
     assert main(BASE + ["run", "push"]) == 0
     capsys.readouterr()
     out = tmp_path / "cached.pstats"
@@ -50,7 +50,7 @@ def test_run_profile_bypasses_result_cache(tmp_path, capsys):
 
 
 def test_run_footer_reports_topology_counters(capsys):
-    code = main(BASE + ["--no-cache", "run", "push"])
+    code = main(BASE + ["--no-store", "run", "push"])
     assert code == 0
     captured = capsys.readouterr().out
     assert "topology:" in captured
@@ -74,7 +74,7 @@ def test_run_footer_names_the_array_rebuild_path(capsys, monkeypatch):
 
     # Under the CLI's 50 peers by more than are ever offline at once.
     monkeypatch.setattr(soa, "ARRAY_REFRESH_MIN_NODES", 25)
-    assert main(BASE + ["--no-cache", "run", "rpcc-sc"]) == 0
+    assert main(BASE + ["--no-store", "run", "rpcc-sc"]) == 0
     footer = _topology_footer(capsys.readouterr().out)
     assert "incremental" not in footer and "BFS trees" not in footer
     assert " built, " in footer and " reused" in footer

@@ -237,14 +237,17 @@ class TestScenariosDoc:
 
 
 class TestOneCore:
-    """The scalar per-quantum core, the timer-wheel engine and the
-    options that selected them are gone from the tree, not just from
-    ``src/``."""
+    """The scalar per-quantum core, the timer-wheel engine, the pickle
+    cache, the sharded transport and the options that selected them are
+    gone from the tree, not just from ``src/``."""
 
     #: Spelled in pieces so this file passes its own check.
     RETIRED = (
         "REPRO_" + "SOA", "soa_" + "enabled", "[" + "perf]",
         "REPRO_" + "WHEEL", "wheel_" + "enabled", "wheel_" + "sweeps",
+        "Result" + "Cache", "CACHE_" + "FORMAT_VERSION",
+        "Sharded" + "Transport", "shard" + "_of",
+        "--no-" + "cache", "--cache" + "-dir", "--work" + "ers",
     )
     #: History, the issue that retired them, and the read-only benchmark.
     EXEMPT = ("CHANGES.md", "ROADMAP.md", "ISSUE.md", "benchmarks/e2e/")

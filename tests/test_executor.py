@@ -1,9 +1,9 @@
-"""Tests for the campaign executor and the content-addressed result cache.
+"""Tests for the campaign executor.
 
 The load-bearing property is *bit-identity*: every run is a pure function
 of its ``(config, spec, scenario)`` triple, so the parallel executor and
-the cache must be invisible to the science — same summaries, same series,
-same relay samples, whatever the jobs count or cache state.
+the store must be invisible to the science — same summaries, same series,
+same relay samples, whatever the jobs count or store state.
 """
 
 import pickle
@@ -15,12 +15,12 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.executor import (
     CampaignExecutor,
     CampaignRunError,
-    ResultCache,
     run_key,
 )
 from repro.experiments.figures.base import run_axis_sweep
 from repro.experiments.runner import STRATEGY_SPECS, run_simulation
 from repro.experiments.stats import run_replicated
+from repro.experiments.store import ResultStore
 
 
 def tiny_config(**kwargs):
@@ -109,80 +109,29 @@ class TestBitIdentity:
             assert result_fingerprint(left) == result_fingerprint(right)
 
 
-class TestResultCache:
-    def test_warm_rerun_does_no_simulation_work(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        tasks = [(tiny_config(), spec, "standard") for spec in ("push", "pull")]
-        cold = CampaignExecutor(cache=cache)
-        first = cold.run_many(tasks)
-        assert cold.runs_executed == 2
-        assert cache.misses == 2 and cache.hits == 0
-
-        warm = CampaignExecutor(cache=cache)
-        second = warm.run_many(tasks)
-        assert warm.runs_executed == 0
-        assert warm.cache.hits == 2
-        for left, right in zip(first, second):
-            assert result_fingerprint(left) == result_fingerprint(right)
-
+class TestStoreBackedExecutor:
     def test_parameter_change_misses(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        CampaignExecutor(cache=cache).run_one(tiny_config(), "push")
-        changed = CampaignExecutor(cache=cache)
+        store = ResultStore(tmp_path / "store")
+        CampaignExecutor(store=store).run_one(tiny_config(), "push")
+        changed = CampaignExecutor(store=store)
         changed.run_one(tiny_config(seed=99), "push")
         assert changed.runs_executed == 1
-
-    def test_corrupt_entry_recovers(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        executor = CampaignExecutor(cache=cache)
-        executor.run_one(tiny_config(), "push")
-        key = run_key(tiny_config(), "push", "standard")
-        cache.path_for(key).write_bytes(b"not a pickle")
-        again = CampaignExecutor(cache=ResultCache(tmp_path / "cache"))
-        result = again.run_one(tiny_config(), "push")
-        assert again.runs_executed == 1
-        assert result.summary.transmissions > 0
-
-    def test_corrupt_entry_is_quarantined_not_deleted(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        CampaignExecutor(cache=cache).run_one(tiny_config(), "push")
-        key = run_key(tiny_config(), "push", "standard")
-        cache.path_for(key).write_bytes(b"not a pickle")
-
-        reopened = ResultCache(tmp_path / "cache")
-        assert reopened.get(key) is None
-        # The bad bytes are preserved for post-mortem, off the hot path.
-        assert not cache.path_for(key).exists()
-        quarantined = reopened.quarantine_path_for(key)
-        assert quarantined.read_bytes() == b"not a pickle"
-        assert reopened.corrupt == 1
-        assert reopened.cache_stats == {
-            "hits": 0, "misses": 1, "corrupt_quarantined": 1,
-        }
-
-    def test_purge_and_len(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        CampaignExecutor(cache=cache).run_many(
-            [(tiny_config(), spec, "standard") for spec in ("push", "pull")]
-        )
-        assert len(cache) == 2
-        assert cache.purge() == 2
-        assert len(cache) == 0
-
-    def test_purge_sweeps_quarantined_entries_too(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        CampaignExecutor(cache=cache).run_one(tiny_config(), "push")
-        key = run_key(tiny_config(), "push", "standard")
-        cache.path_for(key).write_bytes(b"junk")
-        cache.get(key)  # quarantines
-        assert cache.purge() == 1
-        assert list((tmp_path / "cache").iterdir()) == []
+        assert changed.store_hits == 0
 
 
 class TestExecutorSemantics:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             CampaignExecutor(jobs=0)
+
+    def test_constructor_takes_jobs_and_a_store_only(self):
+        """One campaign path: nothing else selects how a campaign runs."""
+        import inspect
+
+        parameters = inspect.signature(CampaignExecutor).parameters
+        assert [(name, p.default) for name, p in parameters.items()] == [
+            ("jobs", 1), ("store", None),
+        ]
 
     def test_duplicate_tasks_run_once(self):
         executor = CampaignExecutor()

@@ -15,7 +15,7 @@ BASE = ["--sim-time", "120", "--warmup", "30", "--seed", "3"]
 
 @pytest.fixture(autouse=True)
 def _isolate_cache(tmp_path, monkeypatch):
-    """Keep CLI result caches out of the repo during tests."""
+    """Keep CLI result stores out of the repo during tests."""
     monkeypatch.chdir(tmp_path)
 
 
@@ -87,7 +87,7 @@ def test_trace_checker_knobs_are_applied(tmp_path, capsys):
 
 def test_run_with_fault_plan_prints_degradation(capsys):
     code = main(BASE + [
-        "--no-cache", "run", "rpcc-dc",
+        "--no-store", "run", "rpcc-dc",
         "--faults", str(EXAMPLES / "bursty_loss.json"),
     ])
     captured = capsys.readouterr().out
@@ -96,6 +96,6 @@ def test_run_with_fault_plan_prints_degradation(capsys):
 
 
 def test_run_without_faults_has_no_degradation_footer(capsys):
-    code = main(BASE + ["--no-cache", "run", "push"])
+    code = main(BASE + ["--no-store", "run", "push"])
     assert code in (0, None)
     assert "degradation:" not in capsys.readouterr().out

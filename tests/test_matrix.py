@@ -17,7 +17,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import SimulationConfig
 from repro.experiments.executor import CampaignExecutor, CampaignRunError
 from repro.experiments.store import ResultStore
-from repro.experiments.transport import ShardedTransport
 from repro.scenarios.matrix import (
     AGGREGATE_COLUMNS,
     MatrixSpec,
@@ -177,10 +176,10 @@ class TestExecution:
 
     def test_serial_sharded_resumed_csv_byte_identical(self, tmp_path):
         serial_rows = self._rows(CampaignExecutor())
-        sharded_rows = self._rows(CampaignExecutor(
-            transport=ShardedTransport(2), store=ResultStore(tmp_path / "s")
+        pooled_rows = self._rows(CampaignExecutor(
+            jobs=2, store=ResultStore(tmp_path / "s")
         ))
-        assert matrix_csv(serial_rows) == matrix_csv(sharded_rows)
+        assert matrix_csv(serial_rows) == matrix_csv(pooled_rows)
 
         # Kill mid-flight: a poisoned spec aborts the campaign after some
         # points completed into the store ...

@@ -1,18 +1,23 @@
 """Tests for the append-only columnar result store.
 
-The store replaces per-run pickles as the campaign persistence layer, so
-its load-bearing properties are (1) *exact* round trips — a record read
+The store is the campaign persistence layer, so its load-bearing
+properties are (1) *exact* round trips — a record read
 back must rebuild a bit-identical ``SimulationResult`` — and (2) crash
 safety: only batches referenced by an atomically committed index sidecar
 are ever visible, and merge-on-read dedups by content-address key with
 the newest generation winning.
 """
 
+import functools
 import json
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import SimulationConfig
@@ -26,7 +31,6 @@ from repro.experiments.store import (
     StoreFormatError,
     decode_batch,
     encode_batch,
-    shard_of,
 )
 
 
@@ -70,7 +74,6 @@ def synthetic_record(index: int = 0, key: str = None) -> RunRecord:
         mean_battery_fraction=0.87,
         wall_clock_seconds=0.25,
         events_processed=4321,
-        core="scalar",
         transmissions_by_type={"QueryRequest": 30, "POLL": 12},
         counters={"relay_promotions": 3},
         fault_stats={"availability": 0.991234567890123},
@@ -78,6 +81,9 @@ def synthetic_record(index: int = 0, key: str = None) -> RunRecord:
         relay_samples=[[60.0, 4], [120.0, 5]],
         traffic_series={"name": "transmissions",
                         "times": [60.0, 120.0], "values": [10.0, 12.5]},
+        control_decisions=[{"time": 90.0, "policy": "hysteresis",
+                            "reason": "partition", "modes": 0,
+                            "applied": {"ttr": 45.5}}],
     )
 
 
@@ -98,7 +104,7 @@ def result_fingerprint(result):
         result.events_processed,
         result.topology_stats,
         result.fault_stats,
-        result.core,
+        result.control_decisions,
     )
 
 
@@ -257,9 +263,12 @@ class TestCrashSafety:
         store = ResultStore(tmp_path / "store")
         with store.writer() as writer:
             writer.add(synthetic_record(1))
-        (tmp_path / "store" / "seg-000099-w9.idx").write_text("{not json")
-        reader = ResultStore(tmp_path / "store")
-        assert len(reader) == 1
+        # Cut short, emptied, not text at all, or not this format's shape.
+        for torn in (b"{not json", b"", b"\xff\xfe{}", b"[]", b"null",
+                     b'{"format": %d}' % STORE_FORMAT_VERSION):
+            (tmp_path / "store" / "seg-000099-w9.idx").write_bytes(torn)
+            reader = ResultStore(tmp_path / "store")
+            assert len(reader) == 1
 
     def test_unflushed_records_are_not_committed(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -276,32 +285,72 @@ class TestCrashSafety:
             writer.add(synthetic_record(1))
         (sidecar,) = (tmp_path / "store").glob("*.idx")
         data = json.loads(sidecar.read_text())
-        data["format"] = STORE_FORMAT_VERSION + 1
-        sidecar.write_text(json.dumps(data))
-        with pytest.raises(StoreFormatError):
-            ResultStore(tmp_path / "store").keys()
+        for other in (STORE_FORMAT_VERSION + 1, STORE_FORMAT_VERSION - 1):
+            data["format"] = other
+            sidecar.write_text(json.dumps(data))
+            with pytest.raises(StoreFormatError, match=f"format v{other}"):
+                ResultStore(tmp_path / "store").keys()
+
+    def test_missing_segment_is_named(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        with store.writer() as writer:
+            writer.add(synthetic_record(1))
+        (segment,) = (tmp_path / "store").glob("*.seg")
+        segment.unlink()
+        with pytest.raises(StoreFormatError, match=segment.name):
+            ResultStore(tmp_path / "store").get(f"{1:064x}")
 
 
-class TestSharding:
-    def test_stable_and_in_range(self):
-        keys = [f"{i:064x}" for i in range(200)]
-        for shards in (1, 2, 3, 8):
-            assignment = [shard_of(key, shards) for key in keys]
-            assert assignment == [shard_of(key, shards) for key in keys]
-            assert all(0 <= shard < shards for shard in assignment)
+#: Seven records committed as three batches (3 + 3 + 1).
+WRITTEN = {record.key: record for record in map(synthetic_record, range(7))}
 
-    def test_spreads_real_keys(self):
-        keys = [
-            run_key(tiny_config(seed=seed), spec)
-            for seed in range(10)
-            for spec in ("push", "pull")
-        ]
-        used = {shard_of(key, 4) for key in keys}
-        assert len(used) >= 3, "20 content addresses should hit >= 3 of 4 shards"
 
-    def test_invalid_shard_count(self):
-        with pytest.raises(ConfigurationError):
-            shard_of("a" * 64, 0)
+@functools.lru_cache(maxsize=None)
+def _pristine_store_files():
+    with tempfile.TemporaryDirectory() as root:
+        with ResultStore(root).writer(batch_size=3) as writer:
+            for record in WRITTEN.values():
+                writer.add(record)
+        return tuple(
+            (path.name, path.read_bytes()) for path in sorted(Path(root).iterdir())
+        )
+
+
+@st.composite
+def _damage(draw):
+    """One damaged copy of the pristine files: a bit flip or a truncation."""
+    files = dict(_pristine_store_files())
+    name = draw(st.sampled_from(sorted(files)))
+    blob = bytearray(files[name])
+    offset = draw(st.integers(0, len(blob) - 1))
+    if draw(st.booleans()):
+        blob[offset] ^= 1 << draw(st.integers(0, 7))
+    else:
+        del blob[offset:]
+    files[name] = bytes(blob)
+    return files
+
+
+class TestDamage:
+    @settings(max_examples=400, deadline=None)
+    @given(files=_damage())
+    def test_reads_return_committed_records_or_raise(self, files):
+        """Whatever happens to the files, a read hands back records that
+        were written, exactly as written, or raises StoreFormatError."""
+        with tempfile.TemporaryDirectory() as root:
+            for name, blob in files.items():
+                (Path(root) / name).write_bytes(blob)
+            store = ResultStore(root)
+            try:
+                served = list(store.records())
+                fetched = store.get_many(sorted(WRITTEN))
+            except StoreFormatError:
+                return
+        assert len({record.key for record in served}) == len(served)
+        for record in served:
+            assert WRITTEN.get(record.key) == record
+        for key, record in fetched.items():
+            assert WRITTEN[key] == record
 
 
 class TestEnvJobs:

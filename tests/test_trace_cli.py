@@ -18,7 +18,7 @@ BASE = ["--sim-time", "120", "--warmup", "30", "--seed", "3"]
 
 @pytest.fixture(autouse=True)
 def _isolate_cache(tmp_path, monkeypatch):
-    """Keep CLI result caches out of the repo during tests."""
+    """Keep CLI result stores out of the repo during tests."""
     monkeypatch.chdir(tmp_path)
 
 
@@ -49,14 +49,14 @@ def test_trace_command_no_check_skips_the_replay(tmp_path, capsys):
 
 def test_run_with_trace_flag_writes_events(tmp_path, capsys):
     out = tmp_path / "run-trace.jsonl"
-    code = main(BASE + ["--no-cache", "run", "push", "--trace", str(out)])
+    code = main(BASE + ["--no-store", "run", "push", "--trace", str(out)])
     assert code == 0
     assert "trace:" in capsys.readouterr().out
     assert read_jsonl(str(out))
 
 
 def test_run_without_trace_leaves_no_trace_file(tmp_path, capsys):
-    code = main(BASE + ["--no-cache", "run", "push"])
+    code = main(BASE + ["--no-store", "run", "push"])
     assert code == 0
     assert "trace" not in capsys.readouterr().out
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".jsonl")]

@@ -81,7 +81,7 @@ class TestCLI:
         args = parser.parse_args(["run", "rpcc-sc"])
         assert args.command == "run"
         assert args.spec == "rpcc-sc"
-        assert args.jobs == 1 and not args.no_cache
+        assert args.jobs == 1 and not args.no_store
         args = parser.parse_args(["--sim-time", "100", "fig7a", "--plot"])
         assert args.sim_time == 100.0
         assert args.plot
@@ -89,11 +89,16 @@ class TestCLI:
     def test_parser_executor_flags(self):
         parser = build_parser()
         args = parser.parse_args(
-            ["--jobs", "4", "--no-cache", "--cache-dir", "/tmp/c", "compare"]
+            ["--jobs", "4", "--no-store", "--store", "/tmp/s", "compare"]
         )
         assert args.jobs == 4
-        assert args.no_cache
-        assert args.cache_dir == "/tmp/c"
+        assert args.no_store
+        assert args.store == "/tmp/s"
+        # The campaign flags are accepted after `matrix` too.
+        args = parser.parse_args(
+            ["matrix", "m.toml", "--jobs", "2", "--store", "/tmp/m"]
+        )
+        assert (args.jobs, args.store, args.no_store) == (2, "/tmp/m", False)
 
     def test_unknown_spec_rejected(self):
         parser = build_parser()
@@ -109,7 +114,7 @@ class TestCLI:
     def test_run_command(self, capsys):
         code = main(
             ["--sim-time", "120", "--warmup", "60", "--seed", "2",
-             "--no-cache", "run", "rpcc-wc"]
+             "--no-store", "run", "rpcc-wc"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -120,7 +125,7 @@ class TestCLI:
     def test_run_single_source(self, capsys):
         code = main(
             ["--sim-time", "120", "--warmup", "60",
-             "--no-cache", "run", "push", "--scenario", "single_source"]
+             "--no-store", "run", "push", "--scenario", "single_source"]
         )
         assert code == 0
         assert "single_source" in capsys.readouterr().out
@@ -128,7 +133,7 @@ class TestCLI:
     def test_fig9_command_with_plot(self, capsys):
         code = main(
             ["--sim-time", "120", "--warmup", "60",
-             "--no-cache", "fig9", "--ttls", "1", "3", "--plot"]
+             "--no-store", "fig9", "--ttls", "1", "3", "--plot"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -140,7 +145,7 @@ class TestCLI:
 class TestCLIAll:
     def test_all_writes_every_csv(self, tmp_path, capsys):
         code = main(
-            ["--sim-time", "60", "--warmup", "30", "--no-cache",
+            ["--sim-time", "60", "--warmup", "30", "--no-store",
              "all", "--out", str(tmp_path)]
         )
         assert code == 0
@@ -157,38 +162,39 @@ class TestCLIAll:
 class TestCLIExecutor:
     def test_parallel_run_matches_serial(self, tmp_path, capsys):
         base = ["--sim-time", "60", "--warmup", "30"]
-        assert main(base + ["--no-cache", "compare"]) == 0
+        assert main(base + ["--no-store", "compare"]) == 0
         serial_out = capsys.readouterr().out
-        assert main(base + ["--no-cache", "--jobs", "2", "compare"]) == 0
+        assert main(base + ["--no-store", "--jobs", "2", "compare"]) == 0
         parallel_out = capsys.readouterr().out
         assert serial_out == parallel_out
 
     def test_warm_cache_rerun_simulates_nothing(self, tmp_path, capsys):
         base = [
             "--sim-time", "60", "--warmup", "30",
-            "--cache-dir", str(tmp_path / "cache"),
+            "--store", str(tmp_path / "store"),
         ]
         assert main(base + ["compare"]) == 0
         cold_out = capsys.readouterr().out
+        assert "store: 0 served, 6 appended" in cold_out
         assert "6 runs simulated" in cold_out
         assert main(base + ["compare"]) == 0
         warm_out = capsys.readouterr().out
-        assert "cache: 6 hits, 0 misses" in warm_out
+        assert "store: 6 served, 0 appended" in warm_out
         assert "0 runs simulated" in warm_out
-        # The science is identical; only the cache footer differs.
-        strip = lambda text: text.split("cache:")[0]
+        # The science is identical; only the store footer differs.
+        strip = lambda text: text.split("store:")[0]
         assert strip(cold_out) == strip(warm_out)
 
     def test_fig7a_then_fig8a_shares_the_sweep(self, tmp_path, capsys):
         base = [
             "--sim-time", "60", "--warmup", "30",
-            "--cache-dir", str(tmp_path / "cache"),
+            "--store", str(tmp_path / "store"),
         ]
         assert main(base + ["fig7a"]) == 0
         capsys.readouterr()
         assert main(base + ["fig8a"]) == 0
         out = capsys.readouterr().out
-        # Fig 8(a) reads the exact sweep Fig 7(a) computed: full cache hit.
+        # Fig 8(a) reads the exact sweep Fig 7(a) computed: all served.
         assert "0 runs simulated" in out
 
 
@@ -196,7 +202,7 @@ class TestCLIFigureCommand:
     def test_fig7a_with_csv(self, tmp_path, capsys):
         target = tmp_path / "fig7a.csv"
         code = main(
-            ["--sim-time", "60", "--warmup", "30", "--no-cache",
+            ["--sim-time", "60", "--warmup", "30", "--no-store",
              "fig7a", "--csv", str(target)]
         )
         assert code == 0
@@ -207,7 +213,7 @@ class TestCLIFigureCommand:
         assert len(lines) == 6  # header + five sweep points
 
     def test_compare_command(self, capsys):
-        code = main(["--sim-time", "60", "--warmup", "30", "--no-cache", "compare"])
+        code = main(["--sim-time", "60", "--warmup", "30", "--no-store", "compare"])
         assert code == 0
         out = capsys.readouterr().out
         for spec in ("pull", "push", "rpcc-sc", "rpcc-hy"):
