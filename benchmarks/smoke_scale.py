@@ -14,7 +14,11 @@ the committed golden at ``tests/golden/scale_100k.json``:
   paths actually carry the load;
 * a run whose topology refreshes never reused their candidate pairs
   (``pair_list_reuses == 0``) fails too: the reuse path must not die
-  silently at the size it matters most.
+  silently at the size it matters most;
+* a run whose peak resident set exceeds :data:`MAX_RSS_MIB` fails: this
+  is the size at which bytes per host are gigabytes, so the smoke is
+  also the memory gate (``tests/test_world_memory.py`` is its 2 000-host
+  tier-1 twin).
 
 Regenerate after an intentional behaviour change with::
 
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import resource
 import sys
 import time
 from typing import Dict, Optional, Sequence, Tuple
@@ -40,6 +45,11 @@ GOLDEN_PATH = BENCH_DIR.parent / "tests" / "golden" / "scale_100k.json"
 
 N_PEERS = 100_000
 SIM_TIME = 5.0
+
+#: Ceiling on the process's peak resident set (``ru_maxrss``), MiB.
+#: About 6 % above what the tree measured when it was set (1 449 MiB;
+#: the commit before, with dict-backed per-host state, read 1 757).
+MAX_RSS_MIB = 1540
 
 _INT_METRICS = (
     "transmissions", "messages", "bytes_on_air",
@@ -69,6 +79,8 @@ def run_smoke() -> Tuple[Dict[str, object], Dict[str, int]]:
         f"ran {SIM_TIME:.0f} simulated seconds in {done_at - run_at:.1f}s, "
         f"{result.events_processed} events"
     )
+    print(f"100k smoke: peak resident set {peak_rss_mib():.0f} MiB "
+          f"(ceiling {MAX_RSS_MIB})")
     stats = result.topology_stats
     print(
         f"100k smoke: {stats['snapshots_built']} topology rebuilds; pair list "
@@ -92,6 +104,11 @@ def run_smoke() -> Tuple[Dict[str, object], Dict[str, int]]:
     return digest, stats
 
 
+def peak_rss_mib() -> float:
+    """Peak resident set of this process so far (Linux: KiB -> MiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -103,6 +120,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if stats["pair_list_reuses"] == 0:
         print("FAIL: no topology refresh reused its candidate pairs",
               file=sys.stderr)
+        return 1
+    if peak_rss_mib() > MAX_RSS_MIB:
+        print(f"FAIL: peak resident set {peak_rss_mib():.0f} MiB is above "
+              f"the committed ceiling of {MAX_RSS_MIB} MiB", file=sys.stderr)
         return 1
     if args.update:
         GOLDEN_PATH.write_text(json.dumps(digest, indent=2, sort_keys=True) + "\n")

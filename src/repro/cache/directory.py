@@ -15,6 +15,26 @@ from typing import Dict, List, Set
 __all__ = ["CacheDirectory"]
 
 
+class _StoreBinding:
+    """One node's membership callbacks: ``(directory, node_id)`` held once.
+
+    Two bound methods of one slotted object, where a pair of closures
+    would be two functions and two cells per host.
+    """
+
+    __slots__ = ("_directory", "_node_id")
+
+    def __init__(self, directory: "CacheDirectory", node_id: int) -> None:
+        self._directory = directory
+        self._node_id = node_id
+
+    def on_insert(self, item_id: int) -> None:
+        self._directory.add(item_id, self._node_id)
+
+    def on_evict(self, item_id: int) -> None:
+        self._directory.remove(item_id, self._node_id)
+
+
 class CacheDirectory:
     """Mapping from item id to the set of nodes holding a cached copy."""
 
@@ -48,11 +68,5 @@ class CacheDirectory:
 
     def bind_store(self, node_id: int) -> tuple:
         """Build ``(on_insert, on_evict)`` callbacks for one node's store."""
-
-        def on_insert(item_id: int) -> None:
-            self.add(item_id, node_id)
-
-        def on_evict(item_id: int) -> None:
-            self.remove(item_id, node_id)
-
-        return on_insert, on_evict
+        binding = _StoreBinding(self, node_id)
+        return binding.on_insert, binding.on_evict

@@ -28,6 +28,16 @@ class MasterCopy:
         Payload size in bytes, used for data-transfer messages.
     """
 
+    __slots__ = (
+        "item_id",
+        "source_id",
+        "content_size",
+        "version",
+        "created_at",
+        "updated_at",
+        "update_count",
+    )
+
     def __init__(self, item_id: int, source_id: int, content_size: int = 1024) -> None:
         if content_size <= 0:
             raise UnknownItemError(f"content_size must be positive, got {content_size!r}")

@@ -19,9 +19,10 @@ Policies are discoverable by name through the
 :data:`~repro.scenarios.registry.POLICIES` registry
 (``@register_policy``); :func:`make_policy` instantiates one, passing
 through whichever context parameters (``ttl``, ``clock``) the policy's
-constructor accepts.  The chosen name rides on
-``SimulationConfig.replacement_policy`` and therefore hashes into the
-result-cache key.
+constructor accepts, and :func:`policy_factory` resolves name and
+parameters once for a caller that builds one policy per host.  The
+chosen name rides on ``SimulationConfig.replacement_policy`` and
+therefore hashes into the result-cache key.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "LRUKPolicy",
     "POLICIES",
     "make_policy",
+    "policy_factory",
 ]
 
 
@@ -56,6 +58,10 @@ class CachePolicy(abc.ABC):
     lifecycle hooks below, so one policy instance must serve exactly one
     :class:`~repro.cache.store.CacheStore`.
     """
+
+    # One policy per host: the shipped policies declare their state as
+    # slots.  A subclass that declares none simply keeps its ``__dict__``.
+    __slots__ = ()
 
     name: str = "abstract"
 
@@ -82,6 +88,7 @@ ReplacementPolicy = CachePolicy
 class LRUPolicy(CachePolicy):
     """Evict the least-recently accessed copy."""
 
+    __slots__ = ()
     name = "lru"
 
     def victim(self, copies: Dict[int, CachedCopy]) -> int:
@@ -92,6 +99,7 @@ class LRUPolicy(CachePolicy):
 class LFUPolicy(CachePolicy):
     """Evict the least-frequently accessed copy (ties: oldest access)."""
 
+    __slots__ = ()
     name = "lfu"
 
     def victim(self, copies: Dict[int, CachedCopy]) -> int:
@@ -105,6 +113,7 @@ class LFUPolicy(CachePolicy):
 class FIFOPolicy(CachePolicy):
     """Evict the copy fetched earliest."""
 
+    __slots__ = ()
     name = "fifo"
 
     def victim(self, copies: Dict[int, CachedCopy]) -> int:
@@ -127,6 +136,7 @@ class TTLValuePolicy(CachePolicy):
     deterministic.
     """
 
+    __slots__ = ("ttl", "clock")
     name = "ttl-value"
 
     def __init__(
@@ -164,6 +174,7 @@ class SizeUtilityPolicy(CachePolicy):
     out before it has had any chance to earn hits.
     """
 
+    __slots__ = ("_last_admitted",)
     name = "size-utility"
 
     def __init__(self) -> None:
@@ -203,6 +214,7 @@ class LRUKPolicy(CachePolicy):
     policy degenerates exactly to LRU — a property test pins that.
     """
 
+    __slots__ = ("k", "_history")
     name = "lru-k"
 
     def __init__(self, k: int = 2) -> None:
@@ -240,20 +252,21 @@ def _accepted_parameters(factory: Callable[..., CachePolicy]) -> frozenset:
     """Constructor parameter names of ``factory``, resolved once each.
 
     ``inspect.signature`` of a class without its own ``__init__`` parses
-    ``object.__init__``'s text signature — compiling source per call —
-    and :func:`make_policy` runs once per host.
+    ``object.__init__``'s text signature — compiling source per call.
     """
     return frozenset(inspect.signature(factory).parameters)
 
 
-def make_policy(name: str, **context) -> CachePolicy:
-    """Instantiate a registered replacement policy by name.
+def policy_factory(name: str, **context) -> Callable[[], CachePolicy]:
+    """Resolve a registered policy once; each call of the result builds one.
 
     ``context`` may carry wiring the caller has on hand (``ttl=``,
     ``clock=``, ``k=``); only the parameters the policy's constructor
-    declares are passed through, so stateless policies ignore all of it.
-    Unknown names raise :class:`~repro.errors.CacheError` (the cache
-    layer's historical contract).
+    declares are bound, so stateless policies ignore all of it.  The
+    registry lookup and the parameter filtering happen here, not per
+    instance: a world builder calls this once and the result once per
+    host.  Unknown names raise :class:`~repro.errors.CacheError` (the
+    cache layer's historical contract).
     """
     from repro.errors import ConfigurationError
 
@@ -265,4 +278,12 @@ def make_policy(name: str, **context) -> CachePolicy:
         ) from None
     accepted = _accepted_parameters(factory)
     kwargs = {key: value for key, value in context.items() if key in accepted}
-    return factory(**kwargs)
+    return functools.partial(factory, **kwargs)
+
+
+def make_policy(name: str, **context) -> CachePolicy:
+    """Instantiate a registered replacement policy by name.
+
+    One :func:`policy_factory` resolution and one call of its result.
+    """
+    return policy_factory(name, **context)()

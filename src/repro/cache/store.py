@@ -7,7 +7,7 @@ membership changes so the global cache directory stays current.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.cache.item import CachedCopy
 from repro.cache.replacement import CachePolicy, LRUPolicy, ReplacementPolicy
@@ -34,6 +34,17 @@ class CacheStore:
         Optional callbacks ``(item_id) -> None`` fired on membership change
         (used to maintain the global cache directory).
     """
+
+    __slots__ = (
+        "capacity",
+        "policy",
+        "_copies",
+        "_on_insert",
+        "_on_evict",
+        "hits",
+        "misses",
+        "evictions",
+    )
 
     def __init__(
         self,
@@ -62,9 +73,17 @@ class CacheStore:
     def __contains__(self, item_id: int) -> bool:
         return item_id in self._copies
 
+    def __iter__(self) -> Iterator[int]:
+        """Ids of the cached items, without a copy.
+
+        For loops that leave membership alone; take :attr:`item_ids`
+        when the body inserts or removes.
+        """
+        return iter(self._copies)
+
     @property
     def item_ids(self) -> List[int]:
-        """Ids of all currently cached items."""
+        """Ids of all currently cached items (a fresh list)."""
         return list(self._copies)
 
     @property

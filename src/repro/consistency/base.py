@@ -403,6 +403,10 @@ class ConsistencyStrategy(abc.ABC):
 class BaseAgent(abc.ABC):
     """Per-host protocol endpoint with the shared query machinery."""
 
+    # One agent per host: the shipped agents declare their state as
+    # slots.  A subclass that declares none simply keeps its ``__dict__``.
+    __slots__ = ("strategy", "context", "host", "_pending_remote")
+
     def __init__(self, strategy: ConsistencyStrategy, host: MobileHost) -> None:
         self.strategy = strategy
         self.context = strategy.context

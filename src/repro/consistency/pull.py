@@ -98,6 +98,8 @@ class PullStrategy(ConsistencyStrategy):
 class PullAgent(BaseAgent):
     """Per-host endpoint of the simple pull strategy."""
 
+    __slots__ = ("pull", "_pending_polls")
+
     def __init__(self, strategy: PullStrategy, host: MobileHost) -> None:
         super().__init__(strategy, host)
         self.pull: PullStrategy = strategy

@@ -130,6 +130,8 @@ class PushStrategy(ConsistencyStrategy):
 class PushAgent(BaseAgent):
     """Per-host endpoint of the simple push strategy."""
 
+    __slots__ = ("push", "_waiting", "_refreshing", "_refresh_ids")
+
     def __init__(self, strategy: PushStrategy, host: MobileHost) -> None:
         super().__init__(strategy, host)
         self.push: PushStrategy = strategy

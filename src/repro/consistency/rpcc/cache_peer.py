@@ -82,6 +82,8 @@ class _PollState:
 class CachePeerSide:
     """Cache-peer behaviour: queries, TTP windows, polls and fallbacks."""
 
+    __slots__ = ("agent", "config", "_ttp", "_pending", "_known_relay")
+
     def __init__(self, agent: "RPCCAgent", config: RPCCConfig) -> None:
         self.agent = agent
         self.config = config

@@ -186,6 +186,8 @@ class RPCCStrategy(ConsistencyStrategy):
 class RPCCAgent(BaseAgent):
     """Per-host RPCC endpoint composing the Fig 6 sides."""
 
+    __slots__ = ("config", "roles", "source", "relay", "cache_peer")
+
     def __init__(self, strategy: RPCCStrategy, host: MobileHost) -> None:
         super().__init__(strategy, host)
         self.config = strategy.config
@@ -194,7 +196,7 @@ class RPCCAgent(BaseAgent):
         self.relay = RelaySide(self, self.config)
         self.cache_peer = CachePeerSide(self, self.config)
         # Copies placed before the run starts count as freshly validated.
-        for item_id in host.store.item_ids:
+        for item_id in host.store:
             self.cache_peer.renew_ttp(item_id)
 
     # ------------------------------------------------------------------

@@ -31,6 +31,8 @@ class Role(enum.Enum):
 class RoleTable:
     """Tracks the Fig 5 state per cached item of one host."""
 
+    __slots__ = ("_roles", "promotions", "demotions")
+
     def __init__(self) -> None:
         self._roles: Dict[int, Role] = {}
         self.promotions = 0

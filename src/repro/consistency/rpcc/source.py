@@ -41,12 +41,24 @@ _GOLDEN = 0.6180339887498949
 class SourceSide:
     """Source-host behaviour for the one item this host owns."""
 
+    __slots__ = ("agent", "config", "_relay_table", "_last_pushed_version", "_timer")
+
     def __init__(self, agent: "RPCCAgent", config: RPCCConfig) -> None:
         self.agent = agent
         self.config = config
-        self.relay_table: Set[int] = set()
+        # Created by the first APPLY: an empty set is 216 bytes, every
+        # host is a source, and most sources never have a relay.
+        self._relay_table: Optional[Set[int]] = None
         self._last_pushed_version = 0
         self._timer: Optional[PeriodicTimer] = None
+
+    @property
+    def relay_table(self) -> Set[int]:
+        """Relay peers of this host's item."""
+        table = self._relay_table
+        if table is None:
+            table = self._relay_table = set()
+        return table
 
     # ------------------------------------------------------------------
     # Timer
@@ -115,7 +127,7 @@ class SourceSide:
             content_size=master.content_size,
         )
         unreachable = []
-        for relay_id in sorted(self.relay_table):
+        for relay_id in sorted(self._relay_table or ()):
             if not self.agent.send(relay_id, update):
                 # The relay will resynchronise via INVALIDATION + GET_NEW.
                 self.agent.context.metrics.bump("rpcc_update_undeliverable")
@@ -215,7 +227,8 @@ class SourceSide:
 
     def handle_cancel(self, message: Cancel) -> None:
         """Fig 6(b) lines 16-18: a relay resigned."""
-        self.relay_table.discard(message.sender)
+        if self._relay_table is not None:
+            self._relay_table.discard(message.sender)
 
     def handle_poll(self, message: Poll) -> None:
         """Fallback direct poll from a cache peer that found no relay."""

@@ -14,13 +14,20 @@ selection criterion.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
+
 from repro.errors import ConfigurationError
 
 __all__ = ["EnergyCosts", "Battery"]
 
 
+@dataclass(frozen=True, slots=True)
 class EnergyCosts:
     """Per-operation energy prices in joules.
+
+    Read-only once validated: every battery built without its own price
+    list shares one instance, and a shared object must not be a place
+    where one host's experiment leaks into the others.
 
     Parameters
     ----------
@@ -32,28 +39,17 @@ class EnergyCosts:
         Baseline drain while powered on.
     """
 
-    def __init__(
-        self,
-        tx_fixed: float = 0.002,
-        tx_per_byte: float = 0.000002,
-        rx_fixed: float = 0.001,
-        rx_per_byte: float = 0.000001,
-        idle_per_second: float = 0.0001,
-    ) -> None:
-        for name, value in (
-            ("tx_fixed", tx_fixed),
-            ("tx_per_byte", tx_per_byte),
-            ("rx_fixed", rx_fixed),
-            ("rx_per_byte", rx_per_byte),
-            ("idle_per_second", idle_per_second),
-        ):
+    tx_fixed: float = 0.002
+    tx_per_byte: float = 0.000002
+    rx_fixed: float = 0.001
+    rx_per_byte: float = 0.000001
+    idle_per_second: float = 0.0001
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
             if value < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
-        self.tx_fixed = tx_fixed
-        self.tx_per_byte = tx_per_byte
-        self.rx_fixed = rx_fixed
-        self.rx_per_byte = rx_per_byte
-        self.idle_per_second = idle_per_second
+                raise ConfigurationError(f"{field.name} must be >= 0, got {value!r}")
 
     def transmit_cost(self, size_bytes: int) -> float:
         """Energy to transmit one packet of ``size_bytes``."""
@@ -62,6 +58,9 @@ class EnergyCosts:
     def receive_cost(self, size_bytes: int) -> float:
         """Energy to receive one packet of ``size_bytes``."""
         return self.rx_fixed + self.rx_per_byte * size_bytes
+
+
+_DEFAULT_COSTS = EnergyCosts()
 
 
 class Battery:
@@ -76,6 +75,8 @@ class Battery:
         Per-operation prices; shared between hosts by default.
     """
 
+    __slots__ = ("capacity", "costs", "_level", "total_consumed", "tx_count", "rx_count")
+
     def __init__(
         self,
         capacity: float = 100.0,
@@ -85,7 +86,7 @@ class Battery:
         if capacity <= 0:
             raise ConfigurationError(f"capacity must be positive, got {capacity!r}")
         self.capacity = float(capacity)
-        self.costs = costs if costs is not None else EnergyCosts()
+        self.costs = costs if costs is not None else _DEFAULT_COSTS
         level = capacity if initial is None else float(initial)
         if not 0.0 <= level <= capacity:
             raise ConfigurationError(

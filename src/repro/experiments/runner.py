@@ -36,7 +36,7 @@ from repro.cache.placement import (
     random_placement,
     single_item_placement,
 )
-from repro.cache.replacement import make_policy
+from repro.cache.replacement import policy_factory
 from repro.consistency.base import (
     ConsistencyStrategy,
     RetryBackoff,
@@ -363,11 +363,22 @@ def build_simulation(
     stable_ids = set(stable_rng.sample(range(config.n_peers), stable_count))
 
     battery_rng = streams.stream("battery")
+    # One fresh policy instance per host (stateful policies keep
+    # per-store history); name and parameters are resolved once here.
+    # ttl/clock are wiring the TTL-aware policy accepts; stateless ones
+    # ignore them.
+    new_policy = policy_factory(
+        config.replacement_policy, ttl=config.ttp, clock=lambda: sim.now
+    )
     hosts: Dict[int, MobileHost] = {}
     for host_id in range(config.n_peers):
         stable = host_id in stable_ids
         if stable:
-            mobility = Stationary(terrain.random_point(streams.stream(f"pos/{host_id}")))
+            # Drawn from twice and never again: a one-shot stream, so
+            # its generator does not outlive this line.
+            mobility = Stationary(
+                terrain.random_point(streams.one_shot(f"pos/{host_id}"))
+            )
         elif config.mobility == "walk":
             mobility = RandomWalk(
                 terrain,
@@ -406,12 +417,7 @@ def build_simulation(
                 phi=config.switch_interval, omega=config.omega
             ),
             subnet_tracker=SubnetTracker(grid, mobility),
-            # One fresh policy instance per host: stateful policies keep
-            # per-store history.  ttl/clock are wiring the TTL-aware
-            # policy accepts; stateless ones ignore them.
-            replacement_policy=make_policy(
-                config.replacement_policy, ttl=config.ttp, clock=lambda: sim.now
-            ),
+            replacement_policy=new_policy(),
         )
         host.attach_source(catalog.master(host_id))
         if not stable:
@@ -480,7 +486,7 @@ def build_simulation(
     if isinstance(strategy, RPCCStrategy):
         for host in hosts.values():
             agent = strategy.agent_for(host.node_id)
-            for item_id in host.store.item_ids:
+            for item_id in host.store:
                 agent.cache_peer.renew_ttp(item_id)  # type: ignore[attr-defined]
 
     update_workload = UpdateWorkload(

@@ -26,6 +26,10 @@ __all__ = ["MobilityModel"]
 class MobilityModel(abc.ABC):
     """Abstract trajectory of one node."""
 
+    # One model per host: the shipped models declare their state as
+    # slots.  A subclass that declares none simply keeps its ``__dict__``.
+    __slots__ = ()
+
     @abc.abstractmethod
     def position(self, time: float) -> Point:
         """Return the node position at simulation time ``time`` (seconds)."""

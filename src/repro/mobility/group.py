@@ -45,6 +45,18 @@ class GroupMember(MobilityModel):
         Period of the oscillation, seconds.
     """
 
+    __slots__ = (
+        "terrain",
+        "reference",
+        "spread",
+        "jitter",
+        "jitter_period",
+        "_offset_x",
+        "_offset_y",
+        "_phase_x",
+        "_phase_y",
+    )
+
     def __init__(
         self,
         terrain: Terrain,

@@ -20,6 +20,8 @@ __all__ = ["Stationary", "PiecewiseLinear"]
 class Stationary(MobilityModel):
     """A node that never moves."""
 
+    __slots__ = ("point",)
+
     def __init__(self, point: Point) -> None:
         self.point = point
 
@@ -43,6 +45,8 @@ class PiecewiseLinear(MobilityModel):
         Before the first waypoint the node sits at the first point; after
         the last it sits at the last point; in between it moves linearly.
     """
+
+    __slots__ = ("_times", "_points")
 
     def __init__(self, waypoints: Sequence[Tuple[float, Point]]) -> None:
         if not waypoints:

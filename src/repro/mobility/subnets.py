@@ -63,6 +63,8 @@ class SubnetTracker:
     seconds inside the window and cell changes are counted.
     """
 
+    __slots__ = ("grid", "mobility", "sample_interval")
+
     def __init__(
         self,
         grid: SubnetGrid,

@@ -64,6 +64,16 @@ class RandomWalk(MobilityModel):
         Optional fixed starting point; drawn uniformly when omitted.
     """
 
+    __slots__ = (
+        "terrain",
+        "_rng",
+        "speed_min",
+        "speed_max",
+        "epoch",
+        "_epochs",
+        "_epoch_starts",
+    )
+
     def __init__(
         self,
         terrain: Terrain,

@@ -73,6 +73,16 @@ class RandomWaypoint(MobilityModel):
         Optional fixed starting point; drawn uniformly when omitted.
     """
 
+    __slots__ = (
+        "terrain",
+        "_rng",
+        "speed_min",
+        "speed_max",
+        "pause_time",
+        "_legs",
+        "_leg_starts",
+    )
+
     def __init__(
         self,
         terrain: Terrain,

@@ -75,6 +75,8 @@ class Network:
         self.router: Router = router if router is not None else ShortestPathRouter()
         self.traffic: TrafficObserver = traffic if traffic is not None else _NullTraffic()
         self._nodes: Dict[int, NetworkNode] = {}
+        # One bound method handed to every node, not one per registration.
+        self._node_listener = self._on_node_state_change
         # Positions, online flags and validity windows in contiguous
         # arrays: a node is re-sampled only once its window expires, and
         # the topology service reads each refresh's diff from here.
@@ -108,7 +110,7 @@ class Network:
             raise TopologyError(f"node id {node.node_id!r} already registered")
         self._nodes[node.node_id] = node
         self._soa_ledger.add(node)
-        node.bind_state_listener(self._on_node_state_change)
+        node.bind_state_listener(self._node_listener)
 
     def _on_node_state_change(self, node: NetworkNode) -> None:
         self._soa_ledger.note_state(node)

@@ -20,7 +20,13 @@ __all__ = ["NetworkNode"]
 class NetworkNode(abc.ABC):
     """A node addressable by the simulated network."""
 
-    # Set by Network.register; class-level default keeps stand-ins simple.
+    # No per-instance storage here, so a subclass that declares its own
+    # ``__slots__`` (MobileHost) carries no instance ``__dict__``.
+    __slots__ = ()
+
+    # Set by Network.register; the class-level default keeps dict-backed
+    # stand-ins simple.  A slotted subclass names ``_state_listener`` in
+    # its own ``__slots__`` and initialises it.
     _state_listener: Optional[Callable[["NetworkNode"], None]] = None
 
     @property

@@ -9,6 +9,15 @@ per JSONL line, and deserialise back through :func:`event_from_dict`, so
 a trace written by one process can be replayed — e.g. through
 :class:`repro.obs.checker.InvariantChecker` — by another.
 
+There is one codec per event type, built on first use and shared by
+every writer: the field names in order and, beside each, the JSON text
+that precedes its value.  :meth:`TraceEvent.to_json` fills that template
+with ``int`` / ``str`` / finite ``float`` / ``bool`` values rendered
+directly and anything else (``None``, NaN, ±inf, nested values) through
+the one module-level encoder — the bytes ``json.dumps(event.to_dict(),
+separators=(",", ":"))`` would produce, without a ``JSONEncoder`` and a
+``dataclasses.fields()`` walk per event.
+
 The taxonomy (see docs/OBSERVABILITY.md):
 
 =====================  =============================================
@@ -35,7 +44,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, ClassVar, Dict, IO, Iterable, Iterator, List, Union
+from json.encoder import encode_basestring_ascii as _encode_str
+from math import isfinite
+from typing import Any, ClassVar, Dict, IO, Iterable, Iterator, List, Tuple, Union
 
 from repro.errors import ConfigurationError
 
@@ -72,6 +83,29 @@ __all__ = [
 ]
 
 
+#: What ``json.dumps(..., separators=(",", ":"))`` builds afresh per call.
+_encode_value = json.JSONEncoder(separators=(",", ":")).encode
+
+#: Event class -> (field names, JSON text preceding each field's value).
+_CODECS: Dict[type, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
+
+
+def _codec(cls: type) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """Field names of ``cls`` (``time`` first) and their key templates."""
+    codec = _CODECS.get(cls)
+    if codec is None:
+        names = ("time",) + tuple(
+            field.name for field in dataclasses.fields(cls) if field.name != "time"
+        )
+        head = '{"e":' + _encode_str(cls.etype)
+        prefixes = tuple(
+            (head if index == 0 else "") + "," + _encode_str(name) + ":"
+            for index, name in enumerate(names)
+        )
+        codec = _CODECS[cls] = names, prefixes
+    return codec
+
+
 @dataclasses.dataclass
 class TraceEvent:
     """Base class: every event carries the simulation time it occurred."""
@@ -82,11 +116,36 @@ class TraceEvent:
 
     def to_dict(self) -> Dict[str, Any]:
         """Flat JSON-ready dictionary (``e`` = type tag, then the fields)."""
-        payload: Dict[str, Any] = {"e": self.etype, "time": self.time}
-        for field in dataclasses.fields(self):
-            if field.name != "time":
-                payload[field.name] = getattr(self, field.name)
+        payload: Dict[str, Any] = {"e": self.etype}
+        for name in _codec(type(self))[0]:
+            payload[name] = getattr(self, name)
         return payload
+
+    def to_json(self) -> str:
+        """One compact JSON object: :meth:`to_dict`, serialised.
+
+        Byte-for-byte what ``json.dumps(self.to_dict(), separators=(",",
+        ":"))`` returns; every JSONL writer calls this.
+        """
+        names, prefixes = _codec(type(self))
+        parts: List[str] = []
+        for name, prefix in zip(names, prefixes):
+            value = getattr(self, name)
+            kind = type(value)
+            if kind is int:
+                text = int.__repr__(value)
+            elif kind is str:
+                text = _encode_str(value)
+            elif kind is float and isfinite(value):
+                text = float.__repr__(value)
+            elif kind is bool:
+                text = "true" if value else "false"
+            else:
+                text = _encode_value(value)
+            parts.append(prefix)
+            parts.append(text)
+        parts.append("}")
+        return "".join(parts)
 
 
 @dataclasses.dataclass
@@ -391,7 +450,11 @@ def event_to_dict(event: TraceEvent) -> Dict[str, Any]:
 
 def event_from_dict(payload: Dict[str, Any]) -> TraceEvent:
     """Reconstruct a typed event from its :meth:`~TraceEvent.to_dict` form."""
-    fields = dict(payload)
+    return _event_from_fields(dict(payload))
+
+
+def _event_from_fields(fields: Dict[str, Any]) -> TraceEvent:
+    """:func:`event_from_dict` on a dict the caller gives up (``e`` is popped)."""
     tag = fields.pop("e", None)
     cls = EVENT_TYPES.get(tag)
     if cls is None:
@@ -413,8 +476,7 @@ def write_jsonl(events: Iterable[TraceEvent], target: Union[str, IO[str]]) -> in
 def _write_stream(events: Iterable[TraceEvent], handle: IO[str]) -> int:
     count = 0
     for event in events:
-        handle.write(json.dumps(event.to_dict(), separators=(",", ":")))
-        handle.write("\n")
+        handle.write(event.to_json() + "\n")
         count += 1
     return count
 
@@ -437,4 +499,5 @@ def _iter_stream(handle: IO[str]) -> Iterator[TraceEvent]:
     for line in handle:
         line = line.strip()
         if line:
-            yield event_from_dict(json.loads(line))
+            # The dict json.loads just built is nobody else's: no copy.
+            yield _event_from_fields(json.loads(line))

@@ -10,9 +10,9 @@
 
 from __future__ import annotations
 
-import json
 from typing import List, Optional, Protocol, TextIO, Union
 
+from repro.errors import ConfigurationError
 from repro.obs.events import TraceEvent
 
 __all__ = ["TraceSink", "ListSink", "JsonlSink", "NullSink"]
@@ -59,9 +59,9 @@ class JsonlSink:
         self.events_written = 0
 
     def on_event(self, event: TraceEvent) -> None:
-        assert self._handle is not None, "sink already closed"
-        self._handle.write(json.dumps(event.to_dict(), separators=(",", ":")))
-        self._handle.write("\n")
+        if self._handle is None:
+            raise ConfigurationError("trace sink is closed")
+        self._handle.write(event.to_json() + "\n")
         self.events_written += 1
 
     def close(self) -> None:

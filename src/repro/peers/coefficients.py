@@ -69,6 +69,21 @@ class CoefficientTracker:
         Seconds per rate unit; defaults to ``phi`` (per-period rates).
     """
 
+    __slots__ = (
+        "phi",
+        "omega",
+        "rate_unit",
+        "_accesses",
+        "_switches",
+        "_moves",
+        "_par_t",
+        "_par_prev",
+        "_psr_t",
+        "_pmr_t",
+        "_energy_fraction",
+        "periods_closed",
+    )
+
     def __init__(
         self,
         phi: float = 300.0,

@@ -65,6 +65,26 @@ class MobileHost(NetworkNode):
         track per-store history.
     """
 
+    __slots__ = (
+        "_state_listener",
+        "_host_id",
+        "sim",
+        "mobility",
+        "battery",
+        "store",
+        "tracker",
+        "subnet_tracker",
+        "_online",
+        "agent",
+        "source_item",
+        "switching",
+        "_period_timer",
+        "_period_started_at",
+        "offline_time",
+        "_went_offline_at",
+        "messages_handled",
+    )
+
     def __init__(
         self,
         host_id: int,
@@ -77,6 +97,7 @@ class MobileHost(NetworkNode):
         subnet_tracker: Optional[SubnetTracker] = None,
         replacement_policy: Optional[CachePolicy] = None,
     ) -> None:
+        self._state_listener = None
         self._host_id = int(host_id)
         self.sim = sim
         self.mobility = mobility
@@ -196,7 +217,7 @@ class MobileHost(NetworkNode):
         if wipe_cache:
             # store.clear() only notifies the directory; the agent hook
             # must be driven explicitly, exactly as the query path does.
-            for item_id in list(self.store.item_ids):
+            for item_id in self.store.item_ids:
                 self.store.discard(item_id)
                 if self.agent is not None:
                     self.agent.on_copy_evicted(item_id)

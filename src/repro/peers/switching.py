@@ -38,6 +38,17 @@ class SwitchingProcess:
         Mean of the exponential offline duration.
     """
 
+    __slots__ = (
+        "_sim",
+        "_rng",
+        "_set_online",
+        "mean_online",
+        "mean_offline",
+        "_currently_online",
+        "_handle",
+        "flips",
+    )
+
     def __init__(
         self,
         sim: Simulator,

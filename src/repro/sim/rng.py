@@ -15,6 +15,11 @@ Example
 >>> b = streams.stream("workload/query/node-3")
 >>> a is streams.stream("mobility/node-3")
 True
+
+A consumer that draws once and is done (a stationary host's start
+position) takes :meth:`RandomStreams.one_shot` instead: same seed
+derivation, same draws, but the registry keeps only the name, so the
+generator's 2.5 KB of Mersenne-Twister state is freed with its last use.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ import hashlib
 import random
 from typing import Dict
 
-__all__ = ["RandomStreams", "derive_seed"]
+from repro.errors import SimulationError
+
+__all__ = ["RandomStreams", "Stream", "derive_seed"]
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -33,6 +40,23 @@ def derive_seed(root_seed: int, name: str) -> int:
     """
     digest = hashlib.sha256(f"{root_seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+class Stream(random.Random):
+    """:class:`random.Random` whose one Python-level attribute is a slot.
+
+    ``random.Random`` keeps ``gauss_next`` in an instance ``__dict__`` —
+    326 bytes per generator on top of the C state, and a world holds
+    three generators per host.  Declaring the attribute as a slot leaves
+    that dict unallocated; the generator, every draw, ``getstate`` /
+    ``setstate``, pickling and copying are the base class's own.
+    """
+
+    __slots__ = ("gauss_next",)
+
+
+#: What the registry keeps under a name it handed out through one_shot().
+_SPENT = Stream(0)
 
 
 class RandomStreams:
@@ -46,20 +70,41 @@ class RandomStreams:
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
-        self._streams: Dict[str, random.Random] = {}
+        self._streams: Dict[str, Stream] = {}
 
     @property
     def seed(self) -> int:
         """The root seed this registry was created with."""
         return self._seed
 
-    def stream(self, name: str) -> random.Random:
+    def stream(self, name: str) -> Stream:
         """Return the generator for ``name``, creating it on first use."""
         generator = self._streams.get(name)
         if generator is None:
-            generator = random.Random(derive_seed(self._seed, name))
+            generator = Stream(derive_seed(self._seed, name))
             self._streams[name] = generator
+        elif generator is _SPENT:
+            raise SimulationError(
+                f"stream {name!r} was handed out as one-shot; asking for it "
+                "again would restart its sequence"
+            )
         return generator
+
+    def one_shot(self, name: str) -> Stream:
+        """A fresh generator for ``name`` that the registry does not keep.
+
+        For consumers that draw and are done: the caller holds the only
+        reference, so the generator is freed when the caller drops it.
+        The *name* is still recorded — a second request for it, through
+        either method, raises rather than replaying the same draws.
+        """
+        if name in self._streams:
+            raise SimulationError(
+                f"stream {name!r} already exists; a one-shot generator of the "
+                "same name would replay its sequence"
+            )
+        self._streams[name] = _SPENT
+        return Stream(derive_seed(self._seed, name))
 
     def spawn(self, name: str) -> "RandomStreams":
         """Create a child registry whose root seed is derived from ``name``.

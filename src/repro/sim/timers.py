@@ -36,6 +36,8 @@ class PeriodicTimer:
         Delay before the first tick.  Defaults to one full ``interval``.
     """
 
+    __slots__ = ("_sim", "interval", "_callback", "_handle", "_start_offset", "_ticks")
+
     def __init__(
         self,
         sim: Simulator,
@@ -102,6 +104,8 @@ class CountdownTimer:
     full duration.  :attr:`remaining` answers the paper's ``TTx > 0`` tests
     and an optional ``on_expire`` callback fires when the window closes.
     """
+
+    __slots__ = ("_sim", "duration", "_on_expire", "_expires_at", "_handle")
 
     def __init__(
         self,

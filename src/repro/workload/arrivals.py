@@ -33,6 +33,8 @@ class ExponentialProcess:
         Zero-argument callable fired on each arrival.
     """
 
+    __slots__ = ("_sim", "_rng", "mean_interval", "_callback", "_handle", "arrivals")
+
     def __init__(
         self,
         sim: Simulator,

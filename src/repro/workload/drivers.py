@@ -9,6 +9,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, List, Optional
 
 from repro.consistency.base import ConsistencyStrategy
@@ -82,13 +83,14 @@ class QueryWorkload:
         self._access = access
         self._mix = mix
         self._restrict = restrict_to_items
+        # One bound method shared by every host; what differs per host
+        # is two bound arguments, not a function object with its cells.
+        issue = self._issue
         for host in hosts:
             rng = streams.stream(f"query/{host.node_id}")
-
-            def issue(host: MobileHost = host, rng=rng) -> None:
-                self._issue(host, rng)
-
-            process = ExponentialProcess(host.sim, rng, mean_interval, issue)
+            process = ExponentialProcess(
+                host.sim, rng, mean_interval, partial(issue, host, rng)
+            )
             self._processes.append(process)
 
     def _issue(self, host: MobileHost, rng) -> None:

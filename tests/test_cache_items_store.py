@@ -124,6 +124,16 @@ class TestCacheStore:
         assert inserted == [1, 2]
         assert evicted == [1, 2]
 
+    def test_iterates_item_ids_without_copying(self):
+        store = CacheStore(3)
+        for item in (3, 1, 2):
+            store.put(copy_of(item))
+        assert list(store) == store.item_ids == [3, 1, 2]
+        # item_ids is a snapshot a loop may mutate under; iteration is live.
+        for item_id in store.item_ids:
+            store.discard(item_id)
+        assert list(store) == []
+
     def test_full_property(self):
         store = CacheStore(1)
         assert not store.full

@@ -19,8 +19,29 @@ class TestEnergyCosts:
         with pytest.raises(ConfigurationError):
             EnergyCosts(tx_fixed=-1.0)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["tx_fixed", "tx_per_byte", "rx_fixed", "rx_per_byte", "idle_per_second"],
+    )
+    def test_read_only_after_validation(self, name):
+        """One price list is shared by every default battery."""
+        costs = EnergyCosts()
+        with pytest.raises(AttributeError):
+            setattr(costs, name, 1.0)
+        # No new attribute either (CPython 3.11's frozen + slots dataclass
+        # refuses it with a TypeError, later versions with AttributeError).
+        with pytest.raises((AttributeError, TypeError)):
+            costs.surcharge = 1.0
+        assert getattr(costs, name) == getattr(EnergyCosts(), name)
+
 
 class TestBattery:
+    def test_default_costs_are_one_shared_object(self):
+        assert Battery().costs is Battery(capacity=5.0).costs
+        assert Battery().costs == EnergyCosts()
+        own = EnergyCosts(idle_per_second=0.5)
+        assert Battery(costs=own).costs is own
+
     def test_starts_full(self):
         battery = Battery(capacity=50.0)
         assert battery.level == 50.0

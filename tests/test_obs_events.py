@@ -120,6 +120,32 @@ class TestSerialisation:
         with pytest.raises(ConfigurationError):
             event_from_dict({"e": "cache_hit", "time": 0.0, "bogus_field": 1})
 
+    def test_from_dict_leaves_the_payload_alone(self):
+        payload = SAMPLE_EVENTS[0].to_dict()
+        before = dict(payload)
+        event_from_dict(payload)
+        assert payload == before
+
+    @pytest.mark.parametrize("event", SAMPLE_EVENTS, ids=lambda e: e.etype)
+    def test_to_json_is_the_compact_dump_of_to_dict(self, event):
+        assert event.to_json() == json.dumps(event.to_dict(), separators=(",", ":"))
+
+    def test_to_json_values_without_a_fast_path(self):
+        """None, NaN, ±inf, huge ints, escapes, bool-for-float and nested
+        values all come out as ``json.dumps`` writes them."""
+        odd = [
+            ControllerActuated(time=float("nan"), policy="p", knob="ttp",
+                               value=float("inf"), reason='q"uo\te\n \u00e9'),
+            ControllerSampled(time=1e-7, policy=None, availability=float("-inf"),
+                              partitions=10**30),
+            CacheHit(time=True, node=[1, {"a": None}], item=(1, 2), version=1.5e300),
+            MetricsReset(time=0),
+        ]
+        for event in odd:
+            assert event.to_json() == json.dumps(
+                event.to_dict(), separators=(",", ":")
+            )
+
 
 class TestJsonl:
     def test_stream_round_trip(self):
@@ -181,6 +207,28 @@ class TestSinks:
         assert not buffer.closed  # flushed, not closed
         buffer.seek(0)
         assert read_jsonl(buffer) == SAMPLE_EVENTS[:1]
+
+    def test_jsonl_sink_writes_each_event_once(self):
+        """One ``write`` per event, each a whole line."""
+        chunks = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                chunks.append(text)
+                return super().write(text)
+
+        sink = JsonlSink(Recorder())
+        for event in SAMPLE_EVENTS:
+            sink.on_event(event)
+        assert chunks == [event.to_json() + "\n" for event in SAMPLE_EVENTS]
+
+    def test_jsonl_sink_closed_raises(self):
+        """A real error, not an ``assert`` that ``python -O`` removes."""
+        sink = JsonlSink(io.StringIO())
+        sink.close()
+        with pytest.raises(ConfigurationError, match="closed"):
+            sink.on_event(SAMPLE_EVENTS[0])
+        assert sink.events_written == 0
 
     def test_null_sink_counts(self):
         sink = NullSink()

@@ -20,6 +20,7 @@ from repro.cache.replacement import (
     SizeUtilityPolicy,
     TTLValuePolicy,
     make_policy,
+    policy_factory,
 )
 from repro.cache.store import CacheStore
 from repro.errors import CacheError
@@ -189,6 +190,29 @@ class TestMakePolicy:
     def test_unknown_policy_is_cache_error(self):
         with pytest.raises(CacheError, match="ttl-value"):
             make_policy("arc")
+        with pytest.raises(CacheError, match="ttl-value"):
+            policy_factory("arc")
+
+    def test_factory_resolves_once_and_builds_fresh_instances(self, monkeypatch):
+        """What a world builder does: one resolution, one call per host."""
+        from repro.cache import replacement
+
+        lookups = []
+        real_get = replacement.POLICIES.get
+        monkeypatch.setattr(
+            replacement.POLICIES, "get",
+            lambda name: lookups.append(name) or real_get(name),
+        )
+        clock = lambda: 7.0
+        new_policy = policy_factory("lru-k", ttl=60.0, clock=clock, k=3)
+        policies = [new_policy() for _ in range(100)]
+        assert lookups == ["lru-k"]
+        assert len({id(policy) for policy in policies}) == 100
+        assert all(type(p) is LRUKPolicy and p.k == 3 for p in policies)
+        # Stateful policies keep per-store history: nothing is shared.
+        assert policies[0]._history is not policies[1]._history
+        ttl = policy_factory("ttl-value", ttl=60.0, clock=clock, k=3)()
+        assert ttl.ttl == 60.0 and ttl.clock is clock
 
     def test_policies_run_end_to_end(self):
         """Every registered policy drives a full (tiny) simulation."""
