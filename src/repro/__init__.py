@@ -32,33 +32,42 @@ Quickstart::
     print(result.summary.mean_latency, result.summary.transmissions)
 """
 
-from repro.consistency import (
-    ConsistencyLevel,
-    PullStrategy,
-    PushStrategy,
-    RPCCConfig,
-    RPCCStrategy,
-)
-from repro.experiments import (
-    STRATEGY_SPECS,
-    SimulationConfig,
-    SimulationResult,
-    build_simulation,
-    run_simulation,
-)
+import importlib
+import sys
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "ConsistencyLevel",
-    "PushStrategy",
-    "PullStrategy",
-    "RPCCStrategy",
-    "RPCCConfig",
-    "SimulationConfig",
-    "SimulationResult",
-    "STRATEGY_SPECS",
-    "build_simulation",
-    "run_simulation",
-]
+
+def _lazy_exports(package, exports):
+    """PEP 562 ``(__getattr__, __dir__)`` for ``exports``: public name -> the
+    module that defines it, imported when the name is first read (``from
+    package import name`` and ``import *`` included)."""
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name):
+        if name not in exports:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(exports[name]), name)
+        return value
+
+    return __getattr__, lambda: sorted({*namespace, *exports})
+
+
+# Resolved on first use, so ``import repro.net`` (or one plain run) does
+# not load the campaign executor, the result store or the statistics.
+_EXPORTS = {
+    "ConsistencyLevel": "repro.consistency",
+    "PushStrategy": "repro.consistency",
+    "PullStrategy": "repro.consistency",
+    "RPCCStrategy": "repro.consistency",
+    "RPCCConfig": "repro.consistency",
+    "SimulationConfig": "repro.experiments.config",
+    "SimulationResult": "repro.experiments.runner",
+    "STRATEGY_SPECS": "repro.experiments.runner",
+    "build_simulation": "repro.experiments.runner",
+    "run_simulation": "repro.experiments.runner",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

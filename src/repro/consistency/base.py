@@ -24,7 +24,8 @@ network), so strategies are agnostic to where the query came from.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Set
+import operator
+from typing import Callable, ClassVar, Dict, Mapping, Optional, Set
 
 from repro.cache.catalog import Catalog
 from repro.cache.discovery import Discovery
@@ -405,23 +406,34 @@ class BaseAgent(abc.ABC):
 
     # One agent per host: the shipped agents declare their state as
     # slots.  A subclass that declares none simply keeps its ``__dict__``.
-    __slots__ = ("strategy", "context", "host", "_pending_remote")
+    __slots__ = ("strategy", "context", "host", "node_id", "_pending_remote")
+
+    #: Message type -> name of its handler method (dotted: a method of a
+    #: per-agent part).  A strategy extends the inherited mapping; a type
+    #: with no entry, itself or inherited, gets ``handle_protocol_message``.
+    HANDLERS: ClassVar[Mapping[type, str]] = {
+        QueryRequest: "_handle_query_request",
+        QueryReply: "_handle_query_reply",
+    }
+    # Exact type -> resolved function, filled on first sight: one memo per
+    # agent class (a subclass may override a handler by name), none per agent.
+    _dispatch: ClassVar[Dict[type, Callable[["BaseAgent", Message], None]]] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._dispatch = {}
 
     def __init__(self, strategy: ConsistencyStrategy, host: MobileHost) -> None:
         self.strategy = strategy
         self.context = strategy.context
         self.host = host
+        self.node_id: int = host.node_id
         self._pending_remote: Dict[int, PendingQuery] = {}
         strategy.agents[host.node_id] = self
 
     # ------------------------------------------------------------------
     # Convenience accessors
     # ------------------------------------------------------------------
-    @property
-    def node_id(self) -> int:
-        """This agent's host id."""
-        return self.host.node_id
-
     @property
     def now(self) -> float:
         """Current simulation time."""
@@ -627,17 +639,32 @@ class BaseAgent(abc.ABC):
     # Message dispatch
     # ------------------------------------------------------------------
     def handle_message(self, message: Message) -> None:
-        """Route an incoming network message."""
-        if isinstance(message, QueryRequest):
-            self._handle_query_request(message)
-        elif isinstance(message, QueryReply):
-            self._handle_query_reply(message)
+        """Route an incoming network message: one lookup by exact type."""
+        try:
+            handler = self._dispatch[type(message)]
+        except KeyError:
+            handler = self._resolve_handler(type(message))
+        handler(self, message)
+
+    @classmethod
+    def _resolve_handler(cls, message_type: type):
+        """Memoise the handler of ``message_type``: the :attr:`HANDLERS` entry
+        of the first class on its MRO that has one (a subclass inherits)."""
+        name = next(
+            (cls.HANDLERS[base] for base in message_type.__mro__ if base in cls.HANDLERS),
+            "handle_protocol_message",
+        )
+        if "." in name:
+            method_of = operator.attrgetter(name)
+            handler = lambda agent, message: method_of(agent)(message)  # noqa: E731
         else:
-            self.handle_protocol_message(message)
+            handler = getattr(cls, name)
+        cls._dispatch[message_type] = handler
+        return handler
 
     @abc.abstractmethod
     def handle_protocol_message(self, message: Message) -> None:
-        """Strategy-specific message handling."""
+        """Handle a message no :attr:`HANDLERS` entry matches."""
 
     # ------------------------------------------------------------------
     # Host lifecycle hooks (default no-ops)

@@ -160,15 +160,14 @@ class PullAgent(BaseAgent):
     # ------------------------------------------------------------------
     # Message handling
     # ------------------------------------------------------------------
+    HANDLERS = {
+        **BaseAgent.HANDLERS,
+        PullPoll: "_handle_poll",
+        PullReply: "_handle_reply",
+    }
+
     def handle_protocol_message(self, message: Message) -> None:
-        if isinstance(message, PullPoll):
-            self._handle_poll(message)
-        elif isinstance(message, PullReply):
-            self._handle_reply(message)
-        else:
-            raise ProtocolError(
-                f"pull agent cannot handle {message.type_name} messages"
-            )
+        raise ProtocolError(f"pull agent cannot handle {message.type_name} messages")
 
     def _handle_poll(self, message: PullPoll) -> None:
         master = self.host.source_item

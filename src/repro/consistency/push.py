@@ -192,17 +192,15 @@ class PushAgent(BaseAgent):
         self.context.metrics.bump("push_fallback_stale")
         self.answer(pending.job, copy.version, fallback=True)
 
+    HANDLERS = {
+        **BaseAgent.HANDLERS,
+        PushInvalidation: "_handle_report",
+        FetchRequest: "_handle_fetch_request",
+        FetchReply: "_handle_fetch_reply",
+    }
+
     def handle_protocol_message(self, message: Message) -> None:
-        if isinstance(message, PushInvalidation):
-            self._handle_report(message)
-        elif isinstance(message, FetchRequest):
-            self._handle_fetch_request(message)
-        elif isinstance(message, FetchReply):
-            self._handle_fetch_reply(message)
-        else:
-            raise ProtocolError(
-                f"push agent cannot handle {message.type_name} messages"
-            )
+        raise ProtocolError(f"push agent cannot handle {message.type_name} messages")
 
     def _handle_report(self, message: PushInvalidation) -> None:
         item_id = message.item_id

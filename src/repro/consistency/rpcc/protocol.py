@@ -240,30 +240,23 @@ class RPCCAgent(BaseAgent):
     # ------------------------------------------------------------------
     # Message dispatch
     # ------------------------------------------------------------------
+    HANDLERS = {
+        **BaseAgent.HANDLERS,
+        Invalidation: "_handle_invalidation",
+        Update: "_handle_update",
+        SendNew: "relay.on_send_new",
+        GetNew: "source.handle_get_new",
+        Apply: "source.handle_apply",
+        ApplyAck: "_handle_apply_ack",
+        Cancel: "source.handle_cancel",
+        Poll: "_handle_poll",
+        PollAckA: "cache_peer.on_poll_ack_a",
+        PollAckB: "cache_peer.on_poll_ack_b",
+        PollHold: "cache_peer.on_poll_hold",
+    }
+
     def handle_protocol_message(self, message: Message) -> None:
-        if isinstance(message, Invalidation):
-            self._handle_invalidation(message)
-        elif isinstance(message, Update):
-            self._handle_update(message)
-        elif isinstance(message, SendNew):
-            self.relay.on_send_new(message)
-        elif isinstance(message, GetNew):
-            self.source.handle_get_new(message)
-        elif isinstance(message, Apply):
-            self.source.handle_apply(message)
-        elif isinstance(message, ApplyAck):
-            self._handle_apply_ack(message)
-        elif isinstance(message, Cancel):
-            self.source.handle_cancel(message)
-        elif isinstance(message, Poll):
-            self._handle_poll(message)
-        elif isinstance(message, PollAckA):
-            self.cache_peer.on_poll_ack_a(message)
-        elif isinstance(message, PollAckB):
-            self.cache_peer.on_poll_ack_b(message)
-        elif isinstance(message, PollHold):
-            self.cache_peer.on_poll_hold(message)
-        # Unknown floods are bystander noise: already accounted as traffic.
+        """Unknown floods are bystander noise: already accounted as traffic."""
 
     def _handle_invalidation(self, message: Invalidation) -> None:
         item_id = message.item_id

@@ -44,11 +44,11 @@ class RoleTable:
 
     def is_relay(self, item_id: int) -> bool:
         """``True`` when this host relays ``item_id``."""
-        return self.role(item_id) is Role.RELAY
+        return self._roles.get(item_id) is Role.RELAY
 
     def is_candidate(self, item_id: int) -> bool:
         """``True`` when an APPLY is outstanding for ``item_id``."""
-        return self.role(item_id) is Role.CANDIDATE
+        return self._roles.get(item_id) is Role.CANDIDATE
 
     def become_candidate(self, item_id: int) -> None:
         """CACHE_NODE -> CANDIDATE (an APPLY was just sent)."""

@@ -14,11 +14,19 @@ selection criterion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from repro.errors import ConfigurationError
 
 __all__ = ["EnergyCosts", "Battery"]
+
+
+def _require_amount(what: str, value: float) -> None:
+    """Reject a negative, infinite or NaN quantity (``nan < 0`` is false, and
+    one ``nan`` in a battery level switches depletion off for the whole run)."""
+    if not 0.0 <= value < math.inf:
+        raise ConfigurationError(f"{what} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,9 +55,7 @@ class EnergyCosts:
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            value = getattr(self, field.name)
-            if value < 0:
-                raise ConfigurationError(f"{field.name} must be >= 0, got {value!r}")
+            _require_amount(field.name, getattr(self, field.name))
 
     def transmit_cost(self, size_bytes: int) -> float:
         """Energy to transmit one packet of ``size_bytes``."""
@@ -83,8 +89,8 @@ class Battery:
         costs: EnergyCosts | None = None,
         initial: float | None = None,
     ) -> None:
-        if capacity <= 0:
-            raise ConfigurationError(f"capacity must be positive, got {capacity!r}")
+        if not 0.0 < capacity < math.inf:
+            raise ConfigurationError(f"capacity must be finite and > 0, got {capacity!r}")
         self.capacity = float(capacity)
         self.costs = costs if costs is not None else _DEFAULT_COSTS
         level = capacity if initial is None else float(initial)
@@ -114,26 +120,55 @@ class Battery:
 
     def consume(self, joules: float) -> None:
         """Drain ``joules`` (clamped at empty)."""
-        if joules < 0:
-            raise ConfigurationError(f"cannot consume negative energy: {joules!r}")
+        _require_amount("consumed energy", joules)
         drained = min(joules, self._level)
         self._level -= drained
         self.total_consumed += drained
 
     def on_transmit(self, size_bytes: int) -> None:
-        """Charge a packet transmission to the battery."""
+        """Charge a packet transmission to the battery.
+
+        The radio hooks run once per hop of every message, so they do
+        :meth:`consume`'s arithmetic themselves, in its order.  Its sign check
+        is discharged, not dropped: prices are finite and >= 0 (``EnergyCosts``)
+        and ``size_bytes`` is >= 0 (``Message.__post_init__``).
+        """
         self.tx_count += 1
-        self.consume(self.costs.transmit_cost(size_bytes))
+        costs = self.costs
+        joules = costs.tx_fixed + costs.tx_per_byte * size_bytes
+        level = self._level
+        drained = level if level < joules else joules
+        self._level = level - drained
+        self.total_consumed += drained
 
     def on_receive(self, size_bytes: int) -> None:
         """Charge a packet reception to the battery."""
         self.rx_count += 1
-        self.consume(self.costs.receive_cost(size_bytes))
+        costs = self.costs
+        joules = costs.rx_fixed + costs.rx_per_byte * size_bytes
+        level = self._level
+        drained = level if level < joules else joules
+        self._level = level - drained
+        self.total_consumed += drained
+
+    def on_relay(self, size_bytes: int) -> None:
+        """A flood relay's packet: :meth:`on_receive` then :meth:`on_transmit`,
+        in that order (an emptied battery pays nothing to rebroadcast)."""
+        self.rx_count += 1
+        self.tx_count += 1
+        costs = self.costs
+        level = self._level
+        joules = costs.rx_fixed + costs.rx_per_byte * size_bytes
+        received = level if level < joules else joules
+        level -= received
+        joules = costs.tx_fixed + costs.tx_per_byte * size_bytes
+        sent = level if level < joules else joules
+        self._level = level - sent
+        self.total_consumed = self.total_consumed + received + sent
 
     def idle(self, seconds: float) -> None:
         """Charge ``seconds`` of idle drain to the battery."""
-        if seconds < 0:
-            raise ConfigurationError(f"idle time must be >= 0, got {seconds!r}")
+        _require_amount("idle time", seconds)
         self.consume(self.costs.idle_per_second * seconds)
 
     def recharge(self, joules: float | None = None) -> None:
@@ -141,6 +176,5 @@ class Battery:
         if joules is None:
             self._level = self.capacity
         else:
-            if joules < 0:
-                raise ConfigurationError(f"recharge must be >= 0, got {joules!r}")
+            _require_amount("recharge", joules)
             self._level = min(self.capacity, self._level + joules)

@@ -1,45 +1,29 @@
 """Experiment harness: Table-1 config, runner, figure reproductions."""
 
-from repro.experiments.analysis import TrafficSplit, rpcc_traffic_split
-from repro.experiments.config import SimulationConfig
-from repro.experiments.executor import (
-    CampaignExecutor,
-    CampaignRunError,
-    env_jobs,
-    run_key,
-)
-from repro.experiments.store import ResultStore, RunRecord
-from repro.experiments.runner import (
-    STRATEGY_SPECS,
-    Simulation,
-    SimulationResult,
-    build_simulation,
-    run_simulation,
-)
-from repro.experiments.stats import (
-    MetricStats,
-    aggregate,
-    run_replicated,
-    summarize_metric,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "SimulationConfig",
-    "STRATEGY_SPECS",
-    "Simulation",
-    "SimulationResult",
-    "build_simulation",
-    "run_simulation",
-    "MetricStats",
-    "aggregate",
-    "run_replicated",
-    "summarize_metric",
-    "TrafficSplit",
-    "rpcc_traffic_split",
-    "CampaignExecutor",
-    "CampaignRunError",
-    "ResultStore",
-    "RunRecord",
-    "env_jobs",
-    "run_key",
-]
+# A plain run imports ``repro.experiments.runner`` and nothing else here.
+_EXPORTS = {
+    "SimulationConfig": "repro.experiments.config",
+    "STRATEGY_SPECS": "repro.experiments.runner",
+    "Simulation": "repro.experiments.runner",
+    "SimulationResult": "repro.experiments.runner",
+    "build_simulation": "repro.experiments.runner",
+    "run_simulation": "repro.experiments.runner",
+    "MetricStats": "repro.experiments.stats",
+    "aggregate": "repro.experiments.stats",
+    "run_replicated": "repro.experiments.stats",
+    "summarize_metric": "repro.experiments.stats",
+    "TrafficSplit": "repro.experiments.analysis",
+    "rpcc_traffic_split": "repro.experiments.analysis",
+    "CampaignExecutor": "repro.experiments.executor",
+    "CampaignRunError": "repro.experiments.executor",
+    "ResultStore": "repro.experiments.store",
+    "RunRecord": "repro.experiments.store",
+    "env_jobs": "repro.experiments.executor",
+    "run_key": "repro.experiments.executor",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -9,11 +9,13 @@ size) are grouped separately and documented in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.faults.plan import FaultPlan
 from repro.peers.coefficients import SelectionThresholds
+
+if TYPE_CHECKING:  # pragma: no cover - loaded only when a config carries a plan
+    from repro.faults.plan import FaultPlan
 
 __all__ = ["SimulationConfig", "TABLE1_ROWS"]
 
@@ -215,10 +217,14 @@ class SimulationConfig:
                 f"need 0 < speed_min <= speed_max, got "
                 f"[{self.speed_min!r}, {self.speed_max!r}]"
             )
-        if self.faults is not None and not isinstance(self.faults, FaultPlan):
-            raise ConfigurationError(
-                f"faults must be a FaultPlan or None, got {type(self.faults).__name__}"
-            )
+        if self.faults is not None:
+            from repro.faults.plan import FaultPlan
+
+            if not isinstance(self.faults, FaultPlan):
+                raise ConfigurationError(
+                    f"faults must be a FaultPlan or None, "
+                    f"got {type(self.faults).__name__}"
+                )
         if self.backoff_factor < 1.0:
             raise ConfigurationError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor!r}"

@@ -26,7 +26,7 @@ import contextlib
 import gc
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.catalog import Catalog
 from repro.cache.directory import CacheDirectory
@@ -45,11 +45,9 @@ from repro.consistency.base import (
 from repro.consistency.pull import PullStrategy
 from repro.consistency.push import PushStrategy
 from repro.consistency.rpcc import RPCCConfig, RPCCStrategy
-from repro.control import OnlineController
 from repro.energy.battery import Battery
 from repro.errors import ConfigurationError
 from repro.experiments.config import SimulationConfig
-from repro.faults import FaultInjector
 from repro.metrics.collector import MetricsCollector, MetricsSummary
 from repro.metrics.degradation import DegradationMeter
 from repro.metrics.timeseries import TimeSeries
@@ -77,6 +75,10 @@ from repro.workload.access import (
 )
 from repro.workload.drivers import QueryWorkload, UpdateWorkload
 from repro.workload.mix import LevelMix
+
+if TYPE_CHECKING:  # pragma: no cover - loaded only when a config asks for them
+    from repro.control import OnlineController
+    from repro.faults import FaultInjector
 
 __all__ = [
     "PLACEMENT_SCENARIOS",
@@ -323,6 +325,9 @@ def build_simulation(
         raise ConfigurationError(
             f"unknown scenario {scenario!r}; choose from {PLACEMENT_SCENARIOS}"
         )
+    # Zero the young-generation counters: how soon the resumed collector walks
+    # the new world again then depends on the run, not on the imports before it.
+    gc.collect(1)
     strategy_name, mix = _parse_spec(spec)
     # An empty plan is the same as no plan: no fault RNG streams, no
     # scheduled fault events, no degradation meter — bit-identical runs.
@@ -519,6 +524,8 @@ def build_simulation(
     )
     injector: Optional[FaultInjector] = None
     if plan is not None:
+        from repro.faults.injector import FaultInjector
+
         injector = FaultInjector(
             plan,
             sim=sim,
@@ -538,6 +545,8 @@ def build_simulation(
         # Constructed last so the "controller" RNG stream is derived only
         # when a controller actually runs: controller=None draws the
         # exact pre-controller random sequences.
+        from repro.control.controller import OnlineController
+
         controller = OnlineController(
             CONTROLLERS.get(config.controller)(),
             strategy,

@@ -169,11 +169,12 @@ class Network:
             self.sim.post(0.0, self._deliver, target, message)
             return True
         faults = self.faults
+        nodes = self._nodes
         transmissions = 0
         for hop_index in range(hops):
             transmissions += 1
-            self.node(path[hop_index]).on_transmit(message)
-            self.node(path[hop_index + 1]).on_receive(message)
+            nodes[path[hop_index]].on_transmit(message)
+            nodes[path[hop_index + 1]].on_receive(message)
             if self.link.hop_is_lost() or (
                 faults is not None
                 and faults.unicast_hop_lost(path[hop_index], path[hop_index + 1])
@@ -254,10 +255,11 @@ class Network:
                 transmissions += 1
                 node.on_transmit(message)
                 continue
-            node.on_receive(message)
             if depth < ttl:
                 transmissions += 1
-                node.on_transmit(message)
+                node.on_relay(message)
+            else:
+                node.on_receive(message)
             if depth != group_depth:
                 if group:
                     post(group_depth * hop_delay, batch_deliver, group, message)
@@ -297,7 +299,10 @@ class Network:
             deliver(target, message)
 
     def _deliver(self, target: int, message: Message) -> None:
-        node = self._nodes.get(target)
+        try:
+            node = self._nodes[target]
+        except KeyError:
+            node = None
         if node is None or not node.online:
             self.messages_undeliverable += 1
             return

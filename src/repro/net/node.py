@@ -65,6 +65,12 @@ class NetworkNode(abc.ABC):
     def on_receive(self, message: Message) -> None:
         """Hook fired when this node receives a transmission (energy cost)."""
 
+    def on_relay(self, message: Message) -> None:
+        """Hook fired when this node receives a flood copy and rebroadcasts it:
+        :meth:`on_receive` then :meth:`on_transmit`; an override charges the same."""
+        self.on_receive(message)
+        self.on_transmit(message)
+
     def bind_state_listener(
         self, listener: Optional[Callable[["NetworkNode"], None]]
     ) -> None:

@@ -153,6 +153,9 @@ class MobileHost(NetworkNode):
     def on_receive(self, message: Message) -> None:
         self.battery.on_receive(message.size_bytes)
 
+    def on_relay(self, message: Message) -> None:
+        self.battery.on_relay(message.size_bytes)
+
     # ------------------------------------------------------------------
     # Source-host role
     # ------------------------------------------------------------------

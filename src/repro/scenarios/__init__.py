@@ -25,15 +25,20 @@ from repro.scenarios.registry import (
     register_scenario,
     register_strategy,
 )
-from repro.scenarios.spec import BASE_SCENARIOS, ScenarioSpec
-from repro.scenarios.matrix import (
-    MatrixPoint,
-    MatrixSpec,
-    aggregate_matrix,
-    expand_matrix,
-    load_matrix,
-    matrix_csv,
-)
+from repro import _lazy_exports
+
+# The registries are what every run consults; specs and matrices (and the
+# fault plans a spec may carry) load when a campaign first names them.
+_EXPORTS = {
+    "BASE_SCENARIOS": "repro.scenarios.spec",
+    "ScenarioSpec": "repro.scenarios.spec",
+    "MatrixPoint": "repro.scenarios.matrix",
+    "MatrixSpec": "repro.scenarios.matrix",
+    "aggregate_matrix": "repro.scenarios.matrix",
+    "expand_matrix": "repro.scenarios.matrix",
+    "load_matrix": "repro.scenarios.matrix",
+    "matrix_csv": "repro.scenarios.matrix",
+}
 
 __all__ = [
     "BASE_SCENARIOS",
@@ -52,3 +57,5 @@ __all__ = [
     "register_scenario",
     "register_strategy",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

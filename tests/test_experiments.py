@@ -169,6 +169,24 @@ class TestGcQuiet:
         assert gc.isenabled() is enabled
         assert seen == {"build": False, "arming": False, "run": enabled}
 
+    def test_collection_schedule_after_a_build_ignores_what_came_before(self):
+        """The build zeroes the young-generation counters before it pauses.
+
+        Otherwise how soon the resumed collector walks the new world a
+        second time (a 60 ms pass at 10 000 hosts) depends on how many
+        young collections the imports before the build happened to cause.
+        """
+        after = []
+        for earlier_young_collections in (0, 7):
+            gc.collect()
+            for _ in range(earlier_young_collections):
+                gc.collect(0)
+            assert gc.get_count()[1] == earlier_young_collections
+            gc.disable()  # count what the build leaves, not what follows it
+            build_simulation(tiny_config(), "pull")
+            after.append(gc.get_count()[1])
+        assert after == [0, 0]
+
 
 class TestRunSimulation:
     @pytest.mark.parametrize("spec", STRATEGY_SPECS)
