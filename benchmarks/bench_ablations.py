@@ -1,6 +1,5 @@
 """Ablation benches for the design choices DESIGN.md calls out.
 
-* relay selection: CAR/CS/CE criterion vs random promotion;
 * relay hold notice vs paper-faithful silence;
 * eager relay refresh vs wait-for-INVALIDATION;
 * TTR sensitivity: the relay freshness horizon trades traffic vs staleness;
@@ -9,93 +8,32 @@
 
 import pytest
 
-from repro.consistency.rpcc import RPCCConfig, RPCCStrategy
 from repro.experiments.runner import build_simulation, run_simulation
-from repro.extensions.selection_ablation import (
-    RandomSelectionConfig,
-    RandomSelectionRPCCStrategy,
-)
 from repro.metrics.report import format_table
 
 from benchmarks.conftest import bench_config
 
 
-def _run_with_strategy(config, strategy_factory):
-    """Run a standard-scenario simulation with a custom RPCC strategy."""
+def _run_rpcc(config, **flags):
+    """An ``rpcc-sc`` run with :class:`RPCCConfig` ablation flags set.
+
+    The flags are read by the protocol at run time and no
+    ``SimulationConfig`` field reaches them, so they are set on the built
+    strategy's config before the run starts.
+    """
     simulation = build_simulation(config, "rpcc-sc")
-    # Swap the strategy wholesale before anything started.
-    context = simulation.strategy.context
-    strategy = strategy_factory(context)
-    for host in simulation.hosts.values():
-        host.agent = strategy.make_agent(host)
-        for item_id in host.store.item_ids:
-            host.agent.cache_peer.renew_ttp(item_id)
-    simulation.strategy = strategy
-    simulation.query_workload._strategy = strategy
+    for name, value in flags.items():
+        assert hasattr(simulation.strategy.config, name), name
+        setattr(simulation.strategy.config, name, value)
     return simulation.run()
-
-
-def _rpcc_config(config, **overrides):
-    kwargs = dict(
-        ttl_invalidation=config.ttl_rpcc,
-        ttn=config.ttn,
-        ttr=config.ttr,
-        ttp=config.ttp,
-        poll_timeout=config.poll_timeout,
-        broadcast_ttl=config.ttl_broadcast,
-        thresholds=config.thresholds,
-    )
-    kwargs.update(overrides)
-    return kwargs
-
-
-def test_ablation_selection_criterion(benchmark, quick_config):
-    """Coefficient-based vs random relay promotion."""
-
-    def run():
-        stock = run_simulation(quick_config, "rpcc-sc")
-        random_sel = _run_with_strategy(
-            quick_config,
-            lambda ctx: RandomSelectionRPCCStrategy(
-                ctx,
-                RandomSelectionConfig(
-                    promote_prob=0.4, **_rpcc_config(quick_config)
-                ),
-            ),
-        )
-        return stock, random_sel
-
-    stock, random_sel = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [
-        ("criterion (eq 4.2.8)", stock.summary.transmissions,
-         stock.summary.stale_ratio, stock.mean_relay_count),
-        ("random promotion", random_sel.summary.transmissions,
-         random_sel.summary.stale_ratio, random_sel.mean_relay_count),
-    ]
-    print()
-    print(format_table(("selection", "tx", "stale", "relays"), rows,
-                       title="Ablation: relay selection"))
-    # Random promotion drafts unstable nodes: relays churn yet exist.
-    assert random_sel.mean_relay_count > 0
-    assert stock.summary.queries_answered > 0
 
 
 def test_ablation_hold_notice(benchmark, quick_config):
     """POLL_HOLD notice vs paper-faithful silence during TTR dead windows."""
 
     def run():
-        with_hold = _run_with_strategy(
-            quick_config,
-            lambda ctx: RPCCStrategy(
-                ctx, RPCCConfig(**_rpcc_config(quick_config, relay_hold_notice=True))
-            ),
-        )
-        without = _run_with_strategy(
-            quick_config,
-            lambda ctx: RPCCStrategy(
-                ctx, RPCCConfig(**_rpcc_config(quick_config, relay_hold_notice=False))
-            ),
-        )
+        with_hold = _run_rpcc(quick_config, relay_hold_notice=True)
+        without = _run_rpcc(quick_config, relay_hold_notice=False)
         return with_hold, without
 
     with_hold, without = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -121,20 +59,8 @@ def test_ablation_eager_refresh(benchmark, quick_config):
     """Eager GET_NEW on queued polls vs waiting for INVALIDATION."""
 
     def run():
-        eager = _run_with_strategy(
-            quick_config,
-            lambda ctx: RPCCStrategy(
-                ctx,
-                RPCCConfig(**_rpcc_config(quick_config, eager_relay_refresh=True)),
-            ),
-        )
-        lazy = _run_with_strategy(
-            quick_config,
-            lambda ctx: RPCCStrategy(
-                ctx,
-                RPCCConfig(**_rpcc_config(quick_config, eager_relay_refresh=False)),
-            ),
-        )
+        eager = _run_rpcc(quick_config, eager_relay_refresh=True)
+        lazy = _run_rpcc(quick_config, eager_relay_refresh=False)
         return eager, lazy
 
     eager, lazy = benchmark.pedantic(run, rounds=1, iterations=1)

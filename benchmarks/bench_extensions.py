@@ -1,17 +1,19 @@
-"""Benches for the Section 6 future-work extensions.
+"""Benches for what needs more than a registered spec to run.
 
-* adaptive TTN/TTP vs stock RPCC under a bursty update workload;
-* relay-population control: capped vs uncapped relay tables;
-* multi-writer replica consistency: gossip convergence time and cost.
+* multi-writer replica consistency (Section 6 direction 3): gossip
+  convergence time and cost;
+* waypoint vs random-walk mobility.
+
+The strategy variants (``rpcc-controlled-*``, ``rpcc-random-selection-*``,
+``push-uir``) are registered specs: ``tests/test_strategy_variants.py``
+holds their shapes and ``repro run <spec>`` prints their numbers.
 """
 
 import random
 
 import pytest
 
-from repro.experiments.runner import build_simulation, run_simulation
-from repro.extensions.adaptive import AdaptiveConfig, AdaptiveRPCCStrategy
-from repro.extensions.relay_control import ControlledConfig, ControlledRPCCStrategy
+from repro.experiments.runner import run_simulation
 from repro.extensions.replica import GossipReplication
 from repro.metrics.report import format_table
 from repro.mobility.stationary import Stationary
@@ -19,65 +21,6 @@ from repro.mobility.terrain import Point, Terrain
 from repro.net.network import Network
 from repro.peers.host import MobileHost
 from repro.sim.engine import Simulator
-
-from benchmarks.bench_ablations import _rpcc_config, _run_with_strategy
-from benchmarks.conftest import bench_config
-
-
-def test_ext_adaptive_pull(benchmark, quick_config):
-    """Future work 1: adaptive push/pull frequency vs fixed timers."""
-
-    def run():
-        stock = run_simulation(quick_config, "rpcc-sc")
-        adaptive = _run_with_strategy(
-            quick_config,
-            lambda ctx: AdaptiveRPCCStrategy(
-                ctx, AdaptiveConfig(**_rpcc_config(quick_config))
-            ),
-        )
-        return stock, adaptive
-
-    stock, adaptive = benchmark.pedantic(run, rounds=1, iterations=1)
-    print()
-    print(format_table(
-        ("variant", "tx", "stale", "latency"),
-        [
-            ("fixed timers (paper)", stock.summary.transmissions,
-             stock.summary.stale_ratio, stock.summary.mean_latency),
-            ("adaptive TTN/TTP", adaptive.summary.transmissions,
-             adaptive.summary.stale_ratio, adaptive.summary.mean_latency),
-        ],
-        title="Extension: adaptive push/pull frequency",
-    ))
-    assert adaptive.summary.queries_answered > 0
-
-
-def test_ext_relay_control(benchmark, quick_config):
-    """Future work 2: bounding the relay population."""
-
-    def run():
-        results = {}
-        for cap in (1, 3, 100):
-            results[cap] = _run_with_strategy(
-                quick_config,
-                lambda ctx, cap=cap: ControlledRPCCStrategy(
-                    ctx,
-                    ControlledConfig(max_relays=cap, **_rpcc_config(quick_config)),
-                ),
-            )
-        return results
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [
-        (f"cap={cap}", r.mean_relay_count, r.summary.transmissions,
-         r.summary.mean_latency)
-        for cap, r in sorted(results.items())
-    ]
-    print()
-    print(format_table(("variant", "relays", "tx", "latency"), rows,
-                       title="Extension: relay population control"))
-    # The cap binds: an uncapped table carries at least as many relays.
-    assert results[1].mean_relay_count <= results[100].mean_relay_count
 
 
 def test_ext_replica_convergence(benchmark):
@@ -114,45 +57,6 @@ def test_ext_replica_convergence(benchmark):
           f"{replication.rounds} gossip rounds")
     assert converged_at is not None
     assert replication.distinct_values() == 1
-
-
-def test_ext_uir_push(benchmark, quick_config):
-    """Cited mechanism (Cao'00): UIRs between IRs trade traffic for latency."""
-    from repro.extensions.uir_push import UIRPushStrategy
-
-    def run():
-        stock = run_simulation(quick_config, "push")
-        uir = _run_with_strategy_push(quick_config, uir_count=4)
-        return stock, uir
-
-    def _run_with_strategy_push(config, uir_count):
-        simulation = build_simulation(config, "push")
-        context = simulation.strategy.context
-        strategy = UIRPushStrategy(
-            context, uir_count=uir_count,
-            ttn=config.ttn, ttl=config.ttl_broadcast,
-        )
-        for host in simulation.hosts.values():
-            host.agent = strategy.make_agent(host)
-        simulation.strategy = strategy
-        simulation.query_workload._strategy = strategy
-        return simulation.run()
-
-    stock, uir = benchmark.pedantic(run, rounds=1, iterations=1)
-    print()
-    print(format_table(
-        ("variant", "tx", "mean latency"),
-        [
-            ("simple push (IR only)", stock.summary.transmissions,
-             stock.summary.mean_latency),
-            ("push + 4 UIRs", uir.summary.transmissions,
-             uir.summary.mean_latency),
-        ],
-        title="Extension: updated invalidation reports",
-    ))
-    # UIRs divide waiting latency and multiply report traffic.
-    assert uir.summary.mean_latency < stock.summary.mean_latency
-    assert uir.summary.transmissions > stock.summary.transmissions
 
 
 def test_ablation_mobility_model(benchmark, quick_config):

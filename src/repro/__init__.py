@@ -21,7 +21,10 @@ on a laptop:
   measurement;
 * :mod:`repro.experiments` — Table 1 configuration and one module per
   figure of the evaluation section;
-* :mod:`repro.extensions` — the paper's Section 6 future-work directions.
+* :mod:`repro.extensions` — strategy variants for the paper's Section 6
+  future-work directions, registered as specs (``rpcc-controlled-sc``,
+  ``push-uir``, ...) next to the stock ones; :mod:`repro.control` is the
+  run-time adaptation direction.
 
 Quickstart::
 

@@ -29,6 +29,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.errors import ConfigurationError
 from repro.experiments.config import SimulationConfig
 from repro.experiments.executor import CampaignExecutor
 from repro.experiments.store import DEFAULT_STORE_DIR, ResultStore
@@ -51,6 +52,7 @@ from repro.experiments.figures.base import run_axis_sweep
 from repro.experiments.runner import PLACEMENT_SCENARIOS, STRATEGY_SPECS
 from repro.metrics.report import format_summary, format_table
 from repro.net import soa
+from repro.scenarios.registry import parse_spec, strategy_specs
 
 __all__ = ["main", "build_parser"]
 
@@ -62,6 +64,18 @@ _FIGURES = {
     "fig8b": ("query_interval", QUERY_INTERVALS, fig8b, True),
     "fig8c": ("cache_num", tuple(CACHE_NUMBERS), fig8c, True),
 }
+
+
+_SPEC_HELP = "strategy spec, e.g. rpcc-sc ('repro list' prints them all)"
+
+
+def _spec(text: str) -> str:
+    """argparse ``type=``: a strategy spec the catalogue resolves."""
+    try:
+        parse_spec(text)
+    except ConfigurationError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="run one simulation")
-    run_parser.add_argument("spec", choices=STRATEGY_SPECS)
+    run_parser.add_argument("spec", type=_spec, help=_SPEC_HELP)
     run_parser.add_argument("--scenario", default="standard",
                             choices=PLACEMENT_SCENARIOS)
     run_parser.add_argument("--trace", metavar="PATH",
@@ -108,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one traced simulation, export the JSONL event trace and "
         "check the consistency invariants (see docs/OBSERVABILITY.md)",
     )
-    trace_parser.add_argument("spec", choices=STRATEGY_SPECS)
+    trace_parser.add_argument("spec", type=_spec, help=_SPEC_HELP)
     trace_parser.add_argument("--scenario", default="standard",
                               choices=PLACEMENT_SCENARIOS)
     trace_parser.add_argument("--out", default="trace.jsonl",
@@ -562,7 +576,7 @@ def _command_list() -> None:
     for name in CONTROLLERS.names():
         print(f"  {name}")
     print("strategy specs:")
-    for spec in STRATEGY_SPECS:
+    for spec in strategy_specs():
         print(f"  {spec}")
 
 

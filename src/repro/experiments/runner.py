@@ -1,23 +1,25 @@
 """Build and run complete simulations.
 
-A *strategy spec* names what Fig 7/8 plot on their legends:
+A *strategy spec* names one strategy of the
+:data:`~repro.scenarios.registry.STRATEGIES` catalogue and, for one that
+serves reads per consistency level, the workload it is run under:
 
 * ``"push"`` / ``"pull"`` — the baselines (always validated strongly);
 * ``"rpcc-sc"`` / ``"rpcc-dc"`` / ``"rpcc-wc"`` — RPCC under a pure
   consistency-level workload;
-* ``"rpcc-hy"`` — RPCC under the hybrid workload (equal thirds).
+* ``"rpcc-hy"`` — RPCC under the hybrid workload (equal thirds);
+* ``"rpcc-controlled-<level>"``, ``"rpcc-random-selection-<level>"``,
+  ``"push-uir"`` — the :mod:`repro.extensions` variants.
+
+:func:`~repro.scenarios.registry.parse_spec` is the one reader of that
+spelling; the factories registered at the bottom of this module build
+each strategy from a :class:`SimulationConfig` alone.
 
 Three placement scenarios exist: ``"standard"`` (Table 1, random
 placement), ``"single_source"`` (Fig 9: one randomly chosen source whose
 item is cached by every other peer) and ``"hot_set"`` (a multi-source
 generalisation: ``hot_set_size`` items each cached by every other peer,
 queries restricted to the hot set).
-
-The strategy family is discoverable through the
-:data:`~repro.scenarios.registry.STRATEGIES` registry; each factory maps
-``(context, config) -> ConsistencyStrategy`` and is keyed by the family
-name (``push``/``pull``/``rpcc``), while the spec strings above add the
-workload-mix suffix.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import contextlib
 import gc
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.catalog import Catalog
 from repro.cache.directory import CacheDirectory
@@ -63,7 +65,7 @@ from repro.net.routing import CachingRouter, ShortestPathRouter
 from repro.peers.coefficients import CoefficientTracker
 from repro.peers.host import MobileHost
 from repro.peers.switching import SwitchingProcess
-from repro.scenarios.registry import CONTROLLERS, STRATEGIES, register_strategy
+from repro.scenarios.registry import CONTROLLERS, parse_spec, register_strategy
 from repro.sim.engine import Simulator, StartupBatch
 from repro.sim.rng import RandomStreams
 from repro.sim.timers import PeriodicTimer
@@ -89,7 +91,8 @@ __all__ = [
     "run_simulation",
 ]
 
-#: Every legend entry of Fig 7/8.
+#: The paper's six figure columns (every legend entry of Fig 7/8): what
+#: ``compare`` and the figure sweeps run, not the list of valid specs.
 STRATEGY_SPECS = ("pull", "push", "rpcc-sc", "rpcc-dc", "rpcc-wc", "rpcc-hy")
 
 #: Placement scenarios build_simulation understands.
@@ -117,20 +120,6 @@ def _gc_quiet() -> Iterator[None]:
     finally:
         if was_enabled:
             gc.enable()
-
-
-def _parse_spec(spec: str) -> Tuple[str, LevelMix]:
-    spec = spec.strip().lower()
-    if spec == "push" or spec == "pull":
-        return spec, LevelMix.pure("sc")
-    if spec.startswith("rpcc-"):
-        suffix = spec.split("-", 1)[1]
-        if suffix == "hy":
-            return "rpcc", LevelMix.hybrid()
-        return "rpcc", LevelMix.pure(suffix)
-    raise ConfigurationError(
-        f"unknown strategy spec {spec!r}; choose from {STRATEGY_SPECS}"
-    )
 
 
 @dataclass
@@ -311,7 +300,7 @@ def build_simulation(
     config:
         The full parameter set (Table 1 defaults via ``SimulationConfig()``).
     spec:
-        One of :data:`STRATEGY_SPECS`.
+        A strategy spec (``repro list`` prints them all).
     scenario:
         One of :data:`PLACEMENT_SCENARIOS`: ``"standard"``,
         ``"single_source"`` (Fig 9) or ``"hot_set"``.
@@ -328,7 +317,8 @@ def build_simulation(
     # Zero the young-generation counters: how soon the resumed collector walks
     # the new world again then depends on the run, not on the imports before it.
     gc.collect(1)
-    strategy_name, mix = _parse_spec(spec)
+    entry, level = parse_spec(spec)
+    mix = LevelMix.hybrid() if level == "hy" else LevelMix.pure(level or "sc")
     # An empty plan is the same as no plan: no fault RNG streams, no
     # scheduled fault events, no degradation meter — bit-identical runs.
     plan = (
@@ -462,7 +452,7 @@ def build_simulation(
         cache_on_read=config.cache_on_read,
         backoff=backoff,
     )
-    strategy = _make_strategy(strategy_name, context, config)
+    strategy = entry.build(context, config)
     for host in hosts.values():
         host.agent = strategy.make_agent(host)
 
@@ -585,12 +575,12 @@ def _build_pull(context: StrategyContext, config: SimulationConfig) -> Consisten
     )
 
 
-@register_strategy("rpcc")
-def _build_rpcc(context: StrategyContext, config: SimulationConfig) -> ConsistencyStrategy:
+def _rpcc_kwargs(config: SimulationConfig) -> Dict[str, Any]:
+    """The :class:`RPCCConfig` fields a :class:`SimulationConfig` decides."""
     # Protocol hardening rides along with fault injection: fault-free
     # runs keep the paper-faithful defaults (and their golden digests).
     hardened = config.faults is not None and not config.faults.is_empty
-    rpcc_config = RPCCConfig(
+    return dict(
         ttl_invalidation=config.ttl_rpcc,
         ttn=config.ttn,
         ttr=config.ttr,
@@ -602,13 +592,40 @@ def _build_rpcc(context: StrategyContext, config: SimulationConfig) -> Consisten
         resync_on_reconnect=hardened,
         fast_relay_failover=hardened,
     )
-    return RPCCStrategy(context, rpcc_config)
 
 
-def _make_strategy(
-    name: str, context: StrategyContext, config: SimulationConfig
-) -> ConsistencyStrategy:
-    return STRATEGIES.get(name)(context, config)
+@register_strategy("rpcc", levels=True)
+def _build_rpcc(context: StrategyContext, config: SimulationConfig) -> ConsistencyStrategy:
+    return RPCCStrategy(context, RPCCConfig(**_rpcc_kwargs(config)))
+
+
+# The variants import their class when one is asked for: a run of a
+# stock strategy loads nothing of repro.extensions.
+@register_strategy("rpcc-controlled", levels=True)
+def _build_rpcc_controlled(context: StrategyContext, config: SimulationConfig) -> ConsistencyStrategy:
+    from repro.extensions.relay_control import ControlledConfig, ControlledRPCCStrategy
+
+    return ControlledRPCCStrategy(context, ControlledConfig(**_rpcc_kwargs(config)))
+
+
+@register_strategy("rpcc-random-selection", levels=True)
+def _build_rpcc_random_selection(context: StrategyContext, config: SimulationConfig) -> ConsistencyStrategy:
+    from repro.extensions.selection_ablation import (
+        RandomSelectionConfig,
+        RandomSelectionRPCCStrategy,
+    )
+
+    # The coins are seeded by the run: each seed of a matrix promotes differently.
+    return RandomSelectionRPCCStrategy(
+        context, RandomSelectionConfig(seed=config.seed, **_rpcc_kwargs(config))
+    )
+
+
+@register_strategy("push-uir")
+def _build_push_uir(context: StrategyContext, config: SimulationConfig) -> ConsistencyStrategy:
+    from repro.extensions.uir_push import UIRPushStrategy
+
+    return UIRPushStrategy(context, ttn=config.ttn, ttl=config.ttl_broadcast)
 
 
 def run_simulation(

@@ -11,13 +11,13 @@ The trade-off this makes measurable: latency divides by roughly
 ``uir_count + 1`` while flood traffic multiplies by the same factor
 (in the original the UIR is much smaller than a history-carrying IR; with
 single-item reports both are control-sized, so the traffic cost shows at
-full strength — see ``benchmarks/bench_extensions.py``).
+full strength — ``tests/test_strategy_variants.py`` holds both shapes).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import ClassVar
+from typing import ClassVar, Dict
 
 from repro.consistency.base import StrategyContext
 from repro.consistency.messages import CONTROL_SIZE, PushInvalidation
@@ -59,6 +59,14 @@ class UIRPushStrategy(PushStrategy):
     def sub_interval(self) -> float:
         """Gap between consecutive reports (IR or UIR)."""
         return self.ttn / (self.uir_count + 1)
+
+    def apply_control(self, decision) -> Dict[str, float]:
+        applied = super().apply_control(decision)
+        if "ttn" in applied:
+            # The armed timers tick sub-intervals, not whole TTNs.
+            for timer in self._timers:
+                timer.interval = self.sub_interval
+        return applied
 
     def make_agent(self, host: MobileHost) -> "UIRPushAgent":
         return UIRPushAgent(self, host)

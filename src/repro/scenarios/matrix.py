@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
 from repro.errors import ConfigurationError
-from repro.scenarios.registry import POLICIES, SCENARIOS
+from repro.scenarios.registry import POLICIES, SCENARIOS, parse_spec
 from repro.scenarios.spec import ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -174,14 +174,9 @@ def expand_matrix(
     """
     from repro.experiments.config import SimulationConfig
     from repro.experiments.executor import run_key
-    from repro.experiments.runner import STRATEGY_SPECS
 
     for strategy in matrix.strategies:
-        if strategy not in STRATEGY_SPECS:
-            raise ConfigurationError(
-                f"unknown strategy spec {strategy!r}; "
-                f"choose from {STRATEGY_SPECS}"
-            )
+        parse_spec(strategy)
     for policy in matrix.policies:
         POLICIES.get(policy)
     scenario_specs: Dict[str, ScenarioSpec] = {

@@ -17,7 +17,7 @@ also keeps this module import-cycle-free: it depends only on
 from __future__ import annotations
 
 import importlib
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -27,6 +27,10 @@ __all__ = [
     "POLICIES",
     "SCENARIOS",
     "CONTROLLERS",
+    "LEVEL_SUFFIXES",
+    "StrategyEntry",
+    "strategy_specs",
+    "parse_spec",
     "register_strategy",
     "register_policy",
     "register_scenario",
@@ -124,8 +128,23 @@ class Registry:
         importlib.import_module(self._loader)
 
 
-#: Consistency strategies by base name (``push``/``pull``/``rpcc``);
-#: entries are ``factory(context, config) -> ConsistencyStrategy``.
+class StrategyEntry(NamedTuple):
+    """A factory ``build(context, config) -> ConsistencyStrategy`` and whether
+    the strategy serves reads per consistency level (its specs carry a level)."""
+
+    build: Callable[[Any, Any], Any]
+    levels: bool
+
+
+#: The workload a levelled spec names: pure SC/DC/WC reads or the hybrid mix.
+LEVEL_SUFFIXES = ("sc", "dc", "wc", "hy")
+
+#: Every consistency strategy there is, by name; entries are
+#: :class:`StrategyEntry`.  This is the only list: a *spec* string is
+#: ``<name>`` for a strategy without levels (``pull``, ``push``,
+#: ``push-uir``) and ``<name>-<level>`` for one with (``rpcc-sc``,
+#: ``rpcc-controlled-hy``), and :func:`parse_spec` is what every surface
+#: (runner, matrix, CLI) resolves one with.
 STRATEGIES = Registry("strategy", loader="repro.experiments.runner")
 
 #: Cache replacement policies; entries are policy classes/factories.
@@ -139,9 +158,44 @@ SCENARIOS = Registry("scenario", loader="repro.scenarios.catalog")
 CONTROLLERS = Registry("control policy", loader="repro.control.policies")
 
 
-def register_strategy(name: str) -> Callable[[Any], Any]:
-    """Decorator: register a strategy factory ``(context, config) -> strategy``."""
-    return STRATEGIES.register(name)
+def register_strategy(name: str, *, levels: bool = False) -> Callable[[Any], Any]:
+    """Decorator: register a strategy factory ``(context, config) -> strategy``.
+
+    ``levels=True`` says the strategy serves reads per consistency level,
+    so its specs are spelled ``<name>-sc|dc|wc|hy``.
+    """
+    def decorator(build: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+        STRATEGIES.register(name, StrategyEntry(build, levels))
+        return build
+    return decorator
+
+
+def strategy_specs() -> Dict[str, Tuple[StrategyEntry, Optional[str]]]:
+    """Every valid spec string -> ``(entry, level suffix or None)``."""
+    specs: Dict[str, Tuple[StrategyEntry, Optional[str]]] = {}
+    for name, entry in STRATEGIES.items():
+        if entry.levels:
+            for level in LEVEL_SUFFIXES:
+                specs[f"{name}-{level}"] = (entry, level)
+        else:
+            specs[name] = (entry, None)
+    return specs
+
+
+def parse_spec(spec: str) -> Tuple[StrategyEntry, Optional[str]]:
+    """Resolve a strategy spec to its entry and level suffix.
+
+    One spelling per spec: exactly the keys of :func:`strategy_specs`
+    parse (no aliases, no case folding — the string is part of a run's
+    content address), anything else raises naming them.
+    """
+    specs = strategy_specs()
+    try:
+        return specs[spec]
+    except (KeyError, TypeError):
+        raise ConfigurationError(
+            f"unknown strategy spec {spec!r}; choose from {list(specs)}"
+        ) from None
 
 
 def register_policy(name: str) -> Callable[[Any], Any]:

@@ -28,7 +28,7 @@ class TestDesignDoc:
     def test_every_bench_target_exists(self):
         text = read("DESIGN.md")
         for path, test_name in re.findall(
-            r"`(benchmarks/[\w/]+\.py)(?:::(\w+))?`", text
+            r"`((?:benchmarks|tests)/[\w/]+\.py)(?:::(\w+))?`", text
         ):
             bench_file = ROOT / path
             assert bench_file.exists(), f"DESIGN.md references missing {path}"
@@ -238,8 +238,9 @@ class TestScenariosDoc:
 
 class TestOneCore:
     """The scalar per-quantum core, the timer-wheel engine, the pickle
-    cache, the sharded transport and the options that selected them are
-    gone from the tree, not just from ``src/``."""
+    cache, the sharded transport, the second adaptation mechanism and the
+    options that selected them are gone from the tree, not just from
+    ``src/``."""
 
     #: Spelled in pieces so this file passes its own check.
     RETIRED = (
@@ -248,6 +249,8 @@ class TestOneCore:
         "Result" + "Cache", "CACHE_" + "FORMAT_VERSION",
         "Sharded" + "Transport", "shard" + "_of",
         "--no-" + "cache", "--cache" + "-dir", "--work" + "ers",
+        "Adaptive" + "RPCCStrategy", "Adaptive" + "Config", "rpcc-" + "adaptive",
+        "_run_with_" + "strategy",
     )
     #: History, the issue that retired them, and the read-only benchmark.
     EXEMPT = ("CHANGES.md", "ROADMAP.md", "ISSUE.md", "benchmarks/e2e/")

@@ -4,9 +4,7 @@ import random
 
 import pytest
 
-from repro.consistency.levels import ConsistencyLevel
 from repro.errors import ConfigurationError, ProtocolError
-from repro.extensions.adaptive import AdaptiveConfig, AdaptiveRPCCStrategy
 from repro.extensions.relay_control import ControlledConfig, ControlledRPCCStrategy
 from repro.extensions.replica import GossipReplication, ReplicatedRegister, WriteTag
 from repro.extensions.selection_ablation import (
@@ -15,77 +13,6 @@ from repro.extensions.selection_ablation import (
 )
 
 from tests.conftest import line_positions, make_eligible, make_world
-
-
-class TestAdaptiveConfig:
-    def test_valid_defaults(self):
-        config = AdaptiveConfig()
-        assert config.min_scale <= 1.0 <= config.max_scale
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveConfig(min_scale=2.0)
-        with pytest.raises(ConfigurationError):
-            AdaptiveConfig(grow=0.9)
-        with pytest.raises(ConfigurationError):
-            AdaptiveConfig(shrink=1.5)
-
-    def test_clamp(self):
-        config = AdaptiveConfig(min_scale=0.5, max_scale=2.0)
-        assert config.clamp(10.0) == 2.0
-        assert config.clamp(0.1) == 0.5
-        assert config.clamp(1.3) == 1.3
-
-
-class TestAdaptiveRPCC:
-    def make(self, **kwargs):
-        defaults = dict(ttn=100.0, ttr=75.0, poll_timeout=2.0,
-                        source_poll_timeout=2.0)
-        defaults.update(kwargs)
-        config = AdaptiveConfig(**defaults)
-        return make_world(
-            line_positions(4), lambda ctx: AdaptiveRPCCStrategy(ctx, config)
-        )
-
-    def test_quiet_source_stretches_interval(self):
-        world = self.make()
-        world.strategy.start()
-        world.run(500.0)  # several quiet intervals
-        source = world.agent(0).source
-        assert source.current_interval > 100.0
-
-    def test_hot_source_shrinks_interval(self):
-        world = self.make()
-        world.strategy.start()
-        for _ in range(40):
-            world.update_item(0)
-            world.run(25.0)
-        source = world.agent(0).source
-        assert source.current_interval < 100.0
-
-    def test_ack_b_shrinks_ttp_scale(self):
-        world = self.make()
-        world.give_copy(1, 3)
-        make_eligible(world.host(1))
-        world.strategy.start()
-        world.run(110.0)  # node 1 relays item 3
-        world.update_item(3)
-        world.run(110.0)  # relay refreshed to v1
-        world.give_copy(2, 3, version=0)
-        world.agent(2).local_query(3, ConsistencyLevel.STRONG)
-        world.run(10.0)
-        assert world.agent(2).cache_peer.ttp_scale(3) < 1.0
-
-    def test_ack_a_grows_ttp_scale(self):
-        world = self.make()
-        world.give_copy(1, 3)
-        make_eligible(world.host(1))
-        world.strategy.start()
-        world.run(210.0)
-        world.give_copy(2, 3)
-        world.agent(2).local_query(3, ConsistencyLevel.STRONG)
-        world.run(10.0)
-        assert world.agent(2).cache_peer.ttp_scale(3) > 1.0
 
 
 class TestRelayControl:

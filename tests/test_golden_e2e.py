@@ -43,7 +43,10 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "digests.json"
 WORLDS_PATH = Path(__file__).parent / "golden" / "worlds.json"
 UPDATE = bool(os.environ.get("REPRO_UPDATE_GOLDEN"))
 
-SPECS = ("push", "pull", "rpcc-sc", "rpcc-dc", "rpcc-wc")
+SPECS = (
+    "push", "pull", "rpcc-sc", "rpcc-dc", "rpcc-wc", "rpcc-hy",
+    "rpcc-controlled-sc", "rpcc-random-selection-sc", "push-uir",
+)
 SEEDS = (7, 11)
 MATRIX = [(spec, seed) for spec in SPECS for seed in SEEDS]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -155,10 +156,14 @@ class TestLoading:
         sweep = load_matrix("examples/matrix/catalog_sweep.toml")
         assert sweep.cells == 6 * 3 * 2 * 2
         # Every axis name in the committed files must resolve.
-        expand_matrix(MatrixSpec(
-            scenarios=sweep.scenarios, strategies=sweep.strategies,
-            policies=sweep.policies, seeds=(1,),
-        ))
+        committed = sorted(Path("examples/matrix").glob("*.toml"))
+        assert len(committed) >= 4
+        for path in committed:
+            matrix = load_matrix(path)
+            expand_matrix(MatrixSpec(
+                scenarios=matrix.scenarios, strategies=matrix.strategies,
+                policies=matrix.policies, seeds=(1,),
+            ))
 
 
 SMALL = MatrixSpec(

@@ -59,12 +59,14 @@ def test_a_regrown_chain_is_caught(measured):
 
 
 def test_plain_run_imports_no_campaign_machinery():
-    """``build_simulation`` must not drag in the executor, store, faults or control."""
+    """``build_simulation`` must not drag in the executor, store, faults, control
+    or — for a stock strategy — the variants its factories import on demand."""
     unwanted = (
         "repro.experiments.executor", "repro.experiments.store",
         "repro.experiments.analysis", "repro.experiments.stats",
         "repro.faults.injector", "repro.faults.plan", "repro.control.controller",
-        "repro.scenarios.matrix", "multiprocessing", "concurrent.futures",
+        "repro.scenarios.matrix", "repro.extensions",
+        "multiprocessing", "concurrent.futures",
     )
     code = (
         "import sys\n"

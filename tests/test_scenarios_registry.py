@@ -13,15 +13,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.cli import build_parser, main
 from repro.errors import ConfigurationError
 from repro.experiments.config import SimulationConfig
+from repro.experiments.runner import STRATEGY_SPECS, build_simulation
 from repro.faults import FaultPlan, Partition
+from repro.scenarios.matrix import MatrixSpec, expand_matrix
 from repro.scenarios.registry import (
+    LEVEL_SUFFIXES,
     POLICIES,
     SCENARIOS,
     STRATEGIES,
     Registry,
+    parse_spec,
     register_scenario,
+    strategy_specs,
 )
 from repro.scenarios.spec import BASE_SCENARIOS, ScenarioSpec
 
@@ -41,7 +47,27 @@ class TestRegistrySnapshots:
         ]
 
     def test_strategy_listing(self):
-        assert STRATEGIES.names() == ["pull", "push", "rpcc"]
+        assert STRATEGIES.names() == [
+            "pull", "push", "push-uir",
+            "rpcc", "rpcc-controlled", "rpcc-random-selection",
+        ]
+
+    def test_strategy_spec_listing(self, capsys):
+        """The level suffix rule, and ``repro list`` printing exactly that."""
+        levelled = ("rpcc", "rpcc-controlled", "rpcc-random-selection")
+        specs = ["pull", "push", "push-uir"] + [
+            f"{name}-{level}" for name in levelled for level in LEVEL_SUFFIXES
+        ]
+        assert list(strategy_specs()) == specs
+        assert main(["list"]) == 0
+        listed = capsys.readouterr().out.split("strategy specs:\n")[1].split()
+        assert listed == specs
+
+    def test_the_paper_columns_are_specs(self):
+        """``STRATEGY_SPECS`` is a sweep of the catalogue, not a second one."""
+        assert {parse_spec(spec)[1] for spec in STRATEGY_SPECS} == {
+            None, *LEVEL_SUFFIXES
+        }
 
     def test_every_scenario_has_a_description(self):
         for name in SCENARIOS:
@@ -53,6 +79,33 @@ class TestRegistrySnapshots:
         assert "URBAN-GRID" in SCENARIOS  # case-insensitive lookup
         assert "atlantis" not in SCENARIOS
         assert 42 not in SCENARIOS
+
+
+#: Aliases that used to run under ``build_simulation`` alone, a level on a
+#: strategy without levels, a levelled strategy without one, stray case.
+BAD_SPECS = (
+    "rpcc", "rpcc-", "rpcc-xx", "rpcc-strong", "rpcc-delta", "rpcc-weak",
+    "push-dc", "push-uir-sc", "rpcc-controlled", "RPCC-SC", "gossip",
+)
+
+
+@pytest.mark.parametrize("spec", BAD_SPECS)
+@pytest.mark.parametrize("surface", ("build_simulation", "expand_matrix", "build_parser"))
+def test_one_spelling_per_spec(surface, spec, capsys):
+    """Every surface asks ``parse_spec``: same rejections, same listing."""
+    if surface == "build_parser":
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", spec])
+        message = capsys.readouterr().err
+    else:
+        with pytest.raises(ConfigurationError) as caught:
+            if surface == "build_simulation":
+                build_simulation(SimulationConfig(), spec)
+            else:
+                expand_matrix(MatrixSpec(("urban-grid",), (spec,)))
+        message = str(caught.value)
+    assert repr(spec) in message
+    assert all(valid in message for valid in strategy_specs())
 
 
 class TestRegistryBehaviour:

@@ -77,3 +77,17 @@ class TestUIRPush:
             "PushInvalidation", "UIRReport"
         )
         assert heavy_tx > 2 * light_tx
+
+    def test_actuated_ttn_rearms_at_the_sub_interval(self):
+        """A controller's ``ttn`` knob moves the report timers to the new
+        *sub*-interval (``push-uir`` is reachable under ``--controller``)."""
+        from repro.control.policies import ControlDecision
+
+        world = uir_world(uir_count=3, ttn=120.0)
+        world.strategy.start()
+        applied = world.strategy.apply_control(
+            ControlDecision(time=0.0, policy="test", reason="test", knobs={"ttn": 60.0})
+        )
+        assert applied == {"ttn": 60.0}
+        assert world.strategy.sub_interval == 15.0
+        assert {timer.interval for timer in world.strategy._timers} == {15.0}
