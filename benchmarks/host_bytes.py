@@ -46,7 +46,7 @@ COMPONENTS = ("random streams", "objects", "callables", "containers", "engine ha
 _STREAM_NAME = re.compile(r'f"(pos|mobility|switch|query|update)/')
 _CALLABLE = re.compile(
     r"lambda|^\s*def |partial\(|\.set_online\b|\.update_master\b|binding\.on_"
-    r"|_on_node_state_change|bind_state_listener|self\._fire|self\._adopt"
+    r"|_on_node_state_change|bind_state_listener|self\._fire"
     r"|self\._close_period|self\._on_ttn|self\._expire"
 )
 _CONTAINER = re.compile(

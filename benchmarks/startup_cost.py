@@ -1,0 +1,224 @@
+"""What a world costs before its first event: DESIGN.md, "What start-up costs".
+
+Builds the e2e benchmark's two 10k worlds (walkers: ``stable_fraction``
+0.1; sparse: 0.9; ``rpcc-hy``, ``single_source``, seed 7), each in a
+fresh process so that imports are paid the way a ``repro run`` pays
+them, runs them, and prints wall seconds per start-up phase:
+
+* **imports** — ``import repro.experiments.runner``;
+* **streams** — inside ``RandomStreams.stream`` / ``one_shot``, wherever
+  in the build they are asked for (seeding a Mersenne Twister);
+* **hosts** — build start to the end of the per-host loop, streams
+  excluded;
+* **agents** — the strategy and one agent per host;
+* **placement** — the initial copies and their TTP windows;
+* **rest of build** — workloads (streams excluded), the result object and
+  the hand-off to the collector;
+* **arming** — ``Simulation.run()`` up to the first ``run_until``;
+* **first refresh** — the first ``TopologyService.current`` call;
+
+plus every collection ``gc.callbacks`` reports from build start to run
+end: the phase it fell in, its generation, its milliseconds and what it
+freed.  The boundaries are found by wrapping functions the build calls
+once per phase, so the script reads any tree that has those names; the
+stream wrapper adds about 0.2 us a stream.  It prints and gates nothing.
+
+    PYTHONPATH=src python benchmarks/startup_cost.py [--hosts N] [--world walk|sparse]...
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import pathlib
+import subprocess
+import sys
+import time
+from typing import Any, Callable, Dict, List, Optional, Sequence
+
+BENCH_DIR = pathlib.Path(__file__).resolve().parent
+
+#: World name -> (stable_fraction, simulated seconds): the e2e rows.
+WORLDS = {"walk": (0.1, 30.0), "sparse": (0.9, 7.5)}
+
+PHASES = (
+    "imports", "streams", "hosts", "agents", "placement", "rest of build",
+    "arming", "first refresh",
+)
+
+
+class _Clock:
+    """Phase marks, stream seconds and collections of one measured world."""
+
+    def __init__(self) -> None:
+        self.phase = "before build"
+        self.marks: Dict[str, float] = {}
+        self.stream_s = 0.0
+        self.stream_at: Dict[str, float] = {}
+        self.streams = 0
+        self.collections: List[Dict[str, Any]] = []
+        self._gc_started = 0.0
+
+    def enter(self, phase: str) -> None:
+        if phase not in self.marks:
+            self.marks[phase] = time.perf_counter()
+            self.stream_at[phase] = self.stream_s
+            self.phase = phase
+
+    def on_gc(self, stage: str, info: Dict[str, int]) -> None:
+        if stage == "start":
+            self._gc_started = time.perf_counter()
+            return
+        self.collections.append({
+            "phase": self.phase,
+            "generation": info["generation"],
+            "ms": 1e3 * (time.perf_counter() - self._gc_started),
+            "collected": info["collected"],
+        })
+
+
+def _wrap(owner: Any, name: str, before: Callable[[], None]) -> None:
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        before()
+        return real(*args, **kwargs)
+
+    setattr(owner, name, wrapper)
+
+
+def _timed_streams(clock: _Clock, owner: Any, name: str) -> None:
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return real(*args, **kwargs)
+        finally:
+            clock.stream_s += time.perf_counter() - started
+            clock.streams += 1
+
+    setattr(owner, name, wrapper)
+
+
+def measure(hosts: int, world: str, sim_time: Optional[float]) -> Dict[str, Any]:
+    """Phase seconds and collections of one world, in this process."""
+    started = time.perf_counter()
+    sys.path.insert(0, str(BENCH_DIR.parent / "src"))
+    import repro.experiments.runner as runner
+
+    imported = time.perf_counter()
+    sys.path.insert(0, str(BENCH_DIR.parent))
+    from benchmarks.bench_scale import SPEC, scale_config
+    from repro.net.topology import TopologyService
+    from repro.sim.engine import Simulator
+    from repro.sim.rng import RandomStreams
+
+    clock = _Clock()
+    _timed_streams(clock, RandomStreams, "stream")
+    _timed_streams(clock, RandomStreams, "one_shot")
+    _wrap(runner, "Discovery", lambda: clock.enter("agents"))
+    for placement in ("single_item_placement", "random_placement", "hot_set_placement"):
+        _wrap(runner, placement, lambda: clock.enter("placement"))
+    _wrap(runner, "UpdateWorkload", lambda: clock.enter("rest of build"))
+    _wrap(Simulator, "run_until", lambda: clock.enter("run"))
+    real_current = TopologyService.current
+
+    def current(self):
+        if "first refresh" in clock.marks:
+            return real_current(self)
+        clock.enter("first refresh")
+        try:
+            return real_current(self)
+        finally:
+            clock.enter("rest of run")
+
+    TopologyService.current = current
+    stable_fraction, default_sim_time = WORLDS[world]
+    config = scale_config(
+        hosts, sim_time=default_sim_time if sim_time is None else sim_time
+    ).with_overrides(stable_fraction=stable_fraction)
+    gc.callbacks.append(clock.on_gc)
+    try:
+        clock.enter("hosts")
+        simulation = runner.build_simulation(config, SPEC, "single_source")
+        clock.enter("between build and run")
+        clock.enter("arming")
+        simulation.run()
+        clock.enter("end")
+    finally:
+        gc.callbacks.remove(clock.on_gc)
+
+    order = list(clock.marks)
+    seconds = {"imports": imported - started, "streams": clock.stream_s}
+    for phase, following in zip(order, order[1:]):
+        wall = clock.marks[following] - clock.marks[phase]
+        seconds[phase] = wall - (clock.stream_at[following] - clock.stream_at[phase])
+    return {
+        "world": world,
+        "hosts": hosts,
+        "stable_fraction": stable_fraction,
+        "streams_made": clock.streams,
+        "seconds": seconds,
+        "collections": clock.collections,
+    }
+
+
+def _in_child(hosts: int, world: str, sim_time: Optional[float]) -> Dict[str, Any]:
+    argv = [sys.executable, __file__, "--child", "--hosts", str(hosts), "--world", world]
+    if sim_time is not None:
+        argv += ["--sim-time", str(sim_time)]
+    out = subprocess.run(argv, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def report(results: Sequence[Dict[str, Any]]) -> None:
+    for result in results:
+        seconds = result["seconds"]
+        print(f"{result['world']}: {result['hosts']} hosts, stable_fraction "
+              f"{result['stable_fraction']}, {result['streams_made']} streams")
+        for phase in PHASES:
+            print(f"  {phase:22s}{seconds.get(phase, 0.0):8.3f} s")
+        for collection in result["collections"]:
+            print(f"  collection in {collection['phase']!r}: generation "
+                  f"{collection['generation']}, {collection['ms']:.1f} ms, "
+                  f"{collection['collected']} freed")
+        walked = sum(c["ms"] for c in result["collections"])
+        print(f"  {len(result['collections'])} collections, {walked:.1f} ms in all")
+    # The same numbers as one markdown table, a column per world.
+    print()
+    print("| phase | " + " | ".join(
+        f"{r['world']} ({r['hosts']})" for r in results) + " |")
+    print("|---|" + "---:|" * len(results))
+    for phase in PHASES:
+        print(f"| {phase} | " + " | ".join(
+            f"{r['seconds'].get(phase, 0.0):.3f}" for r in results) + " |")
+    print("| collections (ms) | " + " | ".join(
+        f"{len(r['collections'])} ({sum(c['ms'] for c in r['collections']):.0f})"
+        for r in results) + " |")
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--hosts", type=int, default=10_000)
+    parser.add_argument(
+        "--world", choices=sorted(WORLDS), action="append",
+        help="world to measure (repeatable; default walk then sparse)",
+    )
+    parser.add_argument(
+        "--sim-time", type=float, default=None,
+        help="simulated seconds of the run (default: the e2e row's)",
+    )
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    worlds = args.world or ["walk", "sparse"]
+    if args.child:
+        print(json.dumps(measure(args.hosts, worlds[0], args.sim_time)))
+        return 0
+    report([_in_child(args.hosts, world, args.sim_time) for world in worlds])
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

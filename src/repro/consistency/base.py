@@ -49,7 +49,7 @@ from repro.obs.events import (
     SourceUpdate,
 )
 from repro.peers.host import MobileHost
-from repro.sim.engine import EventHandle, StartupBatch
+from repro.sim.engine import EventHandle
 from repro.sim.rng import derive_seed
 
 __all__ = [
@@ -335,14 +335,8 @@ class ConsistencyStrategy(abc.ABC):
     def make_agent(self, host: MobileHost) -> "BaseAgent":
         """Create and register the per-host agent."""
 
-    def start(self, batch: Optional[StartupBatch] = None) -> None:
-        """Start run-global timers; called once before the run.
-
-        ``batch`` (when given) collects the initial timer filings for
-        one vectorized :meth:`~repro.sim.engine.Simulator.schedule_batch`
-        pass; subclasses must pass it through to every ``start`` they
-        delegate to.
-        """
+    def start(self) -> None:
+        """Start run-global timers; called once before the run."""
 
     # ------------------------------------------------------------------
     # Online-control actuation seam (see repro.control)

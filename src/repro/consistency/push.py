@@ -104,7 +104,7 @@ class PushStrategy(ConsistencyStrategy):
     def make_agent(self, host: MobileHost) -> "PushAgent":
         return PushAgent(self, host)
 
-    def start(self, batch=None) -> None:
+    def start(self) -> None:
         """Arm one staggered invalidation-report timer per source host."""
         for agent in self.agents.values():
             host = agent.host
@@ -117,7 +117,7 @@ class PushStrategy(ConsistencyStrategy):
                 agent.broadcast_report,  # type: ignore[attr-defined]
                 start_offset=offset if offset > 0 else self.ttn,
             )
-            timer.start(batch)
+            timer.start()
             self._timers.append(timer)
 
     def stop(self) -> None:

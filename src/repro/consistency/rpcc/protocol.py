@@ -80,11 +80,11 @@ class RPCCStrategy(ConsistencyStrategy):
         )
         return pipeline + 5.0
 
-    def start(self, batch=None) -> None:
+    def start(self) -> None:
         """Arm every source host's TTN timer."""
         for agent in self.agents.values():
             assert isinstance(agent, RPCCAgent)
-            agent.source.start(batch)
+            agent.source.start()
 
     # ------------------------------------------------------------------
     # Online-control actuation seam (see repro.control)

@@ -63,7 +63,7 @@ class SourceSide:
     # ------------------------------------------------------------------
     # Timer
     # ------------------------------------------------------------------
-    def start(self, batch=None) -> None:
+    def start(self) -> None:
         """Arm the TTN timer (staggered deterministically per host)."""
         if self.agent.host.source_item is None or self._timer is not None:
             return
@@ -74,7 +74,7 @@ class SourceSide:
             self._on_ttn,
             start_offset=offset if offset > 0 else self.config.ttn,
         )
-        self._timer.start(batch)
+        self._timer.start()
 
     def stop(self) -> None:
         """Disarm the TTN timer."""

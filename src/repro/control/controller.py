@@ -66,15 +66,12 @@ class OnlineController:
     def _sim(self):
         return self.strategy.context.sim
 
-    def start(self, batch=None) -> None:
+    def start(self) -> None:
         """Prime the policy with the strategy's knobs and arm the tick timer."""
         baseline = dict(self.strategy.control_knobs())
         self.policy.prime(baseline)
         self._timer = PeriodicTimer(self._sim, self.interval, self._tick)
-        if batch is None:
-            self._timer.start()
-        else:
-            self._timer.start(batch)
+        self._timer.start()
 
     def stop(self) -> None:
         if self._timer is not None:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
@@ -48,7 +49,7 @@ from repro.consistency.pull import PullStrategy
 from repro.consistency.push import PushStrategy
 from repro.consistency.rpcc import RPCCConfig, RPCCStrategy
 from repro.energy.battery import Battery
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.config import SimulationConfig
 from repro.metrics.collector import MetricsCollector, MetricsSummary
 from repro.metrics.degradation import DegradationMeter
@@ -66,7 +67,7 @@ from repro.peers.coefficients import CoefficientTracker
 from repro.peers.host import MobileHost
 from repro.peers.switching import SwitchingProcess
 from repro.scenarios.registry import CONTROLLERS, parse_spec, register_strategy
-from repro.sim.engine import Simulator, StartupBatch
+from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.timers import PeriodicTimer
 from repro.workload.access import (
@@ -100,6 +101,48 @@ PLACEMENT_SCENARIOS = ("standard", "single_source", "hot_set")
 
 #: Sampling interval of the recorded trace replayed by mobility="trace".
 TRACE_SAMPLE_INTERVAL = 10.0
+
+
+#: Allocated blocks (``sys.getallocatedblocks``) that the worlds run since
+#: the last full pass had added when their runs ended.  A run hands its
+#: frozen world back to the collector and unfrozen objects land in the
+#: oldest generation: once the world is dropped only a full pass frees
+#: it, and a build that skipped one would freeze that garbage out of
+#: every later pass.
+_released_blocks = 0
+#: ``sys.getallocatedblocks()`` after the last full pass a build made.
+_heap_after_full = 0
+
+
+def _release(blocks_at_build: int) -> None:
+    """Hand the frozen set back to the collector at the end of a run."""
+    global _released_blocks
+    gc.unfreeze()
+    _released_blocks += max(0, sys.getallocatedblocks() - blocks_at_build)
+
+
+def _collect_before_build() -> int:
+    """Free what earlier worlds left and zero the young counters; return
+    the allocated blocks the new world starts from.
+
+    A full pass follows a world built and never run (still frozen), and
+    worlds run since the last pass that add up to a quarter of the heap
+    it left (CPython's own trigger for a full pass is a quarter of
+    growth).  A serial campaign of large worlds so frees each one before
+    the next is frozen, and a process whose own heap dwarfs its worlds (a
+    test session) does not walk that heap after every small run.
+    """
+    global _released_blocks, _heap_after_full
+    if gc.get_freeze_count() or 4 * _released_blocks > _heap_after_full:
+        gc.unfreeze()
+        gc.collect()
+        _released_blocks = 0
+        _heap_after_full = sys.getallocatedblocks()
+        return _heap_after_full
+    # Zero the young-generation counters: how soon the collector walks
+    # again then depends on the run, not on the imports before it.
+    gc.collect(1)
+    return sys.getallocatedblocks()
 
 
 @contextlib.contextmanager
@@ -198,45 +241,43 @@ class Simulation:
         self._relay_samples: List[Tuple[float, int]] = []
         self._traffic_series = TimeSeries("transmissions")
         self._last_tx_total = 0
+        self._ran = False
+        #: Allocated blocks before the world was built (set by the build).
+        self._blocks_at_build = 0
 
     def run(self, until: Optional[float] = None) -> SimulationResult:
         """Run warm-up plus the measured window (``config.sim_time``).
 
         Metrics are reset after ``config.warmup`` seconds so that the
         relay-bootstrap transient does not pollute steady-state numbers.
+        A world runs once: a second call raises :class:`SimulationError`.
+        The world stays frozen out of the cyclic collector (see
+        :func:`build_simulation`) from start-up arming to the end of the
+        run, and the process's frozen set is released on the way out,
+        raised or not.
         """
+        if self._ran:
+            raise SimulationError(
+                "Simulation.run() is single-shot: this world has already run "
+                "(build a new one to run again)"
+            )
+        self._ran = True
         measured = self.config.sim_time if until is None else float(until)
         started = time.perf_counter()
-        # Collect every startup arm (one TTN timer, two arrival streams,
-        # one period timer and one switching process per host) and file
-        # them in a single vectorized pass.  add-order == the historical
-        # per-call schedule order and nothing else schedules before the
-        # flush, so sequence numbers — and hence the event stream — are
-        # bit-identical to the unbatched path.  Every handle, timer and
-        # entry armed here lives on into the run: nothing for the cyclic
-        # collector to find, so it sits this phase out.
-        with _gc_quiet():
-            batch = StartupBatch()
-            self.strategy.start(batch)
-            self.update_workload.start(batch)
-            self.query_workload.start(batch)
-            for host in self.hosts.values():
-                host.start_period_timer(batch)
-                if host.switching is not None:
-                    host.switching.start(batch)
-            if isinstance(self.strategy, RPCCStrategy):
-                sampler = PeriodicTimer(self.sim, 60.0, self._sample_relays)
-                sampler.start(batch)
-            traffic_sampler = PeriodicTimer(self.sim, 60.0, self._sample_traffic)
-            traffic_sampler.start(batch)
-            if self.controller is not None:
-                self.controller.start(batch)
-            batch.flush(self.sim)
-        if self.config.warmup > 0:
-            self.sim.run_until(self.config.warmup)
-            self.metrics.reset()
-            self._relay_samples.clear()
-        self.sim.run_until(self.config.warmup + measured)
+        try:
+            # Every handle, timer and entry armed here lives on into the
+            # run: nothing for the cyclic collector to find, so it sits
+            # this phase out, and what was armed joins the frozen world.
+            with _gc_quiet():
+                self._arm()
+                gc.freeze()
+            if self.config.warmup > 0:
+                self.sim.run_until(self.config.warmup)
+                self.metrics.reset()
+                self._relay_samples.clear()
+            self.sim.run_until(self.config.warmup + measured)
+        finally:
+            _release(self._blocks_at_build)
         elapsed = time.perf_counter() - started
         energy = sum(host.battery.total_consumed for host in self.hosts.values())
         fraction = sum(
@@ -264,6 +305,22 @@ class Simulation:
                 else []
             ),
         )
+
+    def _arm(self) -> None:
+        """Start every timer and arrival stream, in the order that fixes
+        their sequence numbers (and so the event stream)."""
+        self.strategy.start()
+        self.update_workload.start()
+        self.query_workload.start()
+        for host in self.hosts.values():
+            host.start_period_timer()
+            if host.switching is not None:
+                host.switching.start()
+        if isinstance(self.strategy, RPCCStrategy):
+            PeriodicTimer(self.sim, 60.0, self._sample_relays).start()
+        PeriodicTimer(self.sim, 60.0, self._sample_traffic).start()
+        if self.controller is not None:
+            self.controller.start()
 
     def _sample_traffic(self) -> None:
         """Record the per-minute transmission rate (a convergence series)."""
@@ -309,14 +366,26 @@ def build_simulation(
         instrumented subsystem emits trace events into it.  Omitted (the
         default) the simulator keeps its no-op bus and tracing costs one
         branch per emit site.
+
+    The collector is paused while the world is built, and the build ends
+    with :func:`gc.freeze`: every object alive in the process, the new
+    world included, moves to the permanent generation, where no
+    collection walks it.  :meth:`Simulation.run` freezes again after
+    start-up arming and calls :func:`gc.unfreeze` when it returns or
+    raises.  A build that finds objects still frozen — a world built and
+    never run — first unfreezes them and runs one full collection, and so
+    does a build after runs whose worlds add up to a quarter of the heap
+    the last full collection left: a dropped world is freed before a
+    later freeze can put it out of reach, and what waits is bounded by
+    the heap, not by the number of runs.  The contract is process-wide:
+    code that calls :func:`gc.freeze` itself should not build simulations
+    in between.
     """
     if scenario not in PLACEMENT_SCENARIOS:
         raise ConfigurationError(
             f"unknown scenario {scenario!r}; choose from {PLACEMENT_SCENARIOS}"
         )
-    # Zero the young-generation counters: how soon the resumed collector walks
-    # the new world again then depends on the run, not on the imports before it.
-    gc.collect(1)
+    blocks_at_build = _collect_before_build()
     entry, level = parse_spec(spec)
     mix = LevelMix.hybrid() if level == "hy" else LevelMix.pure(level or "sc")
     # An empty plan is the same as no plan: no fault RNG streams, no
@@ -366,6 +435,16 @@ def build_simulation(
         config.replacement_policy, ttl=config.ttp, clock=lambda: sim.now
     )
     hosts: Dict[int, MobileHost] = {}
+    # Loop invariants are looked up once, and the per-host constructors
+    # take their arguments by position: at 10 000 hosts both show in
+    # set-up time.
+    stream = streams.stream
+    master = catalog.master
+    register = network.register
+    speed_min, speed_max = config.speed_min, config.speed_max
+    cache_num, phi, omega = config.cache_num, config.switch_interval, config.omega
+    mean_online, mean_offline = config.mean_online, config.mean_offline
+    walk = config.mobility == "walk"
     for host_id in range(config.n_peers):
         stable = host_id in stable_ids
         if stable:
@@ -374,20 +453,17 @@ def build_simulation(
             mobility = Stationary(
                 terrain.random_point(streams.one_shot(f"pos/{host_id}"))
             )
-        elif config.mobility == "walk":
+        elif walk:
             mobility = RandomWalk(
-                terrain,
-                streams.stream(f"mobility/{host_id}"),
-                speed_min=config.speed_min,
-                speed_max=config.speed_max,
+                terrain, stream(f"mobility/{host_id}"), speed_min, speed_max
             )
         else:
             mobility = RandomWaypoint(
                 terrain,
-                streams.stream(f"mobility/{host_id}"),
-                speed_min=config.speed_min,
-                speed_max=config.speed_max,
-                pause_time=config.pause_time,
+                stream(f"mobility/{host_id}"),
+                speed_min,
+                speed_max,
+                config.pause_time,
             )
             if config.mobility == "trace":
                 # Trace replay: sample the waypoint trajectory up front and
@@ -405,25 +481,23 @@ def build_simulation(
             host_id,
             sim,
             mobility,
-            battery=Battery(capacity=100.0, initial=initial),
-            cache_capacity=config.cache_num,
-            directory=directory,
-            coefficient_tracker=CoefficientTracker(
-                phi=config.switch_interval, omega=config.omega
-            ),
-            subnet_tracker=SubnetTracker(grid, mobility),
-            replacement_policy=new_policy(),
+            Battery(100.0, None, initial),  # capacity, default costs, charge
+            cache_num,
+            directory,
+            CoefficientTracker(phi, omega),
+            SubnetTracker(grid, mobility),
+            new_policy(),
         )
-        host.attach_source(catalog.master(host_id))
+        host.attach_source(master(host_id))
         if not stable:
             host.switching = SwitchingProcess(
                 sim,
-                streams.stream(f"switch/{host_id}"),
+                stream(f"switch/{host_id}"),
                 host.set_online,
-                mean_online=config.mean_online,
-                mean_offline=config.mean_offline,
+                mean_online,
+                mean_offline,
             )
-        network.register(host)
+        register(host)
         hosts[host_id] = host
 
     discovery = Discovery(catalog, directory)
@@ -480,9 +554,9 @@ def build_simulation(
     # Pre-placed copies count as freshly validated for RPCC.
     if isinstance(strategy, RPCCStrategy):
         for host in hosts.values():
-            agent = strategy.agent_for(host.node_id)
+            renew_ttp = host.agent.cache_peer.renew_ttp
             for item_id in host.store:
-                agent.cache_peer.renew_ttp(item_id)  # type: ignore[attr-defined]
+                renew_ttp(item_id)
 
     update_workload = UpdateWorkload(
         update_hosts, streams, mean_interval=config.update_interval
@@ -546,7 +620,7 @@ def build_simulation(
             injector=injector,
             interval=config.controller_interval,
         )
-    return Simulation(
+    simulation = Simulation(
         spec=spec,
         scenario=scenario,
         config=config,
@@ -561,6 +635,11 @@ def build_simulation(
         single_source_item=single_item,
         controller=controller,
     )
+    simulation._blocks_at_build = blocks_at_build
+    # Everything alive now lives on into the run: move it out of the
+    # collector's generations, so that no pass walks it to find nothing.
+    gc.freeze()
+    return simulation
 
 
 @register_strategy("push")

@@ -71,7 +71,7 @@ class UIRPushStrategy(PushStrategy):
     def make_agent(self, host: MobileHost) -> "UIRPushAgent":
         return UIRPushAgent(self, host)
 
-    def start(self, batch=None) -> None:
+    def start(self) -> None:
         """Arm one staggered sub-interval timer per source host."""
         for agent in self.agents.values():
             host = agent.host
@@ -84,7 +84,7 @@ class UIRPushStrategy(PushStrategy):
                 agent.broadcast_sub_report,  # type: ignore[attr-defined]
                 start_offset=offset if offset > 0 else self.sub_interval,
             )
-            timer.start(batch)
+            timer.start()
             self._timers.append(timer)
 
 

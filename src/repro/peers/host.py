@@ -32,7 +32,7 @@ from repro.net.message import Message
 from repro.net.node import NetworkNode
 from repro.peers.coefficients import CoefficientTracker
 from repro.peers.switching import SwitchingProcess
-from repro.sim.engine import Simulator, StartupBatch
+from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTimer
 
 __all__ = ["MobileHost"]
@@ -105,12 +105,7 @@ class MobileHost(NetworkNode):
         on_insert = on_evict = None
         if directory is not None:
             on_insert, on_evict = directory.bind_store(self._host_id)
-        self.store = CacheStore(
-            cache_capacity,
-            policy=replacement_policy,
-            on_insert=on_insert,
-            on_evict=on_evict,
-        )
+        self.store = CacheStore(cache_capacity, replacement_policy, on_insert, on_evict)
         self.tracker = (
             coefficient_tracker if coefficient_tracker is not None else CoefficientTracker()
         )
@@ -232,13 +227,13 @@ class MobileHost(NetworkNode):
     # ------------------------------------------------------------------
     # Coefficient period upkeep
     # ------------------------------------------------------------------
-    def start_period_timer(self, batch: Optional[StartupBatch] = None) -> None:
+    def start_period_timer(self) -> None:
         """Begin closing coefficient periods every ``tracker.phi`` seconds."""
         if self._period_timer is not None:
             return
         self._period_started_at = self.sim.now
         self._period_timer = PeriodicTimer(self.sim, self.tracker.phi, self._close_period)
-        self._period_timer.start(batch)
+        self._period_timer.start()
 
     def stop_period_timer(self) -> None:
         """Stop coefficient-period roll-over."""

@@ -15,7 +15,7 @@ import random
 from typing import Callable, Optional
 
 from repro.errors import ConfigurationError
-from repro.sim.engine import EventHandle, Simulator, StartupBatch
+from repro.sim.engine import EventHandle, Simulator
 
 __all__ = ["SwitchingProcess"]
 
@@ -75,22 +75,12 @@ class SwitchingProcess:
         """``False`` for stable hosts (infinite mean online time)."""
         return math.isfinite(self.mean_online)
 
-    def start(self, batch: Optional[StartupBatch] = None) -> None:
-        """Arm the first disconnection.  No-op for stable hosts.
-
-        With ``batch``, the delay is drawn now (preserving RNG draw
-        order) but the event is queued into the collector.
-        """
+    def start(self) -> None:
+        """Arm the first disconnection.  No-op for stable hosts."""
         if not self.enabled or self._handle is not None:
             return
         delay = self._rng.expovariate(1.0 / self.mean_online)
-        if batch is not None:
-            batch.add(delay, self._flip, adopt=self._adopt)
-            return
         self._handle = self._sim.schedule(delay, self._flip)
-
-    def _adopt(self, handle: EventHandle) -> None:
-        self._handle = handle
 
     def stop(self) -> None:
         """Cancel any pending flip."""

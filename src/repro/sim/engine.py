@@ -33,12 +33,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SchedulingError, SimulationError
 from repro.obs.bus import NULL_TRACE
 
-__all__ = ["EventHandle", "Simulator", "StartupBatch"]
+__all__ = ["EventHandle", "Simulator"]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -304,50 +304,6 @@ class Simulator:
         event.cancel()
         return self.schedule_at(time, event.callback, *event.args)
 
-    def schedule_batch(
-        self, events: "Iterable[tuple]"
-    ) -> List[EventHandle]:
-        """Schedule many ``(delay, callback, args)`` events in one call.
-
-        Sequence numbers are assigned in iteration order, so the resulting
-        event stream is identical to calling :meth:`schedule` once per
-        entry — this is purely a throughput optimisation for bulk
-        producers.  ``args`` tuples are used as-is (no defensive copy).
-        Large batches are appended and re-heapified instead of pushed one
-        by one; ``heapify`` preserves the ``(time, seq)`` pop order, so
-        determinism is unchanged.
-        """
-        now = self._now
-        seq = self._seq
-        hook = self._cancel_hook
-        batch: List[EventHandle] = []
-        entries: List[tuple] = []
-        for delay, callback, args in events:
-            if delay < 0:
-                raise SchedulingError(
-                    f"cannot schedule into the past (delay={delay!r})"
-                )
-            time = now + delay
-            if not math.isfinite(time):
-                raise SchedulingError(f"event time must be finite, got {time!r}")
-            if not callable(callback):
-                raise SchedulingError(f"callback must be callable, got {callback!r}")
-            if type(args) is not tuple:
-                args = tuple(args)
-            number = next(seq)
-            event = EventHandle(time, number, callback, args, hook)
-            batch.append(event)
-            entries.append((time, number, event))
-        heap = self._heap
-        if len(batch) * 8 < len(heap):
-            for entry in entries:
-                _heappush(heap, entry)
-        else:
-            heap.extend(entries)
-            heapq.heapify(heap)
-        self._pending += len(batch)
-        return batch
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -424,69 +380,3 @@ class Simulator:
             f"processed={self._events_processed})"
         )
 
-
-class StartupBatch:
-    """Collector that turns many startup ``schedule`` calls into one batch.
-
-    Simulation start-up arms tens of thousands of timers and arrival
-    processes (one TTN timer, one query stream, one update stream, one
-    coefficient-period timer and one switching process per host).  Each
-    producer calling :meth:`Simulator.schedule` individually pays the
-    per-call filing overhead; collecting the ``(delay, callback, args)``
-    triples here and flushing them through
-    :meth:`Simulator.schedule_batch` files them in one vectorized pass.
-    Filing is not the whole cost of arming, though: every handle, timer
-    and entry made here stays alive, and at 10 000 hosts that many new
-    containers push the cyclic collector through full passes over a heap
-    with nothing to free — more time than the filing itself.  The caller
-    (:meth:`repro.experiments.runner.Simulation.run`) therefore pauses
-    the collector from the first ``add`` to the end of :meth:`flush`.
-
-    Determinism contract: entries are filed in :meth:`add` order and
-    :meth:`Simulator.schedule_batch` assigns sequence numbers in
-    iteration order, so as long as callers ``add`` in the exact order
-    they previously called ``schedule`` — and nothing else schedules
-    between the first ``add`` and the :meth:`flush` — the resulting
-    event stream is bit-identical to the unbatched path.  Producers that
-    need their :class:`EventHandle` back (timers re-arm through it) pass
-    an ``adopt`` callable, invoked with the handle at flush time.
-
-    A batch is single-shot: flush it exactly once, before any of its
-    producers can observe their handle.
-    """
-
-    __slots__ = ("_entries", "_adopters", "flushed")
-
-    def __init__(self) -> None:
-        self._entries: List[tuple] = []
-        self._adopters: List[Optional[Callable[[EventHandle], None]]] = []
-        self.flushed = False
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def add(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        adopt: Optional[Callable[[EventHandle], None]] = None,
-    ) -> None:
-        """Queue one event; ``adopt`` receives its handle at flush time."""
-        if self.flushed:
-            raise SchedulingError("StartupBatch already flushed")
-        self._entries.append((delay, callback, args))
-        self._adopters.append(adopt)
-
-    def flush(self, sim: Simulator) -> List[EventHandle]:
-        """File every queued event in one :meth:`Simulator.schedule_batch`."""
-        if self.flushed:
-            raise SchedulingError("StartupBatch already flushed")
-        self.flushed = True
-        handles = sim.schedule_batch(self._entries)
-        for handle, adopt in zip(handles, self._adopters):
-            if adopt is not None:
-                adopt(handle)
-        self._entries = []
-        self._adopters = []
-        return handles

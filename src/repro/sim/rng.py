@@ -24,6 +24,7 @@ generator's 2.5 KB of Mersenne-Twister state is freed with its last use.
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import random
 from typing import Dict
@@ -58,6 +59,9 @@ class Stream(random.Random):
 #: What the registry keeps under a name it handed out through one_shot().
 _SPENT = Stream(0)
 
+_new_stream = Stream.__new__
+_seed_state = _random.Random.seed
+
 
 class RandomStreams:
     """Factory and registry of named :class:`random.Random` instances.
@@ -71,6 +75,33 @@ class RandomStreams:
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
         self._streams: Dict[str, Stream] = {}
+        # derive_seed hashes "<seed>:<name>": the prefix is hashed once.
+        self._prefix = hashlib.sha256(f"{self._seed}:".encode("utf-8"))
+
+    def _generator(self, name: str) -> Stream:
+        """``Stream(derive_seed(self.seed, name))``, built without Python frames.
+
+        ``random.Random``'s C ``__new__`` is the generic allocator: it
+        neither seeds nor reads an argument (CPython 3.11–3.13 leave an
+        all-zero state; a seed passed to it is ignored).  Seeding happens
+        once, in ``__init__``, whose Python ``seed`` only type-checks an int
+        and hands it to the C ``seed`` — calling that directly yields the
+        same state without the two Python frames.
+        """
+        digest = self._prefix.copy()
+        digest.update(name.encode("utf-8"))
+        generator = _new_stream(Stream)
+        _seed_state(generator, int.from_bytes(digest.digest()[:8], "big"))
+        generator.gauss_next = None
+        return generator
+
+    def __getstate__(self) -> dict:
+        # A hash object does not pickle: __setstate__ rebuilds it from the seed.
+        return {"seed": self._seed, "streams": self._streams}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["seed"])
+        self._streams = state["streams"]
 
     @property
     def seed(self) -> int:
@@ -81,8 +112,7 @@ class RandomStreams:
         """Return the generator for ``name``, creating it on first use."""
         generator = self._streams.get(name)
         if generator is None:
-            generator = Stream(derive_seed(self._seed, name))
-            self._streams[name] = generator
+            generator = self._streams[name] = self._generator(name)
         elif generator is _SPENT:
             raise SimulationError(
                 f"stream {name!r} was handed out as one-shot; asking for it "
@@ -104,7 +134,7 @@ class RandomStreams:
                 "same name would replay its sequence"
             )
         self._streams[name] = _SPENT
-        return Stream(derive_seed(self._seed, name))
+        return self._generator(name)
 
     def spawn(self, name: str) -> "RandomStreams":
         """Create a child registry whose root seed is derived from ``name``.

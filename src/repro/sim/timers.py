@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.engine import EventHandle, Simulator, StartupBatch
+from repro.sim.engine import EventHandle, Simulator
 
 __all__ = ["PeriodicTimer", "CountdownTimer"]
 
@@ -64,23 +64,11 @@ class PeriodicTimer:
         """Number of times the callback has fired."""
         return self._ticks
 
-    def start(self, batch: Optional[StartupBatch] = None) -> None:
-        """Arm the timer.  Idempotent while running.
-
-        With ``batch``, the first tick is queued into the collector
-        instead of filed immediately; the handle arrives via the adopt
-        hook when the batch flushes.  Callers must flush before starting
-        this timer again.
-        """
+    def start(self) -> None:
+        """Arm the timer.  Idempotent while running."""
         if self.running:
             return
-        if batch is not None:
-            batch.add(self._start_offset, self._fire, adopt=self._adopt)
-            return
         self._handle = self._sim.schedule(self._start_offset, self._fire)
-
-    def _adopt(self, handle: EventHandle) -> None:
-        self._handle = handle
 
     def stop(self) -> None:
         """Disarm the timer.  Idempotent."""

@@ -13,7 +13,7 @@ import random
 from typing import Any, Callable, Optional
 
 from repro.errors import WorkloadError
-from repro.sim.engine import EventHandle, Simulator, StartupBatch
+from repro.sim.engine import EventHandle, Simulator
 
 __all__ = ["ExponentialProcess", "FixedIntervalProcess"]
 
@@ -56,23 +56,11 @@ class ExponentialProcess:
         """``True`` while arrivals are scheduled."""
         return self._handle is not None and self._handle.pending
 
-    def start(self, batch: Optional[StartupBatch] = None) -> None:
-        """Schedule the first arrival.  Idempotent while running.
-
-        With ``batch``, the gap is drawn now (preserving the RNG draw
-        order of the unbatched path) but the event is queued into the
-        collector; the handle arrives when the batch flushes.
-        """
+    def start(self) -> None:
+        """Schedule the first arrival.  Idempotent while running."""
         if self.running:
             return
-        if batch is not None:
-            gap = self._rng.expovariate(1.0 / self.mean_interval)
-            batch.add(gap, self._fire, adopt=self._adopt)
-            return
         self._schedule_next()
-
-    def _adopt(self, handle: EventHandle) -> None:
-        self._handle = handle
 
     def stop(self) -> None:
         """Cancel the pending arrival."""

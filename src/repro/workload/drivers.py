@@ -14,7 +14,6 @@ from typing import Iterable, List, Optional
 
 from repro.consistency.base import ConsistencyStrategy
 from repro.peers.host import MobileHost
-from repro.sim.engine import StartupBatch
 from repro.sim.rng import RandomStreams
 from repro.workload.access import AccessPattern
 from repro.workload.arrivals import ExponentialProcess
@@ -44,10 +43,10 @@ class UpdateWorkload:
             )
             self._processes.append(process)
 
-    def start(self, batch: Optional[StartupBatch] = None) -> None:
+    def start(self) -> None:
         """Begin every host's update stream."""
         for process in self._processes:
-            process.start(batch)
+            process.start()
 
     def stop(self) -> None:
         """Halt every host's update stream."""
@@ -105,10 +104,10 @@ class QueryWorkload:
         agent = self._strategy.agent_for(host.node_id)
         agent.local_query(item_id, level)
 
-    def start(self, batch: Optional[StartupBatch] = None) -> None:
+    def start(self) -> None:
         """Begin every host's query stream."""
         for process in self._processes:
-            process.start(batch)
+            process.start()
 
     def stop(self) -> None:
         """Halt every host's query stream."""

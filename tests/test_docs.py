@@ -238,9 +238,9 @@ class TestScenariosDoc:
 
 class TestOneCore:
     """The scalar per-quantum core, the timer-wheel engine, the pickle
-    cache, the sharded transport, the second adaptation mechanism and the
-    options that selected them are gone from the tree, not just from
-    ``src/``."""
+    cache, the sharded transport, the second adaptation mechanism, the
+    start-up batch collector and the options that selected them are gone
+    from the tree, not just from ``src/``."""
 
     #: Spelled in pieces so this file passes its own check.
     RETIRED = (
@@ -251,6 +251,7 @@ class TestOneCore:
         "--no-" + "cache", "--cache" + "-dir", "--work" + "ers",
         "Adaptive" + "RPCCStrategy", "Adaptive" + "Config", "rpcc-" + "adaptive",
         "_run_with_" + "strategy",
+        "Startup" + "Batch", "schedule" + "_batch", "adopt" + "=",
     )
     #: History, the issue that retired them, and the read-only benchmark.
     EXEMPT = ("CHANGES.md", "ROADMAP.md", "ISSUE.md", "benchmarks/e2e/")

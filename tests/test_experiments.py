@@ -5,10 +5,15 @@ the suite stays fast while still exercising every strategy end to end.
 """
 
 import gc
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.config import TABLE1_ROWS, SimulationConfig
 from repro.experiments.figures.base import FigureData, extract_series, run_axis_sweep
 from repro.experiments.runner import (
@@ -17,6 +22,9 @@ from repro.experiments.runner import (
     build_simulation,
     run_simulation,
 )
+from repro.peers.host import MobileHost
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def tiny_config(**kwargs):
@@ -186,6 +194,154 @@ class TestGcQuiet:
             build_simulation(tiny_config(), "pull")
             after.append(gc.get_count()[1])
         assert after == [0, 0]
+
+
+def _live_hosts() -> int:
+    """MobileHosts the collector's generations hold right now."""
+    return sum(type(obj) is MobileHost for obj in gc.get_objects())
+
+
+class TestGcFreeze:
+    """A built world is frozen out of the collector until its run ends."""
+
+    @pytest.fixture(autouse=True)
+    def _collected(self):
+        # Start from nothing frozen and no garbage, whatever came before.
+        gc.unfreeze()
+        gc.collect()
+
+    def test_built_world_is_frozen_and_run_releases_it(self):
+        simulation = build_simulation(tiny_config(sim_time=30.0), "pull")
+        assert gc.get_freeze_count() > 0
+        assert _live_hosts() == 0  # the collector would not walk them
+        simulation.run()
+        assert gc.get_freeze_count() == 0
+        assert _live_hosts() >= len(simulation.hosts)
+
+    def test_run_whose_callback_raises_still_releases_it(self):
+        simulation = build_simulation(tiny_config(sim_time=30.0), "pull")
+
+        def boom() -> None:
+            raise RuntimeError("callback failed")
+
+        simulation.sim.schedule(5.0, boom)
+        with pytest.raises(RuntimeError, match="callback failed"):
+            simulation.run()
+        assert gc.get_freeze_count() == 0
+
+    def test_dropped_worlds_are_collected(self):
+        for _ in range(20):
+            build_simulation(tiny_config(sim_time=30.0), "pull").run()
+        assert gc.get_freeze_count() == 0
+        gc.collect()
+        assert _live_hosts() == 0
+
+
+# A campaign worker in miniature: a fresh interpreter that builds and never
+# runs, then builds, runs and drops worlds, and never collects by itself.
+_WORKER = """
+import gc, json, sys
+from repro.experiments.config import SimulationConfig
+from repro.experiments.runner import build_simulation
+from repro.peers.host import MobileHost
+
+unrun = SimulationConfig(n_peers=12, sim_time=300.0, warmup=0.0, seed=11,
+                         terrain_width=800.0, terrain_height=800.0)
+counts = []
+for _ in range(40):
+    build_simulation(unrun, "pull")
+    counts.append(gc.get_freeze_count())
+gc.unfreeze()
+gc.collect()
+
+large = SimulationConfig(n_peers=500, sim_time=1.0, warmup=0.0, seed=11,
+                         terrain_width=2000.0, terrain_height=2000.0)
+heap = sys.getallocatedblocks()
+simulation = build_simulation(large, "pull")
+simulation.run()
+world = sys.getallocatedblocks() - heap
+del simulation
+for _ in range(5):
+    build_simulation(large, "pull").run()
+gc.unfreeze()
+hosts = sum(type(obj) is MobileHost for obj in gc.get_objects())
+print(json.dumps({"counts": counts, "heap": heap, "world": world, "hosts": hosts}))
+"""
+
+
+class TestGcFreezeInACampaign:
+    """What many worlds in one process leave behind, without collecting."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", _WORKER], env=env, capture_output=True, text=True, check=True
+        )
+        return json.loads(done.stdout)
+
+    def test_builds_without_runs_keep_the_freeze_count_flat(self, report):
+        counts = report["counts"]
+        # Each build releases the unrun world before it; without that the
+        # count grows by a whole world per build.
+        assert max(counts[1:]) <= counts[1] * 1.01, counts
+
+    def test_each_build_after_a_run_frees_the_world_before_it(self, report):
+        """Each world adds more than a quarter of the interpreter's heap,
+        so every build after a run makes its full pass, and only the last
+        world (nothing has built since) is left.  Where the heap dwarfs
+        its worlds (a test session's) a pass follows a quarter's worth."""
+        assert report["world"] > report["heap"] / 4, "enlarge the world"
+        assert report["hosts"] <= 500, report
+
+
+class TestSingleShotRun:
+    """A world runs once; a second run would arm every timer again."""
+
+    def test_second_run_raises_and_arms_nothing(self):
+        simulation = build_simulation(tiny_config(), "pull")
+        simulation.run(until=0.0)
+        pending = simulation.sim.pending_events
+        processed = simulation.sim.events_processed
+        with pytest.raises(SimulationError, match="single-shot"):
+            simulation.run()
+        assert simulation.sim.pending_events == pending
+        assert simulation.sim.events_processed == processed
+
+    def test_traffic_series_samples_each_minute_once(self):
+        simulation = build_simulation(tiny_config(), "pull")
+        series = simulation.run().traffic_series
+        assert series.times == [60.0, 120.0, 180.0, 240.0, 300.0]
+        with pytest.raises(SimulationError):
+            simulation.run()
+        assert len(series) == 5
+
+    def test_relay_samples_each_minute_once(self):
+        simulation = build_simulation(tiny_config(), "rpcc-sc")
+        samples = simulation.run().relay_samples
+        assert [time for time, _ in samples] == [60.0, 120.0, 180.0, 240.0, 300.0]
+        with pytest.raises(SimulationError):
+            simulation.run()
+        assert len(simulation._relay_samples) == 5
+
+
+class TestStartupArming:
+    def test_arming_order_keeps_the_event_stream(self):
+        """Start-up arming files one event per timer and arrival stream,
+        in the order that fixes their sequence numbers: this tuple is what
+        every earlier arming path produced."""
+        config = tiny_config(sim_time=120.0, warmup=30.0, seed=13)
+        result = build_simulation(config, "rpcc-sc", "standard").run()
+        summary = result.summary
+        assert (
+            summary.transmissions,
+            summary.messages,
+            summary.queries_issued,
+            summary.queries_answered,
+            round(summary.mean_latency, 9),
+            round(summary.stale_ratio, 9),
+            result.events_processed,
+        ) == (1043, 168, 71, 71, 0.019606986, 0.0, 532)
 
 
 class TestRunSimulation:

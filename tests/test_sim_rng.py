@@ -1,5 +1,6 @@
 """Unit tests for named deterministic random streams."""
 
+import _random
 import copy
 import pickle
 import random
@@ -65,6 +66,15 @@ class TestRandomStreams:
 
     def test_seed_property(self):
         assert RandomStreams(123).seed == 123
+
+    def test_registry_survives_pickle_and_deepcopy(self):
+        registry = RandomStreams(7)
+        registry.stream("kept").random()
+        for twin in (pickle.loads(pickle.dumps(registry)), copy.deepcopy(registry)):
+            assert twin.seed == 7 and "kept" in twin
+            assert twin.stream("kept").getstate() == registry.stream("kept").getstate()
+            # Streams first asked for after the copy derive from the same seed.
+            assert twin.stream("new").random() == RandomStreams(7).stream("new").random()
 
 
 # One step of a draw script: (method name, arguments).  ``sample``,
@@ -144,6 +154,38 @@ class TestStreamIdentity:
             expected = _draw(stream, step)
             for twin in twins:
                 assert _draw(twin, step) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=_SEEDS,
+        names=st.lists(_NAMES, min_size=1, max_size=4, unique=True),
+    )
+    def test_trimmed_constructor_builds_what_random_random_builds(self, seed, names):
+        """The registry seeds in C without ``random.Random.__init__`` and
+        copies one prefix hash per name: each fresh generator, in turn, is
+        ``random.Random(derive_seed(seed, name))`` by ``getstate`` (which
+        carries ``gauss_next``), after a pickle and a ``deepcopy``, fresh
+        and with a ``gauss`` variate pending."""
+        streams = RandomStreams(seed)
+        for index, name in enumerate(names):
+            fresh = streams.one_shot(name) if index % 2 else streams.stream(name)
+            reference = random.Random(derive_seed(seed, name))
+            for pending in (False, True):
+                assert (fresh.gauss_next is not None) is pending
+                pickled = pickle.loads(pickle.dumps(fresh))
+                for twin in (fresh, pickled, copy.deepcopy(fresh)):
+                    assert type(twin) is Stream
+                    assert twin.getstate() == reference.getstate()
+                # The first draw leaves its pair pending in the slot.
+                assert fresh.gauss(0.0, 1.0) == reference.gauss(0.0, 1.0)
+            assert vars(fresh) == {}
+
+    def test_allocation_does_not_seed(self):
+        """Each stream is seeded once, by the registry: ``Stream.__new__``
+        is the generic allocator, draws no entropy and ignores a seed."""
+        for args in ((), (12345,)):
+            state = _random.Random.getstate(Stream.__new__(Stream, *args))
+            assert not any(state[:-1])  # 624 zero words, then the index
 
     def test_gauss_next_lives_in_the_slot(self):
         """The point of the subclass: nothing ever lands in a ``__dict__``."""

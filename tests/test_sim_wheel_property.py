@@ -2,9 +2,9 @@
 
 Every example drives a :class:`~repro.sim.engine.Simulator` and a
 reference model through the *same* randomized interleaving of
-``schedule`` / ``post`` / ``schedule_batch`` / ``cancel`` /
-``reschedule`` / ``run_until`` / ``run(max_events=k)`` operations and
-asserts the observable outcomes are equal and in the same order: the
+``schedule`` / ``post`` / ``cancel`` / ``reschedule`` / ``run_until`` /
+``run(max_events=k)`` operations and asserts the observable outcomes
+are equal and in the same order: the
 full ``(time, tag)`` fire log, the live pending counter and the clock
 after every operation.  The reference (:class:`_Model`) is a plain list
 of ``[time, seq, tag, alive]`` rows whose next event is ``min`` over the
@@ -57,7 +57,6 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), _DELAYS),
         st.tuples(st.just("post"), _DELAYS),
-        st.tuples(st.just("schedule_batch"), st.lists(_DELAYS, max_size=12)),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10_000)),
         st.tuples(
             st.just("reschedule"),
@@ -140,14 +139,6 @@ def _apply(arm: _Arm, model: _Model, rows: list, op, tag: int) -> None:
         # Pooled fire-and-forget: the handle must not be retained.
         sim.post(op[1], arm.fire, tag)
         model.add(op[1], tag)
-    elif kind == "schedule_batch":
-        # Distinct tags inside one batch, so a swap of two ties would show.
-        arm.handles.extend(
-            sim.schedule_batch(
-                [(delay, arm.fire, ((tag, i),)) for i, delay in enumerate(op[1])]
-            )
-        )
-        rows.extend(model.add(delay, (tag, i)) for i, delay in enumerate(op[1]))
     elif kind == "cancel":
         if arm.handles:
             index = op[1] % len(arm.handles)
