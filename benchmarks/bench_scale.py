@@ -12,8 +12,8 @@ The configuration is chosen to keep the run phase topology-dominated —
 the regime the paper's larger deployments live in:
 
 * random-walk mobility resamples every node each epoch, so every quantum
-  rebuilds the snapshot (the mobility + adjacency hot loop, not the
-  incremental patch path, is what scales with n);
+  rebuilds the snapshot (the mobility + adjacency hot loop is what
+  scales with n);
 * the ``single_source`` scenario keeps setup O(n) and the protocol load
   light (one update source, sparse queries), so protocol handlers do not
   drown the per-quantum core being measured;

@@ -1,7 +1,7 @@
 """Benchmark entry point with a committed-baseline regression gate.
 
-Two suites, each gated against its own committed baseline next to this
-file:
+Several suites, each gated against its own committed baseline next to
+this file:
 
 * ``kernel`` — the fast-path workloads of ``bench_kernel.py`` (event
   kernel, spatial-grid snapshot build, memoised BFS bursts, ``has_edge``),
@@ -18,11 +18,6 @@ file:
 * ``trace`` — the observability layer of ``bench_trace.py`` (the same
   run untraced, with a null sink, and with JSONL export), gated against
   ``BENCH_trace.json``;
-* ``topology`` — the incremental snapshot pipeline of
-  ``bench_topology.py`` (pause-heavy 200/1000-node refresh walks,
-  incremental vs from-scratch, plus the churn-heavy worst case), gated
-  against ``BENCH_topology.json``; the incremental speedups land in the
-  result metadata;
 * ``faults`` — the fault-injection layer of ``bench_faults.py`` (the
   same chaos-scale run fault-free and under the shipped partition,
   bursty-loss, and crash-reboot plans), gated against
@@ -93,8 +88,8 @@ from repro.mobility.waypoint import RandomWaypoint  # noqa: E402
 from repro.net.topology import TopologySnapshot  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
 
-SUITES = ("kernel", "engine", "sweep", "trace", "topology", "faults",
-          "scale", "campaign", "control")
+SUITES = ("kernel", "engine", "sweep", "trace", "faults", "scale",
+          "campaign", "control")
 
 #: Timing repetitions per suite (the best is kept).  The sweep campaign
 #: is seconds-per-iteration, so it repeats less than the ms-scale kernels;
@@ -102,8 +97,8 @@ SUITES = ("kernel", "engine", "sweep", "trace", "topology", "faults",
 #: repeats least of all (the noise-retry pass still resamples any
 #: benchmark that appears to regress).
 SUITE_REPEATS = {
-    "kernel": 5, "engine": 5, "sweep": 2, "trace": 3, "topology": 3,
-    "faults": 3, "scale": 1, "campaign": 3, "control": 3,
+    "kernel": 5, "engine": 5, "sweep": 2, "trace": 3, "faults": 3,
+    "scale": 1, "campaign": 3, "control": 3,
 }
 
 #: Shortest warm-up of a timed row (longer rows warm up with one call).
@@ -216,10 +211,6 @@ def suite_benchmarks(
         from benchmarks.bench_trace import trace_benchmarks
 
         return trace_benchmarks(workdir)
-    if suite == "topology":
-        from benchmarks.bench_topology import topology_benchmarks
-
-        return topology_benchmarks(workdir)
     if suite == "faults":
         from benchmarks.bench_faults import faults_benchmarks
 
@@ -311,10 +302,6 @@ def derived_ratios(suite: str, results: Dict[str, float]) -> Dict[str, float]:
     """The speedups / overheads a suite records in its baseline metadata."""
     if suite == "sweep":
         return sweep_speedups(results)
-    if suite == "topology":
-        from benchmarks.bench_topology import topology_speedups
-
-        return topology_speedups(results)
     if suite == "scale":
         from benchmarks.bench_scale import scale_speedups
 

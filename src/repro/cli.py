@@ -51,7 +51,6 @@ from repro.experiments.figures import (
 from repro.experiments.figures.base import run_axis_sweep
 from repro.experiments.runner import PLACEMENT_SCENARIOS, STRATEGY_SPECS
 from repro.metrics.report import format_summary, format_table
-from repro.net import soa
 from repro.scenarios.registry import parse_spec, strategy_specs
 
 __all__ = ["main", "build_parser"]
@@ -277,34 +276,19 @@ def _command_run(args: argparse.Namespace, executor: CampaignExecutor) -> None:
 
 
 def _print_topology_stats(result) -> None:
-    """Topology footer: refresh counters plus the path that served them.
-
-    A population too large for :func:`soa.refresh_patches` to patch even
-    a one-node delta rebuilds the CSR from the position ledger's arrays
-    on every changed refresh.
-    Such a run is reported as that, not as "0 incremental (0 BFS trees
-    retained)", along with how those rebuilds came by their candidate
-    pairs (:class:`soa.PairList`).
-    """
+    """Topology footer: the refresh counters, and how the rebuilds came
+    by their candidate pairs (:class:`repro.net.soa.PairList`) when any
+    used it."""
     stats = getattr(result, "topology_stats", None)
     if not stats:
         return
-    patched = stats.get("incremental_updates", 0)
-    array_refresh = not soa.refresh_patches(result.config.n_peers, 1)
     line = (f"topology: {stats.get('snapshots_built', 0)} built, "
-            f"{stats.get('snapshots_reused', 0)} reused")
-    paths = []
-    if patched or not array_refresh:
-        line += (f", {patched} incremental "
-                 f"({stats.get('bfs_trees_retained', 0)} BFS trees retained)")
-    if patched:
-        paths.append("delta patch")
-    if array_refresh:
-        paths.append("array rebuild")
-    line += f"; refresh path: {' + '.join(paths) or 'rebuild'}"
-    if array_refresh:
-        line += (f" (pair list: {stats.get('pair_list_builds', 0)} built, "
-                 f"{stats.get('pair_list_reuses', 0)} reused, "
+            f"{stats.get('snapshots_reused', 0)} reused, "
+            f"{stats.get('invalidations', 0)} invalidations")
+    builds = stats.get("pair_list_builds", 0)
+    reuses = stats.get("pair_list_reuses", 0)
+    if builds + reuses > 0:
+        line += (f" (pair list: {builds} built, {reuses} reused, "
                  f"{stats.get('pair_list_reanchored', 0)} re-anchored)")
     print(line)
 

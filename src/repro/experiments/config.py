@@ -153,7 +153,7 @@ class SimulationConfig:
             ("subnet_cell", self.subnet_cell),
         )
         for name, value in positives:
-            if value <= 0:
+            if not value > 0:  # not ``value <= 0``: NaN must fail too
                 raise ConfigurationError(f"{name} must be positive, got {value!r}")
         if self.ttl_broadcast < 1 or self.ttl_rpcc < 1:
             raise ConfigurationError("flood TTLs must be >= 1")

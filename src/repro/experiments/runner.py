@@ -181,9 +181,9 @@ class SimulationResult:
     mean_battery_fraction: float = 0.0
     wall_clock_seconds: float = 0.0
     events_processed: int = 0
-    #: TopologyService counters (snapshots built/reused, incremental
-    #: updates, retained BFS trees, invalidations, candidate-pair lists
-    #: built/reused and nodes re-anchored) at end of run.
+    #: TopologyService counters (snapshots built/reused, invalidations,
+    #: candidate-pair lists built/reused and nodes re-anchored) at end
+    #: of run.
     topology_stats: Dict[str, int] = field(default_factory=dict)
     #: Degradation metrics (availability, stale-serve rate in partition,
     #: time-to-reconverge); empty for fault-free runs without a meter.

@@ -52,9 +52,9 @@ class MobilityTrace:
         """Replay the trace as a :class:`PiecewiseLinear` mobility model.
 
         Runs of equal consecutive samples (a paused node) replay with full
-        ``position_valid_until`` windows spanning the whole run, so replays
-        benefit from the incremental topology pipeline exactly like the
-        original trajectory did.
+        ``position_valid_until`` windows spanning the whole run, so the
+        position ledger skips re-sampling them exactly as it did for the
+        original trajectory.
         """
         waypoints: List[Tuple[float, Point]] = [
             (self.start + k * self.interval, point)

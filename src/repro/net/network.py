@@ -101,10 +101,8 @@ class Network:
         Registration binds the node's state listener so that online/offline
         flips mark the cached topology snapshot stale immediately —
         otherwise unicasts for the rest of the quantum could route through
-        a node that just went offline.  The churn notice feeds the
-        refresh diff: the next refresh patches the previous snapshot (or,
-        for a large population, rebuilds from the ledger's arrays) rather
-        than discarding it unconditionally.
+        a node that just went offline.  The churn notice makes the next
+        refresh re-diff the ledger even inside the current quantum.
         """
         if node.node_id in self._nodes:
             raise TopologyError(f"node id {node.node_id!r} already registered")

@@ -13,8 +13,9 @@ The numpy kernels the network layer runs every topology quantum:
   deadlines in contiguous arrays, sampled by the bulk mobility kernels
   (:mod:`repro.mobility.bulk`) and diffed per refresh.
 
-No population is too small for the arrays.  What does depend on size is
-what a snapshot serves *from*: under :data:`ARRAY_REFRESH_MIN_NODES`
+No population is too small for the arrays: every changed refresh hands
+the ledger's arrays to one :func:`build_csr`.  What does depend on size
+is what a snapshot serves *from*: under :data:`ARRAY_REFRESH_MIN_NODES`
 peers it is arrays in, dicts out (traversals on the dict adjacency
 materialised once from the CSR, membership a hash lookup); from there on
 it stays in arrays (CSR traversals, binary-search membership).  Results
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Mapping
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from repro.mobility import bulk
 from repro.mobility.terrain import Point
 
 __all__ = [
-    "refresh_patches",
     "ArrayPositions",
     "CsrAdjacency",
     "PairList",
@@ -55,13 +55,14 @@ __all__ = [
 #: DESIGN.md, "Data-oriented core").
 GRID_MIN_NODES = 128
 
-#: Online population from which a ledger-driven refresh stays in arrays:
-#: every changed refresh rebuilds the CSR from the ledger's arrays rather
-#: than patching the previous snapshot's dicts, however few nodes moved.
-#: The measured crossover sits between 200 and 600 peers, later the more
-#: routes a snapshot serves (patch-vs-rebuild table in DESIGN.md,
-#: "Data-oriented core"); the property tests drop it to cover the array
-#: path on small graphs.
+#: Online population from which a snapshot is served from its arrays:
+#: TTL floods run the depth-bounded :func:`bfs_from_csr` instead of the
+#: dict traversal, membership is a binary search in the ids
+#: (:meth:`ArrayPositions.members`) instead of a hash set, and the
+#: rebuild takes its candidate pairs from a :class:`PairList`.  Every
+#: changed refresh is a :func:`build_csr` either side of it (BFS table
+#: in DESIGN.md, "Data-oriented core"); the property tests drop it to
+#: cover the array side on small graphs.
 ARRAY_REFRESH_MIN_NODES = 512
 
 #: Reuse margin of :class:`PairList` as a share of the radio range: the
@@ -78,26 +79,6 @@ _PAIR_DRIFT_SHARE = 0.49
 
 #: Refreshes a :class:`PairList` sits out after a list died unused.
 PAIR_LIST_NAP = 16
-
-#: Below the crossover, the largest delta still patched: this share of
-#: the online population, with an absolute floor.
-PATCH_FRACTION = 0.25
-PATCH_FLOOR = 4
-
-
-def refresh_patches(n_online: int, n_changed: int) -> bool:
-    """Whether a changed refresh patches the previous snapshot.
-
-    The one patch-or-rebuild rule, asked by the
-    position ledger (maintain the ``Point`` dict, or hand out
-    :class:`ArrayPositions`?) and by the topology service
-    (``from_delta``, or a from-arrays build?) with the same two counts,
-    so the two can never disagree.  Empty deltas never get here — they
-    reuse the cached snapshot at every size.
-    """
-    if n_online >= ARRAY_REFRESH_MIN_NODES:
-        return False
-    return n_changed <= max(PATCH_FLOOR, int(n_online * PATCH_FRACTION))
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +265,7 @@ def _candidate_pairs(
 
 
 def _norm_sq(dx: "np.ndarray", dy: "np.ndarray") -> "np.ndarray":
-    """``dx*dx + dy*dy``, in that operation order (from_delta's, too).
+    """``dx*dx + dy*dy``, in that operation order (the oracle's, too).
 
     Runs in place — the result is ``dx`` — to avoid intermediate arrays.
     """
@@ -342,7 +323,6 @@ def _assemble_csr(
 def build_csr(
     positions: Dict[int, Point],
     radio_range: float,
-    position_arrays: Optional[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = None,
     pair_list: Optional["PairList"] = None,
 ) -> CsrAdjacency:
     """Unit-disc adjacency over ``positions``.
@@ -361,19 +341,11 @@ def build_csr(
     from earlier refreshes (:class:`PairList`); the other two stages run
     unchanged and the assembly sorts, so the result is bit-identical to
     the list-less call.
-
-    ``position_arrays`` may supply precomputed ``(ids, xs, ys)`` arrays
-    (the position ledger keeps them hot); they must match ``positions``
-    in order and value.
     """
     n = len(positions)
     slots = None
     if isinstance(positions, ArrayPositions):
-        slots = positions.slots
-        if position_arrays is None:
-            position_arrays = positions.ids, positions.xs, positions.ys
-    if position_arrays is not None:
-        ids, xs, ys = position_arrays
+        ids, xs, ys, slots = positions.ids, positions.xs, positions.ys, positions.slots
     else:
         try:
             ids = np.fromiter(positions.keys(), dtype=np.int64, count=n)
@@ -492,16 +464,13 @@ def bfs_from_csr(
 class ArrayPositions(Mapping):
     """Immutable, registration-ordered node-to-position mapping over arrays.
 
-    The ledger hands one out for every changed refresh that
-    :func:`refresh_patches` sends to a rebuild — any delta at or above
-    :data:`ARRAY_REFRESH_MIN_NODES` online nodes, an over-threshold one
-    below: the snapshot rebuild that follows consumes the arrays
-    directly, so the per-node ``Point`` dict — the dominant cost of a
-    refresh at scale — only materialises if something actually reads
-    positions (tests, delta patches, partition filters).  Iteration
-    order is the slot (registration) order of the backing arrays, the
-    order the ledger's ``Point`` dicts have; values are Python floats, so
-    a materialised entry equals what ``node.current_position()`` returned.
+    The ledger hands one out for every changed refresh: the snapshot
+    rebuild that follows consumes the arrays directly, so the per-node
+    ``Point`` dict — the dominant cost of a refresh at scale — only
+    materialises if something actually reads positions (tests,
+    partition filters).  Iteration order is the slot (registration)
+    order of the backing arrays; values are Python floats, so a
+    materialised entry equals what ``node.current_position()`` returned.
     """
 
     __slots__ = ("ids", "xs", "ys", "slots", "_dict", "_key_set")
@@ -735,17 +704,13 @@ class SoAPositionLedger:
     2. Bulk mobility — each :mod:`repro.mobility.bulk` kernel evaluates
        its lapsed members in one shot (a ``current_position()`` call
        per node only for unrecognised models).
-    3. Delta detection — moved/appeared/departed nodes fall out of array
-       comparisons against the last *reported* state: registration order
-       for moved/appeared, then departed.
+    3. Change detection — whether any node moved, appeared or departed,
+       from array comparisons against the last *reported* state.
 
-    The returned positions mapping is never mutated after it is handed
-    out.  A changed refresh the topology service will patch
-    (:func:`refresh_patches`) builds a fresh ``Point`` dict
-    (copy-on-change); every other changed refresh hands out
-    :class:`ArrayPositions` over freshly gathered arrays and builds no
-    ``Point`` at all.  Either way snapshots may keep references without
-    aliasing hazards.
+    A changed refresh hands out :class:`ArrayPositions` over freshly
+    gathered arrays and builds no ``Point`` at all; the mapping is never
+    mutated after it is handed out, so snapshots may keep references
+    without aliasing hazards.
 
     Online state is maintained from the network's churn notifications
     (:meth:`note_state`) — the :class:`~repro.net.node.NetworkNode`
@@ -765,7 +730,7 @@ class SoAPositionLedger:
         self._reported_online = np.empty(0, dtype=bool)
         self._reported_x = np.empty(0, dtype=np.float64)
         self._reported_y = np.empty(0, dtype=np.float64)
-        self._positions: Dict[int, Point] = {}
+        self._positions: Mapping[int, Point] = {}
         self._ids_arr = np.empty(0, dtype=np.int64)
 
     def add(self, node) -> None:
@@ -818,22 +783,13 @@ class SoAPositionLedger:
             self._online[start + offset] = node.online
         self._ids_arr = np.asarray(self._ids, dtype=np.int64)
 
-    def online_arrays(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-        """``(ids, xs, ys)`` of the online nodes, in registration order.
-
-        Matches the dict the latest :meth:`refresh` returned, saving the
-        from-scratch snapshot build its per-position extraction pass.
-        """
-        slots = np.nonzero(self._online)[0]
-        return self._ids_arr[slots], self._x[slots], self._y[slots]
-
-    def refresh(self, now: float) -> Tuple[Dict[int, Point], Sequence[int]]:
+    def refresh(self, now: float) -> Tuple[Mapping[int, Point], bool]:
         """Sample lapsed windows and diff against the last reported state.
 
         Returns ``(positions, changed)``: the registration-ordered mapping
-        of online node to position, and the node ids whose state differs
-        from the previous report: moved or appeared in registration
-        order, then departed.
+        of online node to position, and whether any node moved, appeared
+        or departed since the previous report.  Unchanged, ``positions``
+        is the mapping that report handed out.
         """
         if self._pending:
             self._absorb_pending()
@@ -847,65 +803,18 @@ class SoAPositionLedger:
                 if local.size:
                     kernel.sample(now, local, x, y, valid_until)
 
-        reported_online = self._reported_online
-        appeared = online & ~reported_online
-        departed = reported_online & ~online
-        moved = lapsed & reported_online & (
+        moved = lapsed & self._reported_online & (
             (self._x != self._reported_x) | (self._y != self._reported_y)
         )
-        churned = bool(appeared.any() or departed.any())
-        if not churned and not moved.any():
-            return self._positions, ()
-
-        first_arr = np.nonzero(moved | appeared)[0]
-        changed = self._ids_arr[first_arr].tolist()
-        dep_arr = np.nonzero(departed)[0]
-        if dep_arr.size:
-            changed.extend(self._ids_arr[dep_arr].tolist())
+        if not moved.any() and np.array_equal(online, self._reported_online):
+            return self._positions, False
 
         refreshed = np.nonzero(lapsed)[0]
         self._reported_x[refreshed] = self._x[refreshed]
         self._reported_y[refreshed] = self._y[refreshed]
         self._reported_online = online.copy()
-
         slots = np.nonzero(online)[0]
-        if not refresh_patches(int(slots.shape[0]), len(changed)):
-            # The topology service asks the same predicate and ends this
-            # refresh in a from-arrays build: hand out the arrays and
-            # skip the Point dict — it materialises lazily if anything
-            # actually reads positions.
-            self._positions = ArrayPositions(
-                self._ids_arr[slots], self._x[slots], self._y[slots], slots
-            )
-            return self._positions, changed
-
-        base = self._positions
-        if isinstance(base, ArrayPositions):
-            base = base.materialized()
-        first = first_arr.tolist()
-        ids = self._ids
-        # tolist() hands back Python floats, so Points never leak numpy
-        # scalars into snapshot positions or anything derived from them.
-        # Every slot in ``first`` genuinely changed value (the moved mask
-        # compares against the last report), so each needs a fresh Point.
-        x_list = self._x[first_arr].tolist() if first else ()
-        y_list = self._y[first_arr].tolist() if first else ()
-        if churned:
-            # Membership changed: rebuild in registration (slot) order so
-            # appeared nodes land at their registry position.
-            fresh = {
-                slot: Point(x_list[index], y_list[index])
-                for index, slot in enumerate(first)
-            }
-            positions = {}
-            for slot in slots.tolist():
-                node = ids[slot]
-                point = fresh.get(slot)
-                positions[node] = point if point is not None else base[node]
-            self._positions = positions
-        else:
-            positions = dict(base)
-            for index, slot in enumerate(first):
-                positions[ids[slot]] = Point(x_list[index], y_list[index])
-            self._positions = positions
-        return self._positions, changed
+        self._positions = ArrayPositions(
+            self._ids_arr[slots], self._x[slots], self._y[slots], slots
+        )
+        return self._positions, True

@@ -15,10 +15,9 @@ keep them cheap without changing any observable result:
 * **Array adjacency build.**  Every snapshot of every size is built by
   :func:`repro.net.soa.build_csr` into a compressed sparse-row view.
   The ordered neighbour lists (BFS and flood iteration order must stay
-  deterministic), the frozen sets behind an O(1)
-  :meth:`TopologySnapshot.has_edge` and the spatial grid the patch path
-  re-buckets materialise from those arrays only when something reads
-  them.
+  deterministic) and the frozen sets behind an O(1)
+  :meth:`TopologySnapshot.has_edge` materialise from those arrays only
+  when something reads them.
 * **Per-source BFS memoisation.**  A snapshot is immutable, so each
   source keeps one resumable, level-synchronous traversal record that
   grows whole levels only as far as the query at hand needs — to the
@@ -28,23 +27,18 @@ keep them cheap without changing any observable result:
   up to ``d`` of a level-synchronous BFS do not depend on where it later
   stops, so every answer equals the full traversal's whatever order the
   queries arrive in; a unicast two hops long never walks its component.
-* **Incremental snapshot pipeline.**  Long runs alternate movement with
-  pauses (random waypoint, Table 1), so most quanta change nothing.
-  Each refresh :class:`TopologyService` takes the position ledger's diff
-  against the previous snapshot: an *empty* delta returns the previous
-  snapshot object — warm BFS cache and all; a *small* delta on a small
-  population applies :meth:`TopologySnapshot.from_delta`, a copy-on-write
-  patch that keeps every traversal record no edge change touched;
-  anything else rebuilds from the ledger's arrays, sharing candidate
-  pairs from one refresh to the next
-  (:func:`repro.net.soa.refresh_patches` has the rule,
-  :class:`repro.net.soa.PairList` the reuse).
+* **One refresh path.**  Each refresh :class:`TopologyService` asks the
+  position ledger whether any node moved, appeared or departed since the
+  previous snapshot.  If none did, the previous snapshot object comes
+  back — warm BFS cache and all; otherwise one ``build_csr`` over the
+  ledger's arrays makes the new one, from
+  :data:`repro.net.soa.ARRAY_REFRESH_MIN_NODES` peers on with candidate
+  pairs kept from one refresh to the next (:class:`repro.net.soa.PairList`).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
 from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -94,10 +88,9 @@ class TopologySnapshot:
         edge_filter: Optional[
             Callable[[int, int, Point, Point], bool]
         ] = None,
-        position_arrays=None,
         pair_list: Optional["soa.PairList"] = None,
     ) -> None:
-        # ArrayPositions (the ledger's rebuild-bound output) is already an
+        # ArrayPositions (what the ledger hands out) is already an
         # immutable snapshot-safe mapping: copying it into a dict would
         # materialise one Point per node, the very cost it exists to skip.
         if isinstance(positions, soa.ArrayPositions):
@@ -109,11 +102,6 @@ class TopologySnapshot:
             self.positions = self._members = dict(positions)
         self.radio_range = float(radio_range)
         self._edge_filter = edge_filter
-        self._cell = self.radio_range if self.radio_range > 0 else 1.0
-        # node -> hash of its ordered neighbour list, filled lazily by
-        # component_fingerprint / from_delta verification.  Never inherited
-        # across snapshots: each snapshot fingerprints its own actual lists.
-        self._edge_fp: Dict[int, int] = {}
         # source -> [levels, parents, prefix, frontier] of one resumable
         # level-synchronous BFS: prefix[d] counts nodes at depth <= d, so a
         # depth-limited query reads a prefix of levels; frontier holds the
@@ -127,20 +115,31 @@ class TopologySnapshot:
         self._bfs_partial: Dict[int, Tuple[tuple, bool]] = {}
         # Compressed sparse-row view of the adjacency; BFS traverses it in
         # array ops instead of the dict lists.
-        self._csr = soa.build_csr(
-            self.positions, self.radio_range, position_arrays, pair_list
-        )
+        self._csr = soa.build_csr(self.positions, self.radio_range, pair_list)
         # has_edge calls the CSR may still answer before the frozen
         # neighbour sets are worth building (see has_edge).
         self._csr_edge_queries = len(self.positions) // _CSR_EDGE_QUERY_SHARE
-        # Dict-of-lists adjacency, grid and frozen neighbour sets
-        # materialise lazily: a regime that rebuilds every refresh never
-        # needs them; from_delta, neighbour lists and sustained has_edge
+        # Dict-of-lists adjacency and frozen neighbour sets materialise
+        # lazily: dict traversals, neighbour lists and sustained has_edge
         # traffic build them on demand.
-        self._adjacency_store = self._grid_store = self._sets_store = None
+        self._adjacency_store = self._sets_store = None
         if edge_filter is not None:
             self._apply_edge_filter()
             self._csr = None  # filtered lists no longer match the CSR view
+
+    @classmethod
+    def from_delta(
+        cls, prev: "TopologySnapshot", positions: Dict[int, Point]
+    ) -> "TopologySnapshot":
+        """The snapshot after ``prev`` at ``positions``: a from-scratch build.
+
+        Nothing in the package calls this.  It keeps the name of the
+        retired delta patch only because the end-to-end harness
+        (``benchmarks/e2e/seams.py``) still times a seam by that name and
+        its self-tests require the seam to resolve and read 0 calls; it
+        leaves with that seam.
+        """
+        return cls(positions, prev.radio_range, edge_filter=prev._edge_filter)
 
     # ------------------------------------------------------------------
     # Lazy companions of the adjacency
@@ -151,17 +150,6 @@ class TopologySnapshot:
         if adjacency is None:
             adjacency = self._adjacency_store = soa.adjacency_from_csr(self._csr)
         return adjacency
-
-    @property
-    def _grid(self) -> Dict[Tuple[int, int], List[Tuple[int, Point]]]:
-        grid = self._grid_store
-        if grid is None:
-            cell = self._cell
-            grid = self._grid_store = {}
-            for node, pos in self.positions.items():
-                key = (math.floor(pos.x / cell), math.floor(pos.y / cell))
-                grid.setdefault(key, []).append((node, pos))
-        return grid
 
     @property
     def _neighbor_sets(self) -> Dict[int, frozenset]:
@@ -197,215 +185,6 @@ class TopologySnapshot:
             if len(kept) != len(neighbors):
                 adjacency[node] = kept
                 neighbor_sets[node] = frozenset(kept)
-
-    # ------------------------------------------------------------------
-    # Incremental construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_delta(
-        cls,
-        prev: "TopologySnapshot",
-        positions: Dict[int, Point],
-        changed: Sequence[int],
-        verify_retention: bool = False,
-        order: Optional[Dict[int, int]] = None,
-    ) -> "TopologySnapshot":
-        """Build the snapshot for ``positions`` by patching ``prev``.
-
-        ``changed`` lists every node whose state differs from ``prev``:
-        moved (position changed), appeared (came online) or departed (went
-        offline).  All other nodes must be bit-identical in both snapshots.
-        ``positions`` must iterate in the same registration order a
-        from-scratch build would use.
-
-        The update is copy-on-write: ``prev`` is never mutated, and every
-        grid cell, adjacency list and frozen neighbour set the delta does
-        not touch is shared between the two snapshots.  Traversal records
-        of ``prev`` that discovered no node an edge change touched are
-        carried over (an incomplete one as a copy, so resuming it here
-        leaves ``prev`` as it was); with ``verify_retention`` each carried
-        record is re-checked against an edge fingerprint computed from the
-        actual neighbour lists of its discovered nodes in both snapshots
-        (used by the property tests; a mismatch raises
-        :class:`TopologyError`).
-
-        ``order`` may supply the registration-rank map (``{node: rank}``
-        for ``enumerate(positions)``); callers that refresh repeatedly over
-        a stable population pass a cached one to skip the O(N) rebuild.
-        """
-        snap = cls.__new__(cls)
-        snap.positions = snap._members = positions
-        snap.radio_range = prev.radio_range
-        cell = snap._cell = prev._cell
-        snap._edge_filter = None  # delta path is only taken unfiltered
-        snap._edge_fp = {}
-        snap._bfs_cache = {}
-        snap._bfs_partial = {}
-        snap._csr = None  # patched lists live in the dicts, not the arrays
-        snap._csr_edge_queries = 0
-
-        grid = dict(prev._grid)
-        adjacency = dict(prev._adjacency)
-        neighbor_sets = dict(prev._neighbor_sets)
-        owned_cells: Set[Tuple[int, int]] = set()
-        owned_lists: Set[int] = set()
-        changed_set = set(changed)
-        touched = set(changed_set)
-
-        def own_cell(key: Tuple[int, int]) -> List[Tuple[int, Point]]:
-            members = grid.get(key)
-            if members is None:
-                members = grid[key] = []
-                owned_cells.add(key)
-            elif key not in owned_cells:
-                members = grid[key] = list(members)
-                owned_cells.add(key)
-            return members
-
-        def own_list(node: int) -> List[int]:
-            neighbors = adjacency[node]
-            if node not in owned_lists:
-                neighbors = adjacency[node] = list(neighbors)
-                owned_lists.add(node)
-            return neighbors
-
-        # Phase 1: detach every changed node that was online in prev — pull
-        # it out of its old grid cell and out of its neighbours' lists.  A
-        # node that merely *moved* keeps its dict keys in place (the stale
-        # values are overwritten below), so key order is disturbed only
-        # when a node appears — the one case that needs a re-key pass.
-        rekey = False
-        for node in changed:
-            old_pos = prev.positions.get(node)
-            if old_pos is None:
-                rekey = rekey or node in positions  # newly online
-                continue
-            own_cell(
-                (math.floor(old_pos.x / cell), math.floor(old_pos.y / cell))
-            ).remove((node, old_pos))
-            for neighbor in prev._adjacency[node]:
-                if neighbor in changed_set:
-                    continue  # rebuilt (or dropped) wholesale below
-                own_list(neighbor).remove(node)
-                touched.add(neighbor)
-            if node not in positions:  # departed: deletion keeps the
-                del adjacency[node]    # remaining keys' relative order
-                del neighbor_sets[node]
-
-        # Phase 2: attach every changed node that is online now.  The grid
-        # holds all unchanged nodes plus previously attached changed ones,
-        # so each changed-changed pair is discovered exactly once (by the
-        # later of the two attachments).  Neighbour lists stay sorted by
-        # registration rank, which keeps BFS traversal bit-identical to a
-        # from-scratch build.
-        if order is None:
-            order = {node: rank for rank, node in enumerate(positions)}
-        rank_of = order.__getitem__
-        limit_sq = snap.radio_range * snap.radio_range
-        for node in changed:
-            pos = positions.get(node)
-            if pos is None:
-                continue  # went offline
-            cell_x = math.floor(pos.x / cell)
-            cell_y = math.floor(pos.y / cell)
-            found: List[int] = []
-            for offset_x in (-1, 0, 1):
-                for offset_y in (-1, 0, 1):
-                    members = grid.get((cell_x + offset_x, cell_y + offset_y))
-                    if not members:
-                        continue
-                    for other, other_pos in members:
-                        dx = pos.x - other_pos.x
-                        dy = pos.y - other_pos.y
-                        if dx * dx + dy * dy <= limit_sq:
-                            found.append(other)
-            found.sort(key=rank_of)
-            adjacency[node] = found
-            owned_lists.add(node)
-            for other in found:
-                insort(own_list(other), node, key=rank_of)
-                touched.add(other)
-            own_cell((cell_x, cell_y)).append((node, pos))
-
-        for key in owned_cells:
-            if not grid[key]:
-                del grid[key]
-        for node in touched:
-            if node in adjacency:
-                neighbor_sets[node] = frozenset(adjacency[node])
-
-        snap._grid_store = grid
-        if rekey:
-            # A from-scratch build inserts keys in ``positions`` order, and
-            # downstream set/dict iteration (seed picking in
-            # connected_components, for one) is sensitive to insertion
-            # order under hash collisions.  Moves and departures preserve
-            # key order in place, but an appeared node lands at the end of
-            # both dicts, so rebuild them in registration order.  O(N)
-            # dict rebuilds; the values (lists/frozensets) stay shared.
-            snap._adjacency_store = {node: adjacency[node] for node in positions}
-            snap._sets_store = {
-                node: neighbor_sets[node] for node in positions
-            }
-        else:
-            snap._adjacency_store = adjacency
-            snap._sets_store = neighbor_sets
-
-        # Phase 3: carry over traversal records no edge change touched.
-        # ``touched`` is exactly the set of nodes whose neighbour list
-        # changed, so what a record has discovered is still a prefix of
-        # the traversal iff it is disjoint from it (every expanded node
-        # keeps its list; new nodes attach only to touched neighbours).
-        for source, record in prev._bfs_cache.items():
-            levels, parents, prefix, frontier = record
-            if len(touched) <= len(levels):
-                dirty = any(node in levels for node in touched)
-            else:
-                dirty = any(node in touched for node in levels)
-            if dirty:
-                continue
-            if verify_retention and prev._fingerprint_over(
-                levels
-            ) != snap._fingerprint_over(levels):
-                raise TopologyError(
-                    f"retained BFS tree from {source} fails the component "
-                    "edge-fingerprint check (copy-on-write aliasing bug?)"
-                )
-            if frontier:
-                # Resuming against the new adjacency must never extend
-                # what ``prev`` answers: an incomplete record is copied,
-                # a complete one never grows again and stays shared.
-                record = [dict(levels), dict(parents), list(prefix), list(frontier)]
-            snap._bfs_cache[source] = record
-        return snap
-
-    def _fingerprint_over(self, nodes: Iterable[int]) -> int:
-        """XOR of per-node edge fingerprints over ``nodes``.
-
-        Each per-node fingerprint hashes the node id plus its ordered
-        neighbour list, computed from this snapshot's actual adjacency (and
-        memoised per node), so equal component fingerprints mean every
-        listed node has an identical neighbourhood in both snapshots.
-        """
-        fingerprint = 0
-        edge_fp = self._edge_fp
-        adjacency = self._adjacency
-        for node in nodes:
-            node_fp = edge_fp.get(node)
-            if node_fp is None:
-                node_fp = edge_fp[node] = hash((node, tuple(adjacency[node])))
-            fingerprint ^= node_fp
-        return fingerprint
-
-    def component_fingerprint(self, node: int) -> int:
-        """Edge fingerprint of the connected component containing ``node``.
-
-        Two snapshots agree on a component's fingerprint iff every member
-        has an identical ordered neighbour list in both (modulo hash
-        collisions), which is the retention condition for carrying a
-        memoised BFS tree across an incremental update.
-        """
-        return self._fingerprint_over(self._bfs_from(node)[0])
 
     # ------------------------------------------------------------------
     # Queries
@@ -591,9 +370,9 @@ class TopologySnapshot:
             and source not in self._bfs_cache
         ):
             # Depth-bounded vectorized BFS: a TTL flood only needs the
-            # first few levels, so skip the far side of the graph — on a
-            # population that stays in arrays; under that crossover the
-            # dict adjacency is the cheaper one to traverse
+            # first few levels, so skip the far side of the graph — from
+            # the size crossover on; under it the dict adjacency is the
+            # cheaper one to traverse
             # (BFS table in DESIGN.md, "Data-oriented core").  The
             # bounded run is reused while it covers the requested depth;
             # ``complete`` marks traversals that exhausted the component
@@ -684,25 +463,19 @@ class TopologyService:
         speed, a 1 s quantum bounds position error by 20 m — well under the
         250 m radio range.
 
-    Refreshes (new bucket, or churn inside the current one) take the
-    ledger's diff against the previous snapshot: reuse, patch or rebuild
-    as the module docstring lays out, the service and the ledger both
-    asking :func:`repro.net.soa.refresh_patches`.  Array rebuilds take
+    Refreshes (new bucket, or churn inside the current one) ask the
+    ledger whether anything changed since the previous snapshot: reuse
+    it if nothing did, rebuild from the ledger's arrays if anything did.
+    From :data:`soa.ARRAY_REFRESH_MIN_NODES` peers the rebuilds take
     their candidate pairs from the service's :class:`soa.PairList`, which
     survives churn, :meth:`invalidate` and partitions and rebuilds itself
     for a new ``radio_range`` or a grown registry.
 
-    ``incremental = False`` disables both fast paths (every refresh
-    rebuilds), which the benchmarks use as the baseline.
-
-    Counters: ``snapshots_built`` counts from-scratch builds,
-    ``incremental_updates`` delta patches, ``snapshots_reused`` unchanged
-    reuses, ``bfs_trees_retained`` traversal records (complete or not)
-    carried across patches, and ``invalidations`` explicit
-    churn/invalidate notices;
-    ``pair_list_builds`` / ``pair_list_reuses`` / ``pair_list_reanchored``
-    (in :meth:`stats`) say how the array rebuilds came by their
-    candidate pairs.
+    Counters: ``snapshots_built`` counts builds, ``snapshots_reused``
+    unchanged reuses and ``invalidations`` explicit churn/invalidate
+    notices; ``pair_list_builds`` / ``pair_list_reuses`` /
+    ``pair_list_reanchored`` (in :meth:`stats`) say how the rebuilds
+    came by their candidate pairs.
     """
 
     def __init__(
@@ -712,9 +485,10 @@ class TopologyService:
         radio_range: float,
         quantum: float = 1.0,
     ) -> None:
-        if radio_range <= 0:
+        # ``not x > 0``, not ``x <= 0``: NaN must fail too.
+        if not radio_range > 0:
             raise TopologyError(f"radio_range must be positive, got {radio_range!r}")
-        if quantum <= 0:
+        if not quantum > 0:
             raise TopologyError(f"quantum must be positive, got {quantum!r}")
         self._clock = clock
         self._delta_source = delta_source
@@ -723,18 +497,10 @@ class TopologyService:
         self._cached: Optional[TopologySnapshot] = None
         self._cached_bucket: Optional[int] = None
         self._dirty = False
-        # Registration-rank map reused across delta patches while the
-        # online membership is stable (invariant: non-None only when its
-        # keys equal the cached snapshot's).  Ranks depend solely on
-        # registry order, so consecutive pause-heavy refreshes skip the
-        # O(N) rebuild.
-        self._order: Optional[Dict[int, int]] = None
-        # Candidate pairs carried from one array refresh to the next.
+        # Candidate pairs carried from one refresh to the next.
         # Outlives the cached snapshot: invalidate() and partitions change
         # which edges a snapshot keeps, never which nodes are near.
         self._pair_list = soa.PairList()
-        self.incremental = True
-        self.verify_retention = False
         # Fault-injected edge suppression (network partitions).  Callers
         # that change this must call invalidate() in the same instant —
         # the fast reuse path only checks filter *identity*, so assign a
@@ -745,8 +511,6 @@ class TopologyService:
         self.snapshots_built = 0
         self.invalidations = 0
         self.snapshots_reused = 0
-        self.incremental_updates = 0
-        self.bfs_trees_retained = 0
 
     def current(self) -> TopologySnapshot:
         """Return the snapshot for the current time bucket."""
@@ -759,65 +523,40 @@ class TopologyService:
         self._cached_bucket = bucket
         self._dirty = False
         if (
-            cached is not None
-            and self.incremental
+            not changed
+            and cached is not None
             and cached._edge_filter is self.edge_filter
         ):
-            if not changed:
-                self.snapshots_reused += 1
-                return cached
-            # Delta patching is unfiltered-only: a filtered base snapshot
-            # has edges physically missing that the patch math would need.
-            if self.edge_filter is None and soa.refresh_patches(
-                len(positions), len(changed)
-            ):
-                order = self._order
-                if order is None or cached.positions.keys() != positions.keys():
-                    order = self._order = {
-                        node: rank for rank, node in enumerate(positions)
-                    }
-                # The ledger never mutates a handed-out dict (it copies on
-                # change), so the snapshot may hold ``positions`` directly.
-                snap = TopologySnapshot.from_delta(
-                    cached, positions, changed, self.verify_retention, order
-                )
-                self.incremental_updates += 1
-                self.bfs_trees_retained += len(snap._bfs_cache)
-                self._cached = snap
-                return snap
-        position_arrays = pair_list = None
-        if not isinstance(positions, soa.ArrayPositions):
-            position_arrays = self._delta_source.online_arrays()
-        elif len(positions) >= soa.ARRAY_REFRESH_MIN_NODES:
+            self.snapshots_reused += 1
+            return cached
+        pair_list = None
+        if len(positions) >= soa.ARRAY_REFRESH_MIN_NODES:
             pair_list = self._pair_list
         self._cached = TopologySnapshot(
             positions,
             self.radio_range,
             edge_filter=self.edge_filter,
-            position_arrays=position_arrays,
             pair_list=pair_list,
         )
         self.snapshots_built += 1
-        self._order = None
         return self._cached
 
     def note_churn(self, node_id: int) -> None:
         """Record that ``node_id`` flipped online/offline.
 
         Marks the cached snapshot stale so the next :meth:`current` call
-        re-diffs node state even inside the current quantum, but keeps the
-        snapshot itself as the base for a delta patch — unlike
-        :meth:`invalidate`, which forces a from-scratch rebuild.
+        re-diffs node state even inside the current quantum: it builds a
+        new snapshot unless the node has flipped back in between.
         """
         self._dirty = True
         self.invalidations += 1
 
     def invalidate(self) -> None:
-        """Drop the cached snapshot entirely (next refresh rebuilds)."""
+        """Drop the cached snapshot: the next refresh builds one even if
+        nothing moved (a new ``radio_range`` or ``edge_filter``)."""
         self._cached = None
         self._cached_bucket = None
         self._dirty = False
-        self._order = None
         self.invalidations += 1
 
     def stats(self) -> Dict[str, int]:
@@ -826,8 +565,6 @@ class TopologyService:
         return {
             "snapshots_built": self.snapshots_built,
             "snapshots_reused": self.snapshots_reused,
-            "incremental_updates": self.incremental_updates,
-            "bfs_trees_retained": self.bfs_trees_retained,
             "invalidations": self.invalidations,
             "pair_list_builds": pairs.builds,
             "pair_list_reuses": pairs.reuses,

@@ -1,7 +1,7 @@
 """Brute-force reference for the per-quantum core, and a stub world to drive it.
 
 The shipped core (:mod:`repro.net.soa` + :mod:`repro.net.topology`) has
-grids, pair lists, CSR traversals, delta patches and bulk mobility
+grids, pair lists, CSR traversals, snapshot reuse and bulk mobility
 kernels.  What they must all compute fits on one screen, and is written
 here with none of that machinery: sample every online node's
 ``current_position()``, test every pair with ``dx*dx + dy*dy <= r*r`` in

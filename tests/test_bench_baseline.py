@@ -157,35 +157,6 @@ class TestRunBench:
         assert speedups["cache_hit_speedup"] == pytest.approx(100.0)
         assert sweep_speedups({}) == {}
 
-    def test_topology_benchmark_names_match_committed_baseline(self, tmp_path):
-        import pathlib
-
-        from benchmarks.bench_topology import topology_benchmarks
-
-        baseline_path = (
-            pathlib.Path(__file__).resolve().parent.parent
-            / "benchmarks"
-            / "BENCH_topology.json"
-        )
-        committed = set(load_baseline(baseline_path))
-        defined = {name for name, _ in topology_benchmarks(str(tmp_path))}
-        assert defined == committed
-
-    def test_topology_speedups_derived_from_timings(self):
-        from benchmarks.bench_topology import topology_speedups
-
-        ratios = topology_speedups({
-            "pause_fresh_200": 0.30,
-            "pause_incremental_200": 0.10,
-            "churn_fresh_200": 1.0,
-            "churn_incremental_200": 1.05,
-        })
-        assert ratios == {
-            "pause_speedup_200": pytest.approx(3.0),
-            "churn_overhead": pytest.approx(1.05),
-        }
-        assert topology_speedups({}) == {}
-
     def test_scale_benchmark_names_match_committed_baseline(self, tmp_path):
         import pathlib
 
@@ -319,23 +290,3 @@ class TestRunBench:
         results = data["results"]
         assert results["control_off_run"] > 0
         assert results["control_hysteresis_chaos_run"] > 0
-
-    def test_pause_schedule_movers_stay_under_delta_threshold(self):
-        """The pause-heavy scenario only measures the delta path if the
-        steady-state mover fraction stays under the patch threshold —
-        the bench module's docstring promises this holds."""
-        from benchmarks.bench_topology import TICKS, pause_heavy_schedule
-        from repro.net import soa
-
-        count = 200
-        schedule = pause_heavy_schedule(count)
-        over = 0
-        for prev, states in zip(schedule, schedule[1:]):
-            movers = sum(
-                1 for node, pos in states.items() if pos is not prev[node]
-            )
-            if movers and not soa.refresh_patches(count, movers):
-                over += 1
-        # Allow the odd outlier quantum, but the regime must be
-        # delta-friendly for the speedup numbers to mean anything.
-        assert over <= TICKS // 10, over

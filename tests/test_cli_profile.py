@@ -49,64 +49,50 @@ def test_run_profile_bypasses_result_cache(tmp_path, capsys):
     assert any("engine.py" in filename for filename, _, _ in stats.stats)
 
 
-def test_run_footer_reports_topology_counters(capsys):
-    code = main(BASE + ["--no-store", "run", "push"])
-    assert code == 0
-    captured = capsys.readouterr().out
-    assert "topology:" in captured
-    assert "reused" in captured
-    assert "incremental" in captured
-    assert "BFS trees retained" in captured
-    # The events line ends at the wall clock: there is one core to run on.
-    (events,) = [ln for ln in captured.splitlines() if ln.startswith("events processed:")]
-    assert events.endswith("s wall clock")
-
-
 def _topology_footer(output: str) -> str:
     (line,) = [ln for ln in output.splitlines() if ln.startswith("topology:")]
     return line
 
 
-def test_run_footer_names_the_array_rebuild_path(capsys, monkeypatch):
-    """A population at or above the array-refresh crossover never
-    patches; its footer says so instead of "0 incremental"."""
+def test_run_footer_reports_topology_counters(capsys):
+    code = main(BASE + ["--no-store", "run", "push"])
+    assert code == 0
+    captured = capsys.readouterr().out
+    # 50 peers are under the array-refresh crossover: no pair list.
+    footer = _topology_footer(captured)
+    assert re.fullmatch(r"topology: \d+ built, \d+ reused, \d+ invalidations", footer)
+    # The events line ends at the wall clock: there is one core to run on.
+    (events,) = [ln for ln in captured.splitlines() if ln.startswith("events processed:")]
+    assert events.endswith("s wall clock")
+
+
+def test_run_footer_names_the_array_rebuild_path(capsys):
+    """From the array-refresh crossover on, the rebuilds take their
+    candidate pairs from a pair list, and the footer says how.  (The
+    CLI runs 50 peers, so the larger result is built here and handed to
+    the footer.)"""
+    from repro import cli
+    from repro.experiments.config import SimulationConfig
+    from repro.experiments.runner import build_simulation
     from repro.net import soa
 
-    # Under the CLI's 50 peers by more than are ever offline at once.
-    monkeypatch.setattr(soa, "ARRAY_REFRESH_MIN_NODES", 25)
-    assert main(BASE + ["--no-store", "run", "rpcc-sc"]) == 0
+    n_peers = soa.ARRAY_REFRESH_MIN_NODES + 88
+    side = 1500.0 * (n_peers / 50.0) ** 0.5
+    config = SimulationConfig(
+        n_peers=n_peers, terrain_width=side, terrain_height=side,
+        mobility="walk", sim_time=5.0, warmup=0.0, query_interval=100.0,
+        update_interval=2.0, seed=3,
+    )
+    cli._print_topology_stats(build_simulation(config, "rpcc-sc", "single_source").run())
     footer = _topology_footer(capsys.readouterr().out)
-    assert "incremental" not in footer and "BFS trees" not in footer
-    assert " built, " in footer and " reused" in footer
-    # ... and how its rebuilds came by their candidate pairs.
-    match = re.search(
-        r"(\d+) built, \d+ reused; refresh path: array rebuild "
-        r"\(pair list: (\d+) built, (\d+) reused, (\d+) re-anchored\)$",
+    match = re.fullmatch(
+        r"topology: (\d+) built, \d+ reused, \d+ invalidations "
+        r"\(pair list: (\d+) built, (\d+) reused, (\d+) re-anchored\)",
         footer,
     )
     assert match, footer
     rebuilds, builds, reuses, _ = map(int, match.groups())
     assert builds >= 1 and 0 < builds + reuses <= rebuilds
-
-
-def test_run_footer_names_the_delta_patch_path(capsys):
-    """Below the crossover small deltas patch and are
-    reported with their counters as before.  (The CLI's Table-1 world
-    moves 60 % of its peers per quantum and never patches, so the
-    pause-heavy result is built here and handed to the footer.)"""
-    from repro import cli
-    from repro.experiments.config import SimulationConfig
-    from repro.experiments.runner import build_simulation
-
-    config = SimulationConfig(
-        stable_fraction=0.95, sim_time=90.0, warmup=0.0, seed=3
-    )
-    result = build_simulation(config, "push", "standard").run()
-    assert result.topology_stats["incremental_updates"] > 0
-    cli._print_topology_stats(result)
-    footer = _topology_footer(capsys.readouterr().out)
-    assert "incremental" in footer and "BFS trees retained" in footer
-    assert footer.endswith("refresh path: delta patch")  # no pair list here
 
 
 def test_parser_accepts_profile_flag():

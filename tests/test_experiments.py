@@ -81,6 +81,19 @@ class TestSimulationConfig:
         with pytest.raises(ConfigurationError):
             SimulationConfig(**kwargs)
 
+    POSITIVES = (
+        "n_peers", "terrain_width", "terrain_height", "cache_num",
+        "radio_range", "sim_time", "update_interval", "query_interval",
+        "ttn", "ttr", "ttp", "switch_interval", "content_size", "subnet_cell",
+    )
+
+    @pytest.mark.parametrize("value", [float("nan"), 0, -1], ids=["nan", "zero", "negative"])
+    @pytest.mark.parametrize("name", POSITIVES)
+    def test_positive_fields_reject_nan_zero_and_negative(self, name, value):
+        # A NaN radio range would build a world with no radio links.
+        with pytest.raises(ConfigurationError, match=name):
+            SimulationConfig(**{name: value})
+
 
 class TestBuildSimulation:
     def test_unknown_spec_rejected(self):

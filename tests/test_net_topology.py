@@ -428,19 +428,7 @@ class TestTopologyService:
         assert second is not first
         assert second.neighbors(0) == [1]
         assert second.positions[0] == Point(10, 0)
-        # One mover out of two nodes is under the patch floor.
-        assert (service.snapshots_built, service.incremental_updates) == (1, 1)
-
-    def test_incremental_disabled_always_rebuilds(self):
-        world = self.make_world([(0, Point(0, 0), True)])
-        service = world.service
-        service.incremental = False
-        first = service.current()
-        world.now = 1.5
-        second = service.current()
-        assert second is not first
         assert service.snapshots_built == 2
-        assert service.snapshots_reused == 0
 
     def test_note_churn_rediffs_within_quantum(self):
         world = self.make_world([(0, Point(0, 0), True), (1, Point(100, 0), True)])
@@ -451,7 +439,7 @@ class TestTopologyService:
         second = service.current()
         assert second.nodes == {0}
         assert service.invalidations == 1
-        # The patched snapshot is cached: same bucket, no further churn.
+        # The rebuilt snapshot is cached: same bucket, no further churn.
         assert service.current() is second
 
     def test_invalidate_forces_rebuild(self):
@@ -463,7 +451,8 @@ class TestTopologyService:
 
     def test_invalid_parameters(self):
         ledger = soa.SoAPositionLedger()
-        with pytest.raises(TopologyError):
-            TopologyService(lambda: 0.0, ledger, radio_range=0.0)
-        with pytest.raises(TopologyError):
-            TopologyService(lambda: 0.0, ledger, radio_range=100.0, quantum=0.0)
+        for bad in (0.0, -1.0, float("nan")):  # NaN must fail too
+            with pytest.raises(TopologyError, match="radio_range"):
+                TopologyService(lambda: 0.0, ledger, radio_range=bad)
+            with pytest.raises(TopologyError, match="quantum"):
+                TopologyService(lambda: 0.0, ledger, radio_range=100.0, quantum=bad)
