@@ -1,7 +1,6 @@
 """Ablation benches for the design choices DESIGN.md calls out.
 
 * relay hold notice vs paper-faithful silence;
-* eager relay refresh vs wait-for-INVALIDATION;
 * TTR sensitivity: the relay freshness horizon trades traffic vs staleness;
 * omega: history weighting of the coefficient EWMAs.
 """
@@ -53,30 +52,6 @@ def test_ablation_hold_notice(benchmark, quick_config):
         without.summary.counters.get("rpcc_poll_fallback_source", 0)
         >= with_hold.summary.counters.get("rpcc_poll_fallback_source", 0)
     )
-
-
-def test_ablation_eager_refresh(benchmark, quick_config):
-    """Eager GET_NEW on queued polls vs waiting for INVALIDATION."""
-
-    def run():
-        eager = _run_rpcc(quick_config, eager_relay_refresh=True)
-        lazy = _run_rpcc(quick_config, eager_relay_refresh=False)
-        return eager, lazy
-
-    eager, lazy = benchmark.pedantic(run, rounds=1, iterations=1)
-    print()
-    print(format_table(
-        ("variant", "mean latency", "tx"),
-        [
-            ("eager GET_NEW", eager.summary.mean_latency,
-             eager.summary.transmissions),
-            ("wait (paper)", lazy.summary.mean_latency,
-             lazy.summary.transmissions),
-        ],
-        title="Ablation: eager relay refresh",
-    ))
-    assert eager.summary.queries_answered > 0
-    assert lazy.summary.queries_answered > 0
 
 
 def test_ablation_ttr_sensitivity(benchmark, quick_config):

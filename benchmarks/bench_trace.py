@@ -7,8 +7,8 @@ minutes, RPCC strong):
   on its ``enabled`` flag.  This is the path every figure run takes and
   the one the kernel suite's tightened 5% gate protects.
 * **null-sink** — a live :class:`~repro.obs.bus.TraceBus` fanning out to
-  a :class:`~repro.obs.sinks.NullSink`: full event construction and
-  dispatch, no I/O.  The honest cost of *recording*.
+  a sink that only counts: full event construction and dispatch, no I/O.
+  The honest cost of *recording*.
 * **jsonl** — the full export path, serialising every event to disk.
 
 ``run_bench.py --suite trace`` gates all three against
@@ -24,7 +24,7 @@ from typing import Callable, List, Tuple
 
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import build_simulation
-from repro.obs import JsonlSink, NullSink, TraceBus
+from repro.obs import JsonlSink, TraceBus
 
 from benchmarks.conftest import bench_config
 
@@ -47,10 +47,23 @@ def run_untraced():
     return build_simulation(trace_config(), TRACE_SPEC, "standard").run()
 
 
+class _CountingSink:
+    """Receives and discards (keeps only a count)."""
+
+    def __init__(self) -> None:
+        self.events_seen = 0
+
+    def on_event(self, event) -> None:
+        self.events_seen += 1
+
+    def close(self) -> None:
+        return None
+
+
 def run_null_sink():
     """Events built and dispatched, then discarded."""
     bus = TraceBus()
-    sink = bus.add_sink(NullSink())
+    sink = bus.add_sink(_CountingSink())
     result = build_simulation(trace_config(), TRACE_SPEC, "standard", trace=bus).run()
     bus.close()
     return result, sink.events_seen

@@ -10,7 +10,6 @@ from repro.cache.replacement import (
     LFUPolicy,
     LRUPolicy,
     ReplacementPolicy,
-    make_policy,
 )
 from repro.cache.store import CacheStore
 
@@ -25,7 +24,6 @@ __all__ = [
     "LRUPolicy",
     "LFUPolicy",
     "FIFOPolicy",
-    "make_policy",
     "random_placement",
     "single_item_placement",
 ]

@@ -17,10 +17,9 @@ membership change and hit.
 
 Policies are discoverable by name through the
 :data:`~repro.scenarios.registry.POLICIES` registry
-(``@register_policy``); :func:`make_policy` instantiates one, passing
-through whichever context parameters (``ttl``, ``clock``) the policy's
-constructor accepts, and :func:`policy_factory` resolves name and
-parameters once for a caller that builds one policy per host.  The
+(``@register_policy``); :func:`policy_factory` resolves a name and the
+context parameters (``ttl``, ``clock``) its constructor accepts once,
+for a caller that builds one policy per host.  The
 chosen name rides on ``SimulationConfig.replacement_policy`` and
 therefore hashes into the result-cache key.
 """
@@ -46,7 +45,6 @@ __all__ = [
     "SizeUtilityPolicy",
     "LRUKPolicy",
     "POLICIES",
-    "make_policy",
     "policy_factory",
 ]
 
@@ -279,11 +277,3 @@ def policy_factory(name: str, **context) -> Callable[[], CachePolicy]:
     accepted = _accepted_parameters(factory)
     kwargs = {key: value for key, value in context.items() if key in accepted}
     return functools.partial(factory, **kwargs)
-
-
-def make_policy(name: str, **context) -> CachePolicy:
-    """Instantiate a registered replacement policy by name.
-
-    One :func:`policy_factory` resolution and one call of its result.
-    """
-    return policy_factory(name, **context)()

@@ -143,11 +143,6 @@ class CacheStore:
         self._remove(item_id)
         return True
 
-    def clear(self) -> None:
-        """Drop every cached copy (fires the evict callback for each)."""
-        for item_id in list(self._copies):
-            self._remove(item_id)
-
     def _remove(self, item_id: int) -> None:
         del self._copies[item_id]
         self.policy.on_remove(item_id)

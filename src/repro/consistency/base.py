@@ -378,14 +378,14 @@ class ConsistencyStrategy(abc.ABC):
                     applied["backoff_factor"] = factor
         return applied
 
+    @abc.abstractmethod
     def remote_query_timeout(self) -> float:
         """How long a client waits for a holder's reply before retrying.
 
-        Must exceed the worst-case holder-side validation wait; strategies
-        whose holders block (push waits for the next invalidation report)
-        override this.
+        Must exceed the worst-case holder-side validation wait: push
+        waits for the next invalidation report, pull and RPCC for their
+        full poll ladder.
         """
-        return self.context.fetch_timeout
 
     def agent_for(self, node_id: int) -> "BaseAgent":
         """Look up the agent attached to host ``node_id``."""

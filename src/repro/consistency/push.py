@@ -120,13 +120,6 @@ class PushStrategy(ConsistencyStrategy):
             timer.start()
             self._timers.append(timer)
 
-    def stop(self) -> None:
-        """Disarm all report timers (used by tests)."""
-        for timer in self._timers:
-            timer.stop()
-        self._timers.clear()
-
-
 class PushAgent(BaseAgent):
     """Per-host endpoint of the simple push strategy."""
 

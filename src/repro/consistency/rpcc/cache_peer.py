@@ -89,7 +89,7 @@ class CachePeerSide:
         self.config = config
         self._ttp: Dict[int, CountdownTimer] = {}
         self._pending: Dict[int, _PollState] = {}
-        # item_id -> the relay that last answered a poll (remember_relay)
+        # item_id -> the relay that last answered a poll
         self._known_relay: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -140,11 +140,7 @@ class CachePeerSide:
     # ------------------------------------------------------------------
     def _begin_poll(self, job: QueryJob, copy: CachedCopy) -> None:
         state = _PollState(job, copy.item_id)
-        known = (
-            self._known_relay.get(copy.item_id)
-            if self.config.remember_relay
-            else None
-        )
+        known = self._known_relay.get(copy.item_id)
         if known is not None and not self._relay_in_reach(known):
             # "Find the NEAREST relay peer" (Section 4.1): the relay
             # overlay only serves its neighbourhood.  A relay farther than
@@ -333,8 +329,6 @@ class CachePeerSide:
         not remembered: unicast-polling the source forever would turn RPCC
         into a cut-price pull and erase the Fig 9 TTL trade-off.
         """
-        if not self.config.remember_relay:
-            return
         if responder == self.agent.node_id:
             return
         if responder == self.agent.context.catalog.source_of(item_id):
@@ -352,8 +346,3 @@ class CachePeerSide:
         self.renew_ttp(message.item_id)
         cancel = Cancel(sender=self.agent.node_id, item_id=message.item_id)
         self.agent.send(message.sender, cancel)
-
-    @property
-    def pending_poll_count(self) -> int:
-        """Outstanding poll states (testing/diagnostics)."""
-        return len({id(state) for state in self._pending.values()})

@@ -56,12 +56,6 @@ class RPCCConfig:
         itself (``TTL_BR`` — the same 8 hops the simple strategies use,
         which is what makes low-TTL RPCC degenerate into simple pull in
         Fig 9).
-    remember_relay:
-        When ``True`` (default) a cache peer remembers which peer answered
-        its last poll for an item and unicasts subsequent polls there
-        first, flooding only when that relay stops answering.  This is the
-        natural reading of "find the nearest relay peer" (Section 4.1)
-        and keeps steady-state poll traffic per-query small.
     relay_hold_notice:
         When ``True`` (default) a relay that queues a poll (expired TTR)
         unicasts a tiny ``POLL_HOLD`` back, so the poller waits for the
@@ -69,14 +63,6 @@ class RPCCConfig:
         reproduction addition beyond Fig 6; see DESIGN.md.
     thresholds:
         The ``mu`` thresholds of eq 4.2.8.
-    eager_relay_refresh:
-        Paper-faithful default ``False``: a relay with an expired TTR holds
-        incoming polls until the next ``INVALIDATION``.  When ``True`` it
-        sends ``GET_NEW`` immediately instead (latency ablation).
-    immediate_update_push:
-        Paper-faithful default ``False`` (Fig 6(b) batches ``UPDATE`` at
-        the TTN boundary).  When ``True`` the source pushes ``UPDATE`` to
-        its relays the moment the master copy changes (ablation).
     update_repush_attempts:
         Robustness hardening (default 0 = paper-faithful off): when a
         TTN-boundary ``UPDATE`` cannot be delivered to a registered
@@ -109,11 +95,8 @@ class RPCCConfig:
     max_source_poll_attempts: int = 2
     grace_timeout: Optional[float] = None
     broadcast_ttl: int = 8
-    remember_relay: bool = True
     relay_hold_notice: bool = True
     thresholds: SelectionThresholds = field(default_factory=SelectionThresholds)
-    eager_relay_refresh: bool = False
-    immediate_update_push: bool = False
     update_repush_attempts: int = 0
     update_repush_interval: float = 10.0
     resync_on_reconnect: bool = False
@@ -126,7 +109,7 @@ class RPCCConfig:
             )
         for name in ("ttn", "ttr", "ttp", "poll_timeout", "source_poll_timeout"):
             value = getattr(self, name)
-            if value <= 0:
+            if not value > 0:  # not ``value <= 0``: NaN must fail too
                 raise ConfigurationError(f"{name} must be positive, got {value!r}")
         if self.max_source_poll_attempts < 1:
             raise ConfigurationError(
@@ -139,7 +122,7 @@ class RPCCConfig:
             )
         if self.grace_timeout is None:
             self.grace_timeout = max(5.0, self.ttn - self.ttr + 5.0)
-        elif self.grace_timeout <= 0:
+        elif not self.grace_timeout > 0:
             raise ConfigurationError(
                 f"grace_timeout must be positive, got {self.grace_timeout!r}"
             )
@@ -148,7 +131,7 @@ class RPCCConfig:
                 "update_repush_attempts must be >= 0, "
                 f"got {self.update_repush_attempts!r}"
             )
-        if self.update_repush_interval <= 0:
+        if not self.update_repush_interval > 0:
             raise ConfigurationError(
                 "update_repush_interval must be positive, "
                 f"got {self.update_repush_interval!r}"

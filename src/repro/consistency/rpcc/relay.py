@@ -193,8 +193,6 @@ class RelaySide:
                 sender=self.agent.node_id, item_id=item_id, poll_id=message.poll_id
             )
             self.agent.send(message.sender, hold)
-        if self.config.eager_relay_refresh:
-            self._send_get_new(item_id)
 
     def _reply(self, poll: Poll, copy: CachedCopy) -> None:
         if poll.version >= copy.version:

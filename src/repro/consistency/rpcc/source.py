@@ -76,12 +76,6 @@ class SourceSide:
         )
         self._timer.start()
 
-    def stop(self) -> None:
-        """Disarm the TTN timer."""
-        if self._timer is not None:
-            self._timer.stop()
-            self._timer = None
-
     def _mode(self, item_id: int) -> str:
         """Controller-selected dissemination mode (``"hybrid"`` when none)."""
         strategy = self.agent.strategy
@@ -182,10 +176,10 @@ class SourceSide:
             self._schedule_repush(version, still_unreachable, attempt + 1)
 
     def on_local_update(self, master: MasterCopy) -> None:
-        """Push the update immediately (ablation flag, or per-item "push" mode)."""
+        """Push the update immediately in controller-selected "push" mode."""
         if not self.agent.host.online:
             return
-        if self.config.immediate_update_push or self._mode(master.item_id) == "push":
+        if self._mode(master.item_id) == "push":
             self._push_update(master)
 
     # ------------------------------------------------------------------

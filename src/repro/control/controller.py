@@ -73,11 +73,6 @@ class OnlineController:
         self._timer = PeriodicTimer(self._sim, self.interval, self._tick)
         self._timer.start()
 
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
-            self._timer = None
-
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------

@@ -170,11 +170,3 @@ class Battery:
         """Charge ``seconds`` of idle drain to the battery."""
         _require_amount("idle time", seconds)
         self.consume(self.costs.idle_per_second * seconds)
-
-    def recharge(self, joules: float | None = None) -> None:
-        """Recharge by ``joules`` (full recharge when omitted)."""
-        if joules is None:
-            self._level = self.capacity
-        else:
-            _require_amount("recharge", joules)
-            self._level = min(self.capacity, self._level + joules)

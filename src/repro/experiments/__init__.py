@@ -10,10 +10,6 @@ _EXPORTS = {
     "SimulationResult": "repro.experiments.runner",
     "build_simulation": "repro.experiments.runner",
     "run_simulation": "repro.experiments.runner",
-    "MetricStats": "repro.experiments.stats",
-    "aggregate": "repro.experiments.stats",
-    "run_replicated": "repro.experiments.stats",
-    "summarize_metric": "repro.experiments.stats",
     "TrafficSplit": "repro.experiments.analysis",
     "rpcc_traffic_split": "repro.experiments.analysis",
     "CampaignExecutor": "repro.experiments.executor",

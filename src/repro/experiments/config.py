@@ -8,6 +8,7 @@ size) are grouped separately and documented in DESIGN.md.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -151,6 +152,12 @@ class SimulationConfig:
             ("switch_interval", self.switch_interval),
             ("content_size", self.content_size),
             ("subnet_cell", self.subnet_cell),
+            ("mean_online", self.mean_online),
+            ("mean_offline", self.mean_offline),
+            ("fetch_timeout", self.fetch_timeout),
+            ("poll_timeout", self.poll_timeout),
+            ("backoff_cap", self.backoff_cap),
+            ("controller_interval", self.controller_interval),
         )
         for name, value in positives:
             if not value > 0:  # not ``value <= 0``: NaN must fail too
@@ -161,8 +168,14 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"stable_fraction must be in [0, 1], got {self.stable_fraction!r}"
             )
-        if self.warmup < 0:
-            raise ConfigurationError(f"warmup must be >= 0, got {self.warmup!r}")
+        if not 0.0 <= self.warmup < math.inf:
+            raise ConfigurationError(f"warmup must be finite and >= 0, got {self.warmup!r}")
+        if not self.pause_time >= 0:
+            raise ConfigurationError(f"pause_time must be >= 0, got {self.pause_time!r}")
+        if not 0.0 <= self.omega <= 1.0:
+            raise ConfigurationError(f"omega must be in [0, 1], got {self.omega!r}")
+        if not self.zipf_theta >= 0:
+            raise ConfigurationError(f"zipf_theta must be >= 0, got {self.zipf_theta!r}")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ConfigurationError(
                 f"loss_rate must be in [0, 1), got {self.loss_rate!r}"
@@ -190,7 +203,7 @@ class SimulationConfig:
                 raise ConfigurationError(
                     "access_pattern 'flash-crowd' needs flash_crowd_at > 0"
                 )
-        if self.flash_crowd_at < 0:
+        if not self.flash_crowd_at >= 0:
             raise ConfigurationError(
                 f"flash_crowd_at must be >= 0, got {self.flash_crowd_at!r}"
             )
@@ -212,7 +225,7 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"routing must be 'bfs' or 'cached', got {self.routing!r}"
             )
-        if self.speed_min <= 0 or self.speed_max < self.speed_min:
+        if not 0 < self.speed_min <= self.speed_max:
             raise ConfigurationError(
                 f"need 0 < speed_min <= speed_max, got "
                 f"[{self.speed_min!r}, {self.speed_max!r}]"
@@ -225,13 +238,9 @@ class SimulationConfig:
                     f"faults must be a FaultPlan or None, "
                     f"got {type(self.faults).__name__}"
                 )
-        if self.backoff_factor < 1.0:
+        if not self.backoff_factor >= 1.0:
             raise ConfigurationError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor!r}"
-            )
-        if self.backoff_cap <= 0:
-            raise ConfigurationError(
-                f"backoff_cap must be positive, got {self.backoff_cap!r}"
             )
         if not 0.0 <= self.backoff_jitter < 1.0:
             raise ConfigurationError(
@@ -247,11 +256,6 @@ class SimulationConfig:
                     f"unknown controller {self.controller!r}; "
                     f"choose from {CONTROLLERS.names()}"
                 )
-        if self.controller_interval <= 0:
-            raise ConfigurationError(
-                f"controller_interval must be positive, "
-                f"got {self.controller_interval!r}"
-            )
 
     def with_overrides(self, **kwargs) -> "SimulationConfig":
         """Return a copy with the given fields replaced."""

@@ -582,11 +582,6 @@ class ResultStore:
         """A buffered batch writer appending to its own segment."""
         return SegmentWriter(self, writer_id=writer_id, batch_size=batch_size)
 
-    # -- index ----------------------------------------------------------
-    def refresh(self) -> None:
-        """Drop the cached merged index; the next read re-scans sidecars."""
-        self._index = None
-
     def _invalidate_index(self) -> None:
         self._index = None
 

@@ -161,11 +161,6 @@ class GossipReplication:
             timer.start()
             self._timers.append(timer)
 
-    def stop(self) -> None:
-        """Disarm all gossip timers."""
-        for timer in self._timers:
-            timer.stop()
-
     def write(self, node: int, value: int) -> WriteTag:
         """Perform a write at ``node``'s replica."""
         return self.registers[node].write(value)
@@ -257,14 +252,6 @@ class _ReplicaAdapter:
     def on_disconnect(self) -> None:
         if self._inner is not None:
             self._inner.on_disconnect()
-
-    def on_local_update(self, master) -> None:
-        if self._inner is not None:
-            self._inner.on_local_update(master)
-
-    def on_period_closed(self) -> None:
-        if self._inner is not None:
-            self._inner.on_period_closed()
 
     def __getattr__(self, name: str):
         if self._inner is None:

@@ -332,9 +332,6 @@ class FaultPlan:
             raise ConfigurationError(f"fault plan is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 
-    def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
-
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FaultPlan":
         try:

@@ -1,15 +1,11 @@
 """Infrastructure-based wireless baseline (the paper's Fig 1 world).
 
 The related-work substrate: a one-hop MSS cell plus the classical
-Timestamp, Amnesic Terminals and Signature invalidation schemes [Bar94],
-making the
-paper's argument about why single-cell schemes do not transfer to MANETs
-executable.
+Timestamp invalidation-report scheme [Bar94], making the paper's argument
+about why single-cell schemes do not transfer to MANETs executable.
 """
 
-from repro.infrastructure.amnesic import AmnesicScheme, ATClient
 from repro.infrastructure.mss import CellClient, MSSCell
-from repro.infrastructure.signature import SignatureScheme, SIGClient
 from repro.infrastructure.timestamp_ir import (
     InvalidationReport,
     TimestampScheme,
@@ -22,8 +18,4 @@ __all__ = [
     "TimestampScheme",
     "TSClient",
     "InvalidationReport",
-    "AmnesicScheme",
-    "ATClient",
-    "SignatureScheme",
-    "SIGClient",
 ]

@@ -194,10 +194,6 @@ class TimestampScheme:
         """Begin periodic report broadcasting."""
         self._timer.start()
 
-    def stop(self) -> None:
-        """Stop report broadcasting."""
-        self._timer.stop()
-
     # ------------------------------------------------------------------
     # MSS side
     # ------------------------------------------------------------------

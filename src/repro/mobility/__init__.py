@@ -1,7 +1,6 @@
 """Mobility substrate: terrain geometry and node movement models."""
 
 from repro.mobility.base import MobilityModel
-from repro.mobility.group import GroupMember, make_group
 from repro.mobility.stationary import PiecewiseLinear, Stationary
 from repro.mobility.subnets import SubnetGrid, SubnetTracker
 from repro.mobility.terrain import Point, Terrain
@@ -18,8 +17,6 @@ __all__ = [
     "Leg",
     "Stationary",
     "PiecewiseLinear",
-    "GroupMember",
-    "make_group",
     "SubnetGrid",
     "SubnetTracker",
     "MobilityTrace",

@@ -48,15 +48,3 @@ class MobilityModel(abc.ABC):
         contract mobility authors must honour.
         """
         return time
-
-    def speed_at(self, time: float, epsilon: float = 0.5) -> float:
-        """Approximate instantaneous speed (m/s) by central differencing.
-
-        Subclasses with an analytic speed may override this.
-        """
-        earlier = self.position(max(0.0, time - epsilon))
-        later = self.position(time + epsilon)
-        span = (time + epsilon) - max(0.0, time - epsilon)
-        if span <= 0:
-            return 0.0
-        return earlier.distance_to(later) / span

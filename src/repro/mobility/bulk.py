@@ -14,9 +14,9 @@ per-node ``position(t)`` calls and sampling a model next to its kernel
 never drifts from it.  Per-node segment pointers only move forward —
 refresh times are the simulation clock, which is monotonic.
 
-Models outside the four shipped families (e.g. RPGM group members, test
-stand-ins) fall back to scalar sampling through the owning node, keeping
-the ledger correct for arbitrary :class:`~repro.net.node.NetworkNode`
+Models outside the four shipped families (test stand-ins) fall back to
+scalar sampling through the owning node, keeping the ledger correct for
+arbitrary :class:`~repro.net.node.NetworkNode`
 implementations.
 """
 

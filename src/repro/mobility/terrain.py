@@ -78,13 +78,6 @@ class Terrain:
         """``True`` if ``point`` lies inside the terrain (borders included)."""
         return 0.0 <= point.x <= self.width and 0.0 <= point.y <= self.height
 
-    def clamp(self, point: Point) -> Point:
-        """Project ``point`` onto the nearest location inside the terrain."""
-        return Point(
-            min(max(point.x, 0.0), self.width),
-            min(max(point.y, 0.0), self.height),
-        )
-
     def random_point(self, rng: random.Random) -> Point:
         """Draw a uniformly random point inside the terrain."""
         return Point(rng.uniform(0.0, self.width), rng.uniform(0.0, self.height))

@@ -43,17 +43,16 @@ class NetworkNode(abc.ABC):
     def current_position(self) -> Point:
         """The node's position at the current simulation time."""
 
+    @abc.abstractmethod
     def position_valid_until(self) -> float:
         """Absolute simulation time until which :meth:`current_position` is
         guaranteed to return an equal position.
 
         The network layer caches positions inside this window instead of
-        re-sampling the mobility model every topology refresh.  The default
-        gives no guarantee (``-inf``), which keeps simple test stand-ins
-        correct; hosts backed by a mobility model delegate to
+        re-sampling the mobility model every topology refresh; ``-inf``
+        gives no guarantee.  Hosts backed by a mobility model delegate to
         :meth:`repro.mobility.MobilityModel.position_valid_until`.
         """
-        return float("-inf")
 
     @abc.abstractmethod
     def deliver(self, message: Message) -> None:
@@ -65,11 +64,10 @@ class NetworkNode(abc.ABC):
     def on_receive(self, message: Message) -> None:
         """Hook fired when this node receives a transmission (energy cost)."""
 
+    @abc.abstractmethod
     def on_relay(self, message: Message) -> None:
         """Hook fired when this node receives a flood copy and rebroadcasts it:
-        :meth:`on_receive` then :meth:`on_transmit`; an override charges the same."""
-        self.on_receive(message)
-        self.on_transmit(message)
+        it costs what :meth:`on_receive` then :meth:`on_transmit` cost."""
 
     def bind_state_listener(
         self, listener: Optional[Callable[["NetworkNode"], None]]

@@ -95,7 +95,3 @@ class CachingRouter(Router):
     def cached_routes(self) -> int:
         """Number of routes currently cached."""
         return len(self._cache)
-
-    def clear(self) -> None:
-        """Drop every cached route."""
-        self._cache.clear()

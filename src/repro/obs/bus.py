@@ -40,13 +40,6 @@ class TraceBus:
         self._sinks.append(sink)
         return sink
 
-    def remove_sink(self, sink: TraceSink) -> None:
-        """Detach a previously added sink (no-op if absent)."""
-        try:
-            self._sinks.remove(sink)
-        except ValueError:
-            pass
-
     def emit(self, event: TraceEvent) -> None:
         """Deliver ``event`` to every sink."""
         self.events_emitted += 1

@@ -46,7 +46,7 @@ import dataclasses
 import json
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import isfinite
-from typing import Any, ClassVar, Dict, IO, Iterable, Iterator, List, Tuple, Union
+from typing import Any, ClassVar, Dict, IO, Iterator, List, Tuple, Union
 
 from repro.errors import ConfigurationError
 
@@ -77,8 +77,6 @@ __all__ = [
     "MetricsReset",
     "EVENT_TYPES",
     "event_from_dict",
-    "event_to_dict",
-    "write_jsonl",
     "read_jsonl",
 ]
 
@@ -443,11 +441,6 @@ EVENT_TYPES: Dict[str, type] = {
 }
 
 
-def event_to_dict(event: TraceEvent) -> Dict[str, Any]:
-    """Serialise one event (module-level alias of :meth:`TraceEvent.to_dict`)."""
-    return event.to_dict()
-
-
 def event_from_dict(payload: Dict[str, Any]) -> TraceEvent:
     """Reconstruct a typed event from its :meth:`~TraceEvent.to_dict` form."""
     return _event_from_fields(dict(payload))
@@ -463,22 +456,6 @@ def _event_from_fields(fields: Dict[str, Any]) -> TraceEvent:
         return cls(**fields)
     except TypeError as exc:
         raise ConfigurationError(f"malformed {tag!r} event: {exc}") from None
-
-
-def write_jsonl(events: Iterable[TraceEvent], target: Union[str, IO[str]]) -> int:
-    """Write events as JSON Lines; returns the number written."""
-    if hasattr(target, "write"):
-        return _write_stream(events, target)  # type: ignore[arg-type]
-    with open(target, "w", encoding="utf-8") as handle:
-        return _write_stream(events, handle)
-
-
-def _write_stream(events: Iterable[TraceEvent], handle: IO[str]) -> int:
-    count = 0
-    for event in events:
-        handle.write(event.to_json() + "\n")
-        count += 1
-    return count
 
 
 def read_jsonl(source: Union[str, IO[str]]) -> List[TraceEvent]:

@@ -3,9 +3,7 @@
 * :class:`ListSink` — in-memory accumulation (tests, digests, ad-hoc
   analysis);
 * :class:`JsonlSink` — streaming JSON-Lines export, one event per line,
-  readable back via :func:`repro.obs.events.read_jsonl`;
-* :class:`NullSink` — explicit discard (useful to measure pure emit
-  overhead with tracing *enabled*).
+  readable back via :func:`repro.obs.events.read_jsonl`.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from typing import List, Optional, Protocol, TextIO, Union
 from repro.errors import ConfigurationError
 from repro.obs.events import TraceEvent
 
-__all__ = ["TraceSink", "ListSink", "JsonlSink", "NullSink"]
+__all__ = ["TraceSink", "ListSink", "JsonlSink"]
 
 
 class TraceSink(Protocol):
@@ -72,16 +70,3 @@ class JsonlSink:
         else:
             self._handle.flush()
         self._handle = None
-
-
-class NullSink:
-    """Receives and discards (keeps only a count)."""
-
-    def __init__(self) -> None:
-        self.events_seen = 0
-
-    def on_event(self, event: TraceEvent) -> None:
-        self.events_seen += 1
-
-    def close(self) -> None:
-        return None

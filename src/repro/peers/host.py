@@ -213,8 +213,8 @@ class MobileHost(NetworkNode):
         """
         self.set_online(False)
         if wipe_cache:
-            # store.clear() only notifies the directory; the agent hook
-            # must be driven explicitly, exactly as the query path does.
+            # The store only notifies the directory; the agent hook must
+            # be driven explicitly, exactly as the query path does.
             for item_id in self.store.item_ids:
                 self.store.discard(item_id)
                 if self.agent is not None:
@@ -234,12 +234,6 @@ class MobileHost(NetworkNode):
         self._period_started_at = self.sim.now
         self._period_timer = PeriodicTimer(self.sim, self.tracker.phi, self._close_period)
         self._period_timer.start()
-
-    def stop_period_timer(self) -> None:
-        """Stop coefficient-period roll-over."""
-        if self._period_timer is not None:
-            self._period_timer.stop()
-            self._period_timer = None
 
     def _close_period(self) -> None:
         now = self.sim.now

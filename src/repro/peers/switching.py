@@ -82,12 +82,6 @@ class SwitchingProcess:
         delay = self._rng.expovariate(1.0 / self.mean_online)
         self._handle = self._sim.schedule(delay, self._flip)
 
-    def stop(self) -> None:
-        """Cancel any pending flip."""
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
     def _flip(self) -> None:
         self._currently_online = not self._currently_online
         self.flips += 1

@@ -5,15 +5,13 @@ world: a *base* placement scenario (``standard``/``single_source``/
 ``hot_set``), a set of :class:`~repro.experiments.config.SimulationConfig`
 field overrides, and an optional deterministic
 :class:`~repro.faults.plan.FaultPlan`.  Specs are data, not code: they
-round-trip through JSON bit-identically, hash into the run key
-via the config they expand to, and compose with any strategy spec and
-replacement policy in an experiment matrix (see
+hash into the run key via the config they expand to, and compose with
+any strategy spec and replacement policy in an experiment matrix (see
 :mod:`repro.scenarios.matrix` and docs/SCENARIOS.md).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple, TYPE_CHECKING
 
@@ -28,14 +26,14 @@ __all__ = ["BASE_SCENARIOS", "ScenarioSpec"]
 #: Placement scenarios ``build_simulation`` understands.
 BASE_SCENARIOS = ("standard", "single_source", "hot_set")
 
-#: JSON-scalar types an override value may take (lists/dicts would break
-#: the bit-identical round trip guarantee through float repr).
+#: Scalar types an override value may take (a mutable value would let a
+#: caller change a registered preset after the fact).
 _SCALARS = (bool, int, float, str)
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One named, serializable scenario preset.
+    """One named scenario preset.
 
     Parameters
     ----------
@@ -48,7 +46,7 @@ class ScenarioSpec:
         :data:`BASE_SCENARIOS`).
     overrides:
         ``SimulationConfig`` field overrides applied on top of the base
-        config at expansion time.  Values must be JSON scalars.
+        config at expansion time.  Values must be scalars.
     faults:
         Optional deterministic fault plan injected into the config.
     """
@@ -80,7 +78,7 @@ class ScenarioSpec:
                 )
             if not isinstance(value, _SCALARS):
                 raise ConfigurationError(
-                    f"override {key!r} must be a JSON scalar, got "
+                    f"override {key!r} must be a scalar, got "
                     f"{type(value).__name__}"
                 )
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
@@ -117,50 +115,3 @@ class ScenarioSpec:
     ) -> Tuple["SimulationConfig", str]:
         """The ``(config, placement_scenario)`` pair one run needs."""
         return self.configure(base_config), self.base
-
-    # ------------------------------------------------------------------
-    # Serialization (bit-identical JSON round trip)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form; ``from_dict`` inverts it exactly."""
-        payload: Dict[str, Any] = {
-            "name": self.name,
-            "description": self.description,
-            "base": self.base,
-            "overrides": dict(sorted(self.overrides.items())),
-        }
-        payload["faults"] = None if self.faults is None else self.faults.to_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_dict` output (validated)."""
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"scenario spec must be a mapping, got {type(data).__name__}"
-            )
-        unknown = sorted(
-            set(data) - {"name", "description", "base", "overrides", "faults"}
-        )
-        if unknown:
-            raise ConfigurationError(
-                f"scenario spec has unknown field(s) {unknown}"
-            )
-        faults_data = data.get("faults")
-        faults = None if faults_data is None else FaultPlan.from_dict(faults_data)
-        return cls(
-            name=data.get("name", ""),
-            description=data.get("description", ""),
-            base=data.get("base", "standard"),
-            overrides=data.get("overrides", {}),
-            faults=faults,
-        )
-
-    def to_json(self, indent: int = 2) -> str:
-        """Canonical JSON form (sorted keys — byte-stable)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))

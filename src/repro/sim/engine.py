@@ -201,10 +201,6 @@ class Simulator:
         """
         self.trace = bus
 
-    def detach_trace(self) -> None:
-        """Restore the no-op bus; subsequent events are discarded."""
-        self.trace = NULL_TRACE
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
@@ -303,17 +299,6 @@ class Simulator:
             return event
         event.cancel()
         return self.schedule_at(time, event.callback, *event.args)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the next pending event.
-
-        Returns ``True`` if an event fired, ``False`` if no event is
-        pending.  Cancelled events are discarded silently.
-        """
-        return self._run_loop(math.inf, 1) == 1
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event store drains (or ``max_events`` fire).

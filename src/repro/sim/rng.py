@@ -136,13 +136,6 @@ class RandomStreams:
         self._streams[name] = _SPENT
         return self._generator(name)
 
-    def spawn(self, name: str) -> "RandomStreams":
-        """Create a child registry whose root seed is derived from ``name``.
-
-        Useful to hand a subsystem its own namespace of streams.
-        """
-        return RandomStreams(derive_seed(self._seed, name))
-
     def __contains__(self, name: str) -> bool:
         return name in self._streams
 

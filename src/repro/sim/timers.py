@@ -21,7 +21,7 @@ __all__ = ["PeriodicTimer", "CountdownTimer"]
 
 
 class PeriodicTimer:
-    """Fire ``callback()`` every ``interval`` seconds until stopped.
+    """Fire ``callback()`` every ``interval`` seconds once started.
 
     Parameters
     ----------
@@ -70,12 +70,6 @@ class PeriodicTimer:
             return
         self._handle = self._sim.schedule(self._start_offset, self._fire)
 
-    def stop(self) -> None:
-        """Disarm the timer.  Idempotent."""
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
     def _fire(self) -> None:
         self._ticks += 1
         # Re-arm the just-fired handle in place: one heap push per tick,
@@ -89,25 +83,18 @@ class CountdownTimer:
     """A renewable freshness window (models the paper's TTN/TTR/TTP fields).
 
     The timer counts down from ``duration``; :meth:`renew` resets it to the
-    full duration.  :attr:`remaining` answers the paper's ``TTx > 0`` tests
-    and an optional ``on_expire`` callback fires when the window closes.
+    full duration.  :attr:`remaining` answers the paper's ``TTx > 0`` tests;
+    nothing is scheduled, so renewing costs no event.
     """
 
-    __slots__ = ("_sim", "duration", "_on_expire", "_expires_at", "_handle")
+    __slots__ = ("_sim", "duration", "_expires_at")
 
-    def __init__(
-        self,
-        sim: Simulator,
-        duration: float,
-        on_expire: Optional[Callable[[], Any]] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, duration: float) -> None:
         if duration <= 0:
             raise SimulationError(f"countdown duration must be positive, got {duration!r}")
         self._sim = sim
         self.duration = float(duration)
-        self._on_expire = on_expire
         self._expires_at = sim.now  # starts expired until first renew()
-        self._handle: Optional[EventHandle] = None
 
     @property
     def remaining(self) -> float:
@@ -130,27 +117,7 @@ class CountdownTimer:
         if window < 0:
             raise SimulationError(f"renew duration must be non-negative, got {window!r}")
         self._expires_at = self._sim.now + window
-        if self._on_expire is not None and window > 0:
-            handle = self._handle
-            if handle is not None:
-                # Cancel + push of a fresh handle; the old entry stays
-                # behind as a tombstone until it surfaces or compacts.
-                self._handle = self._sim.reschedule(handle, window)
-            else:
-                self._handle = self._sim.schedule(window, self._expire)
-            return
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
 
     def expire_now(self) -> None:
-        """Force the window closed immediately (without firing callbacks)."""
+        """Force the window closed immediately."""
         self._expires_at = self._sim.now
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def _expire(self) -> None:
-        self._handle = None
-        if self._on_expire is not None:
-            self._on_expire()

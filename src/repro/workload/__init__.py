@@ -1,13 +1,12 @@
 """Workload generation: arrivals, access patterns, level mixes, drivers."""
 
 from repro.workload.access import AccessPattern, UniformAccess, ZipfAccess
-from repro.workload.arrivals import ExponentialProcess, FixedIntervalProcess
+from repro.workload.arrivals import ExponentialProcess
 from repro.workload.drivers import QueryWorkload, UpdateWorkload
 from repro.workload.mix import LevelMix
 
 __all__ = [
     "ExponentialProcess",
-    "FixedIntervalProcess",
     "AccessPattern",
     "UniformAccess",
     "ZipfAccess",

@@ -3,8 +3,7 @@
 The paper's workload: "Each mobile host generates an independent stream of
 updates to its source data and its query requests with an exponentially
 distributed update interval and an exponentially distributed query
-interval."  :class:`ExponentialProcess` is that Poisson stream; a
-deterministic :class:`FixedIntervalProcess` exists for tests.
+interval."  :class:`ExponentialProcess` is that Poisson stream.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Any, Callable, Optional
 from repro.errors import WorkloadError
 from repro.sim.engine import EventHandle, Simulator
 
-__all__ = ["ExponentialProcess", "FixedIntervalProcess"]
+__all__ = ["ExponentialProcess"]
 
 
 class ExponentialProcess:
@@ -62,12 +61,6 @@ class ExponentialProcess:
             return
         self._schedule_next()
 
-    def stop(self) -> None:
-        """Cancel the pending arrival."""
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
     def _schedule_next(self) -> None:
         gap = self._rng.expovariate(1.0 / self.mean_interval)
         self._handle = self._sim.schedule(gap, self._fire)
@@ -75,38 +68,4 @@ class ExponentialProcess:
     def _fire(self) -> None:
         self.arrivals += 1
         self._schedule_next()
-        self._callback()
-
-
-class FixedIntervalProcess:
-    """Deterministic arrivals every ``interval`` seconds (for tests)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        interval: float,
-        callback: Callable[[], Any],
-    ) -> None:
-        if interval <= 0:
-            raise WorkloadError(f"interval must be positive, got {interval!r}")
-        self._sim = sim
-        self.interval = float(interval)
-        self._callback = callback
-        self._handle: Optional[EventHandle] = None
-        self.arrivals = 0
-
-    def start(self) -> None:
-        """Schedule the first arrival."""
-        if self._handle is None or not self._handle.pending:
-            self._handle = self._sim.schedule(self.interval, self._fire)
-
-    def stop(self) -> None:
-        """Cancel the pending arrival."""
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def _fire(self) -> None:
-        self.arrivals += 1
-        self._handle = self._sim.schedule(self.interval, self._fire)
         self._callback()

@@ -48,11 +48,6 @@ class UpdateWorkload:
         for process in self._processes:
             process.start()
 
-    def stop(self) -> None:
-        """Halt every host's update stream."""
-        for process in self._processes:
-            process.stop()
-
     @property
     def total_updates(self) -> int:
         """Updates generated so far across all hosts."""
@@ -108,11 +103,6 @@ class QueryWorkload:
         """Begin every host's query stream."""
         for process in self._processes:
             process.start()
-
-    def stop(self) -> None:
-        """Halt every host's query stream."""
-        for process in self._processes:
-            process.stop()
 
     @property
     def total_queries(self) -> int:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache.item import CachedCopy, MasterCopy
-from repro.cache.replacement import FIFOPolicy, LFUPolicy, LRUPolicy, make_policy
+from repro.cache.replacement import FIFOPolicy, LFUPolicy, LRUPolicy, policy_factory
 from repro.cache.store import CacheStore
 from repro.errors import CacheCapacityError, CacheError, UnknownItemError
 
@@ -108,13 +108,6 @@ class TestCacheStore:
         assert not store.discard(1)
         assert 1 not in store
 
-    def test_clear(self):
-        store = CacheStore(3)
-        for item in (1, 2, 3):
-            store.put(copy_of(item))
-        store.clear()
-        assert len(store) == 0
-
     def test_membership_callbacks(self):
         inserted, evicted = [], []
         store = CacheStore(1, on_insert=inserted.append, on_evict=evicted.append)
@@ -167,11 +160,11 @@ class TestReplacementPolicies:
         store.get(1, now=10.0)  # access does not save it under FIFO
         assert store.put(copy_of(4, now=11.0)) == 1
 
-    def test_make_policy_by_name(self):
-        assert isinstance(make_policy("lru"), LRUPolicy)
-        assert isinstance(make_policy("LFU"), LFUPolicy)
-        assert isinstance(make_policy("fifo"), FIFOPolicy)
+    def test_policy_factory_by_name(self):
+        assert isinstance(policy_factory("lru")(), LRUPolicy)
+        assert isinstance(policy_factory("LFU")(), LFUPolicy)
+        assert isinstance(policy_factory("fifo")(), FIFOPolicy)
 
-    def test_make_policy_unknown(self):
+    def test_policy_factory_unknown(self):
         with pytest.raises(CacheError):
-            make_policy("random")
+            policy_factory("random")()

@@ -16,6 +16,9 @@ class EchoStrategy(ConsistencyStrategy):
     def make_agent(self, host):
         return EchoAgent(self, host)
 
+    def remote_query_timeout(self):
+        return self.context.fetch_timeout
+
 
 class EchoAgent(BaseAgent):
     def validate_hit(self, copy, level, job):

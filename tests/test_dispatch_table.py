@@ -173,6 +173,9 @@ class _CatchAllStrategy(ConsistencyStrategy):
     def make_agent(self, host):
         return _CatchAllAgent(self, host)
 
+    def remote_query_timeout(self):
+        return self.context.fetch_timeout
+
 
 class _CatchAllAgent(BaseAgent):
     """The shape of the test stand-ins: only ``handle_protocol_message``."""

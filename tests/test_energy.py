@@ -87,7 +87,7 @@ class TestBattery:
             Battery(capacity=10.0, initial=value)
 
     @pytest.mark.parametrize("value", NON_FINITE)
-    @pytest.mark.parametrize("method", ["consume", "idle", "recharge"])
+    @pytest.mark.parametrize("method", ["consume", "idle"])
     def test_non_finite_amount_rejected_and_level_untouched(self, method, value):
         """One ``nan`` in the level would switch depletion off for the run."""
         battery = Battery(capacity=10.0, initial=4.0)
@@ -132,20 +132,6 @@ class TestBattery:
     def test_negative_idle_rejected(self):
         with pytest.raises(ConfigurationError):
             Battery().idle(-1.0)
-
-    def test_full_recharge(self):
-        battery = Battery(capacity=10.0, initial=2.0)
-        battery.recharge()
-        assert battery.level == 10.0
-
-    def test_partial_recharge_capped(self):
-        battery = Battery(capacity=10.0, initial=8.0)
-        battery.recharge(5.0)
-        assert battery.level == 10.0
-
-    def test_negative_recharge_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Battery().recharge(-1.0)
 
     def test_fraction_tracks_level(self):
         battery = Battery(capacity=20.0)

@@ -19,7 +19,6 @@ from repro.experiments.executor import (
 )
 from repro.experiments.figures.base import run_axis_sweep
 from repro.experiments.runner import STRATEGY_SPECS, run_simulation
-from repro.experiments.stats import run_replicated
 from repro.experiments.store import ResultStore
 
 
@@ -98,16 +97,6 @@ class TestBitIdentity:
         parallel = CampaignExecutor(jobs=3).run_many(tasks)
         for left, right in zip(serial, parallel):
             assert result_fingerprint(left) == result_fingerprint(right)
-
-    def test_run_replicated_through_parallel_executor(self):
-        serial = run_replicated(tiny_config(), "push", seeds=(1, 2))
-        parallel = run_replicated(
-            tiny_config(), "push", seeds=(1, 2),
-            executor=CampaignExecutor(jobs=2),
-        )
-        for left, right in zip(serial, parallel):
-            assert result_fingerprint(left) == result_fingerprint(right)
-
 
 class TestStoreBackedExecutor:
     def test_parameter_change_misses(self, tmp_path):

@@ -94,6 +94,23 @@ class TestSimulationConfig:
         with pytest.raises(ConfigurationError, match=name):
             SimulationConfig(**{name: value})
 
+    NAN = float("nan")
+
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [
+            ("warmup", NAN), ("backoff_factor", NAN), ("backoff_cap", NAN),
+            ("controller_interval", NAN), ("speed_min", NAN), ("speed_max", NAN),
+            ("flash_crowd_at", NAN), ("zipf_theta", NAN),
+            ("pause_time", -5.0), ("mean_online", -1.0), ("mean_offline", 0.0),
+            ("fetch_timeout", -1.0), ("poll_timeout", 0.0), ("omega", -0.5),
+            ("omega", 2.0), ("warmup", float("inf")),
+        ],
+    )
+    def test_values_a_run_cannot_use_are_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            SimulationConfig(**{name: value})
+
 
 class TestBuildSimulation:
     def test_unknown_spec_rejected(self):

@@ -36,7 +36,7 @@ class TestRoundTrip:
 
     def test_save_load_round_trip(self, tmp_path):
         path = tmp_path / "plan.json"
-        FULL_PLAN.save(path)
+        path.write_text(FULL_PLAN.to_json(), encoding="utf-8")
         assert FaultPlan.load(path) == FULL_PLAN
 
     def test_kind_tags_are_stable(self):

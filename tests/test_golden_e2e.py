@@ -148,12 +148,11 @@ def test_replay_is_bit_identical():
     assert strip(first_events) == strip(second_events)
 
 
-def test_golden_digest_identical_on_both_cores():
+def test_golden_digest_reproduced_outside_the_matrix():
     """One golden cell rerun outside the matrix yields the committed digest.
 
-    (The name dates from a second, scalar per-quantum core; the committed
-    digest is the one both produced.)  The 20-peer golden population
-    takes the array build (all-pairs candidate stage), like every size.
+    The 20-peer golden population takes the array build (all-pairs
+    candidate stage), like every size.
     """
     digest = _digest(*_run_cell("rpcc-sc", 7))
     golden = _load_golden()
@@ -202,7 +201,7 @@ def _spy(monkeypatch, owner, name, calls):
 
 
 @pytest.mark.parametrize("spec", ("rpcc-hy", "pull", "push"))
-def test_table1_world_identical_on_both_cores(spec):
+def test_table1_world_matches_golden(spec):
     """50 peers is under every size crossover there ever was: the array
     build serves it and must reproduce the digest and refresh counters
     committed when a scalar core produced them too."""
@@ -344,14 +343,14 @@ def _run_large_world(key: str, stable_fraction: float):
     return result
 
 
-def test_large_sparse_world_identical_on_both_cores():
+def test_large_sparse_world_matches_golden():
     """Above the array-refresh crossover with few movers, a run must
     still equal the committed one."""
     stats = _run_large_world("large-sparse", 0.9).topology_stats
     assert stats["snapshots_built"] > 1
 
 
-def test_large_walker_world_identical_on_both_cores():
+def test_large_walker_world_matches_golden():
     """Nine walkers in ten, switching on and off as they go: the array
     refreshes reuse their candidate pairs through the churn, and the run
     still equals the committed one."""

@@ -172,207 +172,3 @@ class TestTimestampScheme:
         sim.run_until(25.0)
         assert all(answers == [0] for answers in answer_lists)
         assert scheme.reports_sent == 1
-
-
-class TestAmnesicScheme:
-    def build(self, sim, report_interval=20.0):
-        from repro.infrastructure.amnesic import AmnesicScheme
-
-        cell = make_cell(sim)
-        scheme = AmnesicScheme(sim, cell, report_interval=report_interval)
-        clients = {c.client_id: scheme.make_client(c) for c in cell.clients}
-        return cell, scheme, clients
-
-    def ask(self, at_client, item_id):
-        answers = []
-        at_client.query(item_id, answers.append)
-        return answers
-
-    def test_parameters_validated(self, sim):
-        from repro.infrastructure.amnesic import AmnesicScheme
-
-        with pytest.raises(ConfigurationError):
-            AmnesicScheme(sim, make_cell(sim), report_interval=0.0)
-
-    def test_first_contact_then_cache_hit(self, sim):
-        cell, scheme, clients = self.build(sim)
-        scheme.start()
-        first = self.ask(clients[0], 0)
-        sim.run_until(25.0)
-        assert first == [0]
-        second = self.ask(clients[0], 0)
-        uplinks = cell.uplink_transmissions
-        sim.run_until(45.0)
-        assert second == [0]
-        assert cell.uplink_transmissions == uplinks  # served from cache
-
-    def test_report_invalidates_updated_item(self, sim):
-        cell, scheme, clients = self.build(sim)
-        scheme.start()
-        self.ask(clients[0], 0)
-        sim.run_until(25.0)
-        master = cell.item(0)
-        master.update(sim.now)
-        scheme.record_update(master)
-        answers = self.ask(clients[0], 0)
-        sim.run_until(45.0)
-        assert answers == [1]
-
-    def test_any_missed_report_drops_cache(self, sim):
-        """The AT property: even ONE missed report wipes everything."""
-        cell, scheme, clients = self.build(sim, report_interval=20.0)
-        scheme.start()
-        self.ask(clients[0], 0)
-        self.ask(clients[0], 1)
-        sim.run_until(25.0)
-        assert len(clients[0].cache) == 2
-        cell.set_connected(0, False)
-        sim.run_until(50.0)  # sleeps through exactly one report (t=40)
-        cell.set_connected(0, True)
-        sim.run_until(70.0)  # first report after waking (t=60)
-        assert clients[0].cache_drops >= 1
-        assert len(clients[0].cache) == 0
-
-    def test_unbroken_stream_keeps_cache(self, sim):
-        cell, scheme, clients = self.build(sim)
-        scheme.start()
-        self.ask(clients[0], 0)
-        sim.run_until(25.0)
-        sim.run_until(200.0)  # many reports, never disconnected
-        assert clients[0].cache_drops == 0
-        assert 0 in clients[0].cache
-
-    def test_report_lists_only_fresh_updates(self, sim):
-        cell, scheme, clients = self.build(sim)
-        scheme.start()
-        master = cell.item(0)
-        master.update(sim.now)
-        scheme.record_update(master)
-        sim.run_until(25.0)  # the update rode report #1
-        # Nothing new since: subsequent reports are empty.
-        assert scheme._pending_updates == []
-
-    def test_at_more_fragile_than_ts(self, sim):
-        """AT drops on any gap; TS survives gaps shorter than k*L."""
-        from repro.sim.engine import Simulator
-
-        def run_scheme(build_fn, sleep):
-            local = Simulator()
-            cell, scheme, clients = build_fn(local)
-            scheme.start()
-            answers = []
-            clients[0].query(0, answers.append)
-            local.run_until(25.0)
-            cell.set_connected(0, False)
-            local.run_until(25.0 + sleep)
-            cell.set_connected(0, True)
-            local.run_until(25.0 + sleep + 25.0)
-            return clients[0].cache_drops
-
-        ts_drops = run_scheme(
-            lambda s: TestTimestampScheme().build(s, 20.0, 3), sleep=30.0
-        )
-        at_drops = run_scheme(lambda s: self.build(s, 20.0), sleep=30.0)
-        assert ts_drops == 0   # 30 s < k*L = 60 s: TS survives
-        assert at_drops >= 1   # but AT missed a report and forgot all
-
-
-class TestSignatureScheme:
-    def build(self, sim, items=6, **kwargs):
-        from repro.infrastructure.signature import SignatureScheme
-
-        cell = make_cell(sim, clients=2, items=items)
-        defaults = dict(report_interval=20.0, group_count=10,
-                        group_size=3, suspect_threshold=1, seed=1)
-        defaults.update(kwargs)
-        scheme = SignatureScheme(sim, cell, **defaults)
-        clients = {c.client_id: scheme.make_client(c) for c in cell.clients}
-        return cell, scheme, clients
-
-    def ask(self, sig_client, item_id):
-        answers = []
-        sig_client.query(item_id, answers.append)
-        return answers
-
-    def test_parameters_validated(self, sim):
-        from repro.infrastructure.signature import SignatureScheme
-
-        with pytest.raises(ConfigurationError):
-            SignatureScheme(sim, make_cell(sim), report_interval=0.0)
-        with pytest.raises(ConfigurationError):
-            SignatureScheme(sim, make_cell(sim), group_count=0)
-        with pytest.raises(ConfigurationError):
-            SignatureScheme(sim, make_cell(sim), suspect_threshold=0)
-
-    def test_groups_shared_and_fixed(self, sim):
-        _, scheme_a, _ = self.build(sim, seed=5)
-        from repro.sim.engine import Simulator
-
-        _, scheme_b, _ = self.build(Simulator(), seed=5)
-        assert scheme_a.groups == scheme_b.groups
-
-    def test_fetch_then_cache_hit(self, sim):
-        cell, scheme, clients = self.build(sim)
-        scheme.start()
-        first = self.ask(clients[0], 0)
-        sim.run_until(25.0)
-        assert first == [0]
-        second = self.ask(clients[0], 0)
-        uplinks = cell.uplink_transmissions
-        sim.run_until(45.0)
-        assert second == [0]
-        assert cell.uplink_transmissions == uplinks
-
-    def test_update_detected_via_signature_mismatch(self, sim):
-        cell, scheme, clients = self.build(sim)
-        scheme.start()
-        self.ask(clients[0], 0)
-        sim.run_until(25.0)
-        cell.item(0).update(sim.now)
-        answers = self.ask(clients[0], 0)
-        sim.run_until(45.0)
-        assert answers == [1]  # invalidated, refetched fresh
-
-    def test_survives_arbitrary_sleep_without_full_drop(self, sim):
-        """SIG's selling point vs TS/AT: no report history needed."""
-        cell, scheme, clients = self.build(sim)
-        scheme.start()
-        self.ask(clients[0], 0)
-        self.ask(clients[0], 1)
-        sim.run_until(25.0)
-        assert len(clients[0].cache) == 2
-        cell.set_connected(0, False)
-        sim.run_until(500.0)  # sleeps through ~24 reports
-        cell.set_connected(0, True)
-        # Nothing changed while asleep: the next report matches and the
-        # cache survives untouched.
-        sim.run_until(525.0)
-        assert len(clients[0].cache) == 2
-
-    def test_stale_item_after_long_sleep_invalidated(self, sim):
-        cell, scheme, clients = self.build(sim)
-        scheme.start()
-        self.ask(clients[0], 0)
-        sim.run_until(25.0)
-        cell.set_connected(0, False)
-        cell.item(0).update(sim.now)
-        sim.run_until(300.0)
-        cell.set_connected(0, True)
-        answers = self.ask(clients[0], 0)
-        sim.run_until(325.0)
-        assert answers == [1]
-
-    def test_false_positives_possible(self, sim):
-        """A fresh cached item sharing a group with a stale one may die."""
-        cell, scheme, clients = self.build(
-            sim, items=4, group_count=4, group_size=4
-        )
-        scheme.start()
-        self.ask(clients[0], 0)
-        self.ask(clients[0], 1)
-        sim.run_until(25.0)
-        # Item 2 (not cached by the client) changes: every group contains
-        # it, so cached items 0 and 1 become suspects despite being fresh.
-        cell.item(2).update(sim.now)
-        sim.run_until(45.0)
-        assert clients[0].false_positives >= 1

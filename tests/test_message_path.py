@@ -63,7 +63,7 @@ def test_plain_run_imports_no_campaign_machinery():
     or — for a stock strategy — the variants its factories import on demand."""
     unwanted = (
         "repro.experiments.executor", "repro.experiments.store",
-        "repro.experiments.analysis", "repro.experiments.stats",
+        "repro.experiments.analysis",
         "repro.faults.injector", "repro.faults.plan", "repro.control.controller",
         "repro.scenarios.matrix", "repro.extensions",
         "multiprocessing", "concurrent.futures",

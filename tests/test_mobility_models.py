@@ -201,15 +201,6 @@ class TestPositionValidityWindows:
         assert model.position_valid_until(3.0) == 3.0
         assert model.position_valid_until(0.0) == 0.0
 
-    def test_group_member_delegates_without_jitter(self, terrain):
-        from repro.mobility.group import GroupMember
-
-        leader = Stationary(Point(100, 100))
-        member = GroupMember(terrain, leader, random.Random(2), jitter=0.0)
-        assert member.position_valid_until(7.0) == float("inf")
-        jittery = GroupMember(terrain, leader, random.Random(2), jitter=5.0)
-        assert jittery.position_valid_until(7.0) == 7.0
-
     def test_trace_replay_has_pause_windows(self, terrain):
         from repro.mobility.trace import record_trace
 

@@ -52,11 +52,6 @@ class TestTerrain:
         assert not terrain.contains(Point(1500.01, 0))
         assert not terrain.contains(Point(-0.01, 10))
 
-    def test_clamp(self, terrain):
-        assert terrain.clamp(Point(-5, 2000)) == Point(0, 1500)
-        inside = Point(700, 800)
-        assert terrain.clamp(inside) == inside
-
     def test_random_point_inside(self, terrain, rng):
         for _ in range(200):
             assert terrain.contains(terrain.random_point(rng))

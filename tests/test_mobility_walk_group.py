@@ -1,4 +1,4 @@
-"""Unit tests for the random-walk and group mobility models."""
+"""Unit tests for the random-walk mobility model."""
 
 import math
 import random
@@ -6,11 +6,8 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.mobility.group import GroupMember, make_group
-from repro.mobility.stationary import PiecewiseLinear, Stationary
 from repro.mobility.terrain import Point, Terrain
 from repro.mobility.walk import RandomWalk
-from repro.mobility.waypoint import RandomWaypoint
 
 
 def make_walk(terrain, seed=1, **kwargs):
@@ -75,62 +72,3 @@ class TestRandomWalk:
             RandomWalk(terrain, rng, epoch=0.0)
         with pytest.raises(ConfigurationError):
             RandomWalk(terrain, rng, start=Point(-1, 0))
-
-
-class TestGroupMobility:
-    def test_members_stay_near_reference(self, terrain, rng):
-        reference = Stationary(Point(700, 700))
-        members = make_group(terrain, reference, rng, size=5,
-                             spread=80.0, jitter=10.0)
-        for member in members:
-            for t in (0.0, 100.0, 500.0):
-                distance = member.position(t).distance_to(Point(700, 700))
-                assert distance <= 80.0 + 10.0 * 2 + 1e-9
-
-    def test_members_move_with_reference(self, terrain, rng):
-        reference = PiecewiseLinear(
-            [(0.0, Point(100, 100)), (100.0, Point(900, 900))]
-        )
-        member = GroupMember(terrain, reference, rng, spread=50.0, jitter=0.0)
-        start = member.position(0.0)
-        end = member.position(100.0)
-        # The member's displacement mirrors the reference's.
-        assert start.distance_to(end) > 700.0
-
-    def test_members_have_distinct_offsets(self, terrain, rng):
-        reference = Stationary(Point(500, 500))
-        members = make_group(terrain, reference, rng, size=8, jitter=0.0)
-        positions = {members[i].position(0.0) for i in range(8)}
-        assert len(positions) > 1
-
-    def test_positions_clamped_to_terrain(self, rng):
-        terrain = Terrain(200.0, 200.0)
-        reference = Stationary(Point(195, 195))  # near the corner
-        member = GroupMember(terrain, reference, rng, spread=100.0, jitter=30.0)
-        for t in (0.0, 33.0, 250.0):
-            assert terrain.contains(member.position(t))
-
-    def test_jitter_moves_member_over_time(self, terrain, rng):
-        reference = Stationary(Point(500, 500))
-        member = GroupMember(terrain, reference, rng, spread=0.0,
-                             jitter=20.0, jitter_period=100.0)
-        positions = {member.position(t) for t in (0.0, 25.0, 50.0, 75.0)}
-        assert len(positions) > 1
-
-    def test_validation(self, terrain, rng):
-        reference = Stationary(Point(0, 0))
-        with pytest.raises(ConfigurationError):
-            GroupMember(terrain, reference, rng, spread=-1.0)
-        with pytest.raises(ConfigurationError):
-            GroupMember(terrain, reference, rng, jitter_period=0.0)
-        with pytest.raises(ConfigurationError):
-            make_group(terrain, reference, rng, size=0)
-
-    def test_group_over_waypoint_reference(self, terrain):
-        reference = RandomWaypoint(terrain, random.Random(1), 1.0, 5.0, 10.0)
-        members = make_group(terrain, reference, random.Random(2), size=4,
-                             spread=60.0, jitter=5.0)
-        for t in (0.0, 300.0, 900.0):
-            anchor = reference.position(t)
-            for member in members:
-                assert member.position(t).distance_to(anchor) < 140.0

@@ -47,6 +47,13 @@ class StubNode(NetworkNode):
     def on_receive(self, message):
         self.receives += 1
 
+    def on_relay(self, message):
+        self.on_receive(message)
+        self.on_transmit(message)
+
+    def position_valid_until(self):
+        return float("-inf")
+
 
 def make_net(coords, radio_range=150.0, latency=0.01):
     sim = Simulator()

@@ -96,13 +96,6 @@ class TestCachingRouter:
         second = router.find_route(snap, 0, 4, now=1.0)
         assert 999 not in second
 
-    def test_clear(self):
-        router = CachingRouter()
-        router.find_route(snapshot_of(LINE5), 0, 4, now=0.0)
-        assert router.cached_routes == 2  # forward + reverse
-        router.clear()
-        assert router.cached_routes == 0
-
     def test_failed_discovery_not_cached(self):
         router = CachingRouter()
         snap = snapshot_of([(0, 0), (1000, 0)])

@@ -449,6 +449,18 @@ class TestTopologyService:
         world.service.current()
         assert world.service.snapshots_built == 2
 
+    def test_new_edge_filter_is_honoured_without_invalidate(self):
+        # Nothing moves, so only the filter-identity check stands between
+        # the next bucket and a reuse of the unfiltered snapshot.
+        world = self.make_world([(0, Point(0, 0), True), (1, Point(100, 0), True)])
+        service = world.service
+        assert service.current().neighbors(0) == [1]
+        service.edge_filter = lambda a, b, pa, pb: False
+        world.now = 1.5
+        cut = service.current()
+        assert cut.neighbors(0) == []
+        assert service.snapshots_built == 2 and service.snapshots_reused == 0
+
     def test_invalid_parameters(self):
         ledger = soa.SoAPositionLedger()
         for bad in (0.0, -1.0, float("nan")):  # NaN must fail too

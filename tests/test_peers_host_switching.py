@@ -165,9 +165,6 @@ class TestMobileHost:
         sim.run_until(host.tracker.phi * 2)
         assert host.tracker.periods_closed == 2
         assert agent.events.count(("period",)) == 2
-        host.stop_period_timer()
-        sim.run_until(host.tracker.phi * 5)
-        assert host.tracker.periods_closed == 2
 
     def test_period_timer_updates_energy_fraction(self, sim):
         host = make_host(sim)
@@ -212,16 +209,6 @@ class TestSwitchingProcess:
         assert not process.enabled
         process.start()
         sim.run_until(1000.0)
-        assert flips == []
-
-    def test_stop_cancels(self, sim, rng):
-        flips = []
-        process = SwitchingProcess(
-            sim, rng, flips.append, mean_online=10.0, mean_offline=10.0
-        )
-        process.start()
-        process.stop()
-        sim.run_until(500.0)
         assert flips == []
 
     def test_flip_counter(self, sim, rng):

@@ -37,16 +37,6 @@ class TestSourceReports:
         # Only host 1 floods (host 0 offline): 3 intervals -> 3 messages.
         assert reports.messages == 3
 
-    def test_stop_halts_reports(self):
-        world = push_world(ttn=100.0)
-        world.strategy.start()
-        world.run(150.0)
-        world.strategy.stop()
-        before = world.metrics.traffic.messages("PushInvalidation")
-        world.run(500.0)
-        assert world.metrics.traffic.messages("PushInvalidation") == before
-
-
 class TestQueryWaiting:
     def test_query_waits_for_next_report(self):
         world = push_world(ttn=100.0)

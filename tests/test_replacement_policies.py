@@ -19,7 +19,6 @@ from repro.cache.replacement import (
     LRUPolicy,
     SizeUtilityPolicy,
     TTLValuePolicy,
-    make_policy,
     policy_factory,
 )
 from repro.cache.store import CacheStore
@@ -148,12 +147,12 @@ class TestTTLValue:
 class TestMakePolicy:
     def test_context_is_filtered_per_constructor(self):
         clock = lambda: 7.0
-        ttl = make_policy("ttl-value", ttl=60.0, clock=clock, k=5)
+        ttl = policy_factory("ttl-value", ttl=60.0, clock=clock, k=5)()
         assert ttl.ttl == 60.0 and ttl.clock is clock
-        lruk = make_policy("lru-k", ttl=60.0, clock=clock, k=3)
+        lruk = policy_factory("lru-k", ttl=60.0, clock=clock, k=3)()
         assert lruk.k == 3
         # Stateless policies ignore the whole context.
-        assert isinstance(make_policy("lru", ttl=60.0, clock=clock), LRUPolicy)
+        assert isinstance(policy_factory("lru", ttl=60.0, clock=clock)(), LRUPolicy)
 
     def test_signature_is_resolved_once_per_factory(self, monkeypatch):
         """World set-up builds one policy per host: 10 000 hosts must not
@@ -173,23 +172,23 @@ class TestMakePolicy:
         replacement._accepted_parameters.cache_clear()
         clock = lambda: 7.0
         for _ in range(10_000):
-            policy = make_policy("lru", ttl=60.0, clock=clock)
+            policy = policy_factory("lru", ttl=60.0, clock=clock)()
         assert isinstance(policy, LRUPolicy)
         assert resolved == [LRUPolicy]
 
         # The memo keeps the per-constructor filtering of all six policies.
-        ttl = make_policy("ttl-value", ttl=60.0, clock=clock, k=5)
+        ttl = policy_factory("ttl-value", ttl=60.0, clock=clock, k=5)()
         assert ttl.ttl == 60.0 and ttl.clock is clock
-        assert make_policy("lru-k", ttl=60.0, clock=clock, k=4).k == 4
+        assert policy_factory("lru-k", ttl=60.0, clock=clock, k=4)().k == 4
         for name in ("lfu", "fifo", "size-utility"):
-            assert make_policy(name, ttl=60.0, clock=clock, k=4).name == name
+            assert policy_factory(name, ttl=60.0, clock=clock, k=4)().name == name
         assert len(resolved) == 6
-        make_policy("ttl-value", ttl=30.0, clock=clock)
+        policy_factory("ttl-value", ttl=30.0, clock=clock)()
         assert len(resolved) == 6
 
     def test_unknown_policy_is_cache_error(self):
         with pytest.raises(CacheError, match="ttl-value"):
-            make_policy("arc")
+            policy_factory("arc")()
         with pytest.raises(CacheError, match="ttl-value"):
             policy_factory("arc")
 

@@ -285,9 +285,3 @@ class TestRelayHold:
         # Escalated to the TTL-8 broadcast, which reaches the source.
         assert record.answered
         assert world.metrics.counter("rpcc_poll_fallback_source") >= 1
-
-    def test_eager_relay_refresh_answers_quickly(self):
-        world = self.make_held_world(eager_relay_refresh=True)
-        record = world.agent(4).local_query(0, ConsistencyLevel.STRONG)
-        world.run(5.0)
-        assert record.answered  # GET_NEW/SEND_NEW round trip, no wait

@@ -51,6 +51,15 @@ class TestRPCCConfig:
         with pytest.raises(ConfigurationError):
             RPCCConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["ttn", "ttr", "ttp", "poll_timeout", "source_poll_timeout",
+         "grace_timeout", "update_repush_interval"],
+    )
+    def test_nan_timer_rejected(self, name):
+        with pytest.raises(ConfigurationError, match=name):
+            RPCCConfig(**{name: float("nan")})
+
 
 class TestRoleTable:
     def test_default_role_is_cache_node(self):

@@ -67,29 +67,8 @@ class TestSourceSide:
         counts = world.metrics.traffic.messages("Invalidation")
         assert counts == 4  # each source ticked exactly once in 100 s
 
-    def test_stop_disarms_timer(self):
-        world = rpcc_world()
-        world.strategy.start()
-        source = world.agent(0).source
-        source.stop()
-        world.run(500.0)
-        # Other three sources tick 5 times each; source 0 never.
-        assert world.metrics.traffic.messages("Invalidation") == 15
-
-    def test_immediate_update_push_flag(self):
-        world = rpcc_world(immediate_update_push=True)
-        world.give_copy(1, 3)
-        make_eligible(world.host(1))
-        world.strategy.start()
-        world.run(110.0)  # promotion complete
-        before = world.metrics.traffic.messages("Update")
-        world.update_item(3)
-        world.run(1.0)  # no TTN boundary needed
-        assert world.metrics.traffic.messages("Update") == before + 1
-        assert world.host(1).store.peek(3).version == 1
-
     def test_batched_update_push_waits_for_ttn(self):
-        world = rpcc_world(immediate_update_push=False)
+        world = rpcc_world()
         world.give_copy(1, 3)
         make_eligible(world.host(1))
         world.strategy.start()

@@ -151,11 +151,11 @@ class TestExecution:
         fired = []
         sim.schedule(1.0, fired.append, 1)
         sim.schedule(2.0, fired.append, 2)
-        assert sim.step()
+        assert sim.run(max_events=1) == 1
         assert fired == [1]
 
     def test_step_on_empty_heap_returns_false(self, sim):
-        assert not sim.step()
+        assert sim.run(max_events=1) == 0
 
     def test_not_reentrant(self, sim):
         def nested():
@@ -215,7 +215,7 @@ class TestPendingCounter:
         handles[0].cancel()
         handles[1].cancel()
         assert sim.pending_events == 3
-        sim.step()
+        sim.run(max_events=1)
         assert sim.pending_events == 2
         sim.run()
         assert sim.pending_events == 0
@@ -230,7 +230,7 @@ class TestPendingCounter:
     def test_cancel_after_fire_does_not_decrement(self, sim):
         handle = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        sim.step()
+        sim.run(max_events=1)
         handle.cancel()
         assert sim.pending_events == 1
 
@@ -312,20 +312,19 @@ class TestHeapCompaction:
         assert sim.heap_size == 10
 
 
-class TestWheelEngine:
-    """Far-future times, renewal and pooling (the class and one test id
-    keep the name of the timer wheel that used to sit under them)."""
+class TestEventStore:
+    """Far-future times, renewal and pooling."""
 
-    def test_far_future_events_cross_the_wheel_horizon(self, sim):
+    def test_far_future_events_fire_in_time_order(self, sim):
         # Hours-ahead events share the store with sub-second ones and
         # must still fire in time order, whatever order they arrived in.
         order = []
         sim.schedule(40_000.0, order.append, "far2")
         sim.schedule(20_000.0, order.append, "far1")
         sim.schedule(1.0, order.append, "near")
-        sim.schedule(100.0, order.append, "wheel1")
+        sim.schedule(100.0, order.append, "mid")
         sim.run()
-        assert order == ["near", "wheel1", "far1", "far2"]
+        assert order == ["near", "mid", "far1", "far2"]
         assert sim.pending_events == 0
 
     def test_reschedule_moves_a_pending_event(self, sim):

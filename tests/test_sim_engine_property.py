@@ -9,8 +9,7 @@ full ``(time, tag)`` fire log, the live pending counter and the clock
 after every operation.  The reference (:class:`_Model`) is a plain list
 of ``[time, seq, tag, alive]`` rows whose next event is ``min`` over the
 live ones — no ``heapq``, nothing shared with ``src/`` — so the engine is
-never compared with itself.  (The file and the two test ids keep their
-historical names: until PR 20 the second arm was a timer wheel.)
+never compared with itself.
 
 Two structural promises of the store are checked alongside: the
 accounting identity ``heap_size == pending_events + tombstones`` after
@@ -28,9 +27,9 @@ far-future (hours) times in one store, so the ``(time, seq)`` tie-break
 and deep-heap ordering are exercised constantly.
 
 A second suite drives the real timer helpers (:class:`CountdownTimer`,
-:class:`PeriodicTimer`) through randomized renew/stop/restart churn: a
-renewal of a pending timer leaves a tombstone, and compaction must keep
-them bounded while expirations stay in time order.
+:class:`PeriodicTimer`) through randomized renew/expire/interval churn:
+a countdown schedules nothing and a periodic timer re-arms its fired
+handle in place, so neither may ever leave a tombstone behind.
 """
 
 from __future__ import annotations
@@ -178,7 +177,7 @@ def _check_store(sim: Simulator, before: tuple = None, pushed: int = 0) -> None:
 
 @settings(max_examples=80, deadline=None)
 @given(ops=_OPS, compact_floor=_FLOORS)
-def test_wheel_and_heap_fire_identically(ops, compact_floor):
+def test_engine_and_model_fire_identically(ops, compact_floor):
     arm, model, rows = _Arm(compact_floor), _Model(), []
     for tag, op in enumerate(ops):
         before = _cancel_marks(arm.sim) if op[0] in ("cancel", "reschedule") else None
@@ -203,8 +202,10 @@ def test_wheel_and_heap_fire_identically(ops, compact_floor):
                 st.floats(min_value=0.0, max_value=900.0, allow_nan=False),
             ),
             st.tuples(st.just("expire_now")),
-            st.tuples(st.just("stop")),
-            st.tuples(st.just("start")),
+            st.tuples(
+                st.just("interval"),
+                st.floats(min_value=0.5, max_value=120.0, allow_nan=False),
+            ),
             st.tuples(
                 st.just("run_until"),
                 st.floats(min_value=0.0, max_value=240.0, allow_nan=False),
@@ -215,37 +216,25 @@ def test_wheel_and_heap_fire_identically(ops, compact_floor):
     ),
     duration=st.floats(min_value=0.5, max_value=600.0, allow_nan=False),
     interval=st.floats(min_value=0.5, max_value=120.0, allow_nan=False),
-    compact_floor=_FLOORS,
 )
-def test_wheel_timers_never_tombstone(ops, duration, interval, compact_floor):
-    # CountdownTimer renew churn and PeriodicTimer stop/start churn: a
-    # renewal of a pending timer is cancel + push, so tombstones do appear
-    # (the id predates that); what must hold is that the store accounts
-    # for every one of them and compaction keeps them from dominating.
+def test_timers_never_tombstone(ops, duration, interval):
     sim = Simulator()
-    sim._COMPACT_FLOOR = compact_floor
-    expirations = []
-    countdown = CountdownTimer(sim, duration, on_expire=lambda: expirations.append(sim.now))
-    periodic = PeriodicTimer(sim, interval, lambda: None)
+    countdown = CountdownTimer(sim, duration)
+    ticks = []
+    periodic = PeriodicTimer(sim, interval, lambda: ticks.append(sim.now))
     periodic.start()
     for op in ops:
-        before = _cancel_marks(sim)
         if op[0] == "renew":
             countdown.renew(op[1])
+            assert countdown.expires_at == sim.now + op[1]
         elif op[0] == "expire_now":
             countdown.expire_now()
-        elif op[0] == "stop":
-            periodic.stop()
-        elif op[0] == "start":
-            periodic.start()
+            assert countdown.remaining == 0.0
+        elif op[0] == "interval":
+            periodic.interval = op[1]
         else:
             sim.run_until(sim.now + op[1])
-            before = None
-        _check_store(sim, before, pushed=op[0] == "renew" and op[1] > 0)
-    periodic.stop()
-    countdown.expire_now()
-    sim.run()
-    _check_store(sim)
-    # The countdown fires in time order and nothing is left armed.
-    assert expirations == sorted(expirations)
-    assert sim.pending_events == 0
+        assert sim.tombstones == 0
+        assert sim.heap_size == sim.pending_events == 1
+    assert ticks == sorted(ticks)
+    assert periodic.ticks == len(ticks)

@@ -51,13 +51,6 @@ class TestRandomStreams:
         registry_b.stream("other")  # extra consumer
         assert registry_b.stream("keep").random() == first_draw
 
-    def test_spawn_namespaces(self):
-        parent = RandomStreams(5)
-        child_a = parent.spawn("sub")
-        child_b = parent.spawn("sub")
-        assert child_a.seed == child_b.seed
-        assert child_a.seed != parent.seed
-
     def test_contains_and_len(self, streams):
         assert "x" not in streams
         streams.stream("x")

@@ -21,25 +21,6 @@ class TestPeriodicTimer:
         sim.run_until(25.0)
         assert ticks == [3.0, 13.0, 23.0]
 
-    def test_stop_halts_ticking(self, sim):
-        ticks = []
-        timer = PeriodicTimer(sim, 10.0, lambda: ticks.append(sim.now))
-        timer.start()
-        sim.run_until(15.0)
-        timer.stop()
-        sim.run_until(100.0)
-        assert ticks == [10.0]
-
-    def test_restart_after_stop(self, sim):
-        ticks = []
-        timer = PeriodicTimer(sim, 10.0, lambda: ticks.append(sim.now))
-        timer.start()
-        sim.run_until(15.0)
-        timer.stop()
-        timer.start()
-        sim.run_until(30.0)
-        assert ticks == [10.0, 25.0]
-
     def test_start_idempotent(self, sim):
         ticks = []
         timer = PeriodicTimer(sim, 10.0, lambda: ticks.append(1))
@@ -74,8 +55,6 @@ class TestPeriodicTimer:
         assert not timer.running
         timer.start()
         assert timer.running
-        timer.stop()
-        assert not timer.running
 
 
 class TestCountdownTimer:
@@ -120,30 +99,12 @@ class TestCountdownTimer:
         with pytest.raises(SimulationError):
             timer.renew(-1.0)
 
-    def test_on_expire_callback(self, sim):
-        fired = []
-        timer = CountdownTimer(sim, 5.0, on_expire=lambda: fired.append(sim.now))
-        timer.renew()
-        sim.run()
-        assert fired == [5.0]
-
-    def test_renew_cancels_previous_expiry(self, sim):
-        fired = []
-        timer = CountdownTimer(sim, 5.0, on_expire=lambda: fired.append(sim.now))
-        timer.renew()
-        sim.run_until(3.0)
-        timer.renew()
-        sim.run()
-        assert fired == [8.0]
-
     def test_expire_now(self, sim):
-        fired = []
-        timer = CountdownTimer(sim, 5.0, on_expire=lambda: fired.append(1))
+        timer = CountdownTimer(sim, 5.0)
         timer.renew()
         timer.expire_now()
         assert timer.expired
-        sim.run()
-        assert fired == []  # forced expiry does not fire the callback
+        assert sim.pending_events == 0  # a countdown schedules nothing
 
     def test_non_positive_duration_rejected(self, sim):
         with pytest.raises(SimulationError):

@@ -57,7 +57,7 @@ RANGE = 250.0
     ),
     st.floats(min_value=10.0, max_value=800.0),
 )
-def test_vectorized_build_matches_scalar(points, radio_range):
+def test_csr_build_matches_oracle(points, radio_range):
     positions = {i: Point(x, y) for i, (x, y) in enumerate(points)}
     snap = TopologySnapshot(positions, radio_range)
     assert snap._csr is not None
@@ -66,7 +66,7 @@ def test_vectorized_build_matches_scalar(points, radio_range):
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=2**20))
-def test_vectorized_build_matches_scalar_at_paper_density(seed):
+def test_csr_build_matches_oracle_at_paper_density(seed):
     rng = random.Random(seed)
     count = rng.randrange(1, 120)
     side = 1500.0 * (count / 50.0) ** 0.5
@@ -101,7 +101,7 @@ _STAGE_SIZES = (
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(_STAGE_SIZES), st.integers(min_value=0, max_value=2**20))
-def test_all_pairs_and_grid_stages_match_scalar(count, seed):
+def test_all_pairs_and_grid_stages_match_oracle(count, seed):
     """Every pair, or the pairs of adjacent grid cells: both candidate
     stages are supersets of the in-range pairs, so either one ends in the
     oracle's neighbour lists, key order and BFS trees — including
@@ -287,6 +287,9 @@ class _Node(NetworkNode):
     def position_valid_until(self) -> float:
         return self.mobility.position_valid_until(self._sim.now)
 
+    def on_relay(self, message) -> None:
+        return None
+
     def deliver(self, message) -> None:
         return None
 
@@ -435,7 +438,7 @@ def _drive_sparse(seed: int, toggles, count: int = 30):
         max_size=24,
     ),
 )
-def test_array_refresh_matches_scratch_scalar_build(seed, toggles):
+def test_array_refresh_matches_oracle(seed, toggles):
     """Above the crossover a changed refresh's CSR rebuild answers floods,
     routes and point queries like the oracle, straight off the arrays."""
     with _array_refresh_from(0):

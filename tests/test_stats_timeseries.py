@@ -1,80 +1,9 @@
-"""Unit tests for replication statistics and the time-series recorder."""
+"""Unit tests for the time-series recorder."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.config import SimulationConfig
-from repro.experiments.stats import (
-    aggregate,
-    run_replicated,
-    summarize_metric,
-)
 from repro.metrics.timeseries import TimeSeries
-
-
-class TestSummarizeMetric:
-    def test_single_sample(self):
-        stats = summarize_metric("x", [5.0])
-        assert stats.mean == 5.0
-        assert stats.stdev == 0.0
-        assert stats.ci95 == 0.0
-        assert stats.samples == 1
-
-    def test_multiple_samples(self):
-        stats = summarize_metric("x", [2.0, 4.0, 6.0])
-        assert stats.mean == pytest.approx(4.0)
-        assert stats.stdev == pytest.approx(2.0)
-        assert stats.ci95 == pytest.approx(1.96 * 2.0 / 3 ** 0.5)
-        assert stats.low < 4.0 < stats.high
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            summarize_metric("x", [])
-
-    def test_str_format(self):
-        assert "n=2" in str(summarize_metric("x", [1.0, 2.0]))
-
-
-class TestRunReplicated:
-    def tiny(self):
-        return SimulationConfig(
-            n_peers=10, sim_time=200.0, warmup=0.0,
-            terrain_width=700.0, terrain_height=700.0,
-        )
-
-    def test_one_result_per_seed(self):
-        results = run_replicated(self.tiny(), "rpcc-wc", seeds=(1, 2, 3))
-        assert len(results) == 3
-        assert len({r.config.seed for r in results}) == 3
-
-    def test_empty_seeds_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_replicated(self.tiny(), "push", seeds=())
-
-    def test_aggregate_default_metrics(self):
-        results = run_replicated(self.tiny(), "pull", seeds=(1, 2))
-        stats = aggregate(results)
-        assert set(stats) >= {
-            "transmissions", "mean_latency", "answered_ratio",
-        }
-        assert stats["transmissions"].samples == 2
-        assert stats["answered_ratio"].mean <= 1.0
-
-    def test_aggregate_custom_metric(self):
-        results = run_replicated(self.tiny(), "push", seeds=(1,))
-        stats = aggregate(
-            results, {"updates": lambda r: float(r.total_updates)}
-        )
-        assert set(stats) == {"updates"}
-
-    def test_aggregate_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            aggregate([])
-
-    def test_variance_nonzero_across_seeds(self):
-        results = run_replicated(self.tiny(), "pull", seeds=(1, 2, 3))
-        stats = aggregate(results)
-        assert stats["transmissions"].stdev > 0
 
 
 class TestTimeSeries:

@@ -161,6 +161,9 @@ class _RoamingNode(NetworkNode):
     def position_valid_until(self):
         return self._model.position_valid_until(self._sim.now)
 
+    def on_relay(self, message):
+        return None
+
     def deliver(self, message):
         return None
 

@@ -8,7 +8,7 @@ import pytest
 from repro.consistency.levels import ConsistencyLevel
 from repro.errors import WorkloadError
 from repro.workload.access import UniformAccess, ZipfAccess
-from repro.workload.arrivals import ExponentialProcess, FixedIntervalProcess
+from repro.workload.arrivals import ExponentialProcess
 from repro.workload.mix import LevelMix
 
 
@@ -21,15 +21,6 @@ class TestExponentialProcess:
         gaps = [b - a for a, b in zip(times, times[1:])]
         mean_gap = sum(gaps) / len(gaps)
         assert 8.5 < mean_gap < 11.5
-
-    def test_stop_halts_arrivals(self, sim, rng):
-        process = ExponentialProcess(sim, rng, 1.0, lambda: None)
-        process.start()
-        sim.run_until(10.0)
-        count = process.arrivals
-        process.stop()
-        sim.run_until(100.0)
-        assert process.arrivals == count
 
     def test_start_idempotent(self, sim, rng):
         process = ExponentialProcess(sim, rng, 5.0, lambda: None)
@@ -55,19 +46,6 @@ class TestExponentialProcess:
             return times
 
         assert run_once() == run_once()
-
-
-class TestFixedIntervalProcess:
-    def test_exact_cadence(self, sim):
-        times = []
-        process = FixedIntervalProcess(sim, 10.0, lambda: times.append(sim.now))
-        process.start()
-        sim.run_until(35.0)
-        assert times == [10.0, 20.0, 30.0]
-
-    def test_invalid_interval(self, sim):
-        with pytest.raises(WorkloadError):
-            FixedIntervalProcess(sim, -1.0, lambda: None)
 
 
 class TestUniformAccess:

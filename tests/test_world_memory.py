@@ -57,7 +57,6 @@ from repro.consistency.rpcc.source import SourceSide
 from repro.energy.battery import Battery, EnergyCosts
 from repro.experiments.runner import build_simulation
 from repro.mobility.base import MobilityModel
-from repro.mobility.group import GroupMember
 from repro.mobility.stationary import PiecewiseLinear, Stationary
 from repro.mobility.subnets import SubnetTracker
 from repro.mobility.walk import RandomWalk, _Epoch
@@ -92,7 +91,7 @@ SLOTTED = (
     SizeUtilityPolicy, LRUKPolicy,
     CoefficientTracker, SubnetTracker, SwitchingProcess, ExponentialProcess,
     MobilityModel, Stationary, PiecewiseLinear, RandomWalk, RandomWaypoint,
-    GroupMember, _Epoch, Leg,
+    _Epoch, Leg,
     PeriodicTimer, CountdownTimer, EventHandle,
     BaseAgent, PushAgent, PullAgent, RPCCAgent,
     RoleTable, SourceSide, RelaySide, CachePeerSide,
