@@ -26,6 +26,7 @@ EXPERIMENTS.md ("Campaign execution") for the full model.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -75,6 +76,16 @@ def _spec(text: str) -> str:
     except ConfigurationError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
     return text
+
+
+def _bound(text: str) -> float:
+    """argparse ``type=``: a checker bound in seconds, finite and >= 0."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:  # NaN fails the chain too
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0 seconds, got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,10 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
                               help="JSONL trace output path")
     trace_parser.add_argument("--no-check", action="store_true",
                               help="skip the invariant checker replay")
-    trace_parser.add_argument("--delta", type=float, default=None,
+    trace_parser.add_argument("--delta", type=_bound, default=None,
                               help="checker Δ bound in seconds "
                               "(default: the run's TTP)")
-    trace_parser.add_argument("--slack", type=float, default=1.0,
+    trace_parser.add_argument("--slack", type=_bound, default=1.0,
                               help="checker timing slack in seconds "
                               "(default 1.0)")
 

@@ -18,7 +18,9 @@ the ledger's arrays to one :func:`build_csr`.  What does depend on size
 is what a snapshot serves *from*: under :data:`ARRAY_REFRESH_MIN_NODES`
 peers it is arrays in, dicts out (traversals on the dict adjacency
 materialised once from the CSR, membership a hash lookup); from there on
-it stays in arrays (CSR traversals, binary-search membership).  Results
+TTL floods stay in arrays (depth-bounded CSR traversals) and membership
+is a binary search.  What each constant below buys on the committed
+benchmark rows is in ``docs/decisions/02-earned-constants.md``.  Results
 depend on neither: float arithmetic is IEEE-754 double precision in one
 fixed operation order (``dx*dx + dy*dy <= r*r``) and every observable
 ordering is registration rank — the contract ``tests/oracle.py`` states
@@ -28,7 +30,6 @@ by brute force and the property tests hold every path here to.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Mapping
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -51,8 +52,7 @@ __all__ = [
 #: Population from which the candidate stage of :func:`build_csr`
 #: buckets points into a grid; below it the stage lists every pair
 #: (one cached triangle of ranks): n(n-1)/2 distance tests cost less
-#: than the grid's fixed bookkeeping (all-pairs-vs-grid table in
-#: DESIGN.md, "Data-oriented core").
+#: than the grid's fixed bookkeeping.
 GRID_MIN_NODES = 128
 
 #: Online population from which a snapshot is served from its arrays:
@@ -60,25 +60,20 @@ GRID_MIN_NODES = 128
 #: dict traversal, membership is a binary search in the ids
 #: (:meth:`ArrayPositions.members`) instead of a hash set, and the
 #: rebuild takes its candidate pairs from a :class:`PairList`.  Every
-#: changed refresh is a :func:`build_csr` either side of it (BFS table
-#: in DESIGN.md, "Data-oriented core"); the property tests drop it to
-#: cover the array side on small graphs.
+#: changed refresh is a :func:`build_csr` either side of it; the
+#: property tests drop it to cover the array side on small graphs.
 ARRAY_REFRESH_MIN_NODES = 512
 
 #: Reuse margin of :class:`PairList` as a share of the radio range: the
 #: list holds pairs out to ``(1 + PAIR_SKIN) * radio_range`` and serves
 #: until a node has drifted about half the margin.  Wider lives longer
-#: but lists more pairs for every distance pass (skin table in
-#: DESIGN.md, "Data-oriented core").
+#: but lists more pairs for every distance pass.
 PAIR_SKIN = 0.1
 
 #: Drift from its anchor, as a share of the skin, at which a node counts
 #: as a stray.  The superset argument needs <= 1/2; the rest is margin
 #: for float rounding, orders of magnitude wider than any it could meet.
 _PAIR_DRIFT_SHARE = 0.49
-
-#: Refreshes a :class:`PairList` sits out after a list died unused.
-PAIR_LIST_NAP = 16
 
 
 # ----------------------------------------------------------------------
@@ -147,20 +142,6 @@ class CsrAdjacency:
         """Neighbour count of ``node``; ``KeyError`` when it is not a row."""
         rank = self.rank_of(node)
         return int(self.indptr[rank + 1] - self.indptr[rank])
-
-    def has_edge(self, node_a: int, node_b: int) -> bool:
-        """Whether ``node_b`` is in ``node_a``'s row (``False`` for non-rows)."""
-        try:
-            rank_a = self.rank_of(node_a)
-            rank_b = self.rank_of(node_b)
-        except KeyError:
-            return False
-        # Rows are rank-ascending, so membership is one binary search.
-        lo = int(self.indptr[rank_a])
-        hi = int(self.indptr[rank_a + 1])
-        neighbors = self.neighbors
-        index = bisect_left(neighbors, rank_b, lo, hi)
-        return index < hi and int(neighbors[index]) == rank_b
 
 
 _all_pairs: Optional[Tuple["np.ndarray", "np.ndarray"]] = None
@@ -366,12 +347,12 @@ def build_csr(
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
         )
-    candidates = None
     if pair_list is not None and slots is not None:
-        candidates = pair_list.candidates(slots, xs, ys, radio_range)
-    if candidates is None:
-        candidates = _candidate_pairs(xs, ys, radio_range if radio_range > 0 else 1.0)
-    cand_a, cand_b = candidates
+        cand_a, cand_b = pair_list.candidates(slots, xs, ys, radio_range)
+    else:
+        cand_a, cand_b = _candidate_pairs(
+            xs, ys, radio_range if radio_range > 0 else 1.0
+        )
     near = _pairs_within(xs, ys, cand_a, cand_b, radio_range * radio_range)
     indptr, neighbors = _assemble_csr(cand_a[near], cand_b[near], n)
     return CsrAdjacency(indptr, neighbors, ids)
@@ -572,17 +553,13 @@ class PairList:
     vector pass and then either reuses the list, re-anchors the few
     strays (nodes back from offline somewhere else, or never anchored),
     or rebuilds it through :func:`_candidate_pairs` when re-pairing the
-    strays against every anchor would cost more than that.  A list that
-    has to be rebuilt before a single reuse means nodes move too far per
-    refresh for any of this to pay; the list then sits out the next
-    :data:`PAIR_LIST_NAP` refreshes (the caller runs the plain candidate
-    stage) and tries again, so the worst case stays the list-less cost.
+    strays against every anchor would cost more than that.
     """
 
     __slots__ = (
         "builds", "reuses", "reanchored",
         "_range", "_anchor_x", "_anchor_y", "_pair_a", "_pair_b",
-        "_build_work", "_unused", "_nap",
+        "_build_work",
     )
 
     def __init__(self) -> None:
@@ -598,8 +575,6 @@ class PairList:
         # Candidates the last build expanded plus points it bucketed:
         # what re-pairing k strays against every anchor is weighed against.
         self._build_work = 0
-        self._unused = False  # built and not reused since
-        self._nap = 0  # refreshes left to sit out
 
     def candidates(
         self,
@@ -607,16 +582,13 @@ class PairList:
         xs: "np.ndarray",
         ys: "np.ndarray",
         radio_range: float,
-    ) -> Optional[Tuple["np.ndarray", "np.ndarray"]]:
-        """Rank pairs covering every in-range pair, or ``None`` (sit out).
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Rank pairs covering every in-range pair.
 
         ``slots`` are the ledger slots of the online nodes, ascending,
         with ``xs``/``ys`` their positions; the returned arrays index
         into those.
         """
-        if self._nap:
-            self._nap -= 1
-            return None
         skin = PAIR_SKIN * radio_range
         if self._range == radio_range and int(slots[-1]) < self._anchor_x.shape[0]:
             drift = _PAIR_DRIFT_SHARE * skin
@@ -629,13 +601,7 @@ class PairList:
                         slots[strays], xs[strays], ys[strays], radio_range + skin
                     )
                 self.reuses += 1
-                self._unused = False
                 return self._ranked(slots)
-            if self._unused:
-                # Outrun before its first reuse: forget the list, sit out.
-                self._range = None
-                self._nap = PAIR_LIST_NAP
-                return None
         self._build(slots, xs, ys, radio_range, skin)
         return self._ranked(slots)
 
@@ -663,7 +629,6 @@ class PairList:
         self._anchor_y[slots] = ys
         self._range = radio_range
         self._build_work = int(cand_a.shape[0]) + int(slots.shape[0])
-        self._unused = True
         self.builds += 1
 
     def _reanchor(self, stray_slots, sx, sy, cutoff: float) -> None:

@@ -48,21 +48,6 @@ from repro.net import soa
 
 __all__ = ["TopologySnapshot", "TopologyService"]
 
-# Population below which a *full* (unbounded) BFS runs on the dict
-# adjacency even when a CSR view exists.  The dict traversal is faster
-# per source at any scale; the CSR traversal only pays off when it saves
-# materialising the adjacency from the CSR on a large snapshot that will
-# likely see a single routing query before the next rebuild.
-_FULL_BFS_CSR_MIN = 4096
-
-# ``has_edge`` on a snapshot that still has its CSR answers from it for one
-# query per this many nodes before it builds the frozen neighbour sets.
-# A CSR query (~5 us) costs what materialising 4-6 nodes' lists and sets
-# does (measured at 1k and 10k nodes), so when the allowance runs out the
-# searches have cost about one materialisation — never more than twice
-# the better choice, whichever the snapshot's traffic turns out to be.
-_CSR_EDGE_QUERY_SHARE = 4
-
 
 class TopologySnapshot:
     """Immutable connectivity graph at one instant.
@@ -116,12 +101,9 @@ class TopologySnapshot:
         # Compressed sparse-row view of the adjacency; BFS traverses it in
         # array ops instead of the dict lists.
         self._csr = soa.build_csr(self.positions, self.radio_range, pair_list)
-        # has_edge calls the CSR may still answer before the frozen
-        # neighbour sets are worth building (see has_edge).
-        self._csr_edge_queries = len(self.positions) // _CSR_EDGE_QUERY_SHARE
         # Dict-of-lists adjacency and frozen neighbour sets materialise
-        # lazily: dict traversals, neighbour lists and sustained has_edge
-        # traffic build them on demand.
+        # lazily: dict traversals, neighbour lists and has_edge build
+        # them on demand.
         self._adjacency_store = self._sets_store = None
         if edge_filter is not None:
             self._apply_edge_filter()
@@ -221,22 +203,10 @@ class TopologySnapshot:
 
         Returns ``False`` (rather than raising) when either endpoint is
         not online in this snapshot, so route-liveness scans need no
-        separate membership pass.  O(1) on the frozen neighbour sets; a
-        from-scratch snapshot that has not built them answers its first
-        queries by binary search in the CSR row instead.
+        separate membership pass.  O(1) on the frozen neighbour sets,
+        built on the first query.
         """
-        sets = self._sets_store
-        if sets is None:
-            if self._csr is not None and self._csr_edge_queries > 0:
-                # Rent before buying: a snapshot that lives one quantum
-                # sees a handful of route-liveness checks, far cheaper
-                # than one frozenset per node; one that keeps being
-                # asked has paid about a materialisation in searches by
-                # the time the allowance runs out, so it builds the sets.
-                self._csr_edge_queries -= 1
-                return self._csr.has_edge(node_a, node_b)
-            sets = self._neighbor_sets  # materialise once, then hit the store
-        members = sets.get(node_a)
+        members = self._neighbor_sets.get(node_a)
         return members is not None and node_b in members
 
     def degree(self, node: int) -> int:
@@ -268,22 +238,9 @@ class TopologySnapshot:
         """
         record = self._bfs_cache.get(source)
         if record is None:
-            # Both traversals produce the same tree bit-for-bit (the CSR
-            # preserves registration-rank neighbour order), so the choice is
-            # purely a speed call: the dict BFS is faster per source, but on a
-            # big from-scratch snapshot whose adjacency was never materialised
-            # the array traversal avoids paying adjacency_from_csr for what is
-            # typically a single routing query.
-            if (
-                self._csr is not None
-                and self._adjacency_store is None
-                and len(self.positions) >= _FULL_BFS_CSR_MIN
-            ):
-                levels, parents, _, prefix = soa.bfs_from_csr(self._csr, source)
-                record = [levels, parents, prefix, []]
-            else:
-                record = [{source: 0}, {source: source}, [1], [source]]
-            self._bfs_cache[source] = record
+            record = self._bfs_cache[source] = [
+                {source: 0}, {source: source}, [1], [source]
+            ]
         levels, parents, prefix, frontier = record
         if not frontier:
             return record  # complete: no adjacency to materialise for it
@@ -372,11 +329,10 @@ class TopologySnapshot:
             # Depth-bounded vectorized BFS: a TTL flood only needs the
             # first few levels, so skip the far side of the graph — from
             # the size crossover on; under it the dict adjacency is the
-            # cheaper one to traverse
-            # (BFS table in DESIGN.md, "Data-oriented core").  The
-            # bounded run is reused while it covers the requested depth;
-            # ``complete`` marks traversals that exhausted the component
-            # before the bound and therefore cover any depth.
+            # cheaper one to traverse.  The bounded run is reused while
+            # it covers the requested depth; ``complete`` marks
+            # traversals that exhausted the component before the bound
+            # and therefore cover any depth.
             entry = self._bfs_partial.get(source)
             if entry is None or not (entry[1] or len(entry[0][3]) - 1 >= max_depth):
                 quad = soa.bfs_from_csr(self._csr, source, max_depth)

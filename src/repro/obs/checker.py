@@ -52,9 +52,11 @@ newer invalidation lands at the poller is not a protocol violation.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple, Union
 
+from repro.errors import ConfigurationError
 from repro.obs.events import (
     ControllerActuated,
     FaultNodeCrashed,
@@ -141,11 +143,19 @@ class InvariantChecker:
     slack:
         Grace window for answers already in flight when newer knowledge
         arrives; see the module docstring.
+
+    Both must be finite and ``>= 0``: a NaN or infinite bound can never
+    be exceeded, so the check it configures could never fail.
     """
 
     def __init__(self, delta: float = 240.0, slack: float = 1.0) -> None:
         self.delta = float(delta)
         self.slack = float(slack)
+        for name, value in (("delta", self.delta), ("slack", self.slack)):
+            if not 0.0 <= value < math.inf:  # NaN fails the chain too
+                raise ConfigurationError(
+                    f"checker {name} must be finite and >= 0, got {value!r}"
+                )
         self.report = CheckReport()
         # item -> ground-truth current version (from source_update events)
         self._current: Dict[int, int] = {}

@@ -45,7 +45,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from json.encoder import encode_basestring_ascii as _encode_str
-from math import isfinite
+from math import inf, isfinite
 from typing import Any, ClassVar, Dict, IO, Iterator, List, Tuple, Union
 
 from repro.errors import ConfigurationError
@@ -442,20 +442,36 @@ EVENT_TYPES: Dict[str, type] = {
 
 
 def event_from_dict(payload: Dict[str, Any]) -> TraceEvent:
-    """Reconstruct a typed event from its :meth:`~TraceEvent.to_dict` form."""
-    return _event_from_fields(dict(payload))
+    """Reconstruct a typed event from its :meth:`~TraceEvent.to_dict` form.
+
+    Anything but an object with a known ``e`` tag, the fields of that
+    type and a finite ``int``/``float`` ``time`` raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    return _event_from_fields(dict(payload) if isinstance(payload, dict) else payload)
 
 
 def _event_from_fields(fields: Dict[str, Any]) -> TraceEvent:
     """:func:`event_from_dict` on a dict the caller gives up (``e`` is popped)."""
-    tag = fields.pop("e", None)
+    try:
+        tag = fields.pop("e", None)
+    except (AttributeError, TypeError):  # not a dict: no ``pop(key, default)``
+        raise ConfigurationError(
+            f"trace event must be a JSON object, got {fields!r}"
+        ) from None
     cls = EVENT_TYPES.get(tag)
     if cls is None:
         raise ConfigurationError(f"unknown trace event type {tag!r}")
     try:
-        return cls(**fields)
+        event = cls(**fields)
     except TypeError as exc:
         raise ConfigurationError(f"malformed {tag!r} event: {exc}") from None
+    time = event.time
+    # One type test per event (the reader is on the replay's hot path);
+    # the chained comparison rejects NaN as well as both infinities.
+    if type(time) not in (float, int) or not -inf < time < inf:
+        raise ConfigurationError(f"{tag!r} event time must be finite, got {time!r}")
+    return event
 
 
 def read_jsonl(source: Union[str, IO[str]]) -> List[TraceEvent]:
@@ -473,8 +489,12 @@ def iter_jsonl(source: Union[str, IO[str]]) -> Iterator[TraceEvent]:
 
 
 def _iter_stream(handle: IO[str]) -> Iterator[TraceEvent]:
-    for line in handle:
+    for number, line in enumerate(handle, 1):
         line = line.strip()
         if line:
-            # The dict json.loads just built is nobody else's: no copy.
-            yield _event_from_fields(json.loads(line))
+            try:
+                # The dict json.loads just built is nobody else's: no copy.
+                event = _event_from_fields(json.loads(line))
+            except (ValueError, ConfigurationError) as exc:  # JSONDecodeError too
+                raise ConfigurationError(f"trace line {number}: {exc}") from None
+            yield event

@@ -45,7 +45,8 @@ class PeriodicTimer:
         callback: Callable[[], Any],
         start_offset: Optional[float] = None,
     ) -> None:
-        if interval <= 0:
+        # ``not x > 0``, not ``x <= 0``: NaN must fail too.
+        if not interval > 0:
             raise SimulationError(f"timer interval must be positive, got {interval!r}")
         self._sim = sim
         self.interval = float(interval)
@@ -90,7 +91,7 @@ class CountdownTimer:
     __slots__ = ("_sim", "duration", "_expires_at")
 
     def __init__(self, sim: Simulator, duration: float) -> None:
-        if duration <= 0:
+        if not duration > 0:  # NaN fails too
             raise SimulationError(f"countdown duration must be positive, got {duration!r}")
         self._sim = sim
         self.duration = float(duration)
@@ -114,7 +115,7 @@ class CountdownTimer:
     def renew(self, duration: Optional[float] = None) -> None:
         """Reset the countdown to ``duration`` (default: the full window)."""
         window = self.duration if duration is None else float(duration)
-        if window < 0:
+        if not window >= 0:  # NaN fails too
             raise SimulationError(f"renew duration must be non-negative, got {window!r}")
         self._expires_at = self._sim.now + window
 

@@ -5,6 +5,7 @@ documents reference actually exists, so a refactor that breaks the docs
 breaks the build.
 """
 
+import ast
 import pathlib
 import re
 import subprocess
@@ -240,8 +241,9 @@ class TestOneCore:
     """The scalar per-quantum core, the timer-wheel engine, the pickle
     cache, the sharded transport, the second adaptation mechanism, the
     start-up batch collector, the delta-patch refresh, the options that
-    selected them and the code no public path reached are gone from the
-    tree, not just from ``src/``."""
+    selected them, the code no public path reached and the topology
+    crossovers no benchmark row earned are gone from the tree, not just
+    from ``src/``."""
 
     #: Spelled in pieces so this file passes its own check.
     RETIRED = (
@@ -264,6 +266,7 @@ class TestOneCore:
         "make_" + "policy", "remove_" + "sink", "detach_" + "trace", "stop_period_" + "timer",
         "on_" + "expire", "re" + "charge(", ".spa" + "wn(", "ScenarioSpec.from_" + "json",
         "Simulator." + "step", "sim." + "step()",
+        "_FULL_BFS_" + "CSR_MIN", "PAIR_LIST_" + "NAP", "_CSR_EDGE_" + "QUERY_SHARE",
     )
     #: History, the issue that retired them, and the read-only benchmark.
     EXEMPT = ("CHANGES.md", "ROADMAP.md", "ISSUE.md", "benchmarks/e2e/")
@@ -289,6 +292,44 @@ class TestOneCore:
             for retired in self.RETIRED:
                 assert retired not in text, f"{name} still mentions {retired}"
         assert checked > 100
+
+
+class TestEarnedConstants:
+    """Every tuned constant of the topology core has its row in the
+    decision record that says which committed benchmark row it moves."""
+
+    RECORD = "docs/decisions/02-earned-constants.md"
+    MODULES = ("src/repro/net/soa.py", "src/repro/net/topology.py")
+
+    def constants(self):
+        """Module-level numeric UPPER_CASE assignments, name -> value."""
+        found = {}
+        for module in self.MODULES:
+            for node in ast.parse(read(module)).body:
+                if (
+                    isinstance(node, ast.Assign)
+                    and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", node.targets[0].id)
+                    and isinstance(node.value, ast.Constant)
+                    and type(node.value.value) in (int, float)
+                ):
+                    found[node.targets[0].id] = node.value.value
+        return found
+
+    def test_every_constant_has_exactly_one_row_with_its_value(self):
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", read(self.RECORD), re.M)
+        constants = self.constants()
+        assert len(constants) >= 4
+        named = [name for name, _ in rows]
+        for name in constants:
+            assert named.count(name) == 1, f"{self.RECORD} needs one row for {name}"
+        for name, value in rows:
+            assert name in constants, f"{self.RECORD} has a row for gone {name}"
+            assert value.strip() == repr(constants[name]), (
+                f"{self.RECORD} says {name} = {value.strip()}, "
+                f"the code says {constants[name]!r}"
+            )
 
 
 class TestPythonFloor:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.obs import (
     CheckReport,
     InvalidationReceived,
@@ -236,6 +237,19 @@ class TestReportAndPlumbing:
         for event in events:
             checker.feed(event)
         assert checker.finish().by_invariant() == check_events(events).by_invariant()
+
+    @pytest.mark.parametrize("bound", [
+        {"delta": float("nan")}, {"delta": float("inf")}, {"delta": -1.0},
+        {"slack": float("nan")}, {"slack": float("inf")}, {"slack": -5.0},
+    ])
+    def test_a_bound_that_can_never_fail_is_rejected(self, bound):
+        with pytest.raises(ConfigurationError, match="finite and >= 0"):
+            InvariantChecker(**bound)
+        with pytest.raises(ConfigurationError):
+            check_events([], **bound)
+
+    def test_zero_bounds_are_legal(self):
+        assert check_events([], delta=0.0, slack=0.0).ok
 
     @pytest.mark.parametrize("level", ["strong", "delta", "weak"])
     def test_empty_trace_is_ok(self, level):

@@ -178,6 +178,33 @@ class TestJsonl:
         buffer.seek(0)
         assert list(iter_jsonl(buffer)) == SAMPLE_EVENTS[:3]
 
+    @pytest.mark.parametrize("line,message", [
+        ("not json", "trace line 2: Expecting value"),
+        ("[1, 2]", "trace line 2: trace event must be a JSON object"),
+        ('"x"', "trace line 2: trace event must be a JSON object"),
+        ("3", "trace line 2: trace event must be a JSON object"),
+        ('{"e": "node_online", "time": "soon", "node": 2}', "trace line 2: .* finite"),
+        ('{"e": "node_online", "time": true, "node": 2}', "trace line 2: .* finite"),
+        ('{"e": "node_online", "time": NaN, "node": 2}', "trace line 2: .* finite"),
+        ('{"e": "node_online", "time": -Infinity, "node": 2}', "trace line 2: .* finite"),
+        ('{"e": "node_online", "time": null, "node": 2}', "trace line 2: .* finite"),
+    ])
+    def test_malformed_line_is_a_configuration_error_naming_it(self, line, message):
+        good = NodeOnline(time=0, node=1).to_json()
+        for reader in (read_jsonl, lambda handle: list(iter_jsonl(handle))):
+            with pytest.raises(ConfigurationError, match=message):
+                reader(io.StringIO(f"{good}\n{line}\n{good}\n"))
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2], "x", 3,
+        {"e": "node_online", "time": "soon", "node": 2},
+        {"e": "node_online", "time": False, "node": 2},
+        {"e": "node_online", "time": float("inf"), "node": 2},
+    ])
+    def test_from_dict_rejects_non_objects_and_bad_times(self, payload):
+        with pytest.raises(ConfigurationError):
+            event_from_dict(payload)
+
     def test_float_times_survive_exactly(self):
         event = ReadServed(time=123.456789012345, node=1, item=2, version=3,
                            latency=0.1 + 0.2)

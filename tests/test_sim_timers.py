@@ -46,9 +46,10 @@ class TestPeriodicTimer:
         sim.run_until(5.5)
         assert timer.ticks == 5
 
-    def test_non_positive_interval_rejected(self, sim):
+    @pytest.mark.parametrize("interval", [0.0, float("nan")])
+    def test_non_positive_interval_rejected(self, sim, interval):
         with pytest.raises(SimulationError):
-            PeriodicTimer(sim, 0.0, lambda: None)
+            PeriodicTimer(sim, interval, lambda: None)
 
     def test_running_property(self, sim):
         timer = PeriodicTimer(sim, 1.0, lambda: None)
@@ -94,10 +95,11 @@ class TestCountdownTimer:
         timer.renew(3.0)
         assert timer.remaining == pytest.approx(3.0)
 
-    def test_negative_renew_rejected(self, sim):
+    @pytest.mark.parametrize("window", [-1.0, float("nan")])
+    def test_negative_renew_rejected(self, sim, window):
         timer = CountdownTimer(sim, 10.0)
         with pytest.raises(SimulationError):
-            timer.renew(-1.0)
+            timer.renew(window)
 
     def test_expire_now(self, sim):
         timer = CountdownTimer(sim, 5.0)
@@ -106,9 +108,10 @@ class TestCountdownTimer:
         assert timer.expired
         assert sim.pending_events == 0  # a countdown schedules nothing
 
-    def test_non_positive_duration_rejected(self, sim):
+    @pytest.mark.parametrize("duration", [0.0, float("nan")])
+    def test_non_positive_duration_rejected(self, sim, duration):
         with pytest.raises(SimulationError):
-            CountdownTimer(sim, 0.0)
+            CountdownTimer(sim, duration)
 
     def test_expires_at(self, sim):
         timer = CountdownTimer(sim, 7.0)

@@ -83,6 +83,22 @@ def test_parser_accepts_trace_surface():
         parser.parse_args(["trace", "not-a-spec"])
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--delta", "nan"), ("--delta", "inf"), ("--delta", "-1"),
+    ("--slack", "nan"), ("--slack", "-5"), ("--slack", "Infinity"),
+])
+def test_trace_rejects_a_checker_bound_that_can_never_fail(
+    tmp_path, capsys, flag, value
+):
+    """Refused by the parser (exit 2) before anything is simulated."""
+    out = tmp_path / "never.jsonl"
+    with pytest.raises(SystemExit) as exit_info:
+        main(BASE + ["trace", "rpcc-dc", "--out", str(out), flag, value])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_traced_metrics_match_untraced_metrics(tmp_path):
     """Tracing observes; it must never change simulation behaviour."""
     config = SimulationConfig(
