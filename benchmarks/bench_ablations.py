@@ -1,57 +1,11 @@
 """Ablation benches for the design choices DESIGN.md calls out.
 
-* relay hold notice vs paper-faithful silence;
 * TTR sensitivity: the relay freshness horizon trades traffic vs staleness;
 * omega: history weighting of the coefficient EWMAs.
 """
 
-import pytest
-
-from repro.experiments.runner import build_simulation, run_simulation
+from repro.experiments.runner import run_simulation
 from repro.metrics.report import format_table
-
-from benchmarks.conftest import bench_config
-
-
-def _run_rpcc(config, **flags):
-    """An ``rpcc-sc`` run with :class:`RPCCConfig` ablation flags set.
-
-    The flags are read by the protocol at run time and no
-    ``SimulationConfig`` field reaches them, so they are set on the built
-    strategy's config before the run starts.
-    """
-    simulation = build_simulation(config, "rpcc-sc")
-    for name, value in flags.items():
-        assert hasattr(simulation.strategy.config, name), name
-        setattr(simulation.strategy.config, name, value)
-    return simulation.run()
-
-
-def test_ablation_hold_notice(benchmark, quick_config):
-    """POLL_HOLD notice vs paper-faithful silence during TTR dead windows."""
-
-    def run():
-        with_hold = _run_rpcc(quick_config, relay_hold_notice=True)
-        without = _run_rpcc(quick_config, relay_hold_notice=False)
-        return with_hold, without
-
-    with_hold, without = benchmark.pedantic(run, rounds=1, iterations=1)
-    print()
-    print(format_table(
-        ("variant", "tx", "fallback broadcasts"),
-        [
-            ("hold notice", with_hold.summary.transmissions,
-             with_hold.summary.counters.get("rpcc_poll_fallback_source", 0)),
-            ("silent (paper)", without.summary.transmissions,
-             without.summary.counters.get("rpcc_poll_fallback_source", 0)),
-        ],
-        title="Ablation: relay hold notice",
-    ))
-    # Silence forces more wide-broadcast escalations.
-    assert (
-        without.summary.counters.get("rpcc_poll_fallback_source", 0)
-        >= with_hold.summary.counters.get("rpcc_poll_fallback_source", 0)
-    )
 
 
 def test_ablation_ttr_sensitivity(benchmark, quick_config):

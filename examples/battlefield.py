@@ -50,7 +50,8 @@ def battlefield_config(seed: int = 7) -> SimulationConfig:
         mean_offline=45.0,
         speed_min=2.0,
         speed_max=6.0,               # moving squads
-        zipf_theta=0.9,              # the contact zone dominates queries
+        access_pattern="zipf",       # the contact zone dominates queries
+        zipf_theta=0.9,
         seed=seed,
     )
     if SMOKE:

@@ -24,6 +24,7 @@ network), so strategies are agnostic to where the query came from.
 from __future__ import annotations
 
 import abc
+import math
 import operator
 from typing import Callable, ClassVar, Dict, Mapping, Optional, Set
 
@@ -370,13 +371,28 @@ class ConsistencyStrategy(abc.ABC):
         applied: Dict[str, float] = {}
         backoff = self.context.backoff
         if backoff is not None:
-            factor = decision.knobs.get("backoff_factor")
+            factor = self._knob_target(decision, "backoff_factor", backoff.factor)
             if factor is not None:
-                factor = float(factor)
-                if factor >= 1.0 and factor != backoff.factor:
-                    backoff.factor = factor
-                    applied["backoff_factor"] = factor
+                backoff.factor = factor
+                applied["backoff_factor"] = factor
         return applied
+
+    @staticmethod
+    def _knob_target(decision, knob: str, current: float) -> Optional[float]:
+        """The value ``decision`` moves ``knob`` to, or ``None`` to leave it.
+
+        ``None`` when the decision does not name the knob, repeats its
+        current value, or asks for a value no timer can run with: every
+        knob must be finite and positive, ``backoff_factor`` at least 1.
+        """
+        value = decision.knobs.get(knob)
+        if value is None:
+            return None
+        value = float(value)
+        usable = value >= 1.0 if knob == "backoff_factor" else value > 0
+        if not (usable and math.isfinite(value)) or value == current:
+            return None
+        return value
 
     @abc.abstractmethod
     def remote_query_timeout(self) -> float:

@@ -170,9 +170,8 @@ class PollHold(Message):
     A relay whose TTR expired holds polls until its next ``INVALIDATION``
     (Fig 6(c) line 17).  Without a hold notice the poller cannot tell a
     queueing relay from a dead one and needlessly escalates every held
-    poll into wide broadcast floods.  One control-size unicast fixes that;
-    disable via ``RPCCConfig.relay_hold_notice`` for the faithful-silence
-    ablation.
+    poll into wide broadcast floods.  One control-size unicast fixes that,
+    and every queued poll gets one.
     """
 
     DEFAULT_SIZE: ClassVar[int] = CONTROL_SIZE

@@ -32,6 +32,9 @@ from repro.peers.host import MobileHost
 
 __all__ = ["PullStrategy", "PullAgent"]
 
+#: Poll attempts before a query is served stale from the local copy.
+MAX_POLL_ATTEMPTS = 2
+
 
 class PullStrategy(ConsistencyStrategy):
     """Run-global configuration for simple pull.
@@ -44,8 +47,6 @@ class PullStrategy(ConsistencyStrategy):
         Flood scope of each poll in hops (Table 1: ``TTL_BR`` = 8).
     poll_timeout:
         Seconds a poller waits for the source's reply before retrying.
-    max_poll_attempts:
-        Poll attempts before the query is served stale from the local copy.
     """
 
     name = "pull"
@@ -55,24 +56,18 @@ class PullStrategy(ConsistencyStrategy):
         context: StrategyContext,
         ttl: int = 8,
         poll_timeout: float = 4.0,
-        max_poll_attempts: int = 2,
     ) -> None:
         super().__init__(context)
         if ttl < 1:
             raise ProtocolError(f"ttl must be >= 1, got {ttl!r}")
         if poll_timeout <= 0:
             raise ProtocolError(f"poll_timeout must be positive, got {poll_timeout!r}")
-        if max_poll_attempts < 1:
-            raise ProtocolError(
-                f"max_poll_attempts must be >= 1, got {max_poll_attempts!r}"
-            )
         self.ttl = int(ttl)
         self.poll_timeout = float(poll_timeout)
-        self.max_poll_attempts = int(max_poll_attempts)
 
     def remote_query_timeout(self) -> float:
         """Clients must outwait the holder's full poll-and-retry cycle."""
-        return self.max_poll_attempts * self.poll_timeout + 5.0
+        return MAX_POLL_ATTEMPTS * self.poll_timeout + 5.0
 
     def control_knobs(self) -> Dict[str, float]:
         knobs = super().control_knobs()
@@ -81,14 +76,12 @@ class PullStrategy(ConsistencyStrategy):
 
     def apply_control(self, decision) -> Dict[str, float]:
         applied = super().apply_control(decision)
-        timeout = decision.knobs.get("poll_timeout")
+        timeout = self._knob_target(decision, "poll_timeout", self.poll_timeout)
         if timeout is not None:
-            timeout = float(timeout)
-            if timeout > 0 and timeout != self.poll_timeout:
-                # Armed poll timeouts fire as scheduled; only polls sent
-                # after this point wait the new duration.
-                self.poll_timeout = timeout
-                applied["poll_timeout"] = timeout
+            # Armed poll timeouts fire as scheduled; only polls sent
+            # after this point wait the new duration.
+            self.poll_timeout = timeout
+            applied["poll_timeout"] = timeout
         return applied
 
     def make_agent(self, host: MobileHost) -> "PullAgent":
@@ -116,7 +109,7 @@ class PullAgent(BaseAgent):
 
     def _send_poll(self, pending: PendingQuery, copy: CachedCopy) -> None:
         pending.attempts += 1
-        if pending.attempts > self.pull.max_poll_attempts:
+        if pending.attempts > MAX_POLL_ATTEMPTS:
             self.context.metrics.bump("pull_fallback_stale")
             self.answer(pending.job, copy.version, fallback=True)
             return
@@ -153,7 +146,7 @@ class PullAgent(BaseAgent):
         if copy is None:
             self.context.metrics.bump("pull_copy_lost")
             return
-        if pending.attempts < self.pull.max_poll_attempts:
+        if pending.attempts < MAX_POLL_ATTEMPTS:
             self.context.metrics.bump("pull_retry")
         self._send_poll(pending, copy)
 

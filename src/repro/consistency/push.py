@@ -8,7 +8,7 @@ from the source) — hence the paper's observation that "the average query
 latency is longer than half of the invalidation interval".
 
 Weakness faithfully reproduced: a node that misses reports (offline, or
-outside the flood's TTL scope) waits in vain; after ``wait_factor x TTN``
+outside the flood's TTL scope) waits in vain; after ``WAIT_FACTOR x TTN``
 it gives up and serves its possibly-stale local copy, which is exactly the
 stale-data-on-reconnection problem Section 4 attributes to pure push.
 """
@@ -41,6 +41,9 @@ from repro.sim.timers import PeriodicTimer
 __all__ = ["PushStrategy", "PushAgent"]
 
 _GOLDEN = 0.6180339887498949  # deterministic per-source timer stagger
+#: A waiting query gives up after ``WAIT_FACTOR * ttn`` seconds and serves
+#: its local copy stale.
+WAIT_FACTOR = 2.5
 
 
 class PushStrategy(ConsistencyStrategy):
@@ -54,9 +57,6 @@ class PushStrategy(ConsistencyStrategy):
         Invalidation-report period in seconds (Table 1: 2 minutes).
     ttl:
         Flood scope of the report in hops (Table 1: ``TTL_BR`` = 8).
-    wait_factor:
-        A waiting query gives up after ``wait_factor * ttn`` seconds and
-        serves its local copy stale.
     """
 
     name = "push"
@@ -66,7 +66,6 @@ class PushStrategy(ConsistencyStrategy):
         context: StrategyContext,
         ttn: float = 120.0,
         ttl: int = 8,
-        wait_factor: float = 2.5,
     ) -> None:
         super().__init__(context)
         if ttn <= 0:
@@ -75,12 +74,11 @@ class PushStrategy(ConsistencyStrategy):
             raise ProtocolError(f"ttl must be >= 1, got {ttl!r}")
         self.ttn = float(ttn)
         self.ttl = int(ttl)
-        self.wait_factor = float(wait_factor)
         self._timers: List[PeriodicTimer] = []
 
     def remote_query_timeout(self) -> float:
         """Clients must outwait the holder's worst-case report wait."""
-        return self.wait_factor * self.ttn + 10.0
+        return WAIT_FACTOR * self.ttn + 10.0
 
     def control_knobs(self) -> Dict[str, float]:
         knobs = super().control_knobs()
@@ -89,16 +87,14 @@ class PushStrategy(ConsistencyStrategy):
 
     def apply_control(self, decision) -> Dict[str, float]:
         applied = super().apply_control(decision)
-        ttn = decision.knobs.get("ttn")
+        ttn = self._knob_target(decision, "ttn", self.ttn)
         if ttn is not None:
-            ttn = float(ttn)
-            if ttn > 0 and ttn != self.ttn:
-                self.ttn = ttn
-                # Each armed tick fires as scheduled; only the *next*
-                # re-arm reads the new interval (actuation-seam rule).
-                for timer in self._timers:
-                    timer.interval = ttn
-                applied["ttn"] = ttn
+            self.ttn = ttn
+            # Each armed tick fires as scheduled; only the *next*
+            # re-arm reads the new interval (actuation-seam rule).
+            for timer in self._timers:
+                timer.interval = ttn
+            applied["ttn"] = ttn
         return applied
 
     def make_agent(self, host: MobileHost) -> "PushAgent":
@@ -168,7 +164,7 @@ class PushAgent(BaseAgent):
         """Queue the query until the next report proves the copy's status."""
         pending = PendingQuery(job)
         self._waiting.setdefault(copy.item_id, []).append(pending)
-        deadline = self.push.wait_factor * self.push.ttn
+        deadline = WAIT_FACTOR * self.push.ttn
         pending.timeout_handle = self.context.sim.schedule(
             deadline, self._give_up, copy.item_id, pending
         )

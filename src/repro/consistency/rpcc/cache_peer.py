@@ -40,7 +40,11 @@ from repro.consistency.messages import (
     Update,
     next_poll_id,
 )
-from repro.consistency.rpcc.config import RPCCConfig
+from repro.consistency.rpcc.config import (
+    MAX_SOURCE_POLL_ATTEMPTS,
+    SOURCE_POLL_TIMEOUT,
+    RPCCConfig,
+)
 from repro.obs.events import PollAnswered, PollSent
 from repro.sim.engine import EventHandle
 from repro.sim.timers import CountdownTimer
@@ -151,7 +155,7 @@ class CachePeerSide:
             state.known_relay = known
             state.stages.append("relay")
         state.stages.append("flood")
-        state.stages.extend(["broadcast"] * self.config.max_source_poll_attempts)
+        state.stages.extend(["broadcast"] * MAX_SOURCE_POLL_ATTEMPTS)
         state.stages.append("grace")
         self._advance(state)
 
@@ -161,8 +165,7 @@ class CachePeerSide:
         me = self.agent.node_id
         if me not in snapshot:
             return False
-        reach = self.config.poll_ttl or 1
-        return snapshot.nearest(me, (relay_id,), reach) is not None
+        return snapshot.nearest(me, (relay_id,), self.config.poll_ttl) is not None
 
     def _advance(self, state: _PollState) -> None:
         if state.done:
@@ -196,7 +199,7 @@ class CachePeerSide:
             sent = self.agent.send(state.known_relay, poll)
             stage_ttl = 0
             timeout = self.config.poll_timeout
-            if not sent and self.config.fast_relay_failover:
+            if not sent and self.config.hardened:
                 # The unicast could not even be routed: the remembered
                 # relay crashed or sits across a partition.  Forget it and
                 # escalate to the discovery flood after a token wait
@@ -205,14 +208,14 @@ class CachePeerSide:
                 self.agent.context.metrics.bump("rpcc_relay_failover_fast")
                 timeout = min(0.5, timeout)
         elif stage == "flood":
-            stage_ttl = self.config.poll_ttl or 1
+            stage_ttl = self.config.poll_ttl
             self.agent.flood(poll, stage_ttl)
             timeout = self.config.poll_timeout
         else:  # "broadcast"
             self.agent.context.metrics.bump("rpcc_poll_fallback_source")
             stage_ttl = self.config.broadcast_ttl
             self.agent.flood(poll, stage_ttl)
-            timeout = self.config.source_poll_timeout
+            timeout = SOURCE_POLL_TIMEOUT
         trace = self.agent.context.sim.trace
         if trace.enabled:
             trace.emit(

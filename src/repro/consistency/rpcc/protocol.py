@@ -41,7 +41,11 @@ from repro.consistency.messages import (
     Update,
 )
 from repro.consistency.rpcc.cache_peer import CachePeerSide
-from repro.consistency.rpcc.config import RPCCConfig
+from repro.consistency.rpcc.config import (
+    MAX_SOURCE_POLL_ATTEMPTS,
+    SOURCE_POLL_TIMEOUT,
+    RPCCConfig,
+)
 from repro.consistency.rpcc.relay import RelaySide
 from repro.consistency.rpcc.roles import Role, RoleTable
 from repro.consistency.rpcc.source import SourceSide
@@ -75,8 +79,8 @@ class RPCCStrategy(ConsistencyStrategy):
         config = self.config
         pipeline = (
             2 * config.poll_timeout
-            + config.max_source_poll_attempts * config.source_poll_timeout
-            + (config.grace_timeout or 0.0)
+            + MAX_SOURCE_POLL_ATTEMPTS * SOURCE_POLL_TIMEOUT
+            + config.grace_timeout
         )
         return pipeline + 5.0
 
@@ -115,11 +119,8 @@ class RPCCStrategy(ConsistencyStrategy):
         applied = super().apply_control(decision)
         config = self.config
         for knob in ("ttr", "ttp", "poll_timeout"):
-            value = decision.knobs.get(knob)
+            value = self._knob_target(decision, knob, getattr(config, knob))
             if value is None:
-                continue
-            value = float(value)
-            if value <= 0 or value == getattr(config, knob):
                 continue
             # Open windows and armed ladders keep the duration they were
             # granted; only windows opened from now on use the new value.
@@ -131,21 +132,19 @@ class RPCCStrategy(ConsistencyStrategy):
             # was acquired (the checker keeps the actuation timeline),
             # while fresh audits follow the new bound.
             self.context.delta = config.ttp
-        boost = decision.knobs.get("relay_boost")
+        boost = self._knob_target(decision, "relay_boost", self._relay_boost)
         if boost is not None:
-            boost = float(boost)
-            if boost > 0 and boost != self._relay_boost:
-                self._relay_boost = boost
-                base = self._base_thresholds
-                # Eq 4.2.8 gates on car < mu_car, cs > mu_cs, ce > mu_ce:
-                # boost > 1 widens all three gates so more peers qualify.
-                config.thresholds = dataclass_replace(
-                    base,
-                    mu_car=min(1.0, base.mu_car * boost),
-                    mu_cs=max(1e-9, base.mu_cs / boost),
-                    mu_ce=max(1e-9, base.mu_ce / boost),
-                )
-                applied["relay_boost"] = boost
+            self._relay_boost = boost
+            base = self._base_thresholds
+            # Eq 4.2.8 gates on car < mu_car, cs > mu_cs, ce > mu_ce:
+            # boost > 1 widens all three gates so more peers qualify.
+            config.thresholds = dataclass_replace(
+                base,
+                mu_car=min(1.0, base.mu_car * boost),
+                mu_cs=max(1e-9, base.mu_cs / boost),
+                mu_ce=max(1e-9, base.mu_ce / boost),
+            )
+            applied["relay_boost"] = boost
         if decision.modes:
             changed = 0
             for item_id, mode in decision.modes.items():
@@ -327,7 +326,7 @@ class RPCCAgent(BaseAgent):
     # ------------------------------------------------------------------
     def on_reconnect(self) -> None:
         """Robustness hardening: distrust TTR windows that span an outage."""
-        if self.config.resync_on_reconnect:
+        if self.config.hardened:
             self.relay.resync_after_outage()
 
     def on_local_update(self, master: MasterCopy) -> None:

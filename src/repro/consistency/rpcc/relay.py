@@ -87,7 +87,7 @@ class RelaySide:
         source for current content — polls arriving meanwhile queue
         under the normal expired-TTR rule and drain when the refresh
         lands, so the relay never vouches for a copy it cannot trust.
-        Gated behind ``resync_on_reconnect`` by the caller.
+        Run only in hardened mode (``RPCCConfig.hardened``).
         """
         for item_id, timer in list(self._ttr.items()):
             if not self.agent.roles.is_relay(item_id):
@@ -188,11 +188,10 @@ class RelaySide:
         # Stale at the relay: hold the poll until the next refresh.
         self._queued_polls.setdefault(item_id, []).append(message)
         self.agent.context.metrics.bump("rpcc_poll_queued_at_relay")
-        if self.config.relay_hold_notice:
-            hold = PollHold(
-                sender=self.agent.node_id, item_id=item_id, poll_id=message.poll_id
-            )
-            self.agent.send(message.sender, hold)
+        hold = PollHold(
+            sender=self.agent.node_id, item_id=item_id, poll_id=message.poll_id
+        )
+        self.agent.send(message.sender, hold)
 
     def _reply(self, poll: Poll, copy: CachedCopy) -> None:
         if poll.version >= copy.version:

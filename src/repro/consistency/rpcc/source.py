@@ -26,7 +26,11 @@ from repro.consistency.messages import (
     SendNew,
     Update,
 )
-from repro.consistency.rpcc.config import RPCCConfig
+from repro.consistency.rpcc.config import (
+    UPDATE_REPUSH_ATTEMPTS,
+    UPDATE_REPUSH_INTERVAL,
+    RPCCConfig,
+)
 from repro.obs.events import InvalidationSent
 from repro.sim.timers import PeriodicTimer
 
@@ -127,15 +131,15 @@ class SourceSide:
                 self.agent.context.metrics.bump("rpcc_update_undeliverable")
                 unreachable.append(relay_id)
         self._last_pushed_version = master.version
-        if unreachable and self.config.update_repush_attempts > 0:
+        if unreachable and self.config.hardened:
             self._schedule_repush(master.version, unreachable, attempt=1)
 
     # ------------------------------------------------------------------
-    # Bounded UPDATE re-push (robustness hardening, off by default)
+    # Bounded UPDATE re-push (hardened runs only)
     # ------------------------------------------------------------------
     def _schedule_repush(self, version: int, relays: list, attempt: int) -> None:
         self.agent.context.sim.schedule(
-            self.config.update_repush_interval,
+            UPDATE_REPUSH_INTERVAL,
             self._repush,
             version,
             relays,
@@ -148,7 +152,7 @@ class SourceSide:
         Gives up silently when the pushed version has been superseded
         (the next TTN boundary carries the newer one anyway) or when the
         source itself is down; relays that resigned in the meantime are
-        skipped.  At most ``update_repush_attempts`` rounds, so a relay
+        skipped.  At most ``UPDATE_REPUSH_ATTEMPTS`` rounds, so a relay
         that stays unreachable costs a bounded number of extra sends.
         """
         master = self.agent.host.source_item
@@ -172,7 +176,7 @@ class SourceSide:
                 self.agent.context.metrics.bump("rpcc_update_repushed")
             else:
                 still_unreachable.append(relay_id)
-        if still_unreachable and attempt < self.config.update_repush_attempts:
+        if still_unreachable and attempt < UPDATE_REPUSH_ATTEMPTS:
             self._schedule_repush(version, still_unreachable, attempt + 1)
 
     def on_local_update(self, master: MasterCopy) -> None:

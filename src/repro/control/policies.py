@@ -10,14 +10,14 @@ Anti-oscillation contract (the "graceful degradation guarantee" of the
 hysteresis policy):
 
 * **two-point actuation** — every knob only ever takes one of two values,
-  its primed baseline or the tightened value ``baseline x tighten_scale``
-  (respectively ``x relay_boost`` / ``x backoff_boost`` for the boosted
+  its primed baseline or the tightened value ``baseline x TIGHTEN_SCALE``
+  (respectively ``x RELAY_BOOST`` / ``x BACKOFF_BOOST`` for the boosted
   knobs), so repeated actuations cannot ratchet parameters away;
-* **bounded actuation rate** — at most one actuation per ``cooldown``
+* **bounded actuation rate** — at most one actuation per ``COOLDOWN``
   simulated seconds (the cooldown is jittered from the controller's named
   RNG stream so co-scheduled controllers cannot phase-lock);
 * **hysteresis** — tightening happens on the first degraded window, but
-  relaxing requires ``healthy_windows`` *consecutive* clean windows, so a
+  relaxing requires ``HEALTHY_WINDOWS`` *consecutive* clean windows, so a
   flapping signal cannot flap the parameters.
 """
 
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
 from repro.control.signals import ControlSignals
-from repro.errors import ConfigurationError
 from repro.scenarios.registry import register_controller
 
 __all__ = [
@@ -37,6 +36,22 @@ __all__ = [
     "StaticPolicy",
     "HysteresisPolicy",
 ]
+
+# The hysteresis policy's settings.
+#: Share of its baseline a tightened freshness window or timeout keeps.
+TIGHTEN_SCALE = 0.25
+#: Factor on the relay-eligibility boost while tight.
+RELAY_BOOST = 2.0
+#: Factor on the retry-backoff base while tight.
+BACKOFF_BOOST = 1.5
+#: Availability below which a window counts as degraded.
+ENTER_AVAILABILITY = 0.9
+#: Simulated seconds between two actuations, before jitter.
+COOLDOWN = 45.0
+#: Consecutive clean windows before the policy relaxes.
+HEALTHY_WINDOWS = 3
+#: Largest relative stretch of one cooldown, drawn per actuation.
+COOLDOWN_JITTER = 0.1
 
 
 @dataclass(frozen=True)
@@ -103,53 +118,19 @@ class HysteresisPolicy(ControlPolicy):
     """Rule-based two-state controller with bounded actuation and cooldowns.
 
     On the first *degraded* window (an open partition, forced-stale
-    fallbacks, a crash, or availability below ``enter_availability``) it
-    tightens: freshness windows shrink to ``tighten_scale`` of baseline
+    fallbacks, a crash, or availability below ``ENTER_AVAILABILITY``) it
+    tightens: freshness windows shrink to ``TIGHTEN_SCALE`` of baseline
     (so stale copies are re-validated sooner and reconvergence after a
-    heal is fast), relay eligibility is boosted by ``relay_boost`` (more
+    heal is fast), relay eligibility is boosted by ``RELAY_BOOST`` (more
     relays -> polls keep finding an answerer), and the retry backoff
-    base grows by ``backoff_boost`` (fewer doomed retries while the
-    network is down).  After ``healthy_windows`` consecutive clean
+    base grows by ``BACKOFF_BOOST`` (fewer doomed retries while the
+    network is down).  After ``HEALTHY_WINDOWS`` consecutive clean
     windows it relaxes every knob back to baseline in one step.
     """
 
     name = "hysteresis"
 
-    def __init__(
-        self,
-        tighten_scale: float = 0.25,
-        relay_boost: float = 2.0,
-        backoff_boost: float = 1.5,
-        enter_availability: float = 0.9,
-        cooldown: float = 45.0,
-        healthy_windows: int = 3,
-        cooldown_jitter: float = 0.1,
-    ) -> None:
-        if not 0.0 < tighten_scale < 1.0:
-            raise ConfigurationError(
-                f"tighten_scale must be in (0, 1), got {tighten_scale}"
-            )
-        if relay_boost < 1.0 or backoff_boost < 1.0:
-            raise ConfigurationError(
-                "relay_boost and backoff_boost must be >= 1, got "
-                f"{relay_boost} / {backoff_boost}"
-            )
-        if cooldown <= 0 or healthy_windows < 1:
-            raise ConfigurationError(
-                "need cooldown > 0 and healthy_windows >= 1, got "
-                f"{cooldown} / {healthy_windows}"
-            )
-        if not 0.0 <= cooldown_jitter <= 1.0:
-            raise ConfigurationError(
-                f"cooldown_jitter must be in [0, 1], got {cooldown_jitter}"
-            )
-        self.tighten_scale = float(tighten_scale)
-        self.relay_boost = float(relay_boost)
-        self.backoff_boost = float(backoff_boost)
-        self.enter_availability = float(enter_availability)
-        self.cooldown = float(cooldown)
-        self.healthy_windows = int(healthy_windows)
-        self.cooldown_jitter = float(cooldown_jitter)
+    def __init__(self) -> None:
         self._baseline: Dict[str, float] = {}
         self._tight = False
         self._healthy = 0
@@ -169,15 +150,15 @@ class HysteresisPolicy(ControlPolicy):
             signals.partitions_active > 0
             or signals.crashes > 0
             or signals.forced_stale > 0
-            or signals.availability < self.enter_availability
+            or signals.availability < ENTER_AVAILABILITY
         )
 
     def _tight_value(self, knob: str, base: float) -> float:
         if knob == "relay_boost":
-            return base * self.relay_boost
+            return base * RELAY_BOOST
         if knob == "backoff_factor":
-            return base * self.backoff_boost
-        return base * self.tighten_scale
+            return base * BACKOFF_BOOST
+        return base * TIGHTEN_SCALE
 
     def decide(
         self, signals: ControlSignals, rng: random.Random
@@ -211,22 +192,22 @@ class HysteresisPolicy(ControlPolicy):
                 knobs=knobs,
                 mode_all=mode_all,
             )
-        if not degraded and self._tight and self._healthy >= self.healthy_windows:
+        if not degraded and self._tight and self._healthy >= HEALTHY_WINDOWS:
             self._arm_cooldown(signals.time, rng)
             self._tight = False
             self._healthy = 0
             return ControlDecision(
                 time=signals.time,
                 policy=self.name,
-                reason=f"relax after {self.healthy_windows} healthy windows",
+                reason=f"relax after {HEALTHY_WINDOWS} healthy windows",
                 knobs=dict(self._baseline),
                 mode_all="hybrid",
             )
         return None
 
     def _arm_cooldown(self, now: float, rng: random.Random) -> None:
-        jitter = 1.0 + self.cooldown_jitter * rng.random()
-        self._next_allowed = now + self.cooldown * jitter
+        jitter = 1.0 + COOLDOWN_JITTER * rng.random()
+        self._next_allowed = now + COOLDOWN * jitter
 
     @staticmethod
     def _reason(signals: ControlSignals) -> str:

@@ -94,12 +94,11 @@ class SimulationConfig:
     # Per-hop packet loss probability of the wireless links; 0 keeps the
     # lossless default (and the bit-identical lossless event stream).
     loss_rate: float = 0.0
-    # Optional Zipf skew for the item-access pattern; None = uniform.
+    # Zipf skew of the "zipf" and "flash-crowd" access patterns.
     zipf_theta: float = 0.0
-    # Item-access pattern: "uniform", "zipf" (needs zipf_theta > 0), or
-    # "flash-crowd" (Zipf whose ranking reshuffles at flash_crowd_at).
-    # The legacy shorthand zipf_theta > 0 with access_pattern="uniform"
-    # still selects Zipf, keeping pre-catalog configs bit-identical.
+    # Item-access pattern: "uniform" (zipf_theta must stay 0), "zipf"
+    # (needs zipf_theta > 0), or "flash-crowd" (Zipf whose ranking
+    # reshuffles at flash_crowd_at).
     access_pattern: str = "uniform"
     # Sim-clock instant of the flash-crowd popularity shift.
     flash_crowd_at: float = 0.0
@@ -193,6 +192,11 @@ class SimulationConfig:
         if self.access_pattern == "zipf" and self.zipf_theta <= 0:
             raise ConfigurationError(
                 "access_pattern 'zipf' needs zipf_theta > 0"
+            )
+        if self.access_pattern == "uniform" and self.zipf_theta > 0:
+            raise ConfigurationError(
+                "zipf_theta > 0 needs access_pattern 'zipf' or 'flash-crowd', "
+                "got 'uniform'"
             )
         if self.access_pattern == "flash-crowd":
             if self.zipf_theta <= 0:

@@ -569,9 +569,7 @@ def build_simulation(
             shift_at=config.flash_crowd_at,
             clock=lambda: sim.now,
         )
-    elif config.access_pattern == "zipf" or config.zipf_theta > 0:
-        # zipf_theta > 0 alone is the pre-catalog shorthand for Zipf;
-        # honouring it keeps older configs (and goldens) bit-identical.
+    elif config.access_pattern == "zipf":
         access = ZipfAccess(
             catalog.item_ids, theta=config.zipf_theta, seed=config.seed
         )
@@ -656,9 +654,6 @@ def _build_pull(context: StrategyContext, config: SimulationConfig) -> Consisten
 
 def _rpcc_kwargs(config: SimulationConfig) -> Dict[str, Any]:
     """The :class:`RPCCConfig` fields a :class:`SimulationConfig` decides."""
-    # Protocol hardening rides along with fault injection: fault-free
-    # runs keep the paper-faithful defaults (and their golden digests).
-    hardened = config.faults is not None and not config.faults.is_empty
     return dict(
         ttl_invalidation=config.ttl_rpcc,
         ttn=config.ttn,
@@ -667,9 +662,9 @@ def _rpcc_kwargs(config: SimulationConfig) -> Dict[str, Any]:
         poll_timeout=config.poll_timeout,
         broadcast_ttl=config.ttl_broadcast,
         thresholds=config.thresholds,
-        update_repush_attempts=2 if hardened else 0,
-        resync_on_reconnect=hardened,
-        fast_relay_failover=hardened,
+        # Protocol hardening rides along with fault injection: fault-free
+        # runs keep the paper-faithful protocol (and their golden digests).
+        hardened=config.faults is not None and not config.faults.is_empty,
     )
 
 
@@ -682,21 +677,18 @@ def _build_rpcc(context: StrategyContext, config: SimulationConfig) -> Consisten
 # stock strategy loads nothing of repro.extensions.
 @register_strategy("rpcc-controlled", levels=True)
 def _build_rpcc_controlled(context: StrategyContext, config: SimulationConfig) -> ConsistencyStrategy:
-    from repro.extensions.relay_control import ControlledConfig, ControlledRPCCStrategy
+    from repro.extensions.relay_control import ControlledRPCCStrategy
 
-    return ControlledRPCCStrategy(context, ControlledConfig(**_rpcc_kwargs(config)))
+    return ControlledRPCCStrategy(context, RPCCConfig(**_rpcc_kwargs(config)))
 
 
 @register_strategy("rpcc-random-selection", levels=True)
 def _build_rpcc_random_selection(context: StrategyContext, config: SimulationConfig) -> ConsistencyStrategy:
-    from repro.extensions.selection_ablation import (
-        RandomSelectionConfig,
-        RandomSelectionRPCCStrategy,
-    )
+    from repro.extensions.selection_ablation import RandomSelectionRPCCStrategy
 
     # The coins are seeded by the run: each seed of a matrix promotes differently.
     return RandomSelectionRPCCStrategy(
-        context, RandomSelectionConfig(seed=config.seed, **_rpcc_kwargs(config))
+        context, RPCCConfig(**_rpcc_kwargs(config)), seed=config.seed
     )
 
 

@@ -20,30 +20,21 @@ Direction 1, adapting the push/pull frequency at run time, is
 :mod:`repro.control`.
 """
 
-from repro.extensions.relay_control import (
-    ControlledConfig,
-    ControlledRPCCAgent,
-    ControlledRPCCStrategy,
-)
+from repro.extensions.relay_control import ControlledRPCCAgent, ControlledRPCCStrategy
 from repro.extensions.replica import (
     GossipReplication,
     ReplicatedRegister,
     WriteTag,
 )
-from repro.extensions.selection_ablation import (
-    RandomSelectionConfig,
-    RandomSelectionRPCCStrategy,
-)
+from repro.extensions.selection_ablation import RandomSelectionRPCCStrategy
 from repro.extensions.uir_push import UIRPushAgent, UIRPushStrategy, UIRReport
 
 __all__ = [
-    "ControlledConfig",
     "ControlledRPCCStrategy",
     "ControlledRPCCAgent",
     "GossipReplication",
     "ReplicatedRegister",
     "WriteTag",
-    "RandomSelectionConfig",
     "RandomSelectionRPCCStrategy",
     "UIRPushStrategy",
     "UIRPushAgent",

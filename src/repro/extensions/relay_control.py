@@ -3,46 +3,30 @@
 Section 6: "the number of relay peers is important to the performance of
 RPCC.  In the current strategy, the number of relay peers cannot be
 controlled."  Here the source host caps its relay table: an ``APPLY`` that
-would exceed ``max_relays`` is silently dropped, leaving the candidate to
+would exceed ``MAX_RELAYS`` is silently dropped, leaving the candidate to
 retry at a later switching period (and succeed once churn opens a slot).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.consistency.base import StrategyContext
 from repro.consistency.messages import Apply
-from repro.consistency.rpcc.config import RPCCConfig
 from repro.consistency.rpcc.protocol import RPCCAgent, RPCCStrategy
 from repro.consistency.rpcc.source import SourceSide
-from repro.errors import ConfigurationError
 from repro.peers.host import MobileHost
 
-__all__ = ["ControlledConfig", "ControlledRPCCStrategy", "ControlledRPCCAgent"]
+__all__ = ["ControlledRPCCStrategy", "ControlledRPCCAgent"]
 
-
-class ControlledConfig(RPCCConfig):
-    """RPCC configuration plus a relay-table cap."""
-
-    def __init__(self, max_relays: int = 3, **kwargs) -> None:
-        super().__init__(**kwargs)
-        if max_relays < 1:
-            raise ConfigurationError(f"max_relays must be >= 1, got {max_relays!r}")
-        self.max_relays = int(max_relays)
+#: Relay peers a source host admits per item.
+MAX_RELAYS = 3
 
 
 class _CappedSourceSide(SourceSide):
-    """Source side that refuses promotions beyond the configured cap."""
-
-    def __init__(self, agent: "ControlledRPCCAgent", config: ControlledConfig) -> None:
-        super().__init__(agent, config)
-        self.controlled = config
+    """Source side that refuses promotions beyond the cap."""
 
     def handle_apply(self, message: Apply) -> None:
         if (
             message.sender not in self.relay_table
-            and len(self.relay_table) >= self.controlled.max_relays
+            and len(self.relay_table) >= MAX_RELAYS
         ):
             self.agent.context.metrics.bump("rpcc_apply_rejected_cap")
             return
@@ -54,7 +38,6 @@ class ControlledRPCCAgent(RPCCAgent):
 
     def __init__(self, strategy: "ControlledRPCCStrategy", host: MobileHost) -> None:
         super().__init__(strategy, host)
-        assert isinstance(self.config, ControlledConfig)
         self.source = _CappedSourceSide(self, self.config)
 
 
@@ -62,11 +45,6 @@ class ControlledRPCCStrategy(RPCCStrategy):
     """RPCC with a bounded relay population per item."""
 
     name = "rpcc-controlled"
-
-    def __init__(
-        self, context: StrategyContext, config: Optional[ControlledConfig] = None
-    ) -> None:
-        super().__init__(context, config if config is not None else ControlledConfig())
 
     def make_agent(self, host: MobileHost) -> ControlledRPCCAgent:
         return ControlledRPCCAgent(self, host)

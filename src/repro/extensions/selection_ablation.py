@@ -2,7 +2,7 @@
 
 DESIGN.md asks whether the CAR/CS/CE criterion actually earns its keep.
 This strategy replaces the coefficient test with a biased coin: any holder
-that hears an ``INVALIDATION`` applies with probability ``promote_prob``,
+that hears an ``INVALIDATION`` applies with probability ``PROMOTE_PROB``,
 regardless of stability or energy.  Compared against stock RPCC it shows
 how much staleness/availability degrades when unstable nodes get promoted.
 """
@@ -17,23 +17,12 @@ from repro.consistency.messages import Apply, Invalidation
 from repro.consistency.rpcc.config import RPCCConfig
 from repro.consistency.rpcc.protocol import RPCCAgent, RPCCStrategy
 from repro.consistency.rpcc.roles import Role
-from repro.errors import ConfigurationError
 from repro.peers.host import MobileHost
 
-__all__ = ["RandomSelectionConfig", "RandomSelectionRPCCStrategy"]
+__all__ = ["RandomSelectionRPCCStrategy"]
 
-
-class RandomSelectionConfig(RPCCConfig):
-    """RPCC configuration with a coin-flip promotion gate."""
-
-    def __init__(self, promote_prob: float = 0.4, seed: int = 0, **kwargs) -> None:
-        super().__init__(**kwargs)
-        if not 0.0 < promote_prob <= 1.0:
-            raise ConfigurationError(
-                f"promote_prob must be in (0, 1], got {promote_prob!r}"
-            )
-        self.promote_prob = float(promote_prob)
-        self.seed = int(seed)
+#: Chance that a holder hearing an ``INVALIDATION`` applies for the role.
+PROMOTE_PROB = 0.4
 
 
 class _RandomSelectionAgent(RPCCAgent):
@@ -41,8 +30,7 @@ class _RandomSelectionAgent(RPCCAgent):
 
     def __init__(self, strategy: "RandomSelectionRPCCStrategy", host: MobileHost) -> None:
         super().__init__(strategy, host)
-        assert isinstance(self.config, RandomSelectionConfig)
-        self._coin = random.Random(self.config.seed * 100_003 + host.node_id)
+        self._coin = random.Random(strategy.seed * 100_003 + host.node_id)
 
     def _handle_invalidation(self, message: Invalidation) -> None:
         item_id = message.item_id
@@ -50,7 +38,7 @@ class _RandomSelectionAgent(RPCCAgent):
         if role is not Role.CACHE_NODE:
             super()._handle_invalidation(message)
             return
-        if item_id in self.host.store and self._coin.random() < self.config.promote_prob:
+        if item_id in self.host.store and self._coin.random() < PROMOTE_PROB:
             self.roles.become_candidate(item_id)
             self.send(message.sender, Apply(sender=self.node_id, item_id=item_id))
             self.context.metrics.bump("rpcc_apply_sent")
@@ -69,16 +57,22 @@ class _RandomSelectionAgent(RPCCAgent):
 
 
 class RandomSelectionRPCCStrategy(RPCCStrategy):
-    """RPCC with eq 4.2.8 replaced by a random gate (ablation)."""
+    """RPCC with eq 4.2.8 replaced by a random gate (ablation).
+
+    ``seed`` seeds every host's coin, so each seed of a matrix promotes
+    differently.
+    """
 
     name = "rpcc-random-selection"
 
     def __init__(
-        self, context: StrategyContext, config: Optional[RandomSelectionConfig] = None
+        self,
+        context: StrategyContext,
+        config: Optional[RPCCConfig] = None,
+        seed: int = 0,
     ) -> None:
-        super().__init__(
-            context, config if config is not None else RandomSelectionConfig()
-        )
+        super().__init__(context, config)
+        self.seed = int(seed)
 
     def make_agent(self, host: MobileHost) -> _RandomSelectionAgent:
         return _RandomSelectionAgent(self, host)

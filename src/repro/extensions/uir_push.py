@@ -4,11 +4,11 @@ The paper's related-work section cites Cao's strategy that "can reduce
 the query latency by inserting several updated invalidation reports (UIR)
 between two successive IRs".  This extension reproduces that mechanism on
 top of the simple push baseline: between full invalidation reports the
-source floods ``uir_count`` lightweight UIRs, so a waiting query can
-validate after at most ``TTN / (uir_count + 1)`` instead of a full TTN.
+source floods ``UIR_COUNT`` lightweight UIRs, so a waiting query can
+validate after at most ``TTN / (UIR_COUNT + 1)`` instead of a full TTN.
 
 The trade-off this makes measurable: latency divides by roughly
-``uir_count + 1`` while flood traffic multiplies by the same factor
+``UIR_COUNT + 1`` while flood traffic multiplies by the same factor
 (in the original the UIR is much smaller than a history-carrying IR; with
 single-item reports both are control-sized, so the traffic cost shows at
 full strength — ``tests/test_strategy_variants.py`` holds both shapes).
@@ -19,16 +19,16 @@ from __future__ import annotations
 import dataclasses
 from typing import ClassVar, Dict
 
-from repro.consistency.base import StrategyContext
 from repro.consistency.messages import CONTROL_SIZE, PushInvalidation
 from repro.consistency.push import PushAgent, PushStrategy
-from repro.errors import ProtocolError
 from repro.peers.host import MobileHost
 from repro.sim.timers import PeriodicTimer
 
 __all__ = ["UIRReport", "UIRPushStrategy", "UIRPushAgent"]
 
 _GOLDEN = 0.6180339887498949
+#: UIR floods inserted between two successive full reports.
+UIR_COUNT = 4
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -39,26 +39,14 @@ class UIRReport(PushInvalidation):
 
 
 class UIRPushStrategy(PushStrategy):
-    """Simple push plus ``uir_count`` UIRs per invalidation interval.
-
-    Parameters (in addition to :class:`PushStrategy`)
-    ----------
-    uir_count:
-        UIR floods inserted between two successive full reports.
-    """
+    """Simple push plus ``UIR_COUNT`` UIRs per invalidation interval."""
 
     name = "push-uir"
-
-    def __init__(self, context: StrategyContext, uir_count: int = 4, **kwargs) -> None:
-        super().__init__(context, **kwargs)
-        if uir_count < 1:
-            raise ProtocolError(f"uir_count must be >= 1, got {uir_count!r}")
-        self.uir_count = int(uir_count)
 
     @property
     def sub_interval(self) -> float:
         """Gap between consecutive reports (IR or UIR)."""
-        return self.ttn / (self.uir_count + 1)
+        return self.ttn / (UIR_COUNT + 1)
 
     def apply_control(self, decision) -> Dict[str, float]:
         applied = super().apply_control(decision)
@@ -93,16 +81,15 @@ class UIRPushAgent(PushAgent):
 
     def __init__(self, strategy: UIRPushStrategy, host: MobileHost) -> None:
         super().__init__(strategy, host)
-        self.uir: UIRPushStrategy = strategy
         self._sub_tick = 0
 
     def broadcast_sub_report(self) -> None:
-        """Every ``uir_count + 1``-th tick is a full IR, the rest are UIRs."""
+        """Every ``UIR_COUNT + 1``-th tick is a full IR, the rest are UIRs."""
         master = self.host.source_item
         if master is None or not self.host.online:
             return
         self._sub_tick += 1
-        if self._sub_tick % (self.uir.uir_count + 1) == 0:
+        if self._sub_tick % (UIR_COUNT + 1) == 0:
             report: PushInvalidation = PushInvalidation(
                 sender=self.node_id, item_id=master.item_id, version=master.version
             )
@@ -110,4 +97,4 @@ class UIRPushAgent(PushAgent):
             report = UIRReport(
                 sender=self.node_id, item_id=master.item_id, version=master.version
             )
-        self.flood(report, self.uir.ttl)
+        self.flood(report, self.push.ttl)

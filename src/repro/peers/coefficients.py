@@ -17,16 +17,14 @@ A node qualifies as a relay-peer candidate when (eq 4.2.8)::
 i.e. it is frequently accessed, stable, and has battery to spare.
 
 Unit note: the paper writes rates as ``N/phi`` without fixing the unit of
-``phi``.  We measure rates in events per ``rate_unit`` seconds, defaulting
-``rate_unit`` to ``phi`` itself (per-period counts).  With the Table-1
-thresholds and workload this cleanly separates stable from mobile nodes;
-the unit is configurable for the threshold-sensitivity ablation.
+``phi``.  We measure rates in events per period ``phi`` (per-period
+counts).  With the Table-1 thresholds and workload this cleanly separates
+stable from mobile nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ConfigurationError
 
@@ -65,14 +63,11 @@ class CoefficientTracker:
         ``I_Switch`` — the "switching period" of Section 4.5).
     omega:
         History weight ``omega`` of eqs 4.2.2/4.2.4/4.2.5 (Table 1: 0.2).
-    rate_unit:
-        Seconds per rate unit; defaults to ``phi`` (per-period rates).
     """
 
     __slots__ = (
         "phi",
         "omega",
-        "rate_unit",
         "_accesses",
         "_switches",
         "_moves",
@@ -88,7 +83,6 @@ class CoefficientTracker:
         self,
         phi: float = 300.0,
         omega: float = 0.2,
-        rate_unit: Optional[float] = None,
     ) -> None:
         if phi <= 0:
             raise ConfigurationError(f"phi must be positive, got {phi!r}")
@@ -96,9 +90,6 @@ class CoefficientTracker:
             raise ConfigurationError(f"omega must be in [0, 1), got {omega!r}")
         self.phi = float(phi)
         self.omega = float(omega)
-        self.rate_unit = self.phi if rate_unit is None else float(rate_unit)
-        if self.rate_unit <= 0:
-            raise ConfigurationError(f"rate_unit must be positive, got {rate_unit!r}")
         # Counters for the current (open) period.
         self._accesses = 0
         self._switches = 0
@@ -138,10 +129,10 @@ class CoefficientTracker:
     # ------------------------------------------------------------------
     def close_period(self) -> None:
         """Fold the open period's counters into the smoothed rates."""
-        scale = self.rate_unit / self.phi
-        access_rate = self._accesses * scale  # N_a / phi, in rate units
-        switch_rate = self._switches * scale
-        move_rate = self._moves * scale
+        # N_a / phi and the like, in events per period.
+        access_rate = self._accesses
+        switch_rate = self._switches
+        move_rate = self._moves
         omega = self.omega
         # Eq 4.2.2: three-window smoothing of PAR, where the current
         # _par_t plays PAR_{t-1} and _par_prev plays PAR_{t-2}.

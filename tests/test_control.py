@@ -22,7 +22,6 @@ from repro.control import (
     OnlineController,
     StaticPolicy,
 )
-from repro.errors import ConfigurationError
 from repro.obs import (
     ControllerActuated,
     ControllerSampled,
@@ -67,21 +66,12 @@ class TestStaticPolicy:
             assert policy.decide(degraded, rng) is None
 
 
-class TestHysteresisValidation:
-    @pytest.mark.parametrize("kwargs", [
-        {"tighten_scale": 0.0}, {"tighten_scale": 1.0},
-        {"relay_boost": 0.5}, {"backoff_boost": 0.9},
-        {"cooldown": 0.0}, {"healthy_windows": 0},
-        {"cooldown_jitter": -0.1}, {"cooldown_jitter": 1.5},
-    ])
-    def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            HysteresisPolicy(**kwargs)
-
-
 class TestHysteresisStateMachine:
-    def _primed(self, **kwargs) -> HysteresisPolicy:
-        policy = HysteresisPolicy(**kwargs)
+    """The shipped settings: a 45 s cooldown stretched by up to 10 %, and
+    three healthy 30 s windows before a relax."""
+
+    def _primed(self) -> HysteresisPolicy:
+        policy = HysteresisPolicy()
         policy.prime(dict(BASELINE))
         return policy
 
@@ -95,36 +85,37 @@ class TestHysteresisStateMachine:
         decision = policy.decide(sig(30.0, partitions_active=1), random.Random(1))
         assert decision is not None
         assert policy.tight
-        assert decision.knobs["ttr"] == 22.5       # x tighten_scale
+        assert decision.knobs["ttr"] == 22.5       # x TIGHTEN_SCALE
         assert decision.knobs["ttp"] == 60.0
         assert decision.knobs["poll_timeout"] == 1.0
-        assert decision.knobs["relay_boost"] == 2.0     # x relay_boost
-        assert decision.knobs["backoff_factor"] == 3.0  # x backoff_boost
+        assert decision.knobs["relay_boost"] == 2.0     # x RELAY_BOOST
+        assert decision.knobs["backoff_factor"] == 3.0  # x BACKOFF_BOOST
         assert "partition" in decision.reason
 
     def test_two_point_actuation_never_ratchets(self):
         """Tighten -> relax -> tighten lands on the same two value sets."""
-        policy = self._primed(healthy_windows=1, cooldown=10.0)
+        policy = self._primed()
         rng = random.Random(2)
         first = policy.decide(sig(30.0, partitions_active=1), rng)
-        relax = policy.decide(sig(90.0), rng)
-        second = policy.decide(sig(150.0, partitions_active=1), rng)
+        for time in (60.0, 90.0):
+            assert policy.decide(sig(time), rng) is None
+        relax = policy.decide(sig(120.0), rng)
+        second = policy.decide(sig(180.0, partitions_active=1), rng)
         assert relax.knobs == BASELINE
         assert second.knobs == first.knobs  # no compounding
 
     def test_cooldown_bounds_the_actuation_rate(self):
-        policy = self._primed(healthy_windows=1, cooldown=45.0,
-                              cooldown_jitter=0.0)
+        policy = self._primed()
         rng = random.Random(3)
         assert policy.decide(sig(30.0, partitions_active=1), rng) is not None
-        # Clean windows inside the cooldown cannot relax yet.
-        assert policy.decide(sig(60.0), rng) is None
-        # First window past the cooldown may.
+        # Three clean windows inside the cooldown (75-79.5 s) cannot relax yet.
+        for time in (40.0, 50.0, 70.0):
+            assert policy.decide(sig(time), rng) is None
+        # The first window past the longest cooldown may.
         assert policy.decide(sig(80.0), rng) is not None
 
     def test_relax_needs_consecutive_healthy_windows(self):
-        policy = self._primed(healthy_windows=3, cooldown=10.0,
-                              cooldown_jitter=0.0)
+        policy = self._primed()
         rng = random.Random(4)
         assert policy.decide(sig(30.0, partitions_active=1), rng) is not None
         assert policy.decide(sig(60.0), rng) is None   # healthy 1
@@ -135,8 +126,7 @@ class TestHysteresisStateMachine:
 
     def test_flapping_signal_cannot_flap_the_parameters(self):
         """A degraded window resets the healthy streak: no oscillation."""
-        policy = self._primed(healthy_windows=3, cooldown=10.0,
-                              cooldown_jitter=0.0)
+        policy = self._primed()
         rng = random.Random(5)
         assert policy.decide(sig(30.0, partitions_active=1), rng) is not None
         actuations = 0
@@ -174,12 +164,13 @@ class TestHysteresisStateMachine:
         assert decision.mode_all is None
 
     def test_relax_restores_hybrid_mode(self):
-        policy = self._primed(healthy_windows=1, cooldown=10.0,
-                              cooldown_jitter=0.0)
+        policy = self._primed()
         rng = random.Random(9)
         policy.decide(sig(30.0, partitions_active=1, update_rate=2.0,
                           query_rate=0.5), rng)
-        relax = policy.decide(sig(90.0), rng)
+        for time in (60.0, 90.0):
+            policy.decide(sig(time), rng)
+        relax = policy.decide(sig(120.0), rng)
         assert relax.mode_all == "hybrid"
 
 
@@ -382,6 +373,44 @@ class TestActuationSeams:
             time=0.0, policy="test", reason="t", knobs={"relay_boost": 1.0},
         ))
         assert strategy.config.thresholds == base
+
+    @pytest.mark.parametrize("spec", ["rpcc-sc", "pull", "push", "push-uir"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_unusable_knob_values_are_not_applied(self, spec, value):
+        """No timer may run on NaN, ∞ or a non-positive duration, and a
+        backoff factor must stay >= 1: such a target leaves every knob."""
+        from repro.experiments.runner import build_simulation
+
+        simulation = build_simulation(
+            _chaos_config("hysteresis", retry_backoff=True), spec, "standard"
+        )
+        strategy = simulation.strategy
+        before = strategy.control_knobs()
+        assert "backoff_factor" in before
+        delta = strategy.context.delta
+        applied = strategy.apply_control(ControlDecision(
+            time=0.0, policy="test", reason="t",
+            knobs={knob: value for knob in before},
+        ))
+        assert applied == {}
+        assert strategy.control_knobs() == before
+        assert strategy.context.delta == delta
+
+    def test_ttr_actuation_leaves_the_construction_time_waits(self):
+        """``grace_timeout`` and the client's remote-query wait are fixed
+        when the world is built: a controller moving ``ttr`` must not
+        stretch or shrink them (the controller goldens rest on that)."""
+        simulation = self._rpcc()
+        strategy = simulation.strategy
+        grace = strategy.config.grace_timeout
+        remote = strategy.remote_query_timeout()
+        applied = strategy.apply_control(ControlDecision(
+            time=0.0, policy="test", reason="t",
+            knobs={"ttr": strategy.config.ttr / 4},
+        ))
+        assert applied == {"ttr": 22.5}
+        assert strategy.config.grace_timeout == grace == 35.0
+        assert strategy.remote_query_timeout() == remote
 
     def test_mode_actuation_counts_changes(self):
         simulation = self._rpcc()

@@ -241,9 +241,10 @@ class TestOneCore:
     """The scalar per-quantum core, the timer-wheel engine, the pickle
     cache, the sharded transport, the second adaptation mechanism, the
     start-up batch collector, the delta-patch refresh, the options that
-    selected them, the code no public path reached and the topology
-    crossovers no benchmark row earned are gone from the tree, not just
-    from ``src/``."""
+    selected them, the code no public path reached, the topology
+    crossovers no benchmark row earned and the strategy and controller
+    settings only tests set are gone from the tree, not just from
+    ``src/``."""
 
     #: Spelled in pieces so this file passes its own check.
     RETIRED = (
@@ -267,9 +268,18 @@ class TestOneCore:
         "on_" + "expire", "re" + "charge(", ".spa" + "wn(", "ScenarioSpec.from_" + "json",
         "Simulator." + "step", "sim." + "step()",
         "_FULL_BFS_" + "CSR_MIN", "PAIR_LIST_" + "NAP", "_CSR_EDGE_" + "QUERY_SHARE",
+        "source_poll_" + "timeout", "max_source_poll_" + "attempts", "relay_hold_" + "notice",
+        "update_repush_" + "attempts", "update_repush_" + "interval",
+        "resync_on_" + "reconnect", "fast_relay_" + "failover",
+        "max_" + "relays", "promote_" + "prob", "uir_" + "count",
+        "Controlled" + "Config", "RandomSelection" + "Config",
+        "wait_" + "factor", "max_poll_" + "attempts", "rate_" + "unit",
+        "tighten_" + "scale", "backoff_" + "boost", "enter_" + "availability",
+        "cooldown_" + "jitter", "ablation_hold_" + "notice",
     )
     #: History, the issue that retired them, and the read-only benchmark.
     EXEMPT = ("CHANGES.md", "ROADMAP.md", "ISSUE.md", "benchmarks/e2e/")
+    EXEMPT += ("docs/decisions/03-public-settings.md",)  # the record of what went
     EXEMPT += ("BENCHMARK.json",)  # the benchmark's declaration, read-only too
 
     def test_retired_names_appear_in_no_tracked_file(self):
@@ -330,6 +340,63 @@ class TestEarnedConstants:
                 f"{self.RECORD} says {name} = {value.strip()}, "
                 f"the code says {constants[name]!r}"
             )
+
+
+class TestPublicSettings:
+    """A strategy or controller takes only what its registered builder
+    passes; a value that no public path sets is a module constant
+    (``docs/decisions/03-public-settings.md``)."""
+
+    def test_rpcc_config_fields_are_what_a_simulation_config_decides(self):
+        import dataclasses
+
+        from repro.consistency.rpcc import RPCCConfig
+        from repro.experiments.config import SimulationConfig
+        from repro.experiments.runner import _rpcc_kwargs
+
+        fields = {field.name for field in dataclasses.fields(RPCCConfig)}
+        assert fields == set(_rpcc_kwargs(SimulationConfig()))
+
+    def test_no_defaulted_parameter_that_the_builder_does_not_pass(self):
+        import inspect
+        import textwrap
+
+        from repro.experiments.config import SimulationConfig
+        from repro.scenarios.registry import CONTROLLERS, STRATEGIES
+
+        for name, entry in STRATEGIES.items():
+            cls = type(entry.build(None, SimulationConfig()))
+            tree = ast.parse(textwrap.dedent(inspect.getsource(entry.build)))
+            (call,) = [
+                node for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == cls.__name__
+            ]
+            assert all(keyword.arg for keyword in call.keywords), name
+            signature = inspect.signature(cls)
+            passed = signature.bind(
+                *call.args, **{keyword.arg: keyword.value for keyword in call.keywords}
+            ).arguments
+            for parameter in signature.parameters.values():
+                assert parameter.default is parameter.empty or parameter.name in passed, (
+                    f"{cls.__name__}({parameter.name}=...) is set by no public "
+                    f"path: the {name!r} builder does not pass it"
+                )
+        # The runner builds every policy as ``CONTROLLERS.get(name)()``.
+        for name in CONTROLLERS.names():
+            assert not inspect.signature(CONTROLLERS.get(name)).parameters, name
+
+    def test_every_constant_in_the_record_has_its_value(self):
+        import importlib
+
+        rows = re.findall(
+            r"^\| `[^`]+` \| `(repro\.[\w.]+)\.([A-Z_]+)`[^|]* \| ([^|]+) \|",
+            read("docs/decisions/03-public-settings.md"), re.M,
+        )
+        assert len(rows) == 16
+        for module, name, value in rows:
+            constant = getattr(importlib.import_module(module), name)
+            assert repr(constant) == value.strip(), f"{module}.{name}"
 
 
 class TestPythonFloor:

@@ -69,7 +69,7 @@ class TestRunKey:
 
 class TestPickleRoundTrip:
     def test_config_roundtrip(self):
-        config = tiny_config(zipf_theta=0.8, routing="cached")
+        config = tiny_config(access_pattern="zipf", zipf_theta=0.8, routing="cached")
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
 

@@ -111,6 +111,12 @@ class TestSimulationConfig:
         with pytest.raises(ConfigurationError, match=name):
             SimulationConfig(**{name: value})
 
+    def test_zipf_skew_is_spelled_with_its_access_pattern(self):
+        """Zipf access has one spelling: a skew alone does not select it."""
+        with pytest.raises(ConfigurationError, match="zipf_theta"):
+            SimulationConfig(zipf_theta=0.8)
+        assert SimulationConfig(access_pattern="zipf", zipf_theta=0.8).zipf_theta == 0.8
+
 
 class TestBuildSimulation:
     def test_unknown_spec_rejected(self):

@@ -107,9 +107,7 @@ def test_disabled_faults_are_bit_identical():
 
 def _hardened_world(count=5):
     config = RPCCConfig(
-        ttn=100.0, ttr=75.0, ttp=200.0, poll_timeout=2.0,
-        source_poll_timeout=2.0, grace_timeout=6.0,
-        resync_on_reconnect=True, fast_relay_failover=True,
+        ttn=100.0, ttr=75.0, ttp=200.0, poll_timeout=2.0, hardened=True
     )
     return make_world(line_positions(count), lambda ctx: RPCCStrategy(ctx, config))
 
@@ -154,35 +152,36 @@ class TestRelayCrashMidTTR:
         assert world.agent(3).cache_peer._known_relay[0] == survivor
 
     def test_all_relays_dead_falls_back_to_source_poll(self):
-        # poll_ttl=1 keeps the discovery flood away from the source, so
-        # losing the only relay forces the wide-broadcast fallback stage.
-        # The relay sits at the far end of the line (node 3) so crashing
-        # it does not also sever the route back to the source (node 0).
+        # The cache peer (node 6) sits at the far end of a 7-node line,
+        # six hops from the source (node 0), so its 3-hop discovery flood
+        # cannot reach the source and losing the only relay forces the
+        # wide-broadcast fallback stage.  The relay (node 7) sits off the
+        # line, three hops from either end, so crashing it does not also
+        # sever the route back to the source.
         config = RPCCConfig(
-            ttn=100.0, ttr=75.0, ttp=200.0, poll_timeout=2.0,
-            source_poll_timeout=2.0, grace_timeout=6.0, poll_ttl=1,
-            resync_on_reconnect=True, fast_relay_failover=True,
+            ttn=100.0, ttr=75.0, ttp=200.0, poll_timeout=2.0, hardened=True
         )
         world = make_world(
-            line_positions(5), lambda ctx: RPCCStrategy(ctx, config)
+            line_positions(7) + [(300.0, 100.0)],
+            lambda ctx: RPCCStrategy(ctx, config),
         )
-        _promote(world, 3, 0)
-        world.give_copy(2, 0)
+        _promote(world, 7, 0)
+        world.give_copy(6, 0)
         world.strategy.start()
         world.update_item(0)
         world.run(110.0)
-        assert world.agent(3).roles.is_relay(0)
+        assert world.agent(7).roles.is_relay(0)
         world.run(100.0)  # open the relay's TTR window
 
-        record = world.agent(2).local_query(0, ConsistencyLevel.STRONG)
+        record = world.agent(6).local_query(0, ConsistencyLevel.STRONG)
         world.run(5.0)
         assert record.answered
-        assert world.agent(2).cache_peer._known_relay[0] == 3
-        world.host(3).crash()
+        assert world.agent(6).cache_peer._known_relay[0] == 7
+        world.host(7).crash()
 
         # The only relay is dead: the broadcast stage reaches the source,
         # which answers the poll directly — RPCC degenerates into pull.
-        record = world.agent(2).local_query(0, ConsistencyLevel.STRONG)
+        record = world.agent(6).local_query(0, ConsistencyLevel.STRONG)
         world.run(15.0)
         assert record.answered
         assert world.metrics.counter("rpcc_forced_stale") == 0  # validated
@@ -208,7 +207,9 @@ class TestRelayCrashMidTTR:
         world.run(1.0)  # far less than the 2 s poll_timeout
         assert world.metrics.counter("rpcc_relay_failover_fast") == 1
         assert 0 not in cache_peer._known_relay
-        world.run(15.0)
+        # The crash cut the line, so the rest of the ladder (flood, two
+        # broadcasts, 30 s of grace) ends in a forced-stale answer.
+        world.run(45.0)
         assert record.answered
 
     def test_rebooted_relay_resyncs_instead_of_vouching_stale(self):
@@ -235,9 +236,7 @@ class TestRelayCrashMidTTR:
         assert world.host(1).store.peek(0).version > stale_version
 
     def test_resync_disabled_keeps_the_stale_window_open(self):
-        config = RPCCConfig(
-            ttn=100.0, ttr=75.0, ttp=200.0, resync_on_reconnect=False,
-        )
+        config = RPCCConfig(ttn=100.0, ttr=75.0, ttp=200.0)
         world = make_world(
             line_positions(5), lambda ctx: RPCCStrategy(ctx, config)
         )

@@ -91,8 +91,7 @@ class TestVersionMonotonicity:
 class TestFailureInjection:
     def test_source_crash_rpcc_still_answers(self):
         config = RPCCConfig(
-            ttn=60.0, ttr=45.0, ttp=100.0,
-            poll_timeout=2.0, source_poll_timeout=2.0, grace_timeout=5.0,
+            ttn=60.0, ttr=45.0, ttp=100.0, poll_timeout=2.0,
         )
         world = make_world(
             line_positions(5), lambda ctx: RPCCStrategy(ctx, config)
@@ -123,7 +122,7 @@ class TestFailureInjection:
     def test_push_survives_lossy_links(self):
         world = make_world(
             line_positions(4),
-            lambda ctx: PushStrategy(ctx, ttn=50.0, ttl=8, wait_factor=2.0),
+            lambda ctx: PushStrategy(ctx, ttn=50.0, ttl=8),
         )
         import random as random_module
 

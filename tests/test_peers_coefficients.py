@@ -32,8 +32,6 @@ class TestCoefficientTracker:
             CoefficientTracker(phi=0.0)
         with pytest.raises(ConfigurationError):
             CoefficientTracker(omega=1.0)
-        with pytest.raises(ConfigurationError):
-            CoefficientTracker(rate_unit=0.0)
 
     def test_par_three_window_smoothing(self):
         # omega=0.2: PAR_t = PAR_{t-2}*0.05 + PAR_{t-1}*0.1 + rate*0.85
@@ -63,14 +61,14 @@ class TestCoefficientTracker:
         tracker.close_period()
         assert tracker.pmr == pytest.approx(5 * 0.8)
 
-    def test_rate_unit_scaling(self):
-        # Per-minute rates with a 120 s period: 6 events -> 3 per unit.
-        tracker = CoefficientTracker(phi=120.0, omega=0.0, rate_unit=60.0)
-        tracker.record_switch()
-        for _ in range(5):
-            tracker.record_switch()
-        tracker.close_period()
-        assert tracker.psr == pytest.approx(3.0)
+    def test_rates_count_events_per_period(self):
+        # Rates are per period phi, whatever its length: 6 events -> 6.
+        for phi in (60.0, 120.0):
+            tracker = CoefficientTracker(phi=phi, omega=0.0)
+            for _ in range(6):
+                tracker.record_switch()
+            tracker.close_period()
+            assert tracker.psr == 6.0
 
     def test_car_formula(self):
         tracker = CoefficientTracker(phi=100.0, omega=0.0)

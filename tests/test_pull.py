@@ -9,12 +9,10 @@ from repro.errors import ProtocolError
 from tests.conftest import line_positions, make_world
 
 
-def pull_world(count=4, ttl=8, poll_timeout=2.0, max_attempts=2):
+def pull_world(count=4, ttl=8, poll_timeout=2.0):
     return make_world(
         line_positions(count),
-        lambda ctx: PullStrategy(
-            ctx, ttl=ttl, poll_timeout=poll_timeout, max_poll_attempts=max_attempts
-        ),
+        lambda ctx: PullStrategy(ctx, ttl=ttl, poll_timeout=poll_timeout),
     )
 
 
@@ -120,9 +118,7 @@ class TestValidation:
             PullStrategy(world.context, ttl=0)
         with pytest.raises(ProtocolError):
             PullStrategy(world.context, poll_timeout=0.0)
-        with pytest.raises(ProtocolError):
-            PullStrategy(world.context, max_poll_attempts=0)
 
     def test_remote_query_timeout_covers_retries(self):
-        world = pull_world(poll_timeout=2.0, max_attempts=2)
-        assert world.strategy.remote_query_timeout() >= 4.0
+        world = pull_world(poll_timeout=2.0)
+        assert world.strategy.remote_query_timeout() >= 4.0  # two attempts

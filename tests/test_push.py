@@ -8,10 +8,10 @@ from repro.consistency.push import PushStrategy
 from tests.conftest import line_positions, make_world
 
 
-def push_world(ttn=100.0, ttl=8, wait_factor=2.5, count=4):
+def push_world(ttn=100.0, ttl=8, count=4):
     return make_world(
         line_positions(count),
-        lambda ctx: PushStrategy(ctx, ttn=ttn, ttl=ttl, wait_factor=wait_factor),
+        lambda ctx: PushStrategy(ctx, ttn=ttn, ttl=ttl),
     )
 
 
@@ -83,7 +83,7 @@ class TestQueryWaiting:
         assert all(record.served_version == 1 for record in records)
 
     def test_giveup_serves_stale_when_source_unreachable(self):
-        world = push_world(ttn=100.0, wait_factor=1.5, count=2)
+        world = push_world(ttn=100.0, count=2)
         world.strategy.start()
         world.give_copy(1, 0, version=0)
         world.update_item(0)
@@ -95,8 +95,8 @@ class TestQueryWaiting:
         assert world.metrics.counter("push_fallback_stale") == 1
 
     def test_remote_query_timeout_covers_wait(self):
-        world = push_world(ttn=100.0, wait_factor=2.0)
-        assert world.strategy.remote_query_timeout() > 200.0
+        world = push_world(ttn=100.0)
+        assert world.strategy.remote_query_timeout() > 250.0  # 2.5 x TTN
 
     def test_remote_query_answered_after_holder_wait(self):
         world = push_world(ttn=100.0)

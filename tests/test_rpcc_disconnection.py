@@ -17,7 +17,7 @@ from tests.conftest import line_positions, make_eligible, make_world
 def rpcc_world(count=4, **config_kwargs):
     defaults = dict(
         ttl_invalidation=3, ttn=100.0, ttr=75.0, ttp=200.0,
-        poll_timeout=2.0, source_poll_timeout=2.0, grace_timeout=6.0,
+        poll_timeout=2.0,
     )
     defaults.update(config_kwargs)
     config = RPCCConfig(**defaults)

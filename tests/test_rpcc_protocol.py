@@ -20,7 +20,6 @@ def rpcc_world(count=4, **config_kwargs):
         ttr=75.0,
         ttp=200.0,
         poll_timeout=2.0,
-        source_poll_timeout=2.0,
     )
     defaults.update(config_kwargs)
     config = RPCCConfig(**defaults)
@@ -236,7 +235,7 @@ class TestQueryHandling:
         assert world.metrics.counter("rpcc_poll_fallback_source") >= 1
 
     def test_everything_unreachable_serves_stale(self):
-        world = rpcc_world(count=2, grace_timeout=5.0)
+        world = rpcc_world(count=2)
         world.give_copy(1, 0, version=0)
         world.host(0).set_online(False)
         record = world.agent(1).local_query(0, ConsistencyLevel.STRONG)
@@ -277,11 +276,3 @@ class TestRelayHold:
         record = world.agent(4).local_query(0, ConsistencyLevel.STRONG)
         world.run(120.0)  # next INVALIDATION renews TTR and drains queue
         assert record.answered
-
-    def test_hold_notice_disabled_escalates(self):
-        world = self.make_held_world(relay_hold_notice=False)
-        record = world.agent(4).local_query(0, ConsistencyLevel.STRONG)
-        world.run(30.0)
-        # Escalated to the TTL-8 broadcast, which reaches the source.
-        assert record.answered
-        assert world.metrics.counter("rpcc_poll_fallback_source") >= 1

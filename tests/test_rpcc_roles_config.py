@@ -15,11 +15,8 @@ class TestRPCCConfig:
         assert config.ttr == 90.0
         assert config.ttp == 240.0
 
-    def test_poll_ttl_defaults_to_invalidation_ttl(self):
+    def test_poll_ttl_is_invalidation_ttl(self):
         assert RPCCConfig(ttl_invalidation=5).poll_ttl == 5
-
-    def test_poll_ttl_explicit(self):
-        assert RPCCConfig(ttl_invalidation=5, poll_ttl=2).poll_ttl == 2
 
     def test_grace_timeout_computed_from_dead_window(self):
         config = RPCCConfig(ttn=120.0, ttr=90.0)
@@ -29,9 +26,6 @@ class TestRPCCConfig:
         config = RPCCConfig(ttn=100.0, ttr=100.0)
         assert config.grace_timeout == pytest.approx(5.0)
 
-    def test_delta_is_ttp(self):
-        assert RPCCConfig(ttp=300.0).delta == 300.0
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -40,11 +34,7 @@ class TestRPCCConfig:
             {"ttr": -1.0},
             {"ttp": 0.0},
             {"poll_timeout": 0.0},
-            {"source_poll_timeout": 0.0},
-            {"max_source_poll_attempts": 0},
             {"broadcast_ttl": 0},
-            {"poll_ttl": 0},
-            {"grace_timeout": 0.0},
         ],
     )
     def test_invalid_parameters(self, kwargs):
@@ -53,8 +43,7 @@ class TestRPCCConfig:
 
     @pytest.mark.parametrize(
         "name",
-        ["ttn", "ttr", "ttp", "poll_timeout", "source_poll_timeout",
-         "grace_timeout", "update_repush_interval"],
+        ["ttn", "ttr", "ttp", "poll_timeout"],
     )
     def test_nan_timer_rejected(self, name):
         with pytest.raises(ConfigurationError, match=name):

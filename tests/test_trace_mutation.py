@@ -22,12 +22,11 @@ def _rpcc_world() -> World:
     # ttn < ttr inverts the paper's defaults on purpose: the invalidation
     # flood fires while the relay's TTR is still open, which is the only
     # window in which a suppressed delivery can leave the relay answering
-    # polls with a version it should know is dead.
+    # polls with a version it should know is dead.  Node 2's poll flood
+    # also reaches the source, but the relay one hop away answers first.
     return make_world(
         line_positions(3),
-        lambda ctx: RPCCStrategy(
-            ctx, RPCCConfig(ttn=30.0, ttr=90.0, poll_ttl=1)
-        ),
+        lambda ctx: RPCCStrategy(ctx, RPCCConfig(ttn=30.0, ttr=90.0)),
     )
 
 
