@@ -1,20 +1,15 @@
-"""Campaign persistence benchmark: the columnar result store.
-
-The append-only columnar store batches completed points into record
-batches (256 rows by default) and commits each with a single segment
-append plus an atomic index-sidecar rewrite, so a thousand-point campaign
-takes a dozen filesystem writes and reads back as a handful of
-sequential scans.
+"""Campaign persistence benchmark: the one-table SQLite result store.
 
 ``campaign_store_write_read_1000`` times a synthetic 1000-point campaign
-end to end — persist every point through one ``SegmentWriter`` pass,
-reopen cold, read every point back (``get_many`` +
-``RunRecord.to_result``) as a usable ``SimulationResult``.  The synthetic
-records are generated once outside the timed region, so the timing
-isolates the persistence layer itself.  The measured ``store_fs_writes``
-lands in ``BENCH_campaign.json``'s metadata, where
-``tests/test_bench_baseline.py`` holds the committed number to what
-:func:`campaign_write_counts` measures.
+end to end — persist every point in commits of at most 256 records
+(``ResultStore.put_many``, one transaction each), reopen cold, read every
+point back (``get_many`` + ``RunRecord.to_result``) as a usable
+``SimulationResult``.  The synthetic records are generated once outside
+the timed region, so the timing isolates the persistence layer itself.
+The commit count the store measures (``store_commits``) lands in
+``BENCH_campaign.json``'s metadata, where ``tests/test_bench_baseline.py``
+holds the committed number to what :func:`campaign_write_counts`
+measures.
 
 The pytest entry point below asserts the correctness side: the store
 hands back the campaign it was given, bit for bit.
@@ -29,7 +24,7 @@ from typing import Callable, Dict, List, Tuple
 from repro.experiments.config import SimulationConfig
 from repro.experiments.store import ResultStore, RunRecord
 
-#: Campaign size and batching for every benchmark in this module.
+#: Campaign size and records per commit for every benchmark in this module.
 CAMPAIGN_POINTS = 1000
 STORE_BATCH = 256
 
@@ -84,11 +79,16 @@ def synthetic_campaign() -> List[RunRecord]:
     return [synthetic_record(i) for i in range(CAMPAIGN_POINTS)]
 
 
-def _store_write_read(root: str, records, config) -> Dict:
+def _store_campaign(root: str, records) -> ResultStore:
+    """Commit ``records`` as a campaign does: at most ``STORE_BATCH`` a commit."""
     store = ResultStore(root)
-    with store.writer(batch_size=STORE_BATCH) as writer:
-        for record in records:
-            writer.add(record)
+    for start in range(0, len(records), STORE_BATCH):
+        store.put_many(records[start:start + STORE_BATCH])
+    return store
+
+
+def _store_write_read(root: str, records, config) -> Dict:
+    _store_campaign(root, records)
     cold = ResultStore(root)
     found = cold.get_many([record.key for record in records])
     return {key: record.to_result(config) for key, record in found.items()}
@@ -98,8 +98,8 @@ def campaign_benchmarks(workdir: str) -> List[Tuple[str, Callable[[], None]]]:
     """Name -> one-iteration callable for every gated campaign benchmark.
 
     Each timed iteration gets a pristine directory under ``workdir``, so
-    it pays the real segment-claim cost instead of appending a new
-    generation next to the last iteration's.
+    it pays the cost of creating the database instead of overwriting the
+    last iteration's rows.
     """
     config = _campaign_config()
     records = synthetic_campaign()
@@ -114,19 +114,16 @@ def campaign_benchmarks(workdir: str) -> List[Tuple[str, Callable[[], None]]]:
 
 
 def campaign_write_counts() -> Dict[str, int]:
-    """Filesystem writes the 1000-point campaign costs the store.
+    """Commits the 1000-point campaign costs the store.
 
-    *Measured* from the writer's own accounting, so the number tracks the
+    *Measured* from the store's own accounting, so the number tracks the
     implementation instead of a hand-maintained constant.
     """
     import tempfile
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-writes-") as root:
-        store = ResultStore(os.path.join(root, "store"))
-        with store.writer(batch_size=STORE_BATCH) as writer:
-            for record in synthetic_campaign():
-                writer.add(record)
-        return {"store_fs_writes": store.stats["fs_writes"]}
+        store = _store_campaign(os.path.join(root, "store"), synthetic_campaign())
+        return {"store_commits": store.stats["commits"]}
 
 
 # ----------------------------------------------------------------------

@@ -29,9 +29,9 @@ this file:
   world construction), so they are measured via :func:`measure_returned`;
 * ``campaign`` — the persistence layer of ``bench_campaign.py`` (a
   synthetic 1000-point campaign written and read back through the
-  columnar result store), gated against ``BENCH_campaign.json``; the
-  measured filesystem-write count lands in the metadata, where a test
-  holds the committed number to what the code measures;
+  SQLite result store), gated against ``BENCH_campaign.json``; the
+  measured commit count lands in the metadata, where a test holds the
+  committed number to what the code measures;
 * ``control`` — the online controller of ``bench_control.py`` (the same
   chaos-scale run with no controller, with the no-op static policy
   sampling every window, and with the hysteresis policy actuating under

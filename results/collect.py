@@ -1,8 +1,8 @@
 """Collect paper-scale reproduction numbers for EXPERIMENTS.md.
 
 Runs go through the campaign executor: ``REPRO_JOBS=N`` fans them out
-over N worker processes (bit-identical results), and the append-only
-columnar store under ``results/.store`` makes an interrupted collection
+over N worker processes (bit-identical results), and the SQLite result
+store under ``results/.store`` makes an interrupted collection
 resumable — already-finished points are read back instead of re-run.
 """
 import json, time

@@ -13,9 +13,9 @@ Usage::
 Every command accepts ``--sim-time``/``--warmup``/``--seed`` so the
 paper-scale five-hour runs and quick smoke runs use the same entry point.
 ``--jobs N`` fans independent runs out over N worker processes with
-bit-identical results; finished runs land in a content-addressed,
-append-only result store (``results/.store/`` unless ``--store DIR``
-moves it), so ``fig8a`` after ``fig7a`` re-reads the shared sweep instead
+bit-identical results; finished runs land in a content-addressed result
+store, one SQLite file in ``results/.store/`` unless ``--store DIR``
+moves it, so ``fig8a`` after ``fig7a`` re-reads the shared sweep instead
 of re-simulating it.  The store is committed about once a second while a
 campaign runs: kill it (``kill -9`` included), rerun the same command,
 and only the points that had not been committed simulate again.  Disable
@@ -256,7 +256,7 @@ def _report_store(executor: CampaignExecutor) -> None:
         stats = store.stats
         print(f"store: {executor.store_hits} served, "
               f"{stats['records_appended']} appended in "
-              f"{stats['batches_committed']} batches ({store.root}); "
+              f"{stats['commits']} commits ({store.root}); "
               f"{executor.runs_executed} runs simulated")
 
 

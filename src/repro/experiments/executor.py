@@ -25,13 +25,13 @@ import json
 import os
 import time
 import traceback
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import SimulationResult, run_simulation
-from repro.experiments.store import STORE_FORMAT_VERSION, ResultStore
+from repro.experiments.store import STORE_FORMAT_VERSION, ResultStore, RunRecord
 
 __all__ = [
     "CampaignExecutor",
@@ -79,6 +79,29 @@ def env_jobs(name: str, default: int = 1) -> int:
     return value
 
 
+#: Leaf types ``_plain`` returns without looking further.
+_ATOMS = frozenset((int, float, str, bool, type(None)))
+
+
+def _plain(value):
+    """``value`` as :func:`dataclasses.asdict` hands it to ``json.dumps``.
+
+    Dataclasses become dicts and tuples lists, recursively; everything
+    else is returned as is.  ``asdict`` deep-copies each leaf on the way,
+    which costs most of a warm campaign's time and changes no byte of
+    the JSON.
+    """
+    if type(value) in _ATOMS:
+        return value
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
+
+
 def run_key(config: SimulationConfig, spec: str, scenario: str = "standard") -> str:
     """Content address of one run: hash of everything that determines it.
 
@@ -88,7 +111,7 @@ def run_key(config: SimulationConfig, spec: str, scenario: str = "standard") -> 
     """
     payload = {
         "version": STORE_FORMAT_VERSION,
-        "config": asdict(config),
+        "config": _plain(config),
         "spec": spec.strip().lower(),
         "scenario": scenario,
     }
@@ -134,9 +157,8 @@ def _run_pool(pending: Sequence[PendingTask], jobs: int) -> Iterator[Completion]
                 status, payload = future.result()
                 yield key, task, status, payload
         except BrokenProcessPool as exc:
-            # A worker died without reporting (OOM kill, segfault):
-            # surface it against one of the in-flight tasks.
-            key, task = next(iter(futures.values()))
+            # A worker died without reporting (OOM kill, segfault): blame
+            # the task whose result raised, which never finished.
             yield key, task, "error", f"worker process died abruptly: {exc}"
         finally:
             for future in futures:
@@ -247,11 +269,7 @@ class CampaignExecutor:
             completions = _run_serial(pending)
         else:
             completions = _run_pool(pending, self.jobs)
-        writer = (
-            self.store.writer(writer_id=f"w{os.getpid()}")
-            if self.store is not None
-            else None
-        )
+        unsaved: List[RunRecord] = []
         committed_at = time.monotonic()
         try:
             for key, task, status, payload in completions:
@@ -261,13 +279,14 @@ class CampaignExecutor:
                 result: SimulationResult = payload  # type: ignore[assignment]
                 fresh[key] = result
                 self.runs_executed += 1
-                if writer is not None:
-                    writer.add_result(key, result)
+                if self.store is not None:
+                    unsaved.append(RunRecord.from_result(key, result))
                     now = time.monotonic()
                     if now - committed_at >= COMMIT_INTERVAL_S:
-                        writer.flush()
+                        self.store.put_many(unsaved)
+                        unsaved.clear()
                         committed_at = now
         finally:
-            if writer is not None:
-                writer.close()
+            if unsaved:
+                self.store.put_many(unsaved)
         return fresh

@@ -226,9 +226,10 @@ _KIND_OF = {cls: kind for kind, cls in FAULT_KINDS.items()}
 class FaultPlan:
     """An immutable, serializable timeline of fault specs.
 
-    Hashing note: the plan participates in the result-cache key through
-    ``dataclasses.asdict`` on the owning :class:`SimulationConfig`, so
-    every field of every spec is content-addressed automatically.
+    Hashing note: the plan participates in the result-cache key, which
+    hashes the ``dataclasses.asdict`` JSON of the owning
+    :class:`SimulationConfig`, so every field of every spec is
+    content-addressed automatically.
     """
 
     faults: Tuple[FaultSpec, ...] = ()

@@ -231,9 +231,9 @@ class TestRunBench:
         assert defined == committed
 
     def test_committed_campaign_baseline_records_the_targets(self):
-        """The one figure the campaign baseline commits to: its
-        filesystem-write count for the 1000-point campaign is what the
-        store's own accounting measures today."""
+        """The one figure the campaign baseline commits to: its commit
+        count for the 1000-point campaign is what the store's own
+        accounting measures today."""
         import pathlib
 
         from benchmarks.bench_campaign import campaign_write_counts
@@ -244,8 +244,8 @@ class TestRunBench:
             / "BENCH_campaign.json"
         )
         meta = json.loads(baseline_path.read_text())["meta"]
-        assert meta["store_fs_writes"] == (
-            campaign_write_counts()["store_fs_writes"]
+        assert meta["store_commits"] == (
+            campaign_write_counts()["store_commits"]
         )
 
     def test_control_benchmark_names_match_committed_baseline(self, tmp_path):

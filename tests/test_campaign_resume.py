@@ -1,4 +1,4 @@
-"""Campaign resume semantics against the columnar result store.
+"""Campaign resume semantics against the SQLite result store.
 
 The contract: kill a campaign mid-flight and restart it against the same
 store, and (1) only the incomplete points re-run, (2) the merged results

@@ -6,20 +6,33 @@ the store must be invisible to the science — same summaries, same series,
 same relay samples, whatever the jobs count or store state.
 """
 
+import dataclasses
+import hashlib
+import json
+import multiprocessing
+import os
 import pickle
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import executor as executor_module
 from repro.experiments.config import SimulationConfig
 from repro.experiments.executor import (
     CampaignExecutor,
     CampaignRunError,
+    env_jobs,
     run_key,
 )
 from repro.experiments.figures.base import run_axis_sweep
 from repro.experiments.runner import STRATEGY_SPECS, run_simulation
-from repro.experiments.store import ResultStore
+from repro.experiments.store import STORE_FORMAT_VERSION, ResultStore
+from repro.faults.plan import FaultPlan
+from repro.peers.coefficients import SelectionThresholds
+
+FAULT_PLANS = Path(__file__).resolve().parents[1] / "examples" / "faults"
 
 
 def tiny_config(**kwargs):
@@ -65,6 +78,36 @@ class TestRunKey:
 
     def test_spec_normalised(self):
         assert run_key(tiny_config(), " PUSH ") == run_key(tiny_config(), "push")
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            tiny_config(),
+            tiny_config(
+                controller="hysteresis",
+                retry_backoff=True,
+                thresholds=SelectionThresholds(mu_car=0.2),
+            ),
+        ]
+        + [
+            tiny_config(faults=FaultPlan.load(path))
+            for path in sorted(FAULT_PLANS.glob("*.json"))
+        ],
+    )
+    def test_key_hashes_the_asdict_json(self, config):
+        """The key is the hash of ``dataclasses.asdict(config)``'s JSON."""
+        blob = json.dumps(
+            {
+                "version": STORE_FORMAT_VERSION,
+                "config": dataclasses.asdict(config),
+                "spec": "push",
+                "scenario": "standard",
+            },
+            sort_keys=True,
+            default=repr,
+        )
+        expected = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        assert run_key(config, "push") == expected
 
 
 class TestPickleRoundTrip:
@@ -152,6 +195,39 @@ class TestExecutorSemantics:
         assert excinfo.value.spec == "gossip"
         assert "ConfigurationError" in excinfo.value.worker_traceback
 
+    @pytest.mark.skipif(
+        # The pool's start method, read without fixing it for the process.
+        (multiprocessing.get_start_method(allow_none=True)
+         or multiprocessing.get_all_start_methods()[0]) != "fork",
+        reason="the workers must inherit the patched run_simulation",
+    )
+    def test_dead_worker_is_blamed_on_its_own_task(self, tmp_path, monkeypatch):
+        """A worker that dies mid-task breaks the pool; the error names
+        that task, not one that already finished and was committed."""
+        real_run = executor_module.run_simulation
+        root = tmp_path / "store"
+
+        def run_or_die(config, spec, scenario):
+            if spec != "push":
+                return real_run(config, spec, scenario)
+            # Die once the parent has committed the other point.
+            deadline = time.monotonic() + 60.0
+            while len(ResultStore(root)) < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os._exit(1)
+
+        monkeypatch.setattr(executor_module, "run_simulation", run_or_die)
+        monkeypatch.setattr(executor_module, "COMMIT_INTERVAL_S", 0.0)
+        executor = CampaignExecutor(jobs=2, store=ResultStore(root))
+        with pytest.raises(CampaignRunError) as excinfo:
+            executor.run_many([
+                (tiny_config(), "pull", "standard"),
+                (tiny_config(), "push", "standard"),
+            ])
+        assert excinfo.value.spec == "push"
+        assert "worker process died abruptly" in excinfo.value.worker_traceback
+        assert ResultStore(root).keys() == {run_key(tiny_config(), "pull")}
+
 
 class TestAxisSweepDedup:
     def test_duplicate_axis_values_run_once(self):
@@ -161,3 +237,22 @@ class TestAxisSweepDedup:
         )
         assert executor.runs_executed == 2
         assert set(results) == {("push", 2), ("push", 4)}
+
+
+class TestEnvJobs:
+    def test_default_when_unset_or_blank(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TEST_JOBS", raising=False)
+        assert env_jobs("REPRO_TEST_JOBS") == 1
+        assert env_jobs("REPRO_TEST_JOBS", default=4) == 4
+        monkeypatch.setenv("REPRO_TEST_JOBS", "   ")
+        assert env_jobs("REPRO_TEST_JOBS") == 1
+
+    def test_parses_positive_integers(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_JOBS", "8")
+        assert env_jobs("REPRO_TEST_JOBS") == 8
+
+    @pytest.mark.parametrize("bad", ["0", "-3", "two", "1.5"])
+    def test_rejects_invalid_values(self, monkeypatch, bad):
+        monkeypatch.setenv("REPRO_TEST_JOBS", bad)
+        with pytest.raises(ConfigurationError):
+            env_jobs("REPRO_TEST_JOBS")
