@@ -2,21 +2,31 @@
 
 Every protocol-relevant moment — a query being issued, a cache hit, an
 invalidation landing at a node, a relay promotion — is captured as one
-small dataclass carrying the simulation time plus the identifiers needed
-to reconstruct the protocol dynamics afterwards.  Events serialise to
-flat JSON dictionaries (``{"e": <type>, "t": <time>, ...fields}``), one
-per JSONL line, and deserialise back through :func:`event_from_dict`, so
-a trace written by one process can be replayed — e.g. through
+small slotted dataclass carrying the simulation time plus the
+identifiers needed to reconstruct the protocol dynamics afterwards.
+Events serialise to flat JSON objects (``{"e": <type>, "time": <time>,
+...fields}``), one per JSONL line, and deserialise back through
+:func:`event_from_dict` or :func:`iter_jsonl`, so a trace written by one
+process can be replayed — e.g. through
 :class:`repro.obs.checker.InvariantChecker` — by another.
 
-There is one codec per event type, built on first use and shared by
-every writer: the field names in order and, beside each, the JSON text
-that precedes its value.  :meth:`TraceEvent.to_json` fills that template
-with ``int`` / ``str`` / finite ``float`` / ``bool`` values rendered
-directly and anything else (``None``, NaN, ±inf, nested values) through
-the one module-level encoder — the bytes ``json.dumps(event.to_dict(),
-separators=(",", ":"))`` would produce, without a ``JSONEncoder`` and a
-``dataclasses.fields()`` walk per event.
+Writing: every event class gets one line writer, its ``to_json``,
+compiled once at class creation from its dataclass fields (the way
+``dataclasses`` builds ``__init__``): a single f-string behind one guard
+that every value has its field's declared type — ``int``, finite
+``float``, ``str`` or ``bool``, tested with ``type(v) is`` so that a
+``bool`` never passes for an ``int``.  Any other value (``None``, NaN,
+±inf, a nested value) sends the event through one shared
+``JSONEncoder``.  Either way the line is the bytes of
+``json.dumps(event.to_dict(), separators=(",", ":"))``.
+
+Reading: each stripped line goes to the C scanner under ``json.loads``
+(``JSONDecoder.scan_once``); when the keys come in the writer's order the
+event is built positionally, otherwise by keyword.  A line that is not
+UTF-8 or not JSON fails with ``json.loads``'s own message, and one with an
+unknown tag, an unknown or missing field or a ``time`` that is not a
+finite number fails too, each as a :class:`~repro.errors.ConfigurationError`
+naming its line.
 
 The taxonomy (see docs/OBSERVABILITY.md):
 
@@ -45,7 +55,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from json.encoder import encode_basestring_ascii as _encode_str
-from math import inf, isfinite
+from math import inf
 from typing import Any, ClassVar, Dict, IO, Iterator, List, Tuple, Union
 
 from repro.errors import ConfigurationError
@@ -83,70 +93,99 @@ __all__ = [
 
 #: What ``json.dumps(..., separators=(",", ":"))`` builds afresh per call.
 _encode_value = json.JSONEncoder(separators=(",", ":")).encode
+#: The C scanner under ``json.loads``: ``(value, end index)`` of the JSON
+#: value starting at an index, ``StopIteration`` where none starts.
+_scan = json.JSONDecoder().scan_once
+_skip_whitespace = json.decoder.WHITESPACE.match
 
-#: Event class -> (field names, JSON text preceding each field's value).
-_CODECS: Dict[type, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
-
-
-def _codec(cls: type) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """Field names of ``cls`` (``time`` first) and their key templates."""
-    codec = _CODECS.get(cls)
-    if codec is None:
-        names = ("time",) + tuple(
-            field.name for field in dataclasses.fields(cls) if field.name != "time"
-        )
-        head = '{"e":' + _encode_str(cls.etype)
-        prefixes = tuple(
-            (head if index == 0 else "") + "," + _encode_str(name) + ":"
-            for index, name in enumerate(names)
-        )
-        codec = _CODECS[cls] = names, prefixes
-    return codec
+#: Declared field type -> (guard, f-string rendering) of the value in the
+#: local ``{0}``, for the values a compiled writer renders inline.  ``type(v)
+#: is`` keeps a ``bool`` out of an ``int`` or ``float`` field and an ``int``
+#: out of a ``float`` one; the range test keeps NaN and ±inf out.
+_INLINE = {
+    "int": ("type({0}) is int", "{{{0}}}"),
+    "float": ("type({0}) is float and -inf < {0} < inf", "{{{0}!r}}"),
+    "str": ("type({0}) is str", "{{_str({0})}}"),
+    "bool": ("type({0}) is bool", "{{_bool[{0}]}}"),
+}
 
 
-@dataclasses.dataclass
+def _compile_writer(cls: type) -> Any:
+    """``cls.to_json``: one guarded f-string over the fields of ``cls``.
+
+    Built from the dataclass fields the way ``dataclasses`` builds
+    ``__init__``.  When every value has its field's declared type (``int``,
+    finite ``float``, ``str``, ``bool``) the line is that one f-string; any
+    other value sends the whole event through the shared encoder
+    (``json.dumps`` of :meth:`TraceEvent.to_dict`).
+    """
+    fields = dataclasses.fields(cls)
+    locals_ = [f"_{index}" for index in range(len(fields))]
+    guards, template = [], '{{"e":' + _encode_str(cls.etype)
+    for local, field in zip(locals_, fields):
+        guard, render = _INLINE[field.type]
+        guards.append(guard.format(local))
+        template += "," + _encode_str(field.name) + ":" + render.format(local)
+    template += "}}"
+    attributes = ", ".join(f"self.{field.name}" for field in fields)
+    source = (
+        "def to_json(self):\n"
+        f"    {', '.join(locals_)}, = {attributes},\n"
+        f"    if {' and '.join(guards)}:\n"
+        f"        return f{template!r}\n"
+        "    return _encode_value(self.to_dict())\n"
+    )
+    namespace = {
+        "inf": inf, "_str": _encode_str, "_bool": ("false", "true"),
+        "_encode_value": _encode_value,
+    }
+    exec(source, namespace)
+    writer = namespace["to_json"]
+    writer.__qualname__ = f"{cls.__qualname__}.to_json"
+    writer.__doc__ = _first_to_json.__doc__
+    return writer
+
+
+def _first_to_json(self: "TraceEvent") -> str:
+    """One compact JSON object: :meth:`to_dict`, serialised.
+
+    Byte-for-byte what ``json.dumps(self.to_dict(), separators=(",",
+    ":"))`` returns; every JSONL writer calls this.  The first call on a
+    class compiles its writer, which then is the class's ``to_json``, so
+    that an untraced run compiles none.
+    """
+    cls = type(self)
+    cls.to_json = _compile_writer(cls)
+    return cls.to_json(self)
+
+
+def _event(cls: type) -> type:
+    """Make ``cls`` a slotted dataclass whose writer compiles on first use."""
+    cls = dataclasses.dataclass(slots=True)(cls)
+    cls._field_names = tuple(field.name for field in dataclasses.fields(cls))
+    cls.to_json = _first_to_json  # its own, so no class runs another's writer
+    return cls
+
+
+@_event
 class TraceEvent:
     """Base class: every event carries the simulation time it occurred."""
 
     etype: ClassVar[str] = "event"
+    #: The dataclass fields in order (``time`` first), as JSON keys.
+    _field_names: ClassVar[Tuple[str, ...]]
 
     time: float
 
     def to_dict(self) -> Dict[str, Any]:
         """Flat JSON-ready dictionary (``e`` = type tag, then the fields)."""
         payload: Dict[str, Any] = {"e": self.etype}
-        for name in _codec(type(self))[0]:
+        for name in self._field_names:
             payload[name] = getattr(self, name)
         return payload
 
-    def to_json(self) -> str:
-        """One compact JSON object: :meth:`to_dict`, serialised.
 
-        Byte-for-byte what ``json.dumps(self.to_dict(), separators=(",",
-        ":"))`` returns; every JSONL writer calls this.
-        """
-        names, prefixes = _codec(type(self))
-        parts: List[str] = []
-        for name, prefix in zip(names, prefixes):
-            value = getattr(self, name)
-            kind = type(value)
-            if kind is int:
-                text = int.__repr__(value)
-            elif kind is str:
-                text = _encode_str(value)
-            elif kind is float and isfinite(value):
-                text = float.__repr__(value)
-            elif kind is bool:
-                text = "true" if value else "false"
-            else:
-                text = _encode_value(value)
-            parts.append(prefix)
-            parts.append(text)
-        parts.append("}")
-        return "".join(parts)
-
-
-@dataclasses.dataclass
+@_event
 class QueryIssued(TraceEvent):
     """A workload query entered the system at ``node``."""
 
@@ -157,7 +196,7 @@ class QueryIssued(TraceEvent):
     query_id: int = 0
 
 
-@dataclasses.dataclass
+@_event
 class CacheHit(TraceEvent):
     """The querying node holds a copy (or sources the item)."""
 
@@ -167,7 +206,7 @@ class CacheHit(TraceEvent):
     version: int = 0
 
 
-@dataclasses.dataclass
+@_event
 class CacheMiss(TraceEvent):
     """The querying node holds no copy; discovery takes over."""
 
@@ -176,7 +215,7 @@ class CacheMiss(TraceEvent):
     item: int = 0
 
 
-@dataclasses.dataclass
+@_event
 class ReadServed(TraceEvent):
     """A query was answered at its issuing node.
 
@@ -201,7 +240,7 @@ class ReadServed(TraceEvent):
     staleness_age: float = 0.0
 
 
-@dataclasses.dataclass
+@_event
 class SourceUpdate(TraceEvent):
     """The source host advanced its master copy to ``version``."""
 
@@ -211,7 +250,7 @@ class SourceUpdate(TraceEvent):
     version: int = 0
 
 
-@dataclasses.dataclass
+@_event
 class InvalidationSent(TraceEvent):
     """A source flooded an invalidation (``protocol``: push or rpcc)."""
 
@@ -223,7 +262,7 @@ class InvalidationSent(TraceEvent):
     protocol: str = "rpcc"
 
 
-@dataclasses.dataclass
+@_event
 class InvalidationReceived(TraceEvent):
     """An invalidation was *delivered* to ``node`` (network layer).
 
@@ -237,7 +276,7 @@ class InvalidationReceived(TraceEvent):
     version: int = 0
 
 
-@dataclasses.dataclass
+@_event
 class PollSent(TraceEvent):
     """A validation poll left ``node`` (``stage`` names the ladder rung)."""
 
@@ -249,7 +288,7 @@ class PollSent(TraceEvent):
     ttl: int = 0
 
 
-@dataclasses.dataclass
+@_event
 class PollAnswered(TraceEvent):
     """A poll acknowledgement settled the query at ``node``.
 
@@ -265,7 +304,7 @@ class PollAnswered(TraceEvent):
     fresh: bool = True
 
 
-@dataclasses.dataclass
+@_event
 class FetchStarted(TraceEvent):
     """A content refresh was requested from ``target`` (the source)."""
 
@@ -276,7 +315,7 @@ class FetchStarted(TraceEvent):
     kind: str = "push-refresh"
 
 
-@dataclasses.dataclass
+@_event
 class FetchCompleted(TraceEvent):
     """Fresh content landed, the local copy now holds ``version``."""
 
@@ -287,7 +326,7 @@ class FetchCompleted(TraceEvent):
     kind: str = "push-refresh"
 
 
-@dataclasses.dataclass
+@_event
 class RelayPromoted(TraceEvent):
     """``node`` became a relay peer for ``item`` (Fig 5: CANDIDATE→RELAY)."""
 
@@ -296,7 +335,7 @@ class RelayPromoted(TraceEvent):
     item: int = 0
 
 
-@dataclasses.dataclass
+@_event
 class RelayDemoted(TraceEvent):
     """``node`` resigned its relay role for ``item``."""
 
@@ -306,7 +345,7 @@ class RelayDemoted(TraceEvent):
     reason: str = "resigned"
 
 
-@dataclasses.dataclass
+@_event
 class NodeOnline(TraceEvent):
     """``node`` switched on (Section 4.5 churn)."""
 
@@ -314,7 +353,7 @@ class NodeOnline(TraceEvent):
     node: int = 0
 
 
-@dataclasses.dataclass
+@_event
 class NodeOffline(TraceEvent):
     """``node`` switched off."""
 
@@ -322,7 +361,7 @@ class NodeOffline(TraceEvent):
     node: int = 0
 
 
-@dataclasses.dataclass
+@_event
 class FaultPartitionStarted(TraceEvent):
     """A fault-plan partition came into force (``fault.*`` family)."""
 
@@ -331,7 +370,7 @@ class FaultPartitionStarted(TraceEvent):
     name: str = ""
 
 
-@dataclasses.dataclass
+@_event
 class FaultPartitionEnded(TraceEvent):
     """A fault-plan partition healed; suppressed edges are restored."""
 
@@ -340,7 +379,7 @@ class FaultPartitionEnded(TraceEvent):
     name: str = ""
 
 
-@dataclasses.dataclass
+@_event
 class FaultNodeCrashed(TraceEvent):
     """``node`` was crashed by the fault plan.
 
@@ -355,7 +394,7 @@ class FaultNodeCrashed(TraceEvent):
     wiped: bool = False
 
 
-@dataclasses.dataclass
+@_event
 class FaultNodeRebooted(TraceEvent):
     """``node`` came back after a fault-plan crash."""
 
@@ -363,7 +402,7 @@ class FaultNodeRebooted(TraceEvent):
     node: int = 0
 
 
-@dataclasses.dataclass
+@_event
 class FaultRelayKilled(TraceEvent):
     """A targeted relay kill took ``node`` down while relaying ``item``."""
 
@@ -372,7 +411,7 @@ class FaultRelayKilled(TraceEvent):
     item: int = 0
 
 
-@dataclasses.dataclass
+@_event
 class ControllerSampled(TraceEvent):
     """The online controller took one observation window."""
 
@@ -386,7 +425,7 @@ class ControllerSampled(TraceEvent):
     relays: int = 0
 
 
-@dataclasses.dataclass
+@_event
 class ControllerActuated(TraceEvent):
     """The controller changed one protocol knob at the actuation boundary.
 
@@ -403,7 +442,7 @@ class ControllerActuated(TraceEvent):
     reason: str = ""
 
 
-@dataclasses.dataclass
+@_event
 class MetricsReset(TraceEvent):
     """The warm-up window closed; metrics were reset."""
 
@@ -444,9 +483,9 @@ EVENT_TYPES: Dict[str, type] = {
 def event_from_dict(payload: Dict[str, Any]) -> TraceEvent:
     """Reconstruct a typed event from its :meth:`~TraceEvent.to_dict` form.
 
-    Anything but an object with a known ``e`` tag, the fields of that
-    type and a finite ``int``/``float`` ``time`` raises
-    :class:`~repro.errors.ConfigurationError`.
+    Anything but an object with a known ``e`` tag, every field of that
+    type and no other key (in any order) and a finite ``int``/``float``
+    ``time`` raises :class:`~repro.errors.ConfigurationError`.
     """
     return _event_from_fields(dict(payload) if isinstance(payload, dict) else payload)
 
@@ -459,13 +498,23 @@ def _event_from_fields(fields: Dict[str, Any]) -> TraceEvent:
         raise ConfigurationError(
             f"trace event must be a JSON object, got {fields!r}"
         ) from None
-    cls = EVENT_TYPES.get(tag)
+    try:
+        cls = EVENT_TYPES.get(tag)
+    except TypeError:  # an unhashable tag
+        cls = None
     if cls is None:
         raise ConfigurationError(f"unknown trace event type {tag!r}")
-    try:
-        event = cls(**fields)
-    except TypeError as exc:
-        raise ConfigurationError(f"malformed {tag!r} event: {exc}") from None
+    names = cls._field_names
+    if tuple(fields) == names:  # the writer's order: positional
+        event = cls(*fields.values())
+    else:
+        try:
+            event = cls(**fields)
+        except TypeError as exc:
+            raise ConfigurationError(f"malformed {tag!r} event: {exc}") from None
+        if len(fields) < len(names):  # every key is a field, some are absent
+            missing = ", ".join(name for name in names if name not in fields)
+            raise ConfigurationError(f"malformed {tag!r} event: missing {missing}")
     time = event.time
     # One type test per event (the reader is on the replay's hot path);
     # the chained comparison rejects NaN as well as both infinities.
@@ -480,21 +529,43 @@ def read_jsonl(source: Union[str, IO[str]]) -> List[TraceEvent]:
 
 
 def iter_jsonl(source: Union[str, IO[str]]) -> Iterator[TraceEvent]:
-    """Stream a JSONL trace as typed events (blank lines are skipped)."""
+    """Stream a JSONL trace as typed events (blank lines are skipped).
+
+    A line that is not UTF-8, not one JSON value or not an event raises
+    :class:`~repro.errors.ConfigurationError` naming the line.
+    """
     if hasattr(source, "read"):
         yield from _iter_stream(source)  # type: ignore[arg-type]
         return
-    with open(source, "r", encoding="utf-8") as handle:
+    # Undecodable bytes become lone surrogates, which no UTF-8 text
+    # decodes to: the line that holds one is found, not the whole read.
+    with open(source, "r", encoding="utf-8", errors="surrogateescape") as handle:
         yield from _iter_stream(handle)
 
 
 def _iter_stream(handle: IO[str]) -> Iterator[TraceEvent]:
     for number, line in enumerate(handle, 1):
-        line = line.strip()
-        if line:
+        try:
+            if not line.isascii():
+                # Raises the UnicodeDecodeError of the bytes the line came from.
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            line = line.strip()
+            if not line:
+                continue
+            # ``json.loads(line)`` without its wrapper, and with its messages.
             try:
-                # The dict json.loads just built is nobody else's: no copy.
-                event = _event_from_fields(json.loads(line))
-            except (ValueError, ConfigurationError) as exc:  # JSONDecodeError too
-                raise ConfigurationError(f"trace line {number}: {exc}") from None
-            yield event
+                fields, end = _scan(line, 0)
+            except StopIteration as stop:
+                if line.startswith("\ufeff"):
+                    raise json.JSONDecodeError(
+                        "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+                    ) from None
+                raise json.JSONDecodeError("Expecting value", line, stop.value) from None
+            if end != len(line):
+                raise json.JSONDecodeError(
+                    "Extra data", line, _skip_whitespace(line, end).end()
+                )
+            event = _event_from_fields(fields)
+        except (ValueError, ConfigurationError) as exc:  # JSONDecodeError too
+            raise ConfigurationError(f"trace line {number}: {exc}") from None
+        yield event

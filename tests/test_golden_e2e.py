@@ -15,7 +15,9 @@ change with::
     REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_e2e.py
 
 and commit the refreshed ``digests.json`` (and ``worlds.json``, the
-larger worlds pinned further down) alongside the change.
+larger worlds pinned further down) alongside the change.  Each cell's
+JSONL trace bytes are pinned too, in ``trace_bytes.json``: a change to
+the writer alone must leave that file as it is.
 
 Every run is also replayed through the invariant checker: the golden
 matrix doubles as the "checker passes seeded e2e runs of all strategies
@@ -24,6 +26,9 @@ and levels" acceptance gate.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import io
 import json
 import os
 from collections import Counter
@@ -35,9 +40,12 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import build_simulation
 from repro.net import soa
 from repro.net.topology import TopologySnapshot
-from repro.obs import InvariantChecker, ListSink, TraceBus
+from repro.obs import InvariantChecker, JsonlSink, ListSink, TraceBus, read_jsonl
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "digests.json"
+#: sha256 and byte count of each matrix cell's JSONL trace, recorded
+#: through the sink of the per-field writer the compiled ones replaced.
+TRACE_BYTES_PATH = Path(__file__).parent / "golden" / "trace_bytes.json"
 #: Table-1 and 2 000-peer worlds, recorded while a scalar per-quantum core
 #: still ran next to the array core and both produced these digests.
 WORLDS_PATH = Path(__file__).parent / "golden" / "worlds.json"
@@ -98,6 +106,32 @@ def _digest(result, events) -> dict:
     return digest
 
 
+def _renumbered(events) -> list:
+    """``events`` with every ``*_id`` field renumbered 1, 2, ... in order
+    of first appearance, per field: the ids come from process-global
+    counters, so their raw values depend on what ran earlier in the process."""
+    numbers: dict = {}
+    renumbered = []
+    for event in events:
+        changes = {}
+        for field in dataclasses.fields(event):
+            if field.name.endswith("_id"):
+                seen = numbers.setdefault(field.name, {})
+                value = getattr(event, field.name)
+                changes[field.name] = seen.setdefault(value, len(seen) + 1)
+        renumbered.append(dataclasses.replace(event, **changes))
+    return renumbered
+
+
+def _trace_bytes(events) -> bytes:
+    """The JSONL file a :class:`JsonlSink` writes for ``events``."""
+    buffer = io.StringIO()
+    sink = JsonlSink(buffer)
+    for event in events:
+        sink.on_event(event)
+    return buffer.getvalue().encode("utf-8")
+
+
 def _load_golden(path: Path = GOLDEN_PATH) -> dict:
     if not path.exists():
         return {}
@@ -122,9 +156,18 @@ def test_golden_digest(spec, seed):
     assert report.reads_checked > 0  # the pass is not vacuous
 
     key = f"{spec}-seed{seed}"
+    events = _renumbered(events)
+    data = _trace_bytes(events)
+    trace = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
     if UPDATE:
         _store_golden(key, digest)
+        _store_golden(key, trace, TRACE_BYTES_PATH)
         pytest.skip(f"updated golden digest for {key}")
+    # The file reads back to the events that wrote it.
+    assert read_jsonl(io.StringIO(data.decode("utf-8"))) == events
+    assert trace == _load_golden(TRACE_BYTES_PATH).get(key), (
+        f"trace bytes of {key} no longer match tests/golden/trace_bytes.json"
+    )
     golden = _load_golden()
     assert key in golden, (
         f"no golden digest for {key}; regenerate with REPRO_UPDATE_GOLDEN=1"
@@ -365,5 +408,6 @@ def test_large_walker_world_matches_golden():
 def test_golden_file_covers_the_whole_matrix():
     if UPDATE:
         pytest.skip("regenerating")
-    golden = _load_golden()
-    assert set(golden) == {f"{spec}-seed{seed}" for spec, seed in MATRIX}
+    cells = {f"{spec}-seed{seed}" for spec, seed in MATRIX}
+    assert set(_load_golden()) == cells
+    assert set(_load_golden(TRACE_BYTES_PATH)) == cells

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.obs import (
     EVENT_TYPES,
+    InvariantChecker,
     CacheHit,
     CacheMiss,
     ControllerActuated,
@@ -138,11 +143,88 @@ class TestSerialisation:
                               partitions=10**30),
             CacheHit(time=True, node=[1, {"a": None}], item=(1, 2), version=1.5e300),
             MetricsReset(time=0),
+            MetricsReset(time=float("nan")),
+            NodeOnline(time=1.0, node=True),
+            ControllerActuated(time=1.0, policy="p", knob="ttp", value=2, reason=""),
         ]
         for event in odd:
             assert event.to_json() == json.dumps(
                 event.to_dict(), separators=(",", ":")
             )
+
+
+#: A value of each declared field type, the edges each writer branch has
+#: to get right included: ints past 2**63, NaN, ±inf, -0.0, 1e-7, quotes,
+#: control characters and non-ASCII text.
+_TYPED_VALUE = {
+    "int": st.one_of(st.integers(), st.integers(min_value=2**63, max_value=2**80)),
+    "float": st.one_of(
+        st.floats(), st.sampled_from([-0.0, 1e-7, math.nan, math.inf, -math.inf])
+    ),
+    "str": st.one_of(
+        st.text(), st.sampled_from(['"', "\\", "\x00\n\t\x1f", "é€😀", "{}"])
+    ),
+    "bool": st.booleans(),
+}
+#: Any JSON-ready value: ``None``, one of a declared type or a nested list.
+_ANY_VALUE = st.recursive(
+    st.one_of(st.none(), *_TYPED_VALUE.values()),
+    lambda children: st.lists(children, max_size=3),
+    max_leaves=4,
+)
+
+
+def _off_type(declared):
+    """A value the writer must not render as a ``declared`` one."""
+    return st.one_of(
+        st.none(),
+        *(values for kind, values in _TYPED_VALUE.items() if kind != declared),
+        st.lists(_ANY_VALUE, max_size=3),
+    )
+
+
+@st.composite
+def _any_event(draw):
+    """An event of any type whose values all have the declared types (the
+    compiled line) but at most one, which has another (the guard)."""
+    cls = draw(st.sampled_from(sorted(EVENT_TYPES.values(), key=lambda c: c.etype)))
+    fields = dataclasses.fields(cls)
+    odd = draw(st.sampled_from([None, *fields]))
+    return cls(**{
+        field.name: draw(_off_type(field.type) if field is odd
+                         else _TYPED_VALUE[field.type])
+        for field in fields
+    })
+
+
+def _finite(value):
+    if isinstance(value, list):
+        return all(_finite(item) for item in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+class TestWriterProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(event=_any_event(), order=st.randoms(use_true_random=False))
+    def test_line_is_the_compact_dump_and_reads_back(self, event, order):
+        buffer = io.StringIO()
+        sink = JsonlSink(buffer)
+        sink.on_event(event)
+        line = buffer.getvalue()
+        payload = event.to_dict()
+        assert line == json.dumps(payload, separators=(",", ":")) + "\n"
+
+        time = event.time
+        if type(time) not in (int, float) or not math.isfinite(time):
+            return  # the reader rejects it (tested elsewhere)
+        (back,) = read_jsonl(io.StringIO(line))
+        if all(_finite(value) for value in payload.values()):
+            assert back == event
+        # Keys out of the writer's order: the keyword path, same event.
+        items = list(payload.items())
+        order.shuffle(items)
+        (shuffled,) = read_jsonl(io.StringIO(json.dumps(dict(items)) + "\n"))
+        assert shuffled.to_json() == back.to_json()
 
 
 def _write(events, target):
@@ -200,10 +282,55 @@ class TestJsonl:
         {"e": "node_online", "time": "soon", "node": 2},
         {"e": "node_online", "time": False, "node": 2},
         {"e": "node_online", "time": float("inf"), "node": 2},
+        {"e": ["node_online"], "time": 0.0, "node": 2},
     ])
     def test_from_dict_rejects_non_objects_and_bad_times(self, payload):
         with pytest.raises(ConfigurationError):
             event_from_dict(payload)
+
+    @pytest.mark.parametrize("line", [
+        '{"e":"node_online","time":1,"node":2} x',
+        '{"e":"node_online","time":1,"node":2}\t\t[]',
+        '\ufeff{"e":"node_online","time":1,"node":2}',
+        '{"e":"node_online","time":1,',
+        '{"e":"node_online" "time":1}',
+        '"unterminated',
+        "nul",
+        "]",
+    ])
+    def test_json_errors_read_as_json_loads_words_them(self, line):
+        """The reader calls the scanner itself; its messages are still
+        the ones ``json.loads`` gives for the same line."""
+        with pytest.raises(ValueError) as expected:
+            json.loads(line)
+        for reader in (read_jsonl, lambda handle: list(iter_jsonl(handle))):
+            with pytest.raises(ConfigurationError) as raised:
+                reader(io.StringIO(f"\n{line}\n"))
+            assert str(raised.value) == f"trace line 2: {expected.value}"
+
+    def test_undecodable_bytes_name_their_line(self, tmp_path):
+        good = NodeOnline(time=0, node=1).to_json().encode()
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(
+            good + b"\n" + good + b"\n"
+            + b'{"e":"relay_demoted","time":1.0,"node":2,"item":3,"reason":"\xff"}\n'
+            + good + b"\n"
+        )
+        for reader in (read_jsonl, lambda source: list(iter_jsonl(source))):
+            with pytest.raises(
+                ConfigurationError,
+                match=r"^trace line 3: 'utf-8' codec can't decode byte 0xff",
+            ):
+                reader(str(path))
+
+    def test_non_ascii_utf8_reads_back(self, tmp_path):
+        path = tmp_path / "utf8.jsonl"
+        event = RelayDemoted(time=1.0, node=2, item=3, reason="é€😀")
+        path.write_text(
+            '{"e":"relay_demoted","time":1.0,"node":2,"item":3,"reason":"é€😀"}\n',
+            encoding="utf-8",
+        )
+        assert read_jsonl(str(path)) == [event]
 
     def test_float_times_survive_exactly(self):
         event = ReadServed(time=123.456789012345, node=1, item=2, version=3,
@@ -214,6 +341,63 @@ class TestJsonl:
         (back,) = read_jsonl(buffer)
         assert back.time == event.time
         assert back.latency == event.latency
+
+
+def _feed(payload):
+    InvariantChecker().feed(payload)
+
+
+def _read_line(payload):
+    read_jsonl(io.StringIO(json.dumps(payload) + "\n"))
+
+
+def _iter_line(payload):
+    list(iter_jsonl(io.StringIO(json.dumps(payload) + "\n")))
+
+
+#: Every public way a trace event gets in from outside the process.
+READERS = {
+    "event_from_dict": event_from_dict,
+    "InvariantChecker.feed": _feed,
+    "read_jsonl": _read_line,
+    "iter_jsonl": _iter_line,
+}
+
+
+class TestMissingFields:
+    """A line without a field of its type names it instead of reading as a
+    default: ``{"e":"node_online","time":1.0}`` is not node 0 going online."""
+
+    @pytest.mark.parametrize("reader", READERS.values(), ids=list(READERS))
+    def test_missing_field_is_rejected(self, reader):
+        with pytest.raises(
+            ConfigurationError, match=r"'node_online' event: missing node$"
+        ):
+            reader({"e": "node_online", "time": 1.0})
+
+    @pytest.mark.parametrize("reader", READERS.values(), ids=list(READERS))
+    def test_every_missing_field_is_named(self, reader):
+        payload = SAMPLE_EVENTS[3].to_dict()  # a ReadServed
+        for name in ("item", "query_id", "staleness_age"):
+            del payload[name]
+        with pytest.raises(
+            ConfigurationError,
+            match=r"'read_served' event: missing item, query_id, staleness_age$",
+        ):
+            reader(payload)
+
+    @pytest.mark.parametrize("reader", READERS.values(), ids=list(READERS))
+    def test_unknown_key_is_still_rejected(self, reader):
+        payload = {"e": "node_online", "time": 1.0, "node": 2, "nod": 2}
+        with pytest.raises(ConfigurationError, match="unexpected keyword"):
+            reader(payload)
+
+    def test_missing_field_names_its_line(self):
+        good = NodeOnline(time=0, node=1).to_json()
+        with pytest.raises(
+            ConfigurationError, match="^trace line 2: malformed 'node_online' event: missing node$"
+        ):
+            read_jsonl(io.StringIO(f'{good}\n{{"e":"node_online","time":1.0}}\n'))
 
 
 class TestSinks:
