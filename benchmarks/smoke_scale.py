@@ -15,6 +15,9 @@ the committed golden at ``tests/golden/scale_100k.json``:
 * a run whose topology refreshes never reused their candidate pairs
   (``pair_list_reuses == 0``) fails too: the reuse path must not die
   silently at the size it matters most;
+* so does a run that builds any full CSR (``soa.build_csr``): this run
+  only floods, and from ``soa.ARRAY_REFRESH_MIN_NODES`` peers a flood
+  reads the candidate pairs around its source, never every edge;
 * a run whose peak resident set exceeds :data:`MAX_RSS_MIB` fails: this
   is the size at which bytes per host are gigabytes, so the smoke is
   also the memory gate (``tests/test_world_memory.py`` is its 2 000-host
@@ -63,18 +66,32 @@ _FLOAT_METRICS = (
 )
 
 
-def run_smoke() -> Tuple[Dict[str, object], Dict[str, int]]:
-    """One 100k-node run: its digest and its topology counters."""
+def run_smoke() -> Tuple[Dict[str, object], Dict[str, int], int]:
+    """One 100k-node run: its digest, its topology counters and the
+    number of full CSRs built from the start of the build to the end."""
     from benchmarks.bench_scale import SPEC, scale_config
     from repro.experiments.runner import build_simulation
+    from repro.net import soa
 
-    built_at = time.perf_counter()
-    simulation = build_simulation(
-        scale_config(N_PEERS, sim_time=SIM_TIME), SPEC, scenario="single_source"
-    )
-    run_at = time.perf_counter()
-    result = simulation.run()
-    done_at = time.perf_counter()
+    csr_builds = 0
+    build_csr = soa.build_csr
+
+    def counted_build_csr(*args, **kwargs):
+        nonlocal csr_builds
+        csr_builds += 1
+        return build_csr(*args, **kwargs)
+
+    soa.build_csr = counted_build_csr
+    try:
+        built_at = time.perf_counter()
+        simulation = build_simulation(
+            scale_config(N_PEERS, sim_time=SIM_TIME), SPEC, scenario="single_source"
+        )
+        run_at = time.perf_counter()
+        result = simulation.run()
+        done_at = time.perf_counter()
+    finally:
+        soa.build_csr = build_csr
     print(
         f"100k smoke: built in {run_at - built_at:.1f}s, "
         f"ran {SIM_TIME:.0f} simulated seconds in {done_at - run_at:.1f}s, "
@@ -86,7 +103,8 @@ def run_smoke() -> Tuple[Dict[str, object], Dict[str, int]]:
     print(
         f"100k smoke: {stats['snapshots_built']} topology rebuilds; pair list "
         f"{stats['pair_list_builds']} built, {stats['pair_list_reuses']} reused, "
-        f"{stats['pair_list_reanchored']} re-anchored"
+        f"{stats['pair_list_reanchored']} re-anchored; "
+        f"{csr_builds} full CSRs built"
     )
     summary = result.summary
     digest: Dict[str, object] = {
@@ -102,7 +120,7 @@ def run_smoke() -> Tuple[Dict[str, object], Dict[str, int]]:
         sorted(summary.transmissions_by_type.items())
     )
     digest["counters"] = dict(sorted(summary.counters.items()))
-    return digest, stats
+    return digest, stats, csr_builds
 
 
 def peak_rss_mib() -> float:
@@ -117,9 +135,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="rewrite the committed golden from this run instead of checking",
     )
     args = parser.parse_args(argv)
-    digest, stats = run_smoke()
+    digest, stats, csr_builds = run_smoke()
     if stats["pair_list_reuses"] == 0:
         print("FAIL: no topology refresh reused its candidate pairs",
+              file=sys.stderr)
+        return 1
+    if csr_builds:
+        print(f"FAIL: the flood-only run built {csr_builds} full CSRs",
               file=sys.stderr)
         return 1
     if peak_rss_mib() > MAX_RSS_MIB:

@@ -2,36 +2,40 @@
 
 The numpy kernels the network layer runs every topology quantum:
 
-* :func:`build_csr` — the adjacency build of every
-  :class:`~repro.net.topology.TopologySnapshot`, the paper's 50 peers
-  included: candidate pairs, one distance pass, CSR assembly.
+* :func:`build_csr` — the adjacency build of a
+  :class:`~repro.net.topology.TopologySnapshot`: candidate pairs, one
+  distance pass, CSR assembly.
 * :class:`PairList` — candidate pairs kept across refreshes (a Verlet
-  neighbour list in ledger-slot space).
-* :func:`bfs_from_csr` — level-synchronous BFS over the CSR, in the dict
-  traversal's discovery order.
+  neighbour list in ledger-slot space), handed out one immutable
+  :class:`CandidatePairs` version per refresh.
+* :func:`bfs_from_csr` and :meth:`CandidatePairs.bfs` — level-synchronous
+  BFS over the CSR, or over a version's candidate rows with the distance
+  test applied per entry, both in the dict traversal's discovery order.
 * :class:`SoAPositionLedger` — positions, online flags and validity
   deadlines in contiguous arrays, sampled by the bulk mobility kernels
   (:mod:`repro.mobility.bulk`) and diffed per refresh.
 
-No population is too small for the arrays: every changed refresh hands
-the ledger's arrays to one :func:`build_csr`.  What does depend on size
-is what a snapshot serves *from*: under :data:`ARRAY_REFRESH_MIN_NODES`
-peers it is arrays in, dicts out (traversals on the dict adjacency
-materialised once from the CSR, membership a hash lookup); from there on
-TTL floods stay in arrays (depth-bounded CSR traversals) and membership
-is a binary search.  What each constant below buys on the committed
-benchmark rows is in ``docs/decisions/02-earned-constants.md``.  Results
-depend on neither: float arithmetic is IEEE-754 double precision in one
-fixed operation order (``dx*dx + dy*dy <= r*r``) and every observable
-ordering is registration rank — the contract ``tests/oracle.py`` states
-by brute force and the property tests hold every path here to.
+What a snapshot is built and served *from* depends on its size.  Under
+:data:`ARRAY_REFRESH_MIN_NODES` peers every changed refresh is one
+:func:`build_csr` and it is arrays in, dicts out (traversals on the dict
+adjacency materialised once from the CSR, membership a hash lookup).
+From there on a changed refresh only syncs the :class:`PairList`: TTL
+floods run the depth-bounded BFS over the version's candidate rows,
+membership is a binary search, and the CSR is built from the same
+version only when something needs every edge.  What each constant below
+buys on the committed benchmark rows is in
+``docs/decisions/02-earned-constants.md``.  Results depend on neither:
+float arithmetic is IEEE-754 double precision in one fixed operation
+order (``dx*dx + dy*dy <= r*r``) and every observable ordering is
+registration rank — the contract ``tests/oracle.py`` states by brute
+force and the property tests hold every path here to.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +46,7 @@ from repro.mobility.terrain import Point
 __all__ = [
     "ArrayPositions",
     "CsrAdjacency",
+    "CandidatePairs",
     "PairList",
     "build_csr",
     "adjacency_from_csr",
@@ -55,13 +60,13 @@ __all__ = [
 #: than the grid's fixed bookkeeping.
 GRID_MIN_NODES = 128
 
-#: Online population from which a snapshot is served from its arrays:
-#: TTL floods run the depth-bounded :func:`bfs_from_csr` instead of the
-#: dict traversal, membership is a binary search in the ids
-#: (:meth:`ArrayPositions.members`) instead of a hash set, and the
-#: rebuild takes its candidate pairs from a :class:`PairList`.  Every
-#: changed refresh is a :func:`build_csr` either side of it; the
-#: property tests drop it to cover the array side on small graphs.
+#: Online population from which a snapshot is served from its arrays: a
+#: changed refresh syncs a :class:`PairList` instead of building the CSR,
+#: TTL floods run the depth-bounded :meth:`CandidatePairs.bfs` instead of
+#: the dict traversal, and membership is a binary search in the ids
+#: (:meth:`ArrayPositions.members`) instead of a hash set.  Below it every
+#: changed refresh is one :func:`build_csr`; the property tests drop it to
+#: cover the array side on small graphs.
 ARRAY_REFRESH_MIN_NODES = 512
 
 #: Reuse margin of :class:`PairList` as a share of the radio range: the
@@ -304,7 +309,7 @@ def _assemble_csr(
 def build_csr(
     positions: Dict[int, Point],
     radio_range: float,
-    pair_list: Optional["PairList"] = None,
+    pairs: Optional["CandidatePairs"] = None,
 ) -> CsrAdjacency:
     """Unit-disc adjacency over ``positions``.
 
@@ -316,12 +321,12 @@ def build_csr(
 
     Three stages: candidate pairs (:func:`_candidate_pairs`), the
     distance pass over them (:func:`_pairs_within`), CSR assembly
-    (:func:`_assemble_csr`).  ``pair_list`` — honoured when ``positions``
-    is an :class:`ArrayPositions` that carries ledger slots — may stand
-    in for the first stage with a superset of the in-range pairs kept
-    from earlier refreshes (:class:`PairList`); the other two stages run
-    unchanged and the assembly sorts, so the result is bit-identical to
-    the list-less call.
+    (:func:`_assemble_csr`).  ``pairs`` — the :class:`PairList` version
+    synced with ``positions``, an :class:`ArrayPositions` that carries
+    ledger slots — may stand in for the first stage with a superset of
+    the in-range pairs kept from earlier refreshes; the other two stages
+    run unchanged and the assembly sorts, so the result is bit-identical
+    to the list-less call.
     """
     n = len(positions)
     slots = None
@@ -347,8 +352,8 @@ def build_csr(
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
         )
-    if pair_list is not None and slots is not None:
-        cand_a, cand_b = pair_list.candidates(slots, xs, ys, radio_range)
+    if pairs is not None:
+        cand_a, cand_b = pairs.ranked(slots)
     else:
         cand_a, cand_b = _candidate_pairs(
             xs, ys, radio_range if radio_range > 0 else 1.0
@@ -387,28 +392,42 @@ def bfs_from_csr(
 
     Returns the same ``(levels, parents, items, prefix)`` quadruple as the
     dict traversal in ``TopologySnapshot._bfs_from`` — including discovery
-    order and parent choice: within each depth that loop scans the frontier in
-    order and each frontier node's neighbours in rank order, keeping the
-    first discovery; taking the first occurrence over the concatenated
-    candidate stream reproduces that exactly.
+    order and parent choice (see :func:`_bfs_rows`).
 
     ``max_depth`` stops the traversal once every node at that depth is
     discovered — levels ``<= max_depth`` of a bounded run are identical to
     the same levels of a full run, so TTL-limited floods can skip the far
     side of a large graph entirely.
     """
-    indptr, nbrs, ids = csr.indptr, csr.neighbors, csr.ids
-    src = csr.rank_of(source)
-    n = ids.shape[0]
-    seen = np.zeros(n, dtype=bool)
+    return _bfs_rows(csr.indptr, csr.neighbors, csr.ids, csr.rank_of(source), max_depth)
+
+
+def _bfs_rows(
+    indptr: "np.ndarray",
+    nbrs: "np.ndarray",
+    row_ids: "np.ndarray",
+    src: int,
+    max_depth: Optional[int],
+    near: Optional[Callable[["np.ndarray", "np.ndarray"], "np.ndarray"]] = None,
+) -> Tuple[Dict[int, int], Dict[int, int], List[Tuple[int, int]], List[int]]:
+    """The level loop of both array BFS entry points.
+
+    ``nbrs[indptr[r]:indptr[r+1]]`` lists the rows adjacent to row ``r``,
+    ascending in rank order; ``row_ids[r]`` is the node id of row ``r``.
+    ``near(parents, candidates)``, when given, is a per-entry mask of the
+    entries that are edges.  The dict traversal scans each level's
+    frontier in order and each frontier node's neighbours in rank order,
+    keeping the first discovery; taking the first occurrence over the
+    concatenated candidate stream reproduces that, discovery order and
+    parents included.
+    """
+    seen = np.zeros(row_ids.shape[0], dtype=bool)
     seen[src] = True
     frontier = np.array([src], dtype=np.int64)
-    rank_chunks = [frontier]
+    row_chunks = [frontier]
     parent_chunks = [frontier]
     prefix: List[int] = [1]
-    while True:
-        if max_depth is not None and len(prefix) - 1 >= max_depth:
-            break
+    while max_depth is None or len(prefix) - 1 < max_depth:
         counts = indptr[frontier + 1] - indptr[frontier]
         take = _ragged_take(indptr[frontier], counts)
         if take.size == 0:
@@ -416,6 +435,8 @@ def bfs_from_csr(
         candidates = nbrs[take]
         parents_of = np.repeat(frontier, counts)
         fresh = ~seen[candidates]
+        if near is not None:
+            fresh &= near(parents_of, candidates)
         candidates = candidates[fresh]
         if candidates.size == 0:
             break
@@ -424,14 +445,13 @@ def bfs_from_csr(
         discovery = np.argsort(first, kind="stable")
         frontier = uniq[discovery]
         seen[frontier] = True
-        rank_chunks.append(frontier)
+        row_chunks.append(frontier)
         parent_chunks.append(parents_of[first[discovery]])
         prefix.append(prefix[-1] + int(frontier.shape[0]))
 
-    all_ranks = np.concatenate(rank_chunks)
-    node_ids = ids[all_ranks].tolist()
-    parent_ids = ids[np.concatenate(parent_chunks)].tolist()
-    sizes = [c.shape[0] for c in rank_chunks]
+    node_ids = row_ids[np.concatenate(row_chunks)].tolist()
+    parent_ids = row_ids[np.concatenate(parent_chunks)].tolist()
+    sizes = [c.shape[0] for c in row_chunks]
     depths = np.repeat(np.arange(len(sizes)), sizes).tolist()
     levels = dict(zip(node_ids, depths))
     parents = dict(zip(node_ids, parent_ids))
@@ -535,6 +555,69 @@ class ArrayPositions(Mapping):
 # ----------------------------------------------------------------------
 # Candidate-pair reuse across refreshes
 # ----------------------------------------------------------------------
+class CandidatePairs:
+    """One version of a :class:`PairList`: its pairs as one refresh left them.
+
+    ``pair_a``/``pair_b`` are ledger slots, each listed pair once, over
+    ``capacity`` slots.  Never mutated: the list makes a new version
+    whenever its pairs change, so a snapshot answers from the version it
+    was synced with however far the list has moved on since.
+    """
+
+    __slots__ = ("pair_a", "pair_b", "capacity", "_rows")
+
+    def __init__(self, pair_a: "np.ndarray", pair_b: "np.ndarray", capacity: int) -> None:
+        self.pair_a = pair_a
+        self.pair_b = pair_b
+        self.capacity = capacity
+        # (indptr, neighbours) over slots, assembled on the first flood.
+        self._rows: Optional[Tuple["np.ndarray", "np.ndarray"]] = None
+
+    def ranked(self, slots: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
+        """The listed pairs with both ends online, as ranks into ``slots``."""
+        rank_of = np.full(self.capacity, -1, dtype=np.int64)
+        rank_of[slots] = np.arange(slots.shape[0], dtype=np.int64)
+        cand_a = rank_of[self.pair_a]
+        cand_b = rank_of[self.pair_b]
+        # An offline end maps to -1, whose sign bit survives the OR.
+        online = (cand_a | cand_b) >= 0
+        return cand_a[online], cand_b[online]
+
+    def bfs(
+        self,
+        positions: "ArrayPositions",
+        radio_range: float,
+        source: int,
+        max_depth: Optional[int],
+    ) -> Tuple[Dict[int, int], Dict[int, int], List[Tuple[int, int]], List[int]]:
+        """:func:`bfs_from_csr` of ``build_csr(positions, radio_range, self)``.
+
+        Runs over the candidate rows in slot space instead, testing each
+        entry it reaches with the distance pass's ``dx*dx + dy*dy <= r*r``
+        — so it reads the listed pairs around ``source`` and never the
+        whole graph.  Slots rise with rank, so rows ascending in slot
+        order are ascending in rank order, which is what discovery order
+        and parents need.  ``source`` must be online in ``positions``.
+        """
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = _assemble_csr(self.pair_a, self.pair_b, self.capacity)
+        slots = positions.slots
+        # Slot-space copies; an offline slot's NaN fails every distance test.
+        xs = np.full(self.capacity, math.nan)
+        ys = np.full(self.capacity, math.nan)
+        row_ids = np.zeros(self.capacity, dtype=np.int64)
+        xs[slots] = positions.xs
+        ys[slots] = positions.ys
+        row_ids[slots] = positions.ids
+        src = int(slots[np.flatnonzero(positions.ids == source)[0]])
+        limit_sq = radio_range * radio_range
+        return _bfs_rows(
+            rows[0], rows[1], row_ids, src, max_depth,
+            lambda parents, candidates: _pairs_within(xs, ys, parents, candidates, limit_sq),
+        )
+
+
 class PairList:
     """Candidate pairs kept across refreshes (a skin / Verlet neighbour list).
 
@@ -549,17 +632,17 @@ class PairList:
     pairs; the distance pass and the sorting assembly that follow make
     the CSR bit-identical to a from-scratch build.
 
-    Per refresh, :meth:`candidates` checks the online nodes' drift in one
-    vector pass and then either reuses the list, re-anchors the few
-    strays (nodes back from offline somewhere else, or never anchored),
-    or rebuilds it through :func:`_candidate_pairs` when re-pairing the
-    strays against every anchor would cost more than that.
+    :meth:`sync`, its one entry point, runs once per changed refresh: one
+    vector pass checks the online nodes' drift, and then the list is
+    reused, re-anchors the few strays (nodes back from offline somewhere
+    else, or never anchored), or is rebuilt through
+    :func:`_candidate_pairs` when re-pairing the strays against every
+    anchor would cost more than that.
     """
 
     __slots__ = (
         "builds", "reuses", "reanchored",
-        "_range", "_anchor_x", "_anchor_y", "_pair_a", "_pair_b",
-        "_build_work",
+        "_range", "_anchor_x", "_anchor_y", "_pairs", "_build_work",
     )
 
     def __init__(self) -> None:
@@ -571,24 +654,17 @@ class PairList:
         self.reanchored = 0
         self._range: Optional[float] = None
         self._anchor_x = self._anchor_y = None
-        self._pair_a = self._pair_b = None
+        self._pairs: Optional[CandidatePairs] = None
         # Candidates the last build expanded plus points it bucketed:
         # what re-pairing k strays against every anchor is weighed against.
         self._build_work = 0
 
-    def candidates(
-        self,
-        slots: "np.ndarray",
-        xs: "np.ndarray",
-        ys: "np.ndarray",
-        radio_range: float,
-    ) -> Tuple["np.ndarray", "np.ndarray"]:
-        """Rank pairs covering every in-range pair.
+    def sync(self, positions: "ArrayPositions", radio_range: float) -> CandidatePairs:
+        """The version covering every in-range pair of ``positions``.
 
-        ``slots`` are the ledger slots of the online nodes, ascending,
-        with ``xs``/``ys`` their positions; the returned arrays index
-        into those.
+        ``positions`` must be non-empty and carry ledger slots.
         """
+        slots, xs, ys = positions.slots, positions.xs, positions.ys
         skin = PAIR_SKIN * radio_range
         if self._range == radio_range and int(slots[-1]) < self._anchor_x.shape[0]:
             drift = _PAIR_DRIFT_SHARE * skin
@@ -601,28 +677,17 @@ class PairList:
                         slots[strays], xs[strays], ys[strays], radio_range + skin
                     )
                 self.reuses += 1
-                return self._ranked(slots)
+                return self._pairs
         self._build(slots, xs, ys, radio_range, skin)
-        return self._ranked(slots)
-
-    def _ranked(self, slots) -> Tuple["np.ndarray", "np.ndarray"]:
-        """The listed pairs with both ends online, as ranks into ``slots``."""
-        rank_of = np.full(self._anchor_x.shape[0], -1, dtype=np.int64)
-        rank_of[slots] = np.arange(slots.shape[0], dtype=np.int64)
-        cand_a = rank_of[self._pair_a]
-        cand_b = rank_of[self._pair_b]
-        # An offline end maps to -1, whose sign bit survives the OR.
-        online = (cand_a | cand_b) >= 0
-        return cand_a[online], cand_b[online]
+        return self._pairs
 
     def _build(self, slots, xs, ys, radio_range: float, skin: float) -> None:
         """Anchor the online nodes where they are and pair them from scratch."""
         cutoff = radio_range + skin
         cand_a, cand_b = _candidate_pairs(xs, ys, cutoff)
         near = _pairs_within(xs, ys, cand_a, cand_b, cutoff * cutoff)
-        self._pair_a = slots[cand_a[near]]
-        self._pair_b = slots[cand_b[near]]
         capacity = int(slots[-1]) + 1
+        self._pairs = CandidatePairs(slots[cand_a[near]], slots[cand_b[near]], capacity)
         self._anchor_x = np.full(capacity, math.nan)
         self._anchor_y = np.full(capacity, math.nan)
         self._anchor_x[slots] = xs
@@ -634,11 +699,12 @@ class PairList:
     def _reanchor(self, stray_slots, sx, sy, cutoff: float) -> None:
         """Move the strays' anchors to where they are now and re-pair them."""
         anchor_x, anchor_y = self._anchor_x, self._anchor_y
+        old = self._pairs
         is_stray = np.zeros(anchor_x.shape[0], dtype=bool)
         is_stray[stray_slots] = True
-        kept = ~(is_stray[self._pair_a] | is_stray[self._pair_b])
-        pair_a = [self._pair_a[kept]]
-        pair_b = [self._pair_b[kept]]
+        kept = ~(is_stray[old.pair_a] | is_stray[old.pair_b])
+        pair_a = [old.pair_a[kept]]
+        pair_b = [old.pair_b[kept]]
         anchor_x[stray_slots] = sx
         anchor_y[stray_slots] = sy
         cutoff_sq = cutoff * cutoff
@@ -649,8 +715,9 @@ class PairList:
             partners = partners[~is_stray[partners] | (partners > slot)]
             pair_a.append(np.full(partners.shape[0], slot, dtype=np.int64))
             pair_b.append(partners)
-        self._pair_a = np.concatenate(pair_a)
-        self._pair_b = np.concatenate(pair_b)
+        self._pairs = CandidatePairs(
+            np.concatenate(pair_a), np.concatenate(pair_b), old.capacity
+        )
         self.reanchored += int(stray_slots.shape[0])
 
 

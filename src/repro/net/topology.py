@@ -12,12 +12,16 @@ Fast paths
 Snapshots sit in the inner loop of every experiment, so three optimisations
 keep them cheap without changing any observable result:
 
-* **Array adjacency build.**  Every snapshot of every size is built by
-  :func:`repro.net.soa.build_csr` into a compressed sparse-row view.
-  The ordered neighbour lists (BFS and flood iteration order must stay
-  deterministic) and the frozen sets behind an O(1)
-  :meth:`TopologySnapshot.has_edge` materialise from those arrays only
-  when something reads them.
+* **Array adjacency build, on demand at scale.**  A snapshot's edges are
+  built by :func:`repro.net.soa.build_csr` into a compressed sparse-row
+  view: at once under :data:`repro.net.soa.ARRAY_REFRESH_MIN_NODES`
+  peers or with an edge filter, otherwise only when something needs
+  every edge — a TTL flood reads just its neighbourhood, off the
+  candidate pairs the snapshot was synced with
+  (:meth:`repro.net.soa.CandidatePairs.bfs`).  The ordered neighbour
+  lists (BFS and flood iteration order must stay deterministic) and the
+  frozen sets behind an O(1) :meth:`TopologySnapshot.has_edge`
+  materialise from the CSR only when something reads them.
 * **Per-source BFS memoisation.**  A snapshot is immutable, so each
   source keeps one resumable, level-synchronous traversal record that
   grows whole levels only as far as the query at hand needs — to the
@@ -30,10 +34,11 @@ keep them cheap without changing any observable result:
 * **One refresh path.**  Each refresh :class:`TopologyService` asks the
   position ledger whether any node moved, appeared or departed since the
   previous snapshot.  If none did, the previous snapshot object comes
-  back — warm BFS cache and all; otherwise one ``build_csr`` over the
-  ledger's arrays makes the new one, from
-  :data:`repro.net.soa.ARRAY_REFRESH_MIN_NODES` peers on with candidate
-  pairs kept from one refresh to the next (:class:`repro.net.soa.PairList`).
+  back — warm BFS cache and all; otherwise the ledger's arrays make the
+  new one: one ``build_csr`` under
+  :data:`repro.net.soa.ARRAY_REFRESH_MIN_NODES` peers, and from there on
+  one sync of the candidate pairs kept from one refresh to the next
+  (:class:`repro.net.soa.PairList`).
 """
 
 from __future__ import annotations
@@ -64,7 +69,15 @@ class TopologySnapshot:
         bool``; edges it rejects are removed *after* the normal build
         (fault-injected partitions).  ``None`` — the default — leaves the
         hot build path untouched.
+    pairs:
+        The :class:`soa.PairList` version synced with ``positions`` (an
+        :class:`soa.ArrayPositions` with ledger slots), which the CSR
+        build takes its candidate pairs from.
     """
+
+    #: The :class:`soa.PairList` version a :class:`_PairsSnapshot` is
+    #: served from; ``None`` for a snapshot whose CSR was built at once.
+    _pairs: Optional["soa.CandidatePairs"] = None
 
     def __init__(
         self,
@@ -73,7 +86,7 @@ class TopologySnapshot:
         edge_filter: Optional[
             Callable[[int, int, Point, Point], bool]
         ] = None,
-        pair_list: Optional["soa.PairList"] = None,
+        pairs: Optional["soa.CandidatePairs"] = None,
     ) -> None:
         # ArrayPositions (what the ledger hands out) is already an
         # immutable snapshot-safe mapping: copying it into a dict would
@@ -98,14 +111,17 @@ class TopologySnapshot:
         # to the full traversal's, so TTL floods reuse them without ever
         # walking the whole graph.
         self._bfs_partial: Dict[int, Tuple[tuple, bool]] = {}
-        # Compressed sparse-row view of the adjacency; BFS traverses it in
-        # array ops instead of the dict lists.
-        self._csr = soa.build_csr(self.positions, self.radio_range, pair_list)
         # Dict-of-lists adjacency and frozen neighbour sets materialise
         # lazily: dict traversals, neighbour lists and has_edge build
         # them on demand.
         self._adjacency_store = self._sets_store = None
-        if edge_filter is not None:
+        self._build(pairs)
+
+    def _build(self, pairs: Optional["soa.CandidatePairs"]) -> None:
+        # Compressed sparse-row view of the adjacency; BFS traverses it in
+        # array ops instead of the dict lists.
+        self._csr = soa.build_csr(self.positions, self.radio_range, pairs)
+        if self._edge_filter is not None:
             self._apply_edge_filter()
             self._csr = None  # filtered lists no longer match the CSR view
 
@@ -321,7 +337,7 @@ class TopologySnapshot:
         if max_depth is not None and max_depth < 0:
             max_depth = 0  # the source alone, whichever traversal serves it
         if (
-            self._csr is not None
+            self._edge_filter is None
             and max_depth is not None
             and len(self.positions) >= soa.ARRAY_REFRESH_MIN_NODES
             and source not in self._bfs_cache
@@ -329,13 +345,18 @@ class TopologySnapshot:
             # Depth-bounded vectorized BFS: a TTL flood only needs the
             # first few levels, so skip the far side of the graph — from
             # the size crossover on; under it the dict adjacency is the
-            # cheaper one to traverse.  The bounded run is reused while
-            # it covers the requested depth; ``complete`` marks
-            # traversals that exhausted the component before the bound
-            # and therefore cover any depth.
+            # cheaper one to traverse.  A snapshot served from its pairs
+            # runs it over their candidate rows and never needs the CSR.
+            # The bounded run is reused while it covers the requested
+            # depth; ``complete`` marks traversals that exhausted the
+            # component before the bound and therefore cover any depth.
             entry = self._bfs_partial.get(source)
             if entry is None or not (entry[1] or len(entry[0][3]) - 1 >= max_depth):
-                quad = soa.bfs_from_csr(self._csr, source, max_depth)
+                pairs = self._pairs
+                if pairs is None:
+                    quad = soa.bfs_from_csr(self._csr, source, max_depth)
+                else:
+                    quad = pairs.bfs(self.positions, self.radio_range, source, max_depth)
                 entry = (quad, len(quad[3]) - 1 < max_depth)
                 self._bfs_partial[source] = entry
             levels, _, items, prefix = entry[0]
@@ -402,6 +423,32 @@ class TopologySnapshot:
         return sum(len(neighbors) for neighbors in self._adjacency.values()) // 2
 
 
+class _PairsSnapshot(TopologySnapshot):
+    """A snapshot served from its :class:`soa.PairList` version.
+
+    What :class:`TopologyService` builds from
+    :data:`soa.ARRAY_REFRESH_MIN_NODES` peers on when no edge filter is
+    set: TTL floods run over the version's candidate rows, and ``_csr``
+    is built from the same version only when a query needs every edge.
+    A subclass, so that ``_csr`` stays a plain attribute on the paper's
+    50 peers.
+    """
+
+    _csr_store: Optional["soa.CsrAdjacency"] = None
+
+    def _build(self, pairs: "soa.CandidatePairs") -> None:
+        self._pairs = pairs
+
+    @property
+    def _csr(self) -> "soa.CsrAdjacency":
+        csr = self._csr_store
+        if csr is None:
+            csr = self._csr_store = soa.build_csr(
+                self.positions, self.radio_range, self._pairs
+            )
+        return csr
+
+
 class TopologyService:
     """Samples node state into cached :class:`TopologySnapshot` objects.
 
@@ -422,10 +469,10 @@ class TopologyService:
     Refreshes (new bucket, or churn inside the current one) ask the
     ledger whether anything changed since the previous snapshot: reuse
     it if nothing did, rebuild from the ledger's arrays if anything did.
-    From :data:`soa.ARRAY_REFRESH_MIN_NODES` peers the rebuilds take
-    their candidate pairs from the service's :class:`soa.PairList`, which
-    survives churn, :meth:`invalidate` and partitions and rebuilds itself
-    for a new ``radio_range`` or a grown registry.
+    From :data:`soa.ARRAY_REFRESH_MIN_NODES` peers a rebuild syncs the
+    service's :class:`soa.PairList` once and hands the snapshot that
+    version; the list survives churn, :meth:`invalidate` and partitions
+    and rebuilds itself for a new ``radio_range`` or a grown registry.
 
     Counters: ``snapshots_built`` counts builds, ``snapshots_reused``
     unchanged reuses and ``invalidations`` explicit churn/invalidate
@@ -485,14 +532,13 @@ class TopologyService:
         ):
             self.snapshots_reused += 1
             return cached
-        pair_list = None
-        if len(positions) >= soa.ARRAY_REFRESH_MIN_NODES:
-            pair_list = self._pair_list
-        self._cached = TopologySnapshot(
-            positions,
-            self.radio_range,
-            edge_filter=self.edge_filter,
-            pair_list=pair_list,
+        pairs = None
+        if positions and len(positions) >= soa.ARRAY_REFRESH_MIN_NODES:
+            pairs = self._pair_list.sync(positions, self.radio_range)
+        served_from_pairs = pairs is not None and self.edge_filter is None
+        snapshot_class = _PairsSnapshot if served_from_pairs else TopologySnapshot
+        self._cached = snapshot_class(
+            positions, self.radio_range, edge_filter=self.edge_filter, pairs=pairs
         )
         self.snapshots_built += 1
         return self._cached

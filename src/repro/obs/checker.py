@@ -225,12 +225,21 @@ class InvariantChecker:
 
     def _on_actuation(self, event: ControllerActuated) -> None:
         """Record a Δ change on the actuation timeline (other knobs are
-        observability-only for the checker)."""
+        observability-only for the checker).
+
+        A live controller only ever moves Δ to a finite positive value,
+        so any other one is damaged input: an infinite bound would
+        silence the Δ check from then on, so it is refused by name.
+        """
         if event.knob not in ("ttp", "delta"):
             return
         bound = float(event.value)
-        if bound > 0:
-            self._delta_schedule.append((event.time, bound))
+        if not 0.0 < bound < math.inf:  # NaN fails the chain too
+            raise ConfigurationError(
+                f"controller_actuated at t={event.time!r} moves {event.knob} "
+                f"to {event.value!r}: a Δ bound must be finite and > 0"
+            )
+        self._delta_schedule.append((event.time, bound))
 
     def _on_crash(self, event: FaultNodeCrashed) -> None:
         """A cache-wiped crash erases what the node can be held to.

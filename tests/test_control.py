@@ -22,6 +22,7 @@ from repro.control import (
     OnlineController,
     StaticPolicy,
 )
+from repro.errors import ConfigurationError
 from repro.obs import (
     ControllerActuated,
     ControllerSampled,
@@ -32,6 +33,7 @@ from repro.obs import (
     SourceUpdate,
     TraceBus,
     check_events,
+    read_jsonl,
 )
 from repro.scenarios.registry import CONTROLLERS
 
@@ -248,6 +250,73 @@ class TestCheckerActuationTimeline:
             ReadServed(time=300.0, node=2, item=0, version=0, level="delta"),
         ], delta=60.0)
         assert not report.ok  # ttr actuations leave Δ at 60
+
+
+#: Knowledge at t=5, a read served 495 s later: stale under Δ = 10.
+_LATE_READ = (
+    SourceUpdate(time=0.0, node=0, item=0, version=1),
+    InvalidationReceived(time=5.0, node=2, item=0, version=1),
+    ReadServed(time=500.0, node=2, item=0, version=0, level="delta"),
+)
+#: What a damaged trace may say Δ moved to, as JSON writes each one.
+_BAD_BOUNDS = (
+    ("Infinity", float("inf")), ("1e999", float("inf")),
+    ("NaN", float("nan")), ("0.0", 0.0), ("-3.0", -3.0),
+)
+
+
+class TestCheckerRefusesUnusableDelta:
+    """No live controller moves Δ to a value that is not finite and
+    positive, and an infinite one would silence the Δ check, so a trace
+    that holds one is refused instead of replayed."""
+
+    @staticmethod
+    def _actuation(value, time=1.0):
+        return ControllerActuated(time=time, policy="hysteresis", knob="ttp",
+                                  value=value, reason="test")
+
+    def test_the_late_read_is_stale_without_an_actuation(self):
+        assert check_events(_LATE_READ, delta=10.0).by_invariant() == {"delta": 1}
+
+    @pytest.mark.parametrize("text,value", _BAD_BOUNDS, ids=[b[0] for b in _BAD_BOUNDS])
+    def test_feed_event(self, text, value):
+        checker = InvariantChecker(delta=10.0)
+        with pytest.raises(ConfigurationError, match=r"t=1\.0 moves ttp"):
+            checker.feed(self._actuation(value))
+
+    @pytest.mark.parametrize("text,value", _BAD_BOUNDS, ids=[b[0] for b in _BAD_BOUNDS])
+    def test_feed_dict(self, text, value):
+        checker = InvariantChecker(delta=10.0)
+        with pytest.raises(ConfigurationError, match="moves delta to"):
+            checker.feed(self._actuation(value).to_dict() | {"knob": "delta"})
+
+    @pytest.mark.parametrize("text,value", _BAD_BOUNDS, ids=[b[0] for b in _BAD_BOUNDS])
+    def test_check_events_from_a_file(self, tmp_path, text, value):
+        lines = [event.to_json() for event in _LATE_READ]
+        lines.insert(1, self._actuation(0.0).to_json().replace('"value":0.0', f'"value":{text}'))
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError, match=rf"moves ttp to {value!r}"):
+            check_events(read_jsonl(path), delta=10.0)
+
+    def test_a_finite_bound_still_moves_it(self, tmp_path):
+        """Knowledge at t=100, a read 15 s later: stale under Δ = 10,
+        fresh once Δ was moved to 20 before the knowledge arrived."""
+        events = [
+            SourceUpdate(time=0.0, node=0, item=0, version=1),
+            self._actuation(20.0),
+            InvalidationReceived(time=100.0, node=2, item=0, version=1),
+            ReadServed(time=115.0, node=2, item=0, version=0, level="delta"),
+        ]
+        assert not check_events(events[:1] + events[2:], delta=10.0).ok
+        assert check_events(events, delta=10.0).ok
+        checker = InvariantChecker(delta=10.0)
+        for event in events:
+            checker.feed(event.to_dict())
+        assert checker.finish().ok
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(event.to_json() + "\n" for event in events))
+        assert check_events(read_jsonl(path), delta=10.0).ok
 
 
 def _chaos_config(controller=None, seed=7, **overrides):

@@ -582,11 +582,24 @@ class _ScriptedWorld:
         self.net.topology.edge_filter = edge_filter
         self.net.topology.invalidate()
 
+    def touch(self, index: int, other: int) -> None:
+        """Put ``index`` exactly one radio range east of ``other``: whole
+        metres keep the distance exact, so the pair is an edge only under
+        ``<=``."""
+        here = self.where(other)
+        x, y = float(round(here.x)) % (SIDE - RANGE), float(round(here.y))
+        self.place(other, Point(x, y))
+        self.place(index, Point(x + RANGE, y))
+
+    def refresh(self) -> TopologySnapshot:
+        """Advance a tick and refresh."""
+        self.sim.run_until(self.sim.now + 1.0)
+        return self.net.snapshot()
+
     def refresh_and_check(self) -> TopologySnapshot:
         """Advance a tick, refresh, and compare with list-less builds."""
-        self.sim.run_until(self.sim.now + 1.0)
         service = self.net.topology
-        snap = self.net.snapshot()
+        snap = self.refresh()
         positions = dict(snap.positions)
         assert list(positions) == [n.node_id for n in self.nodes if n.online]
         if snap._csr is not None:
@@ -762,3 +775,139 @@ def test_pair_list_outrun_before_its_first_reuse_is_rebuilt():
         world.drift(0, 0.5, 0.5)
         world.refresh_and_check()
         assert (world.pairs.builds, world.pairs.reuses) == (refreshes, 1)
+
+
+_FLOOD_OPERATIONS = st.one_of(
+    st.tuples(st.just("drift"), _NODE, _STEP, _STEP),
+    st.tuples(st.just("approach"), _NODE, _NODE, st.floats(min_value=0.0, max_value=40.0)),
+    st.tuples(st.just("teleport"), _NODE),
+    st.tuples(st.just("toggle"), _NODE),
+    st.tuples(st.just("touch"), _NODE, _NODE),
+    st.tuples(st.just("register"), st.booleans()),
+    st.tuples(st.just("filter"), st.booleans()),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**20),
+    st.lists(st.lists(_FLOOD_OPERATIONS, max_size=4), min_size=4, max_size=12),
+)
+def test_floods_served_from_the_pair_list_match_the_listless_build(seed, steps):
+    """A flood on a snapshot served from its candidate pairs reaches, in
+    the same order, what the oracle and a list-less CSR traversal reach —
+    on the newest snapshot and on snapshots kept from earlier refreshes,
+    queried for the first time after the list re-anchored or was rebuilt."""
+    served = []
+    real_bfs = soa.CandidatePairs.bfs
+
+    def counted_bfs(self, *args):
+        served.append(self)
+        return real_bfs(self, *args)
+
+    with _pair_list_world(seed, count=24, offline=(3, 11, 17)) as world, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(soa.CandidatePairs, "bfs", counted_bfs)
+        kept = []  # (snapshot, positions, edge filter, sources not yet asked)
+        for operations in steps:
+            for index in range(len(world.nodes)):
+                world.drift(index, world.rng.uniform(-1, 1), world.rng.uniform(-1, 1))
+            touched = []
+            for name, *args in operations:
+                if name == "filter":
+                    world.set_filter(_split_filter if args[0] else None)
+                else:
+                    getattr(world, name)(*args)
+                if name == "touch":
+                    touched.append(args[0] % len(world.nodes))
+            snap = world.refresh()
+            service = world.net.topology
+            if not kept or snap is not kept[-1][0]:
+                # A node just put at exactly the range of another floods first.
+                pending = [node for node in snap.positions if node not in touched]
+                world.rng.shuffle(pending)
+                pending += [node for node in dict.fromkeys(touched) if node in snap]
+                kept.append((snap, dict(snap.positions), service.edge_filter, pending))
+            del kept[:-4]
+            # One new source on every kept snapshot, the oldest first.
+            for snap, positions, edge_filter, pending in kept:
+                if not pending:
+                    continue
+                source = pending.pop()
+                oracle = BruteForceSnapshot(positions, service.radio_range, edge_filter)
+                listless = soa.build_csr(positions, service.radio_range)
+                for depth in range(9):
+                    found = snap.bfs_levels(source, depth)
+                    expected = oracle.bfs_levels(source, depth)
+                    assert list(found.items()) == list(expected.items()), depth
+                    if edge_filter is None:
+                        items = soa.bfs_from_csr(listless, source, depth)[2]
+                        assert list(found.items()) == items
+                if edge_filter is None:
+                    # Served from the list: no full CSR was built for it.
+                    assert served.pop() is snap._pairs and snap._csr_store is None
+                served.clear()
+
+
+#: The queries that need every edge of a snapshot: ``(snapshot, node,
+#: one of its neighbours)``.
+_EVERY_EDGE_QUERIES = {
+    "shortest_path": lambda snap, node, near: snap.shortest_path(node, near),
+    "degree": lambda snap, node, near: snap.degree(node),
+    "edge_count": lambda snap, node, near: snap.edge_count(),
+    "has_edge": lambda snap, node, near: snap.has_edge(node, near),
+    "neighbors": lambda snap, node, near: snap.neighbors(node),
+}
+
+
+@pytest.mark.parametrize("query", sorted(_EVERY_EDGE_QUERIES))
+def test_at_scale_only_a_query_for_every_edge_builds_the_csr(monkeypatch, query):
+    """600 walkers that only flood build no CSR at any refresh; the first
+    query that needs every edge builds exactly one, from the snapshot's
+    own pairs, and every later one reuses it.  An edge-filtered snapshot
+    builds its CSR at once, as under the crossover."""
+    from repro.net.message import Message
+
+    builds = []
+    real_build = soa.build_csr
+    monkeypatch.setattr(
+        soa, "build_csr", lambda *args: builds.append(args) or real_build(*args)
+    )
+    count = 600
+    assert count >= soa.ARRAY_REFRESH_MIN_NODES
+    sim = Simulator()
+    net = Network(sim, radio_range=RANGE)
+    side = 1500.0 * (count / 50.0) ** 0.5  # the Table-1 density
+    terrain = Terrain(side, side)
+    for index in range(count):
+        model = RandomWalk(terrain, random.Random(index), 10.0, 40.0, epoch=4.0)
+        net.register(_Node(index, sim, model))
+    rng = random.Random(query)
+    for tick in range(1, 9):
+        sim.run_until(float(tick))
+        for source in rng.sample(range(count), 3):
+            net.flood(source, Message(sender=source), ttl=3)
+    assert net.topology.snapshots_built >= 8 and builds == []
+
+    snap = net.snapshot()
+    node, near = next(
+        (node, list(levels)[1])
+        for node in range(count)
+        if len(levels := snap.bfs_levels(node, 1)) > 1
+    )
+    _EVERY_EDGE_QUERIES[query](snap, node, near)
+    assert len(builds) == 1 and builds[0][2] is snap._pairs
+    csr = snap._csr
+    for answer in _EVERY_EDGE_QUERIES.values():
+        answer(snap, node, near)
+    snap.hop_distance(node, near)
+    snap.nearest(node, [near])
+    snap.bfs_levels(node)
+    snap.connected_components()
+    assert snap.has_edge(node, near) and snap.degree(node) == len(snap.neighbors(node))
+    assert len(builds) == 1 and snap._csr is csr
+
+    net.topology.edge_filter = _split_filter
+    net.topology.invalidate()
+    assert net.snapshot()._csr is None  # filtered in place, right away
+    assert len(builds) == 2
