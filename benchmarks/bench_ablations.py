@@ -54,36 +54,6 @@ def test_ablation_omega_weighting(benchmark, quick_config):
         assert result.summary.queries_answered > 0
 
 
-def test_ablation_routing_policy(benchmark, quick_config):
-    """Per-send BFS vs DSR-style cached routing: does a route cache pay?"""
-
-    def run():
-        bfs = run_simulation(quick_config, "rpcc-sc")
-        cached = run_simulation(
-            quick_config.with_overrides(routing="cached"), "rpcc-sc"
-        )
-        return bfs, cached
-
-    bfs, cached = benchmark.pedantic(run, rounds=1, iterations=1)
-    print()
-    print(format_table(
-        ("routing", "tx", "latency", "answered"),
-        [
-            ("per-send BFS (default)", bfs.summary.transmissions,
-             bfs.summary.mean_latency, bfs.summary.queries_answered),
-            ("DSR-style route cache", cached.summary.transmissions,
-             cached.summary.mean_latency, cached.summary.queries_answered),
-        ],
-        title="Ablation: routing policy",
-    ))
-    # Cached routes may be slightly longer (stale but valid paths), so
-    # traffic can differ a little; answered-rate must hold either way.
-    for result in (bfs, cached):
-        assert result.summary.queries_answered > 0
-    ratio = cached.summary.transmissions / bfs.summary.transmissions
-    assert 0.8 < ratio < 1.3
-
-
 def test_ablation_cache_on_read(benchmark, quick_config):
     """Read-through caching churns items out from under their relay roles."""
 

@@ -16,15 +16,14 @@ on a laptop:
 * :mod:`repro.energy`, :mod:`repro.cache`, :mod:`repro.peers` — the
   per-host substrates;
 * :mod:`repro.consistency` — the RPCC protocol plus the simple push/pull
-  baselines it is evaluated against;
+  baselines it is evaluated against, and the variants for the paper's
+  Section 6 future-work directions, registered as specs
+  (``rpcc-controlled-sc``, ``push-uir``, ...) next to the stock ones;
 * :mod:`repro.workload`, :mod:`repro.metrics` — load generation and
   measurement;
 * :mod:`repro.experiments` — Table 1 configuration and one module per
   figure of the evaluation section;
-* :mod:`repro.extensions` — strategy variants for the paper's Section 6
-  future-work directions, registered as specs (``rpcc-controlled-sc``,
-  ``push-uir``, ...) next to the stock ones; :mod:`repro.control` is the
-  run-time adaptation direction.
+* :mod:`repro.control` — the run-time adaptation direction.
 
 Quickstart::
 

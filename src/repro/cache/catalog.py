@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-from repro.cache.item import MasterCopy
+from repro.cache.item import CONTENT_SIZE, MasterCopy
 from repro.errors import UnknownItemError
 
 __all__ = ["Catalog"]
@@ -25,7 +25,7 @@ class Catalog:
 
     @classmethod
     def one_item_per_host(
-        cls, host_ids: Iterable[int], content_size: int = 1024
+        cls, host_ids: Iterable[int], content_size: int = CONTENT_SIZE
     ) -> "Catalog":
         """Build the paper's default mapping: host ``i`` sources item ``i``."""
         catalog = cls()

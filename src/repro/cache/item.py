@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from repro.errors import UnknownItemError
 
-__all__ = ["MasterCopy", "CachedCopy"]
+__all__ = ["CONTENT_SIZE", "MasterCopy", "CachedCopy"]
+
+#: Payload bytes of every data item a simulation builds (the paper gives
+#: none): the size of each data-transfer message, and so its per-hop
+#: serialisation delay, and the weight of the ``size-utility`` policy.
+CONTENT_SIZE = 1024
 
 
 class MasterCopy:
@@ -25,7 +30,8 @@ class MasterCopy:
         Identifier of the source host (``M_i``); the paper assumes
         ``source(D_i) = M_i``.
     content_size:
-        Payload size in bytes, used for data-transfer messages.
+        Payload size in bytes, used for data-transfer messages
+        (default :data:`CONTENT_SIZE`).
     """
 
     __slots__ = (
@@ -38,7 +44,9 @@ class MasterCopy:
         "update_count",
     )
 
-    def __init__(self, item_id: int, source_id: int, content_size: int = 1024) -> None:
+    def __init__(
+        self, item_id: int, source_id: int, content_size: int = CONTENT_SIZE
+    ) -> None:
         if content_size <= 0:
             raise UnknownItemError(f"content_size must be positive, got {content_size!r}")
         self.item_id = item_id

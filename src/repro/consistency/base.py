@@ -62,68 +62,60 @@ __all__ = [
     "RemoteJob",
     "PendingQuery",
     "RetryBackoff",
+    "BACKOFF_CAP",
+    "BACKOFF_JITTER",
 ]
+
+
+#: Upper bound, in seconds, on an un-jittered retry wait.  Unmeasured.
+BACKOFF_CAP = 60.0
+#: Half-width of the relative jitter on a retry wait: 0.1 puts the final
+#: wait in ``[0.9x, 1.1x]`` of the un-jittered ladder.  Unmeasured.
+BACKOFF_JITTER = 0.1
 
 
 class RetryBackoff:
     """Capped exponential backoff with deterministic, seeded jitter.
 
     ``delay(base, attempt, key)`` grows the base wait by ``factor`` per
-    attempt up to ``cap``, then perturbs it by up to ``±jitter`` — the
-    perturbation is a pure hash of ``(seed, key, attempt)``, not a draw
-    from a shared RNG stream, so a retry's wait never depends on how
-    many *other* retries happened first.  That keeps fault-injected runs
-    replayable and, because the jitter keys on stable protocol identity
-    (node/item) rather than process-global request counters, keeps
-    latency distributions comparable across trace replays.
+    attempt up to :data:`BACKOFF_CAP`, then perturbs it by up to
+    ``±BACKOFF_JITTER`` — the perturbation is a pure hash of ``(seed,
+    key, attempt)``, not a draw from a shared RNG stream, so a retry's
+    wait never depends on how many *other* retries happened first.  That
+    keeps fault-injected runs replayable and, because the jitter keys on
+    stable protocol identity (node/item) rather than process-global
+    request counters, keeps latency distributions comparable across
+    trace replays.
 
     Parameters
     ----------
     factor:
-        Multiplicative growth per attempt (``>= 1``).
-    cap:
-        Upper bound on the un-jittered wait, in seconds.
-    jitter:
-        Half-width of the relative perturbation, in ``[0, 1)``; 0.1
-        means the final wait lands in ``[0.9x, 1.1x]``.
+        Multiplicative growth per attempt (``>= 1``); the controller
+        moves it during a run.
     seed:
         Run seed the jitter hash is derived from.
     """
 
-    __slots__ = ("factor", "cap", "jitter", "seed")
+    __slots__ = ("factor", "seed")
 
     _JITTER_BITS = 24  # hash-fraction resolution; plenty for a ±10% wobble
 
-    def __init__(
-        self,
-        factor: float = 2.0,
-        cap: float = 60.0,
-        jitter: float = 0.1,
-        seed: int = 0,
-    ) -> None:
-        if factor < 1.0:
+    def __init__(self, factor: float, seed: int) -> None:
+        if not factor >= 1.0:
             raise ProtocolError(f"backoff factor must be >= 1, got {factor!r}")
-        if cap <= 0:
-            raise ProtocolError(f"backoff cap must be positive, got {cap!r}")
-        if not 0.0 <= jitter < 1.0:
-            raise ProtocolError(f"backoff jitter must be in [0, 1), got {jitter!r}")
         self.factor = float(factor)
-        self.cap = float(cap)
-        self.jitter = float(jitter)
         self.seed = int(seed)
 
     def delay(self, base: float, attempt: int, key: str) -> float:
         """Wait before retry number ``attempt`` (1 = the first try)."""
         try:
-            raw = min(self.cap, base * self.factor ** max(0, attempt - 1))
+            raw = min(BACKOFF_CAP, base * self.factor ** max(0, attempt - 1))
         except OverflowError:
             # factor ** attempt left float range: the cap won long ago.
-            raw = self.cap if base > 0 else 0.0
-        if self.jitter > 0:
-            bucket = derive_seed(self.seed, f"backoff/{key}/{attempt}")
-            unit = (bucket % (1 << self._JITTER_BITS)) / float(1 << self._JITTER_BITS)
-            raw *= 1.0 + self.jitter * (2.0 * unit - 1.0)
-        return raw
+            raw = BACKOFF_CAP if base > 0 else 0.0
+        bucket = derive_seed(self.seed, f"backoff/{key}/{attempt}")
+        unit = (bucket % (1 << self._JITTER_BITS)) / float(1 << self._JITTER_BITS)
+        return raw * (1.0 + BACKOFF_JITTER * (2.0 * unit - 1.0))
 
 
 class StrategyContext:
@@ -141,10 +133,6 @@ class StrategyContext:
         Run metrics sink.
     delta:
         The Δ bound (seconds) used when auditing delta-consistency reads.
-    fetch_timeout:
-        Default seconds to wait for a remote answer before retrying
-        elsewhere (strategies whose holders wait longer override
-        :meth:`ConsistencyStrategy.remote_query_timeout`).
     max_fetch_attempts:
         Distinct holders tried before a remote query is abandoned.
     cache_on_read:
@@ -165,7 +153,6 @@ class StrategyContext:
         discovery: Discovery,
         metrics: MetricsCollector,
         delta: float = 240.0,
-        fetch_timeout: float = 5.0,
         max_fetch_attempts: int = 3,
         cache_on_read: bool = False,
         backoff: Optional[RetryBackoff] = None,
@@ -175,7 +162,6 @@ class StrategyContext:
         self.discovery = discovery
         self.metrics = metrics
         self.delta = float(delta)
-        self.fetch_timeout = float(fetch_timeout)
         self.max_fetch_attempts = int(max_fetch_attempts)
         self.cache_on_read = bool(cache_on_read)
         self.backoff = backoff

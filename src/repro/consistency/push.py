@@ -36,11 +36,10 @@ from repro.errors import ProtocolError
 from repro.net.message import Message
 from repro.obs.events import FetchCompleted, FetchStarted, InvalidationSent
 from repro.peers.host import MobileHost
-from repro.sim.timers import PeriodicTimer
+from repro.sim.timers import PeriodicTimer, staggered_start
 
 __all__ = ["PushStrategy", "PushAgent"]
 
-_GOLDEN = 0.6180339887498949  # deterministic per-source timer stagger
 #: A waiting query gives up after ``WAIT_FACTOR * ttn`` seconds and serves
 #: its local copy stale.
 WAIT_FACTOR = 2.5
@@ -106,12 +105,11 @@ class PushStrategy(ConsistencyStrategy):
             host = agent.host
             if host.source_item is None:
                 continue
-            offset = self.ttn * ((host.node_id * _GOLDEN) % 1.0)
             timer = PeriodicTimer(
                 self.context.sim,
                 self.ttn,
                 agent.broadcast_report,  # type: ignore[attr-defined]
-                start_offset=offset if offset > 0 else self.ttn,
+                start_offset=staggered_start(self.ttn, host.node_id),
             )
             timer.start()
             self._timers.append(timer)

@@ -32,14 +32,12 @@ from repro.consistency.rpcc.config import (
     RPCCConfig,
 )
 from repro.obs.events import InvalidationSent
-from repro.sim.timers import PeriodicTimer
+from repro.sim.timers import PeriodicTimer, staggered_start
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.consistency.rpcc.protocol import RPCCAgent
 
 __all__ = ["SourceSide"]
-
-_GOLDEN = 0.6180339887498949
 
 
 class SourceSide:
@@ -71,12 +69,11 @@ class SourceSide:
         """Arm the TTN timer (staggered deterministically per host)."""
         if self.agent.host.source_item is None or self._timer is not None:
             return
-        offset = self.config.ttn * ((self.agent.node_id * _GOLDEN) % 1.0)
         self._timer = PeriodicTimer(
             self.agent.context.sim,
             self.config.ttn,
             self._on_ttn,
-            start_offset=offset if offset > 0 else self.config.ttn,
+            start_offset=staggered_start(self.config.ttn, self.agent.node_id),
         )
         self._timer.start()
 

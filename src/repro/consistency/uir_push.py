@@ -2,7 +2,7 @@
 
 The paper's related-work section cites Cao's strategy that "can reduce
 the query latency by inserting several updated invalidation reports (UIR)
-between two successive IRs".  This extension reproduces that mechanism on
+between two successive IRs".  This variant reproduces that mechanism on
 top of the simple push baseline: between full invalidation reports the
 source floods ``UIR_COUNT`` lightweight UIRs, so a waiting query can
 validate after at most ``TTN / (UIR_COUNT + 1)`` instead of a full TTN.
@@ -22,11 +22,10 @@ from typing import ClassVar, Dict
 from repro.consistency.messages import CONTROL_SIZE, PushInvalidation
 from repro.consistency.push import PushAgent, PushStrategy
 from repro.peers.host import MobileHost
-from repro.sim.timers import PeriodicTimer
+from repro.sim.timers import PeriodicTimer, staggered_start
 
 __all__ = ["UIRReport", "UIRPushStrategy", "UIRPushAgent"]
 
-_GOLDEN = 0.6180339887498949
 #: UIR floods inserted between two successive full reports.
 UIR_COUNT = 4
 
@@ -65,12 +64,11 @@ class UIRPushStrategy(PushStrategy):
             host = agent.host
             if host.source_item is None:
                 continue
-            offset = self.sub_interval * ((host.node_id * _GOLDEN) % 1.0)
             timer = PeriodicTimer(
                 self.context.sim,
                 self.sub_interval,
                 agent.broadcast_sub_report,  # type: ignore[attr-defined]
-                start_offset=offset if offset > 0 else self.sub_interval,
+                start_offset=staggered_start(self.sub_interval, host.node_id),
             )
             timer.start()
             self._timers.append(timer)

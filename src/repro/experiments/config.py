@@ -2,8 +2,11 @@
 
 Every Table 1 row maps to a field with the paper's default value.  Fields
 the paper leaves unspecified (node speed, disconnection durations, the
-stable-node fraction that makes the CS coefficient discriminating, payload
-size) are grouped separately and documented in DESIGN.md.
+stable-node fraction that makes the CS coefficient discriminating) are
+grouped separately and documented in DESIGN.md.  A field stays only if
+Table 1 lists it, a figure, scenario, matrix file, CLI flag, example or
+benchmark workload sets it, or the controller actuates it
+(``docs/decisions/06-earned-settings.md``).
 """
 
 from __future__ import annotations
@@ -80,7 +83,6 @@ class SimulationConfig:
 
     # --- Not specified by the paper (see DESIGN.md) ---------------------
     seed: int = 1
-    content_size: int = 1024
     speed_min: float = 1.0
     speed_max: float = 5.0
     pause_time: float = 60.0
@@ -88,7 +90,6 @@ class SimulationConfig:
     mean_online: float = 600.0
     mean_offline: float = 60.0
     subnet_cell: float = 500.0
-    fetch_timeout: float = 5.0
     poll_timeout: float = 4.0
     cache_on_read: bool = False
     # Per-hop packet loss probability of the wireless links; 0 keeps the
@@ -109,9 +110,6 @@ class SimulationConfig:
     # Mobility model for the non-stable peers: "waypoint", "walk", or
     # "trace" (a recorded waypoint trace replayed as piecewise-linear).
     mobility: str = "waypoint"
-    # Unicast routing policy: "bfs" (per-send shortest path) or "cached"
-    # (DSR-style route cache, see repro.net.routing).
-    routing: str = "bfs"
     # Measurement starts after this many seconds: covers the coefficient
     # bootstrap (no relay exists before the first period closes) plus one
     # promotion round, so steady-state behaviour is what gets measured.
@@ -121,13 +119,11 @@ class SimulationConfig:
     # Deterministic fault timeline; None (default) keeps the fault layer
     # entirely out of the run — bit-identical with pre-fault builds.
     faults: Optional[FaultPlan] = None
-    # Exponential backoff on remote-query retries.  None = auto: enabled
-    # exactly when a fault plan is active, so fault-free runs keep the
-    # historical fixed retry wait (and their golden digests).
-    retry_backoff: Optional[bool] = None
+    # Growth factor of the exponential backoff on remote-query retries.
+    # The backoff is on exactly when a fault plan is active, so
+    # fault-free runs keep the historical fixed retry wait (and their
+    # golden digests); the controller actuates this factor.
     backoff_factor: float = 2.0
-    backoff_cap: float = 60.0
-    backoff_jitter: float = 0.1
     # Online control policy name (see repro.control CONTROLLERS); None
     # (default) constructs no controller at all — bit-identical with
     # pre-controller builds.
@@ -136,6 +132,12 @@ class SimulationConfig:
     controller_interval: float = 30.0
 
     def __post_init__(self) -> None:
+        # Counts and TTLs index ranges and hop loops: a float, a bool or
+        # NaN that passed the range checks below would crash the run.
+        for name in ("n_peers", "cache_num", "ttl_broadcast", "ttl_rpcc", "hot_set_size"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, int):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         positives: Tuple[Tuple[str, float], ...] = (
             ("n_peers", self.n_peers),
             ("terrain_width", self.terrain_width),
@@ -149,20 +151,25 @@ class SimulationConfig:
             ("ttr", self.ttr),
             ("ttp", self.ttp),
             ("switch_interval", self.switch_interval),
-            ("content_size", self.content_size),
             ("subnet_cell", self.subnet_cell),
             ("mean_online", self.mean_online),
             ("mean_offline", self.mean_offline),
-            ("fetch_timeout", self.fetch_timeout),
             ("poll_timeout", self.poll_timeout),
-            ("backoff_cap", self.backoff_cap),
             ("controller_interval", self.controller_interval),
         )
         for name, value in positives:
             if not value > 0:  # not ``value <= 0``: NaN must fail too
                 raise ConfigurationError(f"{name} must be positive, got {value!r}")
-        if self.ttl_broadcast < 1 or self.ttl_rpcc < 1:
-            raise ConfigurationError("flood TTLs must be >= 1")
+        # A terrain or run length of inf overflows the mobility draws or
+        # never ends; an infinite controller interval cannot be scheduled.
+        for name in ("terrain_width", "terrain_height", "sim_time", "controller_interval"):
+            value = getattr(self, name)
+            if not value < math.inf:
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
+        for name in ("ttl_broadcast", "ttl_rpcc"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value!r}")
         if not 0.0 <= self.stable_fraction <= 1.0:
             raise ConfigurationError(
                 f"stable_fraction must be in [0, 1], got {self.stable_fraction!r}"
@@ -225,10 +232,6 @@ class SimulationConfig:
                 f"unknown replacement_policy {self.replacement_policy!r}; "
                 f"choose from {POLICIES.names()}"
             )
-        if self.routing not in ("bfs", "cached"):
-            raise ConfigurationError(
-                f"routing must be 'bfs' or 'cached', got {self.routing!r}"
-            )
         if not 0 < self.speed_min <= self.speed_max:
             raise ConfigurationError(
                 f"need 0 < speed_min <= speed_max, got "
@@ -245,10 +248,6 @@ class SimulationConfig:
         if not self.backoff_factor >= 1.0:
             raise ConfigurationError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor!r}"
-            )
-        if not 0.0 <= self.backoff_jitter < 1.0:
-            raise ConfigurationError(
-                f"backoff_jitter must be in [0, 1), got {self.backoff_jitter!r}"
             )
         if self.controller is not None:
             # Same eager validation (and the same lazy-import reason) as

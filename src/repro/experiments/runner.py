@@ -9,7 +9,9 @@ serves reads per consistency level, the workload it is run under:
   consistency-level workload;
 * ``"rpcc-hy"`` — RPCC under the hybrid workload (equal thirds);
 * ``"rpcc-controlled-<level>"``, ``"rpcc-random-selection-<level>"``,
-  ``"push-uir"`` — the :mod:`repro.extensions` variants.
+  ``"push-uir"`` — the variants in :mod:`repro.consistency.rpcc.relay_control`,
+  :mod:`repro.consistency.rpcc.selection_ablation` and
+  :mod:`repro.consistency.uir_push`.
 
 :func:`~repro.scenarios.registry.parse_spec` is the one reader of that
 spelling; the factories registered at the bottom of this module build
@@ -62,7 +64,6 @@ from repro.mobility.walk import RandomWalk
 from repro.mobility.waypoint import RandomWaypoint
 from repro.net.link import LinkModel
 from repro.net.network import Network
-from repro.net.routing import CachingRouter, ShortestPathRouter
 from repro.peers.coefficients import CoefficientTracker
 from repro.peers.host import MobileHost
 from repro.peers.switching import SwitchingProcess
@@ -403,7 +404,6 @@ def build_simulation(
     if trace is not None:
         sim.attach_trace(trace)
         metrics.attach_trace(trace, lambda: sim.now)
-    router = CachingRouter() if config.routing == "cached" else ShortestPathRouter()
     # loss_rate == 0 keeps the seed's exact LinkModel behaviour (and RNG
     # stream layout): hop_is_lost() short-circuits without drawing.
     link = LinkModel(
@@ -415,11 +415,10 @@ def build_simulation(
         radio_range=config.radio_range,
         link=link,
         traffic=metrics,
-        router=router,
     )
     terrain = Terrain(config.terrain_width, config.terrain_height)
     grid = SubnetGrid(terrain, config.subnet_cell)
-    catalog = Catalog.one_item_per_host(range(config.n_peers), config.content_size)
+    catalog = Catalog.one_item_per_host(range(config.n_peers))
     directory = CacheDirectory()
 
     stable_rng = streams.stream("stable-assignment")
@@ -501,19 +500,11 @@ def build_simulation(
         hosts[host_id] = host
 
     discovery = Discovery(catalog, directory)
-    backoff_on = (
-        config.retry_backoff
-        if config.retry_backoff is not None
-        else plan is not None
-    )
+    # Backoff on remote-query retries rides along with fault injection:
+    # fault-free runs keep the fixed retry wait (and their golden digests).
     backoff = (
-        RetryBackoff(
-            factor=config.backoff_factor,
-            cap=config.backoff_cap,
-            jitter=config.backoff_jitter,
-            seed=config.seed,
-        )
-        if backoff_on
+        RetryBackoff(factor=config.backoff_factor, seed=config.seed)
+        if plan is not None
         else None
     )
     context = StrategyContext(
@@ -522,7 +513,6 @@ def build_simulation(
         discovery,
         metrics,
         delta=config.ttp,
-        fetch_timeout=config.fetch_timeout,
         cache_on_read=config.cache_on_read,
         backoff=backoff,
     )
@@ -674,17 +664,17 @@ def _build_rpcc(context: StrategyContext, config: SimulationConfig) -> Consisten
 
 
 # The variants import their class when one is asked for: a run of a
-# stock strategy loads nothing of repro.extensions.
+# stock strategy loads none of their modules.
 @register_strategy("rpcc-controlled", levels=True)
 def _build_rpcc_controlled(context: StrategyContext, config: SimulationConfig) -> ConsistencyStrategy:
-    from repro.extensions.relay_control import ControlledRPCCStrategy
+    from repro.consistency.rpcc.relay_control import ControlledRPCCStrategy
 
     return ControlledRPCCStrategy(context, RPCCConfig(**_rpcc_kwargs(config)))
 
 
 @register_strategy("rpcc-random-selection", levels=True)
 def _build_rpcc_random_selection(context: StrategyContext, config: SimulationConfig) -> ConsistencyStrategy:
-    from repro.extensions.selection_ablation import RandomSelectionRPCCStrategy
+    from repro.consistency.rpcc.selection_ablation import RandomSelectionRPCCStrategy
 
     # The coins are seeded by the run: each seed of a matrix promotes differently.
     return RandomSelectionRPCCStrategy(
@@ -694,7 +684,7 @@ def _build_rpcc_random_selection(context: StrategyContext, config: SimulationCon
 
 @register_strategy("push-uir")
 def _build_push_uir(context: StrategyContext, config: SimulationConfig) -> ConsistencyStrategy:
-    from repro.extensions.uir_push import UIRPushStrategy
+    from repro.consistency.uir_push import UIRPushStrategy
 
     return UIRPushStrategy(context, ttn=config.ttn, ttl=config.ttl_broadcast)
 

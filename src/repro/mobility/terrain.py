@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError
 
@@ -81,19 +81,6 @@ class Terrain:
     def random_point(self, rng: random.Random) -> Point:
         """Draw a uniformly random point inside the terrain."""
         return Point(rng.uniform(0.0, self.width), rng.uniform(0.0, self.height))
-
-    def grid_points(self, rows: int, cols: int) -> Iterator[Point]:
-        """Yield ``rows * cols`` points on a regular grid (cell centres).
-
-        Useful for deterministic initial placements in tests and examples.
-        """
-        if rows <= 0 or cols <= 0:
-            raise ConfigurationError(f"grid must be positive, got {rows}x{cols}")
-        cell_w = self.width / cols
-        cell_h = self.height / rows
-        for row in range(rows):
-            for col in range(cols):
-                yield Point((col + 0.5) * cell_w, (row + 0.5) * cell_h)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Terrain({self.width:.0f}m x {self.height:.0f}m)"

@@ -4,7 +4,7 @@ from repro.net.link import LinkModel
 from repro.net.message import Message, next_message_id
 from repro.net.network import Network, TrafficObserver
 from repro.net.node import NetworkNode
-from repro.net.routing import CachingRouter, Router, ShortestPathRouter
+from repro.net.routing import Router, ShortestPathRouter
 from repro.net.topology import TopologyService, TopologySnapshot
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "NetworkNode",
     "Router",
     "ShortestPathRouter",
-    "CachingRouter",
     "TopologySnapshot",
     "TopologyService",
 ]

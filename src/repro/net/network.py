@@ -37,13 +37,6 @@ class TrafficObserver(Protocol):
         """Record that ``message`` caused ``transmissions`` hop transmissions."""
 
 
-class _NullTraffic:
-    """Default observer that discards all accounting."""
-
-    def record_transmissions(self, message: Message, transmissions: int) -> None:
-        return None
-
-
 class Network:
     """Multi-hop wireless network over a dynamic disc-model topology.
 
@@ -56,7 +49,9 @@ class Network:
     link:
         Per-hop delay/loss model; a lossless 2 Mbps default when omitted.
     traffic:
-        Observer receiving per-hop transmission counts; optional.
+        Observer receiving per-hop transmission counts
+        (:class:`~repro.metrics.counters.MessageCounters` when nothing
+        else needs them).
     topology_quantum:
         Seconds for which a computed topology snapshot is reused.
     """
@@ -66,14 +61,15 @@ class Network:
         sim: Simulator,
         radio_range: float = 250.0,
         link: Optional[LinkModel] = None,
-        traffic: Optional[TrafficObserver] = None,
+        *,
+        traffic: TrafficObserver,
         topology_quantum: float = 1.0,
         router: Optional[Router] = None,
     ) -> None:
         self.sim = sim
         self.link = link if link is not None else LinkModel()
         self.router: Router = router if router is not None else ShortestPathRouter()
-        self.traffic: TrafficObserver = traffic if traffic is not None else _NullTraffic()
+        self.traffic = traffic
         self._nodes: Dict[int, NetworkNode] = {}
         # One bound method handed to every node, not one per registration.
         self._node_listener = self._on_node_state_change

@@ -17,7 +17,22 @@ from typing import Any, Callable, Optional
 from repro.errors import SimulationError
 from repro.sim.engine import EventHandle, Simulator
 
-__all__ = ["PeriodicTimer", "CountdownTimer"]
+__all__ = ["PeriodicTimer", "CountdownTimer", "staggered_start"]
+
+#: The golden-ratio fraction: multiples of it modulo 1 spread evenly, so
+#: consecutive node ids get well-separated phases.
+_GOLDEN = 0.6180339887498949
+
+
+def staggered_start(period: float, node_id: int) -> float:
+    """First-tick delay of a per-host periodic timer, deterministic per host.
+
+    Every source host floods on the same period; staggering the phases by
+    node id keeps their floods from all landing in the same instant.  A
+    phase of 0 (node 0) starts after one full period instead.
+    """
+    offset = period * ((node_id * _GOLDEN) % 1.0)
+    return offset if offset > 0 else period
 
 
 class PeriodicTimer:

@@ -451,7 +451,7 @@ class TestActuationSeams:
         from repro.experiments.runner import build_simulation
 
         simulation = build_simulation(
-            _chaos_config("hysteresis", retry_backoff=True), spec, "standard"
+            _chaos_config("hysteresis"), spec, "standard"
         )
         strategy = simulation.strategy
         before = strategy.control_knobs()

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
-import random
 
 import pytest
 
@@ -23,9 +22,8 @@ from repro.consistency.base import BaseAgent, ConsistencyStrategy
 from repro.consistency.pull import PullAgent, PullStrategy
 from repro.consistency.push import PushAgent, PushStrategy
 from repro.consistency.rpcc.protocol import RPCCAgent, RPCCStrategy
+from repro.consistency.uir_push import UIRPushAgent, UIRPushStrategy, UIRReport
 from repro.errors import ProtocolError
-from repro.extensions.replica import GossipReplication
-from repro.extensions.uir_push import UIRPushAgent, UIRPushStrategy, UIRReport
 from repro.net.message import Message
 
 from tests.conftest import line_positions, make_world
@@ -174,7 +172,7 @@ class _CatchAllStrategy(ConsistencyStrategy):
         return _CatchAllAgent(self, host)
 
     def remote_query_timeout(self):
-        return self.context.fetch_timeout
+        return 5.0
 
 
 class _CatchAllAgent(BaseAgent):
@@ -195,22 +193,6 @@ def test_agent_overriding_only_handle_protocol_message_gets_every_message():
     for message_type in protocol_types:
         agent.handle_message(message_type(sender=1))
     assert agent.seen == protocol_types
-
-
-def test_replica_adapter_still_wraps_every_delivery():
-    """``extensions.replica`` replaces ``host.agent`` with a forwarding wrapper."""
-    world = make_world(line_positions(2), _CatchAllStrategy)
-    inner = world.agent(1)
-    inner.seen = []
-    replication = GossipReplication(
-        world.sim, world.network, 0, [0, 1], random.Random(1)
-    )
-    replication.write(0, 42)
-    world.network.unicast(0, 1, M.PullPoll(sender=0))  # not gossip: forwarded
-    replication._gossip_once(0)  # gossip: consumed by the wrapper
-    world.run(5.0)
-    assert inner.seen == [M.PullPoll]
-    assert replication.registers[1].value == 42
 
 
 def test_instance_level_deliver_override_sees_batched_flood_copies():

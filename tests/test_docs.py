@@ -243,8 +243,9 @@ class TestOneCore:
     start-up batch collector, the delta-patch refresh, the options that
     selected them, the code no public path reached, the topology
     crossovers no benchmark row earned, the strategy and controller
-    settings only tests set and the hand-built segment store are gone
-    from the tree, not just from ``src/``."""
+    settings only tests set, the hand-built segment store, the config
+    fields no public path set and the replica protocol are gone from the
+    tree, not just from ``src/``."""
 
     #: Spelled in pieces so this file passes its own check.
     RETIRED = (
@@ -278,11 +279,14 @@ class TestOneCore:
         "cooldown_" + "jitter", "ablation_hold_" + "notice",
         "Segment" + "Writer", "encode_" + "batch", "decode_" + "batch",
         "RECORD_" + "SCHEMA", "side" + "car", "fs_" + "writes",
+        "fetch_" + "timeout", "retry_" + "backoff", "backoff_" + "cap", "backoff_" + "jitter",
+        "Gossip" + "Replication", "Replicated" + "Register", "repro." + "extensions",
     )
     #: History, the issue that retired them, and the read-only benchmark.
     EXEMPT = ("CHANGES.md", "ROADMAP.md", "ISSUE.md", "benchmarks/e2e/")
     EXEMPT += ("docs/decisions/03-public-settings.md",)  # the records of what went
     EXEMPT += ("docs/decisions/04-sqlite-store.md",)
+    EXEMPT += ("docs/decisions/06-earned-settings.md",)
     EXEMPT += ("BENCHMARK.json",)  # the benchmark's declaration, read-only too
 
     def test_retired_names_appear_in_no_tracked_file(self):
@@ -308,41 +312,154 @@ class TestOneCore:
 
 
 class TestEarnedConstants:
-    """Every tuned constant of the topology core has its row in the
-    decision record that says which committed benchmark row it moves."""
+    """Every numeric module constant in ``src/`` has one row in the
+    decision records, with its value and where the number comes from."""
 
-    RECORD = "docs/decisions/02-earned-constants.md"
-    MODULES = ("src/repro/net/soa.py", "src/repro/net/topology.py")
+    #: What a row may say its number comes from: Table 1, a protocol
+    #: section, a measurement (``pinned`` is record 02's word for one),
+    #: or "unmeasured".
+    SOURCES = ("Table 1", "protocol", "§", "measure", "pinned")
 
     def constants(self):
-        """Module-level numeric UPPER_CASE assignments, name -> value."""
+        """Module-level numeric UPPER_CASE assignments, name -> [(module, value)]."""
         found = {}
-        for module in self.MODULES:
-            for node in ast.parse(read(module)).body:
+        for path in sorted((ROOT / "src").rglob("*.py")):
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                    target, value = node.targets[0], node.value
+                elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                    target, value = node.target, node.value
+                else:
+                    continue
                 if (
-                    isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", node.targets[0].id)
-                    and isinstance(node.value, ast.Constant)
-                    and type(node.value.value) in (int, float)
+                    isinstance(target, ast.Name)
+                    and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)
+                    and isinstance(value, ast.Constant)
+                    and type(value.value) in (int, float)
                 ):
-                    found[node.targets[0].id] = node.value.value
+                    module = path.relative_to(ROOT).as_posix()
+                    found.setdefault(target.id, []).append((module, value.value))
         return found
 
-    def test_every_constant_has_exactly_one_row_with_its_value(self):
-        rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", read(self.RECORD), re.M)
-        constants = self.constants()
-        assert len(constants) >= 4
-        named = [name for name, _ in rows]
-        for name in constants:
-            assert named.count(name) == 1, f"{self.RECORD} needs one row for {name}"
-        for name, value in rows:
-            assert name in constants, f"{self.RECORD} has a row for gone {name}"
-            assert value.strip() == repr(constants[name]), (
-                f"{self.RECORD} says {name} = {value.strip()}, "
-                f"the code says {constants[name]!r}"
+    def rows(self):
+        """``| `NAME` | value | ...`` rows of every record: (name, value, rest)."""
+        rows = []
+        for record in sorted((ROOT / "docs" / "decisions").glob("*.md")):
+            rows += re.findall(
+                r"^\| `(_?[A-Z][A-Z0-9_]*)` \| ([^|]+) \|(.*)$",
+                record.read_text(encoding="utf-8"), re.M,
             )
+        return rows
+
+    def test_every_constant_has_exactly_one_row_with_its_value(self):
+        constants, rows = self.constants(), self.rows()
+        assert len(constants) >= 25
+        named = [name for name, _, _ in rows]
+        for name, definitions in constants.items():
+            assert len(definitions) == 1, f"{name} is defined in {definitions}"
+            assert named.count(name) == 1, f"docs/decisions/ needs one row for {name}"
+        for name, value, _ in rows:
+            assert name in constants, f"docs/decisions/ has a row for gone {name}"
+            ((module, code_value),) = constants[name]
+            assert value.strip() == repr(code_value), (
+                f"docs/decisions/ says {name} = {value.strip()}, "
+                f"{module} says {code_value!r}"
+            )
+
+    def test_every_row_says_where_its_number_comes_from(self):
+        for name, _, rest in self.rows():
+            assert any(source in rest for source in self.SOURCES), name
+
+
+class TestEarnedSettings:
+    """A ``SimulationConfig`` field stays only if Table 1 lists it, a
+    public path sets it, or record 06 names the controller knob or the
+    ROADMAP figure that keeps it (``docs/decisions/06-earned-settings.md``)."""
+
+    RECORD = "docs/decisions/06-earned-settings.md"
+    #: Where a public path sets a field: scenario presets, figure sweeps,
+    #: CLI flags, the matrix axes and committed matrix files, examples,
+    #: and the benchmark workloads.
+    PUBLIC = (
+        "src/repro/scenarios/catalog.py", "src/repro/scenarios/matrix.py",
+        "src/repro/cli.py", "src/repro/experiments/figures/*.py",
+        "examples/*.py", "examples/matrix/*.toml", "benchmarks/e2e/workloads.py",
+    )
+
+    def fields(self):
+        import dataclasses
+
+        from repro.experiments.config import SimulationConfig
+
+        return [field.name for field in dataclasses.fields(SimulationConfig)]
+
+    def table1_fields(self):
+        import inspect
+        import textwrap
+
+        from repro.experiments.config import SimulationConfig
+
+        tree = ast.parse(textwrap.dedent(inspect.getsource(SimulationConfig.table1_rows)))
+        return {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+        }
+
+    def public_text(self):
+        return "\n".join(
+            path.read_text(encoding="utf-8")
+            for pattern in self.PUBLIC for path in sorted(ROOT.glob(pattern))
+        )
+
+    def kept(self):
+        """Record rows ``| `field` | controller knob `k` |`` or ``| `field` | ROADMAP item N ...``."""
+        return {
+            field: (knob, item)
+            for field, knob, item in re.findall(
+                r"^\| `([a-z]\w*)` \| (?:controller knob `(\w+)`|ROADMAP item (\d+))",
+                read(self.RECORD), re.M,
+            )
+        }
+
+    def test_every_field_is_in_table1_set_by_a_public_path_or_recorded(self):
+        fields = self.fields()
+        assert len(fields) == 38
+        table1, text, kept = self.table1_fields(), self.public_text(), self.kept()
+        for name in fields:
+            assert (
+                name in table1
+                or re.search(rf"\b{name}\b", text)
+                or name in kept
+            ), (
+                f"SimulationConfig.{name} is in no Table 1 row, set by no "
+                f"public path, and not kept by {self.RECORD}"
+            )
+
+    def test_every_recorded_knob_is_one_the_controller_actuates(self):
+        from repro.experiments.config import SimulationConfig
+        from repro.experiments.runner import build_simulation
+        from repro.faults import Crash, FaultPlan
+
+        # A fault plan wires the retry backoff, whose factor is a knob too.
+        config = SimulationConfig(
+            n_peers=4, sim_time=10.0, warmup=0.0,
+            faults=FaultPlan(faults=(Crash(node=1, at=5.0),)),
+        )
+        knobs = set()
+        for spec in ("push", "pull", "rpcc-sc"):
+            knobs |= set(build_simulation(config, spec).strategy.control_knobs())
+        recorded = {knob for knob, _ in self.kept().values() if knob}
+        assert recorded and recorded <= knobs
+        for field, (knob, _) in self.kept().items():
+            assert not knob or knob == field, field
+
+    def test_every_recorded_figure_names_the_field(self):
+        roadmap = read("ROADMAP.md").split("## Open items", 1)[1]
+        for field, (_, item) in self.kept().items():
+            if item:
+                text = re.search(rf"^{item}\. .*?(?=^\d+\. |\Z)", roadmap, re.M | re.S)
+                assert text and f"`{field}`" in text.group(0), field
 
 
 class TestPublicSettings:

@@ -26,7 +26,6 @@ EXPECTED_OUTPUT = {
     "mobile_marketplace.py": "total radio traffic",
     "ttl_tuning.py": "trade-off",
     "relay_dynamics.py": "steady-state mean",
-    "replica_gossip.py": "converged: True",
 }
 
 

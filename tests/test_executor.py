@@ -85,7 +85,6 @@ class TestRunKey:
             tiny_config(),
             tiny_config(
                 controller="hysteresis",
-                retry_backoff=True,
                 thresholds=SelectionThresholds(mu_car=0.2),
             ),
         ]
@@ -112,7 +111,7 @@ class TestRunKey:
 
 class TestPickleRoundTrip:
     def test_config_roundtrip(self):
-        config = tiny_config(access_pattern="zipf", zipf_theta=0.8, routing="cached")
+        config = tiny_config(access_pattern="zipf", zipf_theta=0.8)
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
 

@@ -84,7 +84,8 @@ class TestSimulationConfig:
     POSITIVES = (
         "n_peers", "terrain_width", "terrain_height", "cache_num",
         "radio_range", "sim_time", "update_interval", "query_interval",
-        "ttn", "ttr", "ttp", "switch_interval", "content_size", "subnet_cell",
+        "ttn", "ttr", "ttp", "switch_interval", "subnet_cell",
+        "mean_online", "mean_offline", "poll_timeout", "controller_interval",
     )
 
     @pytest.mark.parametrize("value", [float("nan"), 0, -1], ids=["nan", "zero", "negative"])
@@ -99,12 +100,21 @@ class TestSimulationConfig:
     @pytest.mark.parametrize(
         ("name", "value"),
         [
-            ("warmup", NAN), ("backoff_factor", NAN), ("backoff_cap", NAN),
+            ("warmup", NAN), ("backoff_factor", NAN),
             ("controller_interval", NAN), ("speed_min", NAN), ("speed_max", NAN),
             ("flash_crowd_at", NAN), ("zipf_theta", NAN),
             ("pause_time", -5.0), ("mean_online", -1.0), ("mean_offline", 0.0),
-            ("fetch_timeout", -1.0), ("poll_timeout", 0.0), ("omega", -0.5),
+            ("poll_timeout", 0.0), ("omega", -0.5),
             ("omega", 2.0), ("warmup", float("inf")),
+            # Counts and TTLs are integers: each of these passed the range
+            # checks and then crashed the run.
+            ("ttl_broadcast", NAN), ("ttl_broadcast", 2.5),
+            ("ttl_rpcc", NAN), ("ttl_rpcc", 2.5),
+            ("n_peers", 2.5), ("n_peers", True), ("cache_num", 2.5),
+            ("hot_set_size", 2.5), ("hot_set_size", NAN),
+            # Lengths a run can reach the end of.
+            ("terrain_width", float("inf")), ("terrain_height", float("inf")),
+            ("sim_time", float("inf")), ("controller_interval", float("inf")),
         ],
     )
     def test_values_a_run_cannot_use_are_rejected(self, name, value):

@@ -1,14 +1,8 @@
-"""Tests for the future-work extensions and ablation strategies."""
-
-import random
-
-import pytest
+"""Tests for the future-work and ablation variants of RPCC."""
 
 from repro.consistency.rpcc import RPCCConfig
-from repro.errors import ProtocolError
-from repro.extensions.relay_control import MAX_RELAYS, ControlledRPCCStrategy
-from repro.extensions.replica import GossipReplication, ReplicatedRegister, WriteTag
-from repro.extensions.selection_ablation import RandomSelectionRPCCStrategy
+from repro.consistency.rpcc.relay_control import MAX_RELAYS, ControlledRPCCStrategy
+from repro.consistency.rpcc.selection_ablation import RandomSelectionRPCCStrategy
 
 from tests.conftest import line_positions, make_eligible, make_world
 
@@ -60,116 +54,6 @@ class TestRelayControl:
         make_eligible(world.host(1))
         world.run(400.0)
         assert world.agent(1).roles.is_relay(3)
-
-
-class StubAgentStrategy:
-    """Bare strategy so make_world can run without protocol logic."""
-
-    def __init__(self, context):
-        self.context = context
-        self.agents = {}
-
-    def make_agent(self, host):
-        return None
-
-    def start(self):
-        pass
-
-
-class TestReplicatedRegister:
-    def test_write_bumps_tag(self):
-        register = ReplicatedRegister(1, 0)
-        tag = register.write(42)
-        assert tag == WriteTag(1, 1)
-        assert register.read() == (42, tag)
-
-    def test_merge_takes_newer(self):
-        register = ReplicatedRegister(1, 0)
-        register.write(1)
-        assert register.merge(WriteTag(5, 2), 99)
-        assert register.read()[0] == 99
-
-    def test_merge_rejects_older(self):
-        register = ReplicatedRegister(1, 0)
-        register.write(1)
-        register.write(2)
-        assert not register.merge(WriteTag(1, 9), 99)
-        assert register.read()[0] == 2
-
-    def test_tie_broken_by_writer_id(self):
-        register = ReplicatedRegister(1, 0)
-        register.write(10)  # tag (1, 1)
-        assert register.merge(WriteTag(1, 2), 20)  # same clock, higher writer
-        assert register.read()[0] == 20
-
-    def test_lamport_clock_absorbs_remote(self):
-        register = ReplicatedRegister(1, 0)
-        register.merge(WriteTag(10, 2), 5)
-        tag = register.write(7)
-        assert tag.lamport == 11  # clock advanced past the remote write
-
-
-class TestGossipReplication:
-    def make(self, holders=4):
-        world = make_world(line_positions(holders), StubAgentStrategy)
-        replication = GossipReplication(
-            world.sim,
-            world.network,
-            item_id=0,
-            holders=list(range(holders)),
-            rng=random.Random(5),
-            gossip_interval=10.0,
-        )
-        return world, replication
-
-    def test_needs_two_holders(self):
-        world = make_world(line_positions(2), StubAgentStrategy)
-        with pytest.raises(ProtocolError):
-            GossipReplication(
-                world.sim, world.network, 0, [0], random.Random(1)
-            )
-
-    def test_single_write_converges(self):
-        world, replication = self.make()
-        replication.start()
-        replication.write(0, 42)
-        world.run(300.0)
-        assert replication.converged()
-        assert all(
-            replication.read(node)[0] == 42 for node in range(4)
-        )
-
-    def test_concurrent_writes_converge_to_one_winner(self):
-        world, replication = self.make()
-        replication.start()
-        replication.write(0, 10)
-        replication.write(3, 30)  # same Lamport clock: writer 3 wins ties
-        world.run(400.0)
-        assert replication.converged()
-        assert replication.distinct_values() == 1
-        assert replication.read(1)[0] == 30
-
-    def test_later_write_beats_earlier(self):
-        world, replication = self.make()
-        replication.start()
-        replication.write(0, 10)
-        world.run(100.0)  # converge on 10 (clock advances everywhere)
-        replication.write(2, 20)
-        world.run(300.0)
-        assert replication.converged()
-        assert replication.read(0)[0] == 20
-
-    def test_offline_holder_catches_up(self):
-        world, replication = self.make()
-        replication.start()
-        world.host(3).set_online(False)
-        replication.write(0, 77)
-        world.run(200.0)
-        assert replication.read(3)[0] != 77 or replication.converged() is False
-        world.host(3).set_online(True)
-        world.run(300.0)
-        assert replication.converged()
-        assert replication.read(3)[0] == 77
 
 
 class TestRandomSelectionAblation:

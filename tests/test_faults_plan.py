@@ -112,8 +112,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("backoff_factor", 0.5),
-        ("backoff_cap", 0.0),
-        ("backoff_jitter", 1.0),
+        ("backoff_factor", 0.0),
+        ("backoff_factor", float("nan")),
     ])
     def test_config_rejects_bad_backoff(self, field, value):
         with pytest.raises(ConfigurationError, match=field):

@@ -94,6 +94,21 @@ class TestExpansion:
         with pytest.raises(ConfigurationError, match="sim_tmie"):
             expand_matrix(matrix)
 
+    def test_base_value_a_run_cannot_use_fails_the_expansion(self, tmp_path):
+        """A fractional TTL used to expand every point and then crash
+        each run inside its first flood."""
+        path = tmp_path / "m.toml"
+        path.write_text(
+            '[matrix]\n'
+            'scenarios = ["urban-grid"]\n'
+            'strategies = ["rpcc-sc"]\n'
+            '[base]\n'
+            'ttl_rpcc = 2.5\n'
+        )
+        matrix = load_matrix(path)
+        with pytest.raises(ConfigurationError, match="ttl_rpcc.*2.5"):
+            expand_matrix(matrix)
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigurationError, match="non-empty"):
             MatrixSpec(scenarios=(), strategies=("push",))

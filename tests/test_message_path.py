@@ -65,7 +65,8 @@ def test_plain_run_imports_no_campaign_machinery():
         "repro.experiments.executor", "repro.experiments.store",
         "repro.experiments.analysis",
         "repro.faults.injector", "repro.faults.plan", "repro.control.controller",
-        "repro.scenarios.matrix", "repro.extensions",
+        "repro.scenarios.matrix", "repro.consistency.rpcc.relay_control",
+        "repro.consistency.rpcc.selection_ablation", "repro.consistency.uir_push",
         "multiprocessing", "concurrent.futures",
     )
     code = (

@@ -60,16 +60,3 @@ class TestTerrain:
         points = [terrain.random_point(rng) for _ in range(100)]
         xs = [p.x for p in points]
         assert max(xs) - min(xs) > 500  # not clustered
-
-    def test_grid_points_count(self, terrain):
-        assert len(list(terrain.grid_points(3, 4))) == 12
-
-    def test_grid_points_are_cell_centers(self):
-        points = list(Terrain(100, 100).grid_points(2, 2))
-        assert points == [
-            Point(25, 25), Point(75, 25), Point(25, 75), Point(75, 75),
-        ]
-
-    def test_grid_validates(self, terrain):
-        with pytest.raises(ConfigurationError):
-            list(terrain.grid_points(0, 5))

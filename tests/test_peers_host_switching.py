@@ -8,6 +8,7 @@ import pytest
 from repro.cache.catalog import Catalog
 from repro.cache.directory import CacheDirectory
 from repro.errors import ConfigurationError
+from repro.metrics.counters import MessageCounters
 from repro.mobility.stationary import Stationary
 from repro.mobility.terrain import Point
 from repro.peers.host import MobileHost
@@ -121,7 +122,7 @@ class TestMobileHost:
     def test_set_online_invalidates_registered_network(self, sim):
         from repro.net.network import Network
 
-        network = Network(sim, radio_range=150.0)
+        network = Network(sim, radio_range=150.0, traffic=MessageCounters())
         host = make_host(sim)
         network.register(host)
         cached = network.snapshot()
@@ -135,7 +136,7 @@ class TestMobileHost:
         # that already includes this host.
         from repro.net.network import Network
 
-        network = Network(sim, radio_range=150.0)
+        network = Network(sim, radio_range=150.0, traffic=MessageCounters())
         host = make_host(sim)
         network.register(host)
         seen = []

@@ -262,58 +262,6 @@ def test_streams_reproducible(seed, name):
 
 
 # ----------------------------------------------------------------------
-# Multi-writer register (CRDT laws)
-# ----------------------------------------------------------------------
-from repro.extensions.replica import ReplicatedRegister, WriteTag  # noqa: E402
-
-tags = st.tuples(st.integers(1, 50), st.integers(0, 9)).map(lambda t: WriteTag(*t))
-# A tag uniquely identifies one write, so tag -> value must be functional:
-# generate a dict keyed by tag and spill it to (tag, value) pairs.
-states = st.dictionaries(tags, st.integers(0, 100), min_size=1, max_size=8).map(
-    lambda mapping: list(mapping.items())
-)
-
-
-@settings(max_examples=50, deadline=None)
-@given(states=states)
-def test_register_merge_order_independent(states):
-    """Folding the same remote states in any order converges identically."""
-    forward = ReplicatedRegister(0, 0)
-    backward = ReplicatedRegister(0, 0)
-    for tag, value in states:
-        forward.merge(tag, value)
-    for tag, value in reversed(states):
-        backward.merge(tag, value)
-    assert forward.tag == backward.tag
-    assert forward.value == backward.value
-
-
-@settings(max_examples=50, deadline=None)
-@given(states=states)
-def test_register_merge_idempotent(states):
-    """Replaying every state a second time changes nothing."""
-    register = ReplicatedRegister(0, 0)
-    for tag, value in states:
-        register.merge(tag, value)
-    snapshot = (register.tag, register.value)
-    for tag, value in states:
-        register.merge(tag, value)
-    assert (register.tag, register.value) == snapshot
-
-
-@settings(max_examples=50, deadline=None)
-@given(states=states)
-def test_register_converges_to_maximum_tag(states):
-    register = ReplicatedRegister(0, 0)
-    for tag, value in states:
-        register.merge(tag, value)
-    best_tag, best_value = max(states, key=lambda pair: pair[0])
-    if best_tag > WriteTag(0, 0):
-        assert register.tag == best_tag
-        assert register.value == best_value
-
-
-# ----------------------------------------------------------------------
 # Random walk
 # ----------------------------------------------------------------------
 from repro.mobility.walk import RandomWalk, _reflect  # noqa: E402

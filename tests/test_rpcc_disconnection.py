@@ -8,6 +8,7 @@ world and checks the prescribed recovery.
 import pytest
 
 from repro.consistency.levels import ConsistencyLevel
+from repro.consistency.messages import Update
 from repro.consistency.rpcc import RPCCConfig, RPCCStrategy
 from repro.consistency.rpcc.roles import Role
 
@@ -126,6 +127,33 @@ class TestRelayFailure:
         assert world.metrics.counter("rpcc_update_undeliverable") >= 1
         # The source keeps the relay: it will resync via INVALIDATION.
         assert 1 in world.agent(3).source.relay_table
+
+    def test_hardened_source_repushes_a_lost_update_a_bounded_number_of_times(self):
+        """A hardened source re-pushes an ``UPDATE`` its relay could not
+        receive ``UPDATE_REPUSH_ATTEMPTS`` (2) times,
+        ``UPDATE_REPUSH_INTERVAL`` (10 s) apart, and then stops: the relay
+        resyncs through the next ``INVALIDATION`` instead."""
+        world = rpcc_world(hardened=True)
+        promote(world, 1, 3)
+        sends = []
+        unicast = world.network.unicast
+
+        def recording_unicast(source, target, message):
+            if isinstance(message, Update):
+                sends.append((world.sim.now, target))
+            return unicast(source, target, message)
+
+        world.network.unicast = recording_unicast
+        world.host(1).set_online(False)
+        world.update_item(3)
+        # Past the next TTN tick (185.4 s) and every re-push it can arm,
+        # short of the one after (285.4 s).
+        world.run(170.0)
+        assert [target for _, target in sends] == [1, 1, 1]
+        first, *repushes = [time for time, _ in sends]
+        assert repushes == pytest.approx([first + 10.0, first + 20.0])
+        assert world.metrics.counter("rpcc_update_undeliverable") == 1
+        assert world.metrics.counter("rpcc_update_repushed") == 0
 
 
 class TestCandidateFailure:

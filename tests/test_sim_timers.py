@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.timers import CountdownTimer, PeriodicTimer
+from repro.sim.timers import CountdownTimer, PeriodicTimer, staggered_start
 
 
 class TestPeriodicTimer:
@@ -117,3 +117,17 @@ class TestCountdownTimer:
         timer = CountdownTimer(sim, 7.0)
         timer.renew()
         assert timer.expires_at == pytest.approx(7.0)
+
+
+class TestStaggeredStart:
+    def test_node_zero_waits_one_full_period(self):
+        assert staggered_start(120.0, 0) == 120.0
+
+    def test_phases_lie_inside_the_period_and_differ_per_node(self):
+        starts = [staggered_start(120.0, node) for node in range(1, 50)]
+        assert all(0.0 < start < 120.0 for start in starts)
+        assert len(set(starts)) == len(starts)
+
+    def test_phase_is_the_golden_ratio_fraction_of_the_period(self):
+        # The digests depend on this exact float expression.
+        assert staggered_start(90.0, 7) == 90.0 * ((7 * 0.6180339887498949) % 1.0)

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.metrics.counters import MessageCounters
 from repro.mobility.base import MobilityModel
 from repro.mobility.stationary import PiecewiseLinear, Stationary
 from repro.mobility.terrain import Point, Terrain
@@ -345,7 +346,7 @@ def _make_nodes(sim: Simulator, seed: int, count: int, families):
 
 def _build_world(seed: int, count: int, families):
     sim = Simulator()
-    net = Network(sim, radio_range=RANGE)
+    net = Network(sim, radio_range=RANGE, traffic=MessageCounters())
     nodes = _make_nodes(sim, seed, count, families)
     for node in nodes:
         net.register(node)
@@ -531,7 +532,7 @@ class _ScriptedWorld:
     def __init__(self, seed: int, count: int, offline=()):
         self.rng = random.Random(seed)
         self.sim = Simulator()
-        self.net = Network(self.sim, radio_range=RANGE)
+        self.net = Network(self.sim, radio_range=RANGE, traffic=MessageCounters())
         self.nodes = []
         for index in range(count):
             self.register(online=index not in offline)
@@ -876,7 +877,7 @@ def test_at_scale_only_a_query_for_every_edge_builds_the_csr(monkeypatch, query)
     count = 600
     assert count >= soa.ARRAY_REFRESH_MIN_NODES
     sim = Simulator()
-    net = Network(sim, radio_range=RANGE)
+    net = Network(sim, radio_range=RANGE, traffic=MessageCounters())
     side = 1500.0 * (count / 50.0) ** 0.5  # the Table-1 density
     terrain = Terrain(side, side)
     for index in range(count):

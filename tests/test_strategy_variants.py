@@ -1,4 +1,5 @@
-"""The registered ``repro.extensions`` variants, run like any other spec.
+"""The registered strategy variants (relay cap, random selection, UIR
+push), run like any other spec.
 
 Each claim is read off ``run_simulation(config, spec)`` — the path the CLI,
 a matrix and the golden digests take — against the stock strategy under

@@ -17,6 +17,7 @@ from unittest import mock
 
 import pytest
 
+from repro.metrics.counters import MessageCounters
 from repro.mobility.terrain import Point, Terrain
 from repro.mobility.waypoint import RandomWaypoint
 from repro.net import soa
@@ -176,7 +177,7 @@ class TestThroughNetwork:
         rng = random.Random(seed)
         terrain = Terrain(900.0, 900.0)
         sim = Simulator()
-        net = Network(sim, radio_range=RANGE)
+        net = Network(sim, radio_range=RANGE, traffic=MessageCounters())
         nodes = [
             _RoamingNode(
                 i,

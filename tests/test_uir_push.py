@@ -1,10 +1,10 @@
-"""Tests for the UIR push extension (Cao'00-style reports between IRs)."""
+"""Tests for the UIR push variant (Cao'00-style reports between IRs)."""
 
 import pytest
 
 from repro.consistency.levels import ConsistencyLevel
 from repro.consistency.push import PushStrategy
-from repro.extensions.uir_push import UIR_COUNT, UIRPushStrategy, UIRReport
+from repro.consistency.uir_push import UIR_COUNT, UIRPushStrategy, UIRReport
 
 from tests.conftest import line_positions, make_world
 

@@ -18,7 +18,7 @@ class EchoStrategy(ConsistencyStrategy):
         return EchoAgent(self, host)
 
     def remote_query_timeout(self):
-        return self.context.fetch_timeout
+        return 5.0
 
 
 class EchoAgent(BaseAgent):

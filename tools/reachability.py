@@ -95,8 +95,8 @@ def entry_points():
         yield cli(*SHORT, "--no-store", "run", spec, "--scenario", placement)
     for path in sorted((ROOT / "examples").glob("*.py")):
         yield f"examples/{path.name}", lambda path=path: runpy.run_path(str(path), run_name="__main__")
-    values = [("mobility", "walk"), ("mobility", "trace"), ("routing", "cached"), ("cache_on_read", True),
-              ("access_pattern", "zipf", ("zipf_theta", 0.8)), ("retry_backoff", True), ("retry_backoff", False),
+    values = [("mobility", "walk"), ("mobility", "trace"), ("cache_on_read", True),
+              ("access_pattern", "zipf", ("zipf_theta", 0.8)),
               ("access_pattern", "flash-crowd", ("zipf_theta", 0.8), ("flash_crowd_at", 400.0))]
     # Only a read that caches a copy can fill a cache and call a policy's victim().
     values += [("replacement_policy", name, ("cache_on_read", True), ("cache_num", 2)) for name in POLICIES.names()]
