@@ -47,7 +47,7 @@ _STREAM_NAME = re.compile(r'f"(pos|mobility|switch|query|update)/')
 _CALLABLE = re.compile(
     r"lambda|^\s*def |partial\(|\.set_online\b|\.update_master\b|binding\.on_"
     r"|_on_node_state_change|bind_state_listener|self\._fire"
-    r"|self\._close_period|self\._on_ttn|self\._expire"
+    r"|self\._flip|self\._close_period|self\._on_ttn|self\._expire"
 )
 _CONTAINER = re.compile(
     r"= \{\}|= set\(\)|= \[|\] = |\.append\(|\.setdefault\(|= dict\(|= list\("

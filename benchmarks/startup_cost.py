@@ -19,9 +19,12 @@ them, runs them, and prints wall seconds per start-up phase:
 
 plus every collection ``gc.callbacks`` reports from build start to run
 end: the phase it fell in, its generation, its milliseconds and what it
-freed.  The boundaries are found by wrapping functions the build calls
-once per phase, so the script reads any tree that has those names; the
-stream wrapper adds about 0.2 us a stream.  It prints and gates nothing.
+freed; and what arming allocates — objects (pymalloc blocks) and bytes
+(``tracemalloc``) — measured on a second, identical world after the
+timed one, so that tracing costs the timed phases nothing.  The
+boundaries are found by wrapping functions the build calls once per
+phase, so the script reads any tree that has those names; the stream
+wrapper adds about 0.2 us a stream.  It prints and gates nothing.
 
     PYTHONPATH=src python benchmarks/startup_cost.py [--hosts N] [--world walk|sparse]...
 """
@@ -35,6 +38,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent
@@ -155,12 +159,27 @@ def measure(hosts: int, world: str, sim_time: Optional[float]) -> Dict[str, Any]
     for phase, following in zip(order, order[1:]):
         wall = clock.marks[following] - clock.marks[phase]
         seconds[phase] = wall - (clock.stream_at[following] - clock.stream_at[phase])
+    streams_made = clock.streams
+
+    # What arming allocates, on a second world: traced, so not timed.
+    del simulation
+    simulation = runner.build_simulation(config, SPEC, "single_source")
+    blocks = sys.getallocatedblocks()
+    tracemalloc.start()
+    try:
+        simulation._arm()
+        armed_bytes = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    armed_objects = sys.getallocatedblocks() - blocks
+
     return {
         "world": world,
         "hosts": hosts,
         "stable_fraction": stable_fraction,
-        "streams_made": clock.streams,
+        "streams_made": streams_made,
         "seconds": seconds,
+        "armed": {"objects": armed_objects, "bytes": armed_bytes},
         "collections": clock.collections,
     }
 
@@ -180,6 +199,9 @@ def report(results: Sequence[Dict[str, Any]]) -> None:
               f"{result['stable_fraction']}, {result['streams_made']} streams")
         for phase in PHASES:
             print(f"  {phase:22s}{seconds.get(phase, 0.0):8.3f} s")
+        armed = result["armed"]
+        print(f"  arming allocates {armed['objects']} objects, {armed['bytes']} bytes "
+              f"({armed['bytes'] / result['hosts']:.0f} B/host)")
         for collection in result["collections"]:
             print(f"  collection in {collection['phase']!r}: generation "
                   f"{collection['generation']}, {collection['ms']:.1f} ms, "
@@ -194,6 +216,10 @@ def report(results: Sequence[Dict[str, Any]]) -> None:
     for phase in PHASES:
         print(f"| {phase} | " + " | ".join(
             f"{r['seconds'].get(phase, 0.0):.3f}" for r in results) + " |")
+    print("| arming allocates, objects | " + " | ".join(
+        str(r["armed"]["objects"]) for r in results) + " |")
+    print("| arming allocates, B/host | " + " | ".join(
+        f"{r['armed']['bytes'] / r['hosts']:.0f}" for r in results) + " |")
     print("| collections (ms) | " + " | ".join(
         f"{len(r['collections'])} ({sum(c['ms'] for c in r['collections']):.0f})"
         for r in results) + " |")

@@ -138,31 +138,26 @@ class SimulationConfig:
             value = getattr(self, name)
             if type(value) is bool or not isinstance(value, int):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        positives: Tuple[Tuple[str, float], ...] = (
-            ("n_peers", self.n_peers),
-            ("terrain_width", self.terrain_width),
-            ("terrain_height", self.terrain_height),
-            ("cache_num", self.cache_num),
-            ("radio_range", self.radio_range),
-            ("sim_time", self.sim_time),
-            ("update_interval", self.update_interval),
-            ("query_interval", self.query_interval),
-            ("ttn", self.ttn),
-            ("ttr", self.ttr),
-            ("ttp", self.ttp),
-            ("switch_interval", self.switch_interval),
-            ("subnet_cell", self.subnet_cell),
-            ("mean_online", self.mean_online),
-            ("mean_offline", self.mean_offline),
-            ("poll_timeout", self.poll_timeout),
-            ("controller_interval", self.controller_interval),
+        positives = (
+            "n_peers", "terrain_width", "terrain_height", "cache_num", "radio_range",
+            "sim_time", "update_interval", "query_interval", "ttn", "ttr", "ttp",
+            "switch_interval", "subnet_cell", "mean_online", "mean_offline",
+            "poll_timeout", "controller_interval",
         )
-        for name, value in positives:
+        for name in positives:
+            value = getattr(self, name)
             if not value > 0:  # not ``value <= 0``: NaN must fail too
                 raise ConfigurationError(f"{name} must be positive, got {value!r}")
         # A terrain or run length of inf overflows the mobility draws or
-        # never ends; an infinite controller interval cannot be scheduled.
-        for name in ("terrain_width", "terrain_height", "sim_time", "controller_interval"):
+        # never ends; an infinite period or timeout cannot be scheduled and
+        # an infinite mean gap is a rate of 0 (mean_online = inf is the
+        # stable-host marker).
+        finite = (
+            "terrain_width", "terrain_height", "sim_time", "controller_interval",
+            "update_interval", "query_interval", "mean_offline", "ttn",
+            "switch_interval", "poll_timeout",
+        )
+        for name in finite:
             value = getattr(self, name)
             if not value < math.inf:
                 raise ConfigurationError(f"{name} must be finite, got {value!r}")

@@ -23,7 +23,8 @@ implementations.
 from __future__ import annotations
 
 import math
-from typing import List
+from operator import attrgetter
+from typing import List, Sequence
 
 import numpy as np
 
@@ -41,6 +42,14 @@ __all__ = [
 ]
 
 
+def _columns(rows: Sequence, *fields: str) -> List["np.ndarray"]:
+    """One float64 array per (dotted) attribute of ``rows``, in row order."""
+    return [
+        np.fromiter(map(attrgetter(field), rows), dtype=np.float64, count=len(rows))
+        for field in fields
+    ]
+
+
 class _Kernel:
     """Base: owns the ledger slots of its members."""
 
@@ -48,9 +57,11 @@ class _Kernel:
         self.slots: List[int] = []
         self._slot_arr = np.empty(0, dtype=np.int64)
 
-    def add(self, slot: int, member) -> None:
-        self.slots.append(slot)
-        self._members_add(member)
+    def extend(self, slots: List[int], members: list) -> None:
+        """Take new members (in ledger slot order) and rebuild the arrays."""
+        self.slots.extend(slots)
+        self._members_extend(members)
+        self.finalize()
 
     def finalize(self) -> None:
         """Rebuild member arrays after new registrations."""
@@ -71,19 +82,16 @@ class StationaryKernel(_Kernel):
 
     def __init__(self) -> None:
         super().__init__()
-        self._px: List[float] = []
-        self._py: List[float] = []
+        self.models: List[Stationary] = []
         self._ax = np.empty(0)
         self._ay = np.empty(0)
 
-    def _members_add(self, model: Stationary) -> None:
-        self._px.append(model.point.x)
-        self._py.append(model.point.y)
+    def _members_extend(self, models: List[Stationary]) -> None:
+        self.models.extend(models)
 
     def finalize(self) -> None:
         super().finalize()
-        self._ax = np.asarray(self._px, dtype=np.float64)
-        self._ay = np.asarray(self._py, dtype=np.float64)
+        self._ax, self._ay = _columns(self.models, "point.x", "point.y")
 
     def sample(self, now, local, x, y, valid_until) -> None:
         slots = self._slot_arr[local]
@@ -108,17 +116,18 @@ class WaypointKernel(_Kernel):
         self._dx = np.empty(0)
         self._dy = np.empty(0)
 
-    def _members_add(self, model: RandomWaypoint) -> None:
-        self.models.append(model)
-        self._leg_idx.append(0)
+    def _members_extend(self, models: List[RandomWaypoint]) -> None:
+        self.models.extend(models)
+        self._leg_idx.extend([0] * len(models))
 
     def finalize(self) -> None:
         super().finalize()
-        count = len(self.models)
-        for name in ("_start", "_arrive", "_end", "_ox", "_oy", "_dx", "_dy"):
-            setattr(self, name, np.empty(count, dtype=np.float64))
-        for index in range(count):
-            self._load_leg(index)
+        legs = [model._legs[index] for model, index in zip(self.models, self._leg_idx)]
+        (self._start, self._arrive, self._end,
+         self._ox, self._oy, self._dx, self._dy) = _columns(
+            legs, "start_time", "arrive_time", "end_time",
+            "origin.x", "origin.y", "destination.x", "destination.y",
+        )
 
     def _load_leg(self, index: int) -> None:
         leg = self.models[index]._legs[self._leg_idx[index]]
@@ -178,19 +187,19 @@ class WalkKernel(_Kernel):
         self._width = np.empty(0)
         self._height = np.empty(0)
 
-    def _members_add(self, model: RandomWalk) -> None:
-        self.models.append(model)
-        self._epoch_idx.append(0)
+    def _members_extend(self, models: List[RandomWalk]) -> None:
+        self.models.extend(models)
+        self._epoch_idx.extend([0] * len(models))
 
     def finalize(self) -> None:
         super().finalize()
-        count = len(self.models)
-        for name in ("_start", "_end", "_ox", "_oy", "_vx", "_vy", "_width", "_height"):
-            setattr(self, name, np.empty(count, dtype=np.float64))
-        for index, model in enumerate(self.models):
-            self._width[index] = model.terrain.width
-            self._height[index] = model.terrain.height
-            self._load_epoch(index)
+        models = self.models
+        epochs = [model._epochs[index] for model, index in zip(models, self._epoch_idx)]
+        self._start, self._end, self._ox, self._oy, self._vx, self._vy = _columns(
+            epochs, "start_time", "end_time", "origin.x", "origin.y",
+            "velocity_x", "velocity_y",
+        )
+        self._width, self._height = _columns(models, "terrain.width", "terrain.height")
 
     def _load_epoch(self, index: int) -> None:
         epoch = self.models[index]._epochs[self._epoch_idx[index]]
@@ -260,65 +269,60 @@ class PiecewiseKernel(_Kernel):
         self._plastx = np.empty(0)
         self._plasty = np.empty(0)
 
-    def _members_add(self, model: PiecewiseLinear) -> None:
-        self.models.append(model)
-        self._seg_idx.append(-1)
-        times, points = model._times, model._points
-        segments = len(times) - 1
-        pins = [math.nan] * segments
-        for segment in range(segments):
-            if points[segment + 1] != points[segment]:
-                continue
-            run = segment
-            end = times[run + 1]
-            while run + 1 < len(points) and points[run + 1] == points[run]:
+    def _members_extend(self, models: List[PiecewiseLinear]) -> None:
+        for model in models:
+            self.models.append(model)
+            self._seg_idx.append(-1)
+            times, points = model._times, model._points
+            segments = len(times) - 1
+            pins = [math.nan] * segments
+            for segment in range(segments):
+                if points[segment + 1] != points[segment]:
+                    continue
+                run = segment
                 end = times[run + 1]
+                while run + 1 < len(points) and points[run + 1] == points[run]:
+                    end = times[run + 1]
+                    run += 1
+                pins[segment] = math.inf if run == len(points) - 1 else end
+            self._pins.append(pins)
+            # Parked before the trajectory starts: scalar walks the equal-point
+            # run from segment 0 with end initialised to times[0].
+            pre = times[0]
+            run = 0
+            while run + 1 < len(points) and points[run + 1] == points[run]:
+                pre = times[run + 1]
                 run += 1
-            pins[segment] = math.inf if run == len(points) - 1 else end
-        self._pins.append(pins)
-        # Parked before the trajectory starts: scalar walks the equal-point
-        # run from segment 0 with end initialised to times[0].
-        pre = times[0]
-        run = 0
-        while run + 1 < len(points) and points[run + 1] == points[run]:
-            pre = times[run + 1]
-            run += 1
-        self._pre.append(math.inf if run == len(points) - 1 else pre)
+            self._pre.append(math.inf if run == len(points) - 1 else pre)
 
     def finalize(self) -> None:
         super().finalize()
         count = len(self.models)
-        names = (
-            "_t0", "_t1", "_p0x", "_p0y", "_p1x", "_p1y",
-            "_pin", "_tlast", "_plastx", "_plasty",
+        rows = [self._segment(index) for index in range(count)]
+        # One array per field: the rows' columns, each made contiguous.
+        (self._t0, self._t1, self._p0x, self._p0y, self._p1x, self._p1y,
+         self._pin) = np.array(rows, dtype=np.float64).reshape(count, 7).T.copy()
+        self._tlast = np.array([model._times[-1] for model in self.models], dtype=np.float64)
+        self._plastx, self._plasty = _columns(
+            [model._points[-1] for model in self.models], "x", "y"
         )
-        for name in names:
-            setattr(self, name, np.empty(count, dtype=np.float64))
-        for index, model in enumerate(self.models):
-            self._tlast[index] = model._times[-1]
-            self._plastx[index] = model._points[-1].x
-            self._plasty[index] = model._points[-1].y
-            self._load_segment(index)
 
-    def _load_segment(self, index: int) -> None:
+    def _segment(self, index: int) -> tuple:
+        """``(t0, t1, p0x, p0y, p1x, p1y, pin)`` of member ``index``'s segment."""
         model = self.models[index]
         segment = self._seg_idx[index]
         times, points = model._times, model._points
         if segment < 0:
             first = points[0]
-            self._t0[index] = times[0]
-            self._t1[index] = times[0]
-            self._p0x[index] = self._p1x[index] = first.x
-            self._p0y[index] = self._p1y[index] = first.y
-            self._pin[index] = self._pre[index]
-            return
-        self._t0[index] = times[segment]
-        self._t1[index] = times[segment + 1]
-        self._p0x[index] = points[segment].x
-        self._p0y[index] = points[segment].y
-        self._p1x[index] = points[segment + 1].x
-        self._p1y[index] = points[segment + 1].y
-        self._pin[index] = self._pins[index][segment]
+            return (times[0], times[0], first.x, first.y, first.x, first.y,
+                    self._pre[index])
+        start, end = points[segment], points[segment + 1]
+        return (times[segment], times[segment + 1], start.x, start.y, end.x, end.y,
+                self._pins[index][segment])
+
+    def _load_segment(self, index: int) -> None:
+        (self._t0[index], self._t1[index], self._p0x[index], self._p0y[index],
+         self._p1x[index], self._p1y[index], self._pin[index]) = self._segment(index)
 
     def sample(self, now, local, x, y, valid_until) -> None:
         stale = local[self._t1[local] < now]
@@ -369,8 +373,8 @@ class FallbackKernel(_Kernel):
         super().__init__()
         self.nodes: List = []
 
-    def _members_add(self, node) -> None:
-        self.nodes.append(node)
+    def _members_extend(self, nodes: list) -> None:
+        self.nodes.extend(nodes)
 
     def sample(self, now, local, x, y, valid_until) -> None:
         nodes = self.nodes

@@ -33,7 +33,7 @@ class SubnetGrid:
     """
 
     def __init__(self, terrain: Terrain, cell_size: float) -> None:
-        if cell_size <= 0:
+        if not cell_size > 0:  # NaN fails too
             raise ConfigurationError(f"cell_size must be positive, got {cell_size!r}")
         self.terrain = terrain
         self.cell_size = float(cell_size)
@@ -71,7 +71,7 @@ class SubnetTracker:
         mobility: MobilityModel,
         sample_interval: float = 5.0,
     ) -> None:
-        if sample_interval <= 0:
+        if not sample_interval > 0:  # NaN fails too
             raise ConfigurationError(
                 f"sample_interval must be positive, got {sample_interval!r}"
             )

@@ -782,21 +782,27 @@ class SoAPositionLedger:
         start = len(self._nodes)
         fresh = self._pending
         self._pending = []
-        touched = set()
-        for offset, node in enumerate(fresh):
-            slot = start + offset
-            self._nodes.append(node)
-            self._ids.append(node.node_id)
+        self._nodes.extend(fresh)
+        self._ids.extend([node.node_id for node in fresh])
+        # One batch per kernel, in slot order; a model class is looked up
+        # once, not once per node.
+        batches: Dict[type, Tuple[List[int], list]] = {}
+        routes: Dict[type, tuple] = {}
+        for slot, node in enumerate(fresh, start):
             model = getattr(node, "mobility", None)
-            kernel_cls = bulk.kernel_class_for(model)
+            route = routes.get(type(model))
+            if route is None:
+                kernel_cls = bulk.kernel_class_for(model)
+                batch = batches.setdefault(kernel_cls, ([], []))
+                route = routes[type(model)] = batch + (kernel_cls is bulk.FallbackKernel,)
+            slots, members, by_node = route
+            slots.append(slot)
+            members.append(node if by_node else model)
+        for kernel_cls, (slots, members) in batches.items():
             kernel = self._kernels.get(kernel_cls)
             if kernel is None:
                 kernel = self._kernels[kernel_cls] = kernel_cls()
-            member = node if kernel_cls is bulk.FallbackKernel else model
-            kernel.add(slot, member)
-            touched.add(kernel)
-        for kernel in touched:
-            kernel.finalize()
+            kernel.extend(slots, members)
         total = len(self._nodes)
 
         def grow(old, fill, dtype):
@@ -811,8 +817,7 @@ class SoAPositionLedger:
         self._reported_online = grow(self._reported_online, False, bool)
         self._reported_x = grow(self._reported_x, math.nan, np.float64)
         self._reported_y = grow(self._reported_y, math.nan, np.float64)
-        for offset, node in enumerate(fresh):
-            self._online[start + offset] = node.online
+        self._online[start:] = [node.online for node in fresh]
         self._ids_arr = np.asarray(self._ids, dtype=np.int64)
 
     def refresh(self, now: float) -> Tuple[Mapping[int, Point], bool]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import EventHandle, Simulator
@@ -20,8 +20,10 @@ from repro.sim.engine import EventHandle, Simulator
 __all__ = ["SwitchingProcess"]
 
 
-class SwitchingProcess:
+class SwitchingProcess(EventHandle):
     """Alternating online/offline renewal process for one host.
+
+    The process is its own heap event: each flip re-arms it in place.
 
     Parameters
     ----------
@@ -35,7 +37,7 @@ class SwitchingProcess:
         Mean of the exponential online duration; ``math.inf`` disables
         switching entirely (a stable host).
     mean_offline:
-        Mean of the exponential offline duration.
+        Mean of the exponential offline duration; positive and finite.
     """
 
     __slots__ = (
@@ -45,7 +47,6 @@ class SwitchingProcess:
         "mean_online",
         "mean_offline",
         "_currently_online",
-        "_handle",
         "flips",
     )
 
@@ -57,17 +58,19 @@ class SwitchingProcess:
         mean_online: float = 600.0,
         mean_offline: float = 60.0,
     ) -> None:
-        if mean_online <= 0:
+        if not mean_online > 0:  # NaN fails too
             raise ConfigurationError(f"mean_online must be positive, got {mean_online!r}")
-        if mean_offline <= 0:
-            raise ConfigurationError(f"mean_offline must be positive, got {mean_offline!r}")
+        if not 0 < mean_offline < math.inf:
+            raise ConfigurationError(f"mean_offline must be finite and > 0, got {mean_offline!r}")
+        # Unarmed is fired: owned here, in no structure.
+        self.callback, self.args, self.cancelled, self.fired = None, (), False, True
+        self._on_cancel = sim._cancel_hook
         self._sim = sim
         self._rng = rng
         self._set_online = set_online
         self.mean_online = float(mean_online)
         self.mean_offline = float(mean_offline)
         self._currently_online = True
-        self._handle: Optional[EventHandle] = None
         self.flips = 0
 
     @property
@@ -77,10 +80,11 @@ class SwitchingProcess:
 
     def start(self) -> None:
         """Arm the first disconnection.  No-op for stable hosts."""
-        if not self.enabled or self._handle is not None:
+        if not self.enabled or not self.fired:
             return
+        self.callback = self._flip
         delay = self._rng.expovariate(1.0 / self.mean_online)
-        self._handle = self._sim.schedule(delay, self._flip)
+        self._sim.reschedule(self, delay)
 
     def _flip(self) -> None:
         self._currently_online = not self._currently_online
@@ -88,4 +92,4 @@ class SwitchingProcess:
         self._set_online(self._currently_online)
         mean = self.mean_online if self._currently_online else self.mean_offline
         delay = self._rng.expovariate(1.0 / mean)
-        self._handle = self._sim.schedule(delay, self._flip)
+        self._sim.reschedule(self, delay)

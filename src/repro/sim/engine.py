@@ -47,40 +47,29 @@ _heappop = heapq.heappop
 class EventHandle:
     """A scheduled event that can be cancelled before it fires.
 
-    Instances are created exclusively by :meth:`Simulator.schedule` /
+    Instances are created by :meth:`Simulator.schedule` /
     :meth:`Simulator.schedule_at`; user code only cancels or inspects
-    them.  Handles used by the fire-and-forget :meth:`Simulator.post`
-    fast path are pooled and recycled after firing — they never escape
-    the engine.
+    them.  The event's time and sequence number live in its heap entry.
+    Handles of the fire-and-forget :meth:`Simulator.post` path carry no
+    cancel hook, which is what returns them to the engine's pool.  A
+    recurring process (``PeriodicTimer``, ``ExponentialProcess``,
+    ``SwitchingProcess``) subclasses this class: it is created *fired*
+    (in no structure) and re-arms itself through :meth:`Simulator.reschedule`.
     """
 
-    __slots__ = (
-        "time",
-        "seq",
-        "callback",
-        "args",
-        "cancelled",
-        "fired",
-        "_on_cancel",
-        "_recycle",
-    )
+    __slots__ = ("callback", "args", "cancelled", "fired", "_on_cancel")
 
     def __init__(
         self,
-        time: float,
-        seq: int,
         callback: Callable[..., Any],
         args: tuple,
         on_cancel: Optional[Callable[[], None]] = None,
     ) -> None:
-        self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
         self.fired = False
         self._on_cancel = on_cancel
-        self._recycle = False
 
     def cancel(self) -> bool:
         """Cancel the event.
@@ -102,7 +91,7 @@ class EventHandle:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "fired" if self.fired else ("cancelled" if self.cancelled else "pending")
-        return f"EventHandle(t={self.time:.6f}, seq={self.seq}, {state})"
+        return f"{type(self).__name__}({state})"
 
 
 class Simulator:
@@ -214,7 +203,7 @@ class Simulator:
         if not callable(callback):
             raise SchedulingError(f"callback must be callable, got {callback!r}")
         seq = next(self._seq)
-        event = EventHandle(time, seq, callback, args, self._cancel_hook)
+        event = EventHandle(callback, args, self._cancel_hook)
         _heappush(self._heap, (time, seq, event))
         self._pending += 1
         return event
@@ -230,7 +219,7 @@ class Simulator:
         if not callable(callback):
             raise SchedulingError(f"callback must be callable, got {callback!r}")
         seq = next(self._seq)
-        event = EventHandle(time, seq, callback, args, self._cancel_hook)
+        event = EventHandle(callback, args, self._cancel_hook)
         _heappush(self._heap, (time, seq, event))
         self._pending += 1
         return event
@@ -255,15 +244,12 @@ class Simulator:
         pool = self._pool
         if pool:
             event = pool.pop()
-            event.time = time
-            event.seq = seq
             event.callback = callback
             event.args = args
             event.cancelled = False
             event.fired = False
         else:
-            event = EventHandle(time, seq, callback, args)
-            event._recycle = True
+            event = EventHandle(callback, args)
         _heappush(self._heap, (time, seq, event))
         self._pending += 1
 
@@ -271,14 +257,14 @@ class Simulator:
         """Move a scheduled event to fire ``delay`` seconds from now,
         reusing its callback and args.
 
-        This is the renewal primitive behind ``CountdownTimer.renew`` and
-        ``PeriodicTimer``.  The returned handle is the one to retain.  A
-        *fired* event is re-armed in place and returned as-is, which is
-        only safe when the caller exclusively owns the handle (the timers
-        in :mod:`repro.sim.timers` do — they re-arm from inside the
-        event's own callback).  Anything else — pending or already
-        cancelled — is ``cancel()`` plus :meth:`schedule_at`, and a fresh
-        handle comes back.
+        The returned handle is the one to retain.  A *fired* event is
+        re-armed in place and returned as-is, which is only safe when the
+        caller exclusively owns the handle.  This is how the recurring
+        processes run: each is its own event, created fired, armed here
+        by its ``start()`` and re-armed from inside its own callback, so
+        a tick, arrival or flip allocates no handle.  Anything else —
+        pending or already cancelled — is ``cancel()`` plus
+        :meth:`schedule_at`, and a fresh handle comes back.
 
         Exactly one sequence number is consumed either way, so the
         resulting event order is bit-identical to the
@@ -291,10 +277,8 @@ class Simulator:
             raise SchedulingError(f"event time must be finite, got {time!r}")
         if event.fired:
             # Firing popped its entry, so the handle is in no structure.
-            event.time = time
-            event.seq = seq = next(self._seq)
             event.fired = False
-            _heappush(self._heap, (time, seq, event))
+            _heappush(self._heap, (time, next(self._seq), event))
             self._pending += 1
             return event
         event.cancel()
@@ -349,7 +333,7 @@ class Simulator:
                 self._events_processed += 1
                 callback = event.callback
                 args = event.args
-                if event._recycle and len(pool) < pool_cap:
+                if event._on_cancel is None and len(pool) < pool_cap:
                     event.callback = None  # type: ignore[assignment]
                     event.args = ()
                     pool.append(event)

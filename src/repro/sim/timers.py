@@ -7,11 +7,13 @@ Two recurring patterns in the protocols of this reproduction are:
 * a *countdown* that is repeatedly renewed (the TTR/TTP freshness windows
   of relay and cache peers) — :class:`CountdownTimer`.
 
-Both are thin, allocation-light wrappers over :class:`~repro.sim.engine.Simulator`.
+Both are allocation-light: a periodic timer is its own event in the
+:class:`~repro.sim.engine.Simulator`'s heap, and a countdown schedules nothing.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
@@ -35,23 +37,25 @@ def staggered_start(period: float, node_id: int) -> float:
     return offset if offset > 0 else period
 
 
-class PeriodicTimer:
+class PeriodicTimer(EventHandle):
     """Fire ``callback()`` every ``interval`` seconds once started.
+
+    The timer is its own heap event: each tick re-arms it in place.
 
     Parameters
     ----------
     sim:
         The simulator providing the clock.
     interval:
-        Period in seconds; must be positive.  May be changed between ticks
-        via :attr:`interval`.
+        Period in seconds; must be positive and finite.  May be changed
+        between ticks via :attr:`interval`.
     callback:
         Zero-argument callable invoked on every tick.
     start_offset:
         Delay before the first tick.  Defaults to one full ``interval``.
     """
 
-    __slots__ = ("_sim", "interval", "_callback", "_handle", "_start_offset", "_ticks")
+    __slots__ = ("_sim", "interval", "_callback", "_start_offset", "ticks")
 
     def __init__(
         self,
@@ -60,38 +64,35 @@ class PeriodicTimer:
         callback: Callable[[], Any],
         start_offset: Optional[float] = None,
     ) -> None:
-        # ``not x > 0``, not ``x <= 0``: NaN must fail too.
-        if not interval > 0:
-            raise SimulationError(f"timer interval must be positive, got {interval!r}")
+        if not 0 < interval < math.inf:  # NaN fails too
+            raise SimulationError(f"timer interval must be finite and > 0, got {interval!r}")
+        # Unarmed is fired: owned here, in no structure.  The tick method
+        # is bound at start(), so an unstarted timer carries none.
+        self.callback, self.args, self.cancelled, self.fired = None, (), False, True
+        self._on_cancel = sim._cancel_hook
         self._sim = sim
         self.interval = float(interval)
         self._callback = callback
-        self._handle: Optional[EventHandle] = None
         self._start_offset = interval if start_offset is None else float(start_offset)
-        self._ticks = 0
+        #: Number of times the callback has fired.
+        self.ticks = 0
 
     @property
     def running(self) -> bool:
         """``True`` while the timer is armed."""
-        return self._handle is not None and self._handle.pending
-
-    @property
-    def ticks(self) -> int:
-        """Number of times the callback has fired."""
-        return self._ticks
+        return self.pending
 
     def start(self) -> None:
         """Arm the timer.  Idempotent while running."""
-        if self.running:
+        if not self.fired:
             return
-        self._handle = self._sim.schedule(self._start_offset, self._fire)
+        self.callback = self._fire
+        self._sim.reschedule(self, self._start_offset)
 
     def _fire(self) -> None:
-        self._ticks += 1
-        # Re-arm the just-fired handle in place: one heap push per tick,
-        # no new EventHandle.  Safe because the timer exclusively owns
-        # the handle (we are running inside its own callback).
-        self._handle = self._sim.reschedule(self._handle, self.interval)
+        self.ticks += 1
+        # Re-arm in place: one heap push per tick, no new EventHandle.
+        self._sim.reschedule(self, self.interval)
         self._callback()
 
 

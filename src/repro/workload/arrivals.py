@@ -8,8 +8,9 @@ interval."  :class:`ExponentialProcess` is that Poisson stream.
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.errors import WorkloadError
 from repro.sim.engine import EventHandle, Simulator
@@ -17,8 +18,10 @@ from repro.sim.engine import EventHandle, Simulator
 __all__ = ["ExponentialProcess"]
 
 
-class ExponentialProcess:
+class ExponentialProcess(EventHandle):
     """Poisson arrivals: i.i.d. exponential gaps with the given mean.
+
+    The process is its own heap event: each arrival re-arms it in place.
 
     Parameters
     ----------
@@ -27,12 +30,12 @@ class ExponentialProcess:
     rng:
         Private random stream of this process.
     mean_interval:
-        Mean gap between arrivals, seconds.
+        Mean gap between arrivals, seconds; positive and finite.
     callback:
         Zero-argument callable fired on each arrival.
     """
 
-    __slots__ = ("_sim", "_rng", "mean_interval", "_callback", "_handle", "arrivals")
+    __slots__ = ("_sim", "_rng", "mean_interval", "_callback", "arrivals")
 
     def __init__(
         self,
@@ -41,29 +44,27 @@ class ExponentialProcess:
         mean_interval: float,
         callback: Callable[[], Any],
     ) -> None:
-        if mean_interval <= 0:
-            raise WorkloadError(f"mean_interval must be positive, got {mean_interval!r}")
+        if not 0 < mean_interval < math.inf:  # NaN fails too
+            raise WorkloadError(f"mean_interval must be finite and > 0, got {mean_interval!r}")
+        # Unarmed is fired: owned here, in no structure.
+        self.callback, self.args, self.cancelled, self.fired = None, (), False, True
+        self._on_cancel = sim._cancel_hook
         self._sim = sim
         self._rng = rng
         self.mean_interval = float(mean_interval)
         self._callback = callback
-        self._handle: Optional[EventHandle] = None
         self.arrivals = 0
-
-    @property
-    def running(self) -> bool:
-        """``True`` while arrivals are scheduled."""
-        return self._handle is not None and self._handle.pending
 
     def start(self) -> None:
         """Schedule the first arrival.  Idempotent while running."""
-        if self.running:
+        if not self.fired:
             return
+        self.callback = self._fire
         self._schedule_next()
 
     def _schedule_next(self) -> None:
         gap = self._rng.expovariate(1.0 / self.mean_interval)
-        self._handle = self._sim.schedule(gap, self._fire)
+        self._sim.reschedule(self, gap)
 
     def _fire(self) -> None:
         self.arrivals += 1

@@ -121,6 +121,22 @@ class TestSimulationConfig:
         with pytest.raises(ConfigurationError, match=name):
             SimulationConfig(**{name: value})
 
+    @pytest.mark.parametrize(
+        "name",
+        ["query_interval", "update_interval", "mean_offline",
+         "ttn", "switch_interval", "poll_timeout"],
+    )
+    def test_infinite_periods_and_means_are_rejected(self, name):
+        # Each used to fail partway through a run: a rate of 0 in the
+        # exponential draws, or an event time of inf.
+        with pytest.raises(ConfigurationError, match=name):
+            SimulationConfig(**{name: float("inf")})
+
+    def test_infinite_mean_online_is_the_stable_host_marker(self):
+        config = tiny_config(mean_online=float("inf"), sim_time=60.0, warmup=0.0)
+        result = build_simulation(config, "push").run()
+        assert result.events_processed > 0
+
     def test_zipf_skew_is_spelled_with_its_access_pattern(self):
         """Zipf access has one spelling: a skew alone does not select it."""
         with pytest.raises(ConfigurationError, match="zipf_theta"):

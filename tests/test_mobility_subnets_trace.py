@@ -38,6 +38,11 @@ class TestSubnetGrid:
         with pytest.raises(ConfigurationError):
             SubnetGrid(terrain, 0.0)
 
+    def test_nan_cell_size_rejected(self, terrain):
+        # It used to escape as math.ceil's raw ValueError.
+        with pytest.raises(ConfigurationError, match="cell_size"):
+            SubnetGrid(terrain, float("nan"))
+
 
 class TestSubnetTracker:
     def test_stationary_never_crosses(self, terrain):
@@ -67,6 +72,12 @@ class TestSubnetTracker:
         grid = SubnetGrid(terrain, 500.0)
         with pytest.raises(ConfigurationError):
             SubnetTracker(grid, Stationary(Point(0, 0)), sample_interval=0.0)
+
+    def test_nan_sample_interval_rejected(self, terrain):
+        # It used to count only the end-point crossing.
+        grid = SubnetGrid(terrain, 500.0)
+        with pytest.raises(ConfigurationError, match="sample_interval"):
+            SubnetTracker(grid, Stationary(Point(0, 0)), sample_interval=float("nan"))
 
 
 class TestMobilityTrace:

@@ -202,6 +202,15 @@ class TestSwitchingProcess:
         assert flips[0] is False
         assert all(a != b for a, b in zip(flips, flips[1:]))
 
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [("mean_online", math.nan), ("mean_offline", math.nan), ("mean_offline", math.inf)],
+    )
+    def test_unusable_means_rejected(self, sim, rng, name, value):
+        # A NaN mean_online used to make a silently stable host.
+        with pytest.raises(ConfigurationError, match=name):
+            SwitchingProcess(sim, rng, lambda online: None, **{name: value})
+
     def test_infinite_mean_disables(self, sim, rng):
         flips = []
         process = SwitchingProcess(

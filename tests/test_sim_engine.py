@@ -364,17 +364,22 @@ class TestEventStore:
     def test_reschedule_rearms_a_fired_handle_in_place(self, sim):
         # The timers re-arm from inside their own callback and keep the
         # handle; a pending or cancelled one comes back as a new handle.
+        # The handle keeps no time of its own: the fire times are read
+        # off the clock as the engine runs.
         fired = []
-        handle = sim.schedule(1.0, fired.append, "x")
+        handle = sim.schedule(1.0, lambda: fired.append(sim.now))
         sim.run()
         assert sim.reschedule(handle, 2.0) is handle
-        assert handle.pending and handle.time == 3.0
+        assert handle.pending and sim.pending_events == 1
+        sim.run()
+        assert fired == [1.0, 3.0]
+        assert sim.reschedule(handle, 2.0) is handle
         moved = sim.reschedule(handle, 5.0)
         assert moved is not handle and handle.cancelled and moved.pending
         assert sim.pending_events == 1 and sim.tombstones == 1
         sim.run()
-        assert fired == ["x", "x"]
-        assert sim.now == 6.0
+        assert fired == [1.0, 3.0, 8.0]
+        assert sim.now == 8.0
 
     def test_post_fires_and_recycles_handles(self, sim):
         fired = []

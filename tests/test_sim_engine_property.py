@@ -28,17 +28,29 @@ and deep-heap ordering are exercised constantly.
 
 A second suite drives the real timer helpers (:class:`CountdownTimer`,
 :class:`PeriodicTimer`) through randomized renew/expire/interval churn:
-a countdown schedules nothing and a periodic timer re-arms its fired
-handle in place, so neither may ever leave a tombstone behind.
+a countdown schedules nothing and a periodic timer re-arms itself in
+place, so neither may ever leave a tombstone behind.
+
+A third suite holds the recurring processes that are their own heap
+event (:class:`PeriodicTimer`, :class:`ExponentialProcess`,
+:class:`SwitchingProcess`) to references that schedule a fresh handle
+on every (re)arm, the way the processes ran before they were events:
+one simulator each, the same randomized starts, tied one-shot events,
+interval changes and ``run_until`` / ``run(max_events=k)`` boundaries,
+and the fire logs must match entry for entry.
 """
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.peers.switching import SwitchingProcess
 from repro.sim.engine import Simulator
 from repro.sim.timers import CountdownTimer, PeriodicTimer
+from repro.workload.arrivals import ExponentialProcess
 
 # Ties (zero and exact quarter-second delays), sub-second, minute-scale
 # and far-future times, all in one store.
@@ -238,3 +250,159 @@ def test_timers_never_tombstone(ops, duration, interval):
         assert sim.heap_size == sim.pending_events == 1
     assert ticks == sorted(ticks)
     assert periodic.ticks == len(ticks)
+
+
+class _QuarterRng:
+    """Exponential draws on the quarter-second grid, zero included, so
+    a process's arrivals tie with each other and with one-shot events."""
+
+    def __init__(self, seed: int) -> None:
+        self._random = random.Random(seed)
+
+    def expovariate(self, rate: float) -> float:
+        return self._random.randint(0, 8) * 0.25
+
+
+class _FreshPeriodic:
+    """Reference periodic timer: a new handle per tick."""
+
+    def __init__(self, sim, interval, callback, start_offset):
+        self._sim, self.interval = sim, interval
+        self._callback, self._start_offset = callback, start_offset
+        self.ticks = 0
+        self._handle = None
+
+    def start(self):
+        if self._handle is None or not self._handle.pending:
+            self._handle = self._sim.schedule(self._start_offset, self._fire)
+
+    def _fire(self):
+        self.ticks += 1
+        self._handle = self._sim.schedule(self.interval, self._fire)
+        self._callback()
+
+
+class _FreshExponential:
+    """Reference arrival stream: a new handle per arrival."""
+
+    def __init__(self, sim, rng, mean_interval, callback):
+        self._sim, self._rng = sim, rng
+        self.mean_interval, self._callback = mean_interval, callback
+        self.arrivals = 0
+        self._handle = None
+
+    def start(self):
+        if self._handle is None or not self._handle.pending:
+            self._next()
+
+    def _next(self):
+        gap = self._rng.expovariate(1.0 / self.mean_interval)
+        self._handle = self._sim.schedule(gap, self._fire)
+
+    def _fire(self):
+        self.arrivals += 1
+        self._next()
+        self._callback()
+
+
+class _FreshSwitching:
+    """Reference on/off switch: a new handle per flip."""
+
+    def __init__(self, sim, rng, set_online, mean_online, mean_offline):
+        self._sim, self._rng, self._set_online = sim, rng, set_online
+        self.mean_online, self.mean_offline = mean_online, mean_offline
+        self._online = True
+        self.flips = 0
+        self._handle = None
+
+    def start(self):
+        if self._handle is None:
+            delay = self._rng.expovariate(1.0 / self.mean_online)
+            self._handle = self._sim.schedule(delay, self._flip)
+
+    def _flip(self):
+        self._online = not self._online
+        self.flips += 1
+        self._set_online(self._online)
+        mean = self.mean_online if self._online else self.mean_offline
+        self._handle = self._sim.schedule(self._rng.expovariate(1.0 / mean), self._flip)
+
+
+def _world(periodic, exponential, switching, intervals, seed):
+    """A simulator, five processes (two timers, two arrival streams and a
+    switch, tags 0-4) and the log they, their echoes and the one-shot
+    events write."""
+    sim = Simulator()
+    log = []
+
+    def note(tag):
+        # Each firing also files a quarter-second echo: whether a process
+        # re-arms before or after its callback decides the ties.
+        def fire(*args):
+            log.append((sim.now, tag) + args)
+            sim.schedule(0.25, lambda: log.append((sim.now, tag, "echo")))
+        return fire
+
+    processes = [
+        periodic(sim, intervals[0], note(0), 0.25),
+        periodic(sim, intervals[1], note(1), intervals[1]),
+        exponential(sim, _QuarterRng(seed), 1.0, note(2)),
+        exponential(sim, _QuarterRng(seed + 1), 2.0, note(3)),
+        switching(sim, _QuarterRng(seed + 2), note(4), 1.0, 0.5),
+    ]
+    return sim, processes, log
+
+
+_QUARTERS = st.integers(min_value=0, max_value=12).map(lambda k: k * 0.25)
+
+_PROCESS_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("start"), st.integers(min_value=0, max_value=4)),
+        st.tuples(st.just("event"), _QUARTERS),
+        st.tuples(
+            st.just("interval"),
+            st.integers(min_value=0, max_value=1),
+            st.integers(min_value=1, max_value=8).map(lambda k: k * 0.25),
+        ),
+        st.tuples(st.just("run_until"), st.one_of(_QUARTERS, st.floats(0.0, 3.0))),
+        st.tuples(st.just("run"), st.integers(min_value=0, max_value=6)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ops=_PROCESS_OPS,
+    intervals=st.tuples(
+        *[st.integers(min_value=1, max_value=8).map(lambda k: k * 0.25)] * 2
+    ),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_processes_fire_like_fresh_handle_references(ops, intervals, seed):
+    own = _world(PeriodicTimer, ExponentialProcess, SwitchingProcess, intervals, seed)
+    fresh = _world(_FreshPeriodic, _FreshExponential, _FreshSwitching, intervals, seed)
+    for tag, op in enumerate(ops, start=5):
+        for sim, processes, log in (own, fresh):
+            if op[0] == "start":
+                processes[op[1]].start()
+            elif op[0] == "event":
+                sim.schedule(op[1], lambda sim=sim, log=log, tag=tag: log.append((sim.now, tag)))
+            elif op[0] == "interval":
+                processes[op[1]].interval = op[2]
+            elif op[0] == "run_until":
+                sim.run_until(sim.now + op[1])
+            else:
+                sim.run(max_events=op[1])
+        assert own[2] == fresh[2]
+        assert own[0].now == fresh[0].now
+        assert own[0].pending_events == fresh[0].pending_events
+    # No process ever leaves a tombstone or a second entry behind.
+    assert own[0].tombstones == 0
+    assert own[0].heap_size == own[0].pending_events
+    timers, streams, switch = own[1][:2], own[1][2:4], own[1][4]
+    reference = fresh[1]
+    assert [t.ticks for t in timers] == [t.ticks for t in reference[:2]]
+    assert [s.arrivals for s in streams] == [s.arrivals for s in reference[2:4]]
+    assert switch.flips == reference[4].flips

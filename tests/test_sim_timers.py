@@ -46,7 +46,7 @@ class TestPeriodicTimer:
         sim.run_until(5.5)
         assert timer.ticks == 5
 
-    @pytest.mark.parametrize("interval", [0.0, float("nan")])
+    @pytest.mark.parametrize("interval", [0.0, float("nan"), float("inf")])
     def test_non_positive_interval_rejected(self, sim, interval):
         with pytest.raises(SimulationError):
             PeriodicTimer(sim, interval, lambda: None)

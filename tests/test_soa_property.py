@@ -404,6 +404,24 @@ def test_bulk_mobility_kernels_match_scalar_models(family):
     _run_against_oracle(seed=23, count=16, families=(family,), toggles=[3, None, 9] * 5)
 
 
+@pytest.mark.parametrize("seed", [3, 11])
+def test_kernels_take_hosts_registered_mid_run(seed):
+    """Hosts registered after trajectories advanced join their kernels'
+    arrays in bulk, next to members already past their first segment."""
+    sim = Simulator()
+    net = Network(sim, radio_range=RANGE, traffic=MessageCounters())
+    nodes = _make_nodes(sim, seed, 40, FAMILIES)
+    shadow = _make_nodes(sim, seed, 40, FAMILIES)
+    registered = 0
+    for tick, count in enumerate([15] * 5 + [25] * 7 + [33] * 7 + [40] * 6, start=1):
+        sim.run_until(float(tick))
+        for node in nodes[registered:count]:
+            net.register(node)
+        registered = count
+        oracle = BruteForceSnapshot(sample_positions(shadow[:count]), RANGE)
+        assert_matches_oracle(net.snapshot(), oracle)
+
+
 # ----------------------------------------------------------------------
 # Array refresh above the size crossover
 # ----------------------------------------------------------------------

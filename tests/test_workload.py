@@ -32,6 +32,12 @@ class TestExponentialProcess:
         with pytest.raises(WorkloadError):
             ExponentialProcess(sim, rng, 0.0, lambda: None)
 
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_unusable_mean_rejected_at_construction(self, sim, rng, mean):
+        # NaN used to pass until start(); inf there raised ZeroDivisionError.
+        with pytest.raises(WorkloadError, match="mean_interval"):
+            ExponentialProcess(sim, rng, mean, lambda: None)
+
     def test_deterministic_given_seed(self):
         def run_once():
             from repro.sim.engine import Simulator

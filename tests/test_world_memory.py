@@ -18,11 +18,17 @@ moves it by hundreds of bytes, at 10 000 hosts by megabytes.  DESIGN.md
 * ``test_per_host_classes_are_slotted`` names every class that exists
   once per host, stream, timer or cached copy in *some* shipped world
   (the census only sees the classes of the one it builds).
+* ``test_arming_allocates_no_handle_per_process`` arms a built world:
+  every recurring process (timer, arrival stream, on/off switch) is its
+  own heap event, so the heap holds no plain ``EventHandle``, and the
+  bytes arming allocates per host are held to their own budget.
 
 The budgets are CPython 3.11 object sizes (the interpreter CI runs):
 what the tree measured when they were set (7 299 + 3 709 and
 3 139 + 3 242 bytes per host; the commit before read 13 878 and 10 997
-in total) plus 3 %.
+in total) plus 3 %.  The arming budget is likewise what arming measured
+when it was set (1 109 and 958 bytes per host; with a handle per armed
+process it read 1 419 and 1 191) plus 3 %.
 """
 
 from __future__ import annotations
@@ -76,6 +82,12 @@ N_HOSTS = 2_000
 BUDGET = {
     0.1: (7_518, 3_820),
     0.9: (3_233, 3_339),
+}
+
+#: stable_fraction -> bytes per host that arming (``Simulation._arm``) allocates.
+ARM_BUDGET = {
+    0.1: 1_142,
+    0.9: 987,
 }
 
 #: Populous ``repro.*`` types that may keep an instance ``__dict__``.
@@ -165,3 +177,27 @@ def test_no_populous_type_carries_a_dict(stable_fraction):
 @pytest.mark.parametrize("kind", SLOTTED, ids=lambda kind: kind.__qualname__)
 def test_per_host_classes_are_slotted(kind):
     assert kind.__dictoffset__ == 0, f"{kind.__qualname__} instances carry a __dict__"
+
+
+@pytest.mark.parametrize("stable_fraction", sorted(ARM_BUDGET))
+def test_arming_allocates_no_handle_per_process(stable_fraction):
+    world = _world(stable_fraction)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        world._arm()
+        armed = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    kinds = Counter(type(event) for _, _, event in world.sim._heap)
+    assert kinds[EventHandle] == 0, f"plain handles armed: {kinds[EventHandle]}"
+    # Query and period per host, TTN per source, a switch per mover.
+    assert kinds[PeriodicTimer] >= 2 * N_HOSTS
+    assert kinds[ExponentialProcess] > N_HOSTS
+    assert kinds[SwitchingProcess] > 0
+    per_host = armed / N_HOSTS
+    assert per_host <= ARM_BUDGET[stable_fraction], (
+        f"arming allocates {per_host:.0f} B/host "
+        f"(budget {ARM_BUDGET[stable_fraction]})"
+    )
