@@ -10,9 +10,11 @@ about *consistency* messages only — exactly what Fig 7 measures.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import AbstractSet, Dict, List, Set
 
 __all__ = ["CacheDirectory"]
+
+_NOBODY: AbstractSet[int] = frozenset()
 
 
 class _StoreBinding:
@@ -57,6 +59,10 @@ class CacheDirectory:
     def holders(self, item_id: int) -> Set[int]:
         """Nodes currently caching ``item_id`` (possibly empty)."""
         return set(self._holders.get(item_id, ()))
+
+    def holder_set(self, item_id: int) -> AbstractSet[int]:
+        """Nodes currently caching ``item_id``: the live set, not a copy."""
+        return self._holders.get(item_id, _NOBODY)
 
     def holder_count(self, item_id: int) -> int:
         """Number of nodes caching ``item_id``."""

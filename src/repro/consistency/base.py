@@ -314,6 +314,12 @@ class ConsistencyStrategy(abc.ABC):
 
     name: str = "abstract"
 
+    #: Flooded message type -> name of the method returning the hosts
+    #: whose handler can act on one copy (:meth:`Network.declare_audiences`).
+    #: A copy anywhere else is booked by the network without its handler,
+    #: so an entry must cover every host the agents' handler acts at.
+    AUDIENCES: ClassVar[Mapping[type, str]] = {}
+
     def __init__(self, context: StrategyContext) -> None:
         self.context = context
         self.agents: Dict[int, "BaseAgent"] = {}
@@ -425,6 +431,11 @@ class BaseAgent(abc.ABC):
         self.host = host
         self.node_id: int = host.node_id
         self._pending_remote: Dict[int, PendingQuery] = {}
+        if not strategy.agents:
+            # The strategy's first agent: its floods now reach handlers.
+            strategy.context.network.declare_audiences(
+                {kind: getattr(strategy, name) for kind, name in strategy.AUDIENCES.items()}
+            )
         strategy.agents[host.node_id] = self
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ and finally serves its local copy stale (counted separately).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.cache.item import CachedCopy
 from repro.consistency.base import (
@@ -25,7 +25,7 @@ from repro.consistency.base import (
 )
 from repro.consistency.levels import ConsistencyLevel
 from repro.consistency.messages import PullPoll, PullReply, next_poll_id
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, UnknownItemError
 from repro.net.message import Message
 from repro.obs.events import PollAnswered, PollSent
 from repro.peers.host import MobileHost
@@ -50,6 +50,9 @@ class PullStrategy(ConsistencyStrategy):
     """
 
     name = "pull"
+
+    #: Only the item's source answers a poll (``PullAgent._handle_poll``).
+    AUDIENCES = {PullPoll: "poll_audience"}
 
     def __init__(
         self,
@@ -86,6 +89,13 @@ class PullStrategy(ConsistencyStrategy):
 
     def make_agent(self, host: MobileHost) -> "PullAgent":
         return PullAgent(self, host)
+
+    def poll_audience(self, poll: PullPoll) -> Tuple[int, ...]:
+        """The source of the polled item (nobody for an unknown item)."""
+        try:
+            return (self.context.catalog.source_of(poll.item_id),)
+        except UnknownItemError:
+            return ()
 
 
 class PullAgent(BaseAgent):

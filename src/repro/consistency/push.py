@@ -15,7 +15,7 @@ stale-data-on-reconnection problem Section 4 attributes to pure push.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import AbstractSet, Dict, List, Set
 
 from repro.cache.item import CachedCopy
 from repro.consistency.base import (
@@ -60,6 +60,9 @@ class PushStrategy(ConsistencyStrategy):
 
     name = "push"
 
+    #: Only a host holding the item acts on a report (``PushAgent._handle_report``).
+    AUDIENCES = {PushInvalidation: "report_audience"}
+
     def __init__(
         self,
         context: StrategyContext,
@@ -98,6 +101,10 @@ class PushStrategy(ConsistencyStrategy):
 
     def make_agent(self, host: MobileHost) -> "PushAgent":
         return PushAgent(self, host)
+
+    def report_audience(self, report: PushInvalidation) -> AbstractSet[int]:
+        """The hosts holding a copy of the reported item."""
+        return self.context.discovery.directory.holder_set(report.item_id)
 
     def start(self) -> None:
         """Arm one staggered invalidation-report timer per source host."""

@@ -17,7 +17,7 @@ to relay.  Demotion happens when coefficients fail at a period boundary
 from __future__ import annotations
 
 from dataclasses import replace as dataclass_replace
-from typing import Dict, Optional
+from typing import Container, Dict, Optional, Set
 
 from repro.cache.item import CachedCopy, MasterCopy
 from repro.consistency.base import (
@@ -49,6 +49,7 @@ from repro.consistency.rpcc.config import (
 from repro.consistency.rpcc.relay import RelaySide
 from repro.consistency.rpcc.roles import Role, RoleTable
 from repro.consistency.rpcc.source import SourceSide
+from repro.errors import UnknownItemError
 from repro.net.message import Message
 from repro.obs.events import RelayDemoted, RelayPromoted
 from repro.peers.host import MobileHost
@@ -61,9 +62,17 @@ class RPCCStrategy(ConsistencyStrategy):
 
     name = "rpcc"
 
+    #: A poll is answered by the item's source or one of its relays; an
+    #: invalidation is acted on by a relay (even one that lost its copy:
+    #: it resigns) or by a holder (which may apply).  A candidate does
+    #: nothing with either (``RPCCAgent._handle_poll`` / ``_handle_invalidation``).
+    AUDIENCES = {Poll: "poll_audience", Invalidation: "invalidation_audience"}
+
     def __init__(self, context: StrategyContext, config: Optional[RPCCConfig] = None) -> None:
         super().__init__(context)
         self.config = config if config is not None else RPCCConfig()
+        #: item -> hosts relaying it, kept current by every agent's RoleTable.
+        self.relays: Dict[int, Set[int]] = {}
         # Online-control state: per-item dissemination overrides (empty
         # means the stock hybrid behaviour everywhere) and the eligibility
         # boost applied on top of the configured selection thresholds.
@@ -73,6 +82,25 @@ class RPCCStrategy(ConsistencyStrategy):
 
     def make_agent(self, host: MobileHost) -> "RPCCAgent":
         return RPCCAgent(self, host)
+
+    def poll_audience(self, poll: Poll) -> Container[int]:
+        """The polled item's relays and, for a catalogued item, its source."""
+        relays = self.relays.get(poll.item_id, ())
+        try:
+            source = self.context.catalog.source_of(poll.item_id)
+        except UnknownItemError:
+            return relays
+        return {source, *relays} if relays else (source,)
+
+    def invalidation_audience(self, invalidation: Invalidation) -> Container[int]:
+        """The invalidated item's relays and holders."""
+        holders = self.context.discovery.directory.holder_set(invalidation.item_id)
+        relays = self.relays.get(invalidation.item_id)
+        # Every relay normally holds a copy: copy the holders (every host,
+        # in a single-source world) only when one does not.
+        if not relays or relays <= holders:
+            return holders
+        return holders | relays
 
     def remote_query_timeout(self) -> float:
         """Clients must outwait the holder's full poll-escalation ladder."""
@@ -167,19 +195,11 @@ class RPCCStrategy(ConsistencyStrategy):
     # ------------------------------------------------------------------
     def relay_count(self) -> int:
         """Total (node, item) relay relationships currently active."""
-        return sum(
-            agent.roles.relay_count
-            for agent in self.agents.values()
-            if isinstance(agent, RPCCAgent)
-        )
+        return sum(map(len, self.relays.values()))
 
     def relay_count_for(self, item_id: int) -> int:
         """Number of hosts currently relaying ``item_id``."""
-        return sum(
-            1
-            for agent in self.agents.values()
-            if isinstance(agent, RPCCAgent) and agent.roles.is_relay(item_id)
-        )
+        return len(self.relays.get(item_id, ()))
 
 
 class RPCCAgent(BaseAgent):
@@ -190,7 +210,7 @@ class RPCCAgent(BaseAgent):
     def __init__(self, strategy: RPCCStrategy, host: MobileHost) -> None:
         super().__init__(strategy, host)
         self.config = strategy.config
-        self.roles = RoleTable()
+        self.roles = RoleTable(self.node_id, strategy.relays)
         self.source = SourceSide(self, self.config)
         self.relay = RelaySide(self, self.config)
         self.cache_peer = CachePeerSide(self, self.config)

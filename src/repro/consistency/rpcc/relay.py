@@ -92,8 +92,9 @@ class RelaySide:
         for item_id, timer in list(self._ttr.items()):
             if not self.agent.roles.is_relay(item_id):
                 continue
-            if timer.remaining > 0:
-                timer.expire_now()
+            # Closing a closed window moves only ``expires_at``, which
+            # nothing reads: ``remaining`` stays 0 either way.
+            timer.expire_now()
             self.agent.context.metrics.bump("rpcc_relay_resync")
             self._send_get_new(item_id)
 

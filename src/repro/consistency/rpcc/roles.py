@@ -15,7 +15,7 @@ item's source host, so the *role* is tracked per item here.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List
+from typing import Dict, List, Optional, Set
 
 __all__ = ["Role", "RoleTable"]
 
@@ -29,12 +29,19 @@ class Role(enum.Enum):
 
 
 class RoleTable:
-    """Tracks the Fig 5 state per cached item of one host."""
+    """Tracks the Fig 5 state per cached item of one host.
 
-    __slots__ = ("_roles", "promotions", "demotions")
+    ``relays`` is the run-global item -> relaying hosts index this table
+    keeps current for host ``node_id`` (``RPCCStrategy.relays``; a private
+    one when omitted): every move into or out of ``RELAY`` updates it.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("_roles", "_node_id", "_relays", "promotions", "demotions")
+
+    def __init__(self, node_id: int = -1, relays: Optional[Dict[int, Set[int]]] = None) -> None:
         self._roles: Dict[int, Role] = {}
+        self._node_id = node_id
+        self._relays: Dict[int, Set[int]] = {} if relays is None else relays
         self.promotions = 0
         self.demotions = 0
 
@@ -52,12 +59,15 @@ class RoleTable:
 
     def become_candidate(self, item_id: int) -> None:
         """CACHE_NODE -> CANDIDATE (an APPLY was just sent)."""
+        if self._roles.get(item_id) is Role.RELAY:
+            self._relays[item_id].discard(self._node_id)
         self._roles[item_id] = Role.CANDIDATE
 
     def promote(self, item_id: int) -> None:
         """CANDIDATE -> RELAY (APPLY_ACK, or UPDATE per Fig 6(d))."""
         if self._roles.get(item_id) is not Role.RELAY:
             self.promotions += 1
+            self._relays.setdefault(item_id, set()).add(self._node_id)
         self._roles[item_id] = Role.RELAY
 
     def demote(self, item_id: int) -> None:
@@ -65,6 +75,7 @@ class RoleTable:
         previous = self._roles.pop(item_id, Role.CACHE_NODE)
         if previous is Role.RELAY:
             self.demotions += 1
+            self._relays[item_id].discard(self._node_id)
 
     def relay_items(self) -> List[int]:
         """Items this host currently relays."""

@@ -15,7 +15,7 @@ That is the quantity the paper's "network traffic" figures integrate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol
+from typing import Callable, Container, Dict, List, Mapping, Optional, Protocol, Set
 
 from repro.errors import RoutingError, TopologyError
 from repro.net.link import LinkModel
@@ -27,7 +27,10 @@ from repro.net.topology import TopologyService, TopologySnapshot
 from repro.obs.events import InvalidationReceived, NodeOffline, NodeOnline
 from repro.sim.engine import Simulator
 
-__all__ = ["Network", "TrafficObserver"]
+__all__ = ["Network", "TrafficObserver", "Audience"]
+
+#: For one flood copy, the ids of the nodes whose handler can act on it.
+Audience = Callable[[Message], Container[int]]
 
 
 class TrafficObserver(Protocol):
@@ -71,6 +74,9 @@ class Network:
         self.router: Router = router if router is not None else ShortestPathRouter()
         self.traffic = traffic
         self._nodes: Dict[int, NetworkNode] = {}
+        # Ids of the registered nodes that are offline, kept by the churn
+        # notices: the level batch reads it instead of asking each node.
+        self._offline: Set[int] = set()
         # One bound method handed to every node, not one per registration.
         self._node_listener = self._on_node_state_change
         # Positions, online flags and validity windows in contiguous
@@ -83,6 +89,10 @@ class Network:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_undeliverable = 0
+        # Flooded type -> its audience (declare_audiences), and an
+        # exact-type memo of the declared entry each type resolves to.
+        self._audiences: Dict[type, Audience] = {}
+        self._audience_of: Dict[type, Optional[Audience]] = {}
         # Optional fault-injection hooks (repro.faults.FaultInjector).
         # None — the default — keeps every code path byte-identical to a
         # fault-free build: no extra draws, no extra scheduled events.
@@ -104,14 +114,21 @@ class Network:
             raise TopologyError(f"node id {node.node_id!r} already registered")
         self._nodes[node.node_id] = node
         self._soa_ledger.add(node)
+        if not node.online:
+            self._offline.add(node.node_id)
         node.bind_state_listener(self._node_listener)
 
     def _on_node_state_change(self, node: NetworkNode) -> None:
         self._soa_ledger.note_state(node)
         self.topology.note_churn(node.node_id)
+        online = node.online
+        if online:
+            self._offline.discard(node.node_id)
+        else:
+            self._offline.add(node.node_id)
         trace = self.sim.trace
         if trace.enabled:
-            if node.online:
+            if online:
                 trace.emit(NodeOnline(time=self.sim.now, node=node.node_id))
             else:
                 trace.emit(NodeOffline(time=self.sim.now, node=node.node_id))
@@ -228,69 +245,111 @@ class Network:
         if source not in snapshot:
             self.messages_undeliverable += 1
             return 0
-        levels = snapshot.bfs_levels(source, max_depth=ttl)
-        transmissions = 0
+        order, prefix = snapshot.flood_levels(source, ttl)
         hop_delay = self.link.hop_delay(message.size_bytes)
         nodes = self._nodes
         post = self.sim.post
         batch_deliver = self._deliver_batch
-        # BFS discovery order is nondecreasing in depth, so recipients at
-        # the same depth are contiguous: coalesce each depth level into a
-        # single pooled event instead of one EventHandle per recipient.
-        # Depth groups are posted in depth order, so their relative
-        # sequence — and every per-node delivery inside a group — matches
-        # the per-recipient schedule stream exactly.
-        recipients = 0
-        group: List[int] = []
-        group_depth = 0
-        for node_id, depth in levels.items():
-            node = nodes[node_id]
-            if depth == 0:
-                transmissions += 1
-                node.on_transmit(message)
-                continue
+        sender.on_transmit(message)
+        # One pooled event per BFS level, posted in depth order: the same
+        # sequence numbers as one event per recipient, and every per-node
+        # delivery inside a level in the same order.
+        relays = 0
+        for depth in range(1, len(prefix)):
+            level = order[prefix[depth - 1] : prefix[depth]]
             if depth < ttl:
-                transmissions += 1
-                node.on_relay(message)
+                relays += len(level)
+                for node_id in level:
+                    nodes[node_id].on_relay(message)
             else:
-                node.on_receive(message)
-            if depth != group_depth:
-                if group:
-                    post(group_depth * hop_delay, batch_deliver, group, message)
-                group = [node_id]
-                group_depth = depth
-            else:
-                group.append(node_id)
-            recipients += 1
-        if group:
-            post(group_depth * hop_delay, batch_deliver, group, message)
-        self.traffic.record_transmissions(message, transmissions)
-        return recipients
+                for node_id in level:
+                    nodes[node_id].on_receive(message)
+            post(depth * hop_delay, batch_deliver, level, message)
+        self.traffic.record_transmissions(message, 1 + relays)
+        return len(order) - 1
 
     def flood_reach(self, source: int, ttl: int) -> List[int]:
         """Ids of nodes a flood from ``source`` with ``ttl`` would reach now."""
         snapshot = self.snapshot()
         if source not in snapshot:
             return []
-        levels = snapshot.bfs_levels(source, max_depth=ttl)
-        return [node_id for node_id, depth in levels.items() if depth > 0]
+        return snapshot.flood_levels(source, ttl)[0][1:]
 
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
+    def declare_audiences(self, audiences: Mapping[type, Audience]) -> None:
+        """Name who can act on each flooded message type.
+
+        ``audiences[T](message)`` returns, for one copy of a ``T`` (or of
+        a subclass without an entry of its own), the ids of the nodes
+        whose handler can act on it, read from live state when the copy
+        lands.  :meth:`_deliver_batch` runs the handler at those nodes
+        only.  A type with no entry reaches every handler.
+        """
+        self._audiences = dict(audiences)
+        self._audience_of = {}
+
+    def audience(self, message: Message) -> Optional[Container[int]]:
+        """The declared audience of ``message`` now, or ``None`` for all.
+
+        A type without an entry takes its nearest base class's entry.
+        """
+        message_type = type(message)
+        try:
+            audience_of = self._audience_of[message_type]
+        except KeyError:
+            declared = self._audiences
+            audience_of = self._audience_of[message_type] = next(
+                (declared[base] for base in message_type.__mro__ if base in declared),
+                None,
+            )
+        return None if audience_of is None else audience_of(message)
+
     def _deliver_batch(self, targets: List[int], message: Message) -> None:
-        """Deliver ``message`` to every node in ``targets`` as one event.
+        """Deliver one flood level: ``message`` to every node in ``targets``.
 
         Semantically identical to firing one :meth:`_deliver` per target
         back-to-back at the same instant: node liveness is re-checked per
         target in order, so a delivery earlier in the batch that flips a
         later target offline is observed exactly as it was with
-        per-recipient events.  Dispatching through :meth:`_deliver` keeps
-        the per-target seam that fault hooks and tests override.
+        per-recipient events.  Only members of the message's
+        :meth:`audience` go through :meth:`_deliver` and their handler;
+        every other copy is booked here, in target order — the online
+        check (against the churn notices' record), the delivery counters,
+        the host's ``messages_handled`` and its ``InvalidationReceived`` —
+        because its handler would return without acting.  A handler changes only its own host's state and
+        a level's targets are distinct, so the audience read when the
+        level lands holds for all of it.
         """
         deliver = self._deliver
+        audience = self.audience(message)
+        if audience is None:
+            for target in targets:
+                deliver(target, message)
+            return
+        nodes = self._nodes
+        offline = self._offline
+        trace = self.sim.trace
+        receipts = trace.enabled and message.is_invalidation
+        delivered = undeliverable = 0
         for target in targets:
-            deliver(target, message)
+            if target in audience:
+                # Flushed first: the handler may read or bump the counters.
+                self.messages_delivered += delivered
+                self.messages_undeliverable += undeliverable
+                delivered = undeliverable = 0
+                deliver(target, message)
+                continue
+            if target in offline:
+                undeliverable += 1
+                continue
+            delivered += 1
+            nodes[target].messages_handled += 1
+            if receipts:
+                self._receipt(target, message)
+        self.messages_delivered += delivered
+        self.messages_undeliverable += undeliverable
 
     def _deliver(self, target: int, message: Message) -> None:
         try:
@@ -301,14 +360,17 @@ class Network:
             self.messages_undeliverable += 1
             return
         self.messages_delivered += 1
-        trace = self.sim.trace
-        if trace.enabled and message.is_invalidation:
-            trace.emit(
-                InvalidationReceived(
-                    time=self.sim.now,
-                    node=target,
-                    item=getattr(message, "item_id", -1),
-                    version=getattr(message, "version", -1),
-                )
-            )
+        if message.is_invalidation and self.sim.trace.enabled:
+            self._receipt(target, message)
         node.deliver(message)
+
+    def _receipt(self, target: int, message: Message) -> None:
+        """Trace an invalidation landing at ``target``."""
+        self.sim.trace.emit(
+            InvalidationReceived(
+                time=self.sim.now,
+                node=target,
+                item=getattr(message, "item_id", -1),
+                version=getattr(message, "version", -1),
+            )
+        )

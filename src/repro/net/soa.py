@@ -387,12 +387,12 @@ def adjacency_from_csr(csr: CsrAdjacency) -> Dict[int, List[int]]:
 # ----------------------------------------------------------------------
 def bfs_from_csr(
     csr: CsrAdjacency, source: int, max_depth: Optional[int] = None
-) -> Tuple[Dict[int, int], Dict[int, int], List[Tuple[int, int]], List[int]]:
+) -> Tuple[Dict[int, int], Dict[int, int], List[int]]:
     """BFS tree from ``source`` over a CSR adjacency.
 
-    Returns the same ``(levels, parents, items, prefix)`` quadruple as the
-    dict traversal in ``TopologySnapshot._bfs_from`` — including discovery
-    order and parent choice (see :func:`_bfs_rows`).
+    Returns the ``(levels, parents, prefix)`` of the dict traversal's
+    record in ``TopologySnapshot._bfs_from`` — including discovery order
+    and parent choice (see :func:`_bfs_rows`).
 
     ``max_depth`` stops the traversal once every node at that depth is
     discovered — levels ``<= max_depth`` of a bounded run are identical to
@@ -409,7 +409,7 @@ def _bfs_rows(
     src: int,
     max_depth: Optional[int],
     near: Optional[Callable[["np.ndarray", "np.ndarray"], "np.ndarray"]] = None,
-) -> Tuple[Dict[int, int], Dict[int, int], List[Tuple[int, int]], List[int]]:
+) -> Tuple[Dict[int, int], Dict[int, int], List[int]]:
     """The level loop of both array BFS entry points.
 
     ``nbrs[indptr[r]:indptr[r+1]]`` lists the rows adjacent to row ``r``,
@@ -455,8 +455,7 @@ def _bfs_rows(
     depths = np.repeat(np.arange(len(sizes)), sizes).tolist()
     levels = dict(zip(node_ids, depths))
     parents = dict(zip(node_ids, parent_ids))
-    items = list(zip(node_ids, depths))
-    return levels, parents, items, prefix
+    return levels, parents, prefix
 
 
 # ----------------------------------------------------------------------
@@ -589,7 +588,7 @@ class CandidatePairs:
         radio_range: float,
         source: int,
         max_depth: Optional[int],
-    ) -> Tuple[Dict[int, int], Dict[int, int], List[Tuple[int, int]], List[int]]:
+    ) -> Tuple[Dict[int, int], Dict[int, int], List[int]]:
         """:func:`bfs_from_csr` of ``build_csr(positions, radio_range, self)``.
 
         Runs over the candidate rows in slot space instead, testing each

@@ -26,11 +26,12 @@ keep them cheap without changing any observable result:
   source keeps one resumable, level-synchronous traversal record that
   grows whole levels only as far as the query at hand needs — to the
   target's level for ``shortest_path`` / ``hop_distance``, to the TTL for
-  ``bfs_levels``, to the first level holding a candidate for
-  ``nearest`` — and picks up where it stopped for the next one.  Levels
-  up to ``d`` of a level-synchronous BFS do not depend on where it later
-  stops, so every answer equals the full traversal's whatever order the
-  queries arrive in; a unicast two hops long never walks its component.
+  ``bfs_levels`` / ``flood_levels``, to the first level holding a
+  candidate for ``nearest`` — and picks up where it stopped for the next
+  one.  Levels up to ``d`` of a level-synchronous BFS do not depend on
+  where it later stops, so every answer equals the full traversal's
+  whatever order the queries arrive in; a unicast two hops long never
+  walks its component.
 * **One refresh path.**  Each refresh :class:`TopologyService` asks the
   position ledger whether any node moved, appeared or departed since the
   previous snapshot.  If none did, the previous snapshot object comes
@@ -106,7 +107,7 @@ class TopologySnapshot:
         # deepest level while it is unexpanded and is empty once the
         # component is exhausted (see _bfs_from).
         self._bfs_cache: Dict[int, list] = {}
-        # source -> ((levels, parents, items, prefix), complete) of a
+        # source -> ((levels, parents, prefix), complete) of a
         # depth-bounded vectorized BFS; levels <= the bound are identical
         # to the full traversal's, so TTL floods reuse them without ever
         # walking the whole graph.
@@ -327,10 +328,38 @@ class TopologySnapshot:
     def bfs_levels(self, source: int, max_depth: Optional[int] = None) -> Dict[int, int]:
         """Hop distance from ``source`` for every node within ``max_depth``.
 
-        The source itself appears with depth 0.  This drives TTL-limited
-        flooding: nodes at depth ``d <= TTL`` hear the flood.  The returned
-        dict preserves BFS discovery order and is a fresh copy the caller
-        may mutate.
+        The source itself appears with depth 0.  The returned dict
+        preserves BFS discovery order and is a fresh copy the caller may
+        mutate.
+        """
+        levels, prefix = self._traversal(source, max_depth)
+        # levels is in BFS discovery order, i.e. nondecreasing depth, so the
+        # depth limit selects a counted prefix of the traversal.
+        if max_depth is None or max_depth >= len(prefix) - 1:
+            return dict(levels)
+        return dict(islice(levels.items(), prefix[max(max_depth, 0)]))
+
+    def flood_levels(self, source: int, max_depth: int) -> Tuple[List[int], List[int]]:
+        """What a TTL flood from ``source`` reaches, as level slices.
+
+        Returns ``(order, prefix)``: the ids within ``max_depth`` hops in
+        BFS discovery order (``source`` first), and ``prefix[d]``, the
+        number of them within ``d`` hops, for every level the flood
+        reaches — so depth ``d``'s nodes are
+        ``order[prefix[d - 1]:prefix[d]]``.
+        """
+        levels, prefix = self._traversal(source, max_depth)
+        depth = min(max(max_depth, 0), len(prefix) - 1)
+        return list(islice(levels, prefix[depth])), prefix[: depth + 1]
+
+    def _traversal(
+        self, source: int, max_depth: Optional[int]
+    ) -> Tuple[Dict[int, int], List[int]]:
+        """``(levels, prefix)`` of a traversal complete to ``max_depth``.
+
+        ``levels`` maps node to depth in discovery order and may run
+        deeper than ``max_depth``; ``prefix[d]`` counts its nodes at depth
+        ``<= d``.  Both belong to the snapshot's caches: read, never keep.
         """
         if source not in self._members:
             raise TopologyError(f"source node {source!r} is not online")
@@ -351,24 +380,17 @@ class TopologySnapshot:
             # depth; ``complete`` marks traversals that exhausted the
             # component before the bound and therefore cover any depth.
             entry = self._bfs_partial.get(source)
-            if entry is None or not (entry[1] or len(entry[0][3]) - 1 >= max_depth):
+            if entry is None or not (entry[1] or len(entry[0][2]) - 1 >= max_depth):
                 pairs = self._pairs
                 if pairs is None:
-                    quad = soa.bfs_from_csr(self._csr, source, max_depth)
+                    tree = soa.bfs_from_csr(self._csr, source, max_depth)
                 else:
-                    quad = pairs.bfs(self.positions, self.radio_range, source, max_depth)
-                entry = (quad, len(quad[3]) - 1 < max_depth)
+                    tree = pairs.bfs(self.positions, self.radio_range, source, max_depth)
+                entry = (tree, len(tree[2]) - 1 < max_depth)
                 self._bfs_partial[source] = entry
-            levels, _, items, prefix = entry[0]
-            if max_depth >= len(prefix) - 1:
-                return dict(levels)
-            return dict(items[: prefix[max_depth]])
+            return entry[0][0], entry[0][2]
         levels, _, prefix, _ = self._bfs_from(source, max_depth=max_depth)
-        # levels is in BFS discovery order, i.e. nondecreasing depth, so the
-        # depth limit selects a counted prefix of the traversal.
-        if max_depth is None or max_depth >= len(prefix) - 1:
-            return dict(levels)
-        return dict(islice(levels.items(), prefix[max_depth]))
+        return levels, prefix
 
     def nearest(
         self,

@@ -1,4 +1,5 @@
-"""Brute-force reference for the per-quantum core, and a stub world to drive it.
+"""Brute-force references for the per-quantum core and the flood level batch,
+and a stub world to drive the core.
 
 The shipped core (:mod:`repro.net.soa` + :mod:`repro.net.topology`) has
 grids, pair lists, CSR traversals, snapshot reuse and bulk mobility
@@ -8,6 +9,11 @@ here with none of that machinery: sample every online node's
 registration order, traverse with a FIFO queue.  The property tests
 compare every path of the core against this, to the bit and to the
 iteration order.
+
+The flood level batch (``Network._deliver_batch``) books every copy
+outside the strategy's declared audience without running its handler;
+:func:`unfiltered_deliver_batch` is the batch before audiences, every
+copy through ``_deliver`` and its handler.
 """
 
 from __future__ import annotations
@@ -201,3 +207,12 @@ class StubWorld:
         return BruteForceSnapshot(
             sample_positions(self.nodes.values()), self.service.radio_range
         )
+
+
+# ----------------------------------------------------------------------
+# The flood level batch, unfiltered
+# ----------------------------------------------------------------------
+def unfiltered_deliver_batch(network, targets, message) -> None:
+    """One flood level delivered copy by copy, each through its handler."""
+    for target in targets:
+        network._deliver(target, message)

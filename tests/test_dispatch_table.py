@@ -196,18 +196,26 @@ def test_agent_overriding_only_handle_protocol_message_gets_every_message():
 
 
 def test_instance_level_deliver_override_sees_batched_flood_copies():
-    """``tests/test_trace_mutation.py`` injects its bug through this seam."""
+    """A flood level reaches ``_deliver_batch`` whole; only its audience (here
+    the polled item's source) goes on through ``_deliver`` to a handler."""
     world = make_world(line_positions(4), PullStrategy)
-    seen = []
-    original = world.network._deliver
+    batched, delivered = [], []
+    original_batch = world.network._deliver_batch
+    original_deliver = world.network._deliver
+
+    def recording_batch(targets, message):
+        batched.extend(targets)
+        original_batch(targets, message)
 
     def recording_deliver(target, message):
-        seen.append(target)
-        original(target, message)
+        delivered.append(target)
+        original_deliver(target, message)
 
+    world.network._deliver_batch = recording_batch
     world.network._deliver = recording_deliver
     reached = world.network.flood(0, M.PullPoll(sender=0, item_id=3), ttl=8)
     world.run(5.0)
     assert reached == 3
-    assert seen[:3] == [1, 2, 3]  # then the source's unicast reply to host 0
+    assert batched == [1, 2, 3]
+    assert delivered == [3, 0]  # the source, then its unicast reply to host 0
     assert world.host(2).messages_handled == 1

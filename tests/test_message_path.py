@@ -43,6 +43,21 @@ def test_the_issue_targets_hold(measured):
     assert all(calls <= 2 for calls in measured["radio"].values())
 
 
+def test_a_bystander_copy_runs_no_handler_frame(measured):
+    """Outside its declared audience a flood copy is booked in the level batch:
+    no call at all, so none into ``_deliver``, ``deliver`` or ``handle_message``."""
+    for spec in message_frames.SPECS:
+        assert measured[spec]["bystander_dispatch"] == 0, spec
+        assert measured[spec]["bystander"] == 0, spec
+
+
+def test_is_bystander_states_the_shipped_audiences(measured):
+    """``is_bystander`` (the audiences written again from the handlers) and the
+    strategies' declarations agree on every flood copy of the world."""
+    for spec in message_frames.SPECS:
+        assert measured[spec]["disagreements"] == 0, spec
+
+
 def test_the_world_is_mostly_bystanders(measured):
     """The gate is vacuous unless the flood strategies are what is measured."""
     for spec in message_frames.SPECS:
@@ -56,6 +71,8 @@ def test_a_regrown_chain_is_caught(measured):
     worse["rpcc-hy"]["bystander"] += 1
     worse["radio"]["relay"] += 0.5
     assert len(message_frames.over_budget(worse)) == 2
+    worse["pull"]["bystander_dispatch"] += 1
+    assert len(message_frames.over_budget(worse)) == 3
 
 
 def test_plain_run_imports_no_campaign_machinery():

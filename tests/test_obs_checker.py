@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import (
     CheckReport,
+    ControllerActuated,
     InvalidationReceived,
     InvariantChecker,
     ReadServed,
     SourceUpdate,
     check_events,
 )
+from repro.obs.checker import _TIME_EPSILON
 
 
 def read(time, node=2, item=0, version=0, level="strong", **kwargs):
@@ -103,6 +107,35 @@ class TestDelta:
         ]
         assert check_events(events, delta=240.0).ok
         assert not check_events(events, delta=30.0).ok
+
+
+class TestBoundaries:
+    """Both comparisons a Δ/strong verdict turns on, at equality."""
+
+    def test_a_lag_equal_to_the_allowance_is_not_a_violation(self):
+        # Knowledge at t = 0.0 keeps the float arithmetic exact: the lag
+        # is the read time, and the read time is allowance + epsilon.
+        at_limit = 1.0 + _TIME_EPSILON
+        known = [
+            SourceUpdate(time=0.0, node=0, item=0, version=1),
+            InvalidationReceived(time=0.0, node=2, item=0, version=1),
+        ]
+        assert check_events(known + [read(at_limit, version=0)], slack=1.0).ok
+        past_limit = math.nextafter(at_limit, math.inf)
+        report = check_events(known + [read(past_limit, version=0)], slack=1.0)
+        assert report.by_invariant() == {"strong": 1}
+
+    def test_knowledge_delivered_at_a_raising_actuation_gets_the_raised_bound(self):
+        events = [
+            SourceUpdate(time=0.0, node=0, item=0, version=1),
+            ControllerActuated(time=100.0, policy="p", knob="ttp", value=500.0, reason="test"),
+            InvalidationReceived(time=100.0, node=2, item=0, version=1),
+            read(400.0, version=0, level="delta"),
+        ]
+        assert check_events(events, delta=240.0).ok
+        # The same lag of 300 s breaks the bound in force before the raise.
+        without_raise = [events[0]] + events[2:]
+        assert check_events(without_raise, delta=240.0).by_invariant() == {"delta": 1}
 
 
 class TestWeakMonotone:

@@ -141,10 +141,10 @@ def test_all_pairs_and_grid_stages_match_oracle(count, seed):
             assert vec._adjacency == oracle.adjacency
             assert list(vec._adjacency) == list(oracle.adjacency)
             for source in positions:
-                levels, parents, items, prefix = soa.bfs_from_csr(vec._csr, source)
+                levels, parents, prefix = soa.bfs_from_csr(vec._csr, source)
                 dict_tree = vec._bfs_from(source)  # under 4 096 nodes: the dict BFS
                 assert dict_tree == [levels, parents, prefix, []]
-                assert items == list(dict_tree[0].items())  # levels, in order
+                assert list(levels.items()) == list(dict_tree[0].items())  # in order
                 assert list(parents) == list(dict_tree[1])  # parents, in order
             assert_matches_oracle(vec, oracle)
 
@@ -468,10 +468,10 @@ def test_array_refresh_matches_oracle(seed, toggles):
             if snap._csr is not None and snap._adjacency_store is None:
                 # Straight off the arrays, before anything materialises.
                 for source in oracle.positions:
-                    levels, parents, items, _ = soa.bfs_from_csr(snap._csr, source)
+                    levels, parents, _ = soa.bfs_from_csr(snap._csr, source)
                     ref_levels, ref_parents = oracle.bfs(source)
                     assert (levels, parents) == (ref_levels, ref_parents)
-                    assert items == list(ref_levels.items())
+                    assert list(levels.items()) == list(ref_levels.items())
                     assert list(parents) == list(ref_parents)
                     assert snap.degree(source) == len(oracle.adjacency[source])
                 assert snap.edge_count() == oracle.edge_count()
@@ -860,8 +860,8 @@ def test_floods_served_from_the_pair_list_match_the_listless_build(seed, steps):
                     expected = oracle.bfs_levels(source, depth)
                     assert list(found.items()) == list(expected.items()), depth
                     if edge_filter is None:
-                        items = soa.bfs_from_csr(listless, source, depth)[2]
-                        assert list(found.items()) == items
+                        levels = soa.bfs_from_csr(listless, source, depth)[0]
+                        assert list(found.items()) == list(levels.items())
                 if edge_filter is None:
                     # Served from the list: no full CSR was built for it.
                     assert served.pop() is snap._pairs and snap._csr_store is None
