@@ -1,35 +1,33 @@
 """Fault-injection benchmarks: chaos must be cheap and disabled faults free.
 
-Four shapes of the same chaos-scale run (20 peers, 3+1 simulated minutes,
+Three shapes of the same chaos-scale run (20 peers, 3+1 simulated minutes,
 RPCC strong, short switching interval so relays actually form):
 
 * **off** — ``faults=None``: the guard path every production run takes.
   No injector, no degradation meter, no backoff; the hooks are
-  ``None``-checked attributes.  The kernel suite's tightened 5% gate is
-  the primary watchdog for this path; the entry here tracks the same
-  guarantee at full-simulation granularity.
+  ``None``-checked attributes.  The end-to-end ledger
+  (``benchmarks/e2e``) times this path on every row.
 * **partition** — the shipped east-west spatial partition plan: topology
   edge filtering plus degradation accounting.
 * **bursty-loss** — the shipped Gilbert–Elliott + delay-jitter plan: the
   per-hop link hooks run on *every* unicast hop, the most invasive shape.
-* **crash-reboot** — scheduled node outages through the host lifecycle.
 
-``run_bench.py --suite faults`` gates all four against
-``BENCH_faults.json``; the pytest entry points assert the correctness
-side (disabled faults are bit-identical) and print measured overheads.
+The pytest entry points assert the correctness side (disabled faults
+are bit-identical) and bound what injected chaos costs over the
+fault-free run, as a median of alternating pairs (``paired_ratio``).
 """
 
 from __future__ import annotations
 
+import functools
 import pathlib
-import time
-from typing import Callable, List, Optional, Tuple
+from typing import Optional
 
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import build_simulation
 from repro.faults import FaultPlan
 
-from benchmarks.conftest import bench_config
+from benchmarks.conftest import bench_config, paired_ratio
 
 FAULT_SPEC = "rpcc-sc"
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples" / "faults"
@@ -52,35 +50,12 @@ def run_with_plan(plan: Optional[FaultPlan]):
     return build_simulation(faults_config(plan), FAULT_SPEC, "standard").run()
 
 
-def _plan(name: str) -> FaultPlan:
+def example_plan(name: str) -> FaultPlan:
     return FaultPlan.load(EXAMPLES / f"{name}.json")
-
-
-def faults_benchmarks(workdir: str) -> List[Tuple[str, Callable[[], None]]]:
-    """Name -> one-iteration callable for every gated fault benchmark."""
-    partition = _plan("partition")
-    bursty = _plan("bursty_loss")
-    crash = _plan("crash_reboot")
-    return [
-        ("faults_off_run", lambda: run_with_plan(None)),
-        ("faults_partition_run", lambda: run_with_plan(partition)),
-        ("faults_bursty_loss_run", lambda: run_with_plan(bursty)),
-        ("faults_crash_reboot_run", lambda: run_with_plan(crash)),
-    ]
 
 
 # ----------------------------------------------------------------------
 # pytest entry points: correctness first, measured overhead printed.
-
-
-def _best_of(fn, repeats: int = 3) -> float:
-    fn()  # warm-up
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def test_disabled_faults_are_bit_identical_at_bench_scale():
@@ -93,16 +68,16 @@ def test_disabled_faults_are_bit_identical_at_bench_scale():
 
 def test_fault_overhead_is_bounded(capsys):
     """Injected chaos costs something; it must never dominate the run."""
-    off = _best_of(lambda: run_with_plan(None))
-    partition = _best_of(lambda: run_with_plan(_plan("partition")))
-    bursty = _best_of(lambda: run_with_plan(_plan("bursty_loss")))
-    print(f"\n  faults off       {off * 1e3:9.1f} ms")
-    print(f"  partition        {partition * 1e3:9.1f} ms "
-          f"({partition / off:5.2f}x)")
-    print(f"  bursty loss      {bursty * 1e3:9.1f} ms "
-          f"({bursty / off:5.2f}x)")
-    # Generous bounds against shared-box noise; a hot-path regression
-    # (per-hop RNG draws on the fault-free path, say) would blow past
-    # them.  The tight gate is run_bench.py against BENCH_faults.json.
-    assert partition < off * 3.0
-    assert bursty < off * 3.0
+    off = functools.partial(run_with_plan, None)
+    partition = paired_ratio(
+        off, functools.partial(run_with_plan, example_plan("partition"))
+    )
+    bursty = paired_ratio(
+        off, functools.partial(run_with_plan, example_plan("bursty_loss"))
+    )
+    print(f"\n  partition        {partition:5.2f}x faults off")
+    print(f"  bursty loss      {bursty:5.2f}x faults off")
+    # A hot-path regression (per-hop RNG draws on the fault-free path,
+    # say) would blow past this envelope; shared-box noise does not.
+    assert partition < 3.0
+    assert bursty < 3.0

@@ -1,12 +1,9 @@
-"""Scaling benchmarks: the per-quantum core at 1k/5k/10k peers.
+"""The scale world: the per-quantum core at 1k to 100k peers.
 
-Each benchmark runs one short RPCC simulation and reports the wall-clock
-seconds of the **run phase only** — ``Simulation.run()`` from a freshly
-built world.  Building the world (host registration, placement, RNG
-stream derivation) is O(n) setup work that would only dilute the
-per-quantum cost being tracked; the benchmarks are therefore
-*self-timing* (``run_bench.py`` calls them via ``measure_returned``
-instead of timing the call).
+One configuration, shared by the 100k smoke (``smoke_scale.py``), the
+start-up and memory breakdowns (``startup_cost.py``, ``host_bytes.py``)
+and ``tests/test_world_memory.py``.  The end-to-end ledger
+(``benchmarks/e2e``, the ``scale10k-*`` rows) times runs of this regime.
 
 The configuration is chosen to keep the run phase topology-dominated —
 the regime the paper's larger deployments live in:
@@ -19,23 +16,14 @@ the regime the paper's larger deployments live in:
   drown the per-quantum core being measured;
 * long RPCC timers (TTN/TTR/TTP) keep invalidation floods rare for the
   same reason.
-
-``run_bench.py --suite scale`` gates the three timings against
-``BENCH_scale.json`` (row names keep their ``vectorized`` infix so the
-committed history stays comparable) and derives ``engine_speedup_vs_pr6``
-into the baseline metadata via :func:`scale_speedups`.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from typing import Callable, Dict, List, Tuple
 
 from repro.experiments.config import SimulationConfig
-from repro.experiments.runner import build_simulation
 
-SCALES = (1_000, 5_000, 10_000)
 SPEC = "rpcc-hy"
 SIM_TIME = 30.0
 
@@ -63,50 +51,3 @@ def scale_config(n_peers: int, sim_time: float = SIM_TIME) -> SimulationConfig:
         query_interval=float(n_peers),
         update_interval=1000.0,
     )
-
-
-def _run_once(n_peers: int, sim_time: float = SIM_TIME):
-    """Build and run one simulation.
-
-    Returns ``(run_seconds, result)``; only ``Simulation.run()`` is
-    inside the timed region.
-    """
-    simulation = build_simulation(
-        scale_config(n_peers, sim_time), SPEC, scenario="single_source"
-    )
-    started = time.perf_counter()
-    result = simulation.run()
-    elapsed = time.perf_counter() - started
-    return elapsed, result
-
-
-def _make_scale_bench(n_peers: int) -> Callable[[], float]:
-    def run() -> float:
-        return _run_once(n_peers)[0]
-
-    return run
-
-
-def scale_benchmarks(workdir: str) -> List[Tuple[str, Callable[[], float]]]:
-    """Name -> self-timing callable for every gated scale benchmark."""
-    return [
-        (f"scale_run_vectorized_{n_peers}", _make_scale_bench(n_peers))
-        for n_peers in SCALES
-    ]
-
-
-#: The committed 10k-node vectorized run-phase seconds *before* the
-#: message fast path (pooled ``post``, coalesced flood delivery, slotted
-#: messages) landed (the PR-6 baseline, measured on the same reference
-#: machine).  That PR's acceptance bar — held by the committed-target
-#: test — is >= 2x over this number.
-PR6_VECTORIZED_10000 = 2.4789593999994395
-
-
-def scale_speedups(results: Dict[str, float]) -> Dict[str, float]:
-    """Derive the 10k run phase's speedup over the PR-6 measurement."""
-    ratios: Dict[str, float] = {}
-    vec_10k = results.get("scale_run_vectorized_10000")
-    if vec_10k:
-        ratios["engine_speedup_vs_pr6"] = PR6_VECTORIZED_10000 / vec_10k
-    return ratios

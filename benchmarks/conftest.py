@@ -12,7 +12,9 @@ results are cached per session and computed at most once.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import statistics
+import time
+from typing import Callable, Dict, Tuple
 
 import pytest
 
@@ -45,6 +47,28 @@ def cached_axis_sweep(axis: str, values: tuple, specs: tuple = STRATEGY_SPECS):
             bench_config(), axis, values, specs, executor=_BENCH_EXECUTOR
         )
     return _SWEEP_CACHE[key]
+
+
+def paired_ratio(base: Callable[[], object], arm: Callable[[], object],
+                 pairs: int = 20) -> float:
+    """Median over ``pairs`` back-to-back runs of ``arm``'s seconds / ``base``'s.
+
+    The two halves of a pair run in alternating order, so a box that
+    drifts between fast and slow states moves both together, and the
+    median discards the pairs a burst of noise split.  One warm-up run
+    of each goes first.
+    """
+    base()
+    arm()
+    ratios = []
+    for index in range(pairs):
+        seconds = {}
+        for run in (base, arm) if index % 2 == 0 else (arm, base):
+            started = time.perf_counter()
+            run()
+            seconds[run] = time.perf_counter() - started
+        ratios.append(seconds[arm] / seconds[base])
+    return statistics.median(ratios)
 
 
 @pytest.fixture

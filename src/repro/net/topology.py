@@ -173,7 +173,6 @@ class TopologySnapshot:
         allowed = self._edge_filter
         positions = self.positions
         adjacency = self._adjacency
-        neighbor_sets = self._neighbor_sets
         for node, neighbors in adjacency.items():
             pos = positions[node]
             kept = [
@@ -183,7 +182,6 @@ class TopologySnapshot:
             ]
             if len(kept) != len(neighbors):
                 adjacency[node] = kept
-                neighbor_sets[node] = frozenset(kept)
 
     # ------------------------------------------------------------------
     # Queries

@@ -5,9 +5,9 @@ paths is guarded by ``if trace.enabled:`` where ``trace`` is either a
 :class:`TraceBus` (tracing on) or the :data:`NULL_TRACE` singleton
 (tracing off, the default).  With the null bus the entire cost of the
 observability layer is one attribute load and one branch per site — no
-event objects are ever constructed.  ``benchmarks/bench_trace.py``
-measures exactly this, and ``run_bench.py`` gates the kernel suite at
-≤5% of the committed baseline to keep it true.
+event objects are ever constructed.  The end-to-end benchmark
+(``benchmarks/e2e``) times untraced runs on every row and a traced one on
+``trace50``.
 
 The bus itself is deliberately dumb: it fans every emitted event out to its
 sinks (see :mod:`repro.obs.sinks`) and counts them.  Timestamps travel

@@ -20,23 +20,52 @@ def read(name: str) -> str:
     return (ROOT / name).read_text(encoding="utf-8")
 
 
+def tracked(pattern):
+    """Repo files matching ``pattern``, minus VCS/tool state and bytecode."""
+    for path in sorted(ROOT.rglob(pattern)):
+        parts = path.relative_to(ROOT).parts
+        if path.is_file() and not any(
+            part.startswith(".") or part == "__pycache__"
+            or part.endswith(".egg-info")
+            for part in parts
+        ):
+            yield path
+
+
+class TestDocPaths:
+    """Every backticked repo path in the Markdown resolves, and so does
+    every ``::name`` after it; history is exempt."""
+
+    #: ``top/part/...`` with an optional ``::name::name`` tail; a glob
+    #: (``tests/test_sim_engine*.py``) must match at least one file.
+    PATH = re.compile(r"`([\w-]+(?:/[\w*-][\w.*-]*)+/?)((?:::\w+)*)`")
+
+    def test_every_backticked_repo_path_resolves(self):
+        top = {path.name for path in ROOT.iterdir()}
+        exempt = TestOneCore.EXEMPT + ("docs/decisions/",)  # history
+        checked = 0
+        for doc in tracked("*.md"):
+            name = doc.relative_to(ROOT).as_posix()
+            if name.startswith(exempt):
+                continue
+            for path, names in self.PATH.findall(doc.read_text(encoding="utf-8")):
+                if path.split("/")[0] not in top:
+                    continue  # package-relative (``net/soa.py``), not a repo path
+                hits = list(ROOT.glob(path.rstrip("/")))
+                assert hits, f"{name} references missing {path}"
+                if names:
+                    text = "".join(hit.read_text() for hit in hits if hit.is_file())
+                    for part in names.split("::")[1:]:
+                        assert part in text, f"{path} lacks {part} referenced by {name}"
+                checked += 1
+        assert checked > 50
+
+
 class TestDesignDoc:
     def test_exists_and_mentions_paper_check(self):
         text = read("DESIGN.md")
         assert "Consistency of Cooperative Caching" in text
         assert "RPCC" in text
-
-    def test_every_bench_target_exists(self):
-        text = read("DESIGN.md")
-        for path, test_name in re.findall(
-            r"`((?:benchmarks|tests)/[\w/]+\.py)(?:::(\w+))?`", text
-        ):
-            bench_file = ROOT / path
-            assert bench_file.exists(), f"DESIGN.md references missing {path}"
-            if test_name:
-                assert test_name in bench_file.read_text(), (
-                    f"{path} lacks {test_name} referenced by DESIGN.md"
-                )
 
     def test_every_package_in_inventory_importable(self):
         text = read("DESIGN.md")
@@ -179,13 +208,6 @@ class TestRobustnessDoc:
         for tag in ("controller_sampled", "controller_actuated"):
             assert f"`{tag}`" in text, f"OBSERVABILITY.md misses {tag}"
 
-    def test_campaign_artifact_paths_exist(self):
-        text = read("docs/ROBUSTNESS.md")
-        for path in re.findall(r"`(benchmarks/[\w.]+\.(?:py|json))`", text):
-            assert (ROOT / path).exists(), (
-                f"ROBUSTNESS.md references missing {path}"
-            )
-
 
 class TestScenariosDoc:
     def test_exists_and_is_cross_linked(self):
@@ -244,8 +266,8 @@ class TestOneCore:
     selected them, the code no public path reached, the topology
     crossovers no benchmark row earned, the strategy and controller
     settings only tests set, the hand-built segment store, the config
-    fields no public path set and the replica protocol are gone from the
-    tree, not just from ``src/``."""
+    fields no public path set, the replica protocol and the absolute-seconds
+    bench gate are gone from the tree, not just from ``src/``."""
 
     #: Spelled in pieces so this file passes its own check.
     RETIRED = (
@@ -281,28 +303,25 @@ class TestOneCore:
         "RECORD_" + "SCHEMA", "side" + "car", "fs_" + "writes",
         "fetch_" + "timeout", "retry_" + "backoff", "backoff_" + "cap", "backoff_" + "jitter",
         "Gossip" + "Replication", "Replicated" + "Register", "repro." + "extensions",
+        "run_" + "bench", "profile_" + "diff",
+        *("BENCH_" + suite for suite in (
+            "kernel", "engine", "sweep", "trace", "faults", "scale", "campaign",
+            "control",
+        )),
     )
     #: History, the issue that retired them, and the read-only benchmark.
     EXEMPT = ("CHANGES.md", "ROADMAP.md", "ISSUE.md", "benchmarks/e2e/")
     EXEMPT += ("docs/decisions/03-public-settings.md",)  # the records of what went
     EXEMPT += ("docs/decisions/04-sqlite-store.md",)
     EXEMPT += ("docs/decisions/06-earned-settings.md",)
+    EXEMPT += ("docs/decisions/08-one-benchmark-of-record.md",)
     EXEMPT += ("BENCHMARK.json",)  # the benchmark's declaration, read-only too
 
     def test_retired_names_appear_in_no_tracked_file(self):
         checked = 0
-        for path in ROOT.rglob("*"):
+        for path in tracked("*"):
             name = path.relative_to(ROOT).as_posix()
-            if (
-                not path.is_file()
-                or name.startswith(self.EXEMPT)
-                # Not tracked: VCS and tool state, bytecode, install metadata.
-                or any(
-                    part.startswith(".") or part == "__pycache__"
-                    or part.endswith(".egg-info")
-                    for part in path.relative_to(ROOT).parts
-                )
-            ):
+            if name.startswith(self.EXEMPT):
                 continue
             text = path.read_text(encoding="utf-8", errors="ignore")
             checked += 1

@@ -318,6 +318,19 @@ class TestHasEdge:
             for b in positions:
                 assert snap.has_edge(a, b) == (b in neighbors)
 
+    def test_filtered_build_leaves_the_sets_to_has_edge(self):
+        # A partition cuts 0 -- 1; the filter builds the lists, not the sets.
+        def cut(a, b, pos_a, pos_b):
+            return {a, b} != {0, 1}
+
+        snap = TopologySnapshot(
+            {0: Point(0, 0), 1: Point(100, 0), 2: Point(50, 50)}, 200.0, cut
+        )
+        assert snap._adjacency_store is not None and snap._sets_store is None
+        assert not snap.has_edge(0, 1) and not snap.has_edge(1, 0)
+        assert snap.has_edge(0, 2) and snap.has_edge(2, 1)
+        assert snap._sets_store is not None
+
 
 class TestCsrPointQueries:
     """``degree``/``edge_count`` straight off the CSR arrays agree with the
