@@ -1,4 +1,4 @@
-"""Bytes per host by component: the table in DESIGN.md, "What a host costs".
+"""Bytes per host by component (docs/decisions/09, "What a host costs").
 
 Builds the scale benchmark's world (walk mobility, ``rpcc-hy``,
 ``single_source``) under ``tracemalloc``, arms its start-up timers
@@ -44,10 +44,17 @@ from repro.experiments.runner import build_simulation  # noqa: E402
 COMPONENTS = ("random streams", "objects", "callables", "containers", "engine handles")
 
 _STREAM_NAME = re.compile(r'f"(pos|mobility|switch|query|update)/')
+#: Identifiers whose mention makes a line a callable's: bound methods and
+#: bindings something per-host keeps.  Each must still name something in
+#: ``src/`` (``tests/test_world_memory.py`` checks).
+CALLABLE_NAMES = (
+    "partial", ".set_online", ".update_master", "binding.on_insert",
+    "binding.on_evict", "_on_node_state_change", "bind_state_listener",
+    "self._fire", "self._flip", "self._on_ttn",
+)
 _CALLABLE = re.compile(
-    r"lambda|^\s*def |partial\(|\.set_online\b|\.update_master\b|binding\.on_"
-    r"|_on_node_state_change|bind_state_listener|self\._fire"
-    r"|self\._flip|self\._close_period|self\._on_ttn|self\._expire"
+    r"\blambda\b|^\s*def |"
+    + "|".join(rf"\b{re.escape(name)}\b" for name in CALLABLE_NAMES)
 )
 _CONTAINER = re.compile(
     r"= \{\}|= set\(\)|= \[|\] = |\.append\(|\.setdefault\(|= dict\(|= list\("

@@ -313,8 +313,10 @@ class Simulation:
         self.strategy.start()
         self.update_workload.start()
         self.query_workload.start()
+        # One clock for every host's period (docs/decisions/09-one-period-clock.md).
+        PeriodicTimer(self.sim, self.config.switch_interval, self._close_periods).start()
         for host in self.hosts.values():
-            host.start_period_timer()
+            host.period_started_at = self.sim.now
             if host.switching is not None:
                 host.switching.start()
         if isinstance(self.strategy, RPCCStrategy):
@@ -322,6 +324,10 @@ class Simulation:
         PeriodicTimer(self.sim, 60.0, self._sample_traffic).start()
         if self.controller is not None:
             self.controller.start()
+
+    def _close_periods(self) -> None:
+        for host in self.hosts.values():
+            host.close_period()
 
     def _sample_traffic(self) -> None:
         """Record the per-minute transmission rate (a convergence series)."""

@@ -24,6 +24,7 @@ stable from mobile nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -84,8 +85,8 @@ class CoefficientTracker:
         phi: float = 300.0,
         omega: float = 0.2,
     ) -> None:
-        if phi <= 0:
-            raise ConfigurationError(f"phi must be positive, got {phi!r}")
+        if not 0 < phi < math.inf:  # NaN fails too
+            raise ConfigurationError(f"phi must be finite and > 0, got {phi!r}")
         if not 0.0 <= omega < 1.0:
             raise ConfigurationError(f"omega must be in [0, 1), got {omega!r}")
         self.phi = float(phi)

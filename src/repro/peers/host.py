@@ -33,7 +33,6 @@ from repro.net.node import NetworkNode
 from repro.peers.coefficients import CoefficientTracker
 from repro.peers.switching import SwitchingProcess
 from repro.sim.engine import Simulator
-from repro.sim.timers import PeriodicTimer
 
 __all__ = ["MobileHost"]
 
@@ -78,8 +77,7 @@ class MobileHost(NetworkNode):
         "agent",
         "source_item",
         "switching",
-        "_period_timer",
-        "_period_started_at",
+        "period_started_at",
         "offline_time",
         "_went_offline_at",
         "messages_handled",
@@ -114,8 +112,7 @@ class MobileHost(NetworkNode):
         self.agent: Any = None
         self.source_item: Optional[MasterCopy] = None
         self.switching: Optional[SwitchingProcess] = None
-        self._period_timer: Optional[PeriodicTimer] = None
-        self._period_started_at = 0.0
+        self.period_started_at = 0.0  # the open coefficient period's start
         self.offline_time = 0.0
         self._went_offline_at: Optional[float] = None
         self.messages_handled = 0
@@ -227,20 +224,14 @@ class MobileHost(NetworkNode):
     # ------------------------------------------------------------------
     # Coefficient period upkeep
     # ------------------------------------------------------------------
-    def start_period_timer(self) -> None:
-        """Begin closing coefficient periods every ``tracker.phi`` seconds."""
-        if self._period_timer is not None:
-            return
-        self._period_started_at = self.sim.now
-        self._period_timer = PeriodicTimer(self.sim, self.tracker.phi, self._close_period)
-        self._period_timer.start()
-
-    def _close_period(self) -> None:
+    def close_period(self) -> None:
+        """Close the open coefficient period and open the next (the world's
+        clock calls this for every host, in order, every ``tracker.phi``)."""
         now = self.sim.now
         if self.subnet_tracker is not None:
-            moves = self.subnet_tracker.crossings_between(self._period_started_at, now)
+            moves = self.subnet_tracker.crossings_between(self.period_started_at, now)
             self.tracker.record_moves(moves)
-        self._period_started_at = now
+        self.period_started_at = now
         self.tracker.set_energy_fraction(self.battery.fraction)
         self.battery.idle(self.tracker.phi)
         self.tracker.close_period()

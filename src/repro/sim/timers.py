@@ -66,6 +66,8 @@ class PeriodicTimer(EventHandle):
     ) -> None:
         if not 0 < interval < math.inf:  # NaN fails too
             raise SimulationError(f"timer interval must be finite and > 0, got {interval!r}")
+        if start_offset is not None and not 0 <= start_offset < math.inf:
+            raise SimulationError(f"start_offset must be finite and >= 0, got {start_offset!r}")
         # Unarmed is fired: owned here, in no structure.  The tick method
         # is bound at start(), so an unstarted timer carries none.
         self.callback, self.args, self.cancelled, self.fired = None, (), False, True

@@ -14,6 +14,10 @@ The flood level batch (``Network._deliver_batch``) books every copy
 outside the strategy's declared audience without running its handler;
 :func:`unfiltered_deliver_batch` is the batch before audiences, every
 copy through ``_deliver`` and its handler.
+
+A world closes every host's coefficient period from one clock
+(``Simulation._close_periods``); :func:`arm_period_timer_per_host` is
+start-up arming with one period timer per host instead.
 """
 
 from __future__ import annotations
@@ -21,8 +25,10 @@ from __future__ import annotations
 from collections import Counter, deque
 from itertools import accumulate
 
+from repro.consistency.rpcc import RPCCStrategy
 from repro.net import soa
 from repro.net.topology import TopologyService
+from repro.sim.timers import PeriodicTimer
 
 
 # ----------------------------------------------------------------------
@@ -216,3 +222,26 @@ def unfiltered_deliver_batch(network, targets, message) -> None:
     """One flood level delivered copy by copy, each through its handler."""
     for target in targets:
         network._deliver(target, message)
+
+
+# ----------------------------------------------------------------------
+# Coefficient periods, one timer per host
+# ----------------------------------------------------------------------
+def arm_period_timer_per_host(simulation) -> None:
+    """``Simulation._arm`` with a period timer per host, armed in host
+    order where the world's one clock is armed."""
+    sim = simulation.sim
+    simulation.strategy.start()
+    simulation.update_workload.start()
+    simulation.query_workload.start()
+    for host in simulation.hosts.values():
+        PeriodicTimer(sim, host.tracker.phi, host.close_period).start()
+    for host in simulation.hosts.values():
+        host.period_started_at = sim.now
+        if host.switching is not None:
+            host.switching.start()
+    if isinstance(simulation.strategy, RPCCStrategy):
+        PeriodicTimer(sim, 60.0, simulation._sample_relays).start()
+    PeriodicTimer(sim, 60.0, simulation._sample_traffic).start()
+    if simulation.controller is not None:
+        simulation.controller.start()

@@ -266,8 +266,9 @@ class TestOneCore:
     selected them, the code no public path reached, the topology
     crossovers no benchmark row earned, the strategy and controller
     settings only tests set, the hand-built segment store, the config
-    fields no public path set, the replica protocol and the absolute-seconds
-    bench gate are gone from the tree, not just from ``src/``."""
+    fields no public path set, the replica protocol, the absolute-seconds
+    bench gate and the per-host period timer are gone from the tree, not
+    just from ``src/``."""
 
     #: Spelled in pieces so this file passes its own check.
     RETIRED = (
@@ -288,6 +289,7 @@ class TestOneCore:
         "config.remember_" + "relay", "immediate_update_" + "push", "eager_relay_" + "refresh",
         "run_" + "replicated", "summarize_" + "metric", "Metric" + "Stats", "experiments." + "stats",
         "make_" + "policy", "remove_" + "sink", "detach_" + "trace", "stop_period_" + "timer",
+        "start_period_" + "timer",
         "on_" + "expire", "re" + "charge(", ".spa" + "wn(", "ScenarioSpec.from_" + "json",
         "Simulator." + "step", "sim." + "step()",
         "_FULL_BFS_" + "CSR_MIN", "PAIR_LIST_" + "NAP", "_CSR_EDGE_" + "QUERY_SHARE",
@@ -315,6 +317,7 @@ class TestOneCore:
     EXEMPT += ("docs/decisions/04-sqlite-store.md",)
     EXEMPT += ("docs/decisions/06-earned-settings.md",)
     EXEMPT += ("docs/decisions/08-one-benchmark-of-record.md",)
+    EXEMPT += ("docs/decisions/09-one-period-clock.md",)
     EXEMPT += ("BENCHMARK.json",)  # the benchmark's declaration, read-only too
 
     def test_retired_names_appear_in_no_tracked_file(self):

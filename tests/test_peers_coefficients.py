@@ -33,6 +33,11 @@ class TestCoefficientTracker:
         with pytest.raises(ConfigurationError):
             CoefficientTracker(omega=1.0)
 
+    @pytest.mark.parametrize("phi", [float("nan"), float("inf")])
+    def test_non_finite_phi_rejected(self, phi):
+        with pytest.raises(ConfigurationError, match="phi"):
+            CoefficientTracker(phi=phi)
+
     def test_par_three_window_smoothing(self):
         # omega=0.2: PAR_t = PAR_{t-2}*0.05 + PAR_{t-1}*0.1 + rate*0.85
         tracker = CoefficientTracker(phi=100.0, omega=0.2)

@@ -14,6 +14,7 @@ from repro.mobility.terrain import Point
 from repro.peers.host import MobileHost
 from repro.peers.switching import SwitchingProcess
 from repro.sim.engine import Simulator
+from repro.sim.timers import PeriodicTimer
 
 
 class RecordingAgent:
@@ -162,7 +163,7 @@ class TestMobileHost:
         host = make_host(sim)
         agent = RecordingAgent()
         host.agent = agent
-        host.start_period_timer()
+        PeriodicTimer(sim, host.tracker.phi, host.close_period).start()
         sim.run_until(host.tracker.phi * 2)
         assert host.tracker.periods_closed == 2
         assert agent.events.count(("period",)) == 2
@@ -170,7 +171,7 @@ class TestMobileHost:
     def test_period_timer_updates_energy_fraction(self, sim):
         host = make_host(sim)
         host.battery.consume(host.battery.capacity / 2)
-        host.start_period_timer()
+        PeriodicTimer(sim, host.tracker.phi, host.close_period).start()
         sim.run_until(host.tracker.phi)
         assert host.tracker.ce == pytest.approx(0.5, abs=0.01)
 

@@ -51,6 +51,12 @@ class TestPeriodicTimer:
         with pytest.raises(SimulationError):
             PeriodicTimer(sim, interval, lambda: None)
 
+    @pytest.mark.parametrize("offset", [-1.0, float("nan"), float("inf")])
+    def test_bad_start_offset_rejected_at_construction(self, sim, offset):
+        # Not only at start(), with the engine's generic scheduling error.
+        with pytest.raises(SimulationError, match="start_offset"):
+            PeriodicTimer(sim, 1.0, lambda: None, start_offset=offset)
+
     def test_running_property(self, sim):
         timer = PeriodicTimer(sim, 1.0, lambda: None)
         assert not timer.running

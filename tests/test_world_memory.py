@@ -3,8 +3,9 @@
 A world is mostly per-host objects, so its memory is ``hosts x bytes per
 host`` and the second factor is a design property: one class that keeps
 an instance ``__dict__``, one closure or one empty ``set()`` per host
-moves it by hundreds of bytes, at 10 000 hosts by megabytes.  DESIGN.md
-("What a host costs") has the table by component; this file is its gate.
+moves it by hundreds of bytes, at 10 000 hosts by megabytes.
+``docs/decisions/09-one-period-clock.md`` ("What a host costs") has the
+table by component; this file is its gate.
 
 * ``test_bytes_per_host_within_budget`` builds a 2 000-host walk world
   under ``tracemalloc`` and holds the live bytes per host to the
@@ -21,25 +22,33 @@ moves it by hundreds of bytes, at 10 000 hosts by megabytes.  DESIGN.md
 * ``test_arming_allocates_no_handle_per_process`` arms a built world:
   every recurring process (timer, arrival stream, on/off switch) is its
   own heap event, so the heap holds no plain ``EventHandle``, and the
-  bytes arming allocates per host are held to their own budget.
+  bytes arming allocates per host are held to their own budget.  One
+  clock closes every host's coefficient period, so arming builds no
+  period timer per host.
+* ``test_host_bytes_names_still_exist`` keeps ``benchmarks/host_bytes.py``
+  from filing bytes by an identifier the code no longer has.
 
 The budgets are CPython 3.11 object sizes (the interpreter CI runs):
 what the tree measured when they were set (7 299 + 3 709 and
 3 139 + 3 242 bytes per host; the commit before read 13 878 and 10 997
 in total) plus 3 %.  The arming budget is likewise what arming measured
-when it was set (1 109 and 958 bytes per host; with a handle per armed
-process it read 1 419 and 1 191) plus 3 %.
+when it was set (743 and 594 bytes per host; with a period timer per
+host it read 1 109 and 958, with a handle per armed process too 1 419
+and 1 191) plus 3 %.
 """
 
 from __future__ import annotations
 
 import gc
+import pathlib
+import re
 import tracemalloc
 from collections import Counter
 
 import pytest
 
 from benchmarks.bench_scale import SPEC, scale_config
+from benchmarks.host_bytes import CALLABLE_NAMES
 from repro.cache.directory import _StoreBinding
 from repro.cache.item import CachedCopy, MasterCopy
 from repro.cache.replacement import (
@@ -86,8 +95,8 @@ BUDGET = {
 
 #: stable_fraction -> bytes per host that arming (``Simulation._arm``) allocates.
 ARM_BUDGET = {
-    0.1: 1_142,
-    0.9: 987,
+    0.1: 765,
+    0.9: 612,
 }
 
 #: Populous ``repro.*`` types that may keep an instance ``__dict__``.
@@ -192,8 +201,11 @@ def test_arming_allocates_no_handle_per_process(stable_fraction):
         tracemalloc.stop()
     kinds = Counter(type(event) for _, _, event in world.sim._heap)
     assert kinds[EventHandle] == 0, f"plain handles armed: {kinds[EventHandle]}"
-    # Query and period per host, TTN per source, a switch per mover.
-    assert kinds[PeriodicTimer] >= 2 * N_HOSTS
+    # A TTN timer per source, one coefficient clock for the whole world,
+    # a query stream per host, a switch per mover.
+    timers = [event for _, _, event in world.sim._heap if type(event) is PeriodicTimer]
+    assert sum(timer._callback == world._close_periods for timer in timers) == 1
+    assert sum(timer._callback.__name__ == "_on_ttn" for timer in timers) >= N_HOSTS
     assert kinds[ExponentialProcess] > N_HOSTS
     assert kinds[SwitchingProcess] > 0
     per_host = armed / N_HOSTS
@@ -201,3 +213,13 @@ def test_arming_allocates_no_handle_per_process(stable_fraction):
         f"arming allocates {per_host:.0f} B/host "
         f"(budget {ARM_BUDGET[stable_fraction]})"
     )
+
+
+def test_host_bytes_names_still_exist():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    text = "\n".join(path.read_text() for path in src.rglob("*.py"))
+    gone = [
+        name for name in CALLABLE_NAMES
+        if not re.search(rf"\b{re.escape(name)}\b", text)
+    ]
+    assert not gone, f"host_bytes.py files bytes by names src/ lacks: {gone}"
