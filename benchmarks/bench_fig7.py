@@ -1,21 +1,14 @@
 """Fig 7 — network traffic vs update interval / query interval / cache number.
 
-Each bench regenerates one panel's rows (all six strategy curves) and
-asserts the paper's qualitative shape: pull far above everything,
-RPCC-WC cheapest, RPCC-SC between pull and the push-like group.
+Each bench reads one panel's rows (all six strategy curves) from the
+session's campaign and asserts the paper's qualitative shape: pull far
+above everything, RPCC-WC cheapest, RPCC-SC between pull and the
+push-like group.
 """
 
-from repro.experiments.figures.fig7 import (
-    CACHE_NUMBERS,
-    QUERY_INTERVALS,
-    UPDATE_INTERVALS,
-    fig7a,
-    fig7b,
-    fig7c,
-)
-from repro.experiments.runner import STRATEGY_SPECS
+from repro.experiments.figures import PANELS
 
-from benchmarks.conftest import bench_config, cached_axis_sweep, print_figure
+from benchmarks.conftest import print_figure
 
 
 def _assert_fig7_shape(figure):
@@ -30,24 +23,18 @@ def _assert_fig7_shape(figure):
         assert wc < pull / 2, f"weak RPCC must be far below pull at x={x}"
 
 
-def test_fig7a(benchmark):
+def test_fig7a(benchmark, paper_campaign):
     """Traffic vs update interval (Fig 7a)."""
-    def run():
-        results = cached_axis_sweep("update_interval", UPDATE_INTERVALS)
-        return fig7a(bench_config(), STRATEGY_SPECS, UPDATE_INTERVALS, results)
-
-    figure = benchmark.pedantic(run, rounds=1, iterations=1)
+    figures, _ = paper_campaign
+    figure = benchmark.pedantic(figures.get, ("fig7a",), rounds=1, iterations=1)
     print_figure(figure)
     _assert_fig7_shape(figure)
 
 
-def test_fig7b(benchmark):
+def test_fig7b(benchmark, paper_campaign):
     """Traffic vs query (request) interval (Fig 7b)."""
-    def run():
-        results = cached_axis_sweep("query_interval", QUERY_INTERVALS)
-        return fig7b(bench_config(), STRATEGY_SPECS, QUERY_INTERVALS, results)
-
-    figure = benchmark.pedantic(run, rounds=1, iterations=1)
+    figures, _ = paper_campaign
+    figure = benchmark.pedantic(figures.get, ("fig7b",), rounds=1, iterations=1)
     print_figure(figure)
     _assert_fig7_shape(figure)
     # Longer query gaps save pull the most: its curve must fall steeply.
@@ -55,22 +42,19 @@ def test_fig7b(benchmark):
     assert pull[0] > 2 * pull[-1]
 
 
-def test_fig7c(benchmark):
+def test_fig7c(benchmark, paper_campaign):
     """Traffic vs cache number (Fig 7c)."""
-    def run():
-        results = cached_axis_sweep("cache_num", tuple(CACHE_NUMBERS))
-        return fig7c(bench_config(), STRATEGY_SPECS, CACHE_NUMBERS, results)
-
-    figure = benchmark.pedantic(run, rounds=1, iterations=1)
+    figures, results = paper_campaign
+    figure = benchmark.pedantic(figures.get, ("fig7c",), rounds=1, iterations=1)
     print_figure(figure)
     _assert_fig7_shape(figure)
     # The paper's Fig 7(c) discussion: more cache peers shift RPCC traffic
     # from the pull share towards the push share.
     from repro.experiments.analysis import rpcc_traffic_split
 
-    results = cached_axis_sweep("cache_num", tuple(CACHE_NUMBERS))
-    small = rpcc_traffic_split(results[("rpcc-sc", CACHE_NUMBERS[0])].summary)
-    large = rpcc_traffic_split(results[("rpcc-sc", CACHE_NUMBERS[-1])].summary)
+    CACHE_NUMBERS = PANELS["fig7c"].values
+    small = rpcc_traffic_split(results[("fig7c", "rpcc-sc", CACHE_NUMBERS[0])].summary)
+    large = rpcc_traffic_split(results[("fig7c", "rpcc-sc", CACHE_NUMBERS[-1])].summary)
     print()
     print(f"RPCC-SC push share: {small.push_share:.2f} (C_Num="
           f"{CACHE_NUMBERS[0]}) -> {large.push_share:.2f} "

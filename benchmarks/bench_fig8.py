@@ -1,19 +1,11 @@
 """Fig 8 — query latency (log scale) vs the same three sweeps as Fig 7.
 
-Reuses Fig 7's cached sweeps, extracting the latency column.  Shape: push
-sits near half its invalidation interval, far above pull and RPCC, which
-share the sub-ten-second regime; weak RPCC is effectively instant.
+Reads the latency column of the runs Fig 7 reads.  Shape: push sits near
+half its invalidation interval, far above pull and RPCC, which share the
+sub-ten-second regime; weak RPCC is effectively instant.
 """
 
-from repro.experiments.figures.fig7 import (
-    CACHE_NUMBERS,
-    QUERY_INTERVALS,
-    UPDATE_INTERVALS,
-)
-from repro.experiments.figures.fig8 import fig8a, fig8b, fig8c
-from repro.experiments.runner import STRATEGY_SPECS
-
-from benchmarks.conftest import bench_config, cached_axis_sweep, print_figure
+from benchmarks.conftest import print_figure
 
 
 def _assert_fig8_shape(figure):
@@ -27,34 +19,25 @@ def _assert_fig8_shape(figure):
         assert wc <= sc, f"weak RPCC can never be slower than strong at x={x}"
 
 
-def test_fig8a(benchmark):
+def test_fig8a(benchmark, paper_campaign):
     """Latency vs update interval (Fig 8a)."""
-    def run():
-        results = cached_axis_sweep("update_interval", UPDATE_INTERVALS)
-        return fig8a(bench_config(), STRATEGY_SPECS, UPDATE_INTERVALS, results)
-
-    figure = benchmark.pedantic(run, rounds=1, iterations=1)
+    figures, _ = paper_campaign
+    figure = benchmark.pedantic(figures.get, ("fig8a",), rounds=1, iterations=1)
     print_figure(figure)
     _assert_fig8_shape(figure)
 
 
-def test_fig8b(benchmark):
+def test_fig8b(benchmark, paper_campaign):
     """Latency vs query (request) interval (Fig 8b)."""
-    def run():
-        results = cached_axis_sweep("query_interval", QUERY_INTERVALS)
-        return fig8b(bench_config(), STRATEGY_SPECS, QUERY_INTERVALS, results)
-
-    figure = benchmark.pedantic(run, rounds=1, iterations=1)
+    figures, _ = paper_campaign
+    figure = benchmark.pedantic(figures.get, ("fig8b",), rounds=1, iterations=1)
     print_figure(figure)
     _assert_fig8_shape(figure)
 
 
-def test_fig8c(benchmark):
+def test_fig8c(benchmark, paper_campaign):
     """Latency vs cache number (Fig 8c)."""
-    def run():
-        results = cached_axis_sweep("cache_num", tuple(CACHE_NUMBERS))
-        return fig8c(bench_config(), STRATEGY_SPECS, CACHE_NUMBERS, results)
-
-    figure = benchmark.pedantic(run, rounds=1, iterations=1)
+    figures, _ = paper_campaign
+    figure = benchmark.pedantic(figures.get, ("fig8c",), rounds=1, iterations=1)
     print_figure(figure)
     _assert_fig8_shape(figure)

@@ -7,27 +7,13 @@ larger TTLs traffic falls far below pull while the relay count and the
 answered-without-delay fraction grow.
 """
 
-import pytest
-
-from repro.experiments.figures.fig9 import TTL_VALUES, fig9a, fig9b, run_fig9
-
-from benchmarks.conftest import bench_config, print_figure
-
-_PAYLOAD_CACHE = {}
+from benchmarks.conftest import print_figure
 
 
-def _payload():
-    if "payload" not in _PAYLOAD_CACHE:
-        _PAYLOAD_CACHE["payload"] = run_fig9(bench_config(), TTL_VALUES)
-    return _PAYLOAD_CACHE["payload"]
-
-
-def test_fig9a(benchmark):
+def test_fig9a(benchmark, paper_campaign):
     """Traffic vs invalidation TTL (Fig 9a)."""
-    def run():
-        return fig9a(bench_config(), TTL_VALUES, _payload())
-
-    figure = benchmark.pedantic(run, rounds=1, iterations=1)
+    figures, _ = paper_campaign
+    figure = benchmark.pedantic(figures.get, ("fig9a",), rounds=1, iterations=1)
     print_figure(figure)
     pull = figure.value("pull", 1.0)
     push = figure.value("push", 1.0)
@@ -45,12 +31,10 @@ def test_fig9a(benchmark):
     assert push < mid_ttl
 
 
-def test_fig9b(benchmark):
+def test_fig9b(benchmark, paper_campaign):
     """Latency vs invalidation TTL (Fig 9b)."""
-    def run():
-        return fig9b(bench_config(), TTL_VALUES, _payload())
-
-    figure = benchmark.pedantic(run, rounds=1, iterations=1)
+    figures, _ = paper_campaign
+    figure = benchmark.pedantic(figures.get, ("fig9b",), rounds=1, iterations=1)
     print_figure(figure)
     push = figure.value("push", 1.0)
     for ttl in figure.x_values:
@@ -59,11 +43,14 @@ def test_fig9b(benchmark):
     assert figure.value("rpcc-sc", 7.0) <= figure.value("rpcc-sc", 1.0) * 1.5
 
 
-def test_fig9_relay_population(benchmark):
+def test_fig9_relay_population(benchmark, paper_campaign):
     """The TTL's whole point: more hops heard -> more relay peers."""
-    payload = benchmark.pedantic(_payload, rounds=1, iterations=1)
-    rpcc = payload["rpcc"]
-    relays = {ttl: rpcc[ttl].mean_relay_count for ttl in (1, 3, 7)}
+    _, results = paper_campaign
+    relays = benchmark.pedantic(
+        lambda: {ttl: results[("fig9a", "rpcc-sc", ttl)].mean_relay_count
+                 for ttl in (1, 3, 7)},
+        rounds=1, iterations=1,
+    )
     print()
     print("mean relay count by TTL:", relays)
     assert relays[1] < relays[3] <= relays[7] * 1.2

@@ -6,22 +6,23 @@ a reduced (but still 50-peer) scale: a 10-minute warm-up followed by a
 (who wins, by roughly what factor) are asserted; absolute numbers are
 printed for comparison against EXPERIMENTS.md.
 
-Fig 7 and Fig 8 read different metrics of the same sweeps, so sweep
-results are cached per session and computed at most once.
+Every figure panel reads the one campaign of the session
+(:func:`paper_campaign`): Fig 7 and Fig 8 read different metrics of the
+same sweeps, and each point simulates once.
 """
 
 from __future__ import annotations
 
 import statistics
 import time
-from typing import Callable, Dict, Tuple
+from typing import Callable
 
 import pytest
 
 from repro.experiments.config import SimulationConfig
 from repro.experiments.executor import CampaignExecutor, env_jobs
-from repro.experiments.figures.base import run_axis_sweep
-from repro.experiments.runner import STRATEGY_SPECS, SimulationResult
+from repro.experiments.figures import PANELS, reproduce
+from repro.experiments.runner import SimulationResult
 
 
 def bench_config(**kwargs) -> SimulationConfig:
@@ -31,22 +32,19 @@ def bench_config(**kwargs) -> SimulationConfig:
     return SimulationConfig(**defaults)
 
 
-_SWEEP_CACHE: Dict[Tuple, Dict] = {}
-
-#: The executor behind every figure benchmark.  Serial and uncached by
-#: default so timings stay honest; export ``REPRO_BENCH_JOBS=N`` to fan
-#: the sweeps out on a multicore box (results are bit-identical).
+#: The executor behind the figure campaign.  Serial and store-less by
+#: default; export ``REPRO_BENCH_JOBS=N`` to fan the runs out on a
+#: multicore box (results are bit-identical).
 _BENCH_EXECUTOR = CampaignExecutor(jobs=env_jobs("REPRO_BENCH_JOBS"))
 
 
-def cached_axis_sweep(axis: str, values: tuple, specs: tuple = STRATEGY_SPECS):
-    """Run (or reuse) the sweep shared by the Fig 7 / Fig 8 panels."""
-    key = (axis, values, specs)
-    if key not in _SWEEP_CACHE:
-        _SWEEP_CACHE[key] = run_axis_sweep(
-            bench_config(), axis, values, specs, executor=_BENCH_EXECUTOR
-        )
-    return _SWEEP_CACHE[key]
+@pytest.fixture(scope="session")
+def paper_campaign():
+    """Every panel of the evaluation from one batch: the ``(figures,
+    results)`` of :func:`repro.experiments.figures.reproduce`.  Each
+    figure bench reads its panel under ``benchmark``, which keeps it in
+    ``--benchmark-only`` runs."""
+    return reproduce(tuple(PANELS), bench_config(), _BENCH_EXECUTOR)
 
 
 def paired_ratio(base: Callable[[], object], arm: Callable[[], object],

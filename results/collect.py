@@ -10,10 +10,7 @@ from pathlib import Path
 from repro.experiments import (
     CampaignExecutor, ResultStore, SimulationConfig, env_jobs,
 )
-from repro.experiments.figures.base import run_axis_sweep
-from repro.experiments.figures.fig7 import UPDATE_INTERVALS, QUERY_INTERVALS, CACHE_NUMBERS
-from repro.experiments.figures.fig9 import run_fig9
-from repro.experiments.runner import STRATEGY_SPECS
+from repro.experiments.figures import PANELS, reproduce
 
 RESULTS = Path(__file__).resolve().parent
 
@@ -33,24 +30,23 @@ def pack(result):
         "relays": result.mean_relay_count,
     }
 
-for axis, values, key in (
-    ("update_interval", UPDATE_INTERVALS, "fig7a"),
-    ("query_interval", QUERY_INTERVALS, "fig7b"),
-    ("cache_num", tuple(CACHE_NUMBERS), "fig7c"),
-):
-    results = run_axis_sweep(config, axis, values, STRATEGY_SPECS, executor=executor)
+_, results = reproduce(("fig7a", "fig7b", "fig7c"), config, executor)
+for key in ("fig7a", "fig7b", "fig7c"):
+    panel = PANELS[key]
     out[key] = {
-        f"{spec}@{value}": pack(result) for (spec, value), result in results.items()
+        f"{spec}@{value}": pack(results[(key, spec, value)])
+        for value in panel.values for spec in panel.specs
     }
-    print(f"{key} done at {time.time()-t0:.0f}s", flush=True)
+print(f"fig7 done at {time.time()-t0:.0f}s", flush=True)
 
 fig9_runs = {}
 for seed in (1, 2, 3):
-    payload = run_fig9(config.with_overrides(seed=seed), executor=executor)
+    _, results = reproduce(("fig9a",), config.with_overrides(seed=seed), executor)
     fig9_runs[seed] = {
-        **{f"rpcc@{ttl}": pack(result) for ttl, result in payload["rpcc"].items()},
-        "push": pack(payload["push"]),
-        "pull": pack(payload["pull"]),
+        **{f"rpcc@{int(ttl)}": pack(results[("fig9a", "rpcc-sc", ttl)])
+           for ttl in PANELS["fig9a"].values},
+        "push": pack(results[("fig9a", "push", None)]),
+        "pull": pack(results[("fig9a", "pull", None)]),
     }
     print(f"fig9 seed {seed} done at {time.time()-t0:.0f}s", flush=True)
 out["fig9"] = fig9_runs

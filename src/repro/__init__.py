@@ -21,8 +21,8 @@ on a laptop:
   (``rpcc-controlled-sc``, ``push-uir``, ...) next to the stock ones;
 * :mod:`repro.workload`, :mod:`repro.metrics` — load generation and
   measurement;
-* :mod:`repro.experiments` — Table 1 configuration and one module per
-  figure of the evaluation section;
+* :mod:`repro.experiments` — Table 1 configuration and the evaluation
+  section's eight figure panels as one table;
 * :mod:`repro.control` — the run-time adaptation direction.
 
 Quickstart::

@@ -34,36 +34,16 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import SimulationConfig
 from repro.experiments.executor import CampaignExecutor
 from repro.experiments.store import DEFAULT_STORE_DIR, ResultStore
-from repro.experiments.figures import (
-    CACHE_NUMBERS,
-    QUERY_INTERVALS,
-    TTL_VALUES,
-    UPDATE_INTERVALS,
-    fig7a,
-    fig7b,
-    fig7c,
-    fig8a,
-    fig8b,
-    fig8c,
-    fig9a,
-    fig9b,
-    run_fig9,
-)
-from repro.experiments.figures.base import run_axis_sweep
+from repro.experiments.figures import PANELS, reproduce
 from repro.experiments.runner import PLACEMENT_SCENARIOS, STRATEGY_SPECS
 from repro.metrics.report import format_summary, format_table
 from repro.scenarios.registry import parse_spec, strategy_specs
 
 __all__ = ["main", "build_parser"]
 
-_FIGURES = {
-    "fig7a": ("update_interval", UPDATE_INTERVALS, fig7a, False),
-    "fig7b": ("query_interval", QUERY_INTERVALS, fig7b, False),
-    "fig7c": ("cache_num", tuple(CACHE_NUMBERS), fig7c, False),
-    "fig8a": ("update_interval", UPDATE_INTERVALS, fig8a, True),
-    "fig8b": ("query_interval", QUERY_INTERVALS, fig8b, True),
-    "fig8c": ("cache_num", tuple(CACHE_NUMBERS), fig8c, True),
-}
+#: The panels the ``fig9`` command prints together (one TTL sweep); every
+#: other panel is a command of its own.
+_FIG9 = ("fig9a", "fig9b")
 
 
 _SPEC_HELP = "strategy spec, e.g. rpcc-sc ('repro list' prints them all)"
@@ -165,7 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table1", help="print Table 1")
     sub.add_parser("compare", help="all six strategies at Table-1 defaults")
 
-    for name in _FIGURES:
+    for name in PANELS:
+        if name in _FIG9:
+            continue
         figure_parser = sub.add_parser(name, help=f"reproduce {name}")
         figure_parser.add_argument("--plot", action="store_true",
                                    help="ASCII chart alongside the table")
@@ -176,8 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig9_parser.add_argument("--plot", action="store_true")
     fig9_parser.add_argument("--csv", metavar="PREFIX",
                              help="write <PREFIX>a.csv and <PREFIX>b.csv")
-    fig9_parser.add_argument("--ttls", type=int, nargs="+",
-                             default=list(TTL_VALUES))
+    fig9_parser.add_argument("--ttls", type=int, nargs="+")
 
     all_parser = sub.add_parser(
         "all", help="regenerate every figure and write CSVs to a directory"
@@ -434,67 +415,42 @@ def _command_compare(args: argparse.Namespace, executor: CampaignExecutor) -> No
     ))
 
 
-def _command_figure(args: argparse.Namespace, executor: CampaignExecutor) -> None:
-    axis, values, builder, log_y = _FIGURES[args.command]
-    config = _config(args)
-    results = run_axis_sweep(config, axis, values, STRATEGY_SPECS, executor=executor)
-    figure = builder(config, STRATEGY_SPECS, values, results)
-    print(figure.format())
-    if args.plot:
-        print()
-        print(figure.plot(log_y=log_y))
-    if args.csv:
-        figure.save_csv(args.csv)
-        print(f"wrote {args.csv}")
-
-
-def _command_fig9(args: argparse.Namespace, executor: CampaignExecutor) -> None:
-    payload = run_fig9(_config(args), tuple(args.ttls), executor=executor)
-    for builder, log_y, suffix in ((fig9a, False, "a"), (fig9b, True, "b")):
-        figure = builder(_config(args), tuple(args.ttls), payload)
-        print(figure.format())
-        if args.plot:
-            print()
-            print(figure.plot(log_y=log_y))
-        if args.csv:
-            target = f"{args.csv}{suffix}.csv"
-            figure.save_csv(target)
-            print(f"wrote {target}")
-        print()
-
-
-def _command_all(args: argparse.Namespace, executor: CampaignExecutor) -> None:
+def _command_figures(args: argparse.Namespace, executor: CampaignExecutor) -> None:
+    """``fig7a``…``fig8c``, ``fig9`` and ``all``: one batch each."""
     import os
 
-    os.makedirs(args.out, exist_ok=True)
-    config = _config(args)
-    # Fig 7 and Fig 8 read different columns of the same sweeps: run each
-    # sweep once and extract twice.
-    sweeps = {
-        "update_interval": UPDATE_INTERVALS,
-        "query_interval": QUERY_INTERVALS,
-        "cache_num": tuple(CACHE_NUMBERS),
-    }
-    cached = {
-        axis: run_axis_sweep(config, axis, values, STRATEGY_SPECS, executor=executor)
-        for axis, values in sweeps.items()
-    }
-    for name, (axis, values, builder, _) in _FIGURES.items():
-        figure = builder(config, STRATEGY_SPECS, values, cached[axis])
+    values = None
+    if args.command == "all":
+        names = tuple(PANELS)
+        os.makedirs(args.out, exist_ok=True)
+    elif args.command == "fig9":
+        names = _FIG9
+        if args.ttls is not None:
+            values = [float(ttl) for ttl in args.ttls]
+    else:
+        names = (args.command,)
+    figures, _ = reproduce(names, _config(args), executor, values)
+    for name in names:
+        figure, panel = figures[name], PANELS[name]
         print(figure.format())
-        print()
-        target = os.path.join(args.out, f"{name}.csv")
-        figure.save_csv(target)
-        print(f"wrote {target}")
-        print()
-    payload = run_fig9(config, TTL_VALUES, executor=executor)
-    for builder, suffix in ((fig9a, "fig9a"), (fig9b, "fig9b")):
-        figure = builder(config, TTL_VALUES, payload)
-        print(figure.format())
-        target = os.path.join(args.out, f"{suffix}.csv")
-        figure.save_csv(target)
-        print(f"wrote {target}")
-        print()
+        if getattr(args, "plot", False):
+            print()
+            print(figure.plot(log_y=panel.log_y))
+        if args.command == "all":
+            # The listing's layout: a blank line parts a sweep panel's
+            # table from its "wrote" line, none parts a Fig 9 one.
+            if not panel.references:
+                print()
+            target = os.path.join(args.out, f"{name}.csv")
+        elif args.command == "fig9":
+            target = args.csv and f"{args.csv}{name[-1]}.csv"
+        else:
+            target = args.csv
+        if target:
+            figure.save_csv(target)
+            print(f"wrote {target}")
+        if len(names) > 1:
+            print()
 
 
 def _command_matrix(args: argparse.Namespace, executor: CampaignExecutor) -> int:
@@ -592,14 +548,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         _command_run(args, executor)
     elif args.command == "compare":
         _command_compare(args, executor)
-    elif args.command == "fig9":
-        _command_fig9(args, executor)
     elif args.command == "matrix":
         code = _command_matrix(args, executor)
-    elif args.command == "all":
-        _command_all(args, executor)
     else:
-        _command_figure(args, executor)
+        _command_figures(args, executor)
     _report_store(executor)
     return code
 

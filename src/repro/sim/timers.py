@@ -48,14 +48,15 @@ class PeriodicTimer(EventHandle):
         The simulator providing the clock.
     interval:
         Period in seconds; must be positive and finite.  May be changed
-        between ticks via :attr:`interval`.
+        between ticks via :attr:`interval`, which checks the new value
+        when it is assigned.
     callback:
         Zero-argument callable invoked on every tick.
     start_offset:
         Delay before the first tick.  Defaults to one full ``interval``.
     """
 
-    __slots__ = ("_sim", "interval", "_callback", "_start_offset", "ticks")
+    __slots__ = ("_sim", "_interval", "_callback", "_start_offset", "ticks")
 
     def __init__(
         self,
@@ -64,8 +65,7 @@ class PeriodicTimer(EventHandle):
         callback: Callable[[], Any],
         start_offset: Optional[float] = None,
     ) -> None:
-        if not 0 < interval < math.inf:  # NaN fails too
-            raise SimulationError(f"timer interval must be finite and > 0, got {interval!r}")
+        self.interval = interval
         if start_offset is not None and not 0 <= start_offset < math.inf:
             raise SimulationError(f"start_offset must be finite and >= 0, got {start_offset!r}")
         # Unarmed is fired: owned here, in no structure.  The tick method
@@ -73,11 +73,21 @@ class PeriodicTimer(EventHandle):
         self.callback, self.args, self.cancelled, self.fired = None, (), False, True
         self._on_cancel = sim._cancel_hook
         self._sim = sim
-        self.interval = float(interval)
         self._callback = callback
         self._start_offset = interval if start_offset is None else float(start_offset)
         #: Number of times the callback has fired.
         self.ticks = 0
+
+    @property
+    def interval(self) -> float:
+        """Seconds between ticks; a new value applies from the next re-arm."""
+        return self._interval
+
+    @interval.setter
+    def interval(self, value: float) -> None:
+        if not 0 < value < math.inf:  # NaN fails too
+            raise SimulationError(f"timer interval must be finite and > 0, got {value!r}")
+        self._interval = float(value)
 
     @property
     def running(self) -> bool:
@@ -94,7 +104,7 @@ class PeriodicTimer(EventHandle):
     def _fire(self) -> None:
         self.ticks += 1
         # Re-arm in place: one heap push per tick, no new EventHandle.
-        self._sim.reschedule(self, self.interval)
+        self._sim.reschedule(self, self._interval)
         self._callback()
 
 

@@ -22,7 +22,7 @@ from repro.experiments.executor import (
     CampaignRunError,
     run_key,
 )
-from repro.experiments.figures.base import run_axis_sweep
+from repro.experiments.figures import reproduce
 from repro.experiments.store import ResultStore
 
 REPO = Path(__file__).resolve().parent.parent
@@ -139,30 +139,29 @@ class TestShardedCampaign:
 
     def test_sharded_sweep_figure_data_identical(self, tmp_path):
         config = tiny_config()
-        serial = run_axis_sweep(
-            config, "cache_num", (2, 4), ("push", "rpcc-sc"),
-            executor=CampaignExecutor(),
+        serial_figures, serial = reproduce(
+            ("fig7c",), config, CampaignExecutor(), values=(2, 4)
         )
         pooled_executor = CampaignExecutor(
             jobs=2, store=ResultStore(tmp_path / "st")
         )
-        pooled = run_axis_sweep(
-            config, "cache_num", (2, 4), ("push", "rpcc-sc"),
-            executor=pooled_executor,
+        pooled_figures, pooled = reproduce(
+            ("fig7c",), config, pooled_executor, values=(2, 4)
         )
         assert set(serial) == set(pooled)
         for point in serial:
             assert serial[point].summary == pooled[point].summary
+        assert pooled_figures["fig7c"].to_csv() == serial_figures["fig7c"].to_csv()
 
         # And a resumed rerun of the same sweep re-reads, not re-runs.
         resumed_executor = CampaignExecutor(store=ResultStore(tmp_path / "st"))
-        resumed = run_axis_sweep(
-            config, "cache_num", (2, 4), ("push", "rpcc-sc"),
-            executor=resumed_executor,
+        resumed_figures, resumed = reproduce(
+            ("fig7c",), config, resumed_executor, values=(2, 4)
         )
         assert resumed_executor.runs_executed == 0
         for point in serial:
             assert serial[point].summary == resumed[point].summary
+        assert resumed_figures["fig7c"].to_csv() == serial_figures["fig7c"].to_csv()
 
     def test_sharded_failure_commits_completed_shard_work(self, tmp_path):
         """Whatever a failing campaign finished is in the store, and the

@@ -306,6 +306,7 @@ class TestOneCore:
         "fetch_" + "timeout", "retry_" + "backoff", "backoff_" + "cap", "backoff_" + "jitter",
         "Gossip" + "Replication", "Replicated" + "Register", "repro." + "extensions",
         "run_" + "bench", "profile_" + "diff",
+        "run_axis" + "_sweep", "run_" + "fig9", "extract" + "_series", "cached_axis" + "_sweep",
         *("BENCH_" + suite for suite in (
             "kernel", "engine", "sweep", "trace", "faults", "scale", "campaign",
             "control",
@@ -404,7 +405,7 @@ class TestEarnedSettings:
     #: and the benchmark workloads.
     PUBLIC = (
         "src/repro/scenarios/catalog.py", "src/repro/scenarios/matrix.py",
-        "src/repro/cli.py", "src/repro/experiments/figures/*.py",
+        "src/repro/cli.py", "src/repro/experiments/figures.py",
         "examples/*.py", "examples/matrix/*.toml", "benchmarks/e2e/workloads.py",
     )
 

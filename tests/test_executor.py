@@ -26,7 +26,7 @@ from repro.experiments.executor import (
     env_jobs,
     run_key,
 )
-from repro.experiments.figures.base import run_axis_sweep
+from repro.experiments.figures import reproduce
 from repro.experiments.runner import STRATEGY_SPECS, run_simulation
 from repro.experiments.store import STORE_FORMAT_VERSION, ResultStore
 from repro.faults.plan import FaultPlan
@@ -231,11 +231,14 @@ class TestExecutorSemantics:
 class TestAxisSweepDedup:
     def test_duplicate_axis_values_run_once(self):
         executor = CampaignExecutor()
-        results = run_axis_sweep(
-            tiny_config(), "cache_num", (2, 2, 4), ("push",), executor=executor
+        figures, results = reproduce(
+            ("fig7c",), tiny_config(), executor, values=(2, 2, 4)
         )
-        assert executor.runs_executed == 2
-        assert set(results) == {("push", 2), ("push", 4)}
+        assert executor.runs_executed == 2 * len(STRATEGY_SPECS)
+        assert set(results) == {
+            ("fig7c", spec, x) for spec in STRATEGY_SPECS for x in (2, 4)
+        }
+        assert figures["fig7c"].x_values == [2, 2, 4]
 
 
 class TestEnvJobs:

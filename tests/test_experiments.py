@@ -15,7 +15,8 @@ import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.config import TABLE1_ROWS, SimulationConfig
-from repro.experiments.figures.base import FigureData, extract_series, run_axis_sweep
+from repro.experiments.executor import CampaignExecutor
+from repro.experiments.figures import PANELS, FigureData, reproduce
 from repro.experiments.runner import (
     STRATEGY_SPECS,
     _gc_quiet,
@@ -448,27 +449,56 @@ class TestRunSimulation:
         assert result.summary.violation_ratio == 0.0
 
 
-class TestSweeps:
-    def test_run_axis_sweep_shape(self):
-        results = run_axis_sweep(
-            tiny_config(sim_time=200.0), "cache_num", (2, 4), ("push", "pull")
+class TestReproduce:
+    def test_points_cover_every_spec_and_value(self):
+        figures, results = reproduce(
+            ("fig7c",), tiny_config(sim_time=200.0), values=(2, 4)
         )
         assert set(results) == {
-            ("push", 2), ("push", 4), ("pull", 2), ("pull", 4),
+            ("fig7c", spec, x) for spec in STRATEGY_SPECS for x in (2, 4)
         }
+        figure = figures["fig7c"]
+        assert figure.x_values == [2, 4]
+        assert list(figure.series) == list(STRATEGY_SPECS)
+        assert figure.series["push"] == [
+            float(results[("fig7c", "push", x)].summary.transmissions)
+            for x in (2, 4)
+        ]
 
-    def test_unknown_axis_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_axis_sweep(tiny_config(), "seed", (1, 2), ("push",))
+    def test_references_run_once_and_plot_flat(self):
+        executor = CampaignExecutor()
+        figures, results = reproduce(
+            ("fig9a", "fig9b"), tiny_config(sim_time=200.0), executor,
+            values=(1.0, 3.0),
+        )
+        # Two TTLs for rpcc-sc plus push and pull, shared by both panels.
+        assert executor.runs_executed == 4
+        assert results[("fig9a", "push", None)] is results[("fig9b", "push", None)]
+        traffic = figures["fig9a"]
+        assert list(traffic.series) == ["rpcc-sc", "push", "pull"]
+        assert traffic.series["pull"] == [traffic.series["pull"][0]] * 2
+        assert traffic.x_values == [1.0, 3.0]
 
-    def test_extract_series(self):
-        results = run_axis_sweep(
-            tiny_config(sim_time=200.0), "cache_num", (2, 4), ("push",)
+    def test_fig7_and_fig8_read_the_same_runs(self):
+        executor = CampaignExecutor()
+        figures, _ = reproduce(
+            ("fig7a", "fig8a"), tiny_config(sim_time=200.0), executor,
+            values=(60.0,),
         )
-        series = extract_series(
-            results, ("push",), (2, 4), lambda r: float(r.summary.transmissions)
-        )
-        assert len(series["push"]) == 2
+        assert executor.runs_executed == len(STRATEGY_SPECS)
+        assert figures["fig8a"].y_label == "mean hit latency (s)"
+
+    def test_unknown_panel_rejected(self):
+        with pytest.raises(ConfigurationError, match="fig10"):
+            reproduce(("fig7a", "fig10"), tiny_config())
+
+    def test_panels_are_the_papers_eight(self):
+        assert list(PANELS) == [
+            "fig7a", "fig7b", "fig7c", "fig8a", "fig8b", "fig8c", "fig9a", "fig9b",
+        ]
+        assert [PANELS[name].log_y for name in PANELS] == [
+            False, False, False, True, True, True, False, True,
+        ]
 
 
 class TestFigureData:

@@ -51,6 +51,24 @@ class TestPeriodicTimer:
         with pytest.raises(SimulationError):
             PeriodicTimer(sim, interval, lambda: None)
 
+    @pytest.mark.parametrize("interval", [0.0, -2.0, float("nan"), float("inf")])
+    def test_bad_interval_rejected_at_assignment(self, sim, interval):
+        # Not at the next tick, with the engine's generic scheduling error.
+        ticks = []
+        timer = PeriodicTimer(sim, 10.0, lambda: ticks.append(sim.now))
+        timer.start()
+        sim.run_until(10.0)
+        with pytest.raises(SimulationError, match="interval"):
+            timer.interval = interval
+        assert timer.interval == 10.0
+        sim.run_until(30.0)
+        assert ticks == [10.0, 20.0, 30.0]
+
+    def test_interval_assignment_stores_a_float(self, sim):
+        timer = PeriodicTimer(sim, 10, lambda: None)
+        timer.interval = 4
+        assert timer.interval == 4.0 and type(timer.interval) is float
+
     @pytest.mark.parametrize("offset", [-1.0, float("nan"), float("inf")])
     def test_bad_start_offset_rejected_at_construction(self, sim, offset):
         # Not only at start(), with the engine's generic scheduling error.

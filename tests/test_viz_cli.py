@@ -60,7 +60,7 @@ class TestAsciiChart:
             ascii_chart([1.0], {"s": [1.0]}, width=5)
 
     def test_figure_plot_integration(self):
-        from repro.experiments.figures.base import FigureData
+        from repro.experiments.figures import FigureData
 
         figure = FigureData(
             figure_id="Fig T",
