@@ -1,10 +1,10 @@
-"""Shared benchmark infrastructure.
+"""Shared benchmark fixtures.
 
-Benchmarks regenerate every table and figure of the paper's evaluation at
-a reduced (but still 50-peer) scale: a 10-minute warm-up followed by a
-15-minute measured window instead of the paper's 5 hours.  The *shapes*
-(who wins, by roughly what factor) are asserted; absolute numbers are
-printed for comparison against EXPERIMENTS.md.
+``bench_figures.py`` regenerates every figure of the paper's evaluation
+at a reduced (but still 50-peer) scale: a 10-minute warm-up followed by
+a 15-minute measured window instead of the paper's 5 hours.  The
+*shapes* (who wins, by roughly what factor) are asserted; absolute
+numbers are printed for comparison against EXPERIMENTS.md.
 
 Every figure panel reads the one campaign of the session
 (:func:`paper_campaign`): Fig 7 and Fig 8 read different metrics of the
@@ -22,7 +22,6 @@ import pytest
 from repro.experiments.config import SimulationConfig
 from repro.experiments.executor import CampaignExecutor, env_jobs
 from repro.experiments.figures import PANELS, reproduce
-from repro.experiments.runner import SimulationResult
 
 
 def bench_config(**kwargs) -> SimulationConfig:
@@ -41,9 +40,7 @@ _BENCH_EXECUTOR = CampaignExecutor(jobs=env_jobs("REPRO_BENCH_JOBS"))
 @pytest.fixture(scope="session")
 def paper_campaign():
     """Every panel of the evaluation from one batch: the ``(figures,
-    results)`` of :func:`repro.experiments.figures.reproduce`.  Each
-    figure bench reads its panel under ``benchmark``, which keeps it in
-    ``--benchmark-only`` runs."""
+    results)`` of :func:`repro.experiments.figures.reproduce`."""
     return reproduce(tuple(PANELS), bench_config(), _BENCH_EXECUTOR)
 
 
@@ -67,25 +64,3 @@ def paired_ratio(base: Callable[[], object], arm: Callable[[], object],
             seconds[run] = time.perf_counter() - started
         ratios.append(seconds[arm] / seconds[base])
     return statistics.median(ratios)
-
-
-@pytest.fixture
-def quick_config() -> SimulationConfig:
-    """A very small config for micro/ablation benchmarks."""
-    return bench_config(n_peers=30, sim_time=600.0, warmup=300.0)
-
-
-def print_figure(figure) -> None:
-    """Emit a reproduced figure under the benchmark output."""
-    print()
-    print(figure.format())
-
-
-def traffic(result: SimulationResult) -> int:
-    """Shorthand: hop transmissions of a run."""
-    return result.summary.transmissions
-
-
-def latency(result: SimulationResult) -> float:
-    """Shorthand: mean answered latency of a run."""
-    return result.summary.mean_latency

@@ -95,9 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("spec", type=_spec, help=_SPEC_HELP)
     run_parser.add_argument("--scenario", default="standard",
                             choices=PLACEMENT_SCENARIOS)
-    run_parser.add_argument("--trace", metavar="PATH",
-                            help="also record a JSONL event trace to PATH "
-                            "(bypasses the result store)")
     run_parser.add_argument("--profile", metavar="OUT.pstats",
                             help="run under cProfile and write pstats data "
                             "to this path (bypasses the result store)")
@@ -232,7 +229,7 @@ def _executor(args: argparse.Namespace) -> CampaignExecutor:
 
 def _report_store(executor: CampaignExecutor) -> None:
     store = executor.store
-    # Silent when the executor was bypassed (--trace, --profile, ...).
+    # Silent when the executor was bypassed (--profile, --check-invariants).
     if store is not None and (executor.store_hits or executor.runs_executed):
         stats = store.stats
         print(f"store: {executor.store_hits} served, "
@@ -241,22 +238,17 @@ def _report_store(executor: CampaignExecutor) -> None:
               f"{executor.runs_executed} runs simulated")
 
 
-def _command_run(args: argparse.Namespace, executor: CampaignExecutor) -> None:
+def _command_run(
+    args: argparse.Namespace, config: SimulationConfig, executor: CampaignExecutor
+) -> None:
     if getattr(args, "profile", None):
         result = _run_profiled(
-            _config(args), args.spec, args.scenario, args.profile,
+            config, args.spec, args.scenario, args.profile,
             sort=getattr(args, "profile_sort", "cumulative"),
         )
         print(f"profile: pstats data -> {args.profile}")
-    elif getattr(args, "trace", None):
-        # A traced run is never store-served: the store holds metrics,
-        # not event streams, and a hit would leave the trace file empty.
-        result, events_written = _run_traced(
-            _config(args), args.spec, args.scenario, args.trace
-        )
-        print(f"trace: {events_written} events -> {args.trace}")
     else:
-        result = executor.run_one(_config(args), args.spec, args.scenario)
+        result = executor.run_one(config, args.spec, args.scenario)
     print(format_summary(result.summary, title=f"{args.spec} ({args.scenario})"))
     if result.relay_samples:
         print(f"\nmean relay population: {result.mean_relay_count:.1f}")
@@ -367,11 +359,10 @@ def _run_traced(config: SimulationConfig, spec: str, scenario: str, out_path: st
     return result, sink.events_written
 
 
-def _command_trace(args: argparse.Namespace) -> int:
+def _command_trace(args: argparse.Namespace, config: SimulationConfig) -> int:
     from repro.obs import InvariantChecker
     from repro.obs.events import iter_jsonl
 
-    config = _config(args)
     result, events_written = _run_traced(config, args.spec, args.scenario, args.out)
     print(format_summary(result.summary, title=f"{args.spec} ({args.scenario})"))
     print(f"\ntrace: {events_written} events -> {args.out}")
@@ -389,14 +380,13 @@ def _command_trace(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _command_table1(args: argparse.Namespace) -> None:
-    rows = _config(args).table1_rows()
+def _command_table1(config: SimulationConfig) -> None:
+    rows = config.table1_rows()
     print(format_table(("Parameter", "Description", "Value"), rows,
                        title="Table 1. Simulation Parameters"))
 
 
-def _command_compare(args: argparse.Namespace, executor: CampaignExecutor) -> None:
-    config = _config(args)
+def _command_compare(config: SimulationConfig, executor: CampaignExecutor) -> None:
     results = executor.run_many([(config, spec, "standard") for spec in STRATEGY_SPECS])
     rows = []
     for spec, result in zip(STRATEGY_SPECS, results):
@@ -415,7 +405,9 @@ def _command_compare(args: argparse.Namespace, executor: CampaignExecutor) -> No
     ))
 
 
-def _command_figures(args: argparse.Namespace, executor: CampaignExecutor) -> None:
+def _command_figures(
+    args: argparse.Namespace, config: SimulationConfig, executor: CampaignExecutor
+) -> None:
     """``fig7a``…``fig8c``, ``fig9`` and ``all``: one batch each."""
     import os
 
@@ -429,7 +421,7 @@ def _command_figures(args: argparse.Namespace, executor: CampaignExecutor) -> No
             values = [float(ttl) for ttl in args.ttls]
     else:
         names = (args.command,)
-    figures, _ = reproduce(names, _config(args), executor, values)
+    figures, _ = reproduce(names, config, executor, values)
     for name in names:
         figure, panel = figures[name], PANELS[name]
         print(figure.format())
@@ -453,7 +445,9 @@ def _command_figures(args: argparse.Namespace, executor: CampaignExecutor) -> No
             print()
 
 
-def _command_matrix(args: argparse.Namespace, executor: CampaignExecutor) -> int:
+def _command_matrix(
+    args: argparse.Namespace, config: SimulationConfig, executor: CampaignExecutor
+) -> int:
     from repro.scenarios.matrix import (
         AGGREGATE_COLUMNS,
         aggregate_matrix,
@@ -463,7 +457,7 @@ def _command_matrix(args: argparse.Namespace, executor: CampaignExecutor) -> int
     )
 
     matrix = load_matrix(args.file)
-    points = expand_matrix(matrix, base_config=_config(args))
+    points = expand_matrix(matrix, base_config=config)
     print(f"matrix {args.file}: {matrix.cells} cells, "
           f"{len(points)} unique points")
     violations = 0
@@ -533,25 +527,32 @@ def _command_list() -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
-    if args.command == "table1":
-        _command_table1(args)
-        return 0
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "list":
         _command_list()
         return 0
+    try:
+        config = _config(args)
+        for ttl in getattr(args, "ttls", None) or ():  # every Fig 9 point, before any runs
+            config.with_overrides(ttl_rpcc=ttl)
+    except ConfigurationError as error:
+        parser.error(str(error))
+    if args.command == "table1":
+        _command_table1(config)
+        return 0
     if args.command == "trace":
-        return _command_trace(args)
+        return _command_trace(args, config)
     executor = _executor(args)
     code = 0
     if args.command == "run":
-        _command_run(args, executor)
+        _command_run(args, config, executor)
     elif args.command == "compare":
-        _command_compare(args, executor)
+        _command_compare(config, executor)
     elif args.command == "matrix":
-        code = _command_matrix(args, executor)
+        code = _command_matrix(args, config, executor)
     else:
-        _command_figures(args, executor)
+        _command_figures(args, config, executor)
     _report_store(executor)
     return code
 

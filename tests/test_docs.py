@@ -8,6 +8,7 @@ breaks the build.
 import ast
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 
@@ -267,8 +268,9 @@ class TestOneCore:
     crossovers no benchmark row earned, the strategy and controller
     settings only tests set, the hand-built segment store, the config
     fields no public path set, the replica protocol, the absolute-seconds
-    bench gate and the per-host period timer are gone from the tree, not
-    just from ``src/``."""
+    bench gate, the per-host period timer, §2's infrastructure baseline
+    and the benches nothing ran are gone from the tree, not just from
+    ``src/``."""
 
     #: Spelled in pieces so this file passes its own check.
     RETIRED = (
@@ -307,6 +309,12 @@ class TestOneCore:
         "Gossip" + "Replication", "Replicated" + "Register", "repro." + "extensions",
         "run_" + "bench", "profile_" + "diff",
         "run_axis" + "_sweep", "run_" + "fig9", "extract" + "_series", "cached_axis" + "_sweep",
+        "repro." + "infrastructure", "Timestamp" + "Scheme", "MSS" + "Cell",
+        "pytest-" + "benchmark", "--benchmark" + "-only",
+        *("bench_" + stem for stem in (
+            "infrastructure", "table1", "ablations", "extensions", "energy",
+            "fig7", "fig8", "fig9",
+        )),
         *("BENCH_" + suite for suite in (
             "kernel", "engine", "sweep", "trace", "faults", "scale", "campaign",
             "control",
@@ -319,11 +327,14 @@ class TestOneCore:
     EXEMPT += ("docs/decisions/06-earned-settings.md",)
     EXEMPT += ("docs/decisions/08-one-benchmark-of-record.md",)
     EXEMPT += ("docs/decisions/09-one-period-clock.md",)
+    EXEMPT += ("docs/decisions/10-what-nothing-runs.md",)
     EXEMPT += ("BENCHMARK.json",)  # the benchmark's declaration, read-only too
 
     def test_retired_names_appear_in_no_tracked_file(self):
         checked = 0
-        for path in tracked("*"):
+        workflows = sorted((ROOT / ".github" / "workflows").glob("*.yml"))
+        assert workflows
+        for path in [*tracked("*"), *workflows]:
             name = path.relative_to(ROOT).as_posix()
             if name.startswith(self.EXEMPT):
                 continue
@@ -332,6 +343,30 @@ class TestOneCore:
             for retired in self.RETIRED:
                 assert retired not in text, f"{name} still mentions {retired}"
         assert checked > 100
+
+    def test_no_bench_takes_the_benchmark_fixture(self):
+        """Every bench is plain pytest: no test asks for a timing fixture."""
+        tests = []
+        for path in sorted((ROOT / "benchmarks").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("test"):
+                    arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                    tests.append((path.name, node.name, {arg.arg for arg in arguments}))
+        assert len(tests) > 10
+        assert [(file, test) for file, test, names in tests if "benchmark" in names] == []
+
+    def test_no_build_metadata_is_tracked(self):
+        """``*.egg-info`` is ignored, so a tracked copy can only be stale."""
+        if shutil.which("git") is None:
+            pytest.skip("git is not installed")
+        listing = subprocess.run(
+            ["git", "ls-files"], cwd=ROOT, capture_output=True, text=True
+        )
+        if listing.returncode != 0:
+            pytest.skip("not a git checkout")
+        paths = listing.stdout.splitlines()
+        assert paths
+        assert [path for path in paths if ".egg-info" in path] == []
 
 
 class TestEarnedConstants:

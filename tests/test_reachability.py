@@ -52,8 +52,6 @@ def _problem(key: str, value: str) -> str:
         return "" if derived == "declaration" else "no dunder, abstract method or empty body"
     if kind == "seam":
         return "" if evidence in SEAM_NAMES else f"seams.py has no seam {evidence!r}"
-    if kind == "pending":
-        return "" if key.split(":")[0] in reachability.PENDING else "not in a pending module"
     if kind not in ("observer", "validation", "reference"):
         return f"{kind!r} is not a reason"
     if derived:

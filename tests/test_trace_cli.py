@@ -38,20 +38,14 @@ def test_trace_command_round_trip(tmp_path, capsys):
     assert report.reads_checked > 0
 
 
-def test_trace_command_no_check_skips_the_replay(tmp_path, capsys):
+@pytest.mark.parametrize("spec", ["pull", "push"])
+def test_trace_command_no_check_skips_the_replay(tmp_path, capsys, spec):
     out = tmp_path / "trace.jsonl"
-    code = main(BASE + ["trace", "pull", "--out", str(out), "--no-check"])
+    code = main(BASE + ["trace", spec, "--out", str(out), "--no-check"])
     assert code == 0
     captured = capsys.readouterr().out
     assert "invariants" not in captured
-    assert read_jsonl(str(out))
-
-
-def test_run_with_trace_flag_writes_events(tmp_path, capsys):
-    out = tmp_path / "run-trace.jsonl"
-    code = main(BASE + ["--no-store", "run", "push", "--trace", str(out)])
-    assert code == 0
-    assert "trace:" in capsys.readouterr().out
+    assert "trace: " in captured
     assert read_jsonl(str(out))
 
 
@@ -77,10 +71,12 @@ def test_parser_accepts_trace_surface():
     args = parser.parse_args(["trace", "rpcc-dc", "--out", "x.jsonl", "--no-check"])
     assert args.command == "trace"
     assert args.no_check is True
-    args = parser.parse_args(["run", "push", "--trace", "y.jsonl"])
-    assert args.trace == "y.jsonl"
+    args = parser.parse_args(["trace", "push", "--out", "y.jsonl", "--no-check"])
+    assert args.out == "y.jsonl"
     with pytest.raises(SystemExit):
         parser.parse_args(["trace", "not-a-spec"])
+    with pytest.raises(SystemExit):  # one traced-run path: `trace`
+        parser.parse_args(["run", "push", "--trace", "y.jsonl"])
 
 
 @pytest.mark.parametrize("flag,value", [

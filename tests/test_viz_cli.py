@@ -105,6 +105,21 @@ class TestCLI:
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "gossip"])
 
+    @pytest.mark.parametrize("argv,field", [
+        (["fig9", "--ttls", "1", "0"], "ttl_rpcc"),
+        (["--sim-time", "-5", "run", "push"], "sim_time"),
+        (["--sim-time", "-5", "fig7a"], "sim_time"),
+        (["--sim-time", "-5", "table1"], "sim_time"),
+    ])
+    def test_config_error_is_a_usage_error(self, capsys, argv, field):
+        """A value the config rejects exits 2 naming the field, before any run."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--no-store"] + argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"repro: error: {field} must be" in captured.err
+        assert captured.out == ""
+
     def test_table1_command(self, capsys):
         assert main(["table1"]) == 0
         out = capsys.readouterr().out

@@ -4,7 +4,7 @@ Runs a closed list of entry points in one process under ``sys.setprofile`` (re-a
 ``run --profile``'s cProfile clears it; pool workers are not traced) and writes
 ``tools/reachability.json``: each function under ``src/``, keyed ``module:co_qualname``, maps to
 the entry points that called it (index ranges) or to the one reason it stays anyway.
-``declaration``, ``seam`` and ``pending`` are derived here; ``observer``, ``validation`` and
+``declaration`` and ``seam`` are derived here; ``observer``, ``validation`` and
 ``reference`` are written into the map by hand, naming a test.  ``--check`` exits 1 on a stale map.
 """
 
@@ -22,7 +22,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC, MAP = ROOT / "src", ROOT / "tools" / "reachability.json"
-PENDING = ("repro.infrastructure.mss", "repro.infrastructure.timestamp_ir")  # ROADMAP item 2 decides
 HAND_REASONS = ("observer ", "validation ", "reference ")
 SHORT, TINY = ("--sim-time", "60", "--warmup", "300"), ("--sim-time", "20", "--warmup", "10")
 PLAN = "examples/faults/partition.json"
@@ -70,7 +69,7 @@ def entry_points():
     """The closed list, yielded lazily: the registries are read after ``list`` ran traced."""
     yield from (cli("list"), cli("table1"))
     yield from (cli(*TINY, "--store", "{tmp}/s", "run", "rpcc-hy") for _ in ("stored", "served"))
-    yield cli(*TINY, "--no-store", "run", "rpcc-sc", "--trace", "{tmp}/r.jsonl", "--loss-rate", "0.05")
+    yield cli(*TINY, "trace", "rpcc-sc", "--out", "{tmp}/r.jsonl", "--no-check", "--loss-rate", "0.05")
     yield cli(*TINY, "--no-store", "run", "push", "--profile", "{tmp}/p.pstats", "--profile-sort", "tottime")
     yield cli(*TINY, "trace", "rpcc-dc", "--out", "{tmp}/t.jsonl", "--delta", "300", "--slack", "2")
     yield cli(*TINY, "trace", "pull", "--out", "{tmp}/t.jsonl", "--no-check")
@@ -116,8 +115,6 @@ def reason(key, node, seams, committed):
         return "declaration"
     if key.replace(":", ".") in seams:
         return f"seam {seams[key.replace(':', '.')]}"
-    if key.split(":")[0] in PENDING:
-        return "pending ROADMAP item 2"
     return committed if committed.startswith(HAND_REASONS) else ""
 
 
