@@ -6,6 +6,7 @@ breaks the build.
 """
 
 import ast
+import os
 import pathlib
 import re
 import shutil
@@ -575,6 +576,33 @@ class TestPublicSettings:
         for module, name, value in rows:
             constant = getattr(importlib.import_module(module), name)
             assert repr(constant) == value.strip(), f"{module}.{name}"
+
+
+class TestFigureShapeGate:
+    """The Figs 7–9 shape assertions live in one plain-pytest module that
+    CI's ``campaign`` job runs; nothing else under ``benchmarks/`` times."""
+
+    def test_campaign_job_runs_the_shape_module(self):
+        workflow = read(".github/workflows/ci.yml")
+        job = re.split(r"\n  [\w-]+:\n", workflow.split("\n  campaign:\n", 1)[1])[0]
+        assert "pip install pytest" in job
+        assert (
+            "REPRO_BENCH_JOBS=2 python -m pytest -q benchmarks/bench_figures.py" in job
+        )
+        assert (ROOT / "benchmarks" / "bench_figures.py").is_file()
+
+    def test_benchmarks_collect_without_the_timing_plugin(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+        collected = subprocess.run(
+            [sys.executable, "-m", "pytest", "-p", "no:benchmark",
+             "-p", "no:cacheprovider", "--co", "-q", "benchmarks/"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert collected.returncode == 0, collected.stdout + collected.stderr
+        names = collected.stdout.splitlines()
+        assert "benchmarks/bench_figures.py::test_fig9a" in names
+        assert "benchmarks/bench_figures.py::test_energy_by_strategy" in names
 
 
 class TestPythonFloor:

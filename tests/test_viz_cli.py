@@ -110,6 +110,14 @@ class TestCLI:
         (["--sim-time", "-5", "run", "push"], "sim_time"),
         (["--sim-time", "-5", "fig7a"], "sim_time"),
         (["--sim-time", "-5", "table1"], "sim_time"),
+        (["fig9", "--ttls", "0"], "ttl_rpcc"),
+        (["--sim-time", "nan", "run", "push"], "sim_time"),
+        (["--warmup", "-1", "run", "push"], "warmup"),
+        (["run", "push", "--loss-rate", "1.5"], "loss_rate"),
+        (["run", "push", "--controller", "static", "--controller-interval", "0"],
+         "controller_interval"),
+        (["--sim-time", "-5", "compare"], "sim_time"),
+        (["--sim-time", "-5", "matrix", "examples/matrix/smoke.toml"], "sim_time"),
     ])
     def test_config_error_is_a_usage_error(self, capsys, argv, field):
         """A value the config rejects exits 2 naming the field, before any run."""
@@ -119,6 +127,23 @@ class TestCLI:
         captured = capsys.readouterr()
         assert f"repro: error: {field} must be" in captured.err
         assert captured.out == ""
+
+    def test_unknown_controller_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--no-store", "run", "push", "--controller", "nope"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "repro: error: unknown controller 'nope'" in captured.err
+        assert captured.out == ""
+
+    def test_traced_config_error_writes_no_trace(self, tmp_path, capsys):
+        """``trace`` builds its config before it opens the trace file."""
+        out = tmp_path / "trace.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--sim-time", "-5", "trace", "push", "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "repro: error: sim_time must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_table1_command(self, capsys):
         assert main(["table1"]) == 0
