@@ -1,11 +1,15 @@
 """What a world costs before its first event: DESIGN.md, "What start-up costs".
 
-Builds the e2e benchmark's two 10k worlds (walkers: ``stable_fraction``
-0.1; sparse: 0.9; ``rpcc-hy``, ``single_source``, seed 7), each in a
-fresh process so that imports are paid the way a ``repro run`` pays
-them, runs them, and prints wall seconds per start-up phase:
+Builds the e2e benchmark's Table-1 world (``paper50``: 50 peers,
+``rpcc-hy``, ``standard``) and its two 10k worlds (walkers:
+``stable_fraction`` 0.1; sparse: 0.9; ``rpcc-hy``, ``single_source``,
+seed 7), each in a fresh process so that imports are paid the way a
+``repro run`` pays them, runs them, and prints wall seconds per start-up
+phase:
 
-* **imports** — ``import repro.experiments.runner``;
+* **imports** — ``import repro.experiments.runner``, split into the
+  self seconds of ``numpy``, ``repro`` and every other (stdlib) module,
+  as ``-X importtime`` reports them in that process;
 * **streams** — inside ``RandomStreams.stream`` / ``one_shot``, wherever
   in the build they are asked for (seeding a Mersenne Twister);
 * **hosts** — build start to the end of the per-host loop, streams
@@ -26,7 +30,12 @@ boundaries are found by wrapping functions the build calls once per
 phase, so the script reads any tree that has those names; the stream
 wrapper adds about 0.2 us a stream.  It prints and gates nothing.
 
-    PYTHONPATH=src python benchmarks/startup_cost.py [--hosts N] [--world walk|sparse]...
+    PYTHONPATH=src python benchmarks/startup_cost.py [--hosts N] [--world paper50|walk|sparse]...
+
+``--hosts`` sizes the 10k worlds; ``paper50`` always has Table 1's 50
+peers.  The imports phase reads the working tree's bytecode caches: with
+``PYTHONDONTWRITEBYTECODE`` set and no ``__pycache__``, every ``repro``
+module compiles in it.
 """
 
 from __future__ import annotations
@@ -43,13 +52,23 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent
 
-#: World name -> (stable_fraction, simulated seconds): the e2e rows.
-WORLDS = {"walk": (0.1, 30.0), "sparse": (0.9, 7.5)}
+#: World name -> (stable_fraction, simulated seconds, placement): the e2e
+#: rows; ``paper50`` is Table 1's world as it stands (no stable fraction).
+WORLDS = {
+    "paper50": (None, 3600.0, "standard"),
+    "walk": (0.1, 30.0, "single_source"),
+    "sparse": (0.9, 7.5, "single_source"),
+}
 
 PHASES = (
     "imports", "streams", "hosts", "agents", "placement", "rest of build",
     "arming", "first refresh",
 )
+#: The parts of the imports phase, by top-level module name.
+IMPORT_PARTS = ("numpy", "repro", "other stdlib")
+#: Written to stderr around the imports phase, so that the parent reads
+#: only that phase's ``-X importtime`` lines.
+_IMPORTS_BEGIN, _IMPORTS_END = "startup_cost: imports begin", "startup_cost: imports end"
 
 
 class _Clock:
@@ -108,13 +127,16 @@ def _timed_streams(clock: _Clock, owner: Any, name: str) -> None:
 
 def measure(hosts: int, world: str, sim_time: Optional[float]) -> Dict[str, Any]:
     """Phase seconds and collections of one world, in this process."""
+    print(_IMPORTS_BEGIN, file=sys.stderr, flush=True)
     started = time.perf_counter()
     sys.path.insert(0, str(BENCH_DIR.parent / "src"))
     import repro.experiments.runner as runner
 
     imported = time.perf_counter()
+    print(_IMPORTS_END, file=sys.stderr, flush=True)
     sys.path.insert(0, str(BENCH_DIR.parent))
     from benchmarks.bench_scale import SPEC, scale_config
+    from repro.experiments.config import SimulationConfig
     from repro.net.topology import TopologyService
     from repro.sim.engine import Simulator
     from repro.sim.rng import RandomStreams
@@ -139,14 +161,18 @@ def measure(hosts: int, world: str, sim_time: Optional[float]) -> Dict[str, Any]
             clock.enter("rest of run")
 
     TopologyService.current = current
-    stable_fraction, default_sim_time = WORLDS[world]
-    config = scale_config(
-        hosts, sim_time=default_sim_time if sim_time is None else sim_time
-    ).with_overrides(stable_fraction=stable_fraction)
+    stable_fraction, default_sim_time, placement = WORLDS[world]
+    sim_time = default_sim_time if sim_time is None else sim_time
+    if stable_fraction is None:
+        config = SimulationConfig(sim_time=sim_time, seed=7)
+    else:
+        config = scale_config(hosts, sim_time=sim_time).with_overrides(
+            stable_fraction=stable_fraction
+        )
     gc.callbacks.append(clock.on_gc)
     try:
         clock.enter("hosts")
-        simulation = runner.build_simulation(config, SPEC, "single_source")
+        simulation = runner.build_simulation(config, SPEC, placement)
         clock.enter("between build and run")
         clock.enter("arming")
         simulation.run()
@@ -163,7 +189,7 @@ def measure(hosts: int, world: str, sim_time: Optional[float]) -> Dict[str, Any]
 
     # What arming allocates, on a second world: traced, so not timed.
     del simulation
-    simulation = runner.build_simulation(config, SPEC, "single_source")
+    simulation = runner.build_simulation(config, SPEC, placement)
     blocks = sys.getallocatedblocks()
     tracemalloc.start()
     try:
@@ -175,8 +201,8 @@ def measure(hosts: int, world: str, sim_time: Optional[float]) -> Dict[str, Any]
 
     return {
         "world": world,
-        "hosts": hosts,
-        "stable_fraction": stable_fraction,
+        "hosts": config.n_peers,
+        "stable_fraction": config.stable_fraction,
         "streams_made": streams_made,
         "seconds": seconds,
         "armed": {"objects": armed_objects, "bytes": armed_bytes},
@@ -184,12 +210,29 @@ def measure(hosts: int, world: str, sim_time: Optional[float]) -> Dict[str, Any]
     }
 
 
+def import_parts(importtime: str) -> Dict[str, float]:
+    """Self seconds of the ``-X importtime`` lines between the markers, by part."""
+    lines = importtime.splitlines()
+    lines = lines[lines.index(_IMPORTS_BEGIN) + 1:lines.index(_IMPORTS_END)]
+    parts = dict.fromkeys(IMPORT_PARTS, 0.0)
+    for line in lines:
+        if not line.startswith("import time:") or "self [us]" in line:
+            continue
+        self_us, _, name = line[len("import time:"):].split("|")
+        top = name.strip().split(".")[0]
+        parts[top if top in parts else "other stdlib"] += int(self_us) / 1e6
+    return parts
+
+
 def _in_child(hosts: int, world: str, sim_time: Optional[float]) -> Dict[str, Any]:
-    argv = [sys.executable, __file__, "--child", "--hosts", str(hosts), "--world", world]
+    argv = [sys.executable, "-X", "importtime", __file__, "--child",
+            "--hosts", str(hosts), "--world", world]
     if sim_time is not None:
         argv += ["--sim-time", str(sim_time)]
-    out = subprocess.run(argv, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
+    child = subprocess.run(argv, check=True, capture_output=True, text=True)
+    result = json.loads(child.stdout.splitlines()[-1])
+    result["imports"] = import_parts(child.stderr)
+    return result
 
 
 def report(results: Sequence[Dict[str, Any]]) -> None:
@@ -199,6 +242,9 @@ def report(results: Sequence[Dict[str, Any]]) -> None:
               f"{result['stable_fraction']}, {result['streams_made']} streams")
         for phase in PHASES:
             print(f"  {phase:22s}{seconds.get(phase, 0.0):8.3f} s")
+            if phase == "imports":
+                for part in IMPORT_PARTS:
+                    print(f"    {part:20s}{result['imports'][part]:8.3f} s (-X importtime self)")
         armed = result["armed"]
         print(f"  arming allocates {armed['objects']} objects, {armed['bytes']} bytes "
               f"({armed['bytes'] / result['hosts']:.0f} B/host)")
@@ -216,6 +262,10 @@ def report(results: Sequence[Dict[str, Any]]) -> None:
     for phase in PHASES:
         print(f"| {phase} | " + " | ".join(
             f"{r['seconds'].get(phase, 0.0):.3f}" for r in results) + " |")
+        if phase == "imports":
+            for part in IMPORT_PARTS:
+                print(f"| imports: {part} | " + " | ".join(
+                    f"{r['imports'][part]:.3f}" for r in results) + " |")
     print("| arming allocates, objects | " + " | ".join(
         str(r["armed"]["objects"]) for r in results) + " |")
     print("| arming allocates, B/host | " + " | ".join(
@@ -230,7 +280,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--hosts", type=int, default=10_000)
     parser.add_argument(
         "--world", choices=sorted(WORLDS), action="append",
-        help="world to measure (repeatable; default walk then sparse)",
+        help="world to measure (repeatable; default paper50, walk, sparse)",
     )
     parser.add_argument(
         "--sim-time", type=float, default=None,
@@ -238,7 +288,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    worlds = args.world or ["walk", "sparse"]
+    worlds = args.world or list(WORLDS)
     if args.child:
         print(json.dumps(measure(args.hosts, worlds[0], args.sim_time)))
         return 0

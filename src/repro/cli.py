@@ -26,9 +26,11 @@ EXPERIMENTS.md ("Campaign execution") for the full model.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import SimulationConfig
@@ -38,6 +40,9 @@ from repro.experiments.figures import PANELS, reproduce
 from repro.experiments.runner import PLACEMENT_SCENARIOS, STRATEGY_SPECS
 from repro.metrics.report import format_summary, format_table
 from repro.scenarios.registry import parse_spec, strategy_specs
+
+if TYPE_CHECKING:
+    from repro.scenarios.matrix import MatrixPoint, MatrixSpec
 
 __all__ = ["main", "build_parser"]
 
@@ -68,6 +73,17 @@ def _bound(text: str) -> float:
     return value
 
 
+def _jobs(text: str) -> int:
+    """argparse ``type=``: a worker-process count, an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -80,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--warmup", type=float, default=600.0,
                         help="warm-up seconds excluded from metrics")
     parser.add_argument("--seed", type=int, default=1, help="root RNG seed")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_jobs, default=1,
                         help="worker processes for independent runs "
                         "(1 = serial; results are bit-identical either way)")
     parser.add_argument("--store", metavar="DIR", default=DEFAULT_STORE_DIR,
@@ -178,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     # where they matter most — accept them after the subcommand too.
     # SUPPRESS keeps a subparser default from clobbering a value the
     # global parser already set.
-    matrix_parser.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
+    matrix_parser.add_argument("--jobs", type=_jobs, default=argparse.SUPPRESS,
                                help="as the global --jobs")
     matrix_parser.add_argument("--store", metavar="DIR",
                                default=argparse.SUPPRESS,
@@ -445,19 +461,27 @@ def _command_figures(
             print()
 
 
-def _command_matrix(
-    args: argparse.Namespace, config: SimulationConfig, executor: CampaignExecutor
-) -> int:
-    from repro.scenarios.matrix import (
-        AGGREGATE_COLUMNS,
-        aggregate_matrix,
-        expand_matrix,
-        load_matrix,
-        matrix_csv,
-    )
+def _load_matrix(
+    args: argparse.Namespace, config: SimulationConfig
+) -> Tuple[MatrixSpec, List[MatrixPoint]]:
+    """The matrix file's spec and its points; every error names the file."""
+    from repro.scenarios.matrix import expand_matrix, load_matrix
 
-    matrix = load_matrix(args.file)
-    points = expand_matrix(matrix, base_config=config)
+    matrix = load_matrix(args.file)  # its errors begin with the path already
+    try:
+        return matrix, expand_matrix(matrix, base_config=config)
+    except ConfigurationError as error:
+        raise ConfigurationError(f"{args.file}: {error}") from None
+
+
+def _command_matrix(
+    args: argparse.Namespace,
+    matrix: MatrixSpec,
+    points: List[MatrixPoint],
+    executor: CampaignExecutor,
+) -> int:
+    from repro.scenarios.matrix import AGGREGATE_COLUMNS, aggregate_matrix, matrix_csv
+
     print(f"matrix {args.file}: {matrix.cells} cells, "
           f"{len(points)} unique points")
     violations = 0
@@ -525,6 +549,21 @@ def _command_list() -> None:
         print(f"  {spec}")
 
 
+def _output_paths(args: argparse.Namespace) -> List[str]:
+    """The files the command writes, as named on the command line."""
+    if args.command == "trace":
+        return [args.out]
+    if args.command == "fig9":
+        return [f"{args.csv}{panel[-1]}.csv" for panel in _FIG9] if args.csv else []
+    path = getattr(args, "csv", None) or getattr(args, "profile", None)
+    return [path] if path else []
+
+
+def _cannot_write(path: str, reason: str) -> int:
+    print(f"repro: error: cannot write {path}: {reason}", file=sys.stderr)
+    return 1
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
@@ -536,23 +575,34 @@ def main(argv: Optional[List[str]] = None) -> int:
         config = _config(args)
         for ttl in getattr(args, "ttls", None) or ():  # every Fig 9 point, before any runs
             config.with_overrides(ttl_rpcc=ttl)
+        if args.command == "matrix":
+            matrix, points = _load_matrix(args, config)
     except ConfigurationError as error:
         parser.error(str(error))
     if args.command == "table1":
         _command_table1(config)
         return 0
-    if args.command == "trace":
-        return _command_trace(args, config)
-    executor = _executor(args)
-    code = 0
-    if args.command == "run":
-        _command_run(args, config, executor)
-    elif args.command == "compare":
-        _command_compare(config, executor)
-    elif args.command == "matrix":
-        code = _command_matrix(args, config, executor)
-    else:
-        _command_figures(args, config, executor)
+    outputs = _output_paths(args)
+    for path in outputs:  # a missing directory fails before anything runs
+        if not os.path.isdir(os.path.dirname(path) or os.curdir):
+            return _cannot_write(path, os.strerror(errno.ENOENT))
+    try:
+        if args.command == "trace":
+            return _command_trace(args, config)
+        executor = _executor(args)
+        code = 0
+        if args.command == "run":
+            _command_run(args, config, executor)
+        elif args.command == "compare":
+            _command_compare(config, executor)
+        elif args.command == "matrix":
+            code = _command_matrix(args, matrix, points, executor)
+        else:
+            _command_figures(args, config, executor)
+    except OSError as error:
+        if error.filename not in outputs:
+            raise
+        return _cannot_write(error.filename, error.strerror)
     _report_store(executor)
     return code
 

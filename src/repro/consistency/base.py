@@ -42,13 +42,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.latency import QueryRecord
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.obs.events import (
-    CacheHit,
-    CacheMiss,
-    QueryIssued,
-    ReadServed,
-    SourceUpdate,
-)
+from repro.obs import events
 from repro.peers.host import MobileHost
 from repro.sim.engine import EventHandle
 from repro.sim.rng import derive_seed
@@ -230,7 +224,7 @@ class LocalJob(QueryJob):
         trace = agent.context.sim.trace
         if trace.enabled:
             trace.emit(
-                ReadServed(
+                events.ReadServed(
                     time=agent.now,
                     node=agent.node_id,
                     item=self.item_id,
@@ -467,7 +461,7 @@ class BaseAgent(abc.ABC):
         trace = self.context.sim.trace
         if trace.enabled:
             trace.emit(
-                QueryIssued(
+                events.QueryIssued(
                     time=self.now,
                     node=self.node_id,
                     item=item_id,
@@ -484,7 +478,7 @@ class BaseAgent(abc.ABC):
             # Source hosts always hold the newest version (Section 3).
             if trace.enabled:
                 trace.emit(
-                    CacheHit(
+                    events.CacheHit(
                         time=self.now,
                         node=self.node_id,
                         item=item_id,
@@ -498,7 +492,7 @@ class BaseAgent(abc.ABC):
             record.cache_hit = True
             if trace.enabled:
                 trace.emit(
-                    CacheHit(
+                    events.CacheHit(
                         time=self.now,
                         node=self.node_id,
                         item=item_id,
@@ -509,7 +503,7 @@ class BaseAgent(abc.ABC):
         else:
             # Discovery sends the query to the nearest holder.
             if trace.enabled:
-                trace.emit(CacheMiss(time=self.now, node=self.node_id, item=item_id))
+                trace.emit(events.CacheMiss(time=self.now, node=self.node_id, item=item_id))
             self._start_remote_query(PendingQuery(job))
         return record
 
@@ -690,7 +684,7 @@ class BaseAgent(abc.ABC):
         trace = self.context.sim.trace
         if trace.enabled:
             trace.emit(
-                SourceUpdate(
+                events.SourceUpdate(
                     time=self.now,
                     node=self.node_id,
                     item=master.item_id,

@@ -14,11 +14,10 @@ the item's payload size, so byte-level traffic reflects that
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import ClassVar
 
-from repro.net.message import Message
+from repro.net.message import Message, message_class
 
 __all__ = [
     "CONTROL_SIZE",
@@ -72,7 +71,7 @@ def next_request_id() -> int:
 # ----------------------------------------------------------------------
 # RPCC message set (Fig 6(a))
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True, slots=True)
+@message_class
 class Update(Message):
     """``UPDATE(ID, OP, RP, CT, VER)`` — source pushes new content to a relay."""
 
@@ -86,7 +85,7 @@ class Update(Message):
             object.__setattr__(self, "size_bytes", CONTROL_SIZE + self.content_size)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@message_class
 class Invalidation(Message):
     """``INVALIDATION(ID, OP, VER)`` — periodic TTL-limited version beacon."""
 
@@ -96,7 +95,7 @@ class Invalidation(Message):
     version: int = 0
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@message_class
 class GetNew(Message):
     """``GET_NEW(ID, OP, RP)`` — relay asks the source for the latest content."""
 
@@ -104,7 +103,7 @@ class GetNew(Message):
     item_id: int = 0
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@message_class
 class SendNew(Message):
     """``SEND_NEW(ID, RP, CT, VER)`` — source ships fresh content to a relay."""
 
@@ -118,7 +117,7 @@ class SendNew(Message):
             object.__setattr__(self, "size_bytes", CONTROL_SIZE + self.content_size)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@message_class
 class Apply(Message):
     """``APPLY(ID, OP, RP)`` — candidate asks to be promoted to relay peer."""
 
@@ -126,7 +125,7 @@ class Apply(Message):
     item_id: int = 0
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@message_class
 class ApplyAck(Message):
     """``APPLY_ACK(ID, OP, RP)`` — source approves the promotion."""
 
@@ -135,7 +134,7 @@ class ApplyAck(Message):
     relay_id: int = 0
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@message_class
 class Cancel(Message):
     """``CANCEL(ID, OP, RP)`` — relay resigns back to plain cache node."""
 
@@ -143,7 +142,7 @@ class Cancel(Message):
     item_id: int = 0
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@message_class
 class Poll(Message):
     """``POLL(ID, CP, VER)`` — cache peer asks nearby relays to validate."""
 
@@ -153,7 +152,7 @@ class Poll(Message):
     poll_id: int = 0
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@message_class
 class PollAckA(Message):
     """``POLL_ACK_A(ID, CP, VER)`` — cache peer's copy is up to date."""
 
@@ -163,7 +162,7 @@ class PollAckA(Message):
     poll_id: int = 0
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@message_class
 class PollHold(Message):
     """Reproduction addition: "your poll is queued, hold on".
 
@@ -179,7 +178,7 @@ class PollHold(Message):
     poll_id: int = 0
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@message_class
 class PollAckB(Message):
     """``POLL_ACK_B(ID, CP, VER, CT)`` — copy was stale; fresh content attached."""
 
@@ -197,7 +196,7 @@ class PollAckB(Message):
 # ----------------------------------------------------------------------
 # Baseline strategies
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True, slots=True)
+@message_class
 class PushInvalidation(Message):
     """Simple push: periodic invalidation report flooded with TTL_BR."""
 
@@ -207,7 +206,7 @@ class PushInvalidation(Message):
     version: int = 0
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@message_class
 class PullPoll(Message):
     """Simple pull: on-demand poll flooded towards the source host."""
 
@@ -217,7 +216,7 @@ class PullPoll(Message):
     poll_id: int = 0
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@message_class
 class PullReply(Message):
     """Simple pull: source's answer; carries content when the copy was stale."""
 
@@ -237,7 +236,7 @@ class PullReply(Message):
 # ----------------------------------------------------------------------
 # Shared remote-query path (discovery routes a query to a holder)
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True, slots=True)
+@message_class
 class QueryRequest(Message):
     """A query forwarded to the nearest holder of the item."""
 
@@ -247,7 +246,7 @@ class QueryRequest(Message):
     level_label: str = "strong"
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@message_class
 class QueryReply(Message):
     """The holder's validated answer; always carries the content.
 
@@ -271,7 +270,7 @@ class QueryReply(Message):
 # ----------------------------------------------------------------------
 # Internal refresh path (push: holder refreshes a stale copy from source)
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True, slots=True)
+@message_class
 class FetchRequest(Message):
     """Ask the source for fresh content of a stale copy."""
 
@@ -280,7 +279,7 @@ class FetchRequest(Message):
     fetch_id: int = 0
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@message_class
 class FetchReply(Message):
     """The source's fresh content in response to a ``FetchRequest``."""
 

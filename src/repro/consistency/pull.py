@@ -27,7 +27,7 @@ from repro.consistency.levels import ConsistencyLevel
 from repro.consistency.messages import PullPoll, PullReply, next_poll_id
 from repro.errors import ProtocolError, UnknownItemError
 from repro.net.message import Message
-from repro.obs.events import PollAnswered, PollSent
+from repro.obs import events
 from repro.peers.host import MobileHost
 
 __all__ = ["PullStrategy", "PullAgent"]
@@ -135,7 +135,7 @@ class PullAgent(BaseAgent):
         trace = self.context.sim.trace
         if trace.enabled:
             trace.emit(
-                PollSent(
+                events.PollSent(
                     time=self.now,
                     node=self.node_id,
                     item=copy.item_id,
@@ -196,7 +196,7 @@ class PullAgent(BaseAgent):
         trace = self.context.sim.trace
         if trace.enabled:
             trace.emit(
-                PollAnswered(
+                events.PollAnswered(
                     time=self.now,
                     node=self.node_id,
                     item=message.item_id,

@@ -34,7 +34,7 @@ from repro.consistency.messages import (
 )
 from repro.errors import ProtocolError
 from repro.net.message import Message
-from repro.obs.events import FetchCompleted, FetchStarted, InvalidationSent
+from repro.obs import events
 from repro.peers.host import MobileHost
 from repro.sim.timers import PeriodicTimer, staggered_start
 
@@ -149,7 +149,7 @@ class PushAgent(BaseAgent):
         trace = self.context.sim.trace
         if trace.enabled:
             trace.emit(
-                InvalidationSent(
+                events.InvalidationSent(
                     time=self.now,
                     node=self.node_id,
                     item=master.item_id,
@@ -223,7 +223,7 @@ class PushAgent(BaseAgent):
             trace = self.context.sim.trace
             if trace.enabled:
                 trace.emit(
-                    FetchStarted(
+                    events.FetchStarted(
                         time=self.now,
                         node=self.node_id,
                         item=item_id,
@@ -271,7 +271,7 @@ class PushAgent(BaseAgent):
         trace = self.context.sim.trace
         if trace.enabled:
             trace.emit(
-                FetchCompleted(
+                events.FetchCompleted(
                     time=self.now,
                     node=self.node_id,
                     item=item_id,

@@ -45,7 +45,7 @@ from repro.consistency.rpcc.config import (
     SOURCE_POLL_TIMEOUT,
     RPCCConfig,
 )
-from repro.obs.events import PollAnswered, PollSent
+from repro.obs import events
 from repro.sim.engine import EventHandle
 from repro.sim.timers import CountdownTimer
 
@@ -219,7 +219,7 @@ class CachePeerSide:
         trace = self.agent.context.sim.trace
         if trace.enabled:
             trace.emit(
-                PollSent(
+                events.PollSent(
                     time=self.agent.now,
                     node=self.agent.node_id,
                     item=state.item_id,
@@ -286,7 +286,7 @@ class CachePeerSide:
         trace = self.agent.context.sim.trace
         if trace.enabled:
             trace.emit(
-                PollAnswered(
+                events.PollAnswered(
                     time=self.agent.now,
                     node=self.agent.node_id,
                     item=message.item_id,
@@ -310,7 +310,7 @@ class CachePeerSide:
         trace = self.agent.context.sim.trace
         if trace.enabled:
             trace.emit(
-                PollAnswered(
+                events.PollAnswered(
                     time=self.agent.now,
                     node=self.agent.node_id,
                     item=message.item_id,

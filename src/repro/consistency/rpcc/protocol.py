@@ -51,7 +51,7 @@ from repro.consistency.rpcc.roles import Role, RoleTable
 from repro.consistency.rpcc.source import SourceSide
 from repro.errors import UnknownItemError
 from repro.net.message import Message
-from repro.obs.events import RelayDemoted, RelayPromoted
+from repro.obs import events
 from repro.peers.host import MobileHost
 
 __all__ = ["RPCCStrategy", "RPCCAgent"]
@@ -251,7 +251,7 @@ class RPCCAgent(BaseAgent):
         trace = self.context.sim.trace
         if was_relay and trace.enabled:
             trace.emit(
-                RelayDemoted(
+                events.RelayDemoted(
                     time=self.now, node=self.node_id, item=item_id, reason=reason
                 )
             )
@@ -310,7 +310,7 @@ class RPCCAgent(BaseAgent):
             trace = self.context.sim.trace
             if trace.enabled:
                 trace.emit(
-                    RelayPromoted(
+                    events.RelayPromoted(
                         time=self.now, node=self.node_id, item=message.item_id
                     )
                 )
@@ -330,7 +330,7 @@ class RPCCAgent(BaseAgent):
         self.context.metrics.bump("rpcc_promotions")
         trace = self.context.sim.trace
         if trace.enabled:
-            trace.emit(RelayPromoted(time=self.now, node=self.node_id, item=item_id))
+            trace.emit(events.RelayPromoted(time=self.now, node=self.node_id, item=item_id))
 
     def _handle_poll(self, message: Poll) -> None:
         master = self.host.source_item

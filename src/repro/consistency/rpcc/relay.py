@@ -25,7 +25,7 @@ from repro.consistency.messages import (
     Update,
 )
 from repro.consistency.rpcc.config import RPCCConfig
-from repro.obs.events import FetchCompleted, FetchStarted
+from repro.obs import events
 from repro.sim.timers import CountdownTimer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -129,7 +129,7 @@ class RelaySide:
             trace = self.agent.context.sim.trace
             if trace.enabled:
                 trace.emit(
-                    FetchStarted(
+                    events.FetchStarted(
                         time=self.agent.now,
                         node=self.agent.node_id,
                         item=item_id,
@@ -162,7 +162,7 @@ class RelaySide:
         trace = self.agent.context.sim.trace
         if trace.enabled:
             trace.emit(
-                FetchCompleted(
+                events.FetchCompleted(
                     time=self.agent.now,
                     node=self.agent.node_id,
                     item=message.item_id,

@@ -31,7 +31,7 @@ from repro.consistency.rpcc.config import (
     UPDATE_REPUSH_INTERVAL,
     RPCCConfig,
 )
-from repro.obs.events import InvalidationSent
+from repro.obs import events
 from repro.sim.timers import PeriodicTimer, staggered_start
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -103,7 +103,7 @@ class SourceSide:
         trace = self.agent.context.sim.trace
         if trace.enabled:
             trace.emit(
-                InvalidationSent(
+                events.InvalidationSent(
                     time=self.agent.now,
                     node=self.agent.node_id,
                     item=master.item_id,

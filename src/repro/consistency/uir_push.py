@@ -16,11 +16,11 @@ full strength — ``tests/test_strategy_variants.py`` holds both shapes).
 
 from __future__ import annotations
 
-import dataclasses
 from typing import ClassVar, Dict
 
 from repro.consistency.messages import CONTROL_SIZE, PushInvalidation
 from repro.consistency.push import PushAgent, PushStrategy
+from repro.net.message import message_class
 from repro.peers.host import MobileHost
 from repro.sim.timers import PeriodicTimer, staggered_start
 
@@ -30,7 +30,7 @@ __all__ = ["UIRReport", "UIRPushStrategy", "UIRPushAgent"]
 UIR_COUNT = 4
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@message_class
 class UIRReport(PushInvalidation):
     """A between-IR updated invalidation report (subtype for accounting)."""
 

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 
 from repro.control.policies import ControlDecision, ControlPolicy
 from repro.control.signals import ControlSignals, DeltaTracker
-from repro.obs.events import ControllerActuated, ControllerSampled
+from repro.obs import events
 from repro.sim.timers import PeriodicTimer
 
 __all__ = ["OnlineController"]
@@ -140,7 +140,7 @@ class OnlineController:
         trace = self._sim.trace
         if trace.enabled:
             trace.emit(
-                ControllerSampled(
+                events.ControllerSampled(
                     time=signals.time,
                     policy=self.policy.name,
                     availability=signals.availability,
@@ -172,7 +172,7 @@ class OnlineController:
         if trace.enabled:
             for knob in sorted(applied):
                 trace.emit(
-                    ControllerActuated(
+                    events.ControllerActuated(
                         time=decision.time,
                         policy=decision.policy,
                         knob=knob,
@@ -182,7 +182,7 @@ class OnlineController:
                 )
             if modes_applied:
                 trace.emit(
-                    ControllerActuated(
+                    events.ControllerActuated(
                         time=decision.time,
                         policy=decision.policy,
                         knob="dissemination_mode",

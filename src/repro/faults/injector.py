@@ -31,13 +31,7 @@ from repro.errors import ConfigurationError
 from repro.faults.plan import BurstyLoss, DelayJitter, FaultPlan, Partition, RelayKill
 from repro.mobility.terrain import Point
 from repro.net.link import GilbertElliott
-from repro.obs.events import (
-    FaultNodeCrashed,
-    FaultNodeRebooted,
-    FaultPartitionEnded,
-    FaultPartitionStarted,
-    FaultRelayKilled,
-)
+from repro.obs import events
 from repro.sim.rng import derive_seed
 
 __all__ = ["FaultInjector"]
@@ -157,7 +151,7 @@ class FaultInjector:
         trace = self._sim.trace
         if trace.enabled:
             trace.emit(
-                FaultPartitionStarted(
+                events.FaultPartitionStarted(
                     time=self._sim.now, mode=spec.mode, name=spec.name
                 )
             )
@@ -172,7 +166,7 @@ class FaultInjector:
         trace = self._sim.trace
         if trace.enabled:
             trace.emit(
-                FaultPartitionEnded(
+                events.FaultPartitionEnded(
                     time=self._sim.now, mode=spec.mode, name=spec.name
                 )
             )
@@ -213,7 +207,7 @@ class FaultInjector:
         trace = self._sim.trace
         if trace.enabled:
             trace.emit(
-                FaultNodeCrashed(time=self._sim.now, node=node_id, wiped=wipe)
+                events.FaultNodeCrashed(time=self._sim.now, node=node_id, wiped=wipe)
             )
         host.crash(wipe_cache=wipe)
 
@@ -222,7 +216,7 @@ class FaultInjector:
         self._metrics.bump("fault_reboots")
         trace = self._sim.trace
         if trace.enabled:
-            trace.emit(FaultNodeRebooted(time=self._sim.now, node=node_id))
+            trace.emit(events.FaultNodeRebooted(time=self._sim.now, node=node_id))
         host.reboot()
 
     def _kill_relays(self, spec: RelayKill) -> None:
@@ -254,7 +248,7 @@ class FaultInjector:
             if trace.enabled:
                 for item_id in agents[node_id].roles.relay_items():
                     trace.emit(
-                        FaultRelayKilled(
+                        events.FaultRelayKilled(
                             time=self._sim.now, node=node_id, item=item_id
                         )
                     )

@@ -9,7 +9,7 @@ from repro.metrics.counters import MessageCounters
 from repro.metrics.latency import LatencyRecorder
 from repro.metrics.staleness import StalenessTracker
 from repro.net.message import Message
-from repro.obs.events import MetricsReset
+from repro.obs import events
 
 __all__ = ["MetricsCollector", "MetricsSummary"]
 
@@ -84,7 +84,7 @@ class MetricsCollector:
         if self.degradation is not None:
             self.degradation.reset()
         if self._trace is not None and self._trace.enabled and self._clock is not None:
-            self._trace.emit(MetricsReset(time=self._clock()))
+            self._trace.emit(events.MetricsReset(time=self._clock()))
 
     # Free-form counters -------------------------------------------------
     def bump(self, name: str, amount: int = 1) -> None:

@@ -24,7 +24,7 @@ from repro.net.node import NetworkNode
 from repro.net.routing import Router, ShortestPathRouter
 from repro.net import soa
 from repro.net.topology import TopologyService, TopologySnapshot
-from repro.obs.events import InvalidationReceived, NodeOffline, NodeOnline
+from repro.obs import events
 from repro.sim.engine import Simulator
 
 __all__ = ["Network", "TrafficObserver", "Audience"]
@@ -129,9 +129,9 @@ class Network:
         trace = self.sim.trace
         if trace.enabled:
             if online:
-                trace.emit(NodeOnline(time=self.sim.now, node=node.node_id))
+                trace.emit(events.NodeOnline(time=self.sim.now, node=node.node_id))
             else:
-                trace.emit(NodeOffline(time=self.sim.now, node=node.node_id))
+                trace.emit(events.NodeOffline(time=self.sim.now, node=node.node_id))
 
     def node(self, node_id: int) -> NetworkNode:
         """Look up a registered node by id."""
@@ -367,7 +367,7 @@ class Network:
     def _receipt(self, target: int, message: Message) -> None:
         """Trace an invalidation landing at ``target``."""
         self.sim.trace.emit(
-            InvalidationReceived(
+            events.InvalidationReceived(
                 time=self.sim.now,
                 node=target,
                 item=getattr(message, "item_id", -1),

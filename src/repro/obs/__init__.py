@@ -1,41 +1,15 @@
 """Observability layer: typed trace events, bus, sinks, invariant checker.
 
 See docs/OBSERVABILITY.md for the event taxonomy and the per-level
-consistency contracts the checker enforces.
+consistency contracts the checker enforces.  The event classes are built
+on first use (:func:`repro.obs.events.vocabulary`), so an untraced run
+builds none of them.
 """
 
+from repro import _lazy_exports
 from repro.obs.bus import NULL_TRACE, NullTraceBus, TraceBus
 from repro.obs.checker import CheckReport, InvariantChecker, Violation, check_events
-from repro.obs.events import (
-    EVENT_TYPES,
-    CacheHit,
-    CacheMiss,
-    ControllerActuated,
-    ControllerSampled,
-    FaultNodeCrashed,
-    FaultNodeRebooted,
-    FaultPartitionEnded,
-    FaultPartitionStarted,
-    FaultRelayKilled,
-    FetchCompleted,
-    FetchStarted,
-    InvalidationReceived,
-    InvalidationSent,
-    MetricsReset,
-    NodeOffline,
-    NodeOnline,
-    PollAnswered,
-    PollSent,
-    QueryIssued,
-    ReadServed,
-    RelayDemoted,
-    RelayPromoted,
-    SourceUpdate,
-    TraceEvent,
-    event_from_dict,
-    iter_jsonl,
-    read_jsonl,
-)
+from repro.obs.events import event_from_dict, iter_jsonl, read_jsonl
 from repro.obs.sinks import JsonlSink, ListSink, TraceSink
 
 __all__ = [
@@ -78,3 +52,10 @@ __all__ = [
     "read_jsonl",
     "iter_jsonl",
 ]
+
+#: Built on first use, so ``from repro.obs import ReadServed`` builds them.
+_EXPORTS = dict.fromkeys(
+    __all__[__all__.index("TraceEvent"):__all__.index("EVENT_TYPES") + 1], "repro.obs.events"
+)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -17,10 +17,13 @@ the bus needs no clock and can outlive the simulator that fed it.
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from repro.obs.events import TraceEvent
+from repro.obs import events
 from repro.obs.sinks import TraceSink
+
+if TYPE_CHECKING:
+    from repro.obs.events import TraceEvent
 
 __all__ = ["TraceBus", "NullTraceBus", "NULL_TRACE"]
 
@@ -32,6 +35,9 @@ class TraceBus:
     enabled: bool = True
 
     def __init__(self) -> None:
+        # An enabled bus is what makes a run traced: build the event classes
+        # now, with the world, rather than inside the run's first emit.
+        events.vocabulary()
         self._sinks: List[TraceSink] = []
         self.events_emitted = 0
 

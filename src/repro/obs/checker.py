@@ -54,18 +54,20 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.obs.events import (
-    ControllerActuated,
-    FaultNodeCrashed,
-    InvalidationReceived,
-    ReadServed,
-    SourceUpdate,
-    TraceEvent,
-    event_from_dict,
-)
+from repro.obs import events as trace_events
+from repro.obs.events import event_from_dict
+
+if TYPE_CHECKING:
+    from repro.obs.events import (
+        ControllerActuated,
+        FaultNodeCrashed,
+        InvalidationReceived,
+        ReadServed,
+        TraceEvent,
+    )
 
 __all__ = ["Violation", "CheckReport", "InvariantChecker", "check_events"]
 
@@ -179,19 +181,19 @@ class InvariantChecker:
             event = event_from_dict(event)
         self.report.events += 1
         self._check_time_order(event)
-        if isinstance(event, ReadServed):
+        if isinstance(event, trace_events.ReadServed):
             self._on_read(event)
-        elif isinstance(event, InvalidationReceived):
+        elif isinstance(event, trace_events.InvalidationReceived):
             self._on_invalidation(event)
-        elif isinstance(event, SourceUpdate):
+        elif isinstance(event, trace_events.SourceUpdate):
             current = self._current.get(event.item, 0)
             if event.version > current:
                 self._current[event.item] = event.version
             # The source's own knowledge is trivially complete.
             self._learn(event.node, event.item, event.version, event.time)
-        elif isinstance(event, FaultNodeCrashed):
+        elif isinstance(event, trace_events.FaultNodeCrashed):
             self._on_crash(event)
-        elif isinstance(event, ControllerActuated):
+        elif isinstance(event, trace_events.ControllerActuated):
             self._on_actuation(event)
 
     def feed_all(self, events: Iterable[Union[TraceEvent, Dict]]) -> "InvariantChecker":

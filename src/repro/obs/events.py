@@ -10,6 +10,11 @@ Events serialise to flat JSON objects (``{"e": <type>, "time": <time>,
 process can be replayed — e.g. through
 :class:`repro.obs.checker.InvariantChecker` — by another.
 
+Loading: the event classes are built on first use, all at once (see
+:func:`vocabulary`), so a run that traces nothing builds none of them;
+emit sites reach them as ``events.ReadServed(...)`` behind their
+``if trace.enabled:`` guard.
+
 Writing: every event class gets one line writer, its ``to_json``,
 compiled once at class creation from its dataclass fields (the way
 ``dataclasses`` builds ``__init__``): a single f-string behind one guard
@@ -56,7 +61,8 @@ import dataclasses
 import json
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import inf
-from typing import Any, ClassVar, Dict, IO, Iterator, List, Tuple, Union
+from types import MappingProxyType
+from typing import Any, ClassVar, Dict, IO, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 
@@ -88,8 +94,14 @@ __all__ = [
     "EVENT_TYPES",
     "event_from_dict",
     "read_jsonl",
+    "vocabulary",
 ]
 
+
+#: The names :func:`vocabulary` defines: the event classes and their registry.
+_VOCABULARY = frozenset(__all__[: __all__.index("EVENT_TYPES") + 1])
+#: What :func:`vocabulary` built, once it has run.
+_built: Optional[Mapping[str, Any]] = None
 
 #: What ``json.dumps(..., separators=(",", ":"))`` builds afresh per call.
 _encode_value = json.JSONEncoder(separators=(",", ":")).encode
@@ -161,298 +173,301 @@ def _first_to_json(self: "TraceEvent") -> str:
 
 def _event(cls: type) -> type:
     """Make ``cls`` a slotted dataclass whose writer compiles on first use."""
+    cls.__qualname__ = cls.__name__  # a module-level name, as pickle finds it
     cls = dataclasses.dataclass(slots=True)(cls)
     cls._field_names = tuple(field.name for field in dataclasses.fields(cls))
     cls.to_json = _first_to_json  # its own, so no class runs another's writer
     return cls
 
 
-@_event
-class TraceEvent:
-    """Base class: every event carries the simulation time it occurred."""
+def vocabulary() -> Mapping[str, Any]:
+    """Every event class by name, and ``EVENT_TYPES``: built on the first call.
 
-    etype: ClassVar[str] = "event"
-    #: The dataclass fields in order (``time`` first), as JSON keys.
-    _field_names: ClassVar[Tuple[str, ...]]
-
-    time: float
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Flat JSON-ready dictionary (``e`` = type tag, then the fields)."""
-        payload: Dict[str, Any] = {"e": self.etype}
-        for name in self._field_names:
-            payload[name] = getattr(self, name)
-        return payload
-
-
-@_event
-class QueryIssued(TraceEvent):
-    """A workload query entered the system at ``node``."""
-
-    etype: ClassVar[str] = "query_issued"
-    node: int = 0
-    item: int = 0
-    level: str = "strong"
-    query_id: int = 0
-
-
-@_event
-class CacheHit(TraceEvent):
-    """The querying node holds a copy (or sources the item)."""
-
-    etype: ClassVar[str] = "cache_hit"
-    node: int = 0
-    item: int = 0
-    version: int = 0
-
-
-@_event
-class CacheMiss(TraceEvent):
-    """The querying node holds no copy; discovery takes over."""
-
-    etype: ClassVar[str] = "cache_miss"
-    node: int = 0
-    item: int = 0
-
-
-@_event
-class ReadServed(TraceEvent):
-    """A query was answered at its issuing node.
-
-    ``fallback`` marks answers served *without* the level's validation
-    completing (push give-up, pull poll exhaustion, RPCC forced-stale,
-    offline self-serves) — the invariant checker exempts them from the
-    strong/Δ contracts but still audits weak monotonicity and validity.
-    ``remote`` marks answers fetched from another holder's copy.
+    Until then the module holds none of them, so a run that traces nothing
+    builds no event class; the first lookup of one (``events.ReadServed``,
+    ``from repro.obs.events import ReadServed``) builds them all, as
+    module-level classes of this module.
     """
-
-    etype: ClassVar[str] = "read_served"
-    node: int = 0
-    item: int = 0
-    version: int = 0
-    level: str = "strong"
-    query_id: int = 0
-    served_locally: bool = False
-    remote: bool = False
-    fallback: bool = False
-    cache_hit: bool = False
-    latency: float = 0.0
-    staleness_age: float = 0.0
-
-
-@_event
-class SourceUpdate(TraceEvent):
-    """The source host advanced its master copy to ``version``."""
-
-    etype: ClassVar[str] = "source_update"
-    node: int = 0
-    item: int = 0
-    version: int = 0
-
-
-@_event
-class InvalidationSent(TraceEvent):
-    """A source flooded an invalidation (``protocol``: push or rpcc)."""
-
-    etype: ClassVar[str] = "invalidation_sent"
-    node: int = 0
-    item: int = 0
-    version: int = 0
-    ttl: int = 0
-    protocol: str = "rpcc"
-
-
-@_event
-class InvalidationReceived(TraceEvent):
-    """An invalidation was *delivered* to ``node`` (network layer).
-
-    This is the checker's knowledge feed: once a node received version
-    ``v`` it must never serve an older version to a strong read.
-    """
-
-    etype: ClassVar[str] = "invalidation_received"
-    node: int = 0
-    item: int = 0
-    version: int = 0
-
-
-@_event
-class PollSent(TraceEvent):
-    """A validation poll left ``node`` (``stage`` names the ladder rung)."""
-
-    etype: ClassVar[str] = "poll_sent"
-    node: int = 0
-    item: int = 0
-    poll_id: int = 0
-    stage: str = "source"
-    ttl: int = 0
-
-
-@_event
-class PollAnswered(TraceEvent):
-    """A poll acknowledgement settled the query at ``node``.
-
-    ``fresh`` is ``True`` when the poller's copy was confirmed current
-    (ACK_A / up-to-date reply) and ``False`` when new content came back.
-    """
-
-    etype: ClassVar[str] = "poll_answered"
-    node: int = 0
-    item: int = 0
-    poll_id: int = 0
-    version: int = 0
-    fresh: bool = True
-
-
-@_event
-class FetchStarted(TraceEvent):
-    """A content refresh was requested from ``target`` (the source)."""
-
-    etype: ClassVar[str] = "fetch_started"
-    node: int = 0
-    item: int = 0
-    target: int = 0
-    kind: str = "push-refresh"
-
-
-@_event
-class FetchCompleted(TraceEvent):
-    """Fresh content landed, the local copy now holds ``version``."""
-
-    etype: ClassVar[str] = "fetch_completed"
-    node: int = 0
-    item: int = 0
-    version: int = 0
-    kind: str = "push-refresh"
-
-
-@_event
-class RelayPromoted(TraceEvent):
-    """``node`` became a relay peer for ``item`` (Fig 5: CANDIDATE→RELAY)."""
-
-    etype: ClassVar[str] = "relay_promoted"
-    node: int = 0
-    item: int = 0
-
-
-@_event
-class RelayDemoted(TraceEvent):
-    """``node`` resigned its relay role for ``item``."""
-
-    etype: ClassVar[str] = "relay_demoted"
-    node: int = 0
-    item: int = 0
-    reason: str = "resigned"
-
-
-@_event
-class NodeOnline(TraceEvent):
-    """``node`` switched on (Section 4.5 churn)."""
-
-    etype: ClassVar[str] = "node_online"
-    node: int = 0
-
-
-@_event
-class NodeOffline(TraceEvent):
-    """``node`` switched off."""
-
-    etype: ClassVar[str] = "node_offline"
-    node: int = 0
-
-
-@_event
-class FaultPartitionStarted(TraceEvent):
-    """A fault-plan partition came into force (``fault.*`` family)."""
-
-    etype: ClassVar[str] = "fault_partition_start"
-    mode: str = "spatial"
-    name: str = ""
-
-
-@_event
-class FaultPartitionEnded(TraceEvent):
-    """A fault-plan partition healed; suppressed edges are restored."""
-
-    etype: ClassVar[str] = "fault_partition_end"
-    mode: str = "spatial"
-    name: str = ""
-
-
-@_event
-class FaultNodeCrashed(TraceEvent):
-    """``node`` was crashed by the fault plan.
-
-    ``wiped`` distinguishes a crash whose cache did not survive — the
-    invariant checker then forgets everything the node knew, since its
-    obligations died with its state — from a power-cycle that keeps the
-    (possibly stale) copies for the eventual reboot.
-    """
-
-    etype: ClassVar[str] = "fault_node_crash"
-    node: int = 0
-    wiped: bool = False
-
-
-@_event
-class FaultNodeRebooted(TraceEvent):
-    """``node`` came back after a fault-plan crash."""
-
-    etype: ClassVar[str] = "fault_node_reboot"
-    node: int = 0
-
-
-@_event
-class FaultRelayKilled(TraceEvent):
-    """A targeted relay kill took ``node`` down while relaying ``item``."""
-
-    etype: ClassVar[str] = "fault_relay_kill"
-    node: int = 0
-    item: int = 0
-
-
-@_event
-class ControllerSampled(TraceEvent):
-    """The online controller took one observation window."""
-
-    etype: ClassVar[str] = "controller_sampled"
-    policy: str = ""
-    availability: float = 1.0
-    stale_rate: float = 0.0
-    query_rate: float = 0.0
-    update_rate: float = 0.0
-    partitions: int = 0
-    relays: int = 0
-
-
-@_event
-class ControllerActuated(TraceEvent):
-    """The controller changed one protocol knob at the actuation boundary.
-
-    The invariant checker consumes ``knob == "ttp"`` events to move its
-    knowledge-relative Δ contract: freshness windows opened *before* the
-    actuation keep the old bound until they drain, windows opened after
-    it are held to ``value``.
-    """
-
-    etype: ClassVar[str] = "controller_actuated"
-    policy: str = ""
-    knob: str = ""
-    value: float = 0.0
-    reason: str = ""
-
-
-@_event
-class MetricsReset(TraceEvent):
-    """The warm-up window closed; metrics were reset."""
-
-    etype: ClassVar[str] = "metrics_reset"
-
-
-#: Type-tag registry used by :func:`event_from_dict`.
-EVENT_TYPES: Dict[str, type] = {
-    cls.etype: cls
-    for cls in (
+    global _built
+    if _built is None:
+        classes = _define()
+        globals().update(classes)
+        _built = MappingProxyType(classes)
+    return _built
+
+
+def __getattr__(name: str) -> Any:
+    if name in _VOCABULARY:
+        return vocabulary()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *_VOCABULARY})
+
+
+def _define() -> Dict[str, Any]:
+    """Build the vocabulary: every event class by name, and ``EVENT_TYPES``."""
+
+    @_event
+    class TraceEvent:
+        """Base class: every event carries the simulation time it occurred."""
+
+        etype: ClassVar[str] = "event"
+        #: The dataclass fields in order (``time`` first), as JSON keys.
+        _field_names: ClassVar[Tuple[str, ...]]
+
+        time: float
+
+        def to_dict(self) -> Dict[str, Any]:
+            """Flat JSON-ready dictionary (``e`` = type tag, then the fields)."""
+            payload: Dict[str, Any] = {"e": self.etype}
+            for name in self._field_names:
+                payload[name] = getattr(self, name)
+            return payload
+
+    @_event
+    class QueryIssued(TraceEvent):
+        """A workload query entered the system at ``node``."""
+
+        etype: ClassVar[str] = "query_issued"
+        node: int = 0
+        item: int = 0
+        level: str = "strong"
+        query_id: int = 0
+
+    @_event
+    class CacheHit(TraceEvent):
+        """The querying node holds a copy (or sources the item)."""
+
+        etype: ClassVar[str] = "cache_hit"
+        node: int = 0
+        item: int = 0
+        version: int = 0
+
+    @_event
+    class CacheMiss(TraceEvent):
+        """The querying node holds no copy; discovery takes over."""
+
+        etype: ClassVar[str] = "cache_miss"
+        node: int = 0
+        item: int = 0
+
+    @_event
+    class ReadServed(TraceEvent):
+        """A query was answered at its issuing node.
+
+        ``fallback`` marks answers served *without* the level's validation
+        completing (push give-up, pull poll exhaustion, RPCC forced-stale,
+        offline self-serves) — the invariant checker exempts them from the
+        strong/Δ contracts but still audits weak monotonicity and validity.
+        ``remote`` marks answers fetched from another holder's copy.
+        """
+
+        etype: ClassVar[str] = "read_served"
+        node: int = 0
+        item: int = 0
+        version: int = 0
+        level: str = "strong"
+        query_id: int = 0
+        served_locally: bool = False
+        remote: bool = False
+        fallback: bool = False
+        cache_hit: bool = False
+        latency: float = 0.0
+        staleness_age: float = 0.0
+
+    @_event
+    class SourceUpdate(TraceEvent):
+        """The source host advanced its master copy to ``version``."""
+
+        etype: ClassVar[str] = "source_update"
+        node: int = 0
+        item: int = 0
+        version: int = 0
+
+    @_event
+    class InvalidationSent(TraceEvent):
+        """A source flooded an invalidation (``protocol``: push or rpcc)."""
+
+        etype: ClassVar[str] = "invalidation_sent"
+        node: int = 0
+        item: int = 0
+        version: int = 0
+        ttl: int = 0
+        protocol: str = "rpcc"
+
+    @_event
+    class InvalidationReceived(TraceEvent):
+        """An invalidation was *delivered* to ``node`` (network layer).
+
+        This is the checker's knowledge feed: once a node received version
+        ``v`` it must never serve an older version to a strong read.
+        """
+
+        etype: ClassVar[str] = "invalidation_received"
+        node: int = 0
+        item: int = 0
+        version: int = 0
+
+    @_event
+    class PollSent(TraceEvent):
+        """A validation poll left ``node`` (``stage`` names the ladder rung)."""
+
+        etype: ClassVar[str] = "poll_sent"
+        node: int = 0
+        item: int = 0
+        poll_id: int = 0
+        stage: str = "source"
+        ttl: int = 0
+
+    @_event
+    class PollAnswered(TraceEvent):
+        """A poll acknowledgement settled the query at ``node``.
+
+        ``fresh`` is ``True`` when the poller's copy was confirmed current
+        (ACK_A / up-to-date reply) and ``False`` when new content came back.
+        """
+
+        etype: ClassVar[str] = "poll_answered"
+        node: int = 0
+        item: int = 0
+        poll_id: int = 0
+        version: int = 0
+        fresh: bool = True
+
+    @_event
+    class FetchStarted(TraceEvent):
+        """A content refresh was requested from ``target`` (the source)."""
+
+        etype: ClassVar[str] = "fetch_started"
+        node: int = 0
+        item: int = 0
+        target: int = 0
+        kind: str = "push-refresh"
+
+    @_event
+    class FetchCompleted(TraceEvent):
+        """Fresh content landed, the local copy now holds ``version``."""
+
+        etype: ClassVar[str] = "fetch_completed"
+        node: int = 0
+        item: int = 0
+        version: int = 0
+        kind: str = "push-refresh"
+
+    @_event
+    class RelayPromoted(TraceEvent):
+        """``node`` became a relay peer for ``item`` (Fig 5: CANDIDATE→RELAY)."""
+
+        etype: ClassVar[str] = "relay_promoted"
+        node: int = 0
+        item: int = 0
+
+    @_event
+    class RelayDemoted(TraceEvent):
+        """``node`` resigned its relay role for ``item``."""
+
+        etype: ClassVar[str] = "relay_demoted"
+        node: int = 0
+        item: int = 0
+        reason: str = "resigned"
+
+    @_event
+    class NodeOnline(TraceEvent):
+        """``node`` switched on (Section 4.5 churn)."""
+
+        etype: ClassVar[str] = "node_online"
+        node: int = 0
+
+    @_event
+    class NodeOffline(TraceEvent):
+        """``node`` switched off."""
+
+        etype: ClassVar[str] = "node_offline"
+        node: int = 0
+
+    @_event
+    class FaultPartitionStarted(TraceEvent):
+        """A fault-plan partition came into force (``fault.*`` family)."""
+
+        etype: ClassVar[str] = "fault_partition_start"
+        mode: str = "spatial"
+        name: str = ""
+
+    @_event
+    class FaultPartitionEnded(TraceEvent):
+        """A fault-plan partition healed; suppressed edges are restored."""
+
+        etype: ClassVar[str] = "fault_partition_end"
+        mode: str = "spatial"
+        name: str = ""
+
+    @_event
+    class FaultNodeCrashed(TraceEvent):
+        """``node`` was crashed by the fault plan.
+
+        ``wiped`` distinguishes a crash whose cache did not survive — the
+        invariant checker then forgets everything the node knew, since its
+        obligations died with its state — from a power-cycle that keeps the
+        (possibly stale) copies for the eventual reboot.
+        """
+
+        etype: ClassVar[str] = "fault_node_crash"
+        node: int = 0
+        wiped: bool = False
+
+    @_event
+    class FaultNodeRebooted(TraceEvent):
+        """``node`` came back after a fault-plan crash."""
+
+        etype: ClassVar[str] = "fault_node_reboot"
+        node: int = 0
+
+    @_event
+    class FaultRelayKilled(TraceEvent):
+        """A targeted relay kill took ``node`` down while relaying ``item``."""
+
+        etype: ClassVar[str] = "fault_relay_kill"
+        node: int = 0
+        item: int = 0
+
+    @_event
+    class ControllerSampled(TraceEvent):
+        """The online controller took one observation window."""
+
+        etype: ClassVar[str] = "controller_sampled"
+        policy: str = ""
+        availability: float = 1.0
+        stale_rate: float = 0.0
+        query_rate: float = 0.0
+        update_rate: float = 0.0
+        partitions: int = 0
+        relays: int = 0
+
+    @_event
+    class ControllerActuated(TraceEvent):
+        """The controller changed one protocol knob at the actuation boundary.
+
+        The invariant checker consumes ``knob == "ttp"`` events to move its
+        knowledge-relative Δ contract: freshness windows opened *before* the
+        actuation keep the old bound until they drain, windows opened after
+        it are held to ``value``.
+        """
+
+        etype: ClassVar[str] = "controller_actuated"
+        policy: str = ""
+        knob: str = ""
+        value: float = 0.0
+        reason: str = ""
+
+    @_event
+    class MetricsReset(TraceEvent):
+        """The warm-up window closed; metrics were reset."""
+
+        etype: ClassVar[str] = "metrics_reset"
+
+    classes = (
         QueryIssued,
         CacheHit,
         CacheMiss,
@@ -477,7 +492,12 @@ EVENT_TYPES: Dict[str, type] = {
         ControllerActuated,
         MetricsReset,
     )
-}
+    built: Dict[str, Any] = {cls.__name__: cls for cls in classes}
+    built["TraceEvent"] = TraceEvent
+    #: Type-tag registry used by :func:`event_from_dict`.
+    built["EVENT_TYPES"] = {cls.etype: cls for cls in classes}
+    return built
+
 
 
 def event_from_dict(payload: Dict[str, Any]) -> TraceEvent:
@@ -487,6 +507,7 @@ def event_from_dict(payload: Dict[str, Any]) -> TraceEvent:
     type and no other key (in any order) and a finite ``int``/``float``
     ``time`` raises :class:`~repro.errors.ConfigurationError`.
     """
+    vocabulary()
     return _event_from_fields(dict(payload) if isinstance(payload, dict) else payload)
 
 
@@ -544,6 +565,7 @@ def iter_jsonl(source: Union[str, IO[str]]) -> Iterator[TraceEvent]:
 
 
 def _iter_stream(handle: IO[str]) -> Iterator[TraceEvent]:
+    vocabulary()
     for number, line in enumerate(handle, 1):
         try:
             if not line.isascii():

@@ -8,10 +8,12 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, TextIO, Union
+from typing import TYPE_CHECKING, List, Optional, Protocol, TextIO, Union
 
 from repro.errors import ConfigurationError
-from repro.obs.events import TraceEvent
+
+if TYPE_CHECKING:
+    from repro.obs.events import TraceEvent
 
 __all__ = ["TraceSink", "ListSink", "JsonlSink"]
 

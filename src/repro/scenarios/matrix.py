@@ -105,52 +105,57 @@ class MatrixPoint:
 
 
 def load_matrix(path: Union[str, Path]) -> MatrixSpec:
-    """Parse a matrix file (``.toml`` or ``.json``) into a :class:`MatrixSpec`."""
+    """Parse a matrix file (``.toml`` or ``.json``) into a :class:`MatrixSpec`.
+
+    Every :class:`~repro.errors.ConfigurationError` it raises begins with
+    the file's path: ``"bad.toml: unknown matrix axis/axes ['polices']"``.
+    """
     path = Path(path)
+    try:
+        return _matrix_from_data(_read_matrix_file(path))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
+def _read_matrix_file(path: Path) -> Any:
     try:
         raw = path.read_bytes()
     except OSError as exc:
-        raise ConfigurationError(f"cannot read matrix file {path}: {exc}") from None
+        raise ConfigurationError(f"cannot read matrix file: {exc.strerror}") from None
     if path.suffix.lower() == ".json":
         try:
-            data = json.loads(raw.decode("utf-8"))
+            return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"invalid JSON in {path}: {exc}") from None
-    else:
-        import tomllib
+            raise ConfigurationError(f"invalid JSON: {exc}") from None
+    import tomllib
 
-        try:
-            data = tomllib.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, tomllib.TOMLDecodeError) as exc:
-            raise ConfigurationError(f"invalid TOML in {path}: {exc}") from None
-    return _matrix_from_data(data, source=str(path))
+    try:
+        return tomllib.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, tomllib.TOMLDecodeError) as exc:
+        raise ConfigurationError(f"invalid TOML: {exc}") from None
 
 
-def _matrix_from_data(data: Mapping[str, Any], source: str = "<matrix>") -> MatrixSpec:
+def _matrix_from_data(data: Mapping[str, Any]) -> MatrixSpec:
     if not isinstance(data, Mapping):
-        raise ConfigurationError(f"{source}: matrix document must be a table")
+        raise ConfigurationError("matrix document must be a table")
     unknown = sorted(set(data) - {"matrix", "base"})
     if unknown:
         raise ConfigurationError(
-            f"{source}: unknown top-level table(s) {unknown}; "
+            f"unknown top-level table(s) {unknown}; "
             f"expected [matrix] and optional [base]"
         )
     axes = data.get("matrix")
     if not isinstance(axes, Mapping):
-        raise ConfigurationError(f"{source}: missing [matrix] table")
+        raise ConfigurationError("missing [matrix] table")
     bad_axes = sorted(set(axes) - {"scenarios", "strategies", "policies", "seeds"})
     if bad_axes:
-        raise ConfigurationError(
-            f"{source}: unknown matrix axis/axes {bad_axes}"
-        )
+        raise ConfigurationError(f"unknown matrix axis/axes {bad_axes}")
     for required in ("scenarios", "strategies"):
         if required not in axes:
-            raise ConfigurationError(
-                f"{source}: [matrix] needs a {required!r} list"
-            )
+            raise ConfigurationError(f"[matrix] needs a {required!r} list")
     base = data.get("base", {})
     if not isinstance(base, Mapping):
-        raise ConfigurationError(f"{source}: [base] must be a table")
+        raise ConfigurationError("[base] must be a table")
     return MatrixSpec(
         scenarios=tuple(axes["scenarios"]),
         strategies=tuple(axes["strategies"]),

@@ -18,15 +18,22 @@ copy through ``_deliver`` and its handler.
 A world closes every host's coefficient period from one clock
 (``Simulation._close_periods``); :func:`arm_period_timer_per_host` is
 start-up arming with one period timer per host instead.
+
+Message classes are built by ``repro.net.message.message_class``;
+:func:`dataclass_message` is the same class body under
+``@dataclasses.dataclass(frozen=True, slots=True)``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from collections import Counter, deque
 from itertools import accumulate
 
 from repro.consistency.rpcc import RPCCStrategy
 from repro.net import soa
+from repro.net.message import Message
 from repro.net.topology import TopologyService
 from repro.sim.timers import PeriodicTimer
 
@@ -245,3 +252,25 @@ def arm_period_timer_per_host(simulation) -> None:
     PeriodicTimer(sim, 60.0, simulation._sample_traffic).start()
     if simulation.controller is not None:
         simulation.controller.start()
+
+
+# ----------------------------------------------------------------------
+# Message classes, the dataclass way
+# ----------------------------------------------------------------------
+@functools.cache
+def dataclass_message(cls: type) -> type:
+    """``cls``'s own body (fields, class constants, ``__post_init__``) under
+    the dataclass decorator, over the dataclass-built reference of its base."""
+    if cls is Message:
+        return Message
+    own = cls.__dict__
+    namespace = {
+        name: own[name]
+        for name in ("__module__", "__doc__", "__post_init__", "DEFAULT_SIZE", "is_invalidation")
+        if name in own
+    }
+    namespace["__annotations__"] = {name: own["__annotations__"][name] for name in cls.__slots__}
+    namespace.update({name: cls.__dataclass_fields__[name].default for name in cls.__slots__})
+    reference = type(cls.__name__, (dataclass_message(cls.__bases__[0]),), namespace)
+    reference.__qualname__ = cls.__qualname__
+    return dataclasses.dataclass(frozen=True, slots=True)(reference)

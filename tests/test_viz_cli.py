@@ -145,6 +145,71 @@ class TestCLI:
         assert "repro: error: sim_time must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--jobs", "0", "run", "push"],
+        ["--jobs", "-3", "compare"],
+        ["--jobs", "two", "fig7a"],
+        ["matrix", "examples/matrix/smoke.toml", "--jobs", "0"],
+    ])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, argv):
+        """Rejected while parsing: no result store is opened."""
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--store", str(store)] + argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            f"error: argument --jobs: must be an integer >= 1, got {argv[argv.index('--jobs') + 1]!r}"
+        )
+        assert not store.exists()
+
+    @pytest.mark.parametrize("body,message", [
+        ('[matrix]\npolices = ["lru"]\n', "unknown matrix axis/axes ['polices']"),
+        ('[matrix]\nstrategies = ["push"]\n', "[matrix] needs a 'scenarios' list"),
+        ('[matrix]\nscenarios = ["standard"]\nstrategies = ["gossip"]\n', "gossip"),
+        ("[matrix\n", "invalid TOML"),
+    ])
+    def test_malformed_matrix_file_is_one_error_line(self, tmp_path, capsys, body, message):
+        bad = tmp_path / "bad.toml"
+        bad.write_text(body)
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--store", str(store), "matrix", str(bad)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last.startswith(f"repro: error: {bad}: ") and message in last
+        assert "Traceback" not in captured.err
+        assert not store.exists()
+
+    @pytest.mark.parametrize("argv,target", [
+        (["trace", "push", "--out", "{missing}/t.jsonl"], "{missing}/t.jsonl"),
+        (["matrix", "examples/matrix/smoke.toml", "--csv", "{missing}/x.csv"],
+         "{missing}/x.csv"),
+        (["fig9", "--csv", "{missing}/f"], "{missing}/fa.csv"),
+        (["run", "push", "--profile", "{missing}/p.pstats"], "{missing}/p.pstats"),
+    ])
+    def test_unwritable_output_fails_before_any_run(self, tmp_path, capsys, argv, target):
+        missing = tmp_path / "missing" / "dir"
+        argv = [arg.format(missing=missing) for arg in argv]
+        code = main(["--sim-time", "20", "--warmup", "10", "--no-store"] + argv)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing was simulated
+        assert captured.err == (
+            f"repro: error: cannot write {target.format(missing=missing)}: "
+            "No such file or directory\n"
+        )
+
+    def test_unwritable_output_found_at_write_is_one_error_line(self, tmp_path, capsys):
+        """A directory where the trace file should go fails as it opens."""
+        code = main(["--sim-time", "20", "--warmup", "10", "trace", "push", "--out", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"repro: error: cannot write {tmp_path}: Is a directory\n"
+
     def test_table1_command(self, capsys):
         assert main(["table1"]) == 0
         out = capsys.readouterr().out
