@@ -20,30 +20,21 @@ fault-free run, as a median of alternating pairs (``paired_ratio``).
 from __future__ import annotations
 
 import functools
-import pathlib
 from typing import Optional
 
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import build_simulation
 from repro.faults import FaultPlan
 
-from benchmarks.conftest import bench_config, paired_ratio
+from benchmarks.conftest import paired_ratio
+from benchmarks.control_campaign import CHAOS, EXAMPLES
 
 FAULT_SPEC = "rpcc-sc"
-EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples" / "faults"
 
 
 def faults_config(plan: Optional[FaultPlan] = None) -> SimulationConfig:
-    """Chaos-suite scale: small enough to repeat, relays form in-window."""
-    return bench_config(
-        n_peers=20,
-        sim_time=180.0,
-        warmup=60.0,
-        terrain_width=1000.0,
-        terrain_height=1000.0,
-        switch_interval=60.0,
-        faults=plan,
-    )
+    """The chaos sweep's world at seed 7: small enough to repeat, relays form in-window."""
+    return CHAOS.base.with_overrides(seed=7, faults=plan)
 
 
 def run_with_plan(plan: Optional[FaultPlan]):

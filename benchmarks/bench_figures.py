@@ -85,7 +85,7 @@ def test_fig7c(paper_campaign):
     _assert_fig7_shape(_figure(paper_campaign, "fig7c"))
     # The paper's Fig 7(c) discussion: more cache peers shift RPCC traffic
     # from the pull share towards the push share.
-    CACHE_NUMBERS = PANELS["fig7c"].values
+    CACHE_NUMBERS = PANELS["fig7c"].sweep.axes["cache_num"]
     small = rpcc_traffic_split(results[("fig7c", "rpcc-sc", CACHE_NUMBERS[0])].summary)
     large = rpcc_traffic_split(results[("fig7c", "rpcc-sc", CACHE_NUMBERS[-1])].summary)
     print()

@@ -1,9 +1,10 @@
 """The adaptive-vs-static chaos campaign and its committed artifact.
 
-Extends the 40-cell chaos matrix (4 shipped fault plans x 5 strategy
-specs x 2 seeds) into an 80-run controller comparison: every cell runs
-once under the ``static`` policy (full sampling cost, no actuation) and
-once under ``hysteresis``.  Every run is traced and replayed through the
+Adds a ``controller`` axis to the 40-cell chaos sweep :data:`CHAOS`
+(4 shipped fault plans x 5 strategy specs x 2 seeds), which makes the
+80-run controller comparison :data:`CAMPAIGN`: every cell runs once
+under the ``static`` policy (full sampling cost, no actuation) and once
+under ``hysteresis``.  Every run is traced and replayed through the
 :class:`~repro.obs.checker.InvariantChecker` — the campaign is only
 valid when *all 80 traces* are violation-free.
 
@@ -16,8 +17,8 @@ guarantees *from the artifact* — adaptive dominates or matches static on
 * stale-serve rate while partitioned, and
 * mean time to reconverge after a heal,
 
-within tolerance — and re-runs one cell bit-exactly to prove the
-artifact still describes the code.
+within tolerance — and re-runs one cell bit-exactly; CI regenerates the
+whole artifact and fails on any byte that moved.
 
 Regenerate after an intentional behaviour change with::
 
@@ -29,12 +30,10 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-from typing import Dict, List, Optional
+from typing import Dict, List, Sequence
 
 from repro.experiments.config import SimulationConfig
-from repro.experiments.runner import build_simulation
-from repro.faults import FaultPlan
-from repro.obs import InvariantChecker, ListSink, TraceBus
+from repro.experiments.sweep import Cell, Sweep, aggregate, run_checked
 
 ARTIFACT = pathlib.Path(__file__).resolve().parent / "CONTROL_campaign.json"
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples" / "faults"
@@ -43,6 +42,28 @@ PLANS = ("partition", "bursty_loss", "relay_kill", "crash_reboot")
 SPECS = ("push", "pull", "rpcc-sc", "rpcc-dc", "rpcc-wc")
 SEEDS = (7, 11)
 POLICIES = ("static", "hysteresis")
+
+#: The 40-cell chaos matrix at golden scale, which
+#: ``tests/test_faults_chaos.py`` runs checker-gated as it stands.
+#: ``switch_interval`` is shortened so relays form inside the window;
+#: otherwise relay kills would be vacuous no-ops.
+CHAOS = Sweep(
+    SimulationConfig(
+        n_peers=20,
+        terrain_width=1000.0,
+        terrain_height=1000.0,
+        sim_time=180.0,
+        warmup=60.0,
+        switch_interval=60.0,
+    ),
+    {
+        "faults": tuple(str(EXAMPLES / f"{plan}.json") for plan in PLANS),
+        "spec": SPECS,
+        "seed": SEEDS,
+    },
+)
+#: The campaign: every chaos cell under each control policy.
+CAMPAIGN = CHAOS.with_axis("controller", POLICIES)
 
 #: Aggregate tolerances of the dominance gate.  Individual cells may
 #: trade a little availability for a lot of freshness; the aggregates
@@ -53,77 +74,40 @@ EPS_RECONVERGE = 2.0  # seconds
 
 FLOAT_DIGITS = 9
 
-
-def campaign_config(
-    plan_name: str, seed: int, controller: Optional[str]
-) -> SimulationConfig:
-    """One chaos-matrix cell (mirrors ``tests/test_faults_chaos.py``)."""
-    return SimulationConfig(
-        n_peers=20,
-        terrain_width=1000.0,
-        terrain_height=1000.0,
-        sim_time=180.0,
-        warmup=60.0,
-        seed=seed,
-        switch_interval=60.0,
-        faults=FaultPlan.load(EXAMPLES / f"{plan_name}.json"),
-        controller=controller,
-    )
+#: Per-cell numbers the aggregate averages, and those it adds up.
+MEANS = ("availability", "stale_serve_rate_in_partition", "mean_time_to_reconverge")
+SUMS = ("violations", "decisions")
 
 
-def run_cell(plan_name: str, spec: str, seed: int, controller: str) -> Dict:
-    """Run one traced cell and reduce it to the recorded numbers."""
-    config = campaign_config(plan_name, seed, controller)
-    bus = TraceBus()
-    sink = bus.add_sink(ListSink())
-    result = build_simulation(config, spec, "standard", trace=bus).run()
-    bus.close()
-    report = InvariantChecker(delta=config.ttp).feed_all(sink.events).finish()
-    summary = result.summary
-    stats = result.fault_stats
-    issued = summary.queries_issued
-    return {
-        "plan": plan_name,
-        "spec": spec,
-        "seed": seed,
-        "policy": controller,
-        "availability": round(
-            summary.queries_answered / issued if issued else 1.0, FLOAT_DIGITS
-        ),
-        "stale_serve_rate_in_partition": round(
-            stats.get("stale_serve_rate_in_partition", 0.0), FLOAT_DIGITS
-        ),
-        "mean_time_to_reconverge": round(
-            stats.get("mean_time_to_reconverge", 0.0), FLOAT_DIGITS
-        ),
-        "stale_ratio": round(summary.stale_ratio, FLOAT_DIGITS),
-        "violations": len(report.violations),
-        "decisions": len(result.control_decisions),
-    }
+def plan_name(cell: Cell) -> str:
+    """The fault plan of a chaos cell, by its file stem."""
+    return pathlib.Path(cell.values["faults"]).stem
 
 
-def aggregate(cells: List[Dict]) -> Dict[str, Dict[str, float]]:
-    """Mean per-policy numbers over every cell of the campaign."""
-    out: Dict[str, Dict[str, float]] = {}
-    for policy in POLICIES:
-        rows = [cell for cell in cells if cell["policy"] == policy]
-        out[policy] = {
-            "cells": len(rows),
-            "availability": round(
-                sum(r["availability"] for r in rows) / len(rows), FLOAT_DIGITS
-            ),
-            "stale_serve_rate_in_partition": round(
-                sum(r["stale_serve_rate_in_partition"] for r in rows)
-                / len(rows),
-                FLOAT_DIGITS,
-            ),
-            "mean_time_to_reconverge": round(
-                sum(r["mean_time_to_reconverge"] for r in rows) / len(rows),
-                FLOAT_DIGITS,
-            ),
-            "violations": sum(r["violations"] for r in rows),
-            "decisions": sum(r["decisions"] for r in rows),
+def records(cells: Sequence[Cell]) -> List[Dict]:
+    """Run ``cells`` traced and checked; reduce each to the recorded numbers."""
+    results, reports = run_checked(cells)
+    out = []
+    for cell, result, report in zip(cells, results, reports):
+        summary, stats = result.summary, result.fault_stats
+        issued = summary.queries_issued
+        numbers = {
+            "availability": summary.queries_answered / issued if issued else 1.0,
+            "stale_serve_rate_in_partition": stats.get("stale_serve_rate_in_partition", 0.0),
+            "mean_time_to_reconverge": stats.get("mean_time_to_reconverge", 0.0),
+            "stale_ratio": summary.stale_ratio,
         }
+        row = {
+            "plan": plan_name(cell),
+            "spec": cell.spec,
+            "seed": cell.values["seed"],
+            "policy": cell.values["controller"],
+        }
+        for key, value in numbers.items():
+            row[key] = round(value, FLOAT_DIGITS)
+        row["violations"] = len(report.violations)
+        row["decisions"] = len(result.control_decisions)
+        out.append(row)
     return out
 
 
@@ -166,23 +150,22 @@ def dominance_failures(aggregates: Dict[str, Dict[str, float]]) -> List[str]:
 
 
 def run_campaign(verbose: bool = True) -> Dict:
-    cells: List[Dict] = []
-    for plan_name in PLANS:
-        for spec in SPECS:
-            for seed in SEEDS:
-                for policy in POLICIES:
-                    cell = run_cell(plan_name, spec, seed, policy)
-                    cells.append(cell)
-                    if verbose:
-                        print(
-                            f"  {plan_name:12s} {spec:8s} seed{seed:3d} "
-                            f"{policy:10s} avail={cell['availability']:.4f} "
-                            f"stale@part={cell['stale_serve_rate_in_partition']:.4f} "
-                            f"mttr={cell['mean_time_to_reconverge']:6.2f}s "
-                            f"viol={cell['violations']} "
-                            f"dec={cell['decisions']}"
-                        )
-    aggregates = aggregate(cells)
+    cells = CAMPAIGN.cells()
+    rows = records(cells)
+    if verbose:
+        for cell in rows:
+            print(
+                f"  {cell['plan']:12s} {cell['spec']:8s} seed{cell['seed']:3d} "
+                f"{cell['policy']:10s} avail={cell['availability']:.4f} "
+                f"stale@part={cell['stale_serve_rate_in_partition']:.4f} "
+                f"mttr={cell['mean_time_to_reconverge']:6.2f}s "
+                f"viol={cell['violations']} "
+                f"dec={cell['decisions']}"
+            )
+    groups = aggregate(
+        cells, [{key: row[key] for key in MEANS + SUMS} for row in rows],
+        by=("controller",),
+    )
     return {
         "matrix": {
             "plans": list(PLANS),
@@ -190,8 +173,15 @@ def run_campaign(verbose: bool = True) -> Dict:
             "seeds": list(SEEDS),
             "policies": list(POLICIES),
         },
-        "cells": cells,
-        "aggregates": aggregates,
+        "cells": rows,
+        "aggregates": {
+            group.key[0]: {
+                "cells": group.size,
+                **{key: round(group.mean[key], FLOAT_DIGITS) for key in MEANS},
+                **{key: sum(group.values[key]) for key in SUMS},
+            }
+            for group in groups
+        },
     }
 
 

@@ -30,7 +30,7 @@ import errno
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import SimulationConfig
@@ -38,11 +38,9 @@ from repro.experiments.executor import CampaignExecutor
 from repro.experiments.store import DEFAULT_STORE_DIR, ResultStore
 from repro.experiments.figures import PANELS, reproduce
 from repro.experiments.runner import PLACEMENT_SCENARIOS, STRATEGY_SPECS
+from repro.experiments.sweep import Cell, Sweep, aggregate, run_checked
 from repro.metrics.report import format_summary, format_table
 from repro.scenarios.registry import parse_spec, strategy_specs
-
-if TYPE_CHECKING:
-    from repro.scenarios.matrix import MatrixPoint, MatrixSpec
 
 __all__ = ["main", "build_parser"]
 
@@ -425,12 +423,9 @@ def _command_figures(
     args: argparse.Namespace, config: SimulationConfig, executor: CampaignExecutor
 ) -> None:
     """``fig7a``…``fig8c``, ``fig9`` and ``all``: one batch each."""
-    import os
-
     values = None
     if args.command == "all":
         names = tuple(PANELS)
-        os.makedirs(args.out, exist_ok=True)
     elif args.command == "fig9":
         names = _FIG9
         if args.ttls is not None:
@@ -461,72 +456,52 @@ def _command_figures(
             print()
 
 
-def _load_matrix(
-    args: argparse.Namespace, config: SimulationConfig
-) -> Tuple[MatrixSpec, List[MatrixPoint]]:
-    """The matrix file's spec and its points; every error names the file."""
-    from repro.scenarios.matrix import expand_matrix, load_matrix
-
-    matrix = load_matrix(args.file)  # its errors begin with the path already
-    try:
-        return matrix, expand_matrix(matrix, base_config=config)
-    except ConfigurationError as error:
-        raise ConfigurationError(f"{args.file}: {error}") from None
+def _matrix_metrics(summary) -> Dict[str, float]:
+    """One run's numbers in the matrix aggregate, in column order."""
+    issued = summary.queries_issued
+    return {
+        "transmissions": float(summary.transmissions),
+        "mean_latency": summary.mean_latency,
+        "answered_ratio": summary.queries_answered / issued if issued else 0.0,
+        "stale_ratio": summary.stale_ratio,
+        "violation_ratio": summary.violation_ratio,
+    }
 
 
 def _command_matrix(
-    args: argparse.Namespace,
-    matrix: MatrixSpec,
-    points: List[MatrixPoint],
-    executor: CampaignExecutor,
+    args: argparse.Namespace, sweep: Sweep, cells: List[Cell], executor: CampaignExecutor
 ) -> int:
-    from repro.scenarios.matrix import AGGREGATE_COLUMNS, aggregate_matrix, matrix_csv
+    from repro.scenarios.matrix import AGGREGATE_COLUMNS, matrix_csv
 
-    print(f"matrix {args.file}: {matrix.cells} cells, "
-          f"{len(points)} unique points")
-    violations = 0
-    if getattr(args, "check_invariants", False):
-        # Checker gating needs the event stream, which the store does not
-        # hold: every point runs traced, serial and unstored.
-        from repro.obs import InvariantChecker, ListSink, TraceBus
-
-        from repro.experiments.runner import build_simulation
-
-        results = []
-        for point in points:
-            config, spec, scenario = point.task
-            bus = TraceBus()
-            sink = bus.add_sink(ListSink())
-            results.append(
-                build_simulation(config, spec, scenario, trace=bus).run()
-            )
-            bus.close()
-            report = InvariantChecker(delta=config.ttp).feed_all(
-                sink.events
-            ).finish()
-            if not report.ok:
-                violations += len(report.violations)
-                print(f"INVARIANT VIOLATIONS at {point.scenario}/"
-                      f"{point.strategy}/{point.policy}/seed{point.seed}:")
-                print(report.format())
+    print(f"matrix {args.file}: {sweep.size} cells, "
+          f"{len(cells)} unique points")
+    check = getattr(args, "check_invariants", False)
+    reports = []
+    if check:
+        results, reports = run_checked(cells)
     else:
-        results = executor.run_many([point.task for point in points])
-    rows = aggregate_matrix(points, results)
-    display = [
-        tuple(
-            round(value, 3) if isinstance(value, float) else value
-            for value in row
-        )
-        for row in rows
-    ]
+        results = executor.run_many([cell.task for cell in cells])
+    violations = 0
+    for cell, report in zip(cells, reports):
+        if not report.ok:
+            violations += len(report.violations)
+            print(f"INVARIANT VIOLATIONS at {cell.values['scenario']}/{cell.spec}/"
+                  f"{cell.values['replacement_policy']}/seed{cell.values['seed']}:")
+            print(report.format())
+    groups = aggregate(
+        cells, [_matrix_metrics(result.summary) for result in results],
+        by=("scenario", "spec", "replacement_policy"),
+    )
+    rows = [group.key + (group.size, *group.mean.values()) for group in groups]
+    display = [[round(v, 3) if isinstance(v, float) else v for v in row] for row in rows]
     print(format_table(AGGREGATE_COLUMNS, display, title="matrix aggregate"))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
             handle.write(matrix_csv(rows))
         print(f"wrote {args.csv}")
-    if getattr(args, "check_invariants", False):
+    if check:
         status = "OK" if violations == 0 else f"{violations} violation(s)"
-        print(f"invariants: {status} across {len(points)} points")
+        print(f"invariants: {status} across {len(cells)} points")
         return 1 if violations else 0
     return 0
 
@@ -575,8 +550,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         config = _config(args)
         for ttl in getattr(args, "ttls", None) or ():  # every Fig 9 point, before any runs
             config.with_overrides(ttl_rpcc=ttl)
-        if args.command == "matrix":
-            matrix, points = _load_matrix(args, config)
+        if args.command == "matrix":  # every name in the file resolves, or exit 2
+            from repro.scenarios.matrix import load_matrix
+
+            sweep = load_matrix(args.file, config)  # its errors begin with the path
+            try:
+                cells = sweep.cells()
+            except ConfigurationError as error:
+                raise ConfigurationError(f"{args.file}: {error}") from None
     except ConfigurationError as error:
         parser.error(str(error))
     if args.command == "table1":
@@ -586,6 +567,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     for path in outputs:  # a missing directory fails before anything runs
         if not os.path.isdir(os.path.dirname(path) or os.curdir):
             return _cannot_write(path, os.strerror(errno.ENOENT))
+    if args.command == "all":  # so does an --out that cannot be a directory
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as error:
+            return _cannot_write(args.out, error.strerror)
     try:
         if args.command == "trace":
             return _command_trace(args, config)
@@ -596,7 +582,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif args.command == "compare":
             _command_compare(config, executor)
         elif args.command == "matrix":
-            code = _command_matrix(args, matrix, points, executor)
+            code = _command_matrix(args, sweep, cells, executor)
         else:
             _command_figures(args, config, executor)
     except OSError as error:

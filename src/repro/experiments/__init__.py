@@ -1,4 +1,4 @@
-"""Experiment harness: Table-1 config, runner, figure reproductions."""
+"""Experiment harness: Table-1 config, runner, campaign executor, sweeps."""
 
 from repro import _lazy_exports
 
@@ -18,6 +18,9 @@ _EXPORTS = {
     "RunRecord": "repro.experiments.store",
     "env_jobs": "repro.experiments.executor",
     "run_key": "repro.experiments.executor",
+    "Cell": "repro.experiments.sweep",
+    "Group": "repro.experiments.sweep",
+    "Sweep": "repro.experiments.sweep",
 }
 
 __all__ = list(_EXPORTS)

@@ -11,22 +11,24 @@
   the base config as flat references.  At TTL 1 the relay population is
   tiny and RPCC approaches pull; at TTL 7 it approaches push.
 
-:data:`PANELS` lists the eight panels; :func:`reproduce` runs every point
-of the named panels as one :meth:`CampaignExecutor.run_many` batch, so a
-point several panels share (Fig 7 and 8 read the same sweeps, and the
-Table 1 default lies on all three axes) simulates once.
+:data:`PANELS` lists the eight panels, each a
+:class:`~repro.experiments.sweep.Sweep`; :func:`reproduce` runs every
+cell of the named panels as one :meth:`CampaignExecutor.run_many` batch,
+so a point several panels share (Fig 7 and 8 read the same sweeps, and
+the Table 1 default lies on all three axes) simulates once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import SimulationConfig
 from repro.experiments.executor import CampaignExecutor
 from repro.experiments.runner import STRATEGY_SPECS, SimulationResult
+from repro.experiments.sweep import Sweep
 from repro.metrics.report import format_table
 
 __all__ = ["FigureData", "Panel", "PANELS", "reproduce"]
@@ -43,17 +45,20 @@ class FigureData:
     x_values: List[float]
     series: Dict[str, List[float]] = field(default_factory=dict)
 
-    def format(self) -> str:
-        """Render the figure as the table of rows the paper plots."""
-        headers = [self.x_label] + list(self.series)
+    def rows(self) -> List[List[float]]:
+        """One row per x value: the x, then each series' y."""
         rows = []
         for index, x_value in enumerate(self.x_values):
-            row: List[object] = [x_value]
+            row: List[float] = [x_value]
             for spec in self.series:
                 row.append(self.series[spec][index])
             rows.append(row)
+        return rows
+
+    def format(self) -> str:
+        """Render the figure as the table of rows the paper plots."""
         heading = f"{self.figure_id}: {self.title}  (y = {self.y_label})"
-        return format_table(headers, rows, title=heading)
+        return format_table([self.x_label, *self.series], self.rows(), title=heading)
 
     def value(self, spec: str, x: float) -> float:
         """Look up one y value by strategy and x.
@@ -71,13 +76,8 @@ class FigureData:
 
     def to_csv(self) -> str:
         """Serialize the figure as CSV (x column + one column per series)."""
-        header = [self.x_label] + list(self.series)
-        lines = [",".join(header)]
-        for index, x_value in enumerate(self.x_values):
-            row = [repr(x_value)]
-            for spec in self.series:
-                row.append(repr(self.series[spec][index]))
-            lines.append(",".join(row))
+        lines = [",".join([self.x_label, *self.series])]
+        lines += [",".join(map(repr, row)) for row in self.rows()]
         return "\n".join(lines) + "\n"
 
     def save_csv(self, path: str) -> None:
@@ -102,22 +102,24 @@ class FigureData:
 
 @dataclass(frozen=True)
 class Panel:
-    """One panel: ``axis`` (a config field) swept over ``values`` for each
-    of ``specs`` in the ``scenario`` placement, plus ``references`` run
-    once at the base config and drawn flat.  ``values`` are the x column
-    as printed; each is cast to the field's type for the run."""
+    """One panel: ``sweep`` crosses the swept config field (its first axis;
+    the values are the x column as printed, each cast to the field's type
+    for the run) with the plotted specs, and ``references`` holds the
+    specs run once at the base config and drawn flat."""
 
     figure_id: str
     title: str
-    axis: str
-    values: Tuple[float, ...]
+    sweep: Sweep
     x_label: str
     metric: Callable[[SimulationResult], float]
     y_label: str
     log_y: bool = False
-    specs: Tuple[str, ...] = STRATEGY_SPECS
-    scenario: str = "standard"
-    references: Tuple[str, ...] = ()
+    references: Optional[Sweep] = None
+
+    @property
+    def axis(self) -> str:
+        """The swept config field."""
+        return next(iter(self.sweep.axes))
 
 
 def _transmissions(result: SimulationResult) -> float:
@@ -130,13 +132,20 @@ def _hit_latency(result: SimulationResult) -> float:
     return result.summary.mean_hit_latency
 
 
+def _sweep(axis: str, values: Tuple[float, ...], **axes: Tuple[str, ...]) -> Sweep:
+    return Sweep(SimulationConfig(), {axis: values, "spec": STRATEGY_SPECS, **axes})
+
+
 _TRAFFIC = (_transmissions, "transmissions")
 _LATENCY = (_hit_latency, "mean hit latency (s)", True)  # log y, as the paper
-_UPDATE = ("update_interval", (30.0, 60.0, 120.0, 240.0, 480.0), "update interval (s)")
-_QUERY = ("query_interval", (5.0, 10.0, 20.0, 40.0, 80.0), "query interval (s)")
-_CACHE = ("cache_num", (2, 5, 10, 15, 20), "cache number")
-_TTL = ("ttl_rpcc", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0), "invalidation TTL (hops)")
-_SINGLE_SOURCE = dict(specs=("rpcc-sc",), scenario="single_source", references=("push", "pull"))
+_UPDATE = (_sweep("update_interval", (30.0, 60.0, 120.0, 240.0, 480.0)), "update interval (s)")
+_QUERY = (_sweep("query_interval", (5.0, 10.0, 20.0, 40.0, 80.0)), "query interval (s)")
+_CACHE = (_sweep("cache_num", (2, 5, 10, 15, 20)), "cache number")
+_SINGLE_SOURCE = ("single_source",)
+_TTL = (_sweep("ttl_rpcc", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0), spec=("rpcc-sc",),
+               scenario=_SINGLE_SOURCE), "invalidation TTL (hops)")
+_REFERENCES = dict(references=Sweep(SimulationConfig(), {"spec": ("push", "pull"),
+                                                          "scenario": _SINGLE_SOURCE}))
 
 #: The evaluation section, panel by panel; the key is the CLI command
 #: and the CSV file name.
@@ -148,9 +157,9 @@ PANELS: Dict[str, Panel] = {
     "fig8b": Panel("Fig 8(b)", "query latency vs request interval", *_QUERY, *_LATENCY),
     "fig8c": Panel("Fig 8(c)", "query latency vs cache number", *_CACHE, *_LATENCY),
     "fig9a": Panel("Fig 9(a)", "network traffic vs invalidation TTL", *_TTL, *_TRAFFIC,
-                   **_SINGLE_SOURCE),
-    "fig9b": Panel("Fig 9(b)", "query latency vs invalidation TTL", *_TTL,
-                   *_LATENCY, **_SINGLE_SOURCE),
+                   **_REFERENCES),
+    "fig9b": Panel("Fig 9(b)", "query latency vs invalidation TTL", *_TTL, *_LATENCY,
+                   **_REFERENCES),
 }
 
 #: ``(panel name, spec, x)``; ``x`` is ``None`` for a reference run.
@@ -177,35 +186,32 @@ def reproduce(
         raise ConfigurationError(
             f"unknown figure panel(s) {unknown}; choose from {list(PANELS)}"
         )
-    if executor is None:
-        executor = CampaignExecutor()
-    override = None if values is None else tuple(values)
-    axes = {name: PANELS[name].values if override is None else override for name in names}
-    points: List[Point] = []
-    tasks = []
+    sweeps, named = {}, []
     for name in names:
         panel = PANELS[name]
-        cast = type(getattr(config, panel.axis))
-        for x in axes[name]:
-            point_config = config.with_overrides(**{panel.axis: cast(x)})
-            for spec in panel.specs:
-                points.append((name, spec, x))
-                tasks.append((point_config, spec, panel.scenario))
-        for spec in panel.references:
-            points.append((name, spec, None))
-            tasks.append((config, spec, panel.scenario))
-    results = dict(zip(points, executor.run_many(tasks)))
+        sweep = replace(panel.sweep, base=config)
+        sweeps[name] = sweep if values is None else sweep.with_axis(panel.axis, values)
+        references = replace(panel.references, base=config).cells() if panel.references else []
+        named += [(name, cell) for cell in sweeps[name].cells() + references]
+    if executor is None:
+        executor = CampaignExecutor()
+    outcomes = executor.run_many([cell.task for _, cell in named])
+    results = {
+        (name, cell.spec, cell.values.get(PANELS[name].axis)): result
+        for (name, cell), result in zip(named, outcomes)
+    }
 
     figures = {}
     for name in names:
-        panel, xs = PANELS[name], axes[name]
+        panel, sweep = PANELS[name], sweeps[name]
+        xs = list(sweep.axes[panel.axis])
         series = {
             spec: [panel.metric(results[(name, spec, x)]) for x in xs]
-            for spec in panel.specs
+            for spec in sweep.axes["spec"]
         }
-        for spec in panel.references:
+        for spec in panel.references.axes["spec"] if panel.references else ():
             series[spec] = [panel.metric(results[(name, spec, None)])] * len(xs)
         figures[name] = FigureData(
-            panel.figure_id, panel.title, panel.x_label, panel.y_label, list(xs), series
+            panel.figure_id, panel.title, panel.x_label, panel.y_label, xs, series
         )
     return figures, results

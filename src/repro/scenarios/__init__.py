@@ -8,12 +8,14 @@ The public surface of the subsystem docs/SCENARIOS.md describes:
   errors;
 * :mod:`repro.scenarios.spec` — the serializable
   :class:`ScenarioSpec` that expands to a ``SimulationConfig`` plus a
-  placement scenario and optional fault plan;
+  placement scenario (one of the runner's ``PLACEMENT_SCENARIOS``) and
+  optional fault plan;
 * :mod:`repro.scenarios.catalog` — the built-in presets (urban grid,
   highway strip, trace replay, campus partition, flash crowd,
   multi-source hot set);
-* :mod:`repro.scenarios.matrix` — TOML/JSON experiment matrices
-  expanded into campaign tasks (``repro matrix FILE``).
+* :mod:`repro.scenarios.matrix` — TOML/JSON experiment matrices read
+  into a :class:`~repro.experiments.sweep.Sweep` (``repro matrix FILE``)
+  and the CSV of their aggregate.
 """
 
 from repro.scenarios.registry import (
@@ -30,27 +32,17 @@ from repro import _lazy_exports
 # The registries are what every run consults; specs and matrices (and the
 # fault plans a spec may carry) load when a campaign first names them.
 _EXPORTS = {
-    "BASE_SCENARIOS": "repro.scenarios.spec",
     "ScenarioSpec": "repro.scenarios.spec",
-    "MatrixPoint": "repro.scenarios.matrix",
-    "MatrixSpec": "repro.scenarios.matrix",
-    "aggregate_matrix": "repro.scenarios.matrix",
-    "expand_matrix": "repro.scenarios.matrix",
     "load_matrix": "repro.scenarios.matrix",
     "matrix_csv": "repro.scenarios.matrix",
 }
 
 __all__ = [
-    "BASE_SCENARIOS",
-    "MatrixPoint",
-    "MatrixSpec",
     "POLICIES",
     "Registry",
     "SCENARIOS",
     "STRATEGIES",
     "ScenarioSpec",
-    "aggregate_matrix",
-    "expand_matrix",
     "load_matrix",
     "matrix_csv",
     "register_policy",

@@ -1,13 +1,13 @@
 """Declarative scenario specifications.
 
 A :class:`ScenarioSpec` is the serializable description of one named
-world: a *base* placement scenario (``standard``/``single_source``/
-``hot_set``), a set of :class:`~repro.experiments.config.SimulationConfig`
+world: a *base* placement scenario (one of the runner's
+``PLACEMENT_SCENARIOS``), a set of :class:`~repro.experiments.config.SimulationConfig`
 field overrides, and an optional deterministic
 :class:`~repro.faults.plan.FaultPlan`.  Specs are data, not code: they
 hash into the run key via the config they expand to, and compose with
-any strategy spec and replacement policy in an experiment matrix (see
-:mod:`repro.scenarios.matrix` and docs/SCENARIOS.md).
+any strategy spec and replacement policy in a sweep (see
+:mod:`repro.experiments.sweep` and docs/SCENARIOS.md).
 """
 
 from __future__ import annotations
@@ -16,15 +16,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
+from repro.experiments.runner import PLACEMENT_SCENARIOS
 from repro.faults.plan import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.experiments.config import SimulationConfig
 
-__all__ = ["BASE_SCENARIOS", "ScenarioSpec"]
-
-#: Placement scenarios ``build_simulation`` understands.
-BASE_SCENARIOS = ("standard", "single_source", "hot_set")
+__all__ = ["ScenarioSpec"]
 
 #: Scalar types an override value may take (a mutable value would let a
 #: caller change a registered preset after the fact).
@@ -43,7 +41,7 @@ class ScenarioSpec:
         One-line summary shown by ``repro list`` and docs tables.
     base:
         Placement scenario passed to ``build_simulation`` (one of
-        :data:`BASE_SCENARIOS`).
+        :data:`~repro.experiments.runner.PLACEMENT_SCENARIOS`).
     overrides:
         ``SimulationConfig`` field overrides applied on top of the base
         config at expansion time.  Values must be scalars.
@@ -62,9 +60,9 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"scenario name must be a non-empty string, got {self.name!r}"
             )
-        if self.base not in BASE_SCENARIOS:
+        if self.base not in PLACEMENT_SCENARIOS:
             raise ConfigurationError(
-                f"scenario base must be one of {BASE_SCENARIOS}, got {self.base!r}"
+                f"scenario base must be one of {PLACEMENT_SCENARIOS}, got {self.base!r}"
             )
         if not isinstance(self.overrides, Mapping):
             raise ConfigurationError(

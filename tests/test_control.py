@@ -320,17 +320,13 @@ class TestCheckerRefusesUnusableDelta:
 
 
 def _chaos_config(controller=None, seed=7, **overrides):
-    from repro.experiments.config import SimulationConfig
+    """The partition cell of the chaos sweep at ``seed``, under ``controller``."""
+    from benchmarks.control_campaign import CHAOS, EXAMPLES
     from repro.faults import FaultPlan
-    from pathlib import Path
 
-    plan = FaultPlan.load(
-        Path(__file__).parent.parent / "examples" / "faults" / "partition.json"
-    )
-    return SimulationConfig(
-        n_peers=20, terrain_width=1000.0, terrain_height=1000.0,
-        sim_time=180.0, warmup=60.0, seed=seed, faults=plan,
-        controller=controller, **overrides,
+    return CHAOS.base.with_overrides(
+        seed=seed, controller=controller,
+        faults=FaultPlan.load(EXAMPLES / "partition.json"), **overrides,
     )
 
 

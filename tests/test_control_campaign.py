@@ -21,12 +21,14 @@ import pytest
 
 from benchmarks.control_campaign import (
     ARTIFACT,
+    CAMPAIGN,
     PLANS,
     POLICIES,
     SEEDS,
     SPECS,
     dominance_failures,
-    run_cell,
+    plan_name,
+    records,
 )
 
 
@@ -91,10 +93,15 @@ class TestArtifactMatchesCode:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_recorded_cell_reproduces_bit_exactly(self, campaign, policy):
         """One live rerun per policy must equal the committed record."""
+        coordinates = ("partition", "rpcc-sc", 7, policy)
         want = next(
             c
             for c in campaign["cells"]
-            if (c["plan"], c["spec"], c["seed"], c["policy"])
-            == ("partition", "rpcc-sc", 7, policy)
+            if (c["plan"], c["spec"], c["seed"], c["policy"]) == coordinates
         )
-        assert run_cell("partition", "rpcc-sc", 7, policy) == want
+        cell = next(
+            c
+            for c in CAMPAIGN.cells()
+            if (plan_name(c), c.spec, c.values["seed"], c.values["controller"]) == coordinates
+        )
+        assert records([cell]) == [want]

@@ -1,46 +1,30 @@
 """The checker-gated chaos suite plus targeted RPCC hardening tests.
 
-Every shipped example fault plan runs against every strategy spec and two
-seeds at golden scale; the invariant checker must hold on each trace.
-``switch_interval`` is shortened so relay promotion happens inside the
-window — otherwise relay kills would be vacuous no-ops.
+Every cell of the chaos sweep (``benchmarks.control_campaign.CHAOS``:
+every shipped example fault plan against every strategy spec and two
+seeds at golden scale) runs through the sweep's checked path; the
+invariant checker must hold on each trace.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
+from benchmarks.control_campaign import CHAOS, plan_name
 from repro.consistency.levels import ConsistencyLevel
 from repro.consistency.rpcc import RPCCConfig, RPCCStrategy
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import build_simulation
+from repro.experiments.sweep import run_checked
 from repro.faults import FaultPlan
-from repro.obs import InvariantChecker, ListSink, TraceBus
+from repro.obs import ListSink, TraceBus
 
 from tests.conftest import line_positions, make_eligible, make_world
 
-EXAMPLES = Path(__file__).parent.parent / "examples" / "faults"
-PLANS = ("partition", "bursty_loss", "relay_kill", "crash_reboot")
-SPECS = ("push", "pull", "rpcc-sc", "rpcc-dc", "rpcc-wc")
-SEEDS = (7, 11)
-MATRIX = [
-    (plan, spec, seed) for plan in PLANS for spec in SPECS for seed in SEEDS
-]
-
-
-def _chaos_config(seed: int, plan: FaultPlan) -> SimulationConfig:
-    return SimulationConfig(
-        n_peers=20,
-        terrain_width=1000.0,
-        terrain_height=1000.0,
-        sim_time=180.0,
-        warmup=60.0,
-        seed=seed,
-        switch_interval=60.0,  # lets relays form inside the short window
-        faults=plan,
-    )
+#: The chaos sweep's cells by test id: ``<plan>-<spec>-s<seed>``.
+CELLS = {
+    f"{plan_name(cell)}-{cell.spec}-s{cell.values['seed']}": cell for cell in CHAOS.cells()
+}
 
 
 def _run_traced(config: SimulationConfig, spec: str):
@@ -51,23 +35,20 @@ def _run_traced(config: SimulationConfig, spec: str):
     return result, sink.events
 
 
-@pytest.mark.parametrize(
-    "plan_name,spec,seed", MATRIX,
-    ids=[f"{p}-{s}-s{d}" for p, s, d in MATRIX],
-)
-def test_chaos_suite_holds_the_invariants(plan_name, spec, seed):
-    plan = FaultPlan.load(EXAMPLES / f"{plan_name}.json")
-    config = _chaos_config(seed, plan)
-    result, events = _run_traced(config, spec)
-    report = InvariantChecker(delta=config.ttp).feed_all(events).finish()
-    assert report.ok, f"{plan_name}/{spec}/seed{seed}:\n{report.format()}"
+@pytest.mark.parametrize("cell_id", CELLS)
+def test_chaos_suite_holds_the_invariants(cell_id):
+    (result,), (report,) = run_checked([CELLS[cell_id]])
+    assert report.ok, f"{cell_id}:\n{report.format()}"
     assert report.reads_checked > 0
     assert result.summary.queries_answered > 0  # degraded, not dead
 
 
+def test_chaos_suite_is_the_full_grid():
+    assert len(CELLS) == CHAOS.size == 40
+
+
 def test_relay_kill_plan_actually_kills_relays():
-    plan = FaultPlan.load(EXAMPLES / "relay_kill.json")
-    result, events = _run_traced(_chaos_config(7, plan), "rpcc-sc")
+    result, events = _run_traced(CELLS["relay_kill-rpcc-sc-s7"].config, "rpcc-sc")
     counters = result.summary.counters
     assert counters.get("fault_relay_kills", 0) > 0
     assert any(e.etype == "fault_relay_kill" for e in events)
@@ -76,8 +57,7 @@ def test_relay_kill_plan_actually_kills_relays():
 
 
 def test_partition_plan_reports_degradation():
-    plan = FaultPlan.load(EXAMPLES / "partition.json")
-    result, _ = _run_traced(_chaos_config(7, plan), "rpcc-sc")
+    result, _ = _run_traced(CELLS["partition-rpcc-sc-s7"].config, "rpcc-sc")
     stats = result.fault_stats
     assert stats["partition_seconds"] == pytest.approx(60.0)
     assert 0.0 < stats["availability"] <= 1.0

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from repro.cli import build_parser, main
 from repro.errors import ConfigurationError
 from repro.experiments.config import SimulationConfig
-from repro.experiments.runner import STRATEGY_SPECS, build_simulation
-from repro.scenarios.matrix import MatrixSpec, expand_matrix
+from repro.experiments.runner import PLACEMENT_SCENARIOS, STRATEGY_SPECS, build_simulation
+from repro.experiments.sweep import Sweep
 from repro.scenarios.registry import (
     LEVEL_SUFFIXES,
     POLICIES,
@@ -26,7 +26,7 @@ from repro.scenarios.registry import (
     register_scenario,
     strategy_specs,
 )
-from repro.scenarios.spec import BASE_SCENARIOS, ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec
 
 
 class TestRegistrySnapshots:
@@ -87,7 +87,7 @@ BAD_SPECS = (
 
 
 @pytest.mark.parametrize("spec", BAD_SPECS)
-@pytest.mark.parametrize("surface", ("build_simulation", "expand_matrix", "build_parser"))
+@pytest.mark.parametrize("surface", ("build_simulation", "sweep", "build_parser"))
 def test_one_spelling_per_spec(surface, spec, capsys):
     """Every surface asks ``parse_spec``: same rejections, same listing."""
     if surface == "build_parser":
@@ -99,7 +99,7 @@ def test_one_spelling_per_spec(surface, spec, capsys):
             if surface == "build_simulation":
                 build_simulation(SimulationConfig(), spec)
             else:
-                expand_matrix(MatrixSpec(("urban-grid",), (spec,)))
+                Sweep(SimulationConfig(), {"scenario": ("urban-grid",), "spec": (spec,)}).cells()
         message = str(caught.value)
     assert repr(spec) in message
     assert all(valid in message for valid in strategy_specs())
@@ -175,7 +175,7 @@ class TestScenarioSpec:
     def test_base_validated(self):
         with pytest.raises(ConfigurationError):
             ScenarioSpec(name="t", base="sideways")
-        for base in BASE_SCENARIOS:
+        for base in PLACEMENT_SCENARIOS:
             assert ScenarioSpec(name="t", base=base).base == base
 
     def test_expand_returns_placement(self):

@@ -168,6 +168,10 @@ class TestCLI:
         ('[matrix]\npolices = ["lru"]\n', "unknown matrix axis/axes ['polices']"),
         ('[matrix]\nstrategies = ["push"]\n', "[matrix] needs a 'scenarios' list"),
         ('[matrix]\nscenarios = ["standard"]\nstrategies = ["gossip"]\n', "gossip"),
+        ('[matrix]\nscenarios = ["standard"]\nstrategies = ["push"]\nseeds = 3\n',
+         "sweep axis 'seed' needs a non-empty list of values, got 3"),
+        ('[matrix]\nscenarios = ["standard"]\nstrategies = ["push"]\nseeds = ["1"]\n',
+         "seed values must be numbers, got '1'"),
         ("[matrix\n", "invalid TOML"),
     ])
     def test_malformed_matrix_file_is_one_error_line(self, tmp_path, capsys, body, message):
@@ -209,6 +213,20 @@ class TestCLI:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err == f"repro: error: cannot write {tmp_path}: Is a directory\n"
+
+    def test_all_out_that_is_a_file_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        """``all --out`` names a directory; a plain file there is one line, exit 1."""
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("repro.cli.reproduce", no_runs)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code = main(["--sim-time", "20", "--warmup", "10", "--no-store", "all", "--out", str(afile)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro: error: cannot write {afile}: File exists\n"
 
     def test_table1_command(self, capsys):
         assert main(["table1"]) == 0
