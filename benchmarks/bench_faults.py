@@ -54,7 +54,7 @@ def test_disabled_faults_are_bit_identical_at_bench_scale():
     off = run_with_plan(None)
     empty = run_with_plan(FaultPlan())
     assert off.summary == empty.summary
-    assert off.fault_stats == empty.fault_stats == {}
+    assert off.summary.fault_stats == empty.summary.fault_stats == {}
 
 
 def test_fault_overhead_is_bounded(capsys):

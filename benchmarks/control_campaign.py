@@ -89,7 +89,7 @@ def records(cells: Sequence[Cell]) -> List[Dict]:
     results, reports = run_checked(cells)
     out = []
     for cell, result, report in zip(cells, results, reports):
-        summary, stats = result.summary, result.fault_stats
+        summary, stats = result.summary, result.summary.fault_stats
         issued = summary.queries_issued
         numbers = {
             "availability": summary.queries_answered / issued if issued else 1.0,

@@ -277,7 +277,7 @@ def _print_topology_stats(result) -> None:
     """Topology footer: the refresh counters, and how the rebuilds came
     by their candidate pairs (:class:`repro.net.soa.PairList`) when any
     used it."""
-    stats = getattr(result, "topology_stats", None)
+    stats = result.topology_stats
     if not stats:
         return
     line = (f"topology: {stats.get('snapshots_built', 0)} built, "
@@ -293,7 +293,7 @@ def _print_topology_stats(result) -> None:
 
 def _print_fault_stats(result) -> None:
     """Degradation footer for fault-injected runs (empty dict = silent)."""
-    stats = getattr(result, "fault_stats", None)
+    stats = result.summary.fault_stats
     if not stats:
         return
     print("degradation: "
@@ -309,7 +309,7 @@ def _print_fault_stats(result) -> None:
 
 def _print_control_decisions(result) -> None:
     """Controller footer: one line per applied decision (empty = silent)."""
-    decisions = getattr(result, "control_decisions", None)
+    decisions = result.control_decisions
     if not decisions:
         return
     print(f"controller: {len(decisions)} decision(s) applied")

@@ -15,7 +15,6 @@ _EXPORTS = {
     "CampaignExecutor": "repro.experiments.executor",
     "CampaignRunError": "repro.experiments.executor",
     "ResultStore": "repro.experiments.store",
-    "RunRecord": "repro.experiments.store",
     "env_jobs": "repro.experiments.executor",
     "run_key": "repro.experiments.executor",
     "Cell": "repro.experiments.sweep",

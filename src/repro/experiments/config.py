@@ -133,8 +133,10 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         # Counts and TTLs index ranges and hop loops: a float, a bool or
-        # NaN that passed the range checks below would crash the run.
-        for name in ("n_peers", "cache_num", "ttl_broadcast", "ttl_rpcc", "hot_set_size"):
+        # NaN that passed the range checks below would crash the run.  A
+        # seed of 1.0 or True would run seed 1 under another run key.
+        integers = ("seed", "n_peers", "cache_num", "ttl_broadcast", "ttl_rpcc", "hot_set_size")
+        for name in integers:
             value = getattr(self, name)
             if type(value) is bool or not isinstance(value, int):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")

@@ -31,7 +31,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import SimulationResult, run_simulation
-from repro.experiments.store import STORE_FORMAT_VERSION, ResultStore, RunRecord
+from repro.experiments.store import STORE_FORMAT_VERSION, ResultStore
 
 __all__ = [
     "CampaignExecutor",
@@ -244,10 +244,8 @@ class CampaignExecutor:
 
         resolved: Dict[str, SimulationResult] = {}
         if self.store is not None:
-            found = self.store.get_many(list(unique))
-            for key, record in found.items():
-                resolved[key] = record.to_result(unique[key][0])
-            self.store_hits += len(found)
+            resolved = self.store.get_many(unique)
+            self.store_hits += len(resolved)
         pending = [(key, task) for key, task in unique.items() if key not in resolved]
 
         resolved.update(self._execute(pending))
@@ -269,7 +267,7 @@ class CampaignExecutor:
             completions = _run_serial(pending)
         else:
             completions = _run_pool(pending, self.jobs)
-        unsaved: List[RunRecord] = []
+        unsaved: List[Tuple[str, SimulationResult]] = []
         committed_at = time.monotonic()
         try:
             for key, task, status, payload in completions:
@@ -280,7 +278,7 @@ class CampaignExecutor:
                 fresh[key] = result
                 self.runs_executed += 1
                 if self.store is not None:
-                    unsaved.append(RunRecord.from_result(key, result))
+                    unsaved.append((key, result))
                     now = time.monotonic()
                     if now - committed_at >= COMMIT_INTERVAL_S:
                         self.store.put_many(unsaved)

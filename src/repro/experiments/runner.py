@@ -186,9 +186,6 @@ class SimulationResult:
     #: candidate-pair lists built/reused and nodes re-anchored) at end
     #: of run.
     topology_stats: Dict[str, int] = field(default_factory=dict)
-    #: Degradation metrics (availability, stale-serve rate in partition,
-    #: time-to-reconverge); empty for fault-free runs without a meter.
-    fault_stats: Dict[str, float] = field(default_factory=dict)
     #: Applied online-control decisions in order (empty without a
     #: controller): ``{"time", "policy", "reason", "applied", "modes"}``.
     control_decisions: List[Dict[str, object]] = field(default_factory=list)
@@ -284,12 +281,11 @@ class Simulation:
         fraction = sum(
             host.battery.fraction for host in self.hosts.values()
         ) / len(self.hosts)
-        summary = self.metrics.summary()
         return SimulationResult(
             spec=self.spec,
             scenario=self.scenario,
             config=self.config,
-            summary=summary,
+            summary=self.metrics.summary(),
             total_queries=self.query_workload.total_queries,
             total_updates=self.update_workload.total_updates,
             relay_samples=list(self._relay_samples),
@@ -299,7 +295,6 @@ class Simulation:
             wall_clock_seconds=elapsed,
             events_processed=self.sim.events_processed,
             topology_stats=self.network.topology.stats(),
-            fault_stats=dict(summary.fault_stats),
             control_decisions=(
                 list(self.controller.decisions)
                 if self.controller is not None

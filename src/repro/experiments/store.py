@@ -1,18 +1,14 @@
 """One-table result store: the campaign persistence layer.
 
 A store directory holds one SQLite database, ``runs.sqlite``, with one
-table ``runs(key TEXT PRIMARY KEY, payload BLOB, crc INTEGER)``: the
-run's content address (:func:`repro.experiments.executor.run_key`), its
-:class:`RunRecord` fields in order as one JSON array, and the payload's
-CRC-32.  A read checks the CRC and that the payload holds the key asked
-for, so a damaged file raises :class:`StoreFormatError` instead of
-serving different numbers.  :meth:`ResultStore.put_many` is one
-transaction: a crash (``kill -9`` included) keeps every earlier commit
-and none of the torn one, which SQLite's rollback journal undoes on the
-next open.  Equal keys imply equal results, so two campaigns sharing a
-directory write the same record for a key; SQLite's file lock
-serialises their commits.  Each call opens its own connection and closes
-it before returning, so none crosses a process-pool fork.
+table ``runs(key TEXT PRIMARY KEY, payload BLOB, crc INTEGER)``: a run's
+content address (:func:`repro.experiments.executor.run_key`), its
+:class:`~repro.experiments.runner.SimulationResult` less the task the
+key names as one JSON array, and the payload's CRC-32.  A read checks
+the CRC, the key and each value's type, so a damaged file raises
+:class:`StoreFormatError` instead of serving different numbers.  A
+commit is one transaction (a ``kill -9`` keeps every earlier one), and
+each call opens and closes its own connection, so none crosses a fork.
 """
 
 from __future__ import annotations
@@ -21,19 +17,22 @@ import json
 import os
 import sqlite3
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import fields
+from functools import partial
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import get_args, get_origin, get_type_hints
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.experiments.runner import SimulationResult
 from repro.metrics.collector import MetricsSummary
 from repro.metrics.timeseries import TimeSeries
 
 __all__ = [
     "STORE_FORMAT_VERSION",
     "DEFAULT_STORE_DIR",
-    "RunRecord",
     "ResultStore",
     "StoreFormatError",
 ]
@@ -43,7 +42,7 @@ __all__ = [
 #: change).  It is the database's ``PRAGMA user_version`` and salts
 #: :func:`repro.experiments.executor.run_key`, so an old store is refused
 #: loudly instead of resurfacing stale numbers.
-STORE_FORMAT_VERSION = 3  # v3: one SQLite table of JSON payloads
+STORE_FORMAT_VERSION = 4  # v4: the SimulationResult fields themselves
 
 #: Where the CLI keeps its store unless ``--store`` moves it.
 DEFAULT_STORE_DIR = os.path.join("results", ".store")
@@ -51,174 +50,92 @@ DEFAULT_STORE_DIR = os.path.join("results", ".store")
 #: Keys per ``SELECT ... IN (...)`` (below SQLite's bound-parameter limit).
 _LOOKUP_CHUNK = 500
 
-#: ``json.dumps`` without the per-call setup; records hold no cycles.
-_ENCODE = json.JSONEncoder(check_circular=False, separators=(",", ":")).encode
+#: ``json.dumps`` without the per-call setup; results hold no cycles.
+_ENCODE = json.JSONEncoder(check_circular=False, separators=(",", ":"),
+                           default=lambda v: _CONVERSIONS[type(v)][2](v)).encode
 
 
 class StoreFormatError(SimulationError):
     """The store's database could not be read as this store format."""
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One finished run, reduced to the store's fixed schema."""
-
-    key: str
-    spec: str
-    scenario: str
-    seed: int
-    sim_time: float
-    transmissions: int
-    messages: int
-    bytes_on_air: int
-    queries_issued: int
-    queries_answered: int
-    queries_unanswered: int
-    mean_latency: float
-    mean_hit_latency: float
-    p95_latency: float
-    local_answer_ratio: float
-    stale_ratio: float
-    violation_ratio: float
-    mean_staleness_age: float
-    total_queries: int
-    total_updates: int
-    energy_consumed: float
-    mean_battery_fraction: float
-    wall_clock_seconds: float
-    events_processed: int
-    transmissions_by_type: Dict[str, int]
-    counters: Dict[str, int]
-    fault_stats: Dict[str, float]
-    topology_stats: Dict[str, int]
-    relay_samples: List[List[float]]
-    traffic_series: Optional[Dict[str, object]]
-    control_decisions: List[Dict[str, object]]
-
-    def __post_init__(self) -> None:
-        # Each int and float field holds exactly that type: a float field
-        # handed an int is written, and so read back, as a float.
-        for name, cast in _SCALAR_CASTS:
-            object.__setattr__(self, name, cast(getattr(self, name)))
-
-    @classmethod
-    def from_result(cls, key: str, result) -> "RunRecord":
-        """Reduce a :class:`SimulationResult` to a storable record."""
-        summary = result.summary
-        series = result.traffic_series
-        series_payload = None
-        if series is not None:
-            series_payload = {
-                "name": series.name,
-                "times": series.times,
-                "values": series.values,
-            }
-        return cls(
-            key=key,
-            spec=result.spec,
-            scenario=result.scenario,
-            seed=int(result.config.seed),
-            sim_time=float(result.config.sim_time),
-            transmissions=summary.transmissions,
-            messages=summary.messages,
-            bytes_on_air=summary.bytes_on_air,
-            queries_issued=summary.queries_issued,
-            queries_answered=summary.queries_answered,
-            queries_unanswered=summary.queries_unanswered,
-            mean_latency=summary.mean_latency,
-            mean_hit_latency=summary.mean_hit_latency,
-            p95_latency=summary.p95_latency,
-            local_answer_ratio=summary.local_answer_ratio,
-            stale_ratio=summary.stale_ratio,
-            violation_ratio=summary.violation_ratio,
-            mean_staleness_age=summary.mean_staleness_age,
-            total_queries=result.total_queries,
-            total_updates=result.total_updates,
-            energy_consumed=result.energy_consumed,
-            mean_battery_fraction=result.mean_battery_fraction,
-            wall_clock_seconds=result.wall_clock_seconds,
-            events_processed=result.events_processed,
-            transmissions_by_type=dict(summary.transmissions_by_type),
-            counters=dict(summary.counters),
-            fault_stats=dict(summary.fault_stats),
-            topology_stats=dict(result.topology_stats),
-            relay_samples=[[t, c] for t, c in result.relay_samples],
-            traffic_series=series_payload,
-            control_decisions=list(result.control_decisions),
-        )
-
-    def to_result(self, config):
-        """Rebuild a :class:`SimulationResult` around ``config``.
-
-        The store does not persist configurations (the campaign that
-        resumes already holds them — the key proves they match), so the
-        caller supplies the task's config.  Every persisted field round
-        trips exactly: JSON floats round trip via ``repr`` (``±inf``,
-        ``NaN`` and ``-0.0`` included) and JSON ints are unbounded.
-        """
-        from repro.experiments.runner import SimulationResult
-
-        global _RESULT_ORDER_CHECKED
-        if not _RESULT_ORDER_CHECKED:
-            assert tuple(f.name for f in fields(SimulationResult)) == (
-                _RESULT_FIELD_ORDER
-            ), "SimulationResult fields moved: fix RunRecord.to_result"
-            _RESULT_ORDER_CHECKED = True
-
-        # A resumed 1000-point campaign rebuilds a result per record, so
-        # both are built the cheap way.  The summary goes around its frozen
-        # __init__, as get_many does for records (MetricsSummary has no
-        # __post_init__ and no slots); SimulationResult is built
-        # positionally, its field order asserted above.
-        summary = MetricsSummary.__new__(MetricsSummary)
-        summary.__dict__.update(zip(_SUMMARY_FIELDS, _SUMMARY_GETTER(self)))
-        series = None
-        if self.traffic_series is not None:
-            series = TimeSeries(str(self.traffic_series.get("name", "")))
-            for time, value in zip(
-                self.traffic_series["times"], self.traffic_series["values"]
-            ):
-                series.record(float(time), float(value))
-        return SimulationResult(
-            self.spec,
-            self.scenario,
-            config,
-            summary,
-            self.total_queries,
-            self.total_updates,
-            [(float(t), int(c)) for t, c in self.relay_samples],
-            series,
-            self.energy_consumed,
-            self.mean_battery_fraction,
-            self.wall_clock_seconds,
-            self.events_processed,
-            dict(self.topology_stats),
-            dict(self.fault_stats),
-            list(self.control_decisions),
-        )
+def _kinds(column, kind):
+    """``column``, each value exactly a ``kind``; a float column casts ints."""
+    kinds = set(map(type, column))
+    if kinds <= {kind}:
+        return column
+    if kind is float and kinds <= {float, int}:
+        return [float(value) for value in column]
+    raise TypeError(f"{kind.__name__} expected, got {sorted(k.__name__ for k in kinds - {kind})}")
 
 
-_RECORD_FIELDS = tuple(field.name for field in fields(RunRecord))
-_FIELD_GETTER = attrgetter(*_RECORD_FIELDS)
-_SCALAR_CASTS = tuple(
-    (f.name, {"int": int, "float": float}[f.type])
-    for f in fields(RunRecord) if f.type in ("int", "float")
-)
+def _series(name, times, values):
+    """A stored TimeSeries, held to ``record``'s checks."""
+    series = TimeSeries(name)
+    for time, value in zip(times, values, strict=True):
+        series.record(time, value)
+    return series
 
-#: What :meth:`RunRecord.to_result` reads for its summary, and the
-#: SimulationResult field order it relies on for positional construction
-#: (SimulationResult imports lazily, so that check runs on first use).
-_SUMMARY_FIELDS = tuple(field.name for field in fields(MetricsSummary))
-_SUMMARY_GETTER = attrgetter(*_SUMMARY_FIELDS)
-assert not hasattr(MetricsSummary, "__post_init__"), "fix RunRecord.to_result"
-_RESULT_FIELD_ORDER = (
-    "spec", "scenario", "config", "summary", "total_queries",
-    "total_updates", "relay_samples", "traffic_series",
-    "energy_consumed", "mean_battery_fraction", "wall_clock_seconds",
-    "events_processed", "topology_stats", "fault_stats",
-    "control_decisions",
-)
-_RESULT_ORDER_CHECKED = False
+
+#: The types JSON lacks, as lists: ``type -> (part types, from part columns, to parts)``.
+_CONVERSIONS = {
+    tuple: ((), zip, None),
+    TimeSeries: ((str, List[float], List[float]), partial(map, _series),
+                 lambda series: [series.name, series.times, series.values]),
+}
+
+_REFUSED = (TypeError, ValueError, OverflowError, ConfigurationError)
+
+
+def _decoder(hint):
+    """The reader of one annotated field type: from the parsed JSON values of
+    a column to what the field holds, or one of ``_REFUSED`` for a value it refuses."""
+    if hint is object:
+        return lambda column: column
+    if hint in (int, float, str):
+        return lambda column: _kinds(column, hint)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[X]: the Nones stay, the rest is read as X
+        inner = _decoder(args[0])
+
+        def optional(column):
+            it = iter(inner([raw for raw in column if raw is not None]))
+            return [raw if raw is None else next(it) for raw in column]
+        return optional
+    if origin in (dict, list):  # JSON object keys are always text
+        items, parts = _decoder(args[-1]), (dict.values if origin is dict else iter)
+
+        def container(column):
+            flat = list(chain.from_iterable(map(parts, _kinds(column, origin))))
+            decoded = items(flat)
+            if decoded is flat:  # nothing cast
+                return column
+            it = iter(decoded)
+            return [origin(zip(raw, it)) if origin is dict else [*islice(it, len(raw))]
+                    for raw in column]
+        return container
+    parts, build, _ = _CONVERSIONS[origin or hint]
+    checks = [_decoder(part) for part in parts or args]
+
+    def convert(column):
+        if set(map(len, _kinds(column, list))) - {len(checks)}:
+            raise ValueError(f"a value without {len(checks)} parts")
+        return list(build(*[
+            check([raw[at] for raw in column]) for at, check in enumerate(checks)
+        ]))
+    return convert
+
+
+#: A run's task (``executor.RunTask`` order): its key names it, so a read is handed it.
+_TASK = ("config", "spec", "scenario")
+
+#: A payload: the key, then the summary's and the result's own fields, each read by its decoder.
+_SUMMARY = [f.name for f in fields(MetricsSummary)]
+_OWN = [f.name for f in fields(SimulationResult) if f.name not in (*_TASK, "summary")]
+_GET_SUMMARY, _GET_OWN = attrgetter(*_SUMMARY), attrgetter(*_OWN)
+_HINTS = get_type_hints(MetricsSummary) | get_type_hints(SimulationResult)
+_DECODERS = [_decoder(_HINTS[name]) for name in _SUMMARY + _OWN]
+assert not any(hasattr(cls, "__post_init__") for cls in (MetricsSummary, SimulationResult))
 
 
 class ResultStore:
@@ -276,12 +193,12 @@ class ResultStore:
         except (sqlite3.Error, UnicodeDecodeError) as exc:
             raise self._error(exc) from exc
 
-    def put_many(self, records: Iterable[RunRecord]) -> None:
-        """Commit ``records`` in one transaction (no-op when empty)."""
+    def put_many(self, results: Iterable[Tuple[str, SimulationResult]]) -> None:
+        """Commit ``(key, result)`` pairs in one transaction (no-op when empty)."""
         rows = []
-        for record in records:
-            payload = _ENCODE(_FIELD_GETTER(record)).encode("utf-8")
-            rows.append((record.key, payload, zlib.crc32(payload)))
+        for key, result in results:
+            payload = _ENCODE((key, *_GET_SUMMARY(result.summary), *_GET_OWN(result))).encode()
+            rows.append((key, payload, zlib.crc32(payload)))
         if not rows:
             return
         self._path.parent.mkdir(parents=True, exist_ok=True)
@@ -318,9 +235,9 @@ class ResultStore:
         rows = self._read(("SELECT count(*) FROM runs", ()))
         return rows[0][0] if rows else 0
 
-    def get_many(self, keys: Sequence[str]) -> Dict[str, RunRecord]:
-        """The committed record of every key the store holds."""
-        wanted = list(dict.fromkeys(keys))
+    def get_many(self, tasks: Mapping[str, tuple]) -> Dict[str, SimulationResult]:
+        """The stored result of each ``key: (config, spec, scenario)`` task, built around it."""
+        wanted = list(tasks)
         queries = []
         for at in range(0, len(wanted), _LOOKUP_CHUNK):
             chunk = wanted[at:at + _LOOKUP_CHUNK]
@@ -339,16 +256,28 @@ class ResultStore:
             decoded = json.loads(b"[%s]" % joined)
         except ValueError as exc:
             raise self._error(exc) from exc
-        found: Dict[str, RunRecord] = {}
-        new = RunRecord.__new__
-        for (key, _, _), values in zip(rows, decoded):
-            if not isinstance(values, list) or len(values) != len(_RECORD_FIELDS) \
-                    or values[0] != key:
+        for (key, _, _), row in zip(rows, decoded):
+            if key not in tasks or not isinstance(row, list) \
+                    or len(row) - len(_DECODERS) != 1 or row[0] != key:
                 raise self._error(f"the row under {key!r} holds another record")
-            # Around the frozen __init__: writing the instance __dict__ is
-            # equivalent (RunRecord has no slots) and half the cost.
-            record = new(RunRecord)
-            record.__dict__.update(zip(_RECORD_FIELDS, values))
-            found[key] = record
+        try:  # a column at a time, and row by row to name a refused value
+            columns = [decode(column) for decode, column in zip(_DECODERS, [*zip(*decoded)][1:])]
+        except _REFUSED:
+            for (key, _, _), row in zip(rows, decoded):
+                for label, decode, raw in zip(_SUMMARY + _OWN, _DECODERS, row[1:]):
+                    try:
+                        decode([raw])
+                    except _REFUSED as exc:
+                        raise self._error(f"record {key!r}: field {label!r}: {exc}") from None
+            raise
+        found: Dict[str, SimulationResult] = {}
+        for (key, _, _), values in zip(rows, zip(*columns)):
+            # Around the __init__s, which the assert above holds to running nothing else.
+            summary = object.__new__(MetricsSummary)
+            summary.__dict__.update(zip(_SUMMARY, values))
+            result = object.__new__(SimulationResult)
+            result.__dict__.update(zip(_TASK, tasks[key]), summary=summary)
+            result.__dict__.update(zip(_OWN, values[len(_SUMMARY):]))
+            found[key] = result
         self.stats["records_served"] += len(found)
         return found

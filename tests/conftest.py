@@ -8,6 +8,7 @@ the simulator themselves.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -19,6 +20,7 @@ from repro.cache.discovery import Discovery
 from repro.cache.item import CachedCopy
 from repro.consistency.base import ConsistencyStrategy, StrategyContext
 from repro.metrics.collector import MetricsCollector
+from repro.metrics.timeseries import TimeSeries
 from repro.mobility.stationary import Stationary
 from repro.mobility.terrain import Point, Terrain
 from repro.net.link import LinkModel
@@ -152,3 +154,27 @@ def terrain() -> Terrain:
 def line_positions(count: int, spacing: float = 100.0) -> List[Tuple[float, float]]:
     """``count`` hosts on a horizontal line, ``spacing`` metres apart."""
     return [(i * spacing, 0.0) for i in range(count)]
+
+
+def result_fingerprint(value, skip: Sequence[str] = ("wall_clock_seconds",)):
+    """Every field of a ``SimulationResult``, its summary's included, as
+    exactly typed plain data, less the fields ``skip`` names (by default
+    the wall clock, which two runs of one task do not share).
+
+    The fields come from ``dataclasses.fields``, so a new one is compared
+    without editing this.  Floats are compared by ``repr`` (NaN equals
+    NaN, ``-0.0`` differs from ``0.0``) and each leaf with its type (``1``
+    differs from ``1.0`` and from ``True``).
+    """
+    if dataclasses.is_dataclass(value):
+        return {
+            field.name: result_fingerprint(getattr(value, field.name), skip)
+            for field in dataclasses.fields(value) if field.name not in skip
+        }
+    if isinstance(value, TimeSeries):
+        return "TimeSeries", value.name, result_fingerprint((value.times, value.values))
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [result_fingerprint(item, skip) for item in value]
+    if isinstance(value, dict):
+        return {key: result_fingerprint(item, skip) for key, item in value.items()}
+    return type(value).__name__, repr(value) if isinstance(value, float) else value

@@ -24,6 +24,7 @@ from repro.experiments.executor import (
 )
 from repro.experiments.figures import reproduce
 from repro.experiments.store import ResultStore
+from tests.conftest import result_fingerprint
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -52,25 +53,6 @@ POISON = (tiny_config(), "gossip", "standard")
 
 def keys_of(tasks):
     return {run_key(config, spec, scenario) for config, spec, scenario in tasks}
-
-
-def result_fingerprint(result):
-    return (
-        result.spec,
-        result.scenario,
-        result.config,
-        result.summary,
-        result.total_queries,
-        result.total_updates,
-        result.relay_samples,
-        result.traffic_series.times,
-        result.traffic_series.values,
-        result.energy_consumed,
-        result.mean_battery_fraction,
-        result.topology_stats,
-        result.fault_stats,
-        result.control_decisions,
-    )
 
 
 class TestResume:

@@ -269,9 +269,9 @@ class TestOneCore:
     crossovers no benchmark row earned, the strategy and controller
     settings only tests set, the hand-built segment store, the config
     fields no public path set, the replica protocol, the absolute-seconds
-    bench gate, the per-host period timer, §2's infrastructure baseline
-    and the benches nothing ran are gone from the tree, not just from
-    ``src/``."""
+    bench gate, the per-host period timer, §2's infrastructure baseline,
+    the benches nothing ran and the store's copy of the result schema are
+    gone from the tree, not just from ``src/``."""
 
     #: Spelled in pieces so this file passes its own check.
     RETIRED = (
@@ -322,6 +322,7 @@ class TestOneCore:
         )),
         "Matrix" + "Spec", "Matrix" + "Point", "expand_" + "matrix", "aggregate_" + "matrix",
         "BASE_" + "SCENARIOS", "campaign_" + "config",
+        "Run" + "Record", "from_" + "result", "to_" + "result", "_RESULT_FIELD" + "_ORDER",
     )
     #: History, the issue that retired them, and the read-only benchmark.
     EXEMPT = ("CHANGES.md", "ROADMAP.md", "ISSUE.md", "benchmarks/e2e/")
@@ -332,6 +333,7 @@ class TestOneCore:
     EXEMPT += ("docs/decisions/09-one-period-clock.md",)
     EXEMPT += ("docs/decisions/10-what-nothing-runs.md",)
     EXEMPT += ("docs/decisions/12-one-sweep.md",)
+    EXEMPT += ("docs/decisions/13-one-run-record.md",)
     EXEMPT += ("BENCHMARK.json",)  # the benchmark's declaration, read-only too
 
     def test_retired_names_appear_in_no_tracked_file(self):

@@ -31,6 +31,7 @@ from repro.experiments.runner import STRATEGY_SPECS, run_simulation
 from repro.experiments.store import STORE_FORMAT_VERSION, ResultStore
 from repro.faults.plan import FaultPlan
 from repro.peers.coefficients import SelectionThresholds
+from tests.conftest import result_fingerprint
 
 FAULT_PLANS = Path(__file__).resolve().parents[1] / "examples" / "faults"
 
@@ -46,23 +47,6 @@ def tiny_config(**kwargs):
     )
     defaults.update(kwargs)
     return SimulationConfig(**defaults)
-
-
-def result_fingerprint(result):
-    """Everything that must be identical across execution modes."""
-    return (
-        result.spec,
-        result.scenario,
-        result.config,
-        result.summary,
-        result.total_queries,
-        result.total_updates,
-        result.relay_samples,
-        result.traffic_series.times,
-        result.traffic_series.values,
-        result.energy_consumed,
-        result.mean_battery_fraction,
-    )
 
 
 class TestRunKey:

@@ -113,6 +113,8 @@ class TestSimulationConfig:
             ("ttl_rpcc", NAN), ("ttl_rpcc", 2.5),
             ("n_peers", 2.5), ("n_peers", True), ("cache_num", 2.5),
             ("hot_set_size", 2.5), ("hot_set_size", NAN),
+            # Each of these ran seed 1 under a run key of its own.
+            ("seed", True), ("seed", 1.5), ("seed", 1.0),
             # Lengths a run can reach the end of.
             ("terrain_width", float("inf")), ("terrain_height", float("inf")),
             ("sim_time", float("inf")), ("controller_interval", float("inf")),

@@ -58,7 +58,7 @@ def test_relay_kill_plan_actually_kills_relays():
 
 def test_partition_plan_reports_degradation():
     result, _ = _run_traced(CELLS["partition-rpcc-sc-s7"].config, "rpcc-sc")
-    stats = result.fault_stats
+    stats = result.summary.fault_stats
     assert stats["partition_seconds"] == pytest.approx(60.0)
     assert 0.0 < stats["availability"] <= 1.0
     assert stats["heals_observed"] == 1

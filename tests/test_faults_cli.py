@@ -99,3 +99,26 @@ def test_run_without_faults_has_no_degradation_footer(capsys):
     code = main(BASE + ["--no-store", "run", "push"])
     assert code in (0, None)
     assert "degradation:" not in capsys.readouterr().out
+
+
+def test_a_served_run_prints_what_the_fresh_run_printed(tmp_path, capsys):
+    """Every footer a fresh run prints reads the same when the run is
+    served from the store; only the ``store:`` line differs."""
+    argv = [
+        "--store", str(tmp_path / "store"),
+        "--sim-time", "180", "--warmup", "60", "--seed", "7",
+        "run", "rpcc-sc",
+        "--faults", str(EXAMPLES / "partition.json"),
+        "--controller", "hysteresis",
+    ]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) in (0, None)
+        outputs.append(capsys.readouterr().out.splitlines())
+    fresh, served = outputs
+    assert fresh[-1].endswith("; 1 runs simulated")
+    assert served[-1].endswith("; 0 runs simulated")
+    for footer in ("topology:", "degradation:", "controller:"):
+        assert any(line.startswith(footer) for line in fresh), footer
+    assert fresh[:-1] == served[:-1]
+    assert [line for line in fresh if line.startswith("store:")] == [fresh[-1]]

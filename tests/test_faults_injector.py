@@ -388,7 +388,7 @@ class TestDegradationBoundaries:
             sim_time=90.0, warmup=0.0, seed=3, faults=plan,
         )
         result = build_simulation(config, "rpcc-sc", "standard").run()
-        stats = result.fault_stats
+        stats = result.summary.fault_stats
         assert stats["heals_observed"] == 0.0
         assert stats["partition_seconds"] == pytest.approx(70.0)
         for name, value in stats.items():

@@ -216,13 +216,13 @@ def _run_table1(spec: str, **overrides):
     return result, _digest(result, events)
 
 
-def _check_world(key: str, result, digest: dict, *pinned: str) -> None:
+def _check_world(key: str, digest: dict, **pinned) -> None:
     """Compare one world with ``worlds.json`` (or record it, under UPDATE).
 
-    ``pinned`` names result attributes (``topology_stats``,
+    ``pinned`` holds result counters (``topology_stats``,
     ``fault_stats``) committed next to the digest.
     """
-    record = {"digest": digest, **{name: getattr(result, name) for name in pinned}}
+    record = {"digest": digest, **pinned}
     if UPDATE:
         _store_golden(key, record, WORLDS_PATH)
         return
@@ -250,7 +250,7 @@ def test_table1_world_matches_golden(spec):
     committed when a scalar core produced them too."""
     result, digest = _run_table1(spec)
     assert digest["transmissions"] > 0
-    _check_world(f"table1-{spec}", result, digest, "topology_stats")
+    _check_world(f"table1-{spec}", digest, topology_stats=result.topology_stats)
 
 
 @pytest.mark.parametrize("spec,sent", [
@@ -316,8 +316,8 @@ def test_partition_plan_filters_the_lazily_materialised_snapshot(monkeypatch):
         (soa.ArrayPositions, True, False), (dict, True, False)
     }
     assert (soa.ArrayPositions, True, False) in filtered
-    assert result.fault_stats["partition_seconds"] == 60.0
-    _check_world("table1-partition-rpcc-sc", result, digest, "fault_stats")
+    assert result.summary.fault_stats["partition_seconds"] == 60.0
+    _check_world("table1-partition-rpcc-sc", digest, fault_stats=result.summary.fault_stats)
 
 
 #: ``(key, spec, peers, sim_time)``: nineteen peers in twenty stand still,
@@ -353,7 +353,7 @@ def test_pause_heavy_world(key, spec, n_peers, sim_time):
     result, events = _run_cell(spec, 7, config)
     digest = _digest(result, events)
     assert digest["transmissions"] > 0
-    _check_world(key, result, digest)
+    _check_world(key, digest)
     # Served by rebuilds: one per changed refresh.
     assert result.topology_stats["snapshots_built"] > 150
 
@@ -382,7 +382,7 @@ def _run_large_world(key: str, stable_fraction: float):
     bus.close()
     digest = _digest(result, sink.events)
     assert digest["transmissions"] > 0
-    _check_world(key, result, digest)
+    _check_world(key, digest)
     return result
 
 
