@@ -5,7 +5,7 @@ Builds the e2e benchmark's Table-1 world (``paper50``: 50 peers,
 ``stable_fraction`` 0.1; sparse: 0.9; ``rpcc-hy``, ``single_source``,
 seed 7), each in a fresh process so that imports are paid the way a
 ``repro run`` pays them, runs them, and prints wall seconds per start-up
-phase:
+phase and the resident MiB the world's process holds (below):
 
 * **imports** — ``import repro.experiments.runner``, split into the
   self seconds of ``numpy``, ``repro`` and every other (stdlib) module,
@@ -25,7 +25,10 @@ plus every collection ``gc.callbacks`` reports from build start to run
 end: the phase it fell in, its generation, its milliseconds and what it
 freed; and what arming allocates — objects (pymalloc blocks) and bytes
 (``tracemalloc``) — measured on a second, identical world after the
-timed one, so that tracing costs the timed phases nothing.  The
+timed one, so that tracing costs the timed phases nothing; and resident
+memory: ``VmRSS`` (``/proc/self/statm``, Linux) after the imports, after
+the build and after the run, and the process's peak (``ru_maxrss``) at
+the end of the run, before the second world.  The
 boundaries are found by wrapping functions the build calls once per
 phase, so the script reads any tree that has those names; the stream
 wrapper adds about 0.2 us a stream.  It prints and gates nothing.
@@ -43,7 +46,9 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -66,6 +71,8 @@ PHASES = (
 )
 #: The parts of the imports phase, by top-level module name.
 IMPORT_PARTS = ("numpy", "repro", "other stdlib")
+#: Where resident MiB are read, in order; ``peak`` is ``ru_maxrss``.
+RESIDENT = ("imports", "build", "run", "peak")
 #: Written to stderr around the imports phase, so that the parent reads
 #: only that phase's ``-X importtime`` lines.
 _IMPORTS_BEGIN, _IMPORTS_END = "startup_cost: imports begin", "startup_cost: imports end"
@@ -101,6 +108,12 @@ class _Clock:
         })
 
 
+def _resident_mib() -> float:
+    """This process's ``VmRSS`` now, in MiB."""
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
 def _wrap(owner: Any, name: str, before: Callable[[], None]) -> None:
     real = getattr(owner, name)
 
@@ -133,6 +146,7 @@ def measure(hosts: int, world: str, sim_time: Optional[float]) -> Dict[str, Any]
     import repro.experiments.runner as runner
 
     imported = time.perf_counter()
+    resident = {"imports": _resident_mib()}
     print(_IMPORTS_END, file=sys.stderr, flush=True)
     sys.path.insert(0, str(BENCH_DIR.parent))
     from benchmarks.bench_scale import SPEC, scale_config
@@ -174,9 +188,12 @@ def measure(hosts: int, world: str, sim_time: Optional[float]) -> Dict[str, Any]
         clock.enter("hosts")
         simulation = runner.build_simulation(config, SPEC, placement)
         clock.enter("between build and run")
+        resident["build"] = _resident_mib()
         clock.enter("arming")
         simulation.run()
         clock.enter("end")
+        resident["run"] = _resident_mib()
+        resident["peak"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB
     finally:
         gc.callbacks.remove(clock.on_gc)
 
@@ -206,6 +223,7 @@ def measure(hosts: int, world: str, sim_time: Optional[float]) -> Dict[str, Any]
         "streams_made": streams_made,
         "seconds": seconds,
         "armed": {"objects": armed_objects, "bytes": armed_bytes},
+        "resident_mib": resident,
         "collections": clock.collections,
     }
 
@@ -245,6 +263,8 @@ def report(results: Sequence[Dict[str, Any]]) -> None:
             if phase == "imports":
                 for part in IMPORT_PARTS:
                     print(f"    {part:20s}{result['imports'][part]:8.3f} s (-X importtime self)")
+        print("  resident MiB: " + ", ".join(
+            f"{where} {result['resident_mib'][where]:.1f}" for where in RESIDENT))
         armed = result["armed"]
         print(f"  arming allocates {armed['objects']} objects, {armed['bytes']} bytes "
               f"({armed['bytes'] / result['hosts']:.0f} B/host)")
@@ -266,6 +286,9 @@ def report(results: Sequence[Dict[str, Any]]) -> None:
             for part in IMPORT_PARTS:
                 print(f"| imports: {part} | " + " | ".join(
                     f"{r['imports'][part]:.3f}" for r in results) + " |")
+    for where in RESIDENT:
+        print(f"| resident MiB, {where} | " + " | ".join(
+            f"{r['resident_mib'][where]:.1f}" for r in results) + " |")
     print("| arming allocates, objects | " + " | ".join(
         str(r["armed"]["objects"]) for r in results) + " |")
     print("| arming allocates, B/host | " + " | ".join(

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional
 from repro.errors import ConfigurationError
 from repro.experiments.config import SimulationConfig
 from repro.experiments.executor import CampaignExecutor
-from repro.experiments.store import DEFAULT_STORE_DIR, ResultStore
+from repro.experiments.store import DEFAULT_STORE_DIR, ResultStore, StoreFormatError
 from repro.experiments.figures import PANELS, reproduce
 from repro.experiments.runner import PLACEMENT_SCENARIOS, STRATEGY_SPECS
 from repro.experiments.sweep import Cell, Sweep, aggregate, run_checked
@@ -589,6 +589,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if error.filename not in outputs:
             raise
         return _cannot_write(error.filename, error.strerror)
+    except StoreFormatError as error:  # raised inside run_many, before any output
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 1
     _report_store(executor)
     return code
 

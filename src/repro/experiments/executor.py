@@ -20,7 +20,6 @@ delete its directory.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -32,6 +31,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import SimulationResult, run_simulation
 from repro.experiments.store import STORE_FORMAT_VERSION, ResultStore
+from repro.sim.rng import sha256
 
 __all__ = [
     "CampaignExecutor",
@@ -116,7 +116,7 @@ def run_key(config: SimulationConfig, spec: str, scenario: str = "standard") -> 
         "scenario": scenario,
     }
     blob = json.dumps(payload, sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8")).hexdigest()
 
 
 def execute_one(task: RunTask) -> Tuple[str, object]:

@@ -10,7 +10,7 @@ latency distribution.
 from __future__ import annotations
 
 import itertools
-import statistics
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -120,7 +120,7 @@ class LatencyRecorder:
         values = self.latencies(level)
         if not values:
             return 0.0
-        return statistics.fmean(values)
+        return math.fsum(values) / len(values)  # statistics.fmean, bit for bit
 
     def hit_latencies(self) -> List[float]:
         """Latencies of answered queries that hit the local cache.
@@ -140,7 +140,7 @@ class LatencyRecorder:
         values = self.hit_latencies()
         if not values:
             return 0.0
-        return statistics.fmean(values)
+        return math.fsum(values) / len(values)  # statistics.fmean, bit for bit
 
     def percentile_latency(self, fraction: float, level: Optional[str] = None) -> float:
         """Latency at ``fraction`` (e.g. 0.95) of the answered distribution."""

@@ -10,7 +10,7 @@ calibration in DESIGN.md and the ``repro.viz`` charts).
 from __future__ import annotations
 
 import bisect
-import statistics
+import math
 from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -72,7 +72,7 @@ class TimeSeries:
         if width <= 0:
             raise ConfigurationError(f"bucket width must be positive, got {width!r}")
         reducers = {
-            "mean": statistics.fmean,
+            "mean": lambda values: math.fsum(values) / len(values),  # statistics.fmean
             "sum": sum,
             "max": max,
             "min": min,

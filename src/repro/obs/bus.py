@@ -20,10 +20,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 from repro.obs import events
-from repro.obs.sinks import TraceSink
 
 if TYPE_CHECKING:
     from repro.obs.events import TraceEvent
+    from repro.obs.sinks import TraceSink
 
 __all__ = ["TraceBus", "NullTraceBus", "NULL_TRACE"]
 

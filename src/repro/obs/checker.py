@@ -69,7 +69,7 @@ if TYPE_CHECKING:
         TraceEvent,
     )
 
-__all__ = ["Violation", "CheckReport", "InvariantChecker", "check_events"]
+__all__ = ["Violation", "CheckReport", "InvariantChecker"]
 
 #: Tolerance for event times that json round-tripping might perturb.
 _TIME_EPSILON = 1e-9
@@ -381,11 +381,3 @@ class InvariantChecker:
             Violation(invariant, time, node, item, served_version, detail)
         )
 
-
-def check_events(
-    events: Iterable[Union[TraceEvent, Dict]],
-    delta: float = 240.0,
-    slack: float = 1.0,
-) -> CheckReport:
-    """One-shot convenience: replay ``events`` and return the report."""
-    return InvariantChecker(delta=delta, slack=slack).feed_all(events).finish()

@@ -25,11 +25,20 @@ generator's 2.5 KB of Mersenne-Twister state is freed with its last use.
 from __future__ import annotations
 
 import _random
-import hashlib
 import random
 from typing import Dict
 
 from repro.errors import SimulationError
+
+# The interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto
+# (≈ 3.5 MiB resident) for nothing but this hash.  Same digests either way.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.11
+    except ImportError:  # pragma: no cover - a build without the builtin hash
+        from hashlib import sha256
 
 __all__ = ["RandomStreams", "Stream", "derive_seed"]
 
@@ -39,7 +48,7 @@ def derive_seed(root_seed: int, name: str) -> int:
 
     Uses SHA-256 so that textually similar names yield uncorrelated seeds.
     """
-    digest = hashlib.sha256(f"{root_seed}:{name}".encode("utf-8")).digest()
+    digest = sha256(f"{root_seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -76,7 +85,7 @@ class RandomStreams:
         self._seed = int(seed)
         self._streams: Dict[str, Stream] = {}
         # derive_seed hashes "<seed>:<name>": the prefix is hashed once.
-        self._prefix = hashlib.sha256(f"{self._seed}:".encode("utf-8"))
+        self._prefix = sha256(f"{self._seed}:".encode("utf-8"))
 
     def _generator(self, name: str) -> Stream:
         """``Stream(derive_seed(self.seed, name))``, built without Python frames.

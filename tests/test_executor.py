@@ -60,6 +60,12 @@ class TestRunKey:
         assert run_key(tiny_config(), "pull") != base
         assert run_key(tiny_config(), "push", "single_source") != base
 
+    def test_known_answer(self):
+        """Pinned: a changed key would orphan every stored run."""
+        assert run_key(SimulationConfig(seed=7), "push") == (
+            "8363c28dd4cdfad81ee263b98f995f630814319ef3ad0c19468dbc8bc0d252b4"
+        )
+
     def test_spec_normalised(self):
         assert run_key(tiny_config(), " PUSH ") == run_key(tiny_config(), "push")
 

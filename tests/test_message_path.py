@@ -77,7 +77,8 @@ def test_a_regrown_chain_is_caught(measured):
 
 def test_plain_run_imports_no_campaign_machinery():
     """``build_simulation`` must not drag in the executor, store, faults, control
-    or — for a stock strategy — the variants its factories import on demand."""
+    or — for a stock strategy — the variants its factories import on demand; nor
+    OpenSSL's hashlib, ``statistics`` (and its decimal/fractions) or the checker."""
     unwanted = (
         "repro.experiments.executor", "repro.experiments.store",
         "repro.experiments.analysis",
@@ -85,6 +86,7 @@ def test_plain_run_imports_no_campaign_machinery():
         "repro.scenarios.matrix", "repro.consistency.rpcc.relay_control",
         "repro.consistency.rpcc.selection_ablation", "repro.consistency.uir_push",
         "multiprocessing", "concurrent.futures",
+        "hashlib", "_hashlib", "statistics", "decimal", "fractions", "repro.obs.checker",
     )
     code = (
         "import sys\n"
@@ -104,9 +106,10 @@ def test_lazy_package_names_still_resolve():
     """``from package import name``, ``import *`` and ``dir()`` all keep working."""
     import repro
     import repro.experiments
+    import repro.obs
     import repro.scenarios
 
-    for package in (repro, repro.experiments, repro.scenarios):
+    for package in (repro, repro.experiments, repro.obs, repro.scenarios):
         namespace = {}
         exec(f"from {package.__name__} import *", namespace)
         for name in package.__all__:

@@ -1,6 +1,10 @@
 """Unit tests for traffic counters, latency recording and staleness audits."""
 
+import statistics
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.metrics.collector import MetricsCollector
@@ -8,6 +12,7 @@ from repro.metrics.counters import MessageCounters
 from repro.metrics.latency import LatencyRecorder
 from repro.metrics.report import format_summary, format_table
 from repro.metrics.staleness import StalenessTracker
+from repro.metrics.timeseries import TimeSeries
 from repro.net.message import Message
 
 
@@ -102,6 +107,54 @@ class TestLatencyRecorder:
         assert recorder.mean_latency() == 0.0
         assert recorder.percentile_latency(0.5) == 0.0
         assert recorder.local_answer_ratio() == 0.0
+
+
+def _outcome(mean, values):
+    """``mean(values)`` as exact bits, or the exception it raises (fsum overflow)."""
+    try:
+        return float(mean(values)).hex()
+    except OverflowError as error:
+        return type(error)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestMeansAreFmean:
+    """The metric means are ``statistics.fmean`` bit for bit, without loading it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_FINITE, min_size=1, max_size=40))
+    def test_latency_means(self, latencies):
+        recorder = LatencyRecorder()
+        for latency in latencies:
+            record = recorder.open(1, 1, "weak", now=0.0)
+            record.cache_hit = True
+            recorder.close(record.query_id, now=latency, served_version=0)
+        assert recorder.latencies() == latencies
+        expected = _outcome(statistics.fmean, latencies)
+        assert _outcome(lambda _: recorder.mean_latency(), latencies) == expected
+        assert _outcome(lambda _: recorder.mean_hit_latency(), latencies) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(0.0, 100.0), _FINITE), min_size=1, max_size=40),
+        st.floats(0.5, 50.0),
+    )
+    def test_bucketed_mean(self, samples, width):
+        series = TimeSeries()
+        for time, value in sorted(samples, key=lambda sample: sample[0]):
+            series.record(time, value)
+        expected = [
+            (start, _outcome(statistics.fmean, series.between(start, start + width)))
+            for start, _ in series.bucketed(width, "count")
+        ]
+        if OverflowError in [outcome for _, outcome in expected]:
+            with pytest.raises(OverflowError):
+                series.bucketed(width, "mean")
+        else:
+            buckets = series.bucketed(width, "mean")
+            assert [(start, mean.hex()) for start, mean in buckets] == expected
 
 
 class TestStalenessTracker:

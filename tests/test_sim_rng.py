@@ -28,6 +28,11 @@ class TestDeriveSeed:
         delta = abs(derive_seed(0, "node-1") - derive_seed(0, "node-2"))
         assert delta > 1_000_000
 
+    def test_known_answers(self):
+        """Pinned values: any SHA-256 implementation must give these bytes."""
+        assert derive_seed(7, "mobility/node-3") == 16666528205040320849
+        assert RandomStreams(42).stream("mobility/node-3").random() == 0.7066561667527661
+
 
 class TestRandomStreams:
     def test_same_name_same_instance(self, streams):

@@ -1,5 +1,7 @@
 """Unit tests for the ASCII chart renderer and the CLI."""
 
+import sqlite3
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -227,6 +229,27 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"repro: error: cannot write {afile}: File exists\n"
+
+    def test_store_of_another_format_is_one_error_line(self, tmp_path, capsys):
+        """A store stamped with another format version: one line, exit 1, nothing written."""
+        store = tmp_path / "store"
+        argv = ["--store", str(store), "--sim-time", "60", "--warmup", "30", "--seed", "4"]
+        assert main(argv + ["run", "push"]) == 0
+        database = store / "runs.sqlite"
+        conn = sqlite3.connect(database)
+        conn.execute("PRAGMA user_version = 3")
+        conn.close()
+        capsys.readouterr()
+        before = database.read_bytes()
+        code = main(argv + ["run", "push"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro: error: {database.resolve()}: store format v3, this reader speaks v4\n"
+        )
+        assert sorted(path.name for path in store.iterdir()) == ["runs.sqlite"]
+        assert database.read_bytes() == before
 
     def test_table1_command(self, capsys):
         assert main(["table1"]) == 0
