@@ -28,7 +28,10 @@ freed; and what arming allocates — objects (pymalloc blocks) and bytes
 timed one, so that tracing costs the timed phases nothing; and resident
 memory: ``VmRSS`` (``/proc/self/statm``, Linux) after the imports, after
 the build and after the run, and the process's peak (``ru_maxrss``) at
-the end of the run, before the second world.  The
+the end of the run, before the second world; and the process's OS
+threads after the imports (``/proc/self/task``, Linux), printed beside
+numpy's import seconds: one unless numpy's BLAS started a pool
+(``docs/decisions/15-no-blas-pool.md``).  The
 boundaries are found by wrapping functions the build calls once per
 phase, so the script reads any tree that has those names; the stream
 wrapper adds about 0.2 us a stream.  It prints and gates nothing.
@@ -147,6 +150,7 @@ def measure(hosts: int, world: str, sim_time: Optional[float]) -> Dict[str, Any]
 
     imported = time.perf_counter()
     resident = {"imports": _resident_mib()}
+    threads = len(os.listdir("/proc/self/task"))
     print(_IMPORTS_END, file=sys.stderr, flush=True)
     sys.path.insert(0, str(BENCH_DIR.parent))
     from benchmarks.bench_scale import SPEC, scale_config
@@ -224,6 +228,7 @@ def measure(hosts: int, world: str, sim_time: Optional[float]) -> Dict[str, Any]
         "seconds": seconds,
         "armed": {"objects": armed_objects, "bytes": armed_bytes},
         "resident_mib": resident,
+        "threads": threads,
         "collections": clock.collections,
     }
 
@@ -262,7 +267,9 @@ def report(results: Sequence[Dict[str, Any]]) -> None:
             print(f"  {phase:22s}{seconds.get(phase, 0.0):8.3f} s")
             if phase == "imports":
                 for part in IMPORT_PARTS:
-                    print(f"    {part:20s}{result['imports'][part]:8.3f} s (-X importtime self)")
+                    print(f"    {part:20s}{result['imports'][part]:8.3f} s (-X importtime self)"
+                          + (f", {result['threads']} OS threads after the imports"
+                             if part == "numpy" else ""))
         print("  resident MiB: " + ", ".join(
             f"{where} {result['resident_mib'][where]:.1f}" for where in RESIDENT))
         armed = result["armed"]
@@ -286,6 +293,8 @@ def report(results: Sequence[Dict[str, Any]]) -> None:
             for part in IMPORT_PARTS:
                 print(f"| imports: {part} | " + " | ".join(
                     f"{r['imports'][part]:.3f}" for r in results) + " |")
+            print("| OS threads after imports | " + " | ".join(
+                str(r["threads"]) for r in results) + " |")
     for where in RESIDENT:
         print(f"| resident MiB, {where} | " + " | ".join(
             f"{r['resident_mib'][where]:.1f}" for r in results) + " |")

@@ -534,6 +534,16 @@ def _output_paths(args: argparse.Namespace) -> List[str]:
     return [path] if path else []
 
 
+def _levels_to_create(path: str) -> List[str]:
+    """The directories ``os.makedirs(path)`` would create, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def _cannot_write(path: str, reason: str) -> int:
     print(f"repro: error: cannot write {path}: {reason}", file=sys.stderr)
     return 1
@@ -567,12 +577,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     for path in outputs:  # a missing directory fails before anything runs
         if not os.path.isdir(os.path.dirname(path) or os.curdir):
             return _cannot_write(path, os.strerror(errno.ENOENT))
-    if args.command == "all":  # so does an --out that cannot be a directory
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as error:
-            return _cannot_write(args.out, error.strerror)
+    created = _levels_to_create(args.out) if args.command == "all" else []
+    finished = False
     try:
+        if args.command == "all":  # so does an --out that cannot be a directory
+            try:
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as error:
+                return _cannot_write(args.out, error.strerror)
         if args.command == "trace":
             return _command_trace(args, config)
         executor = _executor(args)
@@ -585,6 +597,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             code = _command_matrix(args, sweep, cells, executor)
         else:
             _command_figures(args, config, executor)
+        finished = True
     except OSError as error:
         if error.filename not in outputs:
             raise
@@ -592,6 +605,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except StoreFormatError as error:  # raised inside run_many, before any output
         print(f"repro: error: {error}", file=sys.stderr)
         return 1
+    finally:
+        if not finished:  # an error leaves no directory it made behind
+            for level in created:
+                try:
+                    os.rmdir(level)
+                except OSError:  # something was written there after all
+                    break
     _report_store(executor)
     return code
 

@@ -26,8 +26,7 @@ import math
 from operator import attrgetter
 from typing import List, Sequence
 
-import numpy as np
-
+from repro._np import np
 from repro.mobility.stationary import PiecewiseLinear, Stationary
 from repro.mobility.walk import RandomWalk
 from repro.mobility.waypoint import RandomWaypoint

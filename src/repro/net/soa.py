@@ -37,8 +37,7 @@ import math
 from collections.abc import Mapping
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-import numpy as np
-
+from repro._np import np
 from repro.errors import TopologyError
 from repro.mobility import bulk
 from repro.mobility.terrain import Point

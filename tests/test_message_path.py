@@ -8,7 +8,9 @@ network and a handler, or between a radio event and the battery, fails a
 test and not a benchmark.  The counts are exact and box-independent.
 
 The import-graph test is the other half of what one run pays before its
-first event: a plain run must not load the campaign machinery.
+first event: a plain run must not load the campaign machinery.  The
+thread tests hold what numpy's import costs: no BLAS worker thread, and
+an environment left as it was.
 """
 
 from __future__ import annotations
@@ -100,6 +102,66 @@ def test_plain_run_imports_no_campaign_machinery():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.strip()
     assert loaded == "[]"
+
+
+#: The variables OpenBLAS sizes its thread pool from (``repro._np``).
+POOL_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+needs_proc_tasks = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task"
+)
+
+
+def _fresh(code: str, **pool) -> str:
+    """``code``'s stdout in a fresh interpreter with only ``pool`` of the pool variables set."""
+    env = {name: value for name, value in os.environ.items() if name not in POOL_VARIABLES}
+    env.update(pool, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+@needs_proc_tasks
+def test_a_run_is_one_thread_and_leaves_the_environment_as_it_was():
+    """numpy loads without OpenBLAS's worker thread, and ``OPENBLAS_NUM_THREADS``
+    is gone again once it has (docs/decisions/15-no-blas-pool.md)."""
+    code = (
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "import repro.cli\n"
+        "from repro.experiments.config import SimulationConfig\n"
+        "from repro.experiments.runner import build_simulation\n"
+        "build_simulation(SimulationConfig(n_peers=5, sim_time=1.0), 'rpcc-hy').run()\n"
+        "print(len(os.listdir('/proc/self/task')), dict(os.environ) == before)\n"
+    )
+    assert _fresh(code) == "1 True"
+
+
+@needs_proc_tasks
+def test_a_pool_size_the_caller_set_is_left_alone():
+    code = (
+        "import os\n"
+        "import repro.cli\n"
+        "import numpy\n"
+        "blas = numpy.show_config(mode='dicts')['Build Dependencies']['blas']['name']\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], 'openblas' in blas.lower(),\n"
+        "      len(os.listdir('/proc/self/task')))\n"
+    )
+    value, openblas, threads = _fresh(code, OPENBLAS_NUM_THREADS="2").split()
+    assert value == "2"
+    # OpenBLAS caps its pool at the CPUs the process may run on.
+    if openblas == "True" and len(os.sched_getaffinity(0)) >= 2:
+        assert threads == "2"
+
+
+def test_a_numpy_imported_first_leaves_the_environment_as_it_was():
+    code = (
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "import numpy\n"
+        "import repro.cli\n"
+        "print(dict(os.environ) == before)\n"
+    )
+    assert _fresh(code) == "True"
 
 
 def test_lazy_package_names_still_resolve():

@@ -251,6 +251,38 @@ class TestCLI:
         assert sorted(path.name for path in store.iterdir()) == ["runs.sqlite"]
         assert database.read_bytes() == before
 
+    def test_refused_store_leaves_no_out_directory_behind(self, tmp_path, capsys):
+        """``all --out`` removes every level it created when the store is refused;
+        a level that was already there stays."""
+        store = tmp_path / "store"
+        argv = ["--store", str(store), "--sim-time", "20", "--warmup", "10"]
+        assert main(argv + ["run", "push"]) == 0
+        conn = sqlite3.connect(store / "runs.sqlite")
+        conn.execute("PRAGMA user_version = 3")
+        conn.close()
+        (tmp_path / "kept").mkdir()
+        capsys.readouterr()
+        for out in (tmp_path / "new" / "sub", tmp_path / "kept" / "sub"):
+            assert main(argv + ["all", "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert "store format v3" in captured.err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["kept", "store"]
+        assert list((tmp_path / "kept").iterdir()) == []
+
+    def test_exception_out_of_the_run_leaves_no_out_directory_behind(
+        self, tmp_path, monkeypatch
+    ):
+        def failing_run(*args, **kwargs):
+            raise RuntimeError("the run failed")
+
+        monkeypatch.setattr("repro.cli.reproduce", failing_run)
+        out = tmp_path / "new" / "sub"
+        with pytest.raises(RuntimeError, match="the run failed"):
+            main(["--sim-time", "20", "--warmup", "10", "--no-store", "all", "--out", str(out)])
+        assert list(tmp_path.iterdir()) == []
+
     def test_table1_command(self, capsys):
         assert main(["table1"]) == 0
         out = capsys.readouterr().out
