@@ -6,7 +6,8 @@ Builds the scale benchmark's world (walk mobility, ``rpcc-hy``,
 of five components by where it was made:
 
 * **random streams** — anything allocated under ``sim/rng.py`` (the
-  generators and the registry) plus the stream names;
+  generators kept, the seeds of the parked streams and the registry)
+  plus the stream names;
 * **engine handles** — anything allocated under ``sim/engine.py`` (event
   handles and heap entries of the armed timers);
 * **callables** — the statement creates a function, a ``partial`` or a
@@ -17,7 +18,10 @@ of five components by where it was made:
 The last three are told apart by the text of the allocating line, which
 is as good as the patterns below; the first two by file.  Totals are
 exact.  ``tests/test_world_memory.py`` gates the first component and the
-sum of the others at 2 000 hosts.
+sum of the others at 2 000 hosts.  Beside them it prints how many streams
+the build parked (``RandomStreams.parked``) and how many of those resumed
+by the time of the snapshot (a consumer's ``seeded`` after the build:
+``docs/decisions/16-streams-held-while-drawn.md``).
 
     PYTHONPATH=src python benchmarks/host_bytes.py [--hosts N] [--stable F]...
 """
@@ -40,6 +44,7 @@ sys.path.insert(0, str(BENCH_DIR.parent))
 
 from benchmarks.bench_scale import SPEC, scale_config  # noqa: E402
 from repro.experiments.runner import build_simulation  # noqa: E402
+from repro.sim import rng  # noqa: E402
 
 COMPONENTS = ("random streams", "objects", "callables", "containers", "engine handles")
 
@@ -79,13 +84,39 @@ def component_of(traceback: tracemalloc.Traceback) -> str:
     return "objects"
 
 
+#: Streams parked and generators seeded by the consumers of parked
+#: streams, since the counters were last zeroed.
+COUNTS: Counter = Counter()
+
+
+def _counting(real, key: str):
+    def wrapper(*args):
+        COUNTS[key] += 1
+        return real(*args)
+
+    return wrapper
+
+
+def _count_streams() -> None:
+    """Count ``RandomStreams.parked`` and ``seeded`` where consumers call it."""
+    rng.RandomStreams.parked = _counting(rng.RandomStreams.parked, "parked")
+    real, wrapper = rng.seeded, _counting(rng.seeded, "seeded")
+    for module in list(sys.modules.values()):
+        if module is not rng and getattr(module, "seeded", None) is real:
+            module.seeded = wrapper
+
+
 def measure(n_hosts: int, stable_fraction: float) -> Dict[str, float]:
-    """Live bytes per host of a built and armed world, by component."""
+    """Live bytes per host of a built and armed world, by component, and
+    the streams it parked (``"parked"``) and resumed (``"resumed"``)."""
     config = scale_config(n_hosts).with_overrides(stable_fraction=stable_fraction)
     gc.collect()
     tracemalloc.start(25)
     try:
+        COUNTS.clear()
         simulation = build_simulation(config, SPEC, "single_source")
+        # Each parked stream's consumer seeds once in the build.
+        at_build = COUNTS["seeded"]
         simulation.run(until=0.0)
         gc.collect()
         snapshot = tracemalloc.take_snapshot()
@@ -94,7 +125,9 @@ def measure(n_hosts: int, stable_fraction: float) -> Dict[str, float]:
     totals: Counter = Counter()
     for stat in snapshot.statistics("traceback"):
         totals[component_of(stat.traceback)] += stat.size
-    return {name: totals[name] / n_hosts for name in COMPONENTS}
+    per_host = {name: totals[name] / n_hosts for name in COMPONENTS}
+    per_host.update(parked=COUNTS["parked"], resumed=COUNTS["seeded"] - at_build)
+    return per_host
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -105,12 +138,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="stable_fraction of a world to measure (repeatable; default 0.1 0.9)",
     )
     args = parser.parse_args(argv)
+    _count_streams()
     measure(10, 0.5)  # lazy imports must not be billed to a host
     for stable_fraction in args.stable or (0.1, 0.9):
         per_host = measure(args.hosts, stable_fraction)
-        total = sum(per_host.values())
+        total = sum(per_host[name] for name in COMPONENTS)
         print(f"{args.hosts} hosts, stable_fraction {stable_fraction}: "
-              f"{total:.0f} B/host")
+              f"{total:.0f} B/host; {per_host['parked']} streams parked at build, "
+              f"{per_host['resumed']} resumed by arming")
         for name in COMPONENTS:
             print(f"  {name:16s}{per_host[name]:8.0f} B/host "
                   f"{100.0 * per_host[name] / total:5.1f} %")

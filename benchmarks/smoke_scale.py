@@ -50,10 +50,12 @@ N_PEERS = 100_000
 SIM_TIME = 5.0
 
 #: Ceiling on the process's peak resident set (``ru_maxrss``), MiB.
-#: About 6 % above what the tree measured when it was set (1 399 MiB
-#: with the built world frozen out of the cyclic collector; the commit
-#: before read 1 447, and 1 757 with dict-backed per-host state).
-MAX_RSS_MIB = 1483
+#: About 6 % above what the tree measured when it was set (634–635 MiB
+#: with each host's streams parked until they draw; 1 329 with a
+#: generator kept per stream, 1 399 before the seeds were derived on the
+#: built-in SHA-256, 1 447 before the world was frozen out of the cyclic
+#: collector, and 1 757 with dict-backed per-host state).
+MAX_RSS_MIB = 673
 
 _INT_METRICS = (
     "transmissions", "messages", "bytes_on_air",

@@ -10,8 +10,10 @@ phase and the resident MiB the world's process holds (below):
 * **imports** — ``import repro.experiments.runner``, split into the
   self seconds of ``numpy``, ``repro`` and every other (stdlib) module,
   as ``-X importtime`` reports them in that process;
-* **streams** — inside ``RandomStreams.stream`` / ``one_shot``, wherever
-  in the build they are asked for (seeding a Mersenne Twister);
+* **streams** — inside ``RandomStreams.stream`` / ``one_shot`` /
+  ``parked``, wherever in the build they are asked for, and inside every
+  ``seeded`` a parked stream's consumer calls in the build (seeding a
+  Mersenne Twister for its build-time draws);
 * **hosts** — build start to the end of the per-host loop, streams
   excluded;
 * **agents** — the strategy and one agent per host;
@@ -26,7 +28,10 @@ end: the phase it fell in, its generation, its milliseconds and what it
 freed; and what arming allocates — objects (pymalloc blocks) and bytes
 (``tracemalloc``) — measured on a second, identical world after the
 timed one, so that tracing costs the timed phases nothing; and resident
-memory: ``VmRSS`` (``/proc/self/statm``, Linux) after the imports, after
+memory; and the streams parked at build (``RandomStreams.parked``) and
+how many of them resumed in the run (a consumer's ``seeded`` after the
+build: ``docs/decisions/16-streams-held-while-drawn.md``).  Resident
+memory is ``VmRSS`` (``/proc/self/statm``, Linux) after the imports, after
 the build and after the run, and the process's peak (``ru_maxrss``) at
 the end of the run, before the second world; and the process's OS
 threads after the imports (``/proc/self/task``, Linux), printed beside
@@ -90,6 +95,8 @@ class _Clock:
         self.stream_s = 0.0
         self.stream_at: Dict[str, float] = {}
         self.streams = 0
+        self.parked = 0
+        self.resumed = 0
         self.collections: List[Dict[str, Any]] = []
         self._gc_started = 0.0
 
@@ -136,9 +143,35 @@ def _timed_streams(clock: _Clock, owner: Any, name: str) -> None:
             return real(*args, **kwargs)
         finally:
             clock.stream_s += time.perf_counter() - started
-            clock.streams += 1
+            if name == "parked":
+                clock.parked += 1
+            else:
+                clock.streams += 1
 
     setattr(owner, name, wrapper)
+
+
+def _timed_seeding(clock: _Clock) -> None:
+    """Wrap ``seeded`` where the consumers of parked streams call it: in
+    the build it is a stream's build-time generator (timed as streams),
+    after it a resumption (counted)."""
+    from repro.sim import rng
+
+    real = rng.seeded
+
+    def wrapper(seed):
+        if "between build and run" in clock.marks:
+            clock.resumed += 1
+            return real(seed)
+        started = time.perf_counter()
+        try:
+            return real(seed)
+        finally:
+            clock.stream_s += time.perf_counter() - started
+
+    for module in list(sys.modules.values()):
+        if module is not rng and getattr(module, "seeded", None) is real:
+            module.seeded = wrapper
 
 
 def measure(hosts: int, world: str, sim_time: Optional[float]) -> Dict[str, Any]:
@@ -162,6 +195,8 @@ def measure(hosts: int, world: str, sim_time: Optional[float]) -> Dict[str, Any]
     clock = _Clock()
     _timed_streams(clock, RandomStreams, "stream")
     _timed_streams(clock, RandomStreams, "one_shot")
+    _timed_streams(clock, RandomStreams, "parked")
+    _timed_seeding(clock)
     _wrap(runner, "Discovery", lambda: clock.enter("agents"))
     for placement in ("single_item_placement", "random_placement", "hot_set_placement"):
         _wrap(runner, placement, lambda: clock.enter("placement"))
@@ -206,7 +241,7 @@ def measure(hosts: int, world: str, sim_time: Optional[float]) -> Dict[str, Any]
     for phase, following in zip(order, order[1:]):
         wall = clock.marks[following] - clock.marks[phase]
         seconds[phase] = wall - (clock.stream_at[following] - clock.stream_at[phase])
-    streams_made = clock.streams
+    streams_made, parked, resumed = clock.streams, clock.parked, clock.resumed
 
     # What arming allocates, on a second world: traced, so not timed.
     del simulation
@@ -225,6 +260,8 @@ def measure(hosts: int, world: str, sim_time: Optional[float]) -> Dict[str, Any]
         "hosts": config.n_peers,
         "stable_fraction": config.stable_fraction,
         "streams_made": streams_made,
+        "streams_parked": parked,
+        "streams_resumed": resumed,
         "seconds": seconds,
         "armed": {"objects": armed_objects, "bytes": armed_bytes},
         "resident_mib": resident,
@@ -262,7 +299,9 @@ def report(results: Sequence[Dict[str, Any]]) -> None:
     for result in results:
         seconds = result["seconds"]
         print(f"{result['world']}: {result['hosts']} hosts, stable_fraction "
-              f"{result['stable_fraction']}, {result['streams_made']} streams")
+              f"{result['stable_fraction']}, {result['streams_made']} streams kept or "
+              f"one-shot, {result['streams_parked']} parked at build, "
+              f"{result['streams_resumed']} of them resumed in the run")
         for phase in PHASES:
             print(f"  {phase:22s}{seconds.get(phase, 0.0):8.3f} s")
             if phase == "imports":
@@ -298,6 +337,10 @@ def report(results: Sequence[Dict[str, Any]]) -> None:
     for where in RESIDENT:
         print(f"| resident MiB, {where} | " + " | ".join(
             f"{r['resident_mib'][where]:.1f}" for r in results) + " |")
+    print("| streams parked at build | " + " | ".join(
+        str(r["streams_parked"]) for r in results) + " |")
+    print("| parked streams resumed in the run | " + " | ".join(
+        str(r["streams_resumed"]) for r in results) + " |")
     print("| arming allocates, objects | " + " | ".join(
         str(r["armed"]["objects"]) for r in results) + " |")
     print("| arming allocates, B/host | " + " | ".join(

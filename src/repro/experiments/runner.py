@@ -438,7 +438,7 @@ def build_simulation(
     # Loop invariants are looked up once, and the per-host constructors
     # take their arguments by position: at 10 000 hosts both show in
     # set-up time.
-    stream = streams.stream
+    parked = streams.parked
     master = catalog.master
     register = network.register
     speed_min, speed_max = config.speed_min, config.speed_max
@@ -455,12 +455,12 @@ def build_simulation(
             )
         elif walk:
             mobility = RandomWalk(
-                terrain, stream(f"mobility/{host_id}"), speed_min, speed_max
+                terrain, parked(f"mobility/{host_id}"), speed_min, speed_max
             )
         else:
             mobility = RandomWaypoint(
                 terrain,
-                stream(f"mobility/{host_id}"),
+                parked(f"mobility/{host_id}"),
                 speed_min,
                 speed_max,
                 config.pause_time,
@@ -492,7 +492,7 @@ def build_simulation(
         if not stable:
             host.switching = SwitchingProcess(
                 sim,
-                stream(f"switch/{host_id}"),
+                parked(f"switch/{host_id}"),
                 host.set_online,
                 mean_online,
                 mean_offline,

@@ -8,18 +8,22 @@ centre-crowding (see the mobility ablation).
 
 Boundary handling is reflective: a node hitting the terrain edge bounces
 like a billiard ball, the standard choice for this model.
+
+A walker draws its origin and first epoch at build; in a run shorter
+than one epoch it never draws again, so it holds its generator only
+once it turns (``repro.sim.rng.RandomStreams.parked``).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import random
 from typing import List, NamedTuple, Optional
 
 from repro.errors import ConfigurationError
 from repro.mobility.base import MobilityModel
 from repro.mobility.terrain import Point, Terrain
+from repro.sim.rng import Stream, seeded
 
 __all__ = ["RandomWalk"]
 
@@ -54,8 +58,11 @@ class RandomWalk(MobilityModel):
     ----------
     terrain:
         The flatland the node roams in.
-    rng:
-        Private random stream of this node.
+    seed:
+        Seed of this node's private stream
+        (:meth:`~repro.sim.rng.RandomStreams.parked`).  The origin and the
+        first epoch are drawn here, from a generator that is then dropped;
+        the second epoch rebuilds it from the seed.
     speed_min, speed_max:
         Uniform speed range in m/s for each epoch.
     epoch:
@@ -66,7 +73,9 @@ class RandomWalk(MobilityModel):
 
     __slots__ = (
         "terrain",
+        "_seed",
         "_rng",
+        "_drew_origin",
         "speed_min",
         "speed_max",
         "epoch",
@@ -77,7 +86,7 @@ class RandomWalk(MobilityModel):
     def __init__(
         self,
         terrain: Terrain,
-        rng: random.Random,
+        seed: int,
         speed_min: float = 1.0,
         speed_max: float = 5.0,
         epoch: float = 60.0,
@@ -90,19 +99,34 @@ class RandomWalk(MobilityModel):
         if epoch <= 0:
             raise ConfigurationError(f"epoch must be positive, got {epoch!r}")
         self.terrain = terrain
-        self._rng = rng
+        self._seed = seed
+        self._rng: Optional[Stream] = None
+        self._drew_origin = start is None
         self.speed_min = float(speed_min)
         self.speed_max = float(speed_max)
         self.epoch = float(epoch)
+        rng = seeded(seed)
         origin = start if start is not None else terrain.random_point(rng)
         if not terrain.contains(origin):
             raise ConfigurationError(f"start point {origin} is outside the terrain")
-        self._epochs: List[_Epoch] = [self._make_epoch(0.0, origin)]
+        self._epochs: List[_Epoch] = [self._make_epoch(0.0, origin, rng)]
         self._epoch_starts: List[float] = [0.0]
 
-    def _make_epoch(self, start_time: float, origin: Point) -> _Epoch:
-        angle = self._rng.uniform(0.0, 2.0 * math.pi)
-        speed = self._rng.uniform(self.speed_min, self.speed_max)
+    @property
+    def stream(self) -> Stream:
+        """The walker's generator: rebuilt from its seed on first use, with
+        the build-time calls repeated, so it continues where the build left it."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = seeded(self._seed)
+            if self._drew_origin:
+                self.terrain.random_point(rng)
+            self._make_epoch(0.0, self._epochs[0].origin, rng)
+        return rng
+
+    def _make_epoch(self, start_time: float, origin: Point, rng: Stream) -> _Epoch:
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        speed = rng.uniform(self.speed_min, self.speed_max)
         return _Epoch(
             start_time,
             start_time + self.epoch,
@@ -115,7 +139,7 @@ class RandomWalk(MobilityModel):
         last = self._epochs[-1]
         while last.end_time <= time:
             end_position = self._position_in_epoch(last, last.end_time)
-            last = self._make_epoch(last.end_time, end_position)
+            last = self._make_epoch(last.end_time, end_position, self.stream)
             self._epochs.append(last)
             self._epoch_starts.append(last.start_time)
 

@@ -7,18 +7,20 @@ towards it in a straight line at a speed drawn uniformly from
 The trajectory is generated *lazily*: legs are appended only as far as the
 latest queried time, and every leg is derived deterministically from the
 node's private RNG stream, so ``position(t)`` is a pure, reproducible
-function of ``t``.
+function of ``t``.  The origin and the first leg are drawn at build; the
+generator is held only from the second leg on
+(``repro.sim.rng.RandomStreams.parked``).
 """
 
 from __future__ import annotations
 
 import bisect
-import random
 from typing import List, NamedTuple, Optional
 
 from repro.errors import ConfigurationError
 from repro.mobility.base import MobilityModel
 from repro.mobility.terrain import Point, Terrain
+from repro.sim.rng import Stream, seeded
 
 __all__ = ["Leg", "RandomWaypoint"]
 
@@ -62,8 +64,11 @@ class RandomWaypoint(MobilityModel):
     ----------
     terrain:
         The flatland the node roams in.
-    rng:
-        Private random stream of this node (see :class:`repro.sim.RandomStreams`).
+    seed:
+        Seed of this node's private stream
+        (:meth:`~repro.sim.rng.RandomStreams.parked`).  The origin and the
+        first leg are drawn here, from a generator that is then dropped;
+        the second leg rebuilds it from the seed.
     speed_min, speed_max:
         Uniform speed range in m/s.  The common MANET evaluation default of
         1-19 m/s is used when not overridden.
@@ -75,7 +80,9 @@ class RandomWaypoint(MobilityModel):
 
     __slots__ = (
         "terrain",
+        "_seed",
         "_rng",
+        "_drew_origin",
         "speed_min",
         "speed_max",
         "pause_time",
@@ -86,7 +93,7 @@ class RandomWaypoint(MobilityModel):
     def __init__(
         self,
         terrain: Terrain,
-        rng: random.Random,
+        seed: int,
         speed_min: float = 1.0,
         speed_max: float = 19.0,
         pause_time: float = 10.0,
@@ -99,19 +106,34 @@ class RandomWaypoint(MobilityModel):
         if pause_time < 0:
             raise ConfigurationError(f"pause_time must be >= 0, got {pause_time!r}")
         self.terrain = terrain
-        self._rng = rng
+        self._seed = seed
+        self._rng: Optional[Stream] = None
+        self._drew_origin = start is None
         self.speed_min = float(speed_min)
         self.speed_max = float(speed_max)
         self.pause_time = float(pause_time)
+        rng = seeded(seed)
         origin = start if start is not None else terrain.random_point(rng)
         if not terrain.contains(origin):
             raise ConfigurationError(f"start point {origin} is outside the terrain")
-        self._legs: List[Leg] = [self._make_leg(0.0, origin)]
+        self._legs: List[Leg] = [self._make_leg(0.0, origin, rng)]
         self._leg_starts: List[float] = [0.0]
 
-    def _make_leg(self, start_time: float, origin: Point) -> Leg:
-        destination = self.terrain.random_point(self._rng)
-        speed = self._rng.uniform(self.speed_min, self.speed_max)
+    @property
+    def stream(self) -> Stream:
+        """The node's generator: rebuilt from its seed on first use, with
+        the build-time calls repeated, so it continues where the build left it."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = seeded(self._seed)
+            if self._drew_origin:
+                self.terrain.random_point(rng)
+            self._make_leg(0.0, self._legs[0].origin, rng)
+        return rng
+
+    def _make_leg(self, start_time: float, origin: Point, rng: Stream) -> Leg:
+        destination = self.terrain.random_point(rng)
+        speed = rng.uniform(self.speed_min, self.speed_max)
         travel_time = origin.distance_to(destination) / speed
         arrive_time = start_time + travel_time
         return Leg(start_time, arrive_time, arrive_time + self.pause_time, origin, destination)
@@ -119,7 +141,7 @@ class RandomWaypoint(MobilityModel):
     def _extend_to(self, time: float) -> None:
         last = self._legs[-1]
         while last.end_time <= time:
-            last = self._make_leg(last.end_time, last.destination)
+            last = self._make_leg(last.end_time, last.destination, self.stream)
             self._legs.append(last)
             self._leg_starts.append(last.start_time)
 

@@ -6,16 +6,21 @@ model this as an alternating renewal process with exponential online and
 offline durations.  *Stable* hosts get an infinite mean online time and
 never switch — the heterogeneity that makes the CS coefficient
 discriminating (see DESIGN.md).
+
+A host stays online for 600 s on average, so in a short run most
+switches never flip: each draws its first online duration at build and
+holds its generator only once it flips
+(``repro.sim.rng.RandomStreams.parked``).
 """
 
 from __future__ import annotations
 
 import math
-import random
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import EventHandle, Simulator
+from repro.sim.rng import Stream, seeded
 
 __all__ = ["SwitchingProcess"]
 
@@ -29,8 +34,12 @@ class SwitchingProcess(EventHandle):
     ----------
     sim:
         Event kernel.
-    rng:
-        The host's private switching stream.
+    seed:
+        Seed of the host's private switching stream
+        (:meth:`~repro.sim.rng.RandomStreams.parked`).  The first online
+        duration is drawn here, from a generator that is then dropped;
+        the first flip rebuilds it from the seed.  A stable host draws
+        nothing.
     set_online:
         Callback invoked with the new status on every flip.
     mean_online:
@@ -42,7 +51,9 @@ class SwitchingProcess(EventHandle):
 
     __slots__ = (
         "_sim",
+        "_seed",
         "_rng",
+        "_delay",
         "_set_online",
         "mean_online",
         "mean_offline",
@@ -53,7 +64,7 @@ class SwitchingProcess(EventHandle):
     def __init__(
         self,
         sim: Simulator,
-        rng: random.Random,
+        seed: int,
         set_online: Callable[[bool], None],
         mean_online: float = 600.0,
         mean_offline: float = 60.0,
@@ -66,12 +77,30 @@ class SwitchingProcess(EventHandle):
         self.callback, self.args, self.cancelled, self.fired = None, (), False, True
         self._on_cancel = sim._cancel_hook
         self._sim = sim
-        self._rng = rng
+        self._seed = seed
+        self._rng: Optional[Stream] = None
         self._set_online = set_online
         self.mean_online = float(mean_online)
         self.mean_offline = float(mean_offline)
         self._currently_online = True
         self.flips = 0
+        self._delay: Optional[float] = (
+            self._first_delay(seeded(seed)) if self.enabled else None
+        )
+
+    def _first_delay(self, rng: Stream) -> float:
+        """The build-time draw; :attr:`stream` repeats this very call."""
+        return rng.expovariate(1.0 / self.mean_online)
+
+    @property
+    def stream(self) -> Stream:
+        """The switch's generator: rebuilt from its seed on first use, with
+        the build-time draw repeated, so it continues where the build left it."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = seeded(self._seed)
+            self._first_delay(rng)
+        return rng
 
     @property
     def enabled(self) -> bool:
@@ -83,7 +112,7 @@ class SwitchingProcess(EventHandle):
         if not self.enabled or not self.fired:
             return
         self.callback = self._flip
-        delay = self._rng.expovariate(1.0 / self.mean_online)
+        delay, self._delay = self._delay, None
         self._sim.reschedule(self, delay)
 
     def _flip(self) -> None:
@@ -91,5 +120,5 @@ class SwitchingProcess(EventHandle):
         self.flips += 1
         self._set_online(self._currently_online)
         mean = self.mean_online if self._currently_online else self.mean_offline
-        delay = self._rng.expovariate(1.0 / mean)
+        delay = self.stream.expovariate(1.0 / mean)
         self._sim.reschedule(self, delay)

@@ -20,13 +20,21 @@ A consumer that draws once and is done (a stationary host's start
 position) takes :meth:`RandomStreams.one_shot` instead: same seed
 derivation, same draws, but the registry keeps only the name, so the
 generator's 2.5 KB of Mersenne-Twister state is freed with its last use.
+
+A consumer that draws at build and then perhaps never again (a host's
+arrival, switching and mobility streams) takes :meth:`RandomStreams.parked`:
+the stream's seed, and the registry keeps only the name.  It makes its
+build-time draws from ``seeded(seed)`` and drops that generator; on its
+next draw it builds ``seeded(seed)`` again and repeats the same calls,
+which leaves the generator in exactly the state the build left it in
+(``docs/decisions/16-streams-held-while-drawn.md``).
 """
 
 from __future__ import annotations
 
 import _random
 import random
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.errors import SimulationError
 
@@ -40,7 +48,7 @@ except ImportError:
     except ImportError:  # pragma: no cover - a build without the builtin hash
         from hashlib import sha256
 
-__all__ = ["RandomStreams", "Stream", "derive_seed"]
+__all__ = ["RandomStreams", "Stream", "derive_seed", "seeded"]
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -56,20 +64,33 @@ class Stream(random.Random):
     """:class:`random.Random` whose one Python-level attribute is a slot.
 
     ``random.Random`` keeps ``gauss_next`` in an instance ``__dict__`` —
-    326 bytes per generator on top of the C state, and a world holds
-    three generators per host.  Declaring the attribute as a slot leaves
-    that dict unallocated; the generator, every draw, ``getstate`` /
-    ``setstate``, pickling and copying are the base class's own.
+    326 bytes per generator on top of the C state.  Declaring the
+    attribute as a slot leaves that dict unallocated; the generator, every
+    draw, ``getstate`` / ``setstate``, pickling and copying are the base
+    class's own.
     """
 
     __slots__ = ("gauss_next",)
 
 
-#: What the registry keeps under a name it handed out through one_shot().
-_SPENT = Stream(0)
-
 _new_stream = Stream.__new__
 _seed_state = _random.Random.seed
+
+
+def seeded(seed: int) -> Stream:
+    """``Stream(seed)`` for an int ``seed``, built without Python frames.
+
+    ``random.Random``'s C ``__new__`` is the generic allocator: it
+    neither seeds nor reads an argument (CPython 3.11–3.13 leave an
+    all-zero state; a seed passed to it is ignored).  Seeding happens
+    once, in ``__init__``, whose Python ``seed`` only type-checks an int
+    and hands it to the C ``seed`` — calling that directly yields the
+    same state without the two Python frames.
+    """
+    generator = _new_stream(Stream)
+    _seed_state(generator, seed)
+    generator.gauss_next = None
+    return generator
 
 
 class RandomStreams:
@@ -83,26 +104,26 @@ class RandomStreams:
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
-        self._streams: Dict[str, Stream] = {}
+        # None under a name handed out through one_shot() or parked().
+        self._streams: Dict[str, Optional[Stream]] = {}
         # derive_seed hashes "<seed>:<name>": the prefix is hashed once.
         self._prefix = sha256(f"{self._seed}:".encode("utf-8"))
 
-    def _generator(self, name: str) -> Stream:
-        """``Stream(derive_seed(self.seed, name))``, built without Python frames.
-
-        ``random.Random``'s C ``__new__`` is the generic allocator: it
-        neither seeds nor reads an argument (CPython 3.11–3.13 leave an
-        all-zero state; a seed passed to it is ignored).  Seeding happens
-        once, in ``__init__``, whose Python ``seed`` only type-checks an int
-        and hands it to the C ``seed`` — calling that directly yields the
-        same state without the two Python frames.
-        """
+    def _derive(self, name: str) -> int:
+        """``derive_seed(self.seed, name)`` from the hashed prefix."""
         digest = self._prefix.copy()
         digest.update(name.encode("utf-8"))
-        generator = _new_stream(Stream)
-        _seed_state(generator, int.from_bytes(digest.digest()[:8], "big"))
-        generator.gauss_next = None
-        return generator
+        return int.from_bytes(digest.digest()[:8], "big")
+
+    def _claim(self, name: str) -> int:
+        """Record ``name`` as handed out and not kept; its derived seed."""
+        if name in self._streams:
+            raise SimulationError(
+                f"stream {name!r} already exists; handing it out again "
+                "would replay its sequence"
+            )
+        self._streams[name] = None
+        return self._derive(name)
 
     def __getstate__(self) -> dict:
         # A hash object does not pickle: __setstate__ rebuilds it from the seed.
@@ -121,12 +142,12 @@ class RandomStreams:
         """Return the generator for ``name``, creating it on first use."""
         generator = self._streams.get(name)
         if generator is None:
-            generator = self._streams[name] = self._generator(name)
-        elif generator is _SPENT:
-            raise SimulationError(
-                f"stream {name!r} was handed out as one-shot; asking for it "
-                "again would restart its sequence"
-            )
+            if name in self._streams:
+                raise SimulationError(
+                    f"stream {name!r} was handed out one-shot or parked; "
+                    "asking for it again would restart its sequence"
+                )
+            generator = self._streams[name] = seeded(self._derive(name))
         return generator
 
     def one_shot(self, name: str) -> Stream:
@@ -135,15 +156,21 @@ class RandomStreams:
         For consumers that draw and are done: the caller holds the only
         reference, so the generator is freed when the caller drops it.
         The *name* is still recorded — a second request for it, through
-        either method, raises rather than replaying the same draws.
+        any method, raises rather than replaying the same draws.
         """
-        if name in self._streams:
-            raise SimulationError(
-                f"stream {name!r} already exists; a one-shot generator of the "
-                "same name would replay its sequence"
-            )
-        self._streams[name] = _SPENT
-        return self._generator(name)
+        return seeded(self._claim(name))
+
+    def parked(self, name: str) -> int:
+        """The seed of ``name``'s stream, for a consumer that keeps it parked.
+
+        The consumer builds ``seeded(seed)`` for the draws it makes at
+        build and drops it; when it draws again it builds ``seeded(seed)``
+        anew and repeats those calls before its next draw, so every draw
+        is the one :meth:`stream` would have given.  The registry keeps
+        only the name, and a second request for it, through any method,
+        raises.
+        """
+        return self._claim(name)
 
     def __contains__(self, name: str) -> bool:
         return name in self._streams

@@ -4,16 +4,21 @@ The paper's workload: "Each mobile host generates an independent stream of
 updates to its source data and its query requests with an exponentially
 distributed update interval and an exponentially distributed query
 interval."  :class:`ExponentialProcess` is that Poisson stream.
+
+At the paper's 20 s query interval a process draws all run long; at the
+10k benchmark's 10 000 s it draws its first gap at build and, in most
+runs, never again.  So a process holds its generator only once it draws
+after the build (``repro.sim.rng.RandomStreams.parked``).
 """
 
 from __future__ import annotations
 
 import math
-import random
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from repro.errors import WorkloadError
 from repro.sim.engine import EventHandle, Simulator
+from repro.sim.rng import Stream, seeded
 
 __all__ = ["ExponentialProcess"]
 
@@ -27,20 +32,23 @@ class ExponentialProcess(EventHandle):
     ----------
     sim:
         Event kernel.
-    rng:
-        Private random stream of this process.
+    seed:
+        Seed of this process's private stream
+        (:meth:`~repro.sim.rng.RandomStreams.parked`).  The first gap is
+        drawn here, from a generator that is then dropped; the first
+        arrival rebuilds it from the seed (see :attr:`stream`).
     mean_interval:
         Mean gap between arrivals, seconds; positive and finite.
     callback:
         Zero-argument callable fired on each arrival.
     """
 
-    __slots__ = ("_sim", "_rng", "mean_interval", "_callback", "arrivals")
+    __slots__ = ("_sim", "_seed", "_rng", "_gap", "mean_interval", "_callback", "arrivals")
 
     def __init__(
         self,
         sim: Simulator,
-        rng: random.Random,
+        seed: int,
         mean_interval: float,
         callback: Callable[[], Any],
     ) -> None:
@@ -50,23 +58,37 @@ class ExponentialProcess(EventHandle):
         self.callback, self.args, self.cancelled, self.fired = None, (), False, True
         self._on_cancel = sim._cancel_hook
         self._sim = sim
-        self._rng = rng
+        self._seed = seed
+        self._rng: Optional[Stream] = None
         self.mean_interval = float(mean_interval)
         self._callback = callback
         self.arrivals = 0
+        self._gap: Optional[float] = self._first_gap(seeded(seed))
+
+    def _first_gap(self, rng: Stream) -> float:
+        """The build-time draw; :attr:`stream` repeats this very call."""
+        return rng.expovariate(1.0 / self.mean_interval)
+
+    @property
+    def stream(self) -> Stream:
+        """The process's generator: rebuilt from its seed on first use, with
+        the build-time draw repeated, so it continues where the build left it."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = seeded(self._seed)
+            self._first_gap(rng)
+        return rng
 
     def start(self) -> None:
         """Schedule the first arrival.  Idempotent while running."""
         if not self.fired:
             return
         self.callback = self._fire
-        self._schedule_next()
-
-    def _schedule_next(self) -> None:
-        gap = self._rng.expovariate(1.0 / self.mean_interval)
+        gap, self._gap = self._gap, None
         self._sim.reschedule(self, gap)
 
     def _fire(self) -> None:
         self.arrivals += 1
-        self._schedule_next()
+        gap = self.stream.expovariate(1.0 / self.mean_interval)
+        self._sim.reschedule(self, gap)
         self._callback()

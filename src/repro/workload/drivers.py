@@ -37,7 +37,7 @@ class UpdateWorkload:
                 continue
             process = ExponentialProcess(
                 host.sim,
-                streams.stream(f"update/{host.node_id}"),
+                streams.parked(f"update/{host.node_id}"),
                 mean_interval,
                 host.update_master,
             )
@@ -72,7 +72,6 @@ class QueryWorkload:
         restrict_to_items: Optional[List[int]] = None,
     ) -> None:
         self._processes: List[ExponentialProcess] = []
-        self._streams = streams
         self._strategy = strategy
         self._access = access
         self._mix = mix
@@ -81,13 +80,15 @@ class QueryWorkload:
         # is two bound arguments, not a function object with its cells.
         issue = self._issue
         for host in hosts:
-            rng = streams.stream(f"query/{host.node_id}")
             process = ExponentialProcess(
-                host.sim, rng, mean_interval, partial(issue, host, rng)
+                host.sim, streams.parked(f"query/{host.node_id}"), mean_interval, None
             )
+            # The callback draws from the process's own stream.
+            process._callback = partial(issue, host, process)
             self._processes.append(process)
 
-    def _issue(self, host: MobileHost, rng) -> None:
+    def _issue(self, host: MobileHost, process: ExponentialProcess) -> None:
+        rng = process.stream
         if self._restrict is not None:
             candidates = [i for i in self._restrict if i != host.node_id]
             if not candidates:

@@ -1,6 +1,5 @@
 """Unit tests for mobility models: random waypoint, stationary, scripted."""
 
-import random
 
 import pytest
 
@@ -13,7 +12,7 @@ from repro.mobility.waypoint import RandomWaypoint
 def make_waypoint(terrain, seed=1, **kwargs):
     defaults = dict(speed_min=1.0, speed_max=5.0, pause_time=10.0)
     defaults.update(kwargs)
-    return RandomWaypoint(terrain, random.Random(seed), **defaults)
+    return RandomWaypoint(terrain, seed, **defaults)
 
 
 class TestRandomWaypoint:
@@ -80,19 +79,19 @@ class TestRandomWaypoint:
         model.position(10000.0)
         assert model.generated_legs > initial
 
-    def test_invalid_speed_range(self, terrain, rng):
+    def test_invalid_speed_range(self, terrain):
         with pytest.raises(ConfigurationError):
-            RandomWaypoint(terrain, rng, speed_min=0.0, speed_max=5.0)
+            RandomWaypoint(terrain, 1, speed_min=0.0, speed_max=5.0)
         with pytest.raises(ConfigurationError):
-            RandomWaypoint(terrain, rng, speed_min=5.0, speed_max=1.0)
+            RandomWaypoint(terrain, 1, speed_min=5.0, speed_max=1.0)
 
-    def test_negative_pause_rejected(self, terrain, rng):
+    def test_negative_pause_rejected(self, terrain):
         with pytest.raises(ConfigurationError):
-            RandomWaypoint(terrain, rng, pause_time=-1.0)
+            RandomWaypoint(terrain, 1, pause_time=-1.0)
 
-    def test_start_outside_terrain_rejected(self, terrain, rng):
+    def test_start_outside_terrain_rejected(self, terrain):
         with pytest.raises(ConfigurationError):
-            RandomWaypoint(terrain, rng, start=Point(-10, 0))
+            RandomWaypoint(terrain, 1, start=Point(-10, 0))
 
 
 class TestStationary:
@@ -197,7 +196,7 @@ class TestPositionValidityWindows:
     def test_random_walk_never_pauses(self, terrain):
         from repro.mobility.walk import RandomWalk
 
-        model = RandomWalk(terrain, random.Random(5))
+        model = RandomWalk(terrain, 5)
         assert model.position_valid_until(3.0) == 3.0
         assert model.position_valid_until(0.0) == 0.0
 

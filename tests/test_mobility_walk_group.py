@@ -1,7 +1,6 @@
 """Unit tests for the random-walk mobility model."""
 
 import math
-import random
 
 import pytest
 
@@ -13,7 +12,7 @@ from repro.mobility.walk import RandomWalk
 def make_walk(terrain, seed=1, **kwargs):
     defaults = dict(speed_min=1.0, speed_max=5.0, epoch=30.0)
     defaults.update(kwargs)
-    return RandomWalk(terrain, random.Random(seed), **defaults)
+    return RandomWalk(terrain, seed, **defaults)
 
 
 class TestRandomWalk:
@@ -65,10 +64,10 @@ class TestRandomWalk:
             headings.add(round(math.atan2(b.y - a.y, b.x - a.x), 3))
         assert len(headings) > 1
 
-    def test_validation(self, terrain, rng):
+    def test_validation(self, terrain):
         with pytest.raises(ConfigurationError):
-            RandomWalk(terrain, rng, speed_min=0.0)
+            RandomWalk(terrain, 1, speed_min=0.0)
         with pytest.raises(ConfigurationError):
-            RandomWalk(terrain, rng, epoch=0.0)
+            RandomWalk(terrain, 1, epoch=0.0)
         with pytest.raises(ConfigurationError):
-            RandomWalk(terrain, rng, start=Point(-1, 0))
+            RandomWalk(terrain, 1, start=Point(-1, 0))

@@ -1,7 +1,6 @@
 """Unit tests for the mobile host composition and the switching process."""
 
 import math
-import random
 
 import pytest
 
@@ -15,6 +14,9 @@ from repro.peers.host import MobileHost
 from repro.peers.switching import SwitchingProcess
 from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTimer
+
+#: Seed of the switches built here (the ``rng`` fixture's, so the draws are its).
+SEED = 12345
 
 
 class RecordingAgent:
@@ -185,16 +187,16 @@ class TestMobileHost:
 
 
 class TestSwitchingProcess:
-    def test_parameters_validated(self, sim, rng):
+    def test_parameters_validated(self, sim):
         with pytest.raises(ConfigurationError):
-            SwitchingProcess(sim, rng, lambda f: None, mean_online=0.0)
+            SwitchingProcess(sim, SEED, lambda f: None, mean_online=0.0)
         with pytest.raises(ConfigurationError):
-            SwitchingProcess(sim, rng, lambda f: None, mean_offline=0.0)
+            SwitchingProcess(sim, SEED, lambda f: None, mean_offline=0.0)
 
-    def test_alternates_states(self, sim, rng):
+    def test_alternates_states(self, sim):
         flips = []
         process = SwitchingProcess(
-            sim, rng, flips.append, mean_online=10.0, mean_offline=10.0
+            sim, SEED, flips.append, mean_online=10.0, mean_offline=10.0
         )
         process.start()
         sim.run_until(200.0)
@@ -207,24 +209,24 @@ class TestSwitchingProcess:
         ("name", "value"),
         [("mean_online", math.nan), ("mean_offline", math.nan), ("mean_offline", math.inf)],
     )
-    def test_unusable_means_rejected(self, sim, rng, name, value):
+    def test_unusable_means_rejected(self, sim, name, value):
         # A NaN mean_online used to make a silently stable host.
         with pytest.raises(ConfigurationError, match=name):
-            SwitchingProcess(sim, rng, lambda online: None, **{name: value})
+            SwitchingProcess(sim, SEED, lambda online: None, **{name: value})
 
-    def test_infinite_mean_disables(self, sim, rng):
+    def test_infinite_mean_disables(self, sim):
         flips = []
         process = SwitchingProcess(
-            sim, rng, flips.append, mean_online=math.inf, mean_offline=10.0
+            sim, SEED, flips.append, mean_online=math.inf, mean_offline=10.0
         )
         assert not process.enabled
         process.start()
         sim.run_until(1000.0)
         assert flips == []
 
-    def test_flip_counter(self, sim, rng):
+    def test_flip_counter(self, sim):
         process = SwitchingProcess(
-            sim, rng, lambda f: None, mean_online=5.0, mean_offline=5.0
+            sim, SEED, lambda f: None, mean_online=5.0, mean_offline=5.0
         )
         process.start()
         sim.run_until(100.0)
@@ -236,7 +238,7 @@ class TestSwitchingProcess:
             flips = []
             process = SwitchingProcess(
                 local_sim,
-                random.Random(42),
+                42,
                 lambda f: flips.append(local_sim.now),
                 mean_online=10.0,
                 mean_offline=5.0,

@@ -1,6 +1,5 @@
 """Property-based tests (hypothesis) for core invariants."""
 
-import random
 
 import pytest
 
@@ -66,7 +65,7 @@ def test_cancelled_events_never_fire(entries):
 )
 def test_waypoint_positions_always_inside_terrain(seed, times):
     terrain = Terrain(1500.0, 1500.0)
-    model = RandomWaypoint(terrain, random.Random(seed), 1.0, 10.0, 5.0)
+    model = RandomWaypoint(terrain, seed, 1.0, 10.0, 5.0)
     for t in times:
         assert terrain.contains(model.position(t))
 
@@ -75,7 +74,7 @@ def test_waypoint_positions_always_inside_terrain(seed, times):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_waypoint_is_pure_function_of_time(seed):
     terrain = Terrain(1000.0, 1000.0)
-    model = RandomWaypoint(terrain, random.Random(seed), 1.0, 10.0, 5.0)
+    model = RandomWaypoint(terrain, seed, 1.0, 10.0, 5.0)
     sample_late = model.position(5000.0)
     sample_early = model.position(100.0)
     assert model.position(5000.0) == sample_late
@@ -291,7 +290,7 @@ def test_reflect_identity_inside_bounds(value):
 )
 def test_random_walk_inside_terrain(seed, times):
     terrain = Terrain(800.0, 800.0)
-    model = RandomWalk(terrain, random.Random(seed), 1.0, 15.0, 30.0)
+    model = RandomWalk(terrain, seed, 1.0, 15.0, 30.0)
     for t in times:
         assert terrain.contains(model.position(t))
 

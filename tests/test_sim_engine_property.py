@@ -37,19 +37,25 @@ event (:class:`PeriodicTimer`, :class:`ExponentialProcess`,
 on every (re)arm, the way the processes ran before they were events:
 one simulator each, the same randomized starts, tied one-shot events,
 interval changes and ``run_until`` / ``run(max_events=k)`` boundaries,
-and the fire logs must match entry for entry.
+and the fire logs must match entry for entry.  The processes take a seed
+and build their generators from it (first at construction, again when
+they resume); the suite has them build quarter-second generators, so
+that resuming is exercised among the ties.
 """
 
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.peers import switching as switching_module
 from repro.peers.switching import SwitchingProcess
 from repro.sim.engine import Simulator
 from repro.sim.timers import CountdownTimer, PeriodicTimer
+from repro.workload import arrivals as arrivals_module
 from repro.workload.arrivals import ExponentialProcess
 
 # Ties (zero and exact quarter-second delays), sub-second, minute-scale
@@ -328,10 +334,10 @@ class _FreshSwitching:
         self._handle = self._sim.schedule(self._rng.expovariate(1.0 / mean), self._flip)
 
 
-def _world(periodic, exponential, switching, intervals, seed):
+def _world(periodic, exponential, switching, intervals, seed, generator):
     """A simulator, five processes (two timers, two arrival streams and a
     switch, tags 0-4) and the log they, their echoes and the one-shot
-    events write."""
+    events write; ``generator`` turns a seed into what a process takes."""
     sim = Simulator()
     log = []
 
@@ -346,9 +352,9 @@ def _world(periodic, exponential, switching, intervals, seed):
     processes = [
         periodic(sim, intervals[0], note(0), 0.25),
         periodic(sim, intervals[1], note(1), intervals[1]),
-        exponential(sim, _QuarterRng(seed), 1.0, note(2)),
-        exponential(sim, _QuarterRng(seed + 1), 2.0, note(3)),
-        switching(sim, _QuarterRng(seed + 2), note(4), 1.0, 0.5),
+        exponential(sim, generator(seed), 1.0, note(2)),
+        exponential(sim, generator(seed + 1), 2.0, note(3)),
+        switching(sim, generator(seed + 2), note(4), 1.0, 0.5),
     ]
     return sim, processes, log
 
@@ -381,8 +387,18 @@ _PROCESS_OPS = st.lists(
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_processes_fire_like_fresh_handle_references(ops, intervals, seed):
-    own = _world(PeriodicTimer, ExponentialProcess, SwitchingProcess, intervals, seed)
-    fresh = _world(_FreshPeriodic, _FreshExponential, _FreshSwitching, intervals, seed)
+    with mock.patch.object(arrivals_module, "seeded", _QuarterRng), \
+            mock.patch.object(switching_module, "seeded", _QuarterRng):
+        _processes_fire_like_fresh_handle_references(ops, intervals, seed)
+
+
+def _processes_fire_like_fresh_handle_references(ops, intervals, seed):
+    own = _world(
+        PeriodicTimer, ExponentialProcess, SwitchingProcess, intervals, seed, int
+    )
+    fresh = _world(
+        _FreshPeriodic, _FreshExponential, _FreshSwitching, intervals, seed, _QuarterRng
+    )
     for tag, op in enumerate(ops, start=5):
         for sim, processes, log in (own, fresh):
             if op[0] == "start":

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.rng import RandomStreams, Stream, derive_seed
+from repro.sim.rng import RandomStreams, Stream, derive_seed, seeded
 
 
 class TestDeriveSeed:
@@ -74,6 +74,28 @@ class TestRandomStreams:
             # Streams first asked for after the copy derive from the same seed.
             assert twin.stream("new").random() == RandomStreams(7).stream("new").random()
 
+    def test_pickled_state_is_the_seed_and_the_names(self):
+        registry = RandomStreams(7)
+        kept = registry.stream("kept")
+        registry.one_shot("spent")
+        registry.parked("parked")
+        assert registry.__getstate__() == {
+            "seed": 7,
+            "streams": {"kept": kept, "spent": None, "parked": None},
+        }
+
+    def test_copies_still_refuse_names_not_kept(self):
+        """A name handed out one-shot or parked stays refused in a copy."""
+        registry = RandomStreams(7)
+        registry.one_shot("spent")
+        registry.parked("parked")
+        for twin in (pickle.loads(pickle.dumps(registry)), copy.deepcopy(registry)):
+            for name in ("spent", "parked"):
+                with pytest.raises(SimulationError, match=name):
+                    twin.stream(name)
+                with pytest.raises(SimulationError, match=name):
+                    twin.parked(name)
+
 
 # One step of a draw script: (method name, arguments).  ``sample``,
 # ``choice`` and ``shuffle`` get a population built from their size.
@@ -113,18 +135,21 @@ class TestStreamIdentity:
 
     @settings(max_examples=200, deadline=None)
     @given(seed=_SEEDS, name=_NAMES, script=_SCRIPTS)
-    def test_registry_and_one_shot_draw_what_random_random_draws(
+    def test_registry_one_shot_and_parked_draw_what_random_random_draws(
         self, seed, name, script
     ):
         reference = random.Random(derive_seed(seed, name))
         registered = RandomStreams(seed).stream(name)
         one_shot = RandomStreams(seed).one_shot(name)
+        parked = seeded(RandomStreams(seed).parked(name))
         for step in script:
             expected = _draw(reference, step)
             assert _draw(registered, step) == expected
             assert _draw(one_shot, step) == expected
+            assert _draw(parked, step) == expected
         assert registered.getstate() == reference.getstate()
         assert one_shot.getstate() == reference.getstate()
+        assert parked.getstate() == reference.getstate()
 
     @settings(max_examples=100, deadline=None)
     @given(seed=_SEEDS, name=_NAMES, before=_SCRIPTS, after=_SCRIPTS)
@@ -216,3 +241,23 @@ class TestOneShot:
         with pytest.raises(SimulationError, match="already exists"):
             streams.one_shot("mobility/3")
         assert streams.stream("mobility/3") is kept
+
+
+class TestParked:
+    def test_the_derived_seed_and_only_the_name_kept(self, streams):
+        assert streams.parked("query/3") == derive_seed(99, "query/3")
+        assert "query/3" in streams
+        assert len(streams) == 1
+        assert type(streams.parked("switch/3")) is int
+
+    @pytest.mark.parametrize("again", ["stream", "one_shot", "parked"])
+    def test_a_parked_name_asked_for_again_raises(self, streams, again):
+        streams.parked("mobility/3")
+        with pytest.raises(SimulationError, match="mobility/3"):
+            getattr(streams, again)("mobility/3")
+
+    @pytest.mark.parametrize("first", ["stream", "one_shot"])
+    def test_parking_a_name_handed_out_before_raises(self, streams, first):
+        getattr(streams, first)("mobility/3")
+        with pytest.raises(SimulationError, match="mobility/3"):
+            streams.parked("mobility/3")

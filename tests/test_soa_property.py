@@ -317,16 +317,16 @@ def _make_model(family: str, terrain: Terrain, seed: int) -> MobilityModel:
     if family == "stationary":
         return Stationary(terrain.random_point(rng))
     if family == "waypoint":
-        return RandomWaypoint(terrain, rng, 10.0, 40.0, pause_time=3.0)
+        return RandomWaypoint(terrain, seed, 10.0, 40.0, pause_time=3.0)
     if family == "walk":
-        return RandomWalk(terrain, rng, 10.0, 40.0, epoch=4.0)
+        return RandomWalk(terrain, seed, 10.0, 40.0, epoch=4.0)
     if family == "piecewise":
         times = [0.0, 5.0, 12.0, 30.0]
         return PiecewiseLinear(
             [(t, terrain.random_point(rng)) for t in times]
         )
     if family == "fallback":
-        return _OpaqueModel(RandomWalk(terrain, rng, 10.0, 40.0, epoch=4.0))
+        return _OpaqueModel(RandomWalk(terrain, seed, 10.0, 40.0, epoch=4.0))
     raise AssertionError(family)
 
 
@@ -899,7 +899,7 @@ def test_at_scale_only_a_query_for_every_edge_builds_the_csr(monkeypatch, query)
     side = 1500.0 * (count / 50.0) ** 0.5  # the Table-1 density
     terrain = Terrain(side, side)
     for index in range(count):
-        model = RandomWalk(terrain, random.Random(index), 10.0, 40.0, epoch=4.0)
+        model = RandomWalk(terrain, index, 10.0, 40.0, epoch=4.0)
         net.register(_Node(index, sim, model))
     rng = random.Random(query)
     for tick in range(1, 9):

@@ -187,7 +187,7 @@ class TestThroughNetwork:
                 # a handful of movers, and some none at all.
                 RandomWaypoint(
                     terrain,
-                    random.Random(seed * 1000 + i),
+                    seed * 1000 + i,
                     speed_min=10.0,
                     speed_max=20.0,
                     pause_time=120.0,

@@ -1,6 +1,5 @@
 """Unit tests for arrival processes, access patterns and level mixes."""
 
-import random
 from collections import Counter
 
 import pytest
@@ -11,32 +10,35 @@ from repro.workload.access import UniformAccess, ZipfAccess
 from repro.workload.arrivals import ExponentialProcess
 from repro.workload.mix import LevelMix
 
+#: Seed of the processes built here (the ``rng`` fixture's, so the draws are its).
+SEED = 12345
+
 
 class TestExponentialProcess:
-    def test_mean_interval_approximate(self, sim, rng):
+    def test_mean_interval_approximate(self, sim):
         times = []
-        process = ExponentialProcess(sim, rng, 10.0, lambda: times.append(sim.now))
+        process = ExponentialProcess(sim, SEED, 10.0, lambda: times.append(sim.now))
         process.start()
         sim.run_until(10_000.0)
         gaps = [b - a for a, b in zip(times, times[1:])]
         mean_gap = sum(gaps) / len(gaps)
         assert 8.5 < mean_gap < 11.5
 
-    def test_start_idempotent(self, sim, rng):
-        process = ExponentialProcess(sim, rng, 5.0, lambda: None)
+    def test_start_idempotent(self, sim):
+        process = ExponentialProcess(sim, SEED, 5.0, lambda: None)
         process.start()
         process.start()
         assert sim.pending_events == 1
 
-    def test_invalid_mean(self, sim, rng):
+    def test_invalid_mean(self, sim):
         with pytest.raises(WorkloadError):
-            ExponentialProcess(sim, rng, 0.0, lambda: None)
+            ExponentialProcess(sim, SEED, 0.0, lambda: None)
 
     @pytest.mark.parametrize("mean", [float("nan"), float("inf")], ids=["nan", "inf"])
-    def test_unusable_mean_rejected_at_construction(self, sim, rng, mean):
+    def test_unusable_mean_rejected_at_construction(self, sim, mean):
         # NaN used to pass until start(); inf there raised ZeroDivisionError.
         with pytest.raises(WorkloadError, match="mean_interval"):
-            ExponentialProcess(sim, rng, mean, lambda: None)
+            ExponentialProcess(sim, SEED, mean, lambda: None)
 
     def test_deterministic_given_seed(self):
         def run_once():
@@ -45,7 +47,7 @@ class TestExponentialProcess:
             local = Simulator()
             times = []
             process = ExponentialProcess(
-                local, random.Random(7), 5.0, lambda: times.append(local.now)
+                local, 7, 5.0, lambda: times.append(local.now)
             )
             process.start()
             local.run_until(100.0)

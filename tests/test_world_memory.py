@@ -9,9 +9,11 @@ table by component; this file is its gate.
 
 * ``test_bytes_per_host_within_budget`` builds a 2 000-host walk world
   under ``tracemalloc`` and holds the live bytes per host to the
-  committed budget, the random streams (whose size the golden digests
-  lock: three Mersenne Twisters per mobile host) apart from everything
-  else (which is the code's to shrink).
+  committed budget, the random streams apart from everything else.  A
+  built world holds no Mersenne Twister per host: each host's streams
+  are parked, kept as their seeds, until they draw after the build
+  (``docs/decisions/16-streams-held-while-drawn.md``), so what stays
+  under ``sim/rng.py`` is one seed per parked stream.
 * ``test_no_populous_type_carries_a_dict`` is the structural twin: any
   ``repro.*`` type with more live instances than half the hosts either
   has no instance ``__dict__`` or is on the allow-list with its reason —
@@ -29,12 +31,17 @@ table by component; this file is its gate.
   from filing bytes by an identifier the code no longer has.
 
 The budgets are CPython 3.11 object sizes (the interpreter CI runs):
-what the tree measured when they were set (7 299 + 3 709 and
-3 139 + 3 242 bytes per host; the commit before read 13 878 and 10 997
-in total) plus 3 %.  The arming budget is likewise what arming measured
-when it was set (743 and 594 bytes per host; with a period timer per
-host it read 1 109 and 958, with a handle per armed process too 1 419
-and 1 191) plus 3 %.
+what the tree measured when they were set (101 + 3 680 and 43 + 3 194
+bytes per host) plus 3 %.  With a generator kept per stream the tree
+read 7 299 + 3 762 and 3 139 + 3 269: the parked seeds are what is left
+of the first figure, and everything else fell although it gained the
+first gap or online duration each process draws at build (46 B per
+host) and the seed and state slots (45 B), because the registry, with
+the 167 B per host of stream names it keys, is no longer kept past the
+build.  The arming budget is likewise what arming measured when it was
+set (697 and 567 bytes per host; before the first gaps were drawn at
+build it read 743 and 594, with a period timer per host 1 109 and 958,
+with a handle per armed process too 1 419 and 1 191) plus 3 %.
 """
 
 from __future__ import annotations
@@ -89,14 +96,14 @@ N_HOSTS = 2_000
 
 #: stable_fraction -> (random streams, everything else) in bytes per host.
 BUDGET = {
-    0.1: (7_518, 3_820),
-    0.9: (3_233, 3_339),
+    0.1: (104, 3_790),
+    0.9: (45, 3_289),
 }
 
 #: stable_fraction -> bytes per host that arming (``Simulation._arm``) allocates.
 ARM_BUDGET = {
-    0.1: 765,
-    0.9: 612,
+    0.1: 718,
+    0.9: 584,
 }
 
 #: Populous ``repro.*`` types that may keep an instance ``__dict__``.
