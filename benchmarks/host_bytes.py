@@ -55,7 +55,7 @@ _STREAM_NAME = re.compile(r'f"(pos|mobility|switch|query|update)/')
 CALLABLE_NAMES = (
     "partial", ".set_online", ".update_master", "binding.on_insert",
     "binding.on_evict", "_on_node_state_change", "bind_state_listener",
-    "self._fire", "self._flip", "self._on_ttn",
+    "self._fire", "self._flip",
 )
 _CALLABLE = re.compile(
     r"\blambda\b|^\s*def |"

@@ -26,8 +26,9 @@ phase and the resident MiB the world's process holds (below):
 plus every collection ``gc.callbacks`` reports from build start to run
 end: the phase it fell in, its generation, its milliseconds and what it
 freed; and what arming allocates — objects (pymalloc blocks) and bytes
-(``tracemalloc``) — measured on a second, identical world after the
-timed one, so that tracing costs the timed phases nothing; and resident
+(``tracemalloc``) — and the entries it leaves in the simulator's heap,
+measured on a second, identical world after the timed one, so that
+tracing costs the timed phases nothing; and resident
 memory; and the streams parked at build (``RandomStreams.parked``) and
 how many of them resumed in the run (a consumer's ``seeded`` after the
 build: ``docs/decisions/16-streams-held-while-drawn.md``).  Resident
@@ -263,7 +264,11 @@ def measure(hosts: int, world: str, sim_time: Optional[float]) -> Dict[str, Any]
         "streams_parked": parked,
         "streams_resumed": resumed,
         "seconds": seconds,
-        "armed": {"objects": armed_objects, "bytes": armed_bytes},
+        "armed": {
+            "objects": armed_objects,
+            "bytes": armed_bytes,
+            "heap": simulation.sim.heap_size,
+        },
         "resident_mib": resident,
         "threads": threads,
         "collections": clock.collections,
@@ -313,7 +318,8 @@ def report(results: Sequence[Dict[str, Any]]) -> None:
             f"{where} {result['resident_mib'][where]:.1f}" for where in RESIDENT))
         armed = result["armed"]
         print(f"  arming allocates {armed['objects']} objects, {armed['bytes']} bytes "
-              f"({armed['bytes'] / result['hosts']:.0f} B/host)")
+              f"({armed['bytes'] / result['hosts']:.0f} B/host) and leaves "
+              f"{armed['heap']} entries in the simulator's heap")
         for collection in result["collections"]:
             print(f"  collection in {collection['phase']!r}: generation "
                   f"{collection['generation']}, {collection['ms']:.1f} ms, "
@@ -345,6 +351,8 @@ def report(results: Sequence[Dict[str, Any]]) -> None:
         str(r["armed"]["objects"]) for r in results) + " |")
     print("| arming allocates, B/host | " + " | ".join(
         f"{r['armed']['bytes'] / r['hosts']:.0f}" for r in results) + " |")
+    print("| heap entries after arming | " + " | ".join(
+        str(r["armed"]["heap"]) for r in results) + " |")
     print("| collections (ms) | " + " | ".join(
         f"{len(r['collections'])} ({sum(c['ms'] for c in r['collections']):.0f})"
         for r in results) + " |")

@@ -15,7 +15,8 @@ stale-data-on-reconnection problem Section 4 attributes to pure push.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Set
+from operator import methodcaller
+from typing import AbstractSet, Dict, List, Optional, Set
 
 from repro.cache.item import CachedCopy
 from repro.consistency.base import (
@@ -36,7 +37,7 @@ from repro.errors import ProtocolError
 from repro.net.message import Message
 from repro.obs import events
 from repro.peers.host import MobileHost
-from repro.sim.timers import PeriodicTimer, staggered_start
+from repro.sim.timers import StaggeredClock
 
 __all__ = ["PushStrategy", "PushAgent"]
 
@@ -63,6 +64,9 @@ class PushStrategy(ConsistencyStrategy):
     #: Only a host holding the item acts on a report (``PushAgent._handle_report``).
     AUDIENCES = {PushInvalidation: "report_audience"}
 
+    #: The agent method a source host's report tick calls.
+    REPORT = "broadcast_report"
+
     def __init__(
         self,
         context: StrategyContext,
@@ -76,7 +80,12 @@ class PushStrategy(ConsistencyStrategy):
             raise ProtocolError(f"ttl must be >= 1, got {ttl!r}")
         self.ttn = float(ttn)
         self.ttl = int(ttl)
-        self._timers: List[PeriodicTimer] = []
+        self._clock: Optional[StaggeredClock] = None
+
+    @property
+    def report_interval(self) -> float:
+        """Gap between two reports of one source host."""
+        return self.ttn
 
     def remote_query_timeout(self) -> float:
         """Clients must outwait the holder's worst-case report wait."""
@@ -94,8 +103,8 @@ class PushStrategy(ConsistencyStrategy):
             self.ttn = ttn
             # Each armed tick fires as scheduled; only the *next*
             # re-arm reads the new interval (actuation-seam rule).
-            for timer in self._timers:
-                timer.interval = ttn
+            if self._clock is not None:
+                self._clock.interval = self.report_interval
             applied["ttn"] = ttn
         return applied
 
@@ -107,19 +116,16 @@ class PushStrategy(ConsistencyStrategy):
         return self.context.discovery.directory.holder_set(report.item_id)
 
     def start(self) -> None:
-        """Arm one staggered invalidation-report timer per source host."""
-        for agent in self.agents.values():
-            host = agent.host
-            if host.source_item is None:
-                continue
-            timer = PeriodicTimer(
-                self.context.sim,
-                self.ttn,
-                agent.broadcast_report,  # type: ignore[attr-defined]
-                start_offset=staggered_start(self.ttn, host.node_id),
-            )
-            timer.start()
-            self._timers.append(timer)
+        """Arm every source host's report tick, staggered by node id, on one clock."""
+        self._clock = StaggeredClock(
+            self.context.sim, self.report_interval, methodcaller(self.REPORT)
+        )
+        self._clock.start(
+            (agent.node_id, agent)
+            for agent in self.agents.values()
+            if agent.host.source_item is not None
+        )
+
 
 class PushAgent(BaseAgent):
     """Per-host endpoint of the simple push strategy."""

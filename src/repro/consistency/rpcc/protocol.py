@@ -17,6 +17,7 @@ to relay.  Demotion happens when coefficients fail at a period boundary
 from __future__ import annotations
 
 from dataclasses import replace as dataclass_replace
+from operator import methodcaller
 from typing import Container, Dict, Optional, Set
 
 from repro.cache.item import CachedCopy, MasterCopy
@@ -53,6 +54,7 @@ from repro.errors import UnknownItemError
 from repro.net.message import Message
 from repro.obs import events
 from repro.peers.host import MobileHost
+from repro.sim.timers import StaggeredClock
 
 __all__ = ["RPCCStrategy", "RPCCAgent"]
 
@@ -113,10 +115,13 @@ class RPCCStrategy(ConsistencyStrategy):
         return pipeline + 5.0
 
     def start(self) -> None:
-        """Arm every source host's TTN timer."""
-        for agent in self.agents.values():
-            assert isinstance(agent, RPCCAgent)
-            agent.source.start()
+        """Arm every source host's TTN tick, staggered by node id, on one clock."""
+        clock = StaggeredClock(self.context.sim, self.config.ttn, methodcaller("_on_ttn"))
+        clock.start(
+            (agent.node_id, agent.source)  # type: ignore[attr-defined]
+            for agent in self.agents.values()
+            if agent.host.source_item is not None
+        )
 
     # ------------------------------------------------------------------
     # Online-control actuation seam (see repro.control)

@@ -32,7 +32,6 @@ from repro.consistency.rpcc.config import (
     RPCCConfig,
 )
 from repro.obs import events
-from repro.sim.timers import PeriodicTimer, staggered_start
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.consistency.rpcc.protocol import RPCCAgent
@@ -43,7 +42,7 @@ __all__ = ["SourceSide"]
 class SourceSide:
     """Source-host behaviour for the one item this host owns."""
 
-    __slots__ = ("agent", "config", "_relay_table", "_last_pushed_version", "_timer")
+    __slots__ = ("agent", "config", "_relay_table", "_last_pushed_version")
 
     def __init__(self, agent: "RPCCAgent", config: RPCCConfig) -> None:
         self.agent = agent
@@ -52,7 +51,6 @@ class SourceSide:
         # host is a source, and most sources never have a relay.
         self._relay_table: Optional[Set[int]] = None
         self._last_pushed_version = 0
-        self._timer: Optional[PeriodicTimer] = None
 
     @property
     def relay_table(self) -> Set[int]:
@@ -62,21 +60,6 @@ class SourceSide:
             table = self._relay_table = set()
         return table
 
-    # ------------------------------------------------------------------
-    # Timer
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Arm the TTN timer (staggered deterministically per host)."""
-        if self.agent.host.source_item is None or self._timer is not None:
-            return
-        self._timer = PeriodicTimer(
-            self.agent.context.sim,
-            self.config.ttn,
-            self._on_ttn,
-            start_offset=staggered_start(self.config.ttn, self.agent.node_id),
-        )
-        self._timer.start()
-
     def _mode(self, item_id: int) -> str:
         """Controller-selected dissemination mode (``"hybrid"`` when none)."""
         strategy = self.agent.strategy
@@ -84,7 +67,10 @@ class SourceSide:
         return mode(item_id) if mode is not None else "hybrid"
 
     def _on_ttn(self) -> None:
-        """Fig 6(b) lines 1-8: push batched UPDATE, then flood INVALIDATION."""
+        """Fig 6(b) lines 1-8: push batched UPDATE, then flood INVALIDATION.
+
+        Runs on this host's tick of the strategy's TTN clock.
+        """
         master = self.agent.host.source_item
         if master is None or not self.agent.host.online:
             return

@@ -16,13 +16,12 @@ full strength — ``tests/test_strategy_variants.py`` holds both shapes).
 
 from __future__ import annotations
 
-from typing import ClassVar, Dict
+from typing import ClassVar
 
 from repro.consistency.messages import CONTROL_SIZE, PushInvalidation
 from repro.consistency.push import PushAgent, PushStrategy
 from repro.net.message import message_class
 from repro.peers.host import MobileHost
-from repro.sim.timers import PeriodicTimer, staggered_start
 
 __all__ = ["UIRReport", "UIRPushStrategy", "UIRPushAgent"]
 
@@ -42,36 +41,19 @@ class UIRPushStrategy(PushStrategy):
 
     name = "push-uir"
 
+    #: Each tick is a full IR or a UIR (``UIRPushAgent.broadcast_sub_report``).
+    REPORT = "broadcast_sub_report"
+
     @property
     def sub_interval(self) -> float:
         """Gap between consecutive reports (IR or UIR)."""
         return self.ttn / (UIR_COUNT + 1)
 
-    def apply_control(self, decision) -> Dict[str, float]:
-        applied = super().apply_control(decision)
-        if "ttn" in applied:
-            # The armed timers tick sub-intervals, not whole TTNs.
-            for timer in self._timers:
-                timer.interval = self.sub_interval
-        return applied
+    # The clock ticks sub-intervals, not whole TTNs, an actuated ``ttn`` too.
+    report_interval = sub_interval
 
     def make_agent(self, host: MobileHost) -> "UIRPushAgent":
         return UIRPushAgent(self, host)
-
-    def start(self) -> None:
-        """Arm one staggered sub-interval timer per source host."""
-        for agent in self.agents.values():
-            host = agent.host
-            if host.source_item is None:
-                continue
-            timer = PeriodicTimer(
-                self.context.sim,
-                self.sub_interval,
-                agent.broadcast_sub_report,  # type: ignore[attr-defined]
-                start_offset=staggered_start(self.sub_interval, host.node_id),
-            )
-            timer.start()
-            self._timers.append(timer)
 
 
 class UIRPushAgent(PushAgent):

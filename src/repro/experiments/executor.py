@@ -285,6 +285,11 @@ class CampaignExecutor:
                         unsaved.clear()
                         committed_at = now
         finally:
-            if unsaved:
-                self.store.put_many(unsaved)
+            try:
+                if unsaved:
+                    self.store.put_many(unsaved)
+            finally:
+                # Leaves the generator's ``with`` now: a pool shuts down
+                # here, not whenever the generator is collected.
+                completions.close()
         return fresh

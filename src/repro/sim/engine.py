@@ -52,9 +52,11 @@ class EventHandle:
     them.  The event's time and sequence number live in its heap entry.
     Handles of the fire-and-forget :meth:`Simulator.post` path carry no
     cancel hook, which is what returns them to the engine's pool.  A
-    recurring process (``PeriodicTimer``, ``ExponentialProcess``,
-    ``SwitchingProcess``) subclasses this class: it is created *fired*
-    (in no structure) and re-arms itself through :meth:`Simulator.reschedule`.
+    recurring process (``PeriodicTimer``, ``StaggeredClock``,
+    ``ExponentialProcess``, ``SwitchingProcess``) subclasses this class:
+    it is created *fired* (in no structure) and re-arms itself through
+    :meth:`Simulator.reschedule` (the clock through
+    :meth:`Simulator._file_reserved`).
     """
 
     __slots__ = ("callback", "args", "cancelled", "fired", "_on_cancel")
@@ -283,6 +285,19 @@ class Simulator:
             return event
         event.cancel()
         return self.schedule_at(time, event.callback, *event.args)
+
+    def _file_reserved(self, event: EventHandle, time: float, seq: int) -> None:
+        """File a fired ``event`` the caller exclusively owns at ``(time, seq)``.
+
+        ``seq`` is one the caller took from ``_seq`` earlier, when the
+        tick this entry stands for was armed: a ``StaggeredClock`` takes
+        one per member tick and files only the earliest, so its entry
+        carries the key a timer of the member's own would have had.
+        Nothing is checked: ``time`` is at or after the clock.
+        """
+        event.fired = False
+        _heappush(self._heap, (time, seq, event))
+        self._pending += 1
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event store drains (or ``max_events`` fire).

@@ -1,25 +1,28 @@
 """Timer helpers built on top of the event kernel.
 
-Two recurring patterns in the protocols of this reproduction are:
+Three recurring patterns in the protocols of this reproduction are:
 
-* a *periodic* action (the source host flooding ``INVALIDATION`` every TTN
-  seconds) — :class:`PeriodicTimer`;
+* a *periodic* action (a controller's tick, a sampler) — :class:`PeriodicTimer`;
+* the same period at a staggered phase per host (every source host
+  flooding ``INVALIDATION`` every TTN seconds) — :class:`StaggeredClock`;
 * a *countdown* that is repeatedly renewed (the TTR/TTP freshness windows
   of relay and cache peers) — :class:`CountdownTimer`.
 
-Both are allocation-light: a periodic timer is its own event in the
-:class:`~repro.sim.engine.Simulator`'s heap, and a countdown schedules nothing.
+All are allocation-light: a periodic timer is its own event in the
+:class:`~repro.sim.engine.Simulator`'s heap, a staggered clock is one
+event for all its members, and a countdown schedules nothing.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import EventHandle, Simulator
 
-__all__ = ["PeriodicTimer", "CountdownTimer", "staggered_start"]
+__all__ = ["PeriodicTimer", "StaggeredClock", "CountdownTimer", "staggered_start"]
 
 #: The golden-ratio fraction: multiples of it modulo 1 spread evenly, so
 #: consecutive node ids get well-separated phases.
@@ -27,7 +30,7 @@ _GOLDEN = 0.6180339887498949
 
 
 def staggered_start(period: float, node_id: int) -> float:
-    """First-tick delay of a per-host periodic timer, deterministic per host.
+    """First-tick delay of a host's :class:`StaggeredClock` member.
 
     Every source host floods on the same period; staggering the phases by
     node id keeps their floods from all landing in the same instant.  A
@@ -106,6 +109,79 @@ class PeriodicTimer(EventHandle):
         # Re-arm in place: one heap push per tick, no new EventHandle.
         self._sim.reschedule(self, self._interval)
         self._callback()
+
+
+class StaggeredClock(EventHandle):
+    """Tick every member once per ``interval``, each at its own phase, from
+    one heap event.
+
+    Member ``m`` of host ``node_id`` first ticks
+    ``staggered_start(interval, node_id)`` after :meth:`start`, then every
+    ``interval``: what a :class:`PeriodicTimer` per member would do.  The
+    clock keeps every member's next tick in a private min-heap of
+    ``(time, seq, member)`` and files only the earliest in the
+    simulator's.  Each tick keeps the exact ``(time, seq)`` its member's
+    own timer would have had: :meth:`start` takes one sequence number per
+    member from the simulator, in member order, where those timers'
+    ``start()`` took theirs, and each tick takes the next one before it
+    calls back, where ``PeriodicTimer`` re-arms.  The engine orders events
+    by ``(time, seq)`` alone, so the event stream is the one the timers
+    make, ties included (``docs/decisions/17-one-ttn-clock.md``).
+
+    The contract: every member is armed by :meth:`start`, shares the one
+    interval and re-arms only from its own tick; none leaves.
+
+    Parameters
+    ----------
+    sim:
+        The simulator providing the clock and the sequence numbers.
+    interval:
+        Period in seconds; must be positive and finite.  A new value
+        applies from each member's next re-arm, as for ``PeriodicTimer``.
+    callback:
+        Called as ``callback(member)`` on each of a member's ticks.
+    """
+
+    __slots__ = ("_sim", "_interval", "_callback", "_members")
+
+    interval = PeriodicTimer.interval
+
+    def __init__(self, sim: Simulator, interval: float, callback: Callable[[Any], Any]) -> None:
+        self.interval = interval
+        # Unstarted is fired, as for PeriodicTimer; start() binds the tick.
+        self.callback, self.args, self.cancelled, self.fired = None, (), False, True
+        self._on_cancel = sim._cancel_hook
+        self._sim = sim
+        self._callback = callback
+        #: ``(time, seq, member)`` of every member's next tick, a min-heap.
+        self._members: List[Tuple[float, int, Any]] = []
+
+    def start(self, members: Iterable[Tuple[int, Any]]) -> None:
+        """Arm each ``(node_id, member)`` pair, in order, and file the
+        earliest tick.  A started clock ignores a second call."""
+        if self.callback is not None:
+            return
+        self.callback = self._tick
+        sim = self._sim
+        now, interval, seq = sim.now, self._interval, sim._seq
+        heap = self._members
+        heap.extend(
+            (now + staggered_start(interval, node_id), next(seq), member)
+            for node_id, member in members
+        )
+        if heap:
+            heapq.heapify(heap)
+            sim._file_reserved(self, heap[0][0], heap[0][1])
+
+    def _tick(self) -> None:
+        sim = self._sim
+        heap = self._members
+        member = heap[0][2]
+        # Re-arm before the callback, with the sequence number the
+        # member's own timer would have taken here.
+        heapq.heapreplace(heap, (sim.now + self._interval, next(sim._seq), member))
+        sim._file_reserved(self, heap[0][0], heap[0][1])
+        self._callback(member)
 
 
 class CountdownTimer:

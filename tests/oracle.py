@@ -17,7 +17,10 @@ copy through ``_deliver`` and its handler.
 
 A world closes every host's coefficient period from one clock
 (``Simulation._close_periods``); :func:`arm_period_timer_per_host` is
-start-up arming with one period timer per host instead.
+start-up arming with one period timer per host instead.  Every source
+host's TTN tick rides one ``StaggeredClock``;
+:func:`arm_ttn_timer_per_source` is start-up arming with one TTN timer
+per source instead.
 
 Message classes are built by ``repro.net.message.message_class``;
 :func:`dataclass_message` is the same class body under
@@ -32,10 +35,12 @@ from collections import Counter, deque
 from itertools import accumulate
 
 from repro.consistency.rpcc import RPCCStrategy
+from repro.consistency.uir_push import UIRPushStrategy
+from repro.experiments.runner import Simulation
 from repro.net import soa
 from repro.net.message import Message
 from repro.net.topology import TopologyService
-from repro.sim.timers import PeriodicTimer
+from repro.sim.timers import PeriodicTimer, staggered_start
 
 
 # ----------------------------------------------------------------------
@@ -252,6 +257,54 @@ def arm_period_timer_per_host(simulation) -> None:
     PeriodicTimer(sim, 60.0, simulation._sample_traffic).start()
     if simulation.controller is not None:
         simulation.controller.start()
+
+
+# ----------------------------------------------------------------------
+# TTN ticks, one timer per source
+# ----------------------------------------------------------------------
+class _TimersAsClock:
+    """Stands where a push strategy keeps its clock: an interval set here
+    reaches every per-source timer, as the clock's reaches every member."""
+
+    def __init__(self, timers) -> None:
+        self.timers = timers
+
+    def _set_interval(self, value: float) -> None:
+        for timer in self.timers:
+            timer.interval = value
+
+    interval = property(fset=_set_interval)
+
+
+def arm_ttn_timer_per_source(simulation) -> None:
+    """``Simulation._arm`` with a TTN timer per source host, armed in host
+    order where the strategy's one clock is armed."""
+    strategy = simulation.strategy
+    if isinstance(strategy, RPCCStrategy):
+        interval, tick = strategy.config.ttn, lambda agent: agent.source._on_ttn
+    elif isinstance(strategy, UIRPushStrategy):
+        interval, tick = strategy.sub_interval, lambda agent: agent.broadcast_sub_report
+    else:
+        interval, tick = strategy.ttn, lambda agent: agent.broadcast_report
+
+    def start() -> None:
+        timers = []
+        for agent in strategy.agents.values():
+            if agent.host.source_item is None:
+                continue
+            timer = PeriodicTimer(
+                simulation.sim,
+                interval,
+                tick(agent),
+                start_offset=staggered_start(interval, agent.node_id),
+            )
+            timer.start()
+            timers.append(timer)
+        if not isinstance(strategy, RPCCStrategy):
+            strategy._clock = _TimersAsClock(timers)
+
+    strategy.start = start
+    Simulation._arm(simulation)
 
 
 # ----------------------------------------------------------------------

@@ -184,6 +184,18 @@ class TestExecutorSemantics:
         assert excinfo.value.spec == "gossip"
         assert "ConfigurationError" in excinfo.value.worker_traceback
 
+    def test_parallel_failure_shuts_the_pool_down(self):
+        """The pool is gone when the error arrives, not when the generator
+        that owns it is collected: the traceback still holds its frame."""
+        executor = CampaignExecutor(jobs=2)
+        with pytest.raises(CampaignRunError) as excinfo:
+            executor.run_many([
+                (tiny_config(), "gossip", "standard"),
+                (tiny_config(), "push", "standard"),
+            ])
+        assert excinfo.value.spec == "gossip"
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.skipif(
         # The pool's start method, read without fixing it for the process.
         (multiprocessing.get_start_method(allow_none=True)

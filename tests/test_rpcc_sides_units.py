@@ -5,6 +5,7 @@ import pytest
 from repro.consistency.levels import ConsistencyLevel
 from repro.consistency.messages import Apply, Cancel, GetNew, Poll
 from repro.consistency.rpcc import RPCCConfig, RPCCStrategy
+from repro.consistency.rpcc.source import SourceSide
 
 from tests.conftest import line_positions, make_eligible, make_world
 
@@ -55,17 +56,23 @@ class TestSourceSide:
         assert acks.messages == 1
         assert acks.bytes > 500  # carried the 1000-byte payload
 
-    def test_timer_stagger_distinct_per_source(self):
+    def test_timer_stagger_distinct_per_source(self, monkeypatch):
         world = rpcc_world()
+        ticks = []
+        on_ttn = SourceSide._on_ttn
+
+        def noted(source):
+            ticks.append((source.agent.node_id, world.sim.now))
+            on_ttn(source)
+
+        monkeypatch.setattr(SourceSide, "_on_ttn", noted)
         world.strategy.start()
-        offsets = set()
-        for node in range(4):
-            timer = world.agent(node).source._timer
-            assert timer is not None and timer.running
-        # Offsets derive from node ids via the golden ratio: all distinct.
         world.run(100.0)
-        counts = world.metrics.traffic.messages("Invalidation")
-        assert counts == 4  # each source ticked exactly once in 100 s
+        # Each source ticked exactly once in 100 s (one TTN) ...
+        assert sorted(node for node, _ in ticks) == [0, 1, 2, 3]
+        # ... at a phase of its own: node ids stagger the first ticks.
+        assert len({time for _, time in ticks}) == 4
+        assert world.metrics.traffic.messages("Invalidation") == 4
 
     def test_batched_update_push_waits_for_ttn(self):
         world = rpcc_world()

@@ -41,10 +41,19 @@ and the fire logs must match entry for entry.  The processes take a seed
 and build their generators from it (first at construction, again when
 they resume); the suite has them build quarter-second generators, so
 that resuming is exercised among the ties.
+
+A fourth suite holds the :class:`StaggeredClock` to one
+:class:`PeriodicTimer` per member: zero to ten members staggered by
+drawn node ids (repeats tie their phases; node 0 ticks on the interval's
+grid with a timer of the same period), interval changes mid-run,
+one-shots at exactly a member's next tick, and an echo each member files
+one interval after its tick, which ties with that member's next one.
+The fire logs, clocks and event counts must match entry for entry.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from unittest import mock
 
@@ -54,7 +63,7 @@ from hypothesis import strategies as st
 from repro.peers import switching as switching_module
 from repro.peers.switching import SwitchingProcess
 from repro.sim.engine import Simulator
-from repro.sim.timers import CountdownTimer, PeriodicTimer
+from repro.sim.timers import CountdownTimer, PeriodicTimer, StaggeredClock, staggered_start
 from repro.workload import arrivals as arrivals_module
 from repro.workload.arrivals import ExponentialProcess
 
@@ -422,3 +431,103 @@ def _processes_fire_like_fresh_handle_references(ops, intervals, seed):
     assert [t.ticks for t in timers] == [t.ticks for t in reference[:2]]
     assert [s.arrivals for s in streams] == [s.arrivals for s in reference[2:4]]
     assert switch.flips == reference[4].flips
+
+
+_CLOCK_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("event"), _QUARTERS),
+        st.tuples(st.just("at_tick"), st.integers(min_value=0, max_value=63)),
+        st.tuples(
+            st.just("interval"),
+            st.integers(min_value=1, max_value=12).map(lambda k: k * 0.25),
+        ),
+        st.tuples(st.just("run_until"), st.one_of(_QUARTERS, st.floats(0.0, 4.0))),
+        st.tuples(st.just("run"), st.integers(min_value=0, max_value=6)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _clock_world(node_ids, interval, lead, one_per_member):
+    """A simulator whose members (tags 0..n-1, staggered by ``node_ids``)
+    tick on one :class:`StaggeredClock`, or on one :class:`PeriodicTimer`
+    each; a timer of the same interval (tag ``"sampler"``, armed first)
+    and a one-shot at ``lead`` share their grid."""
+    sim = Simulator()
+    log = []
+
+    def interval_of():
+        return timers[0].interval if one_per_member else timers.interval
+
+    def note(tag):
+        log.append((sim.now, tag))
+        # An echo one interval on ties with the member's own next tick:
+        # the re-arm must take its sequence number before the callback.
+        sim.schedule(interval_of(), lambda: log.append((sim.now, tag, "echo")))
+
+    PeriodicTimer(sim, interval, lambda: log.append((sim.now, "sampler"))).start()
+    sim.schedule(lead, lambda: log.append((sim.now, "lead")))
+    sim.run_until(lead)
+    members = list(enumerate(node_ids))
+    if one_per_member:
+        timers = [
+            PeriodicTimer(
+                sim, interval, functools.partial(note, tag),
+                start_offset=staggered_start(interval, node_id),
+            )
+            for tag, node_id in members
+        ]
+        for timer in timers:
+            timer.start()
+    else:
+        timers = StaggeredClock(sim, interval, note)
+        timers.start((node_id, tag) for tag, node_id in members)
+    return sim, timers, log
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    node_ids=st.lists(
+        st.one_of(st.integers(0, 12), st.integers(0, 2**20)), max_size=10
+    ),
+    interval=st.integers(min_value=1, max_value=12).map(lambda k: k * 0.25),
+    lead=_QUARTERS,
+    ops=_CLOCK_OPS,
+)
+def test_staggered_clock_fires_like_a_timer_per_member(node_ids, interval, lead, ops):
+    own = _clock_world(node_ids, interval, lead, one_per_member=False)
+    reference = _clock_world(node_ids, interval, lead, one_per_member=True)
+    clock, timers = own[1], reference[1]
+    for tag, op in enumerate(ops):
+        if op[0] == "at_tick" and timers:
+            # A one-shot at exactly one member's next tick time.
+            timer = timers[op[1] % len(timers)]
+            at = next(time for time, _, event in reference[0]._heap if event is timer)
+        for sim, processes, log in (own, reference):
+            if op[0] == "event":
+                sim.schedule(op[1], lambda sim=sim, log=log, tag=tag: log.append((sim.now, tag)))
+            elif op[0] == "at_tick" and timers:
+                sim.schedule_at(at, lambda sim=sim, log=log, tag=tag: log.append((sim.now, tag)))
+            elif op[0] == "interval":
+                if processes is clock:
+                    clock.interval = op[1]
+                else:
+                    for timer in processes:
+                        timer.interval = op[1]
+            elif op[0] == "run_until":
+                sim.run_until(sim.now + op[1])
+            elif op[0] == "run":
+                sim.run(max_events=op[1])
+        assert own[2] == reference[2]
+        assert own[0].now == reference[0].now
+        assert own[0].events_processed == reference[0].events_processed
+        # The clock is one pending event where the members' timers are n.
+        assert own[0].pending_events == reference[0].pending_events - max(len(timers) - 1, 0)
+    own[0].run_until(own[0].now + 4 * interval)
+    reference[0].run_until(reference[0].now + 4 * interval)
+    assert own[2] == reference[2]
+    assert len(clock._members) == len(node_ids)
+    # The clock never leaves a tombstone or a second entry behind.
+    assert own[0].tombstones == 0
+    assert own[0].heap_size == own[0].pending_events

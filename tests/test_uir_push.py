@@ -87,4 +87,4 @@ class TestUIRPush:
         )
         assert applied == {"ttn": 60.0}
         assert world.strategy.sub_interval == 12.0
-        assert {timer.interval for timer in world.strategy._timers} == {12.0}
+        assert world.strategy._clock.interval == 12.0

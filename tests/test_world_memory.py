@@ -25,8 +25,9 @@ table by component; this file is its gate.
   every recurring process (timer, arrival stream, on/off switch) is its
   own heap event, so the heap holds no plain ``EventHandle``, and the
   bytes arming allocates per host are held to their own budget.  One
-  clock closes every host's coefficient period, so arming builds no
-  period timer per host.
+  clock closes every host's coefficient period and one staggered clock
+  ticks every source's TTN, so arming builds no period or TTN timer per
+  host.
 * ``test_host_bytes_names_still_exist`` keeps ``benchmarks/host_bytes.py``
   from filing bytes by an identifier the code no longer has.
 
@@ -39,8 +40,9 @@ first gap or online duration each process draws at build (46 B per
 host) and the seed and state slots (45 B), because the registry, with
 the 167 B per host of stream names it keys, is no longer kept past the
 build.  The arming budget is likewise what arming measured when it was
-set (697 and 567 bytes per host; before the first gaps were drawn at
-build it read 743 and 594, with a period timer per host 1 109 and 958,
+set (434 and 302 bytes per host, one TTN clock for every source; with a
+TTN timer per source it read 697 and 567, before the first gaps were
+drawn at build 743 and 594, with a period timer per host 1 109 and 958,
 with a handle per armed process too 1 419 and 1 191) plus 3 %.
 """
 
@@ -89,7 +91,7 @@ from repro.peers.host import MobileHost
 from repro.peers.switching import SwitchingProcess
 from repro.sim.engine import EventHandle
 from repro.sim.rng import Stream
-from repro.sim.timers import CountdownTimer, PeriodicTimer
+from repro.sim.timers import CountdownTimer, PeriodicTimer, StaggeredClock
 from repro.workload.arrivals import ExponentialProcess
 
 N_HOSTS = 2_000
@@ -102,8 +104,8 @@ BUDGET = {
 
 #: stable_fraction -> bytes per host that arming (``Simulation._arm``) allocates.
 ARM_BUDGET = {
-    0.1: 718,
-    0.9: 584,
+    0.1: 447,
+    0.9: 311,
 }
 
 #: Populous ``repro.*`` types that may keep an instance ``__dict__``.
@@ -120,7 +122,7 @@ SLOTTED = (
     CoefficientTracker, SubnetTracker, SwitchingProcess, ExponentialProcess,
     MobilityModel, Stationary, PiecewiseLinear, RandomWalk, RandomWaypoint,
     _Epoch, Leg,
-    PeriodicTimer, CountdownTimer, EventHandle,
+    PeriodicTimer, StaggeredClock, CountdownTimer, EventHandle,
     BaseAgent, PushAgent, PullAgent, RPCCAgent,
     RoleTable, SourceSide, RelaySide, CachePeerSide,
 )
@@ -208,11 +210,12 @@ def test_arming_allocates_no_handle_per_process(stable_fraction):
         tracemalloc.stop()
     kinds = Counter(type(event) for _, _, event in world.sim._heap)
     assert kinds[EventHandle] == 0, f"plain handles armed: {kinds[EventHandle]}"
-    # A TTN timer per source, one coefficient clock for the whole world,
-    # a query stream per host, a switch per mover.
+    # One TTN clock for every source, one coefficient clock for the whole
+    # world, a query stream per host, a switch per mover.
     timers = [event for _, _, event in world.sim._heap if type(event) is PeriodicTimer]
     assert sum(timer._callback == world._close_periods for timer in timers) == 1
-    assert sum(timer._callback.__name__ == "_on_ttn" for timer in timers) >= N_HOSTS
+    clocks = [event for _, _, event in world.sim._heap if type(event) is StaggeredClock]
+    assert len(clocks) == 1 and len(clocks[0]._members) >= N_HOSTS
     assert kinds[ExponentialProcess] > N_HOSTS
     assert kinds[SwitchingProcess] > 0
     per_host = armed / N_HOSTS
