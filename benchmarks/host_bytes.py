@@ -53,9 +53,8 @@ _STREAM_NAME = re.compile(r'f"(pos|mobility|switch|query|update)/')
 #: bindings something per-host keeps.  Each must still name something in
 #: ``src/`` (``tests/test_world_memory.py`` checks).
 CALLABLE_NAMES = (
-    "partial", ".set_online", ".update_master", "binding.on_insert",
-    "binding.on_evict", "_on_node_state_change", "bind_state_listener",
-    "self._fire", "self._flip",
+    "binding.on_insert", "binding.on_evict", "_on_node_state_change",
+    "bind_state_listener",
 )
 _CALLABLE = re.compile(
     r"\blambda\b|^\s*def |"

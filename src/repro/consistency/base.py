@@ -58,7 +58,31 @@ __all__ = [
     "RetryBackoff",
     "BACKOFF_CAP",
     "BACKOFF_JITTER",
+    "EMPTY_MAP",
 ]
+
+
+class _EmptyMap(dict):
+    """A ``dict`` that stays empty: adding to it raises ``TypeError``.
+
+    Removing from it finds nothing, as from any empty map, so its
+    ``pop`` / ``clear`` change nothing and need no guard.
+    """
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("EMPTY_MAP is shared: give the owner a dict of its own first")
+
+    __setitem__ = setdefault = update = __ior__ = _refuse
+
+
+#: What a per-host protocol map holds until its host first writes it:
+#: one shared empty map, where a ``{}`` per agent side would be 64 bytes
+#: a map, most of which no host ever writes
+#: (``docs/decisions/18-one-clock-per-process-kind.md``).  A write site
+#: replaces it with a fresh ``dict`` first.
+EMPTY_MAP: Dict = _EmptyMap()
 
 
 #: Upper bound, in seconds, on an un-jittered retry wait.  Unmeasured.
@@ -424,7 +448,7 @@ class BaseAgent(abc.ABC):
         self.context = strategy.context
         self.host = host
         self.node_id: int = host.node_id
-        self._pending_remote: Dict[int, PendingQuery] = {}
+        self._pending_remote: Dict[int, PendingQuery] = EMPTY_MAP
         if not strategy.agents:
             # The strategy's first agent: its floods now reach handlers.
             strategy.context.network.declare_audiences(
@@ -560,6 +584,8 @@ class BaseAgent(abc.ABC):
             return
         pending.tried_holders.add(target)
         request_id = next_request_id()
+        if self._pending_remote is EMPTY_MAP:
+            self._pending_remote = {}
         self._pending_remote[request_id] = pending
         request = QueryRequest(
             sender=self.node_id,

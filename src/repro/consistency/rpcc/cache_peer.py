@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.cache.item import CachedCopy
-from repro.consistency.base import QueryJob
+from repro.consistency.base import EMPTY_MAP, QueryJob
 from repro.consistency.levels import ConsistencyLevel
 from repro.consistency.messages import (
     Cancel,
@@ -92,9 +92,11 @@ class CachePeerSide:
         self.agent = agent
         self.config = config
         self._ttp: Dict[int, CountdownTimer] = {}
-        self._pending: Dict[int, _PollState] = {}
+        # Most hosts never poll: each map is the shared EMPTY_MAP until
+        # its first write.
+        self._pending: Dict[int, _PollState] = EMPTY_MAP
         # item_id -> the relay that last answered a poll
-        self._known_relay: Dict[int, int] = {}
+        self._known_relay: Dict[int, int] = EMPTY_MAP
 
     # ------------------------------------------------------------------
     # TTP management
@@ -187,6 +189,8 @@ class CachePeerSide:
             return
         poll_id = next_poll_id()
         state.poll_ids.append(poll_id)
+        if self._pending is EMPTY_MAP:
+            self._pending = {}
         self._pending[poll_id] = state
         poll = Poll(
             sender=self.agent.node_id,
@@ -336,6 +340,8 @@ class CachePeerSide:
             return
         if responder == self.agent.context.catalog.source_of(item_id):
             return
+        if self._known_relay is EMPTY_MAP:
+            self._known_relay = {}
         self._known_relay[item_id] = responder
 
     # ------------------------------------------------------------------

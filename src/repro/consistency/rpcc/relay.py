@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List
 
 from repro.cache.item import CachedCopy
+from repro.consistency.base import EMPTY_MAP
 from repro.consistency.messages import (
     GetNew,
     Invalidation,
@@ -42,11 +43,13 @@ class RelaySide:
     def __init__(self, agent: "RPCCAgent", config: RPCCConfig) -> None:
         self.agent = agent
         self.config = config
-        self._ttr: Dict[int, CountdownTimer] = {}
-        self._queued_polls: Dict[int, List[Poll]] = {}
-        # A set of item ids, kept as a dict's keys: there is one per host
-        # and it is nearly always empty — 64 bytes as a dict, 216 as a set.
-        self._awaiting_get_new: Dict[int, None] = {}
+        # Most hosts never relay: each map is the shared EMPTY_MAP until
+        # its first write.
+        self._ttr: Dict[int, CountdownTimer] = EMPTY_MAP
+        self._queued_polls: Dict[int, List[Poll]] = EMPTY_MAP
+        # A set of item ids, kept as a dict's keys so that it can share
+        # EMPTY_MAP too.
+        self._awaiting_get_new: Dict[int, None] = EMPTY_MAP
 
     # ------------------------------------------------------------------
     # TTR management
@@ -66,6 +69,8 @@ class RelaySide:
         timer = self._ttr.get(item_id)
         if timer is None:
             timer = CountdownTimer(self.agent.context.sim, self.config.ttr)
+            if self._ttr is EMPTY_MAP:
+                self._ttr = {}
             self._ttr[item_id] = timer
         timer.renew(self.config.ttr)
 
@@ -137,6 +142,8 @@ class RelaySide:
                         kind="get-new",
                     )
                 )
+            if self._awaiting_get_new is EMPTY_MAP:
+                self._awaiting_get_new = {}
             self._awaiting_get_new[item_id] = None
         # On failure: Section 4.5 — wait for the next INVALIDATION and retry.
 
@@ -187,6 +194,8 @@ class RelaySide:
             self._reply(message, copy)
             return
         # Stale at the relay: hold the poll until the next refresh.
+        if self._queued_polls is EMPTY_MAP:
+            self._queued_polls = {}
         self._queued_polls.setdefault(item_id, []).append(message)
         self.agent.context.metrics.bump("rpcc_poll_queued_at_relay")
         hold = PollHold(

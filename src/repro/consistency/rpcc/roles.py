@@ -17,6 +17,8 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Optional, Set
 
+from repro.consistency.base import EMPTY_MAP
+
 __all__ = ["Role", "RoleTable"]
 
 
@@ -39,7 +41,8 @@ class RoleTable:
     __slots__ = ("_roles", "_node_id", "_relays", "promotions", "demotions")
 
     def __init__(self, node_id: int = -1, relays: Optional[Dict[int, Set[int]]] = None) -> None:
-        self._roles: Dict[int, Role] = {}
+        # The shared EMPTY_MAP until the host's first role change.
+        self._roles: Dict[int, Role] = EMPTY_MAP
         self._node_id = node_id
         self._relays: Dict[int, Set[int]] = {} if relays is None else relays
         self.promotions = 0
@@ -61,14 +64,20 @@ class RoleTable:
         """CACHE_NODE -> CANDIDATE (an APPLY was just sent)."""
         if self._roles.get(item_id) is Role.RELAY:
             self._relays[item_id].discard(self._node_id)
-        self._roles[item_id] = Role.CANDIDATE
+        self._own_roles()[item_id] = Role.CANDIDATE
 
     def promote(self, item_id: int) -> None:
         """CANDIDATE -> RELAY (APPLY_ACK, or UPDATE per Fig 6(d))."""
         if self._roles.get(item_id) is not Role.RELAY:
             self.promotions += 1
             self._relays.setdefault(item_id, set()).add(self._node_id)
-        self._roles[item_id] = Role.RELAY
+        self._own_roles()[item_id] = Role.RELAY
+
+    def _own_roles(self) -> Dict[int, Role]:
+        """The table's own map, made on its first write."""
+        if self._roles is EMPTY_MAP:
+            self._roles = {}
+        return self._roles
 
     def demote(self, item_id: int) -> None:
         """Any state -> CACHE_NODE."""

@@ -70,7 +70,7 @@ from repro.peers.switching import SwitchingProcess
 from repro.scenarios.registry import CONTROLLERS, parse_spec, register_strategy
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.timers import PeriodicTimer
+from repro.sim.timers import PeriodicTimer, SwitchClock
 from repro.workload.access import (
     AccessPattern,
     FlashCrowdAccess,
@@ -164,6 +164,11 @@ def _gc_quiet() -> Iterator[None]:
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _switch_host(switch: SwitchingProcess) -> None:
+    """A flip of ``switch`` takes its host on- or offline."""
+    switch.host.set_online(switch.online)
 
 
 @dataclass
@@ -312,8 +317,11 @@ class Simulation:
         PeriodicTimer(self.sim, self.config.switch_interval, self._close_periods).start()
         for host in self.hosts.values():
             host.period_started_at = self.sim.now
-            if host.switching is not None:
-                host.switching.start()
+        # One clock for every host's switch, in host order
+        # (docs/decisions/18-one-clock-per-process-kind.md).
+        SwitchClock(self.sim, _switch_host).start(
+            host.switching for host in self.hosts.values() if host.switching is not None
+        )
         if isinstance(self.strategy, RPCCStrategy):
             PeriodicTimer(self.sim, 60.0, self._sample_relays).start()
         PeriodicTimer(self.sim, 60.0, self._sample_traffic).start()
@@ -491,11 +499,7 @@ def build_simulation(
         host.attach_source(master(host_id))
         if not stable:
             host.switching = SwitchingProcess(
-                sim,
-                parked(f"switch/{host_id}"),
-                host.set_online,
-                mean_online,
-                mean_offline,
+                parked(f"switch/{host_id}"), mean_online, mean_offline, host
             )
         register(host)
         hosts[host_id] = host

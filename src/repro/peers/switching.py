@@ -7,6 +7,12 @@ offline durations.  *Stable* hosts get an infinite mean online time and
 never switch — the heterogeneity that makes the CS coefficient
 discriminating (see DESIGN.md).
 
+A switch is not a heap event of its own: every host's switch is a member
+of one :class:`~repro.sim.timers.SwitchClock`, which keeps each member's
+next flip under the ``(time, seq)`` key the switch's own event would
+have had (``docs/decisions/18-one-clock-per-process-kind.md``).  The
+member carries its host; the clock's one callback sets it on- or offline.
+
 A host stays online for 600 s on average, so in a short run most
 switches never flip: each draws its first online duration at build and
 holds its generator only once it flips
@@ -16,73 +22,68 @@ holds its generator only once it flips
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Any, Optional
 
 from repro.errors import ConfigurationError
-from repro.sim.engine import EventHandle, Simulator
 from repro.sim.rng import Stream, seeded
 
 __all__ = ["SwitchingProcess"]
 
 
-class SwitchingProcess(EventHandle):
+class SwitchingProcess:
     """Alternating online/offline renewal process for one host.
 
-    The process is its own heap event: each flip re-arms it in place.
+    A member of a :class:`~repro.sim.timers.SwitchClock`: the clock asks
+    :meth:`first_delay` when it arms the process and :meth:`flip` on each
+    flip, calls back with the new state in :attr:`online`, and re-arms
+    after the callback.  Standalone use is a one-member clock.
 
     Parameters
     ----------
-    sim:
-        Event kernel.
     seed:
         Seed of the host's private switching stream
         (:meth:`~repro.sim.rng.RandomStreams.parked`).  The first online
         duration is drawn here, from a generator that is then dropped;
         the first flip rebuilds it from the seed.  A stable host draws
         nothing.
-    set_online:
-        Callback invoked with the new status on every flip.
     mean_online:
         Mean of the exponential online duration; ``math.inf`` disables
         switching entirely (a stable host).
     mean_offline:
         Mean of the exponential offline duration; positive and finite.
+    host:
+        The host whose status flips (the clock's callback reads it).
     """
 
     __slots__ = (
-        "_sim",
+        "host",
         "_seed",
         "_rng",
         "_delay",
-        "_set_online",
         "mean_online",
         "mean_offline",
-        "_currently_online",
+        "online",
         "flips",
     )
 
     def __init__(
         self,
-        sim: Simulator,
         seed: int,
-        set_online: Callable[[bool], None],
         mean_online: float = 600.0,
         mean_offline: float = 60.0,
+        host: Any = None,
     ) -> None:
         if not mean_online > 0:  # NaN fails too
             raise ConfigurationError(f"mean_online must be positive, got {mean_online!r}")
         if not 0 < mean_offline < math.inf:
             raise ConfigurationError(f"mean_offline must be finite and > 0, got {mean_offline!r}")
-        # Unarmed is fired: owned here, in no structure.
-        self.callback, self.args, self.cancelled, self.fired = None, (), False, True
-        self._on_cancel = sim._cancel_hook
-        self._sim = sim
+        self.host = host
         self._seed = seed
         self._rng: Optional[Stream] = None
-        self._set_online = set_online
         self.mean_online = float(mean_online)
         self.mean_offline = float(mean_offline)
-        self._currently_online = True
+        #: The state the last flip left (online until the first).
+        self.online = True
         self.flips = 0
         self._delay: Optional[float] = (
             self._first_delay(seeded(seed)) if self.enabled else None
@@ -107,18 +108,13 @@ class SwitchingProcess(EventHandle):
         """``False`` for stable hosts (infinite mean online time)."""
         return math.isfinite(self.mean_online)
 
-    def start(self) -> None:
-        """Arm the first disconnection.  No-op for stable hosts."""
-        if not self.enabled or not self.fired:
-            return
-        self.callback = self._flip
+    def first_delay(self) -> float:
+        """The first online duration, drawn at build; handed out once."""
         delay, self._delay = self._delay, None
-        self._sim.reschedule(self, delay)
+        return delay
 
-    def _flip(self) -> None:
-        self._currently_online = not self._currently_online
+    def flip(self) -> float:
+        """Change state; return how long the new state lasts."""
+        self.online = online = not self.online
         self.flips += 1
-        self._set_online(self._currently_online)
-        mean = self.mean_online if self._currently_online else self.mean_offline
-        delay = self.stream.expovariate(1.0 / mean)
-        self._sim.reschedule(self, delay)
+        return self.stream.expovariate(1.0 / (self.mean_online if online else self.mean_offline))

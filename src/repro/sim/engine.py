@@ -51,12 +51,12 @@ class EventHandle:
     :meth:`Simulator.schedule_at`; user code only cancels or inspects
     them.  The event's time and sequence number live in its heap entry.
     Handles of the fire-and-forget :meth:`Simulator.post` path carry no
-    cancel hook, which is what returns them to the engine's pool.  A
-    recurring process (``PeriodicTimer``, ``StaggeredClock``,
-    ``ExponentialProcess``, ``SwitchingProcess``) subclasses this class:
-    it is created *fired* (in no structure) and re-arms itself through
-    :meth:`Simulator.reschedule` (the clock through
-    :meth:`Simulator._file_reserved`).
+    cancel hook, which is what returns them to the engine's pool.  The
+    recurring timers and clocks of :mod:`repro.sim.timers` subclass this
+    class: each is created *fired* (in no structure) and re-arms itself,
+    a ``PeriodicTimer`` through :meth:`Simulator.reschedule` and a clock
+    of many members (TTN ticks, arrival streams, on/off switches)
+    through :meth:`Simulator._file_reserved`.
     """
 
     __slots__ = ("callback", "args", "cancelled", "fired", "_on_cancel")
@@ -261,10 +261,10 @@ class Simulator:
 
         The returned handle is the one to retain.  A *fired* event is
         re-armed in place and returned as-is, which is only safe when the
-        caller exclusively owns the handle.  This is how the recurring
-        processes run: each is its own event, created fired, armed here
-        by its ``start()`` and re-armed from inside its own callback, so
-        a tick, arrival or flip allocates no handle.  Anything else —
+        caller exclusively owns the handle.  This is how a
+        ``PeriodicTimer`` runs: it is its own event, created fired, armed
+        here by its ``start()`` and re-armed from inside its own
+        callback, so a tick allocates no handle.  Anything else —
         pending or already cancelled — is ``cancel()`` plus
         :meth:`schedule_at`, and a fresh handle comes back.
 
@@ -290,9 +290,10 @@ class Simulator:
         """File a fired ``event`` the caller exclusively owns at ``(time, seq)``.
 
         ``seq`` is one the caller took from ``_seq`` earlier, when the
-        tick this entry stands for was armed: a ``StaggeredClock`` takes
-        one per member tick and files only the earliest, so its entry
-        carries the key a timer of the member's own would have had.
+        tick this entry stands for was armed: a clock of many members
+        (``repro.sim.timers``) takes one per member tick and files only
+        the earliest, so its entry carries the key an event of the
+        member's own would have had.
         Nothing is checked: ``time`` is at or after the clock.
         """
         event.fired = False

@@ -1,16 +1,19 @@
 """Timer helpers built on top of the event kernel.
 
-Three recurring patterns in the protocols of this reproduction are:
+The recurring patterns in this reproduction are:
 
 * a *periodic* action (a controller's tick, a sampler) — :class:`PeriodicTimer`;
 * the same period at a staggered phase per host (every source host
   flooding ``INVALIDATION`` every TTN seconds) — :class:`StaggeredClock`;
+* a random stream per host (every host's query and update arrivals) —
+  :class:`ArrivalClock`; and a host's online/offline renewal process —
+  :class:`SwitchClock`;
 * a *countdown* that is repeatedly renewed (the TTR/TTP freshness windows
   of relay and cache peers) — :class:`CountdownTimer`.
 
 All are allocation-light: a periodic timer is its own event in the
-:class:`~repro.sim.engine.Simulator`'s heap, a staggered clock is one
-event for all its members, and a countdown schedules nothing.
+:class:`~repro.sim.engine.Simulator`'s heap, each clock is one event for
+all its members, and a countdown schedules nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +25,14 @@ from typing import Any, Callable, Iterable, List, Optional, Tuple
 from repro.errors import SimulationError
 from repro.sim.engine import EventHandle, Simulator
 
-__all__ = ["PeriodicTimer", "StaggeredClock", "CountdownTimer", "staggered_start"]
+__all__ = [
+    "PeriodicTimer",
+    "StaggeredClock",
+    "ArrivalClock",
+    "SwitchClock",
+    "CountdownTimer",
+    "staggered_start",
+]
 
 #: The golden-ratio fraction: multiples of it modulo 1 spread evenly, so
 #: consecutive node ids get well-separated phases.
@@ -111,25 +121,67 @@ class PeriodicTimer(EventHandle):
         self._callback()
 
 
-class StaggeredClock(EventHandle):
+class _MemberClock(EventHandle):
+    """Many members' recurring ticks from one heap event.
+
+    The clock keeps every member's next tick in a private min-heap of
+    ``(time, seq, member)`` and files only the earliest in the
+    simulator's (:meth:`Simulator._file_reserved`).  Every ``seq`` is
+    taken from the simulator's counter where the member's own event
+    would have taken it: one per member at arming, in member order, and
+    one per tick at the tick's re-arm.  The engine orders events by
+    ``(time, seq)`` alone, so the event stream is the one a heap event
+    per member makes, ties included (``docs/decisions/17-one-ttn-clock.md``,
+    ``docs/decisions/18-one-clock-per-process-kind.md``).
+
+    The contract: every member is armed by :meth:`_arm`, re-arms once per
+    tick and only from its own tick; none leaves.  Each subclass's
+    ``_tick`` fixes the re-arm point and the delay.
+    """
+
+    __slots__ = ("_sim", "_callback", "_members")
+
+    def __init__(self, sim: Simulator, callback: Callable[[Any], Any]) -> None:
+        # Unstarted is fired, as for PeriodicTimer; _arm binds the tick.
+        self.callback, self.args, self.cancelled, self.fired = None, (), False, True
+        self._on_cancel = sim._cancel_hook
+        self._sim = sim
+        self._callback = callback
+        #: ``(time, seq, member)`` of every member's next tick, a min-heap.
+        self._members: List[Tuple[float, int, Any]] = []
+
+    def _arm(self, firsts: Iterable[Tuple[float, Any]]) -> None:
+        """Arm each ``(delay, member)`` pair, in order, and file the
+        earliest tick.  A started clock ignores a second call."""
+        if self.callback is not None:
+            return
+        self.callback = self._tick
+        sim = self._sim
+        now, seq = sim.now, sim._seq
+        heap = self._members
+        heap.extend((now + delay, next(seq), member) for delay, member in firsts)
+        if heap:
+            heapq.heapify(heap)
+            sim._file_reserved(self, heap[0][0], heap[0][1])
+
+    def _rearm(self, member: Any, delay: float) -> None:
+        """Move the ticking ``member`` (the private heap's head) ``delay``
+        on, under a fresh sequence number, and file the new earliest."""
+        sim = self._sim
+        heap = self._members
+        heapq.heapreplace(heap, (sim.now + delay, next(sim._seq), member))
+        sim._file_reserved(self, heap[0][0], heap[0][1])
+
+
+class StaggeredClock(_MemberClock):
     """Tick every member once per ``interval``, each at its own phase, from
     one heap event.
 
     Member ``m`` of host ``node_id`` first ticks
     ``staggered_start(interval, node_id)`` after :meth:`start`, then every
-    ``interval``: what a :class:`PeriodicTimer` per member would do.  The
-    clock keeps every member's next tick in a private min-heap of
-    ``(time, seq, member)`` and files only the earliest in the
-    simulator's.  Each tick keeps the exact ``(time, seq)`` its member's
-    own timer would have had: :meth:`start` takes one sequence number per
-    member from the simulator, in member order, where those timers'
-    ``start()`` took theirs, and each tick takes the next one before it
-    calls back, where ``PeriodicTimer`` re-arms.  The engine orders events
-    by ``(time, seq)`` alone, so the event stream is the one the timers
-    make, ties included (``docs/decisions/17-one-ttn-clock.md``).
-
-    The contract: every member is armed by :meth:`start`, shares the one
-    interval and re-arms only from its own tick; none leaves.
+    ``interval``: what a :class:`PeriodicTimer` per member would do.  Each
+    tick re-arms before it calls back, where ``PeriodicTimer`` re-arms.
+    Members share the one interval.
 
     Parameters
     ----------
@@ -142,46 +194,73 @@ class StaggeredClock(EventHandle):
         Called as ``callback(member)`` on each of a member's ticks.
     """
 
-    __slots__ = ("_sim", "_interval", "_callback", "_members")
+    __slots__ = ("_interval",)
 
     interval = PeriodicTimer.interval
 
     def __init__(self, sim: Simulator, interval: float, callback: Callable[[Any], Any]) -> None:
         self.interval = interval
-        # Unstarted is fired, as for PeriodicTimer; start() binds the tick.
-        self.callback, self.args, self.cancelled, self.fired = None, (), False, True
-        self._on_cancel = sim._cancel_hook
-        self._sim = sim
-        self._callback = callback
-        #: ``(time, seq, member)`` of every member's next tick, a min-heap.
-        self._members: List[Tuple[float, int, Any]] = []
+        super().__init__(sim, callback)
 
     def start(self, members: Iterable[Tuple[int, Any]]) -> None:
         """Arm each ``(node_id, member)`` pair, in order, and file the
         earliest tick.  A started clock ignores a second call."""
-        if self.callback is not None:
-            return
-        self.callback = self._tick
-        sim = self._sim
-        now, interval, seq = sim.now, self._interval, sim._seq
-        heap = self._members
-        heap.extend(
-            (now + staggered_start(interval, node_id), next(seq), member)
-            for node_id, member in members
+        interval = self._interval
+        self._arm(
+            (staggered_start(interval, node_id), member) for node_id, member in members
         )
-        if heap:
-            heapq.heapify(heap)
-            sim._file_reserved(self, heap[0][0], heap[0][1])
 
     def _tick(self) -> None:
-        sim = self._sim
-        heap = self._members
-        member = heap[0][2]
-        # Re-arm before the callback, with the sequence number the
-        # member's own timer would have taken here.
-        heapq.heapreplace(heap, (sim.now + self._interval, next(sim._seq), member))
-        sim._file_reserved(self, heap[0][0], heap[0][1])
+        member = self._members[0][2]
+        self._rearm(member, self._interval)
         self._callback(member)
+
+
+class ArrivalClock(_MemberClock):
+    """Every member's arrival stream from one heap event.
+
+    A member (:class:`~repro.workload.arrivals.ExponentialProcess`) draws
+    its own gaps: ``member.first_delay()`` when :meth:`start` arms it,
+    and ``member.arrive()`` (count the arrival now due, draw the gap to
+    the next) on each tick, which re-arms *before* it calls
+    ``callback(member)``.
+    """
+
+    __slots__ = ()
+
+    def start(self, members: Iterable[Any]) -> None:
+        """Arm each member, in order.  A started clock ignores a second call."""
+        self._arm((member.first_delay(), member) for member in members)
+
+    def _tick(self) -> None:
+        member = self._members[0][2]
+        self._rearm(member, member.arrive())
+        self._callback(member)
+
+
+class SwitchClock(_MemberClock):
+    """Every member's on/off renewal process from one heap event.
+
+    A member (:class:`~repro.peers.switching.SwitchingProcess`) draws its
+    own durations: ``member.first_delay()`` when :meth:`start` arms it
+    (a member that is not ``enabled`` is left out), and ``member.flip()``
+    (change state, draw how long the new state lasts) on each tick,
+    which calls ``callback(member)`` and re-arms *after* it: whatever
+    the callback schedules precedes the next flip in ``seq``.
+    """
+
+    __slots__ = ()
+
+    def start(self, members: Iterable[Any]) -> None:
+        """Arm each enabled member, in order.  A started clock ignores a
+        second call."""
+        self._arm((member.first_delay(), member) for member in members if member.enabled)
+
+    def _tick(self) -> None:
+        member = self._members[0][2]
+        delay = member.flip()
+        self._callback(member)
+        self._rearm(member, delay)
 
 
 class CountdownTimer:

@@ -5,6 +5,12 @@ updates to its source data and its query requests with an exponentially
 distributed update interval and an exponentially distributed query
 interval."  :class:`ExponentialProcess` is that Poisson stream.
 
+A stream is not a heap event of its own: every stream of a workload is a
+member of one :class:`~repro.sim.timers.ArrivalClock`, which keeps each
+member's next arrival under the ``(time, seq)`` key the stream's own
+event would have had (``docs/decisions/18-one-clock-per-process-kind.md``).
+The member carries its host; the clock's one callback does the rest.
+
 At the paper's 20 s query interval a process draws all run long; at the
 10k benchmark's 10 000 s it draws its first gap at build and, in most
 runs, never again.  So a process holds its generator only once it draws
@@ -14,24 +20,24 @@ after the build (``repro.sim.rng.RandomStreams.parked``).
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.errors import WorkloadError
-from repro.sim.engine import EventHandle, Simulator
 from repro.sim.rng import Stream, seeded
 
 __all__ = ["ExponentialProcess"]
 
 
-class ExponentialProcess(EventHandle):
+class ExponentialProcess:
     """Poisson arrivals: i.i.d. exponential gaps with the given mean.
 
-    The process is its own heap event: each arrival re-arms it in place.
+    A member of an :class:`~repro.sim.timers.ArrivalClock`: the clock
+    asks :meth:`first_delay` when it arms the process and :meth:`arrive`
+    on each arrival, and re-arms before its callback runs.  Standalone
+    use is a one-member clock.
 
     Parameters
     ----------
-    sim:
-        Event kernel.
     seed:
         Seed of this process's private stream
         (:meth:`~repro.sim.rng.RandomStreams.parked`).  The first gap is
@@ -39,29 +45,19 @@ class ExponentialProcess(EventHandle):
         arrival rebuilds it from the seed (see :attr:`stream`).
     mean_interval:
         Mean gap between arrivals, seconds; positive and finite.
-    callback:
-        Zero-argument callable fired on each arrival.
+    host:
+        What the arrivals are for (the clock's callback reads it).
     """
 
-    __slots__ = ("_sim", "_seed", "_rng", "_gap", "mean_interval", "_callback", "arrivals")
+    __slots__ = ("host", "_seed", "_rng", "_gap", "mean_interval", "arrivals")
 
-    def __init__(
-        self,
-        sim: Simulator,
-        seed: int,
-        mean_interval: float,
-        callback: Callable[[], Any],
-    ) -> None:
+    def __init__(self, seed: int, mean_interval: float, host: Any = None) -> None:
         if not 0 < mean_interval < math.inf:  # NaN fails too
             raise WorkloadError(f"mean_interval must be finite and > 0, got {mean_interval!r}")
-        # Unarmed is fired: owned here, in no structure.
-        self.callback, self.args, self.cancelled, self.fired = None, (), False, True
-        self._on_cancel = sim._cancel_hook
-        self._sim = sim
+        self.host = host
         self._seed = seed
         self._rng: Optional[Stream] = None
         self.mean_interval = float(mean_interval)
-        self._callback = callback
         self.arrivals = 0
         self._gap: Optional[float] = self._first_gap(seeded(seed))
 
@@ -79,16 +75,12 @@ class ExponentialProcess(EventHandle):
             self._first_gap(rng)
         return rng
 
-    def start(self) -> None:
-        """Schedule the first arrival.  Idempotent while running."""
-        if not self.fired:
-            return
-        self.callback = self._fire
+    def first_delay(self) -> float:
+        """The gap to the first arrival, drawn at build; handed out once."""
         gap, self._gap = self._gap, None
-        self._sim.reschedule(self, gap)
+        return gap
 
-    def _fire(self) -> None:
+    def arrive(self) -> float:
+        """Count the arrival now due; return the gap to the next."""
         self.arrivals += 1
-        gap = self.stream.expovariate(1.0 / self.mean_interval)
-        self._sim.reschedule(self, gap)
-        self._callback()
+        return self.stream.expovariate(1.0 / self.mean_interval)

@@ -5,21 +5,36 @@
 * :class:`QueryWorkload` — every host issues queries with exponentially
   distributed intervals (``I_Query``, Table 1: 20 s), choosing the target
   item via an access pattern and the consistency level via a mix.
+
+Each workload's streams ride one :class:`~repro.sim.timers.ArrivalClock`
+(``docs/decisions/18-one-clock-per-process-kind.md``): a host's stream
+is the clock's member and carries the host, so what differs per host is
+the stream alone.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from repro.consistency.base import ConsistencyStrategy
 from repro.peers.host import MobileHost
 from repro.sim.rng import RandomStreams
+from repro.sim.timers import ArrivalClock
 from repro.workload.access import AccessPattern
 from repro.workload.arrivals import ExponentialProcess
 from repro.workload.mix import LevelMix
 
 __all__ = ["UpdateWorkload", "QueryWorkload"]
+
+
+def _start(processes: List[ExponentialProcess], callback: Callable) -> None:
+    """Arm ``processes``, in order, on one arrival clock."""
+    if processes:
+        ArrivalClock(processes[0].host.sim, callback).start(processes)
+
+
+def _update(process: ExponentialProcess) -> None:
+    process.host.update_master()
 
 
 class UpdateWorkload:
@@ -35,18 +50,18 @@ class UpdateWorkload:
         for host in hosts:
             if host.source_item is None:
                 continue
-            process = ExponentialProcess(
-                host.sim,
-                streams.parked(f"update/{host.node_id}"),
-                mean_interval,
-                host.update_master,
+            self._processes.append(
+                ExponentialProcess(
+                    streams.parked(f"update/{host.node_id}"), mean_interval, host
+                )
             )
-            self._processes.append(process)
+        self._started = False
 
     def start(self) -> None:
-        """Begin every host's update stream."""
-        for process in self._processes:
-            process.start()
+        """Begin every host's update stream.  Idempotent."""
+        if not self._started:
+            self._started = True
+            _start(self._processes, _update)
 
     @property
     def total_updates(self) -> int:
@@ -76,18 +91,17 @@ class QueryWorkload:
         self._access = access
         self._mix = mix
         self._restrict = restrict_to_items
-        # One bound method shared by every host; what differs per host
-        # is two bound arguments, not a function object with its cells.
-        issue = self._issue
         for host in hosts:
-            process = ExponentialProcess(
-                host.sim, streams.parked(f"query/{host.node_id}"), mean_interval, None
+            self._processes.append(
+                ExponentialProcess(
+                    streams.parked(f"query/{host.node_id}"), mean_interval, host
+                )
             )
-            # The callback draws from the process's own stream.
-            process._callback = partial(issue, host, process)
-            self._processes.append(process)
+        self._started = False
 
-    def _issue(self, host: MobileHost, process: ExponentialProcess) -> None:
+    def _issue(self, process: ExponentialProcess) -> None:
+        # A query draws from its host's own stream.
+        host: MobileHost = process.host
         rng = process.stream
         if self._restrict is not None:
             candidates = [i for i in self._restrict if i != host.node_id]
@@ -101,9 +115,10 @@ class QueryWorkload:
         agent.local_query(item_id, level)
 
     def start(self) -> None:
-        """Begin every host's query stream."""
-        for process in self._processes:
-            process.start()
+        """Begin every host's query stream.  Idempotent."""
+        if not self._started:
+            self._started = True
+            _start(self._processes, self._issue)
 
     @property
     def total_queries(self) -> int:

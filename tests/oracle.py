@@ -20,7 +20,10 @@ A world closes every host's coefficient period from one clock
 start-up arming with one period timer per host instead.  Every source
 host's TTN tick rides one ``StaggeredClock``;
 :func:`arm_ttn_timer_per_source` is start-up arming with one TTN timer
-per source instead.
+per source instead.  Every host's query and update arrivals and on/off
+switch ride one clock per kind; :func:`arm_processes_per_host` is
+start-up arming with one heap event per stream and per switch, each
+re-armed where its own event re-armed itself.
 
 Message classes are built by ``repro.net.message.message_class``;
 :func:`dataclass_message` is the same class body under
@@ -36,11 +39,11 @@ from itertools import accumulate
 
 from repro.consistency.rpcc import RPCCStrategy
 from repro.consistency.uir_push import UIRPushStrategy
-from repro.experiments.runner import Simulation
+from repro.experiments.runner import Simulation, _switch_host
 from repro.net import soa
 from repro.net.message import Message
 from repro.net.topology import TopologyService
-from repro.sim.timers import PeriodicTimer, staggered_start
+from repro.sim.timers import PeriodicTimer, SwitchClock, staggered_start
 
 
 # ----------------------------------------------------------------------
@@ -250,8 +253,9 @@ def arm_period_timer_per_host(simulation) -> None:
         PeriodicTimer(sim, host.tracker.phi, host.close_period).start()
     for host in simulation.hosts.values():
         host.period_started_at = sim.now
-        if host.switching is not None:
-            host.switching.start()
+    SwitchClock(sim, _switch_host).start(
+        host.switching for host in simulation.hosts.values() if host.switching is not None
+    )
     if isinstance(simulation.strategy, RPCCStrategy):
         PeriodicTimer(sim, 60.0, simulation._sample_relays).start()
     PeriodicTimer(sim, 60.0, simulation._sample_traffic).start()
@@ -305,6 +309,57 @@ def arm_ttn_timer_per_source(simulation) -> None:
 
     strategy.start = start
     Simulation._arm(simulation)
+
+
+# ----------------------------------------------------------------------
+# Arrivals and switches, one heap event each
+# ----------------------------------------------------------------------
+def _arrivals_of_its_own(sim, process, callback) -> None:
+    """``process``'s arrivals as events of their own: each re-arms, with a
+    gap from the stream, before it calls back."""
+
+    def arrive() -> None:
+        process.arrivals += 1
+        sim.schedule(process.stream.expovariate(1.0 / process.mean_interval), arrive)
+        callback(process)
+
+    sim.schedule(process.first_delay(), arrive)
+
+
+def _switch_of_its_own(sim, process) -> None:
+    """``process``'s flips as events of their own: each sets the host on-
+    or offline, then draws how long that lasts and re-arms."""
+
+    def flip() -> None:
+        process.online = not process.online
+        process.flips += 1
+        process.host.set_online(process.online)
+        mean = process.mean_online if process.online else process.mean_offline
+        sim.schedule(process.stream.expovariate(1.0 / mean), flip)
+
+    if process.enabled:
+        sim.schedule(process.first_delay(), flip)
+
+
+def arm_processes_per_host(simulation) -> None:
+    """``Simulation._arm`` with one event per arrival stream and per switch,
+    armed in host order where the world's clocks are armed."""
+    sim = simulation.sim
+    simulation.strategy.start()
+    for process in simulation.update_workload._processes:
+        _arrivals_of_its_own(sim, process, lambda process: process.host.update_master())
+    for process in simulation.query_workload._processes:
+        _arrivals_of_its_own(sim, process, simulation.query_workload._issue)
+    PeriodicTimer(sim, simulation.config.switch_interval, simulation._close_periods).start()
+    for host in simulation.hosts.values():
+        host.period_started_at = sim.now
+        if host.switching is not None:
+            _switch_of_its_own(sim, host.switching)
+    if isinstance(simulation.strategy, RPCCStrategy):
+        PeriodicTimer(sim, 60.0, simulation._sample_relays).start()
+    PeriodicTimer(sim, 60.0, simulation._sample_traffic).start()
+    if simulation.controller is not None:
+        simulation.controller.start()
 
 
 # ----------------------------------------------------------------------

@@ -176,7 +176,7 @@ class TestRelayCrashMidTTR:
         world.run(110.0)
 
         cache_peer = world.agent(3).cache_peer
-        cache_peer._known_relay[0] = 1
+        cache_peer._remember_relay(0, 1)
         world.host(1).crash()
         # Simulate the stale-snapshot race: the reachability pre-check
         # still believes in the dead relay, so the unicast itself fails.

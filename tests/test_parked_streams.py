@@ -39,6 +39,7 @@ from repro.peers import switching as switching_module
 from repro.peers.switching import SwitchingProcess
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams, Stream, derive_seed
+from repro.sim.timers import ArrivalClock, SwitchClock
 from repro.workload.arrivals import ExponentialProcess
 
 _ROOTS = st.integers(min_value=0, max_value=2**40)
@@ -82,9 +83,10 @@ def test_exponential_process_draws_what_an_eager_stream_draws(
         times.append(sim.now)
         drawn.extend(process.stream.random() for _ in range(extra))
 
-    process = ExponentialProcess(sim, RandomStreams(root).parked(name), mean, on_arrival)
-    process.start()
-    process.start()  # idempotent: the build-time gap is used once
+    process = ExponentialProcess(RandomStreams(root).parked(name), mean)
+    clock = ArrivalClock(sim, lambda member: on_arrival())
+    clock.start([process])
+    clock.start([process])  # idempotent: the build-time gap is used once
     sim.run(max_events=arrivals)
 
     reference = _eager(root, name)
@@ -116,15 +118,10 @@ def test_switching_process_draws_what_an_eager_stream_draws(
     seen: List[tuple] = []
     real_seeded = switching_module.seeded
     with mock.patch.object(switching_module, "seeded", side_effect=real_seeded) as seeded:
-        process = SwitchingProcess(
-            sim,
-            RandomStreams(root).parked(name),
-            lambda online: seen.append((sim.now, online)),
-            mean_online,
-            mean_offline,
-        )
-        process.start()
-        process.start()
+        process = SwitchingProcess(RandomStreams(root).parked(name), mean_online, mean_offline)
+        clock = SwitchClock(sim, lambda member: seen.append((sim.now, member.online)))
+        clock.start([process])
+        clock.start([process])
         sim.run(max_events=flips)
     if math.isinf(mean_online):
         # A stable host draws nothing, at build or ever.

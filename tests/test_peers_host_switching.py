@@ -13,7 +13,7 @@ from repro.mobility.terrain import Point
 from repro.peers.host import MobileHost
 from repro.peers.switching import SwitchingProcess
 from repro.sim.engine import Simulator
-from repro.sim.timers import PeriodicTimer
+from repro.sim.timers import PeriodicTimer, SwitchClock
 
 #: Seed of the switches built here (the ``rng`` fixture's, so the draws are its).
 SEED = 12345
@@ -186,19 +186,24 @@ class TestMobileHost:
         assert directory.holders(9) == {3}
 
 
+def _clocked(sim, seed, on_flip, **means):
+    """A switch on a one-member switch clock: how it runs standalone."""
+    process = SwitchingProcess(seed, **means)
+    clock = SwitchClock(sim, lambda member: on_flip(member.online))
+    return process, clock
+
+
 class TestSwitchingProcess:
-    def test_parameters_validated(self, sim):
+    def test_parameters_validated(self):
         with pytest.raises(ConfigurationError):
-            SwitchingProcess(sim, SEED, lambda f: None, mean_online=0.0)
+            SwitchingProcess(SEED, mean_online=0.0)
         with pytest.raises(ConfigurationError):
-            SwitchingProcess(sim, SEED, lambda f: None, mean_offline=0.0)
+            SwitchingProcess(SEED, mean_offline=0.0)
 
     def test_alternates_states(self, sim):
         flips = []
-        process = SwitchingProcess(
-            sim, SEED, flips.append, mean_online=10.0, mean_offline=10.0
-        )
-        process.start()
+        process, clock = _clocked(sim, SEED, flips.append, mean_online=10.0, mean_offline=10.0)
+        clock.start([process])
         sim.run_until(200.0)
         assert len(flips) >= 2
         # strict alternation starting with a disconnect
@@ -209,26 +214,23 @@ class TestSwitchingProcess:
         ("name", "value"),
         [("mean_online", math.nan), ("mean_offline", math.nan), ("mean_offline", math.inf)],
     )
-    def test_unusable_means_rejected(self, sim, name, value):
+    def test_unusable_means_rejected(self, name, value):
         # A NaN mean_online used to make a silently stable host.
         with pytest.raises(ConfigurationError, match=name):
-            SwitchingProcess(sim, SEED, lambda online: None, **{name: value})
+            SwitchingProcess(SEED, **{name: value})
 
     def test_infinite_mean_disables(self, sim):
         flips = []
-        process = SwitchingProcess(
-            sim, SEED, flips.append, mean_online=math.inf, mean_offline=10.0
-        )
+        process, clock = _clocked(sim, SEED, flips.append, mean_online=math.inf, mean_offline=10.0)
         assert not process.enabled
-        process.start()
+        clock.start([process])
+        assert sim.pending_events == 0
         sim.run_until(1000.0)
         assert flips == []
 
     def test_flip_counter(self, sim):
-        process = SwitchingProcess(
-            sim, SEED, lambda f: None, mean_online=5.0, mean_offline=5.0
-        )
-        process.start()
+        process, clock = _clocked(sim, SEED, lambda f: None, mean_online=5.0, mean_offline=5.0)
+        clock.start([process])
         sim.run_until(100.0)
         assert process.flips > 0
 
@@ -236,14 +238,11 @@ class TestSwitchingProcess:
         def run_once():
             local_sim = Simulator()
             flips = []
-            process = SwitchingProcess(
-                local_sim,
-                42,
-                lambda f: flips.append(local_sim.now),
-                mean_online=10.0,
-                mean_offline=5.0,
+            process, clock = _clocked(
+                local_sim, 42, lambda f: flips.append(local_sim.now),
+                mean_online=10.0, mean_offline=5.0,
             )
-            process.start()
+            clock.start([process])
             local_sim.run_until(300.0)
             return flips
 

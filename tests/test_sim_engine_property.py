@@ -49,6 +49,16 @@ grid with a timer of the same period), interval changes mid-run,
 one-shots at exactly a member's next tick, and an echo each member files
 one interval after its tick, which ties with that member's next one.
 The fire logs, clocks and event counts must match entry for entry.
+
+A fifth suite holds the :class:`ArrivalClock` and the
+:class:`SwitchClock` to one fresh-handle reference stream or switch per
+member: zero to eight members drawing quarter-second gaps (so members
+tie with each other, with a timer on the same grid and with one-shots),
+armed after a drawn lead, one-shots at exactly a member's next arrival
+or flip, ``run_until`` / ``run(max_events=k)`` boundaries, and two
+echoes each tick files (now and a quarter on), which tie with the
+member's next tick whenever its gap is zero or a quarter: an arrival
+must re-arm before its callback and a switch after it.
 """
 
 from __future__ import annotations
@@ -63,7 +73,14 @@ from hypothesis import strategies as st
 from repro.peers import switching as switching_module
 from repro.peers.switching import SwitchingProcess
 from repro.sim.engine import Simulator
-from repro.sim.timers import CountdownTimer, PeriodicTimer, StaggeredClock, staggered_start
+from repro.sim.timers import (
+    ArrivalClock,
+    CountdownTimer,
+    PeriodicTimer,
+    StaggeredClock,
+    SwitchClock,
+    staggered_start,
+)
 from repro.workload import arrivals as arrivals_module
 from repro.workload.arrivals import ExponentialProcess
 
@@ -401,9 +418,39 @@ def test_processes_fire_like_fresh_handle_references(ops, intervals, seed):
         _processes_fire_like_fresh_handle_references(ops, intervals, seed)
 
 
+class _OneMemberArrivals:
+    """A stream on a one-member :class:`ArrivalClock`: how it runs standalone."""
+
+    def __init__(self, sim, seed, mean_interval, callback):
+        self.process = ExponentialProcess(seed, mean_interval)
+        self._clock = ArrivalClock(sim, lambda member: callback())
+
+    def start(self):
+        self._clock.start([self.process])
+
+    @property
+    def arrivals(self):
+        return self.process.arrivals
+
+
+class _OneMemberSwitch:
+    """A switch on a one-member :class:`SwitchClock`."""
+
+    def __init__(self, sim, seed, set_online, mean_online, mean_offline):
+        self.process = SwitchingProcess(seed, mean_online, mean_offline)
+        self._clock = SwitchClock(sim, lambda member: set_online(member.online))
+
+    def start(self):
+        self._clock.start([self.process])
+
+    @property
+    def flips(self):
+        return self.process.flips
+
+
 def _processes_fire_like_fresh_handle_references(ops, intervals, seed):
     own = _world(
-        PeriodicTimer, ExponentialProcess, SwitchingProcess, intervals, seed, int
+        PeriodicTimer, _OneMemberArrivals, _OneMemberSwitch, intervals, seed, int
     )
     fresh = _world(
         _FreshPeriodic, _FreshExponential, _FreshSwitching, intervals, seed, _QuarterRng
@@ -528,6 +575,99 @@ def test_staggered_clock_fires_like_a_timer_per_member(node_ids, interval, lead,
     reference[0].run_until(reference[0].now + 4 * interval)
     assert own[2] == reference[2]
     assert len(clock._members) == len(node_ids)
+    # The clock never leaves a tombstone or a second entry behind.
+    assert own[0].tombstones == 0
+    assert own[0].heap_size == own[0].pending_events
+
+
+_MEMBER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("event"), _QUARTERS),
+        st.tuples(st.just("at_tick"), st.integers(min_value=0, max_value=63)),
+        st.tuples(st.just("run_until"), st.one_of(_QUARTERS, st.floats(0.0, 3.0))),
+        st.tuples(st.just("run"), st.integers(min_value=0, max_value=8)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _member_world(kind, n_members, seed, lead, one_clock):
+    """A simulator whose ``n_members`` streams or switches (tags 0..n-1)
+    ride one clock, or run as one fresh-handle reference each; a timer on
+    the quarter grid (armed first) and a one-shot at ``lead`` share their
+    times.  Every tick files two echoes, at once and a quarter on."""
+    sim = Simulator()
+    log = []
+
+    def note(tag, *state):
+        log.append((sim.now, tag) + state)
+        sim.schedule(0.0, lambda: log.append((sim.now, tag, "echo")))
+        sim.schedule(0.25, lambda: log.append((sim.now, tag, "late echo")))
+
+    PeriodicTimer(sim, 0.5, lambda: log.append((sim.now, "sampler"))).start()
+    sim.schedule(lead, lambda: log.append((sim.now, "lead")))
+    sim.run_until(lead)
+    tags = range(n_members)
+    if kind == "arrivals" and one_clock:
+        members = [ExponentialProcess(seed + tag, 1.0, host=tag) for tag in tags]
+        ArrivalClock(sim, lambda member: note(member.host)).start(members)
+    elif kind == "arrivals":
+        members = [
+            _FreshExponential(sim, _QuarterRng(seed + tag), 1.0, functools.partial(note, tag))
+            for tag in tags
+        ]
+    elif one_clock:
+        members = [SwitchingProcess(seed + tag, 1.0, 0.5, host=tag) for tag in tags]
+        SwitchClock(sim, lambda member: note(member.host, member.online)).start(members)
+    else:
+        members = [
+            _FreshSwitching(sim, _QuarterRng(seed + tag), functools.partial(note, tag), 1.0, 0.5)
+            for tag in tags
+        ]
+    if not one_clock:
+        for member in members:
+            member.start()
+    return sim, members, log
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(("arrivals", "switches")),
+    n_members=st.integers(min_value=0, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**16),
+    lead=_QUARTERS,
+    ops=_MEMBER_OPS,
+)
+def test_process_clocks_fire_like_a_fresh_handle_per_member(kind, n_members, seed, lead, ops):
+    with mock.patch.object(arrivals_module, "seeded", _QuarterRng), \
+            mock.patch.object(switching_module, "seeded", _QuarterRng):
+        own = _member_world(kind, n_members, seed, lead, one_clock=True)
+        reference = _member_world(kind, n_members, seed, lead, one_clock=False)
+        for tag, op in enumerate(ops, start=n_members):
+            if op[0] == "at_tick" and n_members:
+                # A one-shot at exactly one member's next arrival or flip.
+                handle = reference[1][op[1] % n_members]._handle
+                at = next(time for time, _, event in reference[0]._heap if event is handle)
+            for sim, _, log in (own, reference):
+                if op[0] == "event":
+                    sim.schedule(op[1], lambda sim=sim, log=log, tag=tag: log.append((sim.now, tag)))
+                elif op[0] == "at_tick" and n_members:
+                    sim.schedule_at(at, lambda sim=sim, log=log, tag=tag: log.append((sim.now, tag)))
+                elif op[0] == "run_until":
+                    sim.run_until(sim.now + op[1])
+                elif op[0] == "run":
+                    sim.run(max_events=op[1])
+            assert own[2] == reference[2]
+            assert own[0].now == reference[0].now
+            assert own[0].events_processed == reference[0].events_processed
+            # The clock is one pending event where the members' handles are n.
+            assert own[0].pending_events == reference[0].pending_events - max(n_members - 1, 0)
+        own[0].run_until(own[0].now + 4.0)
+        reference[0].run_until(reference[0].now + 4.0)
+    assert own[2] == reference[2]
+    count = "arrivals" if kind == "arrivals" else "flips"
+    assert [getattr(m, count) for m in own[1]] == [getattr(m, count) for m in reference[1]]
     # The clock never leaves a tombstone or a second entry behind.
     assert own[0].tombstones == 0
     assert own[0].heap_size == own[0].pending_events

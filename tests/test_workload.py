@@ -6,6 +6,7 @@ import pytest
 
 from repro.consistency.levels import ConsistencyLevel
 from repro.errors import WorkloadError
+from repro.sim.timers import ArrivalClock
 from repro.workload.access import UniformAccess, ZipfAccess
 from repro.workload.arrivals import ExponentialProcess
 from repro.workload.mix import LevelMix
@@ -14,31 +15,39 @@ from repro.workload.mix import LevelMix
 SEED = 12345
 
 
+def _clocked(sim, seed, mean, on_arrival):
+    """A stream on a one-member arrival clock: how it runs standalone."""
+    process = ExponentialProcess(seed, mean)
+    clock = ArrivalClock(sim, lambda member: on_arrival())
+    return process, clock
+
+
 class TestExponentialProcess:
     def test_mean_interval_approximate(self, sim):
         times = []
-        process = ExponentialProcess(sim, SEED, 10.0, lambda: times.append(sim.now))
-        process.start()
+        process, clock = _clocked(sim, SEED, 10.0, lambda: times.append(sim.now))
+        clock.start([process])
         sim.run_until(10_000.0)
         gaps = [b - a for a, b in zip(times, times[1:])]
         mean_gap = sum(gaps) / len(gaps)
         assert 8.5 < mean_gap < 11.5
+        assert process.arrivals == len(times)
 
     def test_start_idempotent(self, sim):
-        process = ExponentialProcess(sim, SEED, 5.0, lambda: None)
-        process.start()
-        process.start()
+        process, clock = _clocked(sim, SEED, 5.0, lambda: None)
+        clock.start([process])
+        clock.start([process])
         assert sim.pending_events == 1
 
-    def test_invalid_mean(self, sim):
+    def test_invalid_mean(self):
         with pytest.raises(WorkloadError):
-            ExponentialProcess(sim, SEED, 0.0, lambda: None)
+            ExponentialProcess(SEED, 0.0)
 
     @pytest.mark.parametrize("mean", [float("nan"), float("inf")], ids=["nan", "inf"])
-    def test_unusable_mean_rejected_at_construction(self, sim, mean):
+    def test_unusable_mean_rejected_at_construction(self, mean):
         # NaN used to pass until start(); inf there raised ZeroDivisionError.
         with pytest.raises(WorkloadError, match="mean_interval"):
-            ExponentialProcess(sim, SEED, mean, lambda: None)
+            ExponentialProcess(SEED, mean)
 
     def test_deterministic_given_seed(self):
         def run_once():
@@ -46,10 +55,8 @@ class TestExponentialProcess:
 
             local = Simulator()
             times = []
-            process = ExponentialProcess(
-                local, 7, 5.0, lambda: times.append(local.now)
-            )
-            process.start()
+            process, clock = _clocked(local, 7, 5.0, lambda: times.append(local.now))
+            clock.start([process])
             local.run_until(100.0)
             return times
 

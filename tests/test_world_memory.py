@@ -22,26 +22,35 @@ table by component; this file is its gate.
   once per host, stream, timer or cached copy in *some* shipped world
   (the census only sees the classes of the one it builds).
 * ``test_arming_allocates_no_handle_per_process`` arms a built world:
-  every recurring process (timer, arrival stream, on/off switch) is its
-  own heap event, so the heap holds no plain ``EventHandle``, and the
-  bytes arming allocates per host are held to their own budget.  One
-  clock closes every host's coefficient period and one staggered clock
-  ticks every source's TTN, so arming builds no period or TTN timer per
-  host.
+  every recurring process rides a timer or a clock, so the heap holds
+  no plain ``EventHandle`` and no per-host entry (a handful of entries
+  in all), and the bytes arming allocates per host are held to their
+  own budget.  One clock closes every host's coefficient period, one
+  staggered clock ticks every source's TTN, and one clock per kind runs
+  the query arrivals, the update arrivals and the on/off switches, so
+  arming builds no timer or event per host.
+* ``test_the_shared_empty_map_stays_empty`` runs a world of every spec
+  and then finds ``EMPTY_MAP``, which every agent's unwritten protocol
+  maps share, still empty and still refusing writes.
 * ``test_host_bytes_names_still_exist`` keeps ``benchmarks/host_bytes.py``
   from filing bytes by an identifier the code no longer has.
 
 The budgets are CPython 3.11 object sizes (the interpreter CI runs):
-what the tree measured when they were set (101 + 3 680 and 43 + 3 194
-bytes per host) plus 3 %.  With a generator kept per stream the tree
+what the tree measured when they were set (101 + 2 875 and 43 + 2 478
+bytes per host) plus 3 %.  With an event per arrival stream and switch,
+a ``partial`` per query stream and a ``{}`` for each of seven protocol
+maps per host, the tree read 101 + 3 672 and 43 + 3 185
+(``docs/decisions/18-one-clock-per-process-kind.md``); before that
+3 680 and 3 194.  With a generator kept per stream the tree
 read 7 299 + 3 762 and 3 139 + 3 269: the parked seeds are what is left
 of the first figure, and everything else fell although it gained the
 first gap or online duration each process draws at build (46 B per
 host) and the seed and state slots (45 B), because the registry, with
 the 167 B per host of stream names it keys, is no longer kept past the
 build.  The arming budget is likewise what arming measured when it was
-set (434 and 302 bytes per host, one TTN clock for every source; with a
-TTN timer per source it read 697 and 567, before the first gaps were
+set (313 and 232 bytes per host, one clock per process kind; with an
+event per arrival stream and switch it read 434 and 302, with a
+TTN timer per source 697 and 567, before the first gaps were
 drawn at build 743 and 594, with a period timer per host 1 109 and 958,
 with a handle per armed process too 1 419 and 1 191) plus 3 %.
 """
@@ -49,6 +58,7 @@ with a handle per armed process too 1 419 and 1 191) plus 3 %.
 from __future__ import annotations
 
 import gc
+import operator
 import pathlib
 import re
 import tracemalloc
@@ -70,7 +80,7 @@ from repro.cache.replacement import (
     TTLValuePolicy,
 )
 from repro.cache.store import CacheStore
-from repro.consistency.base import BaseAgent
+from repro.consistency.base import EMPTY_MAP, BaseAgent
 from repro.consistency.pull import PullAgent
 from repro.consistency.push import PushAgent
 from repro.consistency.rpcc.cache_peer import CachePeerSide
@@ -79,6 +89,7 @@ from repro.consistency.rpcc.relay import RelaySide
 from repro.consistency.rpcc.roles import RoleTable
 from repro.consistency.rpcc.source import SourceSide
 from repro.energy.battery import Battery, EnergyCosts
+from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import build_simulation
 from repro.mobility.base import MobilityModel
 from repro.mobility.stationary import PiecewiseLinear, Stationary
@@ -89,24 +100,35 @@ from repro.net.node import NetworkNode
 from repro.peers.coefficients import CoefficientTracker
 from repro.peers.host import MobileHost
 from repro.peers.switching import SwitchingProcess
+from repro.scenarios.registry import strategy_specs
 from repro.sim.engine import EventHandle
 from repro.sim.rng import Stream
-from repro.sim.timers import CountdownTimer, PeriodicTimer, StaggeredClock
+from repro.sim.timers import (
+    ArrivalClock,
+    CountdownTimer,
+    PeriodicTimer,
+    StaggeredClock,
+    SwitchClock,
+)
 from repro.workload.arrivals import ExponentialProcess
 
 N_HOSTS = 2_000
 
 #: stable_fraction -> (random streams, everything else) in bytes per host.
 BUDGET = {
-    0.1: (104, 3_790),
-    0.9: (45, 3_289),
+    0.1: (104, 2_961),
+    0.9: (45, 2_552),
 }
 
 #: stable_fraction -> bytes per host that arming (``Simulation._arm``) allocates.
 ARM_BUDGET = {
-    0.1: 447,
-    0.9: 311,
+    0.1: 322,
+    0.9: 239,
 }
+
+#: Entries a world's heap may hold after arming: the timers and clocks,
+#: none of them per host.
+ARMED_HEAP_MAX = 10
 
 #: Populous ``repro.*`` types that may keep an instance ``__dict__``.
 DICT_ALLOWED = {
@@ -122,7 +144,8 @@ SLOTTED = (
     CoefficientTracker, SubnetTracker, SwitchingProcess, ExponentialProcess,
     MobilityModel, Stationary, PiecewiseLinear, RandomWalk, RandomWaypoint,
     _Epoch, Leg,
-    PeriodicTimer, StaggeredClock, CountdownTimer, EventHandle,
+    PeriodicTimer, StaggeredClock, ArrivalClock, SwitchClock, CountdownTimer,
+    EventHandle,
     BaseAgent, PushAgent, PullAgent, RPCCAgent,
     RoleTable, SourceSide, RelaySide, CachePeerSide,
 )
@@ -208,16 +231,25 @@ def test_arming_allocates_no_handle_per_process(stable_fraction):
         armed = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    kinds = Counter(type(event) for _, _, event in world.sim._heap)
+    heap = [event for _, _, event in world.sim._heap]
+    kinds = Counter(map(type, heap))
     assert kinds[EventHandle] == 0, f"plain handles armed: {kinds[EventHandle]}"
+    assert len(heap) <= ARMED_HEAP_MAX, f"{len(heap)} entries armed: {kinds}"
     # One TTN clock for every source, one coefficient clock for the whole
-    # world, a query stream per host, a switch per mover.
-    timers = [event for _, _, event in world.sim._heap if type(event) is PeriodicTimer]
+    # world, one clock each for the query streams (one per host), the
+    # update streams (the single source's) and the switches (one per mover).
+    timers = [event for event in heap if type(event) is PeriodicTimer]
     assert sum(timer._callback == world._close_periods for timer in timers) == 1
-    clocks = [event for _, _, event in world.sim._heap if type(event) is StaggeredClock]
-    assert len(clocks) == 1 and len(clocks[0]._members) >= N_HOSTS
-    assert kinds[ExponentialProcess] > N_HOSTS
-    assert kinds[SwitchingProcess] > 0
+    members = {
+        kind: sorted(len(event._members) for event in heap if type(event) is kind)
+        for kind in (StaggeredClock, ArrivalClock, SwitchClock)
+    }
+    updates = len(world.update_workload._processes)
+    movers = sum(host.switching is not None for host in world.hosts.values())
+    assert members[StaggeredClock] == [N_HOSTS]
+    assert members[ArrivalClock] == sorted([updates, N_HOSTS]) and updates > 0
+    assert members[SwitchClock] == [movers] and movers > 0
+    assert set(kinds) <= {PeriodicTimer, StaggeredClock, ArrivalClock, SwitchClock}
     per_host = armed / N_HOSTS
     assert per_host <= ARM_BUDGET[stable_fraction], (
         f"arming allocates {per_host:.0f} B/host "
@@ -233,3 +265,42 @@ def test_host_bytes_names_still_exist():
         if not re.search(rf"\b{re.escape(name)}\b", text)
     ]
     assert not gone, f"host_bytes.py files bytes by names src/ lacks: {gone}"
+
+
+#: Every per-host protocol map that starts as ``EMPTY_MAP``, by the
+#: attribute path from an agent.
+SHARED_MAPS = (
+    "_pending_remote", "relay._ttr", "relay._queued_polls",
+    "relay._awaiting_get_new", "cache_peer._pending",
+    "cache_peer._known_relay", "roles._roles",
+)
+
+
+def test_the_shared_empty_map_stays_empty():
+    config = SimulationConfig(
+        n_peers=20, sim_time=600.0, warmup=120.0, seed=3,
+        stable_fraction=0.4, mean_online=120.0, mean_offline=30.0,
+    )
+    written = Counter()
+    for spec in strategy_specs():
+        world = build_simulation(config, spec, "standard")
+        world.run()
+        for agent in world.strategy.agents.values():
+            for path in SHARED_MAPS:
+                try:
+                    written[path] += operator.attrgetter(path)(agent) is not EMPTY_MAP
+                except AttributeError:  # not an RPCC agent
+                    pass
+    # Not vacuous: every write site ran somewhere, on its own map.
+    assert all(written[path] for path in SHARED_MAPS), written
+    assert len(EMPTY_MAP) == 0 and type(EMPTY_MAP) is not dict
+    writes = (
+        lambda: EMPTY_MAP.__setitem__(1, 2),
+        lambda: EMPTY_MAP.setdefault(1, []),
+        lambda: EMPTY_MAP.update({1: 2}),
+        lambda: EMPTY_MAP.__ior__({1: 2}),
+    )
+    for write in writes:
+        with pytest.raises(TypeError, match="EMPTY_MAP"):
+            write()
+    assert len(EMPTY_MAP) == 0
