@@ -50,14 +50,16 @@ N_PEERS = 100_000
 SIM_TIME = 5.0
 
 #: Ceiling on the process's peak resident set (``ru_maxrss``), MiB.
-#: About 6 % above what the tree measured when it was set (519 MiB with
+#: About 6 % above what the tree measured when it was set (460 MiB with
+#: the pair list's candidates tested a block at a time; 518 with every
+#: grid candidate expanded at once; 519 with
 #: one clock per process kind and the unwritten protocol maps shared;
 #: 607 with an event per arrival stream and switch, 634–635 before the
 #: TTN clock, with each host's streams parked until they draw; 1 329 with a
 #: generator kept per stream, 1 399 before the seeds were derived on the
 #: built-in SHA-256, 1 447 before the world was frozen out of the cyclic
 #: collector, and 1 757 with dict-backed per-host state).
-MAX_RSS_MIB = 550
+MAX_RSS_MIB = 488
 
 _INT_METRICS = (
     "transmissions", "messages", "bytes_on_air",

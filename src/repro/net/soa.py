@@ -3,8 +3,8 @@
 The numpy kernels the network layer runs every topology quantum:
 
 * :func:`build_csr` — the adjacency build of a
-  :class:`~repro.net.topology.TopologySnapshot`: candidate pairs, one
-  distance pass, CSR assembly.
+  :class:`~repro.net.topology.TopologySnapshot`: candidate pairs and
+  their distance pass a block at a time, then CSR assembly.
 * :class:`PairList` — candidate pairs kept across refreshes (a Verlet
   neighbour list in ledger-slot space), handed out one immutable
   :class:`CandidatePairs` version per refresh.
@@ -58,6 +58,11 @@ __all__ = [
 #: (one cached triangle of ranks): n(n-1)/2 distance tests cost less
 #: than the grid's fixed bookkeeping.
 GRID_MIN_NODES = 128
+
+#: Grid lookups the candidate stage expands and distance-tests at a
+#: time, out of the five per point: it holds one block's candidates, not
+#: the whole batch's.  Populations under a fifth of it run one block.
+CANDIDATE_BLOCK = 4096
 
 #: Online population from which a snapshot is served from its arrays: a
 #: changed refresh syncs a :class:`PairList` instead of building the CSR,
@@ -169,20 +174,29 @@ def _all_pairs_below(n: int) -> Tuple["np.ndarray", "np.ndarray"]:
     return _all_pairs[0][:count], _all_pairs[1][:count]
 
 
-def _candidate_pairs(
-    xs: "np.ndarray", ys: "np.ndarray", cell: float
-) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Stage 1 of :func:`build_csr`: candidate pairs.
+def _near_pairs(
+    xs: "np.ndarray", ys: "np.ndarray", cutoff: float
+) -> Tuple["np.ndarray", "np.ndarray", int]:
+    """Candidate pairs and the distance pass over them, fused.
 
-    Returns ``(cand_a, cand_b)`` rank arrays holding a superset of the
-    pairs within ``cell`` of each other, each unordered pair once.
-    Under :data:`GRID_MIN_NODES` points that is every pair; from there
-    on the points are bucketed into a uniform grid of ``cell``-sized
-    squares and the pairs come from the same or from adjacent cells.
+    Returns ``(near_a, near_b, candidates)``: the rank pairs with
+    ``dx*dx + dy*dy <= cutoff * cutoff``, each unordered pair once, and
+    how many candidate pairs were tested to find them.  Under
+    :data:`GRID_MIN_NODES` points the candidates are every pair; from
+    there on the points are bucketed into a uniform grid of
+    ``cutoff``-sized squares (1 when ``cutoff`` is not positive) and the
+    candidates come from the same or from adjacent cells, expanded and
+    tested :data:`CANDIDATE_BLOCK` cell lookups at a time: the stage
+    holds the near pairs and one block's candidates, never every
+    candidate at once.
     """
     n = xs.shape[0]
+    limit_sq = cutoff * cutoff
     if n < GRID_MIN_NODES:
-        return _all_pairs_below(n)
+        cand_a, cand_b = _all_pairs_below(n)
+        near = _pairs_within(xs, ys, cand_a, cand_b, limit_sq)
+        return cand_a[near], cand_b[near], int(cand_a.shape[0])
+    cell = cutoff if cutoff > 0 else 1.0
     # Cell coordinates match the lazy grid's math.floor(x / cell) exactly.
     cx = np.floor(xs / cell).astype(np.int64)
     cy = np.floor(ys / cell).astype(np.int64)
@@ -190,7 +204,9 @@ def _candidate_pairs(
     cx -= cx.min() - 1
     cy -= cy.min() - 1
     height = int(cy.max()) + 2
+    table_size = int(cx.max() + 2) * height
     keys = cx * height + cy
+    del cx, cy
 
     order = np.argsort(keys, kind="stable")  # rank order within each cell
     sorted_keys = keys[order]
@@ -201,6 +217,7 @@ def _candidate_pairs(
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=flags[1:])
     starts = np.nonzero(flags)[0]
     uniq = sorted_keys[starts]
+    del flags, sorted_keys
     counts = np.empty(starts.shape[0], dtype=np.int64)
     counts[:-1] = starts[1:] - starts[:-1]
     counts[-1] = n - starts[-1]
@@ -208,7 +225,6 @@ def _candidate_pairs(
     # Cell lookup: a dense key -> group table beats a log-n searchsorted
     # join whenever the grid is compact (the usual terrain); degenerate
     # sparse grids keep the searchsorted path.
-    table_size = int(cx.max() + 2) * height
     group_of = None
     if table_size <= 4 * n + 1024:
         group_of = np.full(table_size, -1, dtype=np.int64)
@@ -216,37 +232,61 @@ def _candidate_pairs(
 
     # Offset (0, 0) yields every ordered same-cell pair (the a < b filter
     # below keeps each unordered pair once); the four half-neighbourhood
-    # offsets each yield every cross-cell pair exactly once.  All five
-    # offsets run as one
-    # batched (5, n) lookup; row-major flattening keeps the exact
-    # offset-then-rank candidate order of the per-offset loop.
+    # offsets each yield every cross-cell pair exactly once.  The five
+    # offsets form one (5, n) lookup batch whose row-major flattening
+    # keeps the exact offset-then-rank candidate order of a per-offset
+    # loop; it is walked in contiguous blocks, so the near pairs come out
+    # in that order too.
     offsets = np.array(
         [0, height, 1, height + 1, 1 - height], dtype=np.int64
     ).reshape(5, 1)
-    targets = (keys + offsets).ravel()
-    if group_of is not None:
-        slot = group_of[targets]
-        valid = slot >= 0
-    else:
-        slot = np.searchsorted(uniq, targets)
-        slot[slot >= len(uniq)] = 0
-        valid = uniq[slot] == targets
-    # Offset 0 always finds a node's own cell, so nz is never empty.
-    nz = np.nonzero(valid)[0]
-    slot_sel = slot.take(nz)
-    # Row index within the flattened (5, n) matrix mod n is the rank.
-    a_sel = nz % n
-    g_count = counts[slot_sel]
-    take = _ragged_take(starts[slot_sel], g_count)
-    b_rank = order[take]
-    a_rank = np.repeat(a_sel, g_count)
-    # Same-cell block: offset 0 is the first n rows of the flattened
-    # matrix, so its expanded candidates form a prefix; a < b keeps
-    # each unordered same-cell pair once.
-    head = int(g_count[: int(np.searchsorted(nz, n))].sum())
-    keep = np.ones(a_rank.shape[0], dtype=bool)
-    np.less(a_rank[:head], b_rank[:head], out=keep[:head])
-    return a_rank[keep], b_rank[keep]
+    total = 5 * n
+    near_a: List["np.ndarray"] = []
+    near_b: List["np.ndarray"] = []
+    candidates = 0
+    for lo in range(0, total, CANDIDATE_BLOCK):
+        hi = min(lo + CANDIDATE_BLOCK, total)
+        first, last = lo // n, (hi - 1) // n
+        if hi - lo == total:  # the whole batch
+            block = (keys + offsets).ravel()
+        elif first == last:  # inside one offset row
+            block = keys[lo - first * n:hi - first * n] + offsets[first]
+        else:  # the rows it spans, cut to the block
+            block = (keys + offsets[first:last + 1]).ravel()[lo - first * n:hi - first * n]
+        if group_of is not None:
+            slot = group_of[block]
+            valid = slot >= 0
+        else:
+            slot = np.searchsorted(uniq, block)
+            slot[slot >= len(uniq)] = 0
+            valid = uniq[slot] == block
+        nz = np.nonzero(valid)[0]
+        slot_sel = slot.take(nz)
+        if lo:
+            nz += lo
+        # Row index within the flattened (5, n) matrix mod n is the rank.
+        a_sel = nz % n
+        g_count = counts[slot_sel]
+        take = _ragged_take(starts[slot_sel], g_count)
+        b_rank = order[take]
+        a_rank = np.repeat(a_sel, g_count)
+        if lo < n:
+            # Same-cell rows: offset 0 is the first n rows of the
+            # flattened matrix, so their expanded candidates form a
+            # prefix of the block's; a < b keeps each unordered
+            # same-cell pair once.
+            head = int(g_count[: int(np.searchsorted(nz, n))].sum())
+            keep = np.ones(a_rank.shape[0], dtype=bool)
+            np.less(a_rank[:head], b_rank[:head], out=keep[:head])
+            a_rank = a_rank[keep]
+            b_rank = b_rank[keep]
+        candidates += int(a_rank.shape[0])
+        near = _pairs_within(xs, ys, a_rank, b_rank, limit_sq)
+        near_a.append(a_rank[near])
+        near_b.append(b_rank[near])
+    if len(near_a) == 1:
+        return near_a[0], near_b[0], candidates
+    return np.concatenate(near_a), np.concatenate(near_b), candidates
 
 
 def _norm_sq(dx: "np.ndarray", dy: "np.ndarray") -> "np.ndarray":
@@ -267,9 +307,9 @@ def _pairs_within(
     cand_b: "np.ndarray",
     limit_sq: float,
 ) -> "np.ndarray":
-    """Stage 2 of :func:`build_csr`: which candidate pairs are in range.
+    """The distance pass: which candidate pairs are in range.
 
-    One fused pass over every candidate, ``dx*dx + dy*dy <= limit_sq``.
+    One fused pass over the candidates, ``dx*dx + dy*dy <= limit_sq``.
     """
     dx = xs.take(cand_a)
     dx -= xs.take(cand_b)
@@ -281,7 +321,7 @@ def _pairs_within(
 def _assemble_csr(
     half_src: "np.ndarray", half_dst: "np.ndarray", n: int
 ) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Stage 3 of :func:`build_csr`: ``(indptr, neighbors)`` over ``n`` ranks.
+    """Stage 2 of :func:`build_csr`: ``(indptr, neighbors)`` over ``n`` ranks.
 
     ``(half_src, half_dst)`` lists each undirected edge once, in any
     order and either direction: the sort below fixes the result.
@@ -318,14 +358,14 @@ def build_csr(
     dict-of-lists view on demand).  Node ids must fit int64: anything
     else raises :class:`~repro.errors.TopologyError`.
 
-    Three stages: candidate pairs (:func:`_candidate_pairs`), the
-    distance pass over them (:func:`_pairs_within`), CSR assembly
-    (:func:`_assemble_csr`).  ``pairs`` — the :class:`PairList` version
-    synced with ``positions``, an :class:`ArrayPositions` that carries
-    ledger slots — may stand in for the first stage with a superset of
-    the in-range pairs kept from earlier refreshes; the other two stages
-    run unchanged and the assembly sorts, so the result is bit-identical
-    to the list-less call.
+    Two stages: the in-range pairs (:func:`_near_pairs`: candidate pairs
+    and the distance pass over them, a block at a time), then CSR
+    assembly (:func:`_assemble_csr`).  ``pairs`` — the :class:`PairList`
+    version synced with ``positions``, an :class:`ArrayPositions` that
+    carries ledger slots — may stand in for the candidates with a
+    superset of the in-range pairs kept from earlier refreshes; the same
+    distance pass (:func:`_pairs_within`) filters them and the assembly
+    sorts, so the result is bit-identical to the list-less call.
     """
     n = len(positions)
     slots = None
@@ -353,12 +393,11 @@ def build_csr(
         )
     if pairs is not None:
         cand_a, cand_b = pairs.ranked(slots)
+        near = _pairs_within(xs, ys, cand_a, cand_b, radio_range * radio_range)
+        near_a, near_b = cand_a[near], cand_b[near]
     else:
-        cand_a, cand_b = _candidate_pairs(
-            xs, ys, radio_range if radio_range > 0 else 1.0
-        )
-    near = _pairs_within(xs, ys, cand_a, cand_b, radio_range * radio_range)
-    indptr, neighbors = _assemble_csr(cand_a[near], cand_b[near], n)
+        near_a, near_b, _ = _near_pairs(xs, ys, radio_range)
+    indptr, neighbors = _assemble_csr(near_a, near_b, n)
     return CsrAdjacency(indptr, neighbors, ids)
 
 
@@ -633,9 +672,9 @@ class PairList:
     :meth:`sync`, its one entry point, runs once per changed refresh: one
     vector pass checks the online nodes' drift, and then the list is
     reused, re-anchors the few strays (nodes back from offline somewhere
-    else, or never anchored), or is rebuilt through
-    :func:`_candidate_pairs` when re-pairing the strays against every
-    anchor would cost more than that.
+    else, or never anchored), or is rebuilt through :func:`_near_pairs`
+    when re-pairing the strays against every anchor would cost more than
+    that.
     """
 
     __slots__ = (
@@ -681,17 +720,15 @@ class PairList:
 
     def _build(self, slots, xs, ys, radio_range: float, skin: float) -> None:
         """Anchor the online nodes where they are and pair them from scratch."""
-        cutoff = radio_range + skin
-        cand_a, cand_b = _candidate_pairs(xs, ys, cutoff)
-        near = _pairs_within(xs, ys, cand_a, cand_b, cutoff * cutoff)
+        near_a, near_b, candidates = _near_pairs(xs, ys, radio_range + skin)
         capacity = int(slots[-1]) + 1
-        self._pairs = CandidatePairs(slots[cand_a[near]], slots[cand_b[near]], capacity)
+        self._pairs = CandidatePairs(slots[near_a], slots[near_b], capacity)
         self._anchor_x = np.full(capacity, math.nan)
         self._anchor_y = np.full(capacity, math.nan)
         self._anchor_x[slots] = xs
         self._anchor_y[slots] = ys
         self._range = radio_range
-        self._build_work = int(cand_a.shape[0]) + int(slots.shape[0])
+        self._build_work = candidates + int(slots.shape[0])
         self.builds += 1
 
     def _reanchor(self, stray_slots, sx, sy, cutoff: float) -> None:

@@ -15,6 +15,10 @@ outside the strategy's declared audience without running its handler;
 :func:`unfiltered_deliver_batch` is the batch before audiences, every
 copy through ``_deliver`` and its handler.
 
+The candidate stage of ``soa.build_csr`` and ``soa.PairList`` tests a
+block of grid candidates at a time; :func:`expand_then_filter` is the
+stage that expands every candidate first and filters them all after.
+
 A world closes every host's coefficient period from one clock
 (``Simulation._close_periods``); :func:`arm_period_timer_per_host` is
 start-up arming with one period timer per host instead.  Every source
@@ -228,6 +232,52 @@ class StubWorld:
         return BruteForceSnapshot(
             sample_positions(self.nodes.values()), self.service.radio_range
         )
+
+
+# ----------------------------------------------------------------------
+# The candidate stage, expanded whole
+# ----------------------------------------------------------------------
+def expand_then_filter(xs, ys, cutoff):
+    """``soa._near_pairs`` as one expansion and one filter: every candidate
+    pair of the grid's five offsets at once, then the distance pass over
+    all of them.  ``(near_a, near_b, candidates)``."""
+    np = soa.np
+    n = xs.shape[0]
+    if n < soa.GRID_MIN_NODES:
+        cand_b, cand_a = np.tril_indices(n, -1)
+    else:
+        cell = cutoff if cutoff > 0 else 1.0
+        cx = np.floor(xs / cell).astype(np.int64)
+        cy = np.floor(ys / cell).astype(np.int64)
+        cx -= cx.min() - 1
+        cy -= cy.min() - 1
+        height = int(cy.max()) + 2
+        keys = cx * height + cy
+        order = np.argsort(keys, kind="stable")
+        uniq, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+        table_size = int(cx.max() + 2) * height
+        offsets = np.array([0, height, 1, height + 1, 1 - height], dtype=np.int64)
+        targets = (keys + offsets.reshape(5, 1)).ravel()
+        if table_size <= 4 * n + 1024:
+            group_of = np.full(table_size, -1, dtype=np.int64)
+            group_of[uniq] = np.arange(uniq.shape[0])
+            slot = group_of[targets]
+            valid = slot >= 0
+        else:
+            slot = np.minimum(np.searchsorted(uniq, targets), uniq.shape[0] - 1)
+            valid = uniq[slot] == targets
+        rows = np.nonzero(valid)[0]
+        g_count = counts[slot[rows]]
+        first = np.repeat(starts[slot[rows]] - np.cumsum(g_count) + g_count, g_count)
+        cand_b = order[first + np.arange(first.shape[0])]
+        cand_a = np.repeat(rows % n, g_count)
+        same_cell = np.repeat(rows < n, g_count)
+        keep = ~same_cell | (cand_a < cand_b)
+        cand_a, cand_b = cand_a[keep], cand_b[keep]
+    dx = xs[cand_a] - xs[cand_b]
+    dy = ys[cand_a] - ys[cand_b]
+    near = dx * dx + dy * dy <= cutoff * cutoff
+    return cand_a[near], cand_b[near], int(cand_a.shape[0])
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,7 @@ from tests.oracle import (
     BruteForceSnapshot,
     assert_full_tree,
     assert_matches_oracle,
+    expand_then_filter,
     sample_positions,
 )
 
@@ -133,7 +134,7 @@ def test_all_pairs_and_grid_stages_match_oracle(count, seed):
             vec = TopologySnapshot(dict(positions), RANGE)
             assert vec._csr is not None
             if count:  # the stage under test is the one that ran
-                listed = soa._candidate_pairs(xs, ys, RANGE)[0].shape[0]
+                listed = soa._near_pairs(xs, ys, RANGE)[2]
                 if grid_from:
                     assert listed == every_pair
                 else:  # ~90 cells at the larger sizes: most pairs are far apart
@@ -160,6 +161,103 @@ def test_all_pairs_stage_serves_every_size_from_one_triangle():
         listed = set(zip(cand_a.tolist(), cand_b.tolist()))
         assert listed == {(a, b) for b in range(count) for a in range(b)}
         assert len(listed) == cand_a.shape[0]
+
+
+# ----------------------------------------------------------------------
+# The candidate stage, a block at a time
+# ----------------------------------------------------------------------
+_BLOCK = soa.CANDIDATE_BLOCK
+
+#: Populations across the grid crossover and across block edges: one
+#: block (5n <= the bound), a second block of four lookups, a last row
+#: that is a block of its own, rows ending on block edges, a first block
+#: that ends one lookup into the second row, one that is exactly the
+#: same-cell rows, and a second block that starts inside them.
+_BLOCK_SIZES = (
+    1, 2, soa.GRID_MIN_NODES - 1, soa.GRID_MIN_NODES, soa.GRID_MIN_NODES + 1,
+    _BLOCK // 5, _BLOCK // 5 + 1, _BLOCK // 4, _BLOCK // 2,
+    _BLOCK - 1, _BLOCK, _BLOCK + 7,
+)
+
+
+def _sparse_grid(xs, ys, cutoff: float) -> bool:
+    """Whether the grid stage looks cells up by binary search, not by table."""
+    np = soa.np
+    cx = np.floor(xs / cutoff)
+    cy = np.floor(ys / cutoff)
+    table_size = (int(cx.max() - cx.min()) + 3) * (int(cy.max() - cy.min()) + 3)
+    return table_size > 4 * xs.shape[0] + 1024
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_BLOCK_SIZES),
+    st.integers(min_value=0, max_value=2**20),
+    st.sampled_from((250.0, 385.0)),
+    st.sampled_from((0.5, 1.0, 2.5)),  # crowded, the paper's density, sparse
+    st.booleans(),
+)
+def test_block_stage_matches_the_whole_expansion(count, seed, cutoff, spread, far):
+    """The stage that tests a block of candidates at a time keeps the near
+    pairs of the one that expands them all first, to the byte and in the
+    same order, after testing as many candidates; so does the CSR that
+    ``build_csr`` assembles from them.  The points have whole-number
+    coordinates around the origin, coincident points and pairs exactly
+    ``cutoff`` apart; ``far`` moves a third of them a million metres off,
+    so that the cells are looked up by binary search."""
+    np = soa.np
+    rng = np.random.default_rng(seed)
+    side = 1500.0 * spread * (count / 50.0) ** 0.5
+    xs = np.floor(rng.uniform(-side / 2, side / 2, count))
+    ys = np.floor(rng.uniform(-side / 2, side / 2, count))
+    if far:
+        xs[::3] += 1e6
+        ys[::3] -= 1e6
+    xs[1::7] = xs[: count - 1 : 7]  # coincident with the point before
+    ys[1::7] = ys[: count - 1 : 7]
+    step = cutoff / 5  # (3, 4, 5) sides: exactly cutoff apart
+    xs[3::11] = xs[2 : count - 1 : 11] + 3 * step
+    ys[3::11] = ys[2 : count - 1 : 11] + 4 * step
+    if count >= soa.GRID_MIN_NODES and spread <= 1.0:  # both lookups run
+        assert _sparse_grid(xs, ys, cutoff) == far
+
+    near_a, near_b, candidates = soa._near_pairs(xs, ys, cutoff)
+    want_a, want_b, want_candidates = expand_then_filter(xs, ys, cutoff)
+    assert candidates == want_candidates
+    assert near_a.dtype == want_a.dtype and near_b.dtype == want_b.dtype
+    assert near_a.tobytes() == want_a.tobytes()
+    assert near_b.tobytes() == want_b.tobytes()
+    if count >= 4:  # the exact-cutoff pair is kept
+        assert ((near_a == 2) & (near_b == 3)).any() or ((near_a == 3) & (near_b == 2)).any()
+
+    ids = np.arange(count, dtype=np.int64) * 3 + 1
+    csr = soa.build_csr(soa.ArrayPositions(ids, xs, ys), cutoff)
+    indptr, neighbors = soa._assemble_csr(want_a, want_b, count)
+    assert csr.indptr.tobytes() == indptr.tobytes()
+    assert csr.neighbors.tobytes() == neighbors.tobytes()
+
+
+@pytest.mark.parametrize(
+    "count", (soa.GRID_MIN_NODES, _BLOCK // 5 + 1, _BLOCK + 7)
+)
+def test_pair_list_builds_from_the_block_stage(count):
+    """A from-scratch list holds the whole expansion's near pairs, as
+    slots, and weighs re-anchoring against the candidates it tested."""
+    np = soa.np
+    rng = np.random.default_rng(count)
+    side = 1500.0 * (count / 50.0) ** 0.5
+    xs = rng.uniform(0.0, side, count)
+    ys = rng.uniform(0.0, side, count)
+    slots = np.arange(count, dtype=np.int64) * 2 + 1
+    pairs = soa.PairList()
+    version = pairs.sync(soa.ArrayPositions(slots, xs, ys, slots), RANGE)
+    want_a, want_b, candidates = expand_then_filter(
+        xs, ys, RANGE + soa.PAIR_SKIN * RANGE
+    )
+    assert version.pair_a.tobytes() == slots[want_a].tobytes()
+    assert version.pair_b.tobytes() == slots[want_b].tobytes()
+    assert pairs._build_work == candidates + count
+    assert pairs.builds == 1
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,11 @@ table by component; this file is its gate.
 * ``test_the_shared_empty_map_stays_empty`` runs a world of every spec
   and then finds ``EMPTY_MAP``, which every agent's unwritten protocol
   maps share, still empty and still refusing writes.
+* ``test_pair_list_build_peaks_near_what_it_keeps`` builds a 10 000-point
+  pair list from scratch under ``tracemalloc``: the candidate stage tests
+  a block of grid candidates at a time
+  (``docs/decisions/19-candidates-a-block-at-a-time.md``), so the build
+  peaks at the list it keeps plus one block, not at every candidate.
 * ``test_host_bytes_names_still_exist`` keeps ``benchmarks/host_bytes.py``
   from filing bytes by an identifier the code no longer has.
 
@@ -58,6 +63,7 @@ with a handle per armed process too 1 419 and 1 191) plus 3 %.
 from __future__ import annotations
 
 import gc
+import math
 import operator
 import pathlib
 import re
@@ -68,6 +74,7 @@ import pytest
 
 from benchmarks.bench_scale import SPEC, scale_config
 from benchmarks.host_bytes import CALLABLE_NAMES
+from repro._np import np
 from repro.cache.directory import _StoreBinding
 from repro.cache.item import CachedCopy, MasterCopy
 from repro.cache.replacement import (
@@ -97,6 +104,7 @@ from repro.mobility.subnets import SubnetTracker
 from repro.mobility.walk import RandomWalk, _Epoch
 from repro.mobility.waypoint import Leg, RandomWaypoint
 from repro.net.node import NetworkNode
+from repro.net.soa import ArrayPositions, PairList
 from repro.peers.coefficients import CoefficientTracker
 from repro.peers.host import MobileHost
 from repro.peers.switching import SwitchingProcess
@@ -255,6 +263,39 @@ def test_arming_allocates_no_handle_per_process(stable_fraction):
         f"arming allocates {per_host:.0f} B/host "
         f"(budget {ARM_BUDGET[stable_fraction]})"
     )
+
+
+#: MiB a from-scratch ``PairList.sync`` over 10 000 uniform points at the
+#: paper's density may trace above where it started: 1.94 measured when
+#: the candidate stage went block by block (of which 0.94 is the list it
+#: keeps), plus 10 %.  Expanding every candidate at once peaked at 9.05.
+SYNC_PEAK_MIB = 2.15
+
+
+def test_pair_list_build_peaks_near_what_it_keeps():
+    n = 10_000
+    side = 1500.0 * math.sqrt(n / 50.0)
+    rng = np.random.default_rng(5)
+    slots = np.arange(n, dtype=np.int64)
+    positions = ArrayPositions(
+        slots, rng.uniform(0.0, side, n), rng.uniform(0.0, side, n), slots
+    )
+    PairList().sync(positions, 350.0)  # lazy imports and caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pairs = PairList()
+        pairs.sync(positions, 350.0)
+        kept, peak = (value - before for value in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert pairs.builds == 1
+    report = (
+        f"a {n}-point pair list build peaks {peak / 2**20:.2f} MiB above its "
+        f"start and keeps {kept / 2**20:.2f} (budget {SYNC_PEAK_MIB})"
+    )
+    assert peak <= SYNC_PEAK_MIB * 2**20, report
 
 
 def test_host_bytes_names_still_exist():
