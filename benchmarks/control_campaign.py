@@ -17,25 +17,20 @@ guarantees *from the artifact* — adaptive dominates or matches static on
 * stale-serve rate while partitioned, and
 * mean time to reconverge after a heal,
 
-within tolerance — and re-runs one cell bit-exactly; CI regenerates the
-whole artifact and fails on any byte that moved.
-
-Regenerate after an intentional behaviour change with::
-
-    PYTHONPATH=src python -m benchmarks.control_campaign --write
+within tolerance — and re-runs one cell bit-exactly.  :func:`run_campaign`
+computes the artifact; ``python tools/adopt.py control_campaign``
+recomputes all 80 runs in CI and fails on any value that moved.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 from typing import Dict, List, Sequence
 
 from repro.experiments.config import SimulationConfig
 from repro.experiments.sweep import Cell, Sweep, aggregate, run_checked
 
-ARTIFACT = pathlib.Path(__file__).resolve().parent / "CONTROL_campaign.json"
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples" / "faults"
 
 PLANS = ("partition", "bursty_loss", "relay_kill", "crash_reboot")
@@ -186,12 +181,7 @@ def run_campaign(verbose: bool = True) -> Dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--write", action="store_true",
-        help=f"write the artifact to {ARTIFACT.name}",
-    )
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     campaign = run_campaign()
     aggregates = campaign["aggregates"]
     for policy in POLICIES:
@@ -205,9 +195,6 @@ def main(argv=None) -> int:
     failures = dominance_failures(aggregates)
     for failure in failures:
         print(f"DOMINANCE FAILURE: {failure}")
-    if args.write:
-        ARTIFACT.write_text(json.dumps(campaign, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {ARTIFACT}")
     return 1 if failures else 0
 
 

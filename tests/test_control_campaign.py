@@ -4,23 +4,17 @@
 80-run controller comparison (4 fault plans x 5 strategy specs x
 2 seeds x {static, hysteresis}).  This module asserts the
 graceful-degradation guarantees *from that artifact* — so a regression
-in the numbers cannot land without visibly regenerating the file — and
-re-runs one live cell bit-exactly so the artifact cannot drift away
-from the code it claims to describe.
-
-Regenerate after an intentional behaviour change with::
-
-    PYTHONPATH=src python -m benchmarks.control_campaign --write
+in the numbers cannot land without visibly re-taking the file through
+``python tools/adopt.py --adopt control_campaign`` — and re-runs one
+live cell bit-exactly so the artifact cannot drift away from the code
+it claims to describe.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from benchmarks.control_campaign import (
-    ARTIFACT,
     CAMPAIGN,
     PLANS,
     POLICIES,
@@ -30,15 +24,14 @@ from benchmarks.control_campaign import (
     plan_name,
     records,
 )
+from tests.expectations import committed
+
+pytestmark = pytest.mark.expectation
 
 
 @pytest.fixture(scope="module")
 def campaign():
-    assert ARTIFACT.exists(), (
-        f"missing {ARTIFACT.name}; regenerate with "
-        "PYTHONPATH=src python -m benchmarks.control_campaign --write"
-    )
-    return json.loads(ARTIFACT.read_text())
+    return committed("control_campaign")
 
 
 class TestArtifactShape:

@@ -270,8 +270,9 @@ class TestOneCore:
     settings only tests set, the hand-built segment store, the config
     fields no public path set, the replica protocol, the absolute-seconds
     bench gate, the per-host period timer, §2's infrastructure baseline,
-    the benches nothing ran and the store's copy of the result schema are
-    gone from the tree, not just from ``src/``."""
+    the benches nothing ran, the store's copy of the result schema and the
+    per-file ways to rewrite a committed expectation are gone from the
+    tree, not just from ``src/``."""
 
     #: Spelled in pieces so this file passes its own check.
     RETIRED = (
@@ -323,6 +324,7 @@ class TestOneCore:
         "Matrix" + "Spec", "Matrix" + "Point", "expand_" + "matrix", "aggregate_" + "matrix",
         "BASE_" + "SCENARIOS", "campaign_" + "config",
         "Run" + "Record", "from_" + "result", "to_" + "result", "_RESULT_FIELD" + "_ORDER",
+        "REPRO_" + "UPDATE_GOLDEN", "smoke_scale.py" + " --update", "control_campaign" + " --write",
     )
     #: History, the issue that retired them, and the read-only benchmark.
     EXEMPT = ("CHANGES.md", "ROADMAP.md", "ISSUE.md", "benchmarks/e2e/")
@@ -334,6 +336,8 @@ class TestOneCore:
     EXEMPT += ("docs/decisions/10-what-nothing-runs.md",)
     EXEMPT += ("docs/decisions/12-one-sweep.md",)
     EXEMPT += ("docs/decisions/13-one-run-record.md",)
+    EXEMPT += ("docs/decisions/17-one-ttn-clock.md",)
+    EXEMPT += ("docs/decisions/18-one-clock-per-process-kind.md",)
     EXEMPT += ("BENCHMARK.json",)  # the benchmark's declaration, read-only too
 
     def test_retired_names_appear_in_no_tracked_file(self):

@@ -1,8 +1,6 @@
 """Unit tests for the battery and energy-cost model."""
 
-import json
 import math
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +10,7 @@ from repro.energy.battery import Battery, EnergyCosts
 from repro.errors import ConfigurationError
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import build_simulation
+from tests.expectations import committed
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -205,23 +204,17 @@ def test_radio_hooks_bit_identical_to_price_then_consume(prices, initial, script
         )
 
 
-GOLDEN_ENERGY = json.loads(
-    (Path(__file__).parent / "golden" / "energy.json").read_text()
-)
+#: The strategies of ``tests/golden/energy.json``.
+ENERGY_SPECS = ("pull", "push", "rpcc-hy")
 
 
-@pytest.mark.parametrize("spec", sorted(GOLDEN_ENERGY))
-def test_table1_run_energy_and_deliveries_as_recorded(spec):
-    """150 s of the Table-1 world, recorded before the radio path was inlined.
-
-    Energy is compared with ``==`` (JSON round-trips a float exactly); the
-    delivery counts say that no bystander delivery was skipped.
-    """
+def _energy_record(spec: str) -> dict:
+    """150 s of the Table-1 world: what its radios spent and delivered."""
     config = SimulationConfig(seed=7, sim_time=150.0, warmup=0.0)
     simulation = build_simulation(config, spec, "standard")
     result = simulation.run()
     hosts = simulation.hosts.values()
-    assert {
+    return {
         "energy_consumed": result.energy_consumed,
         "mean_battery_fraction": result.mean_battery_fraction,
         "tx_count": sum(host.battery.tx_count for host in hosts),
@@ -229,4 +222,25 @@ def test_table1_run_energy_and_deliveries_as_recorded(spec):
         "messages_delivered": simulation.network.messages_delivered,
         "messages_undeliverable": simulation.network.messages_undeliverable,
         "messages_handled": sum(host.messages_handled for host in hosts),
-    } == GOLDEN_ENERGY[spec]
+    }
+
+
+def energy() -> dict:
+    """The content of ``tests/golden/energy.json``."""
+    return {spec: _energy_record(spec) for spec in ENERGY_SPECS}
+
+
+@pytest.mark.expectation
+@pytest.mark.parametrize("spec", ENERGY_SPECS)
+def test_table1_run_energy_and_deliveries_as_recorded(spec):
+    """150 s of the Table-1 world, recorded before the radio path was inlined.
+
+    Energy is compared with ``==`` (JSON round-trips a float exactly); the
+    delivery counts say that no bystander delivery was skipped.
+    """
+    assert _energy_record(spec) == committed("energy")[spec]
+
+
+@pytest.mark.expectation
+def test_energy_file_holds_every_spec():
+    assert set(committed("energy")) == set(ENERGY_SPECS)

@@ -227,6 +227,36 @@ class TestCrashes:
         with pytest.raises(ConfigurationError, match="unknown node"):
             injector.start()
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 22")
+    def test_a_crash_forever_outlasts_churn(self):
+        """``down_for=None`` means the node never reboots, churn or not.
+
+        Every host churns (200 s on, 20 s off) and every node crashes
+        forever at 100 s.  The host's switching process still flips the
+        state it last set: 19 of 20 hosts come back, the first at 109.1 s.
+        """
+        from repro.experiments.config import SimulationConfig
+        from repro.experiments.runner import build_simulation
+        from repro.obs import ListSink, TraceBus
+
+        plan = FaultPlan(faults=tuple(Crash(node=node, at=100.0) for node in range(20)))
+        config = SimulationConfig(
+            n_peers=20, seed=5, stable_fraction=0.0, mean_online=200.0,
+            mean_offline=20.0, sim_time=400.0, warmup=0.0, faults=plan,
+        )
+        bus = TraceBus()
+        sink = bus.add_sink(ListSink())
+        build_simulation(config, "rpcc-hy", trace=bus).run()
+        bus.close()
+        crashed, back = set(), []
+        for event in sink.events:
+            if event.etype == "fault_node_crash":
+                crashed.add(event.node)
+            elif event.etype == "node_online" and event.node in crashed:
+                back.append((event.node, round(event.time, 1)))
+        assert crashed == set(range(20))
+        assert back == []
+
 
 class TestRelayKills:
     def test_noop_without_relay_roles(self):

@@ -5,21 +5,21 @@ eight CSVs of ``tests/golden/figures_tiny.json`` byte for byte, and
 simulates each distinct ``(config, spec, scenario)`` once: three sweeps
 of five values for six strategies share the Table 1 default point (78
 runs), and Fig 9 adds seven TTLs plus push and pull (9).
+:func:`figures_tiny` computes the file (``python tools/adopt.py
+figures_tiny``).
 """
 
-import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
 import repro.cli as cli
+from tests.expectations import committed
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "figures_tiny.json"
 
-
-@pytest.fixture(scope="module")
-def tiny_all(tmp_path_factory):
-    out = tmp_path_factory.mktemp("figures")
+def _tiny_all(out: Path):
+    """Run the tiny ``repro all`` into ``out``; the executor it used."""
     executors = []
     make = cli._executor
 
@@ -34,14 +34,32 @@ def tiny_all(tmp_path_factory):
             "all", "--out", str(out),
         ]) == 0
     (executor,) = executors
-    return out, executor
+    return executor
 
 
+def _written(out: Path) -> dict:
+    return {
+        path.name: path.read_text(encoding="utf-8") for path in sorted(out.iterdir())
+    }
+
+
+def figures_tiny() -> dict:
+    """The content of ``tests/golden/figures_tiny.json``."""
+    with tempfile.TemporaryDirectory() as out:
+        _tiny_all(Path(out))
+        return _written(Path(out))
+
+
+@pytest.fixture(scope="module")
+def tiny_all(tmp_path_factory):
+    out = tmp_path_factory.mktemp("figures")
+    return out, _tiny_all(out)
+
+
+@pytest.mark.expectation
 def test_all_writes_the_golden_csvs(tiny_all):
     out, _ = tiny_all
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    written = {path.name: path.read_text(encoding="utf-8") for path in out.iterdir()}
-    assert written == golden
+    assert _written(out) == committed("figures_tiny")
 
 
 def test_all_simulates_each_distinct_run_once(tiny_all):

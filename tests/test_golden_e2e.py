@@ -9,15 +9,12 @@ silently corrupt a figure.
 
 Digests deliberately contain **no** ids (query/poll/message/fetch ids
 come from process-global counters and depend on test execution order)
-and no wall-clock fields.  Regenerate after an intentional behaviour
-change with::
-
-    REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_e2e.py
-
-and commit the refreshed ``digests.json`` (and ``worlds.json``, the
-larger worlds pinned further down) alongside the change.  Each cell's
-JSONL trace bytes are pinned too, in ``trace_bytes.json``: a change to
-the writer alone must leave that file as it is.
+and no wall-clock fields.  Each cell's JSONL trace bytes are pinned too,
+in ``trace_bytes.json``: a change to the writer alone must leave that
+file as it is.  ``worlds.json`` pins the larger worlds further down.
+:func:`digests`, :func:`trace_bytes` and :func:`worlds` compute the three
+files; after an intentional behaviour change ``python tools/adopt.py``
+shows what moved and ``python tools/adopt.py --adopt`` re-takes them.
 
 Every run is also replayed through the invariant checker: the golden
 matrix doubles as the "checker passes seeded e2e runs of all strategies
@@ -27,10 +24,9 @@ and levels" acceptance gate.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
-import json
-import os
 from collections import Counter
 from pathlib import Path
 
@@ -41,15 +37,7 @@ from repro.experiments.runner import build_simulation
 from repro.net import soa
 from repro.net.topology import TopologySnapshot
 from repro.obs import InvariantChecker, JsonlSink, ListSink, TraceBus, read_jsonl
-
-GOLDEN_PATH = Path(__file__).parent / "golden" / "digests.json"
-#: sha256 and byte count of each matrix cell's JSONL trace, recorded
-#: through the sink of the per-field writer the compiled ones replaced.
-TRACE_BYTES_PATH = Path(__file__).parent / "golden" / "trace_bytes.json"
-#: Table-1 and 2 000-peer worlds, recorded while a scalar per-quantum core
-#: still ran next to the array core and both produced these digests.
-WORLDS_PATH = Path(__file__).parent / "golden" / "worlds.json"
-UPDATE = bool(os.environ.get("REPRO_UPDATE_GOLDEN"))
+from tests.expectations import committed, summary_digest
 
 SPECS = (
     "push", "pull", "rpcc-sc", "rpcc-dc", "rpcc-wc", "rpcc-hy",
@@ -57,16 +45,6 @@ SPECS = (
 )
 SEEDS = (7, 11)
 MATRIX = [(spec, seed) for spec in SPECS for seed in SEEDS]
-
-_INT_METRICS = (
-    "transmissions", "messages", "bytes_on_air",
-    "queries_issued", "queries_answered", "queries_unanswered",
-)
-_FLOAT_METRICS = (
-    "mean_latency", "mean_hit_latency", "p95_latency",
-    "local_answer_ratio", "stale_ratio", "violation_ratio",
-    "mean_staleness_age",
-)
 
 
 def _config(seed: int) -> SimulationConfig:
@@ -80,26 +58,19 @@ def _config(seed: int) -> SimulationConfig:
     )
 
 
-def _run_cell(spec: str, seed: int, config: SimulationConfig = None):
+def _run_cell(spec: str, seed: int, config: SimulationConfig = None,
+              scenario: str = "standard"):
     bus = TraceBus()
     sink = bus.add_sink(ListSink())
     result = build_simulation(
-        config or _config(seed), spec, "standard", trace=bus
+        config or _config(seed), spec, scenario, trace=bus
     ).run()
     bus.close()
     return result, sink.events
 
 
 def _digest(result, events) -> dict:
-    summary = result.summary
-    digest = {name: getattr(summary, name) for name in _INT_METRICS}
-    digest.update({
-        name: round(getattr(summary, name), 6) for name in _FLOAT_METRICS
-    })
-    digest["counters"] = dict(sorted(summary.counters.items()))
-    digest["transmissions_by_type"] = dict(
-        sorted(summary.transmissions_by_type.items())
-    )
+    digest = summary_digest(result.summary)
     digest["total_queries"] = result.total_queries
     digest["total_updates"] = result.total_updates
     digest["events"] = dict(sorted(Counter(e.etype for e in events).items()))
@@ -132,19 +103,33 @@ def _trace_bytes(events) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
-def _load_golden(path: Path = GOLDEN_PATH) -> dict:
-    if not path.exists():
-        return {}
-    return json.loads(path.read_text())
+def _trace_record(data: bytes) -> dict:
+    return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _store_golden(key: str, digest: dict, path: Path = GOLDEN_PATH) -> None:
-    golden = _load_golden(path)
-    golden[key] = digest
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+@functools.lru_cache(maxsize=None)
+def _matrix():
+    """``(digests, trace records)`` of every matrix cell, by cell key:
+    one run per cell serves both files."""
+    digests, traces = {}, {}
+    for spec, seed in MATRIX:
+        result, events = _run_cell(spec, seed)
+        digests[f"{spec}-seed{seed}"] = _digest(result, events)
+        traces[f"{spec}-seed{seed}"] = _trace_record(_trace_bytes(_renumbered(events)))
+    return digests, traces
 
 
+def digests() -> dict:
+    """The content of ``tests/golden/digests.json``."""
+    return _matrix()[0]
+
+
+def trace_bytes() -> dict:
+    """The content of ``tests/golden/trace_bytes.json``."""
+    return _matrix()[1]
+
+
+@pytest.mark.expectation
 @pytest.mark.parametrize("spec,seed", MATRIX, ids=[f"{s}-s{d}" for s, d in MATRIX])
 def test_golden_digest(spec, seed):
     result, events = _run_cell(spec, seed)
@@ -158,23 +143,14 @@ def test_golden_digest(spec, seed):
     key = f"{spec}-seed{seed}"
     events = _renumbered(events)
     data = _trace_bytes(events)
-    trace = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
-    if UPDATE:
-        _store_golden(key, digest)
-        _store_golden(key, trace, TRACE_BYTES_PATH)
-        pytest.skip(f"updated golden digest for {key}")
     # The file reads back to the events that wrote it.
     assert read_jsonl(io.StringIO(data.decode("utf-8"))) == events
-    assert trace == _load_golden(TRACE_BYTES_PATH).get(key), (
+    assert _trace_record(data) == committed("trace_bytes").get(key), (
         f"trace bytes of {key} no longer match tests/golden/trace_bytes.json"
     )
-    golden = _load_golden()
-    assert key in golden, (
-        f"no golden digest for {key}; regenerate with REPRO_UPDATE_GOLDEN=1"
-    )
-    assert digest == golden[key], (
+    assert digest == committed("digests").get(key), (
         f"behaviour drift in {key}: digest no longer matches "
-        f"tests/golden/digests.json (regenerate only if the change is intended)"
+        f"tests/golden/digests.json (python tools/adopt.py shows what moved)"
     )
 
 
@@ -191,6 +167,7 @@ def test_replay_is_bit_identical():
     assert strip(first_events) == strip(second_events)
 
 
+@pytest.mark.expectation
 def test_golden_digest_reproduced_outside_the_matrix():
     """One golden cell rerun outside the matrix yields the committed digest.
 
@@ -198,9 +175,7 @@ def test_golden_digest_reproduced_outside_the_matrix():
     candidate stage), like every size.
     """
     digest = _digest(*_run_cell("rpcc-sc", 7))
-    golden = _load_golden()
-    if not UPDATE and "rpcc-sc-seed7" in golden:
-        assert digest == golden["rpcc-sc-seed7"]
+    assert digest == committed("digests")["rpcc-sc-seed7"]
 
 
 # ----------------------------------------------------------------------
@@ -216,21 +191,95 @@ def _run_table1(spec: str, **overrides):
     return result, _digest(result, events)
 
 
-def _check_world(key: str, digest: dict, **pinned) -> None:
-    """Compare one world with ``worlds.json`` (or record it, under UPDATE).
+def _table1_world(spec: str):
+    """A Table-1 world and its record: the digest and the refresh
+    counters committed when a scalar core produced them too."""
+    result, digest = _run_table1(spec)
+    return result, {"digest": digest, "topology_stats": result.topology_stats}
 
-    ``pinned`` holds result counters (``topology_stats``,
-    ``fault_stats``) committed next to the digest.
-    """
-    record = {"digest": digest, **pinned}
-    if UPDATE:
-        _store_golden(key, record, WORLDS_PATH)
-        return
-    worlds = _load_golden(WORLDS_PATH)
-    assert key in worlds, (
-        f"no committed world {key}; regenerate with REPRO_UPDATE_GOLDEN=1"
+
+def _partition_world():
+    """The Table-1 world cut by ``examples/faults/partition.json``."""
+    from repro.faults import FaultPlan
+
+    plan = FaultPlan.load(FAULTS_DIR / "partition.json")
+    result, digest = _run_table1("rpcc-sc", faults=plan)
+    return result, {"digest": digest, "fault_stats": result.summary.fault_stats}
+
+
+#: ``(key, spec, peers, sim_time)``: nineteen peers in twenty stand still,
+#: so a quantum moves two or three of 50 and about ten of 200 (terrain
+#: scaled to the Table-1 density).
+PAUSE_WORLDS = [
+    ("pause50-pull", "pull", 50, 150.0),
+    ("pause50-rpcc-hy", "rpcc-hy", 50, 150.0),
+    ("pause200-rpcc-hy", "rpcc-hy", 200, 100.0),
+]
+
+
+def _pause_world(spec: str, n_peers: int, sim_time: float):
+    side = 1500.0 * (n_peers / 50.0) ** 0.5
+    config = SimulationConfig(
+        n_peers=n_peers,
+        terrain_width=side,
+        terrain_height=side,
+        stable_fraction=0.95,
+        sim_time=sim_time,
+        warmup=50.0,
+        seed=7,
     )
-    assert record == worlds[key], f"behaviour drift in {key} (tests/golden/worlds.json)"
+    result, events = _run_cell(spec, 7, config)
+    return result, {"digest": _digest(result, events)}
+
+
+def _large_world(stable_fraction: float):
+    """A 2 000-peer walk world, above the array-refresh crossover."""
+    n_peers = 2000
+    assert n_peers >= soa.ARRAY_REFRESH_MIN_NODES
+    side = 1500.0 * (n_peers / 50.0) ** 0.5
+    config = SimulationConfig(
+        n_peers=n_peers,
+        terrain_width=side,
+        terrain_height=side,
+        mobility="walk",
+        stable_fraction=stable_fraction,
+        sim_time=3.0,
+        warmup=0.0,
+        query_interval=100.0,
+        update_interval=2.0,
+        seed=7,
+    )
+    result, events = _run_cell("rpcc-hy", 7, config, "single_source")
+    return result, {"digest": _digest(result, events)}
+
+
+#: Every world of ``worlds.json``: its key and the run that yields
+#: ``(result, record)``.
+WORLDS = {
+    **{f"table1-{spec}": functools.partial(_table1_world, spec)
+       for spec in ("rpcc-hy", "pull", "push")},
+    "table1-partition-rpcc-sc": _partition_world,
+    **{key: functools.partial(_pause_world, spec, n_peers, sim_time)
+       for key, spec, n_peers, sim_time in PAUSE_WORLDS},
+    "large-sparse": functools.partial(_large_world, 0.9),
+    "large-walkers": functools.partial(_large_world, 0.1),
+}
+
+
+def worlds() -> dict:
+    """The content of ``tests/golden/worlds.json``."""
+    return {key: world()[1] for key, world in WORLDS.items()}
+
+
+def _check_world(key: str):
+    """Run world ``key``, compare its record with ``worlds.json`` and
+    return the run's result."""
+    result, record = WORLDS[key]()
+    assert record["digest"]["transmissions"] > 0
+    assert record == committed("worlds").get(key), (
+        f"behaviour drift in {key} (tests/golden/worlds.json)"
+    )
+    return result
 
 
 def _spy(monkeypatch, owner, name, calls):
@@ -243,14 +292,13 @@ def _spy(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, wrapper)
 
 
+@pytest.mark.expectation
 @pytest.mark.parametrize("spec", ("rpcc-hy", "pull", "push"))
 def test_table1_world_matches_golden(spec):
     """50 peers is under every size crossover there ever was: the array
     build serves it and must reproduce the digest and refresh counters
     committed when a scalar core produced them too."""
-    result, digest = _run_table1(spec)
-    assert digest["transmissions"] > 0
-    _check_world(f"table1-{spec}", digest, topology_stats=result.topology_stats)
+    _check_world(f"table1-{spec}")
 
 
 @pytest.mark.parametrize("spec,sent", [
@@ -293,12 +341,10 @@ def test_table1_run_stays_off_the_scalar_build(monkeypatch, spec, sent):
         assert discovered <= 0.6 * whole  # walk nearly everything (64 %)
 
 
+@pytest.mark.expectation
 def test_partition_plan_filters_the_lazily_materialised_snapshot(monkeypatch):
     """A partition reads positions and neighbour lists the array build
     left unmaterialised; the cut graph must yield the committed run."""
-    from repro.faults import FaultPlan
-
-    plan = FaultPlan.load(FAULTS_DIR / "partition.json")
     filtered = []
     real_filter = TopologySnapshot._apply_edge_filter
 
@@ -309,7 +355,7 @@ def test_partition_plan_filters_the_lazily_materialised_snapshot(monkeypatch):
         real_filter(self)
 
     monkeypatch.setattr(TopologySnapshot, "_apply_edge_filter", apply_edge_filter)
-    result, digest = _run_table1("rpcc-sc", faults=plan)
+    result = _check_world("table1-partition-rpcc-sc")
     # Every filtered build started from arrays with nothing materialised.
     assert len(filtered) > 10
     assert set(filtered) <= {
@@ -317,19 +363,9 @@ def test_partition_plan_filters_the_lazily_materialised_snapshot(monkeypatch):
     }
     assert (soa.ArrayPositions, True, False) in filtered
     assert result.summary.fault_stats["partition_seconds"] == 60.0
-    _check_world("table1-partition-rpcc-sc", digest, fault_stats=result.summary.fault_stats)
 
 
-#: ``(key, spec, peers, sim_time)``: nineteen peers in twenty stand still,
-#: so a quantum moves two or three of 50 and about ten of 200 (terrain
-#: scaled to the Table-1 density).
-PAUSE_WORLDS = [
-    ("pause50-pull", "pull", 50, 150.0),
-    ("pause50-rpcc-hy", "rpcc-hy", 50, 150.0),
-    ("pause200-rpcc-hy", "rpcc-hy", 200, 100.0),
-]
-
-
+@pytest.mark.expectation
 @pytest.mark.parametrize(
     "key,spec,n_peers,sim_time", PAUSE_WORLDS, ids=[w[0] for w in PAUSE_WORLDS]
 )
@@ -340,64 +376,25 @@ def test_pause_heavy_world(key, spec, n_peers, sim_time):
     (pause50-pull), 191 (pause50-rpcc-hy) and 153 (pause200-rpcc-hy)
     against one from-scratch build each, so a rebuild that diverges from
     the patch in this regime fails here."""
-    side = 1500.0 * (n_peers / 50.0) ** 0.5
-    config = SimulationConfig(
-        n_peers=n_peers,
-        terrain_width=side,
-        terrain_height=side,
-        stable_fraction=0.95,
-        sim_time=sim_time,
-        warmup=50.0,
-        seed=7,
-    )
-    result, events = _run_cell(spec, 7, config)
-    digest = _digest(result, events)
-    assert digest["transmissions"] > 0
-    _check_world(key, digest)
+    result = _check_world(key)
     # Served by rebuilds: one per changed refresh.
     assert result.topology_stats["snapshots_built"] > 150
 
 
-def _run_large_world(key: str, stable_fraction: float):
-    """A 2 000-peer walk world, above the array-refresh crossover: the
-    result of one traced run, its digest checked against the committed one."""
-    n_peers = 2000
-    assert n_peers >= soa.ARRAY_REFRESH_MIN_NODES
-    side = 1500.0 * (n_peers / 50.0) ** 0.5
-    config = SimulationConfig(
-        n_peers=n_peers,
-        terrain_width=side,
-        terrain_height=side,
-        mobility="walk",
-        stable_fraction=stable_fraction,
-        sim_time=3.0,
-        warmup=0.0,
-        query_interval=100.0,
-        update_interval=2.0,
-        seed=7,
-    )
-    bus = TraceBus()
-    sink = bus.add_sink(ListSink())
-    result = build_simulation(config, "rpcc-hy", "single_source", trace=bus).run()
-    bus.close()
-    digest = _digest(result, sink.events)
-    assert digest["transmissions"] > 0
-    _check_world(key, digest)
-    return result
-
-
+@pytest.mark.expectation
 def test_large_sparse_world_matches_golden():
     """Above the array-refresh crossover with few movers, a run must
     still equal the committed one."""
-    stats = _run_large_world("large-sparse", 0.9).topology_stats
+    stats = _check_world("large-sparse").topology_stats
     assert stats["snapshots_built"] > 1
 
 
+@pytest.mark.expectation
 def test_large_walker_world_matches_golden():
     """Nine walkers in ten, switching on and off as they go: the array
     refreshes reuse their candidate pairs through the churn, and the run
     still equals the committed one."""
-    stats = _run_large_world("large-walkers", 0.1).topology_stats
+    stats = _check_world("large-walkers").topology_stats
     assert stats["invalidations"] > 0
     assert stats["pair_list_reuses"] > stats["pair_list_builds"] >= 1
     assert stats["snapshots_built"] == (
@@ -405,9 +402,9 @@ def test_large_walker_world_matches_golden():
     )
 
 
+@pytest.mark.expectation
 def test_golden_file_covers_the_whole_matrix():
-    if UPDATE:
-        pytest.skip("regenerating")
     cells = {f"{spec}-seed{seed}" for spec, seed in MATRIX}
-    assert set(_load_golden()) == cells
-    assert set(_load_golden(TRACE_BYTES_PATH)) == cells
+    assert set(committed("digests")) == cells
+    assert set(committed("trace_bytes")) == cells
+    assert set(committed("worlds")) == set(WORLDS)

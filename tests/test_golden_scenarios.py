@@ -8,19 +8,12 @@ as ``tests/test_golden_e2e.py``.  Digests live in
 changed override, a different fault plan, a reshuffled RNG stream — is
 caught here before it can silently invalidate a published sweep.
 
-Regenerate after an intentional behaviour change with::
-
-    REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_scenarios.py
-
-and commit the refreshed ``scenarios.json`` alongside the change.
+:func:`scenarios` computes the file.  After an intentional behaviour
+change, ``python tools/adopt.py scenarios`` shows what moved and
+``python tools/adopt.py --adopt scenarios`` re-takes it.
 """
 
 from __future__ import annotations
-
-import json
-import os
-from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -28,9 +21,8 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import build_simulation
 from repro.obs import InvariantChecker, ListSink, TraceBus
 from repro.scenarios.registry import SCENARIOS
-
-GOLDEN_PATH = Path(__file__).parent / "golden" / "scenarios.json"
-UPDATE = bool(os.environ.get("REPRO_UPDATE_GOLDEN"))
+from tests.expectations import committed
+from tests.test_golden_e2e import _digest
 
 #: The conformance strategies: both baselines plus RPCC's strong level.
 SPECS = ("push", "pull", "rpcc-sc")
@@ -40,16 +32,6 @@ SEEDS = (7, 11)
 #: to the caller.  The warmup covers the relay bootstrap, and the 120 s
 #: window straddles every preset's scripted faults and popularity shift.
 BASE = dict(sim_time=120.0, warmup=60.0)
-
-_INT_METRICS = (
-    "transmissions", "messages", "bytes_on_air",
-    "queries_issued", "queries_answered", "queries_unanswered",
-)
-_FLOAT_METRICS = (
-    "mean_latency", "mean_hit_latency", "p95_latency",
-    "local_answer_ratio", "stale_ratio", "violation_ratio",
-    "mean_staleness_age",
-)
 
 
 def _matrix():
@@ -71,35 +53,15 @@ def _run_cell(scenario: str, spec: str, seed: int):
     return result, sink.events
 
 
-def _digest(result, events) -> dict:
-    summary = result.summary
-    digest = {name: getattr(summary, name) for name in _INT_METRICS}
-    digest.update({
-        name: round(getattr(summary, name), 6) for name in _FLOAT_METRICS
-    })
-    digest["counters"] = dict(sorted(summary.counters.items()))
-    digest["transmissions_by_type"] = dict(
-        sorted(summary.transmissions_by_type.items())
-    )
-    digest["total_queries"] = result.total_queries
-    digest["total_updates"] = result.total_updates
-    digest["events"] = dict(sorted(Counter(e.etype for e in events).items()))
-    return digest
+def scenarios() -> dict:
+    """The content of ``tests/golden/scenarios.json``."""
+    return {
+        f"{scenario}-{spec}-seed{seed}": _digest(*_run_cell(scenario, spec, seed))
+        for scenario, spec, seed in _matrix()
+    }
 
 
-def _load_golden() -> dict:
-    if not GOLDEN_PATH.exists():
-        return {}
-    return json.loads(GOLDEN_PATH.read_text())
-
-
-def _store_golden(key: str, digest: dict) -> None:
-    golden = _load_golden()
-    golden[key] = digest
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
-
-
+@pytest.mark.expectation
 @pytest.mark.parametrize(
     "scenario,spec,seed",
     _matrix(),
@@ -116,16 +78,9 @@ def test_golden_scenario_digest(scenario, spec, seed):
     assert report.reads_checked > 0
 
     key = f"{scenario}-{spec}-seed{seed}"
-    if UPDATE:
-        _store_golden(key, digest)
-        pytest.skip(f"updated golden digest for {key}")
-    golden = _load_golden()
-    assert key in golden, (
-        f"no golden digest for {key}; regenerate with REPRO_UPDATE_GOLDEN=1"
-    )
-    assert digest == golden[key], (
+    assert digest == committed("scenarios").get(key), (
         f"behaviour drift in {key}: digest no longer matches "
-        f"tests/golden/scenarios.json (regenerate only if the change is intended)"
+        f"tests/golden/scenarios.json (python tools/adopt.py shows what moved)"
     )
 
 
@@ -139,9 +94,7 @@ def test_scenario_expansion_is_pure():
         assert (first, first_placement) == (second, second_placement), name
 
 
+@pytest.mark.expectation
 def test_golden_file_covers_the_whole_matrix():
-    if UPDATE:
-        pytest.skip("regenerating")
-    golden = _load_golden()
     expected = {f"{sc}-{sp}-seed{sd}" for sc, sp, sd in _matrix()}
-    assert set(golden) == expected
+    assert set(committed("scenarios")) == expected
